@@ -2,8 +2,10 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <mutex>
+#include <set>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -21,9 +23,9 @@ namespace {
 constexpr std::size_t kShardCount = 16;
 
 // FNV-1a over the trial coordinates; 0x1f separators keep ("a","bc")
-// and ("ab","c") in (usually) different shards.
-std::size_t shard_of(const std::string& app, const std::string& exp,
-                     const std::string& trial) {
+// and ("ab","c") apart.
+std::uint64_t coordinate_hash(const std::string& app, const std::string& exp,
+                              const std::string& trial) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   const auto mix = [&h](const std::string& s) {
     for (const char c : s) {
@@ -36,7 +38,7 @@ std::size_t shard_of(const std::string& app, const std::string& exp,
   mix(app);
   mix(exp);
   mix(trial);
-  return static_cast<std::size_t>(h % kShardCount);
+  return h;
 }
 
 std::string shard_dirname(std::size_t shard) {
@@ -45,16 +47,63 @@ std::string shard_dirname(std::size_t shard) {
 }
 
 // Index lines are tab-separated: app, experiment, trial name, relative
-// snapshot path ("shard-NN/name_K.pkb", or "name_K.pkprof" in the legacy
-// flat layout).
-std::string sanitize_filename(std::string_view s, std::size_t ordinal) {
-  std::string out;
-  for (char c : s) {
+// snapshot path. New snapshots are named "shard-NN/<name>_<hash>.pkb",
+// where <hash> is the 64-bit coordinate hash in hex, so the name of a
+// trial never depends on what else is stored. Older repositories carry
+// ordinal names ("shard-NN/name_K.pkb", or "name_K.pkprof" in the legacy
+// flat layout); those are read through the index and kept as they are.
+std::string stable_filename(const std::string& app, const std::string& exp,
+                            const std::string& trial) {
+  const std::uint64_t h = coordinate_hash(app, exp, trial);
+  std::string out =
+      shard_dirname(static_cast<std::size_t>(h % kShardCount)) + "/";
+  for (const char c : trial) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '-' || c == '_';
     out += ok ? c : '_';
   }
-  return out + "_" + std::to_string(ordinal);
+  char hash[20];
+  std::snprintf(hash, sizeof hash, "_%016llx",
+                static_cast<unsigned long long>(h));
+  return out + hash;
+}
+
+// Tabs and line breaks would split an index or lineage row.
+void check_name(const char* where, const char* field,
+                const std::string& value) {
+  if (value.find_first_of("\t\n\r") != std::string::npos) {
+    throw InvalidArgumentError(std::string(where) + ": " + field +
+                               " name must not contain a tab, newline or "
+                               "carriage return");
+  }
+}
+
+// Writes `text` to a sibling temp file of `file` and returns its path.
+std::filesystem::path write_temp(const std::filesystem::path& file,
+                                 const std::string& text) {
+  const std::filesystem::path tmp = file.string() + ".tmp";
+  std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+  if (!os) {
+    throw IoError("cannot open for writing: " + tmp.string());
+  }
+  os << text;
+  os.close();
+  if (!os) {
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);
+    throw IoError("write failed: " + tmp.string());
+  }
+  return tmp;
+}
+
+void rename_into_place(const std::filesystem::path& tmp,
+                       const std::filesystem::path& dest) {
+  std::error_code ec;
+  std::filesystem::rename(tmp, dest, ec);
+  if (ec) {
+    throw IoError("cannot rename " + tmp.string() + " -> " + dest.string() +
+                  ": " + ec.message());
+  }
 }
 
 // Approximate in-memory footprint of a materialized trial: the value
@@ -109,8 +158,8 @@ void save_pkb_file(const profile::TrialView& trial,
 
 // One trial slot. `trial`/`view` are the resident representations; a
 // non-resident entry holds only the backing file path and is reloaded on
-// demand. `file`/`pkb`/`pinned` are immutable after construction; every
-// other field is guarded by the repository cache mutex. Residency
+// demand. `file`/`rel`/`pkb`/`pinned` are immutable after construction;
+// every other field is guarded by the repository cache mutex. Residency
 // transitions (demand-loading `trial`/`view` from disk) are additionally
 // serialized by the per-entry `load_mutex` so the expensive open/parse
 // runs with the cache mutex released; `load_mutex` is always acquired
@@ -119,9 +168,14 @@ struct Repository::Entry {
   std::mutex load_mutex;  ///< serializes demand-loads of this entry
   TrialPtr trial;
   std::shared_ptr<PkbView> view;
+  bool columns_verified = false;  ///< `view`'s COLS CRC has been checked
   std::filesystem::path file;  ///< backing snapshot; empty for put() trials
+  std::string rel;             ///< `file` as index.tsv names it
   bool pkb = false;
   bool pinned = false;  ///< never evicted, never charged
+  /// put() since open, or handed out mutable by get(): the next save()
+  /// rewrites the snapshot. Never cleared — the holder may keep editing.
+  bool dirty = false;
   std::size_t charge = 0;
   std::uint64_t last_used = 0;
 };
@@ -143,8 +197,12 @@ void Repository::put(const std::string& application,
   if (!trial) {
     throw InvalidArgumentError("Repository::put: null trial");
   }
+  check_name("Repository::put", "application", application);
+  check_name("Repository::put", "experiment", experiment);
+  check_name("Repository::put", "trial", trial->name());
   auto entry = std::make_shared<Entry>();
   entry->pinned = true;
+  entry->dirty = true;
   std::string name = trial->name();
   entry->trial = std::move(trial);
   insert_entry(application, experiment, name, std::move(entry));
@@ -156,6 +214,10 @@ void Repository::put_version(const std::string& application,
   if (!trial) {
     throw InvalidArgumentError("Repository::put_version: null trial");
   }
+  check_name("Repository::put_version", "application", application);
+  check_name("Repository::put_version", "experiment", experiment);
+  check_name("Repository::put_version", "trial", trial->name());
+  check_name("Repository::put_version", "predecessor", predecessor);
   auto& chain = lineage_[application][experiment];
   std::string pred = predecessor;
   if (pred.empty() && !chain.empty()) pred = chain.back().version;
@@ -321,8 +383,19 @@ std::shared_ptr<PkbView> Repository::load_view(Entry& entry) const {
   mapped.add(view->byte_size());
   const std::lock_guard lock(cache_->mutex);
   entry.view = view;
+  entry.columns_verified = false;
   charge_locked(entry, view->byte_size());
   return view;
+}
+
+void Repository::verify_columns(Entry& entry, const PkbView& view) const {
+  {
+    const std::lock_guard lock(cache_->mutex);
+    if (entry.view.get() == &view && entry.columns_verified) return;
+  }
+  view.verify_columns();
+  const std::lock_guard lock(cache_->mutex);
+  if (entry.view.get() == &view) entry.columns_verified = true;
 }
 
 TrialPtr Repository::load_trial(Entry& entry) const {
@@ -397,12 +470,16 @@ TrialPtr Repository::get(const std::string& application,
     if (entry->trial) {
       touch_locked(*entry);
       cache_hits().add();
+      entry->dirty = true;
       return entry->trial;
     }
   }
   cache_misses().add();
   const std::lock_guard load(entry->load_mutex);
-  return load_trial(*entry);
+  TrialPtr out = load_trial(*entry);
+  const std::lock_guard lock(cache_->mutex);
+  entry->dirty = true;
+  return out;
 }
 
 TrialViewPtr Repository::view(const std::string& application,
@@ -437,6 +514,18 @@ TrialViewPtr Repository::view(const std::string& application,
   const std::lock_guard lock(cache_->mutex);
   touch_locked(*entry);
   evict_to_budget_locked();
+  return out;
+}
+
+TrialViewPtr Repository::verified_view(const std::string& application,
+                                       const std::string& experiment,
+                                       const std::string& trial) const {
+  TrialViewPtr out = view(application, experiment, trial);
+  // Materialized trials were fully verified when they were loaded (or
+  // never came from disk); only a schema-checked view needs the COLS CRC.
+  if (const auto* pkb = dynamic_cast<const PkbView*>(out.get())) {
+    verify_columns(*find_entry(application, experiment, trial), *pkb);
+  }
   return out;
 }
 
@@ -566,48 +655,60 @@ void Repository::save(const std::filesystem::path& dir) const {
   for (std::size_t s = 0; s < kShardCount; ++s) {
     std::filesystem::create_directories(dir / shard_dirname(s));
   }
-  std::ofstream index(dir / "index.tsv");
-  if (!index) {
-    throw IoError("cannot write index: " + (dir / "index.tsv").string());
-  }
-  std::size_t ordinal = 0;
+  // Snapshots already in `dir` are reused; anywhere else they are copies.
+  std::error_code same_ec;
+  const bool home =
+      !root_.empty() && std::filesystem::equivalent(root_, dir, same_ec);
+
+  struct Row {
+    const std::string& app;
+    const std::string& exp;
+    const std::string& name;
+    Entry& entry;
+    std::string rel;  ///< empty until a new name is assigned
+    bool write = true;
+  };
+  std::vector<Row> rows;
+  std::set<std::string> taken;
   for (const auto& [app, exps] : store_) {
     for (const auto& [exp, trs] : exps) {
       for (const auto& [tname, entry] : trs) {
-        const std::string fname = shard_dirname(shard_of(app, exp, tname)) +
-                                  "/" +
-                                  sanitize_filename(tname, ordinal++) +
-                                  ".pkb";
-        save_entry(*entry, dir / fname);
-        index << app << '\t' << exp << '\t' << tname << '\t' << fname
-              << '\n';
+        Row row{app, exp, tname, *entry, "", true};
+        if (home && entry->pkb) {
+          // Kept in place; rewritten (through a temp file) only if dirty.
+          const std::lock_guard lock(cache_->mutex);
+          row.rel = entry->rel;
+          row.write = entry->dirty;
+          taken.insert(row.rel);
+        }
+        rows.push_back(std::move(row));
       }
     }
   }
-  if (!index) {
-    throw IoError("index write failed: " + (dir / "index.tsv").string());
-  }
-  // Lineage rides alongside the index: app, experiment, version,
-  // predecessor (possibly empty), tab-separated, chain order preserved.
-  const std::filesystem::path lineage_file = dir / "lineage.tsv";
-  bool any_links = false;
-  for (const auto& [app, exps] : lineage_) {
-    for (const auto& [exp, chain] : exps) {
-      (void)exp;
-      if (!chain.empty()) any_links = true;
+  // New names are assigned after every kept path is known, so a fresh
+  // snapshot never lands on a file another entry still owns.
+  for (Row& row : rows) {
+    if (!row.rel.empty()) continue;
+    const std::string base = stable_filename(row.app, row.exp, row.name);
+    row.rel = base + ".pkb";
+    for (int n = 1; !taken.insert(row.rel).second; ++n) {
+      row.rel = base + "-" + std::to_string(n) + ".pkb";
     }
   }
-  if (!any_links) {
-    // Saving a lineage-free repository over an old directory must not
-    // leave a stale chain behind.
-    std::error_code ec;
-    std::filesystem::remove(lineage_file, ec);
-    return;
+  for (const Row& row : rows) {
+    if (row.write) save_entry(row.entry, dir / row.rel);
   }
-  std::ofstream lineage(lineage_file);
-  if (!lineage) {
-    throw IoError("cannot write lineage: " + lineage_file.string());
+
+  // The index and lineage go out last, each through a temp file, so the
+  // old pair stays in place until every snapshot it will name exists.
+  std::ostringstream index;
+  for (const Row& row : rows) {
+    index << row.app << '\t' << row.exp << '\t' << row.name << '\t'
+          << row.rel << '\n';
   }
+  // Lineage rows: app, experiment, version, predecessor (possibly
+  // empty), tab-separated, chain order preserved.
+  std::ostringstream lineage;
   for (const auto& [app, exps] : lineage_) {
     for (const auto& [exp, chain] : exps) {
       for (const auto& link : chain) {
@@ -616,8 +717,27 @@ void Repository::save(const std::filesystem::path& dir) const {
       }
     }
   }
-  if (!lineage) {
-    throw IoError("lineage write failed: " + lineage_file.string());
+  const std::filesystem::path index_file = dir / "index.tsv";
+  const std::filesystem::path lineage_file = dir / "lineage.tsv";
+  const std::filesystem::path index_tmp = write_temp(index_file, index.str());
+  std::filesystem::path lineage_tmp;
+  if (!lineage.str().empty()) {
+    try {
+      lineage_tmp = write_temp(lineage_file, lineage.str());
+    } catch (...) {
+      std::error_code ec;
+      std::filesystem::remove(index_tmp, ec);
+      throw;
+    }
+  }
+  rename_into_place(index_tmp, index_file);
+  if (lineage_tmp.empty()) {
+    // Saving a lineage-free repository over an old directory must not
+    // leave a stale chain behind.
+    std::error_code ec;
+    std::filesystem::remove(lineage_file, ec);
+  } else {
+    rename_into_place(lineage_tmp, lineage_file);
   }
 }
 
@@ -643,18 +763,13 @@ void Repository::save_entry(Entry& entry,
       // so check it now: write_pkb re-signs the payload with fresh CRCs,
       // which must not turn a corrupt snapshot into a valid-looking one.
       const std::shared_ptr<PkbView> view = load_view(entry);
-      view->verify_columns();
+      verify_columns(entry, *view);
       save_pkb_file(*view, tmp);
     } else {
       if (!trial) trial = load_trial(entry);
       save_pkb_file(*trial, tmp);
     }
-    std::error_code ec;
-    std::filesystem::rename(tmp, dest, ec);
-    if (ec) {
-      throw IoError("cannot rename " + tmp.string() + " -> " +
-                    dest.string() + ": " + ec.message());
-    }
+    rename_into_place(tmp, dest);
   } catch (...) {
     std::error_code ec;
     std::filesystem::remove(tmp, ec);
@@ -673,7 +788,7 @@ Repository Repository::open_index(const std::filesystem::path& dir,
     throw IoError("cannot read index: " + (dir / "index.tsv").string());
   }
   struct Row {
-    std::string app, exp, name;
+    std::string app, exp, name, rel;
     std::filesystem::path file;
     bool pkb;
   };
@@ -688,12 +803,13 @@ Repository Repository::open_index(const std::filesystem::path& dir,
       throw ParseError("repository index: expected 4 fields", lineno);
     }
     const std::filesystem::path rel(fields[3]);
-    rows.push_back(Row{fields[0], fields[1], fields[2], dir / rel,
+    rows.push_back(Row{fields[0], fields[1], fields[2], fields[3], dir / rel,
                        rel.extension() == ".pkb"});
   }
 
   Repository repo;
   repo.cache_->budget = cache_budget;
+  repo.root_ = dir;
   if (eager) {
     // Fan the per-snapshot parsing (the expensive part) across the pool;
     // a failure surfaces deterministically as the lowest row's exception.
@@ -719,6 +835,7 @@ Repository Repository::open_index(const std::filesystem::path& dir,
       entry->pinned = true;
       entry->trial = std::move(loaded[i]);
       entry->file = rows[i].file;
+      entry->rel = rows[i].rel;
       entry->pkb = rows[i].pkb;
       repo.insert_entry(rows[i].app, rows[i].exp, rows[i].name,
                         std::move(entry));
@@ -727,6 +844,7 @@ Repository Repository::open_index(const std::filesystem::path& dir,
     for (const Row& row : rows) {
       auto entry = std::make_shared<Entry>();
       entry->file = row.file;
+      entry->rel = row.rel;
       entry->pkb = row.pkb;
       repo.insert_entry(row.app, row.exp, row.name, std::move(entry));
     }

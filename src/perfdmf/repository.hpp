@@ -8,8 +8,16 @@
 //
 //   repo-dir/
 //     index.tsv        app \t experiment \t trial \t relative-path
+//     lineage.tsv      app \t experiment \t version \t predecessor
 //     shard-00/ ... shard-15/   one .pkb file per trial, placed by a
 //                               hash of (app, experiment, trial)
+//
+// A snapshot's file name is stable: the sanitized trial name plus a hash
+// of (app, experiment, trial), e.g. "shard-07/v01_3f9c0d2a81b4e6f0.pkb",
+// so re-saving a trial rewrites the same file instead of shifting every
+// later one. Repositories written with the older ordinal names
+// ("name_K.pkb") keep those names; the index is the only authority on
+// where a trial lives.
 //
 // Sharding keeps directory fan-out bounded for repositories with tens of
 // thousands of trials and gives concurrent bulk ingest naturally disjoint
@@ -24,6 +32,10 @@
 //                get()/view() into an LRU cache with a configurable byte
 //                budget, so a repository much larger than memory can be
 //                queried.
+// The pkx CLI attaches with an unbounded budget: a one-shot command pays
+// only for the trials it reads, and never evicts, so it behaves exactly
+// like the eager path. Read-only commands go through view() /
+// verified_view(); only get() hands out a mutable Trial.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +78,10 @@ class Repository {
   ~Repository();
 
   /// Inserts (replacing any previous trial with the same coordinates).
-  /// Directly-put trials are pinned: they are never evicted.
+  /// Directly-put trials are pinned: they are never evicted, and the next
+  /// save() writes them. Throws InvalidArgumentError naming the field
+  /// when the application, experiment or trial name contains a tab,
+  /// newline or carriage return (they would break the TSV index).
   void put(const std::string& application, const std::string& experiment,
            TrialPtr trial);
 
@@ -76,7 +91,8 @@ class Repository {
   /// "" with an empty chain to start a new root). The link is stamped
   /// into the trial's metadata as "version.predecessor" so it survives
   /// inside the PKB snapshot too, and lineage is persisted by save() in
-  /// lineage.tsv next to index.tsv.
+  /// lineage.tsv next to index.tsv. Names are checked as in put(), and
+  /// the predecessor too, before anything is changed.
   void put_version(const std::string& application,
                    const std::string& experiment, TrialPtr trial,
                    const std::string& predecessor = "");
@@ -104,20 +120,33 @@ class Repository {
                                          const std::string& experiment,
                                          std::size_t keep);
 
-  /// Fetches a trial; throws NotFoundError naming the missing level.
-  /// In an attached repository this demand-loads (and caches) the
-  /// snapshot; ParseError diagnostics name the snapshot file.
+  /// Fetches a mutable trial; throws NotFoundError naming the missing
+  /// level. In an attached repository this demand-loads (and caches) the
+  /// snapshot, verifying every checksum; ParseError diagnostics name the
+  /// snapshot file. Because the caller may edit the trial in place (a
+  /// script's derive_metric, say), the entry counts as dirty from then
+  /// on and the next save() rewrites it.
   [[nodiscard]] TrialPtr get(const std::string& application,
                              const std::string& experiment,
                              const std::string& trial) const;
 
   /// Read-only fetch. For PKB-backed trials this returns the mmap-backed
   /// PkbView without materializing the value cube — the cheap path for
-  /// analysis that only reads. Falls back to the materialized trial for
-  /// text snapshots and in-memory entries.
+  /// analysis that only reads. Only the schema checksums are verified,
+  /// so the view's shape, names and metadata are trustworthy but its
+  /// cell values are not yet; see verified_view(). Falls back to the
+  /// materialized trial for text snapshots and in-memory entries.
   [[nodiscard]] TrialViewPtr view(const std::string& application,
                                   const std::string& experiment,
                                   const std::string& trial) const;
+
+  /// view() plus the column checksum (PkbView::verify_columns(), checked
+  /// once per resident view): every cell value read through the result
+  /// comes from CRC-verified bytes. Throws ParseError naming the snapshot
+  /// file on a mismatch.
+  [[nodiscard]] TrialViewPtr verified_view(const std::string& application,
+                                           const std::string& experiment,
+                                           const std::string& trial) const;
 
   [[nodiscard]] bool contains(const std::string& application,
                               const std::string& experiment,
@@ -141,24 +170,35 @@ class Repository {
 
   [[nodiscard]] std::size_t trial_count() const noexcept;
 
-  /// Persists the whole repository in the sharded PKB layout: one binary
-  /// snapshot per trial under shard-NN/, plus index.tsv, under `dir`
-  /// (created if needed).
+  /// Persists the repository in the sharded PKB layout under `dir`
+  /// (created if needed), writing only what changed. An entry's snapshot
+  /// is rewritten when it was put() since open, when get() handed it out
+  /// mutable, or when its snapshot does not already live in `dir` as a
+  /// .pkb (saving to another directory, legacy .pkprof entries). Clean
+  /// entries keep the path index.tsv already names; new snapshots get the
+  /// stable name described above, bumped with a "-N" suffix if another
+  /// entry already holds it. Every snapshot goes to a sibling temp file
+  /// and is renamed into place; index.tsv and lineage.tsv are written the
+  /// same way and renamed only after every snapshot is in place, so a
+  /// failed save leaves the previous index, never a torn one.
   void save(const std::filesystem::path& dir) const;
 
   /// Eagerly loads a repository previously written by save() — either
   /// the sharded PKB layout or the legacy flat .pkprof layout. Parse
   /// failures name the snapshot file that was being read. The overload
   /// taking a ThreadPool fans the per-trial snapshot parsing across it.
+  /// Costs O(repository bytes); prefer attach() unless every trial is
+  /// about to be read anyway.
   [[nodiscard]] static Repository load(const std::filesystem::path& dir);
   [[nodiscard]] static Repository load(const std::filesystem::path& dir,
                                        ThreadPool& pool);
 
-  /// Opens a repository lazily: only index.tsv is read. Trials are
-  /// demand-loaded by get()/view() into an LRU cache capped at
+  /// Opens a repository lazily: only index.tsv and lineage.tsv are read.
+  /// Trials are demand-loaded by get()/view() into an LRU cache capped at
   /// `cache_budget` bytes (counting snapshot sizes); least-recently-used
   /// unpinned entries are dropped first. Evicted trials stay alive for
-  /// callers that still hold their shared_ptr.
+  /// callers that still hold their shared_ptr. Pass SIZE_MAX for a
+  /// one-shot process that should never evict (what pkx does).
   [[nodiscard]] static Repository attach(
       const std::filesystem::path& dir,
       std::size_t cache_budget = kDefaultCacheBudget);
@@ -193,6 +233,9 @@ class Repository {
   /// Streams one entry's snapshot to `dest` (temp file + atomic rename;
   /// verifies a schema-only view's column CRC before re-signing it).
   void save_entry(Entry& entry, const std::filesystem::path& dest) const;
+  /// PkbView::verify_columns(), remembered per resident view so a trial
+  /// read several times by one command is checksummed once.
+  void verify_columns(Entry& entry, const PkbView& view) const;
   void touch_locked(Entry& entry) const;
   void charge_locked(Entry& entry, std::size_t bytes) const;
   void evict_to_budget_locked() const;
@@ -217,6 +260,9 @@ class Repository {
   // Mutex-holding cache bookkeeping lives behind a pointer so the
   // Repository itself stays movable (load()/attach() return by value).
   std::unique_ptr<Cache> cache_;
+  /// Directory the index was read from; empty for a fresh repository.
+  /// save() leaves clean entries alone only when saving back here.
+  std::filesystem::path root_;
 };
 
 }  // namespace perfknow::perfdmf

@@ -1,9 +1,11 @@
 #include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -145,7 +147,8 @@ int cmd_list(const pk::perfdmf::Repository& repo, std::ostream& out) {
     for (const auto& exp : repo.experiments(app)) {
       out << "  " << exp << "\n";
       for (const auto& trial : repo.trials(app, exp)) {
-        const auto t = repo.get(app, exp, trial);
+        // Shape only: the schema is CRC-checked when the view opens.
+        const auto t = repo.view(app, exp, trial);
         char buf[160];
         std::snprintf(buf, sizeof buf,
                       "    %-28s %zu threads, %zu events, %zu metrics\n",
@@ -161,7 +164,7 @@ int cmd_list(const pk::perfdmf::Repository& repo, std::ostream& out) {
 int cmd_show(const pk::perfdmf::Repository& repo, const std::string& app,
              const std::string& exp, const std::string& trial_name,
              std::ostream& out) {
-  const auto trial = repo.get(app, exp, trial_name);
+  const auto trial = repo.verified_view(app, exp, trial_name);
   out << "trial " << trial->name() << " (" << trial->thread_count()
       << " threads)\n";
   for (const auto& [k, v] : trial->all_metadata()) {
@@ -194,7 +197,7 @@ int cmd_explain(const pk::perfdmf::Repository& repo,
     else if (args[i] == "--dot") dot_file = args[i + 1];
     else return usage_for("explain", err);
   }
-  const auto trial = repo.get(args[2], args[3], args[4]);
+  const auto trial = repo.verified_view(args[2], args[3], args[4]);
 
   pk::rules::RuleHarness harness;
   harness.set_provenance(pk::provenance::ProvenanceMode::kFull);
@@ -276,7 +279,7 @@ int cmd_rules_profile(pk::perfdmf::Repository& repo,
     else if (args[i] == "--dot") dot_file = args[i + 1];
     else return usage_for("rules-profile", err);
   }
-  const auto trial = repo.get(args[2], args[3], args[4]);
+  const auto trial = repo.verified_view(args[2], args[3], args[4]);
 
   // Pass 1: the pkx-explain pipeline with the profiler on, so the
   // attribution describes exactly what `pkx explain` would have run
@@ -401,13 +404,14 @@ int cmd_history(const pk::perfdmf::Repository& repo, const std::string& app,
   pk::TextTable table(
       {"version", "predecessor", "events", "total", "vs prev"});
   for (const auto& version : versions) {
-    const auto trial = repo.get(app, exp, version);
+    const auto trial = repo.verified_view(app, exp, version);
     std::string metric;
     const double total = total_time(*trial, &metric);
     const std::string pred = repo.predecessor_of(app, exp, version);
     std::string vs = "-";
     if (!pred.empty() && repo.contains(app, exp, pred)) {
-      const double prev = total_time(*repo.get(app, exp, pred), nullptr);
+      const double prev =
+          total_time(*repo.verified_view(app, exp, pred), nullptr);
       if (prev > 0.0) {
         vs = pk::strings::format_double(total / prev, 4) + "x";
       }
@@ -456,8 +460,8 @@ int cmd_diff(const pk::perfdmf::Repository& repo,
       return usage_for("diff", err);
     }
   }
-  const auto base = repo.get(args[2], args[3], args[4]);
-  const auto current = repo.get(args[2], args[3], args[5]);
+  const auto base = repo.verified_view(args[2], args[3], args[4]);
+  const auto current = repo.verified_view(args[2], args[3], args[5]);
 
   pk::rules::RuleHarness harness;
   harness.set_provenance(pk::provenance::ProvenanceMode::kFull);
@@ -521,7 +525,7 @@ int cmd_bench2pkb(const std::string& repo_dir,
   pk::perfdmf::Repository repo;
   if (std::filesystem::exists(std::filesystem::path(repo_dir) /
                               "index.tsv")) {
-    repo = pk::perfdmf::Repository::load(repo_dir);
+    repo = pk::perfdmf::Repository::attach(repo_dir, SIZE_MAX);
   }
   auto trial = std::make_shared<pk::profile::Trial>(
       pk::io::trial_from_benchmark_files(files, args[4]));
@@ -535,7 +539,7 @@ int cmd_bench2pkb(const std::string& repo_dir,
   return 0;
 }
 
-int cmd_prune(const std::string& repo_dir,
+int cmd_prune(pk::perfdmf::Repository& repo, const std::string& repo_dir,
               const std::vector<std::string>& args, std::ostream& out,
               std::ostream& err) {
   // pkx <repo> prune <app> <exp> --keep <n>
@@ -548,7 +552,6 @@ int cmd_prune(const std::string& repo_dir,
   } catch (const pk::ParseError&) {
     return usage_for("prune", err);
   }
-  auto repo = pk::perfdmf::Repository::load(repo_dir);
   const auto removed = repo.prune_history(
       args[2], args[3], static_cast<std::size_t>(keep));
   repo.save(repo_dir);
@@ -556,11 +559,11 @@ int cmd_prune(const std::string& repo_dir,
   // under the repository that the fresh index no longer references.
   std::size_t orphans = 0;
   std::ifstream index(std::filesystem::path(repo_dir) / "index.tsv");
-  std::vector<std::string> referenced;
+  std::set<std::string> referenced;
   std::string line;
   while (std::getline(index, line)) {
     const auto fields = pk::strings::split(line, '\t');
-    if (fields.size() == 4) referenced.push_back(fields[3]);
+    if (fields.size() == 4) referenced.insert(fields[3]);
   }
   std::error_code ec;
   for (std::filesystem::recursive_directory_iterator
@@ -571,14 +574,7 @@ int cmd_prune(const std::string& repo_dir,
     const std::string rel =
         std::filesystem::relative(it->path(), repo_dir, ec)
             .generic_string();
-    bool keep_file = false;
-    for (const auto& r : referenced) {
-      if (r == rel) {
-        keep_file = true;
-        break;
-      }
-    }
-    if (!keep_file) {
+    if (referenced.count(rel) == 0) {
       std::error_code rm;
       if (std::filesystem::remove(it->path(), rm)) ++orphans;
     }
@@ -913,7 +909,10 @@ int pkx_main(const std::vector<std::string>& args, std::ostream& out,
       return cmd_bench2pkb(args[0], args, out, err);
     }
 
-    auto repo = pk::perfdmf::Repository::load(args[0]);
+    // Lazy open: a command pays for the trials it touches, not the whole
+    // repository. The unbounded budget means a one-shot process never
+    // evicts, so a trial read twice is loaded once.
+    auto repo = pk::perfdmf::Repository::attach(args[0], SIZE_MAX);
 
     if (cmd == "list") {
       if (args.size() != 2) return usage_for("list", err);
@@ -939,7 +938,7 @@ int pkx_main(const std::vector<std::string>& args, std::ostream& out,
     }
     if (cmd == "report") {
       if (args.size() != 5) return usage_for("report", err);
-      const auto trial = repo.get(args[2], args[3], args[4]);
+      const auto trial = repo.verified_view(args[2], args[3], args[4]);
       pk::rules::RuleHarness harness;
       pk::rules::builtin::use(harness,
                               pk::rules::builtin::openuh_rules());
@@ -971,18 +970,18 @@ int pkx_main(const std::vector<std::string>& args, std::ostream& out,
       return cmd_history(repo, args[2], args[3], out);
     }
     if (cmd == "prune") {
-      return cmd_prune(args[0], args, out, err);
+      return cmd_prune(repo, args[0], args, out, err);
     }
     if (cmd == "export-csv") {
       if (args.size() != 6) return usage_for("export-csv", err);
-      const auto trial = repo.get(args[2], args[3], args[4]);
+      const auto trial = repo.verified_view(args[2], args[3], args[4]);
       out << pk::perfdmf::to_csv(*trial, args[5]);
       return 0;
     }
     if (cmd == "export-json") {
       if (args.size() != 6) return usage_for("export-json", err);
-      pk::io::save_trial(*repo.get(args[2], args[3], args[4]), args[5],
-                         "json");
+      pk::io::save_trial(*repo.verified_view(args[2], args[3], args[4]),
+                         args[5], "json");
       out << "wrote " << args[5] << "\n";
       return 0;
     }

@@ -1,9 +1,12 @@
 // Tests for the PerfDMF layer: repository, snapshot format, TAU format.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -479,4 +482,245 @@ TEST(RepositoryCache, EvictedTrialsStayAliveForHolders) {
   EXPECT_EQ(*held->metadata("schedule"), "dynamic,1");
   // And a fresh get() reloads from disk.
   EXPECT_EQ(attached.get("app", "exp", "held")->thread_count(), 2u);
+}
+
+// ---- incremental save --------------------------------------------------
+
+namespace {
+
+/// index.tsv as trial name -> relative snapshot path.
+std::map<std::string, std::string> read_index(const fs::path& dir) {
+  std::map<std::string, std::string> out;
+  std::ifstream is(dir / "index.tsv");
+  std::string app, exp, name, rel;
+  while (std::getline(is, app, '\t') && std::getline(is, exp, '\t') &&
+         std::getline(is, name, '\t') && std::getline(is, rel)) {
+    out[name] = rel;
+  }
+  return out;
+}
+
+/// (inode, mtime) of a file: both stay put unless the file is rewritten.
+struct FileId {
+  ino_t inode = 0;
+  fs::file_time_type mtime;
+  bool operator==(const FileId& o) const {
+    return inode == o.inode && mtime == o.mtime;
+  }
+};
+
+FileId file_id(const fs::path& file) {
+  struct stat st{};
+  EXPECT_EQ(::stat(file.c_str(), &st), 0) << file;
+  return {st.st_ino, fs::last_write_time(file)};
+}
+
+std::map<std::string, FileId> snapshot_ids(const fs::path& dir) {
+  std::map<std::string, FileId> out;
+  for (const auto& [name, rel] : read_index(dir)) {
+    out[name] = file_id(dir / rel);
+  }
+  return out;
+}
+
+std::size_t count_files(const fs::path& dir, const std::string& ext) {
+  std::size_t n = 0;
+  for (const auto& e : fs::recursive_directory_iterator(dir)) {
+    if (e.path().extension() == ext) ++n;
+  }
+  return n;
+}
+
+}  // namespace
+
+TEST(RepositoryIncrementalSave, OnePutRewritesExactlyOneSnapshot) {
+  TempDir dir;
+  {
+    Repository repo;
+    for (const char* n : {"a", "b", "c"}) repo.put("app", "exp", make_trial(n));
+    repo.save(dir.path());
+  }
+  const auto before = snapshot_ids(dir.path());
+  ASSERT_EQ(before.size(), 3u);
+
+  Repository attached = Repository::attach(dir.path());
+  (void)attached.view("app", "exp", "a");  // reading does not dirty
+  attached.put("app", "exp", make_trial("d"));
+  attached.save(dir.path());
+
+  const auto after = snapshot_ids(dir.path());
+  ASSERT_EQ(after.size(), 4u);
+  for (const auto& [name, id] : before) {
+    EXPECT_TRUE(after.at(name) == id) << name << " was rewritten";
+  }
+  EXPECT_EQ(count_files(dir.path(), ".pkb"), 4u);
+  EXPECT_EQ(count_files(dir.path(), ".tmp"), 0u);
+  const Repository reloaded = Repository::load(dir.path());
+  EXPECT_EQ(reloaded.trial_count(), 4u);
+  EXPECT_EQ(reloaded.get("app", "exp", "d")->thread_count(), 2u);
+}
+
+TEST(RepositoryIncrementalSave, RePutTrialKeepsItsStableFileName) {
+  TempDir dir;
+  {
+    Repository repo;
+    repo.put("app", "exp", make_trial("a"));
+    repo.put("app", "exp", make_trial("b"));
+    repo.save(dir.path());
+  }
+  const auto names = read_index(dir.path());
+  const auto ids = snapshot_ids(dir.path());
+
+  Repository attached = Repository::attach(dir.path());
+  attached.put("app", "exp", make_trial("a", 3));
+  attached.save(dir.path());
+
+  EXPECT_EQ(read_index(dir.path()), names);
+  EXPECT_EQ(count_files(dir.path(), ".pkb"), 2u);
+  EXPECT_FALSE(file_id(dir.path() / names.at("a")) == ids.at("a"));
+  EXPECT_TRUE(file_id(dir.path() / names.at("b")) == ids.at("b"));
+  EXPECT_EQ(Repository::load(dir.path()).get("app", "exp", "a")->thread_count(),
+            3u);
+
+  // The name depends only on the coordinates, not on what else is
+  // stored: a repository holding just "b" names it identically.
+  TempDir other;
+  Repository solo;
+  solo.put("app", "exp", make_trial("b"));
+  solo.save(other.path());
+  EXPECT_EQ(read_index(other.path()).at("b"), names.at("b"));
+}
+
+TEST(RepositoryIncrementalSave, TrialMutatedThroughGetPersists) {
+  TempDir dir;
+  {
+    Repository repo;
+    repo.put("app", "exp", make_trial("edited"));
+    repo.put("app", "exp", make_trial("untouched"));
+    repo.save(dir.path());
+  }
+  const auto ids = snapshot_ids(dir.path());
+  {
+    const Repository attached = Repository::attach(dir.path());
+    const auto t = attached.get("app", "exp", "edited");
+    t->set_metadata("note", "derived in place");
+    attached.save(dir.path());
+  }
+  const Repository reloaded = Repository::attach(dir.path());
+  EXPECT_EQ(*reloaded.get("app", "exp", "edited")->metadata("note"),
+            "derived in place");
+  EXPECT_TRUE(snapshot_ids(dir.path()).at("untouched") == ids.at("untouched"));
+}
+
+TEST(RepositoryIncrementalSave, SavingToAFreshDirectoryWritesEveryTrial) {
+  TempDir dir;
+  {
+    Repository repo;
+    for (const char* n : {"a", "b", "c"}) repo.put("app", "exp", make_trial(n));
+    repo.put_version("app", "hist", make_trial("v1"));
+    repo.save(dir.path());
+  }
+  TempDir out;
+  const Repository attached = Repository::attach(dir.path());
+  attached.save(out.path() / "copy");
+  EXPECT_EQ(read_index(out.path() / "copy"), read_index(dir.path()));
+  EXPECT_EQ(count_files(out.path() / "copy", ".pkb"), 4u);
+  const Repository copy = Repository::load(out.path() / "copy");
+  EXPECT_EQ(copy.trial_count(), 4u);
+  EXPECT_DOUBLE_EQ(copy.get("app", "exp", "c")->inclusive(1, 0, 0), 101.0);
+  EXPECT_EQ(copy.history("app", "hist"), std::vector<std::string>{"v1"});
+}
+
+TEST(RepositoryIncrementalSave, LegacyOrdinalNamesSurvive) {
+  TempDir dir;
+  // The layout older saves wrote: an ordinal in every snapshot name.
+  fs::create_directories(dir.path() / "shard-03");
+  {
+    std::ofstream index(dir.path() / "index.tsv");
+    for (int i = 0; i < 3; ++i) {
+      const std::string name = "t" + std::to_string(i);
+      const std::string rel = "shard-03/" + name + "_" + std::to_string(i) +
+                              ".pkb";
+      pk::io::save_trial(*make_trial(name), dir.path() / rel, "pkb");
+      index << "app\texp\t" << name << '\t' << rel << '\n';
+    }
+  }
+  const auto names = read_index(dir.path());
+  const auto ids = snapshot_ids(dir.path());
+
+  Repository attached = Repository::attach(dir.path());
+  attached.put("app", "exp", make_trial("new"));
+  (void)attached.get("app", "exp", "t1");  // dirty, rewritten in place
+  attached.save(dir.path());
+
+  const auto now = read_index(dir.path());
+  for (const auto& [name, rel] : names) EXPECT_EQ(now.at(name), rel);
+  EXPECT_TRUE(snapshot_ids(dir.path()).at("t0") == ids.at("t0"));
+  EXPECT_TRUE(snapshot_ids(dir.path()).at("t2") == ids.at("t2"));
+  EXPECT_EQ(count_files(dir.path(), ".pkb"), 4u);
+  EXPECT_EQ(Repository::load(dir.path()).trial_count(), 4u);
+}
+
+TEST(RepositoryIncrementalSave, FailedSnapshotWriteLeavesTheOldIndex) {
+  // Learn where "b" will be written: names are stable, so a scratch save
+  // of the same coordinates tells us.
+  TempDir probe;
+  {
+    Repository repo;
+    repo.put("app", "exp", make_trial("b"));
+    repo.save(probe.path());
+  }
+  const std::string b_rel = read_index(probe.path()).at("b");
+
+  TempDir dir;
+  {
+    Repository repo;
+    repo.put("app", "exp", make_trial("a"));
+    repo.save(dir.path());
+  }
+  std::ifstream before_is(dir.path() / "index.tsv");
+  const std::string before((std::istreambuf_iterator<char>(before_is)),
+                           std::istreambuf_iterator<char>());
+  // A directory squatting on the snapshot's temp name makes its write
+  // fail, as a full disk would.
+  fs::create_directories(dir.path() / (b_rel + ".tmp"));
+  Repository attached = Repository::attach(dir.path());
+  attached.put("app", "exp", make_trial("b"));
+  EXPECT_THROW(attached.save(dir.path()), pk::IoError);
+
+  std::ifstream after_is(dir.path() / "index.tsv");
+  const std::string after((std::istreambuf_iterator<char>(after_is)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(after, before);
+  EXPECT_FALSE(fs::exists(dir.path() / "index.tsv.tmp"));
+  EXPECT_EQ(Repository::load(dir.path()).trial_count(), 1u);
+}
+
+TEST(Repository, RejectsNamesThatWouldBreakTheIndex) {
+  Repository repo;
+  const auto expect_field = [](const std::function<void()>& op,
+                               const std::string& field) {
+    try {
+      op();
+      FAIL() << field << " with a separator accepted";
+    } catch (const pk::InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_field([&] { repo.put("a\tb", "exp", make_trial("t")); },
+               "application");
+  expect_field([&] { repo.put("app", "e\nx", make_trial("t")); },
+               "experiment");
+  expect_field([&] { repo.put("app", "exp", make_trial("t\r1")); }, "trial");
+  expect_field([&] { repo.put_version("app", "exp", make_trial("v\t1")); },
+               "trial");
+  expect_field(
+      [&] { repo.put_version("app", "exp", make_trial("v1"), "p\n0"); },
+      "predecessor");
+  EXPECT_EQ(repo.trial_count(), 0u);
+  EXPECT_TRUE(repo.applications().empty());
+  // Other punctuation stays legal.
+  repo.put_version("app", "exp", make_trial("v 1/ok"));
+  EXPECT_EQ(repo.history("app", "exp"), std::vector<std::string>{"v 1/ok"});
 }

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -354,4 +355,112 @@ TEST(PkxRulesProfile, UsageAndErrorExits) {
       {repo.path().string(), "rules-profile", "app", "exp", "trial"});
   EXPECT_EQ(gone.code, 1);
   EXPECT_FALSE(gone.err.empty());
+}
+
+// ---- lazy open: a command pays only for the trials it touches -----------
+
+namespace {
+
+/// Flips one byte inside the COLS payload of `trial`'s snapshot (the last
+/// 16 bytes are the end marker; the cube ends just before) and returns
+/// the snapshot's path.
+fs::path corrupt_columns(const fs::path& repo, const std::string& trial) {
+  std::ifstream index(repo / "index.tsv");
+  std::string app, exp, name, rel;
+  fs::path file;
+  while (std::getline(index, app, '\t') && std::getline(index, exp, '\t') &&
+         std::getline(index, name, '\t') && std::getline(index, rel)) {
+    if (name == trial) file = repo / rel;
+  }
+  std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekg(-32, std::ios::end);
+  char b = 0;
+  f.get(b);
+  f.seekp(-32, std::ios::end);
+  f.put(static_cast<char>(b ^ 0x01));
+  return file;
+}
+
+std::size_t count_pkbs(const fs::path& dir) {
+  std::size_t n = 0;
+  for (const auto& e : fs::recursive_directory_iterator(dir)) {
+    if (e.path().extension() == ".pkb") ++n;
+  }
+  return n;
+}
+
+}  // namespace
+
+TEST(PkxLazyOpen, CorruptTrialFailsOnlyTheCommandsThatReadIt) {
+  TempDir repo;
+  TempDir scratch;
+  seed_history(repo.path(), scratch.path(), 1.0);
+  const auto v3 = write_bench_json(scratch.path() / "v3.json",
+                                   {{"BM_Parse", 121.0},
+                                    {"BM_Match", 45.0},
+                                    {"BM_Assert", 8.0}});
+  ASSERT_EQ(pkx({repo.path().string(), "bench2pkb", "perfknow", "bench",
+                 "v3", v3.string()})
+                .code,
+            0);
+  const fs::path bad = corrupt_columns(repo.path(), "v2");
+  ASSERT_FALSE(bad.empty());
+  const std::string r = repo.path().string();
+
+  // Commands that never read v2's cells do not notice.
+  const auto show_ok = pkx({r, "show", "perfknow", "bench", "v3"});
+  EXPECT_EQ(show_ok.code, 0) << show_ok.err;
+  EXPECT_NE(show_ok.out.find("trial v3 "), std::string::npos);
+  const auto list = pkx({r, "list"});
+  EXPECT_EQ(list.code, 0) << list.err;
+  EXPECT_NE(list.out.find("v2"), std::string::npos);
+
+  // Every command that reports v2's values refuses, naming the file.
+  for (const auto& args : std::vector<std::vector<std::string>>{
+           {r, "show", "perfknow", "bench", "v2"},
+           {r, "history", "perfknow", "bench"},
+           {r, "diff", "perfknow", "bench", "v1", "v2"}}) {
+    const auto res = pkx(args);
+    EXPECT_EQ(res.code, 1) << args[1] << ": " << res.out;
+    EXPECT_NE(res.err.find("checksum"), std::string::npos) << res.err;
+    EXPECT_NE(res.err.find(bad.filename().string()), std::string::npos)
+        << res.err;
+  }
+
+  // prune rewrites only the index, so it succeeds and still sweeps the
+  // pruned versions' snapshots.
+  const auto pruned = pkx({r, "prune", "perfknow", "bench", "--keep", "1"});
+  EXPECT_EQ(pruned.code, 0) << pruned.err;
+  EXPECT_NE(pruned.out.find("pruned 2 version(s) (v1, v2)"),
+            std::string::npos)
+      << pruned.out;
+  EXPECT_NE(pruned.out.find("removed 2 orphaned snapshot(s)"),
+            std::string::npos)
+      << pruned.out;
+  EXPECT_EQ(count_pkbs(repo.path()), 1u);
+  EXPECT_EQ(pkx({r, "show", "perfknow", "bench", "v3"}).code, 0);
+}
+
+TEST(PkxLazyOpen, ImportRewritesOnlyTheImportedSnapshot) {
+  TempDir repo;
+  TempDir scratch;
+  seed_history(repo.path(), scratch.path(), 1.0);
+  std::map<fs::path, fs::file_time_type> before;
+  for (const auto& e : fs::recursive_directory_iterator(repo.path())) {
+    if (e.path().extension() == ".pkb") {
+      before[e.path()] = fs::last_write_time(e.path());
+    }
+  }
+  ASSERT_EQ(before.size(), 2u);
+  const auto file = write_bench_json(scratch.path() / "extra.json",
+                                     {{"BM_A", 10.0}});
+  ASSERT_EQ(pkx({repo.path().string(), "import", file.string(), "perfknow",
+                 "extra"})
+                .code,
+            0);
+  for (const auto& [path, mtime] : before) {
+    ASSERT_TRUE(fs::exists(path)) << path;
+    EXPECT_EQ(fs::last_write_time(path), mtime) << path;
+  }
+  EXPECT_EQ(count_pkbs(repo.path()), 3u);
 }

@@ -11,6 +11,7 @@
 #include <iterator>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "io/bench_json.hpp"
@@ -293,6 +294,32 @@ TEST(ServerDaemon, PingStatsUploadAnalyzeDiffOverTheSocket) {
   const auto stats = server.stats();
   EXPECT_GE(stats.requests, 7u);
   EXPECT_EQ(stats.uploads, 2u);
+  server.stop();
+}
+
+TEST(ServerDaemon, UploadWithIndexBreakingNameIsRejected) {
+  TempDir scratch;
+  ServerOptions opt;
+  opt.socket_path = socket_path();
+  opt.workers = 2;
+  Server server(opt);
+  const auto [base, cur] = regression_pair(scratch.path());
+
+  Client client(opt.socket_path);
+  for (const auto& [app, exp, version] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"per\tfknow", "bench", "v1"},
+           {"perfknow", "ben\nch", "v1"},
+           {"perfknow", "bench", "v\r1"}}) {
+    const auto r = client.upload_file(app, exp, base, version);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.error, wire::ErrorCode::kInvalidArgument) << r.error_message;
+  }
+  // The daemon keeps serving, on the same connection.
+  EXPECT_TRUE(client.call("ping").ok());
+  const auto good = client.upload_file("perfknow", "bench", cur, "v1");
+  EXPECT_TRUE(good.ok()) << good.error_message;
+  EXPECT_EQ(server.stats().uploads, 1u);
   server.stop();
 }
 
