@@ -1,6 +1,5 @@
-// Rule-engine matching benchmark: naive full-rescan vs the indexed
-// incremental matcher vs the beta-memory join network, over working
-// memories of 1k / 10k / 100k facts.
+// Rule-engine matching benchmark: naive full-rescan vs the beta-memory
+// join network, over working memories of 1k / 10k / 100k facts.
 //
 // The workload is the shape the analysis layer produces (see
 // rules_workload.hpp): selective threshold rules, inequality band rules
@@ -14,14 +13,13 @@
 // process_rules, each timed iteration retracts, modifies, and asserts
 // ~1% of the facts and re-runs process_rules three times — the
 // memoized-join invalidation path (sweep + delta admission) against the
-// indexed matcher's per-rule re-match.
+// naive matcher's full re-match.
 //
 // Run with --benchmark_format=json --benchmark_out=... for the CI
 // artifact; naive variants are only registered at small sizes because
 // their joins are quadratic. CI gates (ci/check_bench.py):
 //
-//   BM_RulesIndexed/100000  >= 6x   BM_RulesBeta/100000
-//   BM_RulesIndexed/10000   within 2% of BM_RulesProvenanceOff/10000
+//   BM_RulesNaive/10000     >= 20x  BM_RulesBeta/10000
 //   BM_RulesBeta/10000      within 2% of BM_RulesBetaProvenanceOff/10000
 //   BM_RulesBeta/10000      within 2% of BM_RulesProfilerOff/10000
 //   BM_FactChurn/100000     >= 2x faster than the pinned pre-columnar
@@ -118,28 +116,38 @@ void run_churn(benchmark::State& state, rl::MatchStrategy strategy) {
   state.counters["facts"] = static_cast<double>(n);
 }
 
+/// Live MeanEventFacts whose metric is TIME: an ids_of_type scan that
+/// reads each candidate's field through its FactRef — the query a
+/// matcher pass asks of working memory after a churn wave.
+std::size_t count_time_facts(const rl::WorkingMemory& wm) {
+  static const rl::FactValue kTime(std::string("TIME"));
+  const rl::Symbol metric = wm.symbols().lookup("metric");
+  std::size_t n = 0;
+  for (const rl::FactId id : wm.ids_of_type("MeanEventFact")) {
+    const rl::FactValue* v = wm.find(id).find_field(metric);
+    if (v != nullptr && rl::values_equal(*v, kTime)) ++n;
+  }
+  return n;
+}
+
 /// Storage-only churn: no rules, no matching — a bare WorkingMemory
-/// absorbing assert/retract/modify soup with the lazy alpha index kept
-/// warm by probes between waves, so what's timed is exactly the cost of
-/// fact storage and index maintenance. Seed facts get ids 1..n; the
-/// modify wave is retract + fresh assert, which is what
-/// RuleHarness::modify decomposes into.
+/// absorbing assert/retract/modify soup with a TIME-metric query between
+/// waves, so what's timed is exactly the cost of fact storage, id-list
+/// compaction and field reads. Seed facts get ids 1..n; the modify wave
+/// is retract + fresh assert, which is what RuleHarness::modify
+/// decomposes into.
 void run_fact_churn(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto facts = perfknow::benchres::make_facts(n);
   const std::size_t k = n / 100;
-  const rl::FactValue time_metric(std::string("TIME"));
   std::size_t live = 0;
   for (auto _ : state) {
     state.PauseTiming();
     auto wm = std::make_unique<rl::WorkingMemory>();
     for (const auto& f : facts) wm->assert_fact(f);
-    // Warm the lazy per-type and per-(field,value) indexes so every
-    // timed retract pays full index maintenance.
-    benchmark::DoNotOptimize(
-        wm->ids_with_field_value("MeanEventFact", "metric", time_metric)
-            .size());
-    benchmark::DoNotOptimize(wm->ids_of_type("MeanEventFact").size());
+    // Warm the per-type id list so every timed retract pays its
+    // compaction on the next query.
+    benchmark::DoNotOptimize(count_time_facts(*wm));
     std::size_t churn_cycle = 0;
     state.ResumeTiming();
     for (std::size_t cycle = 0; cycle < 3; ++cycle) {
@@ -158,12 +166,9 @@ void run_fact_churn(benchmark::State& state) {
         wm->assert_fact(perfknow::benchres::make_churn_fact(churn_cycle, i));
       }
       ++churn_cycle;
-      // Re-probe so index catch-up / compaction lands in the timed
-      // region every cycle, like a matcher pass would force.
-      benchmark::DoNotOptimize(
-          wm->ids_with_field_value("MeanEventFact", "metric", time_metric)
-              .size());
-      benchmark::DoNotOptimize(wm->ids_of_type("MeanEventFact").size());
+      // Re-query so id-list compaction lands in the timed region every
+      // cycle, like a matcher pass would force.
+      benchmark::DoNotOptimize(count_time_facts(*wm));
     }
     live = wm->size();
     state.PauseTiming();
@@ -178,28 +183,13 @@ void BM_RulesNaive(benchmark::State& state) {
   run_engine(state, rl::MatchStrategy::kNaive);
 }
 
-void BM_RulesIndexed(benchmark::State& state) {
-  run_engine(state, rl::MatchStrategy::kIndexed);
-}
-
 void BM_RulesBeta(benchmark::State& state) {
   run_engine(state, rl::MatchStrategy::kBeta);
 }
 
-// The CI bench gate compares these against BM_RulesIndexed /
-// BM_RulesBeta: with provenance off the recorder is a null pointer and
-// the firing loop must stay within 2% of the plain engine
-// (check_bench.py --require-speedup).
-void BM_RulesProvenanceOff(benchmark::State& state) {
-  run_engine(state, rl::MatchStrategy::kIndexed,
-             perfknow::provenance::ProvenanceMode::kOff);
-}
-
-void BM_RulesProvenanceFull(benchmark::State& state) {
-  run_engine(state, rl::MatchStrategy::kIndexed,
-             perfknow::provenance::ProvenanceMode::kFull);
-}
-
+// The CI bench gate compares the Off variant against BM_RulesBeta: with
+// provenance off the recorder is a null pointer and the firing loop must
+// stay within 2% of the plain engine (check_bench.py --require-speedup).
 void BM_RulesBetaProvenanceOff(benchmark::State& state) {
   run_engine(state, rl::MatchStrategy::kBeta,
              perfknow::provenance::ProvenanceMode::kOff);
@@ -232,33 +222,17 @@ void BM_RulesChurnNaive(benchmark::State& state) {
   run_churn(state, rl::MatchStrategy::kNaive);
 }
 
-void BM_RulesChurnIndexed(benchmark::State& state) {
-  run_churn(state, rl::MatchStrategy::kIndexed);
-}
-
 void BM_RulesChurnBeta(benchmark::State& state) {
   run_churn(state, rl::MatchStrategy::kBeta);
 }
 
 // The naive join is quadratic in facts-per-group; 100k facts would take
-// minutes per iteration, so only the incremental engines run at that
-// size.
+// minutes per iteration, so only the beta network runs at that size.
 BENCHMARK(BM_RulesNaive)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RulesIndexed)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RulesBeta)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RulesProvenanceOff)
-    ->Arg(10000)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RulesProvenanceFull)
-    ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RulesBetaProvenanceOff)
     ->Arg(10000)
@@ -278,11 +252,6 @@ BENCHMARK(BM_FactChurn)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RulesChurnNaive)->Arg(1000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RulesChurnIndexed)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RulesChurnBeta)
     ->Arg(1000)
     ->Arg(10000)

@@ -38,8 +38,7 @@ void run_workload(benchmark::State& state) {
   const auto rules = perfknow::benchres::make_rules();
   std::size_t fired = 0;
   for (auto _ : state) {
-    rl::RuleHarness h;
-    h.set_match_strategy(rl::MatchStrategy::kIndexed);
+    rl::RuleHarness h;  // default strategy: the beta network
     for (const auto& r : rules) h.add_rule(r);
     for (const auto& f : facts) h.assert_fact(f);
     fired = h.process_rules(1u << 20);

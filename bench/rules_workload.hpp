@@ -11,7 +11,7 @@
 // strategies, so keeping it small lets the benchmark measure *matching*
 // cost, which is what the strategies differ in.
 //
-// Used by bench_rules_engine (naive vs indexed vs beta scaling and
+// Used by bench_rules_engine (naive vs beta scaling and
 // fact-churn cycles) and bench_telemetry (the same fixed-size workload
 // built with and without telemetry compiled in / enabled).
 #pragma once
@@ -65,7 +65,7 @@ inline std::vector<rules::Rule> make_rules() {
   namespace rl = rules;
   std::vector<rl::Rule> out;
 
-  // Threshold rule with an index-probeable equality on metric.
+  // Threshold rule with a literal equality on metric.
   rl::Rule hot;
   hot.name = "hot-event";
   hot.salience = 10;
@@ -84,8 +84,8 @@ inline std::vector<rules::Rule> make_rules() {
   };
   out.push_back(std::move(hot));
 
-  // Inequality band rules: no equality constraint anywhere, so the alpha
-  // index cannot narrow the candidate set — the indexed matcher re-scans
+  // Inequality band rules: no equality constraint anywhere, so no hash
+  // bucket can narrow the candidate set — the naive matcher re-scans
   // every MeanEventFact per band, while the beta network folds all bands
   // into its one shared per-type admission pass.
   for (const double lo : {0.2455, 0.4955, 0.7455}) {
@@ -106,8 +106,8 @@ inline std::vector<rules::Rule> make_rules() {
   }
 
   // Join: hot events paired with same-group siblings (the equality
-  // against a bound variable is the beta join: the indexed matcher
-  // probes a bucket per hot fact, the network keeps memoized tokens).
+  // against a bound variable is the beta join: the naive matcher scans
+  // every sibling per hot fact, the network keeps memoized tokens).
   rl::Rule join;
   join.name = "hot-group-pair";
   rl::Pattern p0;

@@ -140,6 +140,9 @@ class Parser {
           if (d == '}') break;
           if (d != ',') fail("expected ',' or '}'");
         }
+        // Drop the growth slack: a large document is mostly small
+        // objects, and their spare capacity would dominate its memory.
+        v.members.shrink_to_fit();
       }
     } else if (c == '[') {
       ++pos_;
@@ -154,6 +157,7 @@ class Parser {
           if (d == ']') break;
           if (d != ',') fail("expected ',' or ']'");
         }
+        v.items.shrink_to_fit();
       }
     } else if (c == '"') {
       v.kind = Value::Kind::kString;

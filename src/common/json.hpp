@@ -1,9 +1,9 @@
-// A minimal JSON value model and recursive-descent parser shared by the
-// text ingest paths (explanation JSON re-import, Google-Benchmark trial
-// conversion). Hoisted from provenance/explanation.cpp so every JSON
-// front end fails the same way: malformed input raises ParseError with a
-// line/column/excerpt diagnostic, never a crash (the `explain` fuzz
-// front end exercises this parser through explanations_from_json).
+// A minimal JSON value model and recursive-descent parser shared by
+// every JSON front end (trial JSON, explanation JSON re-import,
+// Google-Benchmark trial conversion, the perfknow.api/1 wire envelope),
+// so they all fail the same way: malformed input raises ParseError with
+// a line/column/excerpt diagnostic, never a crash (the `json` and
+// `explain` fuzz front ends exercise it).
 //
 // This is deliberately not a general JSON library: numbers are doubles,
 // object member order is preserved (no map), duplicate keys are kept and

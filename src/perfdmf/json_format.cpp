@@ -1,336 +1,61 @@
 #include "perfdmf/json_format.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <map>
-#include <memory>
 #include <ostream>
 #include <sstream>
-#include <variant>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/strings.hpp"
+#include "common/json.hpp"
 #include "perfdmf/limits.hpp"
 
 namespace perfknow::perfdmf {
 
 namespace {
 
-// Hostile inputs like "[[[[[..." otherwise overflow the stack through the
-// recursive-descent value() -> array() -> value() cycle (found by fuzzing).
-constexpr int kMaxJsonDepth = 192;
-
 // ---------------------------------------------------------------------
-// Minimal JSON value + recursive-descent parser
+// Checked access to the parsed document. Every schema violation is a
+// ParseError whose text starts with "JSON:", like a syntax error.
 // ---------------------------------------------------------------------
 
-struct Json;
-using JsonPtr = std::shared_ptr<Json>;
+using json::Value;
 
-struct Json {
-  std::variant<std::nullptr_t, bool, double, std::string,
-               std::vector<JsonPtr>, std::map<std::string, JsonPtr>>
-      v = nullptr;
+const Value& expect(const Value& v, Value::Kind kind, const char* what) {
+  if (v.kind != kind) throw ParseError(std::string("JSON: expected ") + what);
+  return v;
+}
 
-  [[nodiscard]] bool is_object() const {
-    return std::holds_alternative<std::map<std::string, JsonPtr>>(v);
-  }
-  [[nodiscard]] bool is_array() const {
-    return std::holds_alternative<std::vector<JsonPtr>>(v);
-  }
-  [[nodiscard]] const std::map<std::string, JsonPtr>& object() const {
-    if (!is_object()) throw ParseError("JSON: expected object");
-    return std::get<std::map<std::string, JsonPtr>>(v);
-  }
-  [[nodiscard]] const std::vector<JsonPtr>& array() const {
-    if (!is_array()) throw ParseError("JSON: expected array");
-    return std::get<std::vector<JsonPtr>>(v);
-  }
-  [[nodiscard]] double number() const {
-    if (const auto* d = std::get_if<double>(&v)) return *d;
-    throw ParseError("JSON: expected number");
-  }
-  [[nodiscard]] const std::string& string() const {
-    if (const auto* s = std::get_if<std::string>(&v)) return *s;
-    throw ParseError("JSON: expected string");
-  }
-  [[nodiscard]] bool boolean() const {
-    if (const auto* b = std::get_if<bool>(&v)) return *b;
-    throw ParseError("JSON: expected boolean");
-  }
+const std::vector<Value>& as_array(const Value& v) {
+  return expect(v, Value::Kind::kArray, "array").items;
+}
+double as_number(const Value& v) {
+  return expect(v, Value::Kind::kNumber, "number").number;
+}
+const std::string& as_string(const Value& v) {
+  return expect(v, Value::Kind::kString, "string").text;
+}
 
-  /// Object member access; throws with the key named.
-  [[nodiscard]] const Json& at(const std::string& key) const {
-    const auto& obj = object();
-    const auto it = obj.find(key);
-    if (it == obj.end()) {
-      throw ParseError("JSON: missing key '" + key + "'");
-    }
-    return *it->second;
+/// Object member, or nullptr when absent. A duplicated key resolves to
+/// its last occurrence, as in a key -> value map.
+const Value* find(const Value& obj, const std::string& key) {
+  const auto& members = expect(obj, Value::Kind::kObject, "object").members;
+  for (auto it = members.rbegin(); it != members.rend(); ++it) {
+    if (it->first == key) return &it->second;
   }
-  [[nodiscard]] const Json* find(const std::string& key) const {
-    if (!is_object()) return nullptr;
-    const auto& obj = object();
-    const auto it = obj.find(key);
-    return it == obj.end() ? nullptr : it->second.get();
-  }
-};
+  return nullptr;
+}
 
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonPtr parse() {
-    // Tolerate a UTF-8 BOM before the document.
-    if (text_.size() >= 3 && text_.compare(0, 3, "\xEF\xBB\xBF") == 0) {
-      pos_ = 3;
-    }
-    skip_ws();
-    auto v = value();
-    skip_ws();
-    if (pos_ != text_.size()) {
-      fail("trailing characters after JSON document");
-    }
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& msg) const {
-    int line = 1;
-    std::size_t line_start = 0;
-    for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-      if (text_[i] == '\n') {
-        ++line;
-        line_start = i + 1;
-      }
-    }
-    const int column = static_cast<int>(pos_ - line_start) + 1;
-    throw ParseError("JSON: " + msg, line, column,
-                     strings::excerpt(text_, pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  JsonPtr value() {
-    if (++depth_ > kMaxJsonDepth) {
-      fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
-           " levels");
-    }
-    auto v = value_impl();
-    --depth_;
-    return v;
-  }
-
-  JsonPtr value_impl() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') {
-      auto j = std::make_shared<Json>();
-      j->v = string();
-      return j;
-    }
-    if (c == 't' || c == 'f') return boolean();
-    if (c == 'n') {
-      literal("null");
-      return std::make_shared<Json>();
-    }
-    return number();
-  }
-
-  void literal(const char* lit) {
-    for (const char* p = lit; *p != '\0'; ++p) {
-      if (peek() != *p) fail(std::string("expected '") + lit + "'");
-      ++pos_;
-    }
-  }
-
-  JsonPtr boolean() {
-    auto j = std::make_shared<Json>();
-    if (peek() == 't') {
-      literal("true");
-      j->v = true;
-    } else {
-      literal("false");
-      j->v = false;
-    }
-    return j;
-  }
-
-  JsonPtr number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    if (peek() == '.') {
-      ++pos_;
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
-      fail("invalid number");
-    }
-    auto j = std::make_shared<Json>();
-    try {
-      j->v = std::stod(text_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("invalid number");
-    }
-    return j;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code += h - '0';
-              else if (h >= 'a' && h <= 'f') code += 10 + h - 'a';
-              else if (h >= 'A' && h <= 'F') code += 10 + h - 'A';
-              else fail("bad \\u escape");
-            }
-            // Basic-multilingual-plane only; encode as UTF-8.
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
-          }
-          default: fail("unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-  }
-
-  JsonPtr object() {
-    expect('{');
-    auto j = std::make_shared<Json>();
-    std::map<std::string, JsonPtr> obj;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      j->v = std::move(obj);
-      return j;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      obj[std::move(key)] = value();
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      break;
-    }
-    j->v = std::move(obj);
-    return j;
-  }
-
-  JsonPtr array() {
-    expect('[');
-    auto j = std::make_shared<Json>();
-    std::vector<JsonPtr> arr;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      j->v = std::move(arr);
-      return j;
-    }
-    while (true) {
-      arr.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      break;
-    }
-    j->v = std::move(arr);
-    return j;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-};
+/// Required object member; throws with the key named.
+const Value& at(const Value& obj, const std::string& key) {
+  const Value* v = find(obj, key);
+  if (v == nullptr) throw ParseError("JSON: missing key '" + key + "'");
+  return *v;
+}
 
 // ---------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 void write_number(std::ostream& os, double v) {
   if (std::floor(v) == v && std::abs(v) < 1e15) {
@@ -346,40 +71,32 @@ void write_number(std::ostream& os, double v) {
 
 void write_json(const profile::TrialView& trial, std::ostream& os) {
   os << "{\n  \"name\": ";
-  write_json_string(os, trial.name());
+  os << json::quote(trial.name());
   os << ",\n  \"threads\": " << trial.thread_count();
   os << ",\n  \"metadata\": {";
   bool first = true;
   for (const auto& [k, v] : trial.all_metadata()) {
     if (!first) os << ", ";
     first = false;
-    write_json_string(os, k);
-    os << ": ";
-    write_json_string(os, v);
+    os << json::quote(k) << ": " << json::quote(v);
   }
   os << "},\n  \"metrics\": [";
   for (profile::MetricId m = 0; m < trial.metric_count(); ++m) {
     if (m != 0) os << ", ";
     const auto& metric = trial.metric(m);
-    os << "{\"name\": ";
-    write_json_string(os, metric.name);
-    os << ", \"units\": ";
-    write_json_string(os, metric.units);
-    os << ", \"derived\": " << (metric.derived ? "true" : "false") << "}";
+    os << "{\"name\": " << json::quote(metric.name)
+       << ", \"units\": " << json::quote(metric.units)
+       << ", \"derived\": " << (metric.derived ? "true" : "false") << "}";
   }
   os << "],\n  \"events\": [";
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
     if (e != 0) os << ", ";
     const auto& ev = trial.event(e);
-    os << "{\"name\": ";
-    write_json_string(os, ev.name);
-    os << ", \"parent\": "
+    os << "{\"name\": " << json::quote(ev.name) << ", \"parent\": "
        << (ev.parent == profile::kNoEvent
                ? -1
                : static_cast<long long>(ev.parent));
-    os << ", \"group\": ";
-    write_json_string(os, ev.group);
-    os << "}";
+    os << ", \"group\": " << json::quote(ev.group) << "}";
   }
   os << "],\n  \"data\": [";
   bool first_row = true;
@@ -424,35 +141,44 @@ std::string to_json(const profile::TrialView& trial) {
 }
 
 profile::Trial from_json(const std::string& text) {
-  JsonParser parser(text);
-  const auto root = parser.parse();
+  // Tolerate a UTF-8 BOM before the document.
+  const bool bom = text.compare(0, 3, "\xEF\xBB\xBF") == 0;
+  Value root;
+  try {
+    root = bom ? json::parse(text.substr(3)) : json::parse(text);
+  } catch (const ParseError& e) {
+    throw ParseError("JSON: " + e.message(), e.line(), e.column(),
+                     e.excerpt());
+  }
 
-  profile::Trial trial(root->at("name").string());
+  profile::Trial trial(as_string(at(root, "name")));
   // Dimension-like numbers come from untrusted input: funnel every one
   // through checked_index so "threads": -1 / 1e18 / NaN becomes a
   // ParseError instead of a UB float cast or an unbounded allocation
   // (both found by fuzzing).
-  const std::size_t threads =
-      checked_index(root->at("threads").number(), kMaxThreads,
-                    "JSON: thread count");
-  const auto& metrics = root->at("metrics").array();
-  const auto& events = root->at("events").array();
+  const std::size_t threads = checked_index(
+      as_number(at(root, "threads")), kMaxThreads, "JSON: thread count");
+  const auto& metrics = as_array(at(root, "metrics"));
+  const auto& events = as_array(at(root, "events"));
   check_cells(threads, events.size(), metrics.size());
   trial.set_thread_count(threads);
-  if (const auto* md = root->find("metadata")) {
-    for (const auto& [k, v] : md->object()) {
-      trial.set_metadata(k, v->string());
+  if (const Value* md = find(root, "metadata")) {
+    for (const auto& [k, v] : expect(*md, Value::Kind::kObject, "object")
+                                  .members) {
+      trial.set_metadata(k, as_string(v));
     }
   }
   for (const auto& m : metrics) {
-    const auto* derived = m->find("derived");
-    const auto* units = m->find("units");
-    trial.add_metric(m->at("name").string(),
-                     units != nullptr ? units->string() : "count",
-                     derived != nullptr && derived->boolean());
+    const Value* derived = find(m, "derived");
+    const Value* units = find(m, "units");
+    trial.add_metric(
+        as_string(at(m, "name")),
+        units != nullptr ? as_string(*units) : "count",
+        derived != nullptr &&
+            expect(*derived, Value::Kind::kBool, "boolean").boolean);
   }
   for (const auto& e : events) {
-    const double parent_num = e->at("parent").number();
+    const double parent_num = as_number(at(e, "parent"));
     profile::EventId parent = profile::kNoEvent;
     if (parent_num >= 0.0) {
       const std::size_t p = checked_index(parent_num, events.size(),
@@ -462,31 +188,32 @@ profile::Trial from_json(const std::string& text) {
       }
       parent = static_cast<profile::EventId>(p);
     }
-    const auto* group = e->find("group");
-    trial.add_event(e->at("name").string(), parent,
-                    group != nullptr ? group->string() : "");
+    const Value* group = find(e, "group");
+    trial.add_event(as_string(at(e, "name")), parent,
+                    group != nullptr ? as_string(*group) : "");
   }
-  for (const auto& row : root->at("data").array()) {
-    const auto th = checked_index(row->at("thread").number(),
+  for (const auto& row : as_array(at(root, "data"))) {
+    const auto th = checked_index(as_number(at(row, "thread")),
                                   trial.thread_count(), "JSON: data thread");
-    const auto e = static_cast<profile::EventId>(checked_index(
-        row->at("event").number(), trial.event_count(), "JSON: data event"));
+    const auto e = static_cast<profile::EventId>(
+        checked_index(as_number(at(row, "event")), trial.event_count(),
+                      "JSON: data event"));
     if (e >= trial.event_count() || th >= trial.thread_count()) {
       throw ParseError("JSON: data row out of range");
     }
-    trial.set_calls(th, e, row->at("calls").number(),
-                    row->at("subcalls").number());
-    const auto& values = row->at("values").array();
+    trial.set_calls(th, e, as_number(at(row, "calls")),
+                    as_number(at(row, "subcalls")));
+    const auto& values = as_array(at(row, "values"));
     if (values.size() != trial.metric_count()) {
       throw ParseError("JSON: values width does not match metric count");
     }
     for (profile::MetricId m = 0; m < trial.metric_count(); ++m) {
-      const auto& pair = values[m]->array();
+      const auto& pair = as_array(values[m]);
       if (pair.size() != 2) {
         throw ParseError("JSON: value pair must be [inclusive, exclusive]");
       }
-      trial.set_inclusive(th, e, m, pair[0]->number());
-      trial.set_exclusive(th, e, m, pair[1]->number());
+      trial.set_inclusive(th, e, m, as_number(pair[0]));
+      trial.set_exclusive(th, e, m, as_number(pair[1]));
     }
   }
   return trial;

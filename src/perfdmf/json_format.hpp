@@ -1,7 +1,7 @@
 // JSON profile interchange.
 //
-// A self-contained JSON reader/writer (no external dependency) for the
-// trial schema:
+// The trial schema over the shared JSON reader and escaper of
+// common/json.hpp:
 //
 //   {
 //     "name": "...", "threads": N,

@@ -100,7 +100,7 @@ struct PkbLayout {
                                          bool verify_columns = true);
 
 /// Parses a PKB image into a fully-materialized Trial (always verifies
-/// every checksum). This is also the promotion path PkbView uses, and
+/// every checksum). This is also what PkbView::materialize() uses, and
 /// the format primitive behind io::open_trial; PkbView::open reads a
 /// snapshot without materializing.
 [[nodiscard]] profile::Trial parse_pkb(std::string_view bytes);

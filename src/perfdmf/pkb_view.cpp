@@ -153,27 +153,23 @@ void PkbView::check_metric(profile::MetricId m) const {
 }
 
 std::optional<std::string> PkbView::metadata(const std::string& key) const {
-  if (promoted_) return promoted_->metadata(key);
   const auto it = metadata_.find(key);
   if (it == metadata_.end()) return std::nullopt;
   return it->second;
 }
 
 const profile::Metric& PkbView::metric(profile::MetricId m) const {
-  if (promoted_) return promoted_->metric(m);
   check_metric(m);
   return layout_.metrics[m];
 }
 
 const profile::Event& PkbView::event(profile::EventId e) const {
-  if (promoted_) return promoted_->event(e);
   check_event(e);
   return layout_.events[e];
 }
 
 std::optional<profile::MetricId> PkbView::find_metric(
     std::string_view name) const {
-  if (promoted_) return promoted_->find_metric(name);
   const auto it = metric_index_.find(name);
   if (it == metric_index_.end()) return std::nullopt;
   return it->second;
@@ -181,7 +177,6 @@ std::optional<profile::MetricId> PkbView::find_metric(
 
 std::optional<profile::EventId> PkbView::find_event(
     std::string_view name) const {
-  if (promoted_) return promoted_->find_event(name);
   const auto it = event_index_.find(name);
   if (it == event_index_.end()) return std::nullopt;
   return it->second;
@@ -189,7 +184,6 @@ std::optional<profile::EventId> PkbView::find_event(
 
 double PkbView::inclusive(std::size_t thread, profile::EventId e,
                           profile::MetricId m) const {
-  if (promoted_) return promoted_->inclusive(thread, e, m);
   check_thread(thread);
   check_event(e);
   check_metric(m);
@@ -198,7 +192,6 @@ double PkbView::inclusive(std::size_t thread, profile::EventId e,
 
 double PkbView::exclusive(std::size_t thread, profile::EventId e,
                           profile::MetricId m) const {
-  if (promoted_) return promoted_->exclusive(thread, e, m);
   check_thread(thread);
   check_event(e);
   check_metric(m);
@@ -207,7 +200,6 @@ double PkbView::exclusive(std::size_t thread, profile::EventId e,
 
 profile::CallInfo PkbView::calls(std::size_t thread,
                                  profile::EventId e) const {
-  if (promoted_) return promoted_->calls(thread, e);
   check_thread(thread);
   check_event(e);
   const std::size_t cell = thread * event_count() + e;
@@ -217,7 +209,6 @@ profile::CallInfo PkbView::calls(std::size_t thread,
 
 stats::StridedSpan PkbView::inclusive_series(profile::EventId e,
                                              profile::MetricId m) const {
-  if (promoted_) return promoted_->inclusive_series(e, m);
   check_event(e);
   check_metric(m);
   if (layout_.threads == 0) return {};
@@ -229,7 +220,6 @@ stats::StridedSpan PkbView::inclusive_series(profile::EventId e,
 
 stats::StridedSpan PkbView::exclusive_series(profile::EventId e,
                                              profile::MetricId m) const {
-  if (promoted_) return promoted_->exclusive_series(e, m);
   check_event(e);
   check_metric(m);
   if (layout_.threads == 0) return {};
@@ -249,27 +239,15 @@ void PkbView::verify_columns() const {
   }
 }
 
-// ---- promotion ---------------------------------------------------------
+// ---- materialization -----------------------------------------------
 
-profile::Trial& PkbView::promote() {
-  if (!promoted_) {
-    try {
-      promoted_ =
-          std::make_unique<profile::Trial>(parse_pkb(mapping_->bytes()));
-    } catch (const ParseError& e) {
-      if (!path_.empty()) throw e.with_file(path_.string());
-      throw;
-    }
+profile::Trial PkbView::materialize() const {
+  try {
+    return parse_pkb(mapping_->bytes());
+  } catch (const ParseError& e) {
+    if (!path_.empty()) throw e.with_file(path_.string());
+    throw;
   }
-  return *promoted_;
-}
-
-std::shared_ptr<profile::Trial> PkbView::promote_shared(
-    std::shared_ptr<PkbView> view) {
-  profile::Trial& trial = view->promote();
-  // Aliasing constructor: the Trial pointer shares the view's control
-  // block, so the mapping stays alive as long as any caller holds it.
-  return {std::move(view), &trial};
 }
 
 }  // namespace perfknow::perfdmf

@@ -6,9 +6,9 @@
 // inclusive_series/exclusive_series call returns a strided span straight
 // into the mapped COLS section — the value cube is never materialized
 // and pages are faulted in by the kernel only as the analysis touches
-// them. Mutation goes through promote(), which materializes a mutable
-// profile::Trial from the snapshot on first use (verifying every
-// checksum on the way) and hands out that copy from then on.
+// them. The view is read-only; materialize() builds an independent
+// mutable profile::Trial from the snapshot (verifying every checksum on
+// the way) for callers that need to edit it.
 //
 // The mapping is read-only and private; if mmap is unavailable (or the
 // platform is not POSIX) the file is read into an owned buffer instead,
@@ -53,36 +53,34 @@ class PkbView final : public profile::TrialView {
   ~PkbView() override = default;
 
   // ---- TrialView -------------------------------------------------------
-  // Every accessor delegates to the promoted Trial once promote() has
-  // been called, so mutations through that Trial are observed here.
   [[nodiscard]] const std::string& name() const noexcept override {
-    return promoted_ ? promoted_->name() : layout_.trial_name;
+    return layout_.trial_name;
   }
   [[nodiscard]] std::optional<std::string> metadata(
       const std::string& key) const override;
   [[nodiscard]] const std::map<std::string, std::string>& all_metadata()
       const noexcept override {
-    return promoted_ ? promoted_->all_metadata() : metadata_;
+    return metadata_;
   }
   [[nodiscard]] std::size_t thread_count() const noexcept override {
-    return promoted_ ? promoted_->thread_count() : layout_.threads;
+    return layout_.threads;
   }
   [[nodiscard]] std::size_t event_count() const noexcept override {
-    return promoted_ ? promoted_->event_count() : layout_.events.size();
+    return layout_.events.size();
   }
   [[nodiscard]] std::size_t metric_count() const noexcept override {
-    return promoted_ ? promoted_->metric_count() : layout_.metrics.size();
+    return layout_.metrics.size();
   }
   [[nodiscard]] const profile::Metric& metric(
       profile::MetricId m) const override;
   [[nodiscard]] const profile::Event& event(profile::EventId e) const override;
   [[nodiscard]] const std::vector<profile::Metric>& metrics()
       const noexcept override {
-    return promoted_ ? promoted_->metrics() : layout_.metrics;
+    return layout_.metrics;
   }
   [[nodiscard]] const std::vector<profile::Event>& events()
       const noexcept override {
-    return promoted_ ? promoted_->events() : layout_.events;
+    return layout_.events;
   }
   [[nodiscard]] std::optional<profile::MetricId> find_metric(
       std::string_view name) const override;
@@ -105,22 +103,12 @@ class PkbView final : public profile::TrialView {
   /// its bytes are streamed back out and re-signed with fresh checksums.
   void verify_columns() const;
 
-  // ---- promotion -------------------------------------------------------
-  /// True once promote() has materialized a mutable Trial.
-  [[nodiscard]] bool promoted() const noexcept { return promoted_ != nullptr; }
-
-  /// Materializes (on first call) and returns the mutable Trial backing
-  /// this view. Promotion verifies every section checksum, so a view
-  /// opened with Verify::kSchema cannot silently promote corrupt columns.
-  /// After promotion all reads are served from the Trial, so writes
-  /// through the returned reference are observed by this view.
-  [[nodiscard]] profile::Trial& promote();
-
-  /// Shared-ownership promotion: the returned pointer keeps this view
-  /// (and its mapping) alive. Used by the repository cache to hand out
-  /// trials whose storage it still owns.
-  [[nodiscard]] static std::shared_ptr<profile::Trial> promote_shared(
-      std::shared_ptr<PkbView> view);
+  // ---- materialization -------------------------------------------------
+  /// An independent mutable copy of the snapshot. Every section checksum
+  /// is verified on the way, so a view opened with Verify::kSchema cannot
+  /// silently hand out corrupt columns. The view itself is unchanged, so
+  /// readers on other threads are unaffected.
+  [[nodiscard]] profile::Trial materialize() const;
 
   // ---- introspection ---------------------------------------------------
   /// Snapshot size in bytes (the mapped file / buffer size). The
@@ -180,7 +168,6 @@ class PkbView final : public profile::TrialView {
   // Host-order copy of the COLS section; populated only on big-endian
   // hosts, where raw mapped doubles would be byte-reversed.
   std::vector<double> decoded_;
-  std::unique_ptr<profile::Trial> promoted_;
 };
 
 }  // namespace perfknow::perfdmf

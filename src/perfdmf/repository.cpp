@@ -417,9 +417,9 @@ TrialPtr Repository::load_trial(Entry& entry) const {
           : 0;
   TrialPtr trial;
   if (entry.pkb) {
-    // Promotion verifies the column checksums and materializes the cube;
-    // the aliased pointer keeps the view's mapping alive.
-    trial = PkbView::promote_shared(load_view(entry));
+    // A private copy (every checksum verified): the cached view may be
+    // held by readers on other threads.
+    trial = std::make_shared<profile::Trial>(load_view(entry)->materialize());
   } else {
     trial =
         std::make_shared<profile::Trial>(load_text_snapshot(entry.file));

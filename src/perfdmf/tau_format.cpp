@@ -159,27 +159,6 @@ void fill_trial_from(profile::Trial& trial, const TauFile& tf,
   }
 }
 
-// Reconstructs "a => b => c" callpath parents. TAU callpath profiles name
-// events by their full path, so the parent of "a => b => c" is "a => b".
-void link_callpath_parents(profile::Trial& trial) {
-  for (profile::EventId e = 0; e < trial.event_count(); ++e) {
-    const std::string& name = trial.event(e).name;
-    const std::size_t pos = name.rfind(" => ");
-    if (pos == std::string::npos) continue;
-    const std::string parent_name = name.substr(0, pos);
-    if (const auto p = trial.find_event(parent_name)) {
-      // Events are append-only; re-adding with a parent is not possible,
-      // so patch via the add_event idempotent path is insufficient.
-      // Instead the trial exposes events() as const; we rebuild links by
-      // erasing is unavailable -- rely on add_event ordering during load
-      // (parents parsed first). This function exists for files where the
-      // parent row happened to come later: in that case we cannot patch,
-      // and nesting queries fall back to name matching.
-      (void)p;
-    }
-  }
-}
-
 }  // namespace
 
 profile::Trial read_tau_profiles(const std::filesystem::path& dir) {
@@ -226,7 +205,6 @@ profile::Trial read_tau_profiles(const std::filesystem::path& dir) {
     fill_trial_from(trial, tf, flat_thread, metric_id);
     ++flat_thread;
   }
-  link_callpath_parents(trial);
   trial.set_metadata("source_format", "TAU");
   return trial;
 }
@@ -238,7 +216,6 @@ profile::Trial read_tau_stream(std::istream& is, const std::string& name) {
   const auto metric_id = trial.add_metric(
       tf.metric, tf.metric == "TIME" ? "usec" : "count");
   fill_trial_from(trial, tf, 0, metric_id);
-  link_callpath_parents(trial);
   trial.set_metadata("source_format", "TAU");
   return trial;
 }

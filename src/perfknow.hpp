@@ -38,6 +38,7 @@
 #include "analysis/facts.hpp"
 #include "analysis/operations.hpp"
 #include "analysis/pca.hpp"
+#include "analysis/pipeline.hpp"
 #include "analysis/report.hpp"
 
 // ---- rule engine + captured performance knowledge ----------------------

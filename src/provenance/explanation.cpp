@@ -24,13 +24,10 @@ telemetry::Counter& rendered_counter() {
 // The escaping and shortest-round-trip number policies live in
 // common/json so the wire envelope and the explanation renderer cannot
 // drift apart.
-std::string json_escape(const std::string& s) { return json::escape(s); }
-std::string json_number(double v) { return json::number(v); }
-
 std::string json_value(const rules::FactValue& v) {
-  if (const auto* d = std::get_if<double>(&v)) return json_number(*d);
+  if (const auto* d = std::get_if<double>(&v)) return json::number(*d);
   if (const auto* s = std::get_if<std::string>(&v)) {
-    return "\"" + json_escape(*s) + "\"";
+    return json::quote(*s);
   }
   return std::get<bool>(v) ? "true" : "false";
 }
@@ -107,14 +104,14 @@ void render_firing(const FiringNode& f, int depth, std::string& out) {
 // ---------------------------------------------------------------------
 
 void json_loc(const SourceLoc& loc, std::string& out) {
-  out += "\"file\":\"" + json_escape(loc.file) + "\",\"line\":" +
+  out += "\"file\":" + json::quote(loc.file) + ",\"line\":" +
          std::to_string(loc.line) + ",\"column\":" +
          std::to_string(loc.column);
 }
 
 void json_firing(const FiringNode& f, std::string& out) {
-  out += "{\"id\":" + std::to_string(f.id) + ",\"rule\":\"" +
-         json_escape(f.rule) + "\",";
+  out += "{\"id\":" + std::to_string(f.id) +
+         ",\"rule\":" + json::quote(f.rule) + ",";
   json_loc(f.rule_loc, out);
   out += ",\"salience\":" + std::to_string(f.salience) +
          ",\"generation\":" + std::to_string(f.generation) +
@@ -123,26 +120,26 @@ void json_firing(const FiringNode& f, std::string& out) {
   for (const auto& [k, v] : f.bindings) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(k) + "\":" + json_value(v);
+    out += json::quote(k) + ":" + json_value(v);
   }
   out += "},\"facts\":[";
   first = true;
   for (const auto& bf : f.facts) {
     if (!first) out += ",";
     first = false;
-    out += "{\"fact\":" + std::to_string(bf.id) + ",\"type\":\"" +
-           json_escape(bf.type) + "\",";
+    out += "{\"fact\":" + std::to_string(bf.id) +
+           ",\"type\":" + json::quote(bf.type) + ",";
     json_loc(bf.pattern_loc, out);
     out += ",\"fields\":{";
     bool ff = true;
     for (const auto& [k, v] : bf.fields) {
       if (!ff) out += ",";
       ff = false;
-      out += "\"" + json_escape(k) + "\":" + json_value(v);
+      out += json::quote(k) + ":" + json_value(v);
     }
     out += "}";
     if (!bf.origin.empty()) {
-      out += ",\"origin\":\"" + json_escape(bf.origin) + "\"";
+      out += ",\"origin\":" + json::quote(bf.origin);
     }
     if (!bf.lineage.empty()) {
       out += ",\"lineage\":[";
@@ -150,7 +147,7 @@ void json_firing(const FiringNode& f, std::string& out) {
       for (const auto& line : bf.lineage) {
         if (!fl) out += ",";
         fl = false;
-        out += "\"" + json_escape(line) + "\"";
+        out += json::quote(line);
       }
       out += "]";
     }
@@ -165,20 +162,21 @@ void json_firing(const FiringNode& f, std::string& out) {
   for (const auto& p : f.prints) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(p) + "\"";
+    out += json::quote(p);
   }
   out += "]}";
 }
 
 void json_explanation(const Explanation& e, std::string& out) {
   out += "{\"schema\":\"perfknow.explanation/1\",\"diagnosis\":{";
-  out += "\"rule\":\"" + json_escape(e.rule) + "\",\"problem\":\"" +
-         json_escape(e.problem) + "\",\"event\":\"" +
-         json_escape(e.event) + "\",\"metric\":\"" +
-         json_escape(e.metric) + "\",\"severity\":" +
-         json_number(e.severity) + ",\"message\":\"" +
-         json_escape(e.message) + "\",\"recommendation\":\"" +
-         json_escape(e.recommendation) + "\"},\"firing\":";
+  out += "\"rule\":" + json::quote(e.rule) +
+         ",\"problem\":" + json::quote(e.problem) +
+         ",\"event\":" + json::quote(e.event) +
+         ",\"metric\":" + json::quote(e.metric) +
+         ",\"severity\":" + json::number(e.severity) +
+         ",\"message\":" + json::quote(e.message) +
+         ",\"recommendation\":" + json::quote(e.recommendation) +
+         "},\"firing\":";
   if (e.root) {
     json_firing(*e.root, out);
   } else {

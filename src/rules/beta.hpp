@@ -1,8 +1,8 @@
 // Beta-memory join network: the kBeta matching strategy.
 //
-// Where the indexed matcher re-runs a delta-window join over working
-// memory every firing cycle, this network *memoizes* the join. For each
-// rule it keeps
+// Where the naive matcher re-runs the whole join over working memory
+// every firing cycle, this network *memoizes* the join. For each rule it
+// keeps
 //
 //   * one alpha memory per pattern: the facts of the pattern's type
 //     that pass its statically evaluable tests (literal right-hand

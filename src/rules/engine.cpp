@@ -129,28 +129,6 @@ ProvenanceSource::~ProvenanceSource() {
   }
 }
 
-namespace {
-
-// True when the candidate pattern itself (re)binds `name`, in which case
-// an equality probe must not use the stale outer value of `name`.
-bool pattern_binds(const Pattern& pat, const std::string& name) {
-  for (const auto& b : pat.bindings) {
-    if (b.variable == name) return true;
-  }
-  if (!pat.fact_variable.empty()) {
-    if (name == pat.fact_variable) return true;
-    // fact_variable-prefixed field bindings ("f.severity").
-    if (name.size() > pat.fact_variable.size() + 1 &&
-        name.compare(0, pat.fact_variable.size(), pat.fact_variable) == 0 &&
-        name[pat.fact_variable.size()] == '.') {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 void RuleHarness::add_rule(Rule rule) {
   if (rule.patterns.empty()) {
     throw InvalidArgumentError("rule '" + rule.name +
@@ -169,16 +147,8 @@ void RuleHarness::add_rule(Rule rule) {
     // are guaranteed to find these spellings in the table.
     cp.type_sym = symbols.intern(pat.fact_type);
     cp.constraint_fields.reserve(pat.constraints.size());
-    for (std::size_t c = 0; c < pat.constraints.size(); ++c) {
-      const auto& con = pat.constraints[c];
+    for (const auto& con : pat.constraints) {
       cp.constraint_fields.push_back(symbols.intern(con.field));
-      if (con.op != CmpOp::kEq) continue;
-      if (con.rhs.kind == Operand::Kind::kLiteral) {
-        cp.probes.push_back(c);
-      } else if (con.rhs.kind == Operand::Kind::kVariable &&
-                 !pattern_binds(pat, con.rhs.variable)) {
-        cp.probes.push_back(c);
-      }
     }
     cp.binding_fields.reserve(pat.bindings.size());
     for (const auto& b : pat.bindings) {
@@ -188,7 +158,6 @@ void RuleHarness::add_rule(Rule rule) {
   }
   rules_.push_back(std::move(rule));
   compiled_.push_back(std::move(compiled));
-  rule_watermark_.push_back(0);
 }
 
 namespace {
@@ -224,9 +193,8 @@ void unwind(Bindings& bindings,
 }  // namespace
 
 void RuleHarness::match_step(std::size_t rule_index,
-                             std::size_t pattern_index, std::size_t new_pos,
-                             FactId old_max, FactId round_max,
-                             bool use_index, Bindings& bindings,
+                             std::size_t pattern_index, FactId round_max,
+                             Bindings& bindings,
                              std::vector<FactId>& matched, UndoLog& undo,
                              std::vector<Activation>& out,
                              RuleProfiler* prof) const {
@@ -238,46 +206,13 @@ void RuleHarness::match_step(std::size_t rule_index,
   const Pattern& pat = rule.patterns[pattern_index];
   const CompiledPattern& cp = compiled_[rule_index].patterns[pattern_index];
 
-  // Delta windows: positions before new_pos take old facts only, the
-  // new_pos position only facts asserted since the watermark, later
-  // positions anything visible this round.
-  FactId lo = 0;
-  FactId hi = round_max;
-  if (new_pos != kAllPositions) {
-    if (pattern_index < new_pos) {
-      hi = old_max;
-    } else if (pattern_index == new_pos) {
-      lo = old_max;
-    }
-  }
-
-  const std::vector<FactId>* cands = &memory_.ids_of_type(cp.type_sym);
-  if (use_index) {
-    // Alpha-index probe: among the precompiled equality constraints whose
-    // right-hand side is known here, take the smallest candidate bucket.
-    for (const std::size_t ci : cp.probes) {
-      const Constraint& con = pat.constraints[ci];
-      const FactValue* val = nullptr;
-      if (con.rhs.kind == Operand::Kind::kLiteral) {
-        val = &con.rhs.literal;
-      } else {
-        const auto it = bindings.find(con.rhs.variable);
-        if (it != bindings.end()) val = &it->second;
-      }
-      if (!val) continue;
-      const auto& bucket = memory_.ids_with_field_value(
-          cp.type_sym, cp.constraint_fields[ci], *val);
-      if (bucket.size() < cands->size()) cands = &bucket;
-      if (cands->empty()) break;
-    }
-  }
-
-  const auto first = std::upper_bound(cands->begin(), cands->end(), lo);
-  const auto last = std::upper_bound(first, cands->end(), hi);
+  const std::vector<FactId>& cands = memory_.ids_of_type(cp.type_sym);
+  const auto first = cands.begin();
+  const auto last = std::upper_bound(first, cands.end(), round_max);
   if (prof) {
     // Every candidate enumerated at this position is a probe; the ones
-    // that survive below are hits and admissions (for the enumerating
-    // strategies the two coincide — see the file comment in engine.hpp).
+    // that survive below are hits and admissions (for an enumerating
+    // matcher the two coincide — see the file comment in engine.hpp).
     prof->level(rule_index, pattern_index).probes +=
         static_cast<std::uint64_t>(std::distance(first, last));
   }
@@ -333,22 +268,12 @@ void RuleHarness::match_step(std::size_t rule_index,
         ++lvl.admissions;
       }
       matched.push_back(id);
-      match_step(rule_index, pattern_index + 1, new_pos, old_max, round_max,
-                 use_index, bindings, matched, undo, out, prof);
+      match_step(rule_index, pattern_index + 1, round_max, bindings,
+                 matched, undo, out, prof);
       matched.pop_back();
     }
     unwind(bindings, undo, undo_mark);
   }
-}
-
-bool RuleHarness::delta_touches(const Rule& rule, FactId old_max,
-                                FactId round_max) const {
-  for (const auto& pat : rule.patterns) {
-    const auto& ids = memory_.ids_of_type(pat.fact_type);
-    const auto it = std::upper_bound(ids.begin(), ids.end(), old_max);
-    if (it != ids.end() && *it <= round_max) return true;
-  }
-  return false;
 }
 
 std::size_t RuleHarness::process_rules(std::size_t max_firings) {
@@ -365,7 +290,7 @@ std::size_t RuleHarness::process_rules(std::size_t max_firings) {
   Bindings bindings;
   std::vector<FactId> matched;
   UndoLog undo;
-  std::size_t round = 0;  ///< delta-window generation, for provenance
+  std::size_t round = 0;  ///< match-fire generation, for provenance
   while (progressed) {
     progressed = false;
     agenda.clear();
@@ -382,25 +307,7 @@ std::size_t RuleHarness::process_rules(std::size_t max_firings) {
         beta_->match(rules_, memory_, round_max, agenda, prof);
       } else {
         const auto match_rule = [&](std::size_t r) {
-          if (strategy_ == MatchStrategy::kIndexed) {
-            FactId& watermark = rule_watermark_[r];
-            if (watermark >= round_max) return;  // no facts newer than seen
-            if (!delta_touches(rules_[r], watermark, round_max)) {
-              watermark = round_max;
-              return;
-            }
-            const std::size_t npat = rules_[r].patterns.size();
-            for (std::size_t new_pos = 0; new_pos < npat; ++new_pos) {
-              match_step(r, 0, new_pos, watermark, round_max,
-                         /*use_index=*/true, bindings, matched, undo, agenda,
-                         prof);
-            }
-            watermark = round_max;
-          } else {
-            match_step(r, 0, kAllPositions, 0, round_max,
-                       /*use_index=*/false, bindings, matched, undo, agenda,
-                       prof);
-          }
+          match_step(r, 0, round_max, bindings, matched, undo, agenda, prof);
         };
         for (std::size_t r = 0; r < rules_.size(); ++r) {
           if (prof) {
@@ -496,7 +403,6 @@ RuleProfile RuleHarness::rule_profile() const {
   RuleProfile p;
   switch (strategy_) {
     case MatchStrategy::kNaive: p.strategy = "naive"; break;
-    case MatchStrategy::kIndexed: p.strategy = "indexed"; break;
     case MatchStrategy::kBeta: p.strategy = "beta"; break;
   }
   p.cycles = profiler_.cycles();

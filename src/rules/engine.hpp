@@ -7,7 +7,7 @@
 // then fact recency), fires each activation exactly once, and re-matches
 // after actions assert new facts — until quiescence.
 //
-// Three matching strategies produce identical activations:
+// Two matching strategies produce identical activations:
 //
 //  * kBeta (default): a beta-memory join network (rules/beta.hpp).
 //    Partial join tokens — bound-variable tuples plus their supporting
@@ -15,34 +15,24 @@
 //    structure-of-arrays columns on a bump arena, extended each cycle
 //    by the alpha delta only, and invalidated by working-memory
 //    mutation epochs on retract/modify. A firing cycle touches tokens
-//    reachable from new facts instead of re-running the delta-window
-//    join.
-//  * kIndexed: the RETE-lite incremental matcher, kept as an oracle.
-//    Candidate facts come from WorkingMemory's per-(type, field, value)
-//    alpha indexes, and after the first firing round only rules whose
-//    pattern types gained facts are re-matched — and only for binding
-//    tuples containing at least one newly-asserted fact (per-rule
-//    fact-id watermarks slice each pattern position into old/new
-//    windows, so every tuple is enumerated exactly once).
-//  * kNaive: the original full re-scan per round, the second
-//    differential-testing oracle.
+//    reachable from new facts instead of re-running the whole join.
+//  * kNaive: the original full re-scan per round, the semantics oracle
+//    the differential tests hold kBeta to.
 //
-// All strategies fire the same activations in the same order (salience
+// Both strategies fire the same activations in the same order (salience
 // desc, then rule order, then fact-id tuple — a total order), so outputs
 // and diagnosis sequences are byte-identical. The one permitted
 // divergence: on rulebases whose constraints *throw* during matching
-// (e.g. unbound variables), the indexed matcher may skip candidates an
-// equality index already excluded — and the beta matcher additionally
-// front-loads literal/same-fact tests before variable and computed
-// ones — so either may reject a candidate before reaching the throwing
-// constraint and therefore not raise the error. Profiler attribution
-// (rules/profiler.hpp) extends the doctrine the same way: firings are
-// byte-identical across strategies, but probe/admission counts — and
-// activation/binding counts, which tally agenda entries as enqueued,
-// before fire-time dedup suppresses a re-enumerating strategy's
-// duplicates — describe the enumeration work the *active* strategy
-// performed. They are strategy-local evidence, never part of the
-// byte-identical contract.
+// (e.g. unbound variables), the beta matcher front-loads literal and
+// same-fact tests before variable and computed ones, so it may reject a
+// candidate before reaching the throwing constraint and therefore not
+// raise the error. Profiler attribution (rules/profiler.hpp) extends the
+// doctrine the same way: firings are byte-identical across strategies,
+// but probe/admission counts — and activation/binding counts, which
+// tally agenda entries as enqueued, before fire-time dedup suppresses
+// the naive matcher's re-enumerated duplicates — describe the
+// enumeration work the *active* strategy performed. They are
+// strategy-local evidence, never part of the byte-identical contract.
 #pragma once
 
 #include <functional>
@@ -185,7 +175,7 @@ struct Activation {
 };
 
 /// How RuleHarness enumerates activations. See the file comment.
-enum class MatchStrategy { kNaive, kIndexed, kBeta };
+enum class MatchStrategy { kNaive, kBeta };
 
 namespace beta {
 class BetaNetwork;
@@ -270,16 +260,12 @@ class RuleHarness {
   friend class RuleContext;
 
   /// Per-pattern matching plan computed once in add_rule: the pattern's
-  /// type and field names interned to Symbols (so the hot loop never
-  /// hashes a string), plus which equality constraints can be answered
-  /// by the alpha index (literal right-hand side, or a variable that is
-  /// necessarily bound by an earlier pattern — never by the candidate
-  /// pattern itself).
+  /// type and field names interned to Symbols, so the hot loop never
+  /// hashes a string.
   struct CompiledPattern {
     Symbol type_sym = kNoSymbol;
     std::vector<Symbol> constraint_fields;  ///< parallel to constraints
     std::vector<Symbol> binding_fields;     ///< parallel to bindings
-    std::vector<std::size_t> probes;  ///< indexes into Pattern::constraints
   };
   struct CompiledRule {
     std::vector<CompiledPattern> patterns;
@@ -290,35 +276,21 @@ class RuleHarness {
   /// instead of copying the map for every candidate fact.
   using UndoLog = std::vector<std::pair<std::string, std::optional<FactValue>>>;
 
-  /// new_pos value meaning "no delta windows — enumerate everything".
-  static constexpr std::size_t kAllPositions = static_cast<std::size_t>(-1);
-
-  /// Recursive enumeration step shared by both strategies. Facts at
-  /// pattern positions before `new_pos` are restricted to ids <= old_max
-  /// ("old"), the position `new_pos` to (old_max, round_max] ("new"),
-  /// later positions to ids <= round_max — the standard delta-join
-  /// scheme that yields each tuple containing >= 1 new fact exactly once.
-  /// `prof` is non-null only while profiling is enabled: each candidate
-  /// examined at a pattern position counts as a probe, each candidate
-  /// that survives bindings+constraints+guard as a hit and admission
-  /// (for the enumerating strategies, admissions == hits by doctrine).
+  /// The naive matcher's recursive enumeration step: every live fact of
+  /// the pattern's type with id <= round_max is a candidate. `prof` is
+  /// non-null only while profiling is enabled: each candidate examined
+  /// at a pattern position counts as a probe, each candidate that
+  /// survives bindings+constraints+guard as a hit and admission (for an
+  /// enumerating strategy, admissions == hits by doctrine).
   void match_step(std::size_t rule_index, std::size_t pattern_index,
-                  std::size_t new_pos, FactId old_max, FactId round_max,
-                  bool use_index, Bindings& bindings,
+                  FactId round_max, Bindings& bindings,
                   std::vector<FactId>& matched, UndoLog& undo,
                   std::vector<Activation>& out, RuleProfiler* prof) const;
-
-  /// True when some pattern of `rule` has facts in (old_max, round_max].
-  [[nodiscard]] bool delta_touches(const Rule& rule, FactId old_max,
-                                   FactId round_max) const;
 
   friend class ProvenanceSource;
 
   std::vector<Rule> rules_;
   std::vector<CompiledRule> compiled_;
-  /// Per-rule fact-id watermark: all tuples over facts <= watermark have
-  /// already been enumerated for that rule.
-  std::vector<FactId> rule_watermark_;
   MatchStrategy strategy_ = MatchStrategy::kBeta;
   /// Memoized join state for kBeta; built on first use, invalidated by
   /// WorkingMemory::mutation_epoch.

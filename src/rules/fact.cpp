@@ -242,9 +242,8 @@ bool WorkingMemory::retract(FactId id) {
   if (id < base_ || id >= next_) return false;
   Slot& slot = slots_[id - base_];
   if (!slot.live) return false;
-  // O(1) tombstone: the per-type id list and any index buckets holding
-  // this id compact themselves on their next probe (compact_ids /
-  // bucket clean_epoch), amortizing a retract wave into one sweep.
+  // O(1) tombstone: the per-type id list compacts itself on its next
+  // probe (compact_ids), amortizing a retract wave into one sweep.
   slot.live = false;
   --live_;
   ++epoch_;
@@ -278,73 +277,6 @@ const std::vector<FactId>& WorkingMemory::ids_of_type(Symbol type) const {
 const std::vector<FactId>& WorkingMemory::ids_of_type(
     const std::string& type) const {
   return ids_of_type(symbols_.lookup(type));
-}
-
-void WorkingMemory::catch_up(const TypeStore& store) const {
-  const FactId upto = last_id();
-  if (store.indexed_upto >= upto) return;
-  // store.ids may still carry tombstones (compaction is probe-driven),
-  // so dead rows are skipped here; dead ids already in buckets are
-  // dropped by the bucket's own clean_epoch compaction.
-  const auto first = std::upper_bound(store.ids.begin(), store.ids.end(),
-                                      store.indexed_upto);
-  for (auto it = first; it != store.ids.end(); ++it) {
-    const FactId id = *it;
-    const Slot& slot = slots_[id - base_];
-    if (!slot.live) continue;
-    for (std::uint32_t j = 0; j < slot.nfields; ++j) {
-      const Symbol field = store.field_syms[slot.begin + j];
-      const FactValue& v = store.values[slot.begin + j];
-      auto& chain = store.by_field[field][value_hash(v)];
-      ValueBucket* bucket = nullptr;
-      for (ValueBucket& b : chain) {
-        if (values_equal(b.exemplar, v)) {
-          bucket = &b;
-          break;
-        }
-      }
-      if (bucket == nullptr) {
-        chain.push_back(ValueBucket{v, {}, store.retract_epoch});
-        bucket = &chain.back();
-      }
-      bucket->ids.push_back(id);
-    }
-  }
-  store.indexed_upto = upto;
-}
-
-const std::vector<FactId>& WorkingMemory::ids_with_field_value(
-    Symbol type, Symbol field, const FactValue& value) const {
-  // NaN never compares equal to anything (not even itself), so an
-  // equality probe with NaN can have no matches.
-  if (const auto* d = std::get_if<double>(&value)) {
-    if (std::isnan(*d)) return empty_ids();
-  }
-  const TypeStore* store = store_of(type);
-  if (store == nullptr || field == kNoSymbol) return empty_ids();
-  catch_up(*store);
-  const auto fit = store->by_field.find(field);
-  if (fit == store->by_field.end()) return empty_ids();
-  const auto hit = fit->second.find(value_hash(value));
-  if (hit == fit->second.end()) return empty_ids();
-  for (ValueBucket& b : hit->second) {
-    if (!values_equal(b.exemplar, value)) continue;
-    if (b.clean_epoch < store->retract_epoch) {
-      b.ids.erase(std::remove_if(b.ids.begin(), b.ids.end(),
-                                 [this](FactId id) { return !is_live(id); }),
-                  b.ids.end());
-      b.clean_epoch = store->retract_epoch;
-    }
-    return b.ids;
-  }
-  return empty_ids();
-}
-
-const std::vector<FactId>& WorkingMemory::ids_with_field_value(
-    const std::string& type, const std::string& field,
-    const FactValue& value) const {
-  return ids_with_field_value(symbols_.lookup(type), symbols_.lookup(field),
-                              value);
 }
 
 void WorkingMemory::clear() {

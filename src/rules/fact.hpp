@@ -21,26 +21,21 @@
 //     stay out of the arena) — and a global arena-backed slot column
 //     maps FactId to its row, so clear() is an arena reset;
 //   * retract is O(1): the slot is tombstoned and a per-type retract
-//     epoch bumped; the per-type id list and the lazy per-(field,value)
-//     alpha-index buckets compact dead ids on the first probe after a
-//     retract, amortizing k retracts into one linear sweep instead of
-//     k vector erases.
+//     epoch bumped; the per-type id list compacts dead ids on the first
+//     probe after a retract, amortizing k retracts into one linear
+//     sweep instead of k vector erases.
 //
-// The per-(field, value) buckets are built lazily, on the first index
-// probe for a type: strategies that never probe (kNaive, and the beta
-// network, which keeps its own alpha memories) never pay for index
-// maintenance. Buckets key on value_hash with values_equal-verified
-// chains, so they remain EXACT equivalence classes even under 64-bit
-// hash collisions. Ids are monotonically increasing and double as the
-// recency ordering the incremental matchers' delta windows slice on;
-// retract/clear bump a mutation epoch that the beta network uses to
-// invalidate memoized join state.
+// There is no per-(field, value) index here: the beta network keeps its
+// own alpha memories and hash-join buckets, and the naive oracle scans.
+// Ids are monotonically increasing and double as the recency ordering
+// the beta network's per-type watermarks slice on; retract/clear bump a
+// mutation epoch that the beta network uses to invalidate memoized join
+// state.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -69,7 +64,7 @@ using FactValue = std::variant<double, std::string, bool>;
 /// Canonical hash of a value whose equality classes are exactly those
 /// of values_equal: numbers hash on their (sign-normalized) bit
 /// pattern, strings on their text, booleans as "true"/"false" text.
-/// Allocation-free; the alpha-index and beta-join buckets key on this.
+/// Allocation-free; the beta network's join buckets key on this.
 [[nodiscard]] std::uint64_t value_hash(const FactValue& v);
 
 /// The write-side fact builder. Compose type + fields, hand it to
@@ -129,7 +124,7 @@ class FactRef;
 
 /// The set of asserted facts. Ids are stable, ascending in assertion
 /// order, and never reused — so "asserted after fact X" is simply
-/// "id > X", which the incremental matchers exploit.
+/// "id > X", which the beta network's watermarks exploit.
 ///
 /// Not copyable or movable: FactRef handles and the arena-backed
 /// columns hold interior pointers.
@@ -141,7 +136,7 @@ class WorkingMemory {
 
   FactId assert_fact(Fact fact);
   /// Returns false when the id is unknown (already retracted). O(1):
-  /// tombstones the slot; indexes compact lazily on their next probe.
+  /// tombstones the slot; id lists compact lazily on their next probe.
   bool retract(FactId id);
 
   /// Handle to a live fact; a null (falsy) FactRef when the id is
@@ -161,15 +156,6 @@ class WorkingMemory {
   [[nodiscard]] const std::vector<FactId>& ids_of_type(
       const std::string& type) const;
   [[nodiscard]] const std::vector<FactId>& ids_of_type(Symbol type) const;
-  /// Alpha-index probe: ids of live facts of `type` whose `field`
-  /// compares values_equal to `value`, ascending. Builds the type's
-  /// (field, value) buckets on first use. Same lifetime caveat as
-  /// ids_of_type.
-  [[nodiscard]] const std::vector<FactId>& ids_with_field_value(
-      const std::string& type, const std::string& field,
-      const FactValue& value) const;
-  [[nodiscard]] const std::vector<FactId>& ids_with_field_value(
-      Symbol type, Symbol field, const FactValue& value) const;
 
   /// Highest id ever asserted (0 before the first assert). Facts
   /// asserted later compare greater — the matcher's recency watermark.
@@ -214,15 +200,6 @@ class WorkingMemory {
     bool live = false;
   };
 
-  /// One values_equal equivalence class within a hash bucket. `ids` is
-  /// ascending and may carry tombstoned (retracted) ids until the next
-  /// probe compacts it.
-  struct ValueBucket {
-    FactValue exemplar;
-    std::vector<FactId> ids;
-    std::uint64_t clean_epoch = 0;
-  };
-
   struct TypeStore {
     TypeStore(Arena& arena, Symbol type) : type_sym(type), field_syms(arena) {}
 
@@ -239,11 +216,6 @@ class WorkingMemory {
     /// Parallel values; deque for stable addresses (find_field returns
     /// interior pointers).
     std::deque<FactValue> values;
-    /// field -> value_hash -> values_equal-verified chains. Lazy.
-    mutable std::unordered_map<
-        Symbol, std::unordered_map<std::uint64_t, std::vector<ValueBucket>>>
-        by_field;
-    mutable FactId indexed_upto = 0;
   };
 
   [[nodiscard]] bool is_live(FactId id) const noexcept {
@@ -251,7 +223,6 @@ class WorkingMemory {
   }
   [[nodiscard]] const TypeStore* store_of(Symbol type) const noexcept;
   void compact_ids(const TypeStore& store) const;
-  void catch_up(const TypeStore& store) const;
 
   Arena arena_;
   SymbolTable symbols_;

@@ -1,6 +1,6 @@
 // Per-rule / per-pattern cost attribution for the rule engine.
 //
-// The matchers (naive, indexed, beta) answer "which facts fire which
+// The matchers (naive, beta) answer "which facts fire which
 // rules"; this module answers "which rule or join is burning the match
 // time" — the cost-attribution data the AOT codegen roadmap item needs
 // to decide what to specialize, and what rules/rule_tuning.rules
@@ -92,7 +92,7 @@ struct RuleProfile {
     std::uint64_t bindings = 0;
     std::vector<Level> levels;   ///< one per pattern position
   };
-  std::string strategy;          ///< "naive" | "indexed" | "beta"
+  std::string strategy;          ///< "naive" | "beta"
   std::uint64_t cycles = 0;      ///< process_rules rounds observed
   std::uint64_t wm_size = 0;     ///< live working-memory facts at snapshot
   std::vector<PerRule> rules;

@@ -1,5 +1,9 @@
 #include "rules/rulebases.hpp"
 
+#include <fstream>
+#include <sstream>
+
+#include "common/error.hpp"
 #include "rules/parser.hpp"
 
 namespace perfknow::rules::builtin {
@@ -351,7 +355,7 @@ then
   diagnose(problem = "BetaMemoryBloat", event = "rules.beta",
            metric = "rules.beta.dead_tokens", severity = k / n,
            message = "dead tokens " + k + " of " + n + " created: retract/modify churn is bloating memoized join state",
-           recommendation = "Retract in batches between process_rules calls, or switch churn-heavy sessions to MatchStrategy.kIndexed")
+           recommendation = "Retract in batches between process_rules calls")
 end
 
 rule "Thread Pool Imbalance"
@@ -667,3 +671,44 @@ void use(RuleHarness& harness, std::string_view rulebase_source) {
 }
 
 }  // namespace perfknow::rules::builtin
+
+namespace perfknow::rules {
+
+std::string resolve_rulebase(const std::string& name,
+                             const std::filesystem::path& rules_path) {
+  namespace rb = builtin;
+  // The Fig. 1 name and friendly aliases map to the embedded rulebases.
+  if (name == "openuh/OpenUHRules.drl" || name == "OpenUHRules.drl" ||
+      name == "openuh") {
+    return rb::openuh_rules();
+  }
+  if (name == "stalls_per_cycle") return std::string(rb::stalls_per_cycle());
+  if (name == "load_imbalance") return std::string(rb::load_imbalance());
+  if (name == "inefficiency") return std::string(rb::inefficiency());
+  if (name == "stall_coverage") return std::string(rb::stall_coverage());
+  if (name == "memory_locality") return std::string(rb::memory_locality());
+  if (name == "power") return std::string(rb::power());
+  if (name == "communication") return std::string(rb::communication());
+  if (name == "instrumentation") return std::string(rb::instrumentation());
+  if (name == "openmp") return std::string(rb::openmp());
+  if (name == "self_diagnosis") return std::string(rb::self_diagnosis());
+  if (name == "regression") return std::string(rb::regression());
+  if (name == "rule_tuning") return std::string(rb::rule_tuning());
+  const auto slurp = [](std::ifstream& is) {
+    std::ostringstream ss;
+    ss << is.rdbuf();
+    return ss.str();
+  };
+  if (!rules_path.empty()) {
+    std::ifstream is(rules_path / name);
+    if (is) return slurp(is);
+  }
+  std::ifstream is(name);
+  if (!is) {
+    throw NotFoundError("unknown rulebase '" + name +
+                        "' (not a built-in name and not a readable file)");
+  }
+  return slurp(is);
+}
+
+}  // namespace perfknow::rules

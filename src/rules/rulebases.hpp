@@ -6,6 +6,7 @@
 // editing — `perfknow::rules::parse_rules` accepts either.
 #pragma once
 
+#include <filesystem>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -81,3 +82,18 @@ namespace perfknow::rules::builtin {
 void use(RuleHarness& harness, std::string_view rulebase_source);
 
 }  // namespace perfknow::rules::builtin
+
+namespace perfknow::rules {
+
+/// Resolves a rulebase name to DSL source text the way
+/// RuleHarness.useGlobalRules does: built-in names and aliases first
+/// ("openuh", "self_diagnosis", "regression", the Fig. 1
+/// "openuh/OpenUHRules.drl" spelling, ...), then a file under
+/// `rules_path` (when given), then the filesystem as-is. Throws
+/// NotFoundError naming the rulebase when nothing matches. This is the
+/// one name-resolution policy shared by scripts, `pkx`, and the
+/// analysis server.
+[[nodiscard]] std::string resolve_rulebase(
+    const std::string& name, const std::filesystem::path& rules_path = {});
+
+}  // namespace perfknow::rules

@@ -90,47 +90,6 @@ const std::string& arg_string(const std::vector<Value>& args,
   return args[i].as_string();
 }
 
-}  // namespace
-
-std::string resolve_rulebase(const std::string& name,
-                             const std::filesystem::path& rules_path) {
-  namespace rb = rules::builtin;
-  // The Fig. 1 name and friendly aliases map to the embedded rulebases.
-  if (name == "openuh/OpenUHRules.drl" || name == "OpenUHRules.drl" ||
-      name == "openuh") {
-    return rb::openuh_rules();
-  }
-  if (name == "stalls_per_cycle") return std::string(rb::stalls_per_cycle());
-  if (name == "load_imbalance") return std::string(rb::load_imbalance());
-  if (name == "inefficiency") return std::string(rb::inefficiency());
-  if (name == "stall_coverage") return std::string(rb::stall_coverage());
-  if (name == "memory_locality") return std::string(rb::memory_locality());
-  if (name == "power") return std::string(rb::power());
-  if (name == "communication") return std::string(rb::communication());
-  if (name == "instrumentation") return std::string(rb::instrumentation());
-  if (name == "openmp") return std::string(rb::openmp());
-  if (name == "self_diagnosis") return std::string(rb::self_diagnosis());
-  if (name == "regression") return std::string(rb::regression());
-  if (name == "rule_tuning") return std::string(rb::rule_tuning());
-  const auto slurp = [](std::ifstream& is) {
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    return ss.str();
-  };
-  if (!rules_path.empty()) {
-    std::ifstream is(rules_path / name);
-    if (is) return slurp(is);
-  }
-  std::ifstream is(name);
-  if (!is) {
-    throw NotFoundError("unknown rulebase '" + name +
-                        "' (not a built-in name and not a readable file)");
-  }
-  return slurp(is);
-}
-
-namespace {
-
 /// saveTrial historically always wrote a PKPROF snapshot, whatever the
 /// file was called. Route through the io registry when the extension
 /// names a writable format, and keep PKPROF as the fallback.
@@ -455,8 +414,8 @@ void AnalysisSession::register_api() {
                              Interpreter&, const std::vector<Value>& a) {
               rules::add_rules(
                   *harness,
-                  resolve_rulebase(arg_string(a, 0, "useGlobalRules"),
-                                rules_path));
+                  rules::resolve_rulebase(
+                      arg_string(a, 0, "useGlobalRules"), rules_path));
               return harness_obj;
             })},
            {"getInstance",
@@ -495,13 +454,11 @@ void AnalysisSession::register_api() {
         const std::string name = arg_string(a, 0, "setMatchStrategy");
         if (name == "naive") {
           h->harness->set_match_strategy(rules::MatchStrategy::kNaive);
-        } else if (name == "indexed") {
-          h->harness->set_match_strategy(rules::MatchStrategy::kIndexed);
         } else if (name == "beta") {
           h->harness->set_match_strategy(rules::MatchStrategy::kBeta);
         } else {
           throw InvalidArgumentError(
-              "setMatchStrategy: expected 'naive', 'indexed', or 'beta', "
+              "setMatchStrategy: expected 'naive' or 'beta', "
               "got '" + name + "'");
         }
         return Value();
@@ -510,13 +467,10 @@ void AnalysisSession::register_api() {
       "RuleHarness", "getMatchStrategy",
       [](Interpreter&, const HostObjPtr& o, const std::vector<Value>&) {
         auto h = std::static_pointer_cast<HarnessHandle>(o->data);
-        switch (h->harness->match_strategy()) {
-          case rules::MatchStrategy::kNaive: return Value(std::string("naive"));
-          case rules::MatchStrategy::kIndexed:
-            return Value(std::string("indexed"));
-          case rules::MatchStrategy::kBeta: break;
-        }
-        return Value(std::string("beta"));
+        return Value(std::string(
+            h->harness->match_strategy() == rules::MatchStrategy::kNaive
+                ? "naive"
+                : "beta"));
       });
   interp_.register_method(
       "RuleHarness", "getOutput",

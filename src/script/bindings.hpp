@@ -23,7 +23,8 @@
 //   ScaleMetricOperation(result, metric, factor, name)
 //   MeanEventFact.compareEventToMain(...)
 //   RuleHarness.useGlobalRules(name) / .assertFact / .processRules /
-//     .getOutput / .getDiagnoses / .setMatchStrategy / .getMatchStrategy
+//     .getOutput / .getDiagnoses / .setMatchStrategy("beta" | "naive") /
+//     .getMatchStrategy
 //   correlateEvents, loadBalance, topEvents,
 //   assertLoadBalanceFacts, assertStallFacts, assertMemoryLocalityFacts,
 //   estimatePower
@@ -44,17 +45,6 @@
 
 namespace perfknow::script {
 
-/// Resolves a rulebase name to DSL source text the way
-/// RuleHarness.useGlobalRules does: built-in names and aliases first
-/// ("openuh", "self_diagnosis", "regression", the Fig. 1
-/// "openuh/OpenUHRules.drl" spelling, ...), then a file under
-/// `rules_path` (when given), then the filesystem as-is. Throws
-/// NotFoundError naming the rulebase when nothing matches. This is the
-/// one name-resolution policy shared by scripts, `pkx`, and the
-/// analysis server.
-[[nodiscard]] std::string resolve_rulebase(
-    const std::string& name, const std::filesystem::path& rules_path = {});
-
 /// Everything an AnalysisSession can be configured with, in one place.
 /// Only `repository` is required; the defaults reproduce the historical
 /// one-argument constructor's behaviour exactly.
@@ -69,9 +59,9 @@ struct SessionOptions {
   std::filesystem::path rules_path = {};
 
   /// Rule-matching strategy installed on the session's harness. The
-  /// default is the memoized beta join network; kIndexed / kNaive stay
-  /// available as differential oracles (scripts can also switch at run
-  /// time via RuleHarness.setMatchStrategy).
+  /// default is the memoized beta join network; kNaive stays available
+  /// as the differential oracle (scripts can also switch at run time via
+  /// RuleHarness.setMatchStrategy).
   rules::MatchStrategy match_strategy = rules::MatchStrategy::kBeta;
 
   /// Worker threads for analysis primitives run from this session's

@@ -12,13 +12,8 @@
 #include <fstream>
 #include <thread>
 
-#include "analysis/facts.hpp"
 #include "common/error.hpp"
 #include "io/format.hpp"
-#include "rules/rulebases.hpp"
-#include "script/bindings.hpp"
-#include "telemetry/export.hpp"
-#include "telemetry/self_analysis.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace perfknow::server {
@@ -91,59 +86,6 @@ provenance::ProvenanceMode provenance_mode(const json::Value& params,
 }
 
 }  // namespace
-
-// ---- shared analysis entry points --------------------------------------
-
-std::vector<rules::Diagnosis> run_analysis(
-    const perfdmf::Repository& repo, const AnalyzeParams& params,
-    const std::filesystem::path& rules_path, rules::RuleHarness& harness) {
-  const auto trial =
-      repo.get(params.application, params.experiment, params.trial);
-  harness.set_provenance(params.provenance);
-  rules::builtin::use(
-      harness, script::resolve_rulebase(params.rulebase, rules_path));
-  analysis::assert_load_balance_facts(harness, *trial);
-  if (trial->find_metric("BACK_END_BUBBLE_ALL")) {
-    analysis::assert_stall_facts(harness, *trial);
-  }
-  if (trial->find_metric("L3_MISSES")) {
-    analysis::assert_memory_locality_facts(harness, *trial);
-  }
-  harness.process_rules();
-  return harness.diagnoses();
-}
-
-DiffOutcome run_diff(const perfdmf::Repository& repo,
-                     const DiffParams& params,
-                     rules::RuleHarness& harness) {
-  params.options.validate();
-  const auto base =
-      repo.get(params.application, params.experiment, params.base);
-  const auto current =
-      repo.get(params.application, params.experiment, params.current);
-
-  harness.set_provenance(provenance::ProvenanceMode::kFull);
-  rules::builtin::use(harness, rules::builtin::regression());
-  DiffOutcome outcome;
-  outcome.summary = analysis::assert_diff_facts(harness, *base, *current,
-                                                params.options);
-  harness.process_rules();
-  outcome.diagnoses = harness.diagnoses();
-  for (const auto& d : outcome.diagnoses) {
-    if (analysis::regression_problem(d.problem)) outcome.regression = true;
-  }
-  return outcome;
-}
-
-std::vector<rules::Diagnosis> run_self_diagnosis(
-    rules::RuleHarness& harness) {
-  const auto trial = telemetry::to_trial(telemetry::snapshot());
-  harness.set_provenance(provenance::ProvenanceMode::kFull);
-  rules::builtin::use(harness, rules::builtin::self_diagnosis());
-  telemetry::assert_self_facts(harness, trial);
-  harness.process_rules();
-  return harness.diagnoses();
-}
 
 // ---- options -----------------------------------------------------------
 

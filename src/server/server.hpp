@@ -32,11 +32,11 @@
 //     "selfdiagnose" method — the paper's self-observation loop closed
 //     over the serving layer itself.
 //
-// The analysis entry points (run_analysis / run_diff /
-// run_self_diagnosis) are plain free functions over a Repository and a
-// RuleHarness, used identically by the daemon workers and by in-process
-// callers — which is what makes server-streamed diagnoses byte-identical
-// to local ones (tests/test_server.cpp pins this).
+// The workers run the analysis pipelines of analysis/pipeline.hpp
+// (run_analysis / run_diff / run_self_diagnosis), the same functions pkx
+// and in-process callers use — which is what makes server-streamed
+// diagnoses byte-identical to local ones (tests/test_server.cpp pins
+// this).
 #pragma once
 
 #include <atomic>
@@ -52,7 +52,7 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/diff.hpp"
+#include "analysis/pipeline.hpp"
 #include "perfdmf/repository.hpp"
 #include "rules/engine.hpp"
 #include "server/wire.hpp"
@@ -60,55 +60,15 @@
 namespace perfknow::server {
 
 // ---- shared analysis entry points --------------------------------------
+// Defined once in analysis/pipeline.hpp; re-exported here because the
+// daemon's workers and its in-process callers name them server::.
 
-/// What an "analyze"/"explain" request runs: which trial, which
-/// rulebase, how much provenance.
-struct AnalyzeParams {
-  std::string application;
-  std::string experiment;
-  std::string trial;
-  /// Rulebase name resolved by script::resolve_rulebase (built-ins and
-  /// aliases first, then rules_path, then the filesystem).
-  std::string rulebase = "openuh";
-  provenance::ProvenanceMode provenance = provenance::ProvenanceMode::kFull;
-};
-
-/// What a "diff" request runs.
-struct DiffParams {
-  std::string application;
-  std::string experiment;
-  std::string base;
-  std::string current;
-  analysis::DiffOptions options;
-};
-
-/// Runs the pkx-explain pipeline into `harness`: resolve the rulebase,
-/// assert load-balance facts (plus stall / memory-locality facts when
-/// the trial carries the counters), process rules. Returns the fired
-/// diagnoses. The same function backs the daemon's "analyze"/"explain"
-/// methods and in-process callers, so both produce identical output.
-[[nodiscard]] std::vector<rules::Diagnosis> run_analysis(
-    const perfdmf::Repository& repo, const AnalyzeParams& params,
-    const std::filesystem::path& rules_path, rules::RuleHarness& harness);
-
-/// One diff outcome: the asserted summary, the fired diagnoses, and the
-/// `pkx diff` gate verdict (any regression_problem diagnosis).
-struct DiffOutcome {
-  analysis::DiffSummary summary;
-  std::vector<rules::Diagnosis> diagnoses;
-  bool regression = false;
-};
-
-/// Runs the pkx-diff pipeline (rules/regression.rules over
-/// assert_diff_facts) into `harness`. DiffOptions are validated first.
-[[nodiscard]] DiffOutcome run_diff(const perfdmf::Repository& repo,
-                                   const DiffParams& params,
-                                   rules::RuleHarness& harness);
-
-/// Runs rules/self_diagnosis.rules over a telemetry trial built from
-/// the current process-wide snapshot. Returns the fired diagnoses.
-[[nodiscard]] std::vector<rules::Diagnosis> run_self_diagnosis(
-    rules::RuleHarness& harness);
+using analysis::AnalyzeParams;
+using analysis::DiffOutcome;
+using analysis::DiffParams;
+using analysis::run_analysis;
+using analysis::run_diff;
+using analysis::run_self_diagnosis;
 
 // ---- the daemon --------------------------------------------------------
 
@@ -122,7 +82,7 @@ struct ServerOptions {
   /// lazily under `cache_budget`.
   std::filesystem::path repository_dir;
 
-  /// Extra rulebase search directory (script::resolve_rulebase).
+  /// Extra rulebase search directory (rules::resolve_rulebase).
   std::filesystem::path rules_path;
 
   /// Worker threads draining the job queue.

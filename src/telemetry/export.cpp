@@ -5,37 +5,12 @@
 #include <limits>
 #include <ostream>
 
+#include "common/json.hpp"
 #include "common/strings.hpp"
 
 namespace perfknow::telemetry {
 
 namespace {
-
-// Minimal JSON string escaping (names are ASCII identifiers in
-// practice, but a dynamic span name could contain anything).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 const std::string& span_name(const Snapshot& snap, NameId id) {
   static const std::string kUnknown = "?";
@@ -57,7 +32,7 @@ void write_chrome_trace(const Snapshot& snap, std::ostream& os) {
   for (const SpanRecord& r : snap.spans) {
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":\"" << json_escape(span_name(snap, r.name))
+    os << "{\"name\":\"" << json::escape(span_name(snap, r.name))
        << "\",\"cat\":\"perfknow\",\"ph\":\"X\",\"pid\":1,\"tid\":"
        << r.thread << ",\"ts\":"
        << strings::format_double(
@@ -70,7 +45,7 @@ void write_chrome_trace(const Snapshot& snap, std::ostream& os) {
   for (const CounterSample& c : snap.counters) {
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":\"" << json_escape(c.name)
+    os << "{\"name\":\"" << json::escape(c.name)
        << "\",\"cat\":\"perfknow\",\"ph\":\"C\",\"pid\":1,\"tid\":0,"
        << "\"ts\":0,\"args\":{\"value\":" << c.value << "}}";
   }

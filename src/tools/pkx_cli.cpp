@@ -197,22 +197,14 @@ int cmd_explain(const pk::perfdmf::Repository& repo,
     else if (args[i] == "--dot") dot_file = args[i + 1];
     else return usage_for("explain", err);
   }
-  const auto trial = repo.verified_view(args[2], args[3], args[4]);
-
+  pk::analysis::AnalyzeParams params;
+  params.application = args[2];
+  params.experiment = args[3];
+  params.trial = args[4];
   pk::rules::RuleHarness harness;
-  harness.set_provenance(pk::provenance::ProvenanceMode::kFull);
-  pk::rules::builtin::use(harness, pk::rules::builtin::openuh_rules());
-  pk::analysis::assert_load_balance_facts(harness, *trial);
-  if (trial->find_metric("BACK_END_BUBBLE_ALL")) {
-    pk::analysis::assert_stall_facts(harness, *trial);
-  }
-  if (trial->find_metric("L3_MISSES")) {
-    pk::analysis::assert_memory_locality_facts(harness, *trial);
-  }
-  harness.process_rules();
-
   std::vector<pk::provenance::Explanation> explanations;
-  for (const auto& d : harness.diagnoses()) {
+  for (const auto& d :
+       pk::analysis::run_analysis(repo, params, {}, harness)) {
     if (d.provenance) explanations.push_back(*d.provenance);
   }
   if (explanations.empty()) {
@@ -297,14 +289,7 @@ int cmd_rules_profile(pk::perfdmf::Repository& repo,
       ss << is.rdbuf();
       pk::rules::add_rules(harness, ss.str(), rules_file);
     }
-    pk::analysis::assert_load_balance_facts(harness, *trial);
-    if (trial->find_metric("BACK_END_BUBBLE_ALL")) {
-      pk::analysis::assert_stall_facts(harness, *trial);
-    }
-    if (trial->find_metric("L3_MISSES")) {
-      pk::analysis::assert_memory_locality_facts(harness, *trial);
-    }
-    harness.process_rules();
+    pk::analysis::analyze_trial(harness, *trial);
     profile = harness.rule_profile();
   }
 
@@ -460,15 +445,10 @@ int cmd_diff(const pk::perfdmf::Repository& repo,
       return usage_for("diff", err);
     }
   }
-  const auto base = repo.verified_view(args[2], args[3], args[4]);
-  const auto current = repo.verified_view(args[2], args[3], args[5]);
-
   pk::rules::RuleHarness harness;
-  harness.set_provenance(pk::provenance::ProvenanceMode::kFull);
-  pk::rules::builtin::use(harness, pk::rules::builtin::regression());
-  const auto summary =
-      pk::analysis::assert_diff_facts(harness, *base, *current, options);
-  harness.process_rules();
+  const auto outcome = pk::analysis::run_diff(
+      repo, {args[2], args[3], args[4], args[5], options}, harness);
+  const auto& summary = outcome.summary;
 
   out << "diff " << args[2] << "/" << args[3] << ": " << args[4] << " -> "
       << args[5] << " (" << summary.compared_cells << " cells, "
@@ -483,10 +463,8 @@ int cmd_diff(const pk::perfdmf::Repository& repo,
   }
   out << ")\n\n";
 
-  bool regression = false;
   std::vector<pk::provenance::Explanation> explanations;
-  for (const auto& d : harness.diagnoses()) {
-    if (pk::analysis::regression_problem(d.problem)) regression = true;
+  for (const auto& d : outcome.diagnoses) {
     out << d.to_string() << "\n";
     if (d.provenance) explanations.push_back(*d.provenance);
   }
@@ -501,7 +479,7 @@ int cmd_diff(const pk::perfdmf::Repository& repo,
     os << pk::provenance::to_json(explanations);
     out << "\nwrote " << json_file << "\n";
   }
-  return regression ? 3 : 0;
+  return outcome.regression ? 3 : 0;
 }
 
 int cmd_bench2pkb(const std::string& repo_dir,
@@ -938,19 +916,14 @@ int pkx_main(const std::vector<std::string>& args, std::ostream& out,
     }
     if (cmd == "report") {
       if (args.size() != 5) return usage_for("report", err);
-      const auto trial = repo.verified_view(args[2], args[3], args[4]);
       pk::rules::RuleHarness harness;
-      pk::rules::builtin::use(harness,
-                              pk::rules::builtin::openuh_rules());
-      pk::analysis::assert_load_balance_facts(harness, *trial);
-      if (trial->find_metric("BACK_END_BUBBLE_ALL")) {
-        pk::analysis::assert_stall_facts(harness, *trial);
-      }
-      if (trial->find_metric("L3_MISSES")) {
-        pk::analysis::assert_memory_locality_facts(harness, *trial);
-      }
-      harness.process_rules();
-      out << pk::analysis::render_report(*trial, &harness);
+      (void)pk::analysis::run_analysis(
+          repo,
+          {args[2], args[3], args[4], "openuh",
+           pk::provenance::ProvenanceMode::kOff},
+          {}, harness);
+      out << pk::analysis::render_report(
+          *repo.verified_view(args[2], args[3], args[4]), &harness);
       return 0;
     }
     if (cmd == "explain") {

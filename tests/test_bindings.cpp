@@ -273,7 +273,7 @@ TEST(Bindings, MatchStrategyDefaultsToBetaAndIsScriptVisible) {
   session.run(R"(
 h = RuleHarness.getInstance()
 print(h.getMatchStrategy())
-h.setMatchStrategy("indexed")
+h.setMatchStrategy("naive")
 print(h.getMatchStrategy())
 h.setMatchStrategy("beta")
 print(h.getMatchStrategy())
@@ -281,10 +281,14 @@ print(h.getMatchStrategy())
   const auto& out = session.output();
   ASSERT_GE(out.size(), 3u);
   EXPECT_EQ(out[out.size() - 3], "beta");
-  EXPECT_EQ(out[out.size() - 2], "indexed");
+  EXPECT_EQ(out[out.size() - 2], "naive");
   EXPECT_EQ(out[out.size() - 1], "beta");
   EXPECT_THROW(session.run("RuleHarness.getInstance()"
                            ".setMatchStrategy(\"rete\")"),
+               pk::InvalidArgumentError);
+  // The retired alpha-indexed matcher's spelling is rejected too.
+  EXPECT_THROW(session.run("RuleHarness.getInstance()"
+                           ".setMatchStrategy(\"indexed\")"),
                pk::InvalidArgumentError);
 }
 

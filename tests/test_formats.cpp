@@ -142,3 +142,40 @@ TEST(JsonFormat, SparseZeroRowsOmittedButReadBack) {
   EXPECT_DOUBLE_EQ(back.exclusive(1, e, 0), 7.0);
   EXPECT_DOUBLE_EQ(back.exclusive(2, e, 0), 0.0);
 }
+
+TEST(JsonFormat, ByteOrderMarkIsSkipped) {
+  const Trial t = fixture();
+  const Trial back =
+      pk::perfdmf::from_json("\xEF\xBB\xBF" + pk::perfdmf::to_json(t));
+  EXPECT_EQ(back.name(), "fixture");
+  EXPECT_EQ(pk::perfdmf::to_json(back), pk::perfdmf::to_json(t));
+}
+
+TEST(JsonFormat, SchemaErrorsAreJsonParseErrors) {
+  const auto message_of = [](const std::string& doc) -> std::string {
+    try {
+      (void)pk::perfdmf::from_json(doc);
+    } catch (const pk::ParseError& e) {
+      return e.what();
+    }
+    return "(no error)";
+  };
+  const std::string missing = message_of(R"({
+    "name": "x", "threads": 1, "events": [], "data": []
+  })");
+  EXPECT_EQ(missing.rfind("JSON:", 0), 0u) << missing;
+  EXPECT_NE(missing.find("'metrics'"), std::string::npos) << missing;
+  const std::string wrong_type = message_of(R"({
+    "name": "x", "threads": "one", "metrics": [], "events": [], "data": []
+  })");
+  EXPECT_EQ(wrong_type.rfind("JSON:", 0), 0u) << wrong_type;
+  // Syntax errors keep their location under the same prefix.
+  const std::string syntax = message_of("{\"name\": }");
+  EXPECT_EQ(syntax.rfind("JSON:", 0), 0u) << syntax;
+  EXPECT_NE(syntax.find("line 1"), std::string::npos) << syntax;
+}
+
+TEST(JsonFormat, ReExportIsByteIdentical) {
+  const std::string first = pk::perfdmf::to_json(fixture());
+  EXPECT_EQ(pk::perfdmf::to_json(pk::perfdmf::from_json(first)), first);
+}

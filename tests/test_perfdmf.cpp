@@ -463,7 +463,7 @@ TEST(RepositoryPersistence, SaveDoesNotResignCorruptColumns) {
     EXPECT_NE(std::string(e.what()).find(".pkb"), std::string::npos)
         << e.what();
   }
-  // Materialization (promotion) rejects it the same way.
+  // Materialization rejects it the same way.
   EXPECT_THROW((void)attached.get("app", "exp", "tamper"), pk::ParseError);
 }
 

@@ -1,6 +1,6 @@
 // Tests for the PKB binary columnar snapshot format and its mmap-backed
 // view: text/binary differential round-trips over the shipped corpora,
-// structural corruption diagnostics, and PkbView promotion semantics.
+// structural corruption diagnostics, and PkbView materialization semantics.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -169,10 +169,10 @@ TEST(PkbFormat, DifferentialRoundTripOverShippedCorpora) {
     const std::string bytes = pk::perfdmf::to_pkb(t);
     // Materializing parse.
     expect_trials_equal(t, pk::perfdmf::parse_pkb(bytes));
-    // Lazy view, then promotion.
+    // Lazy view, then a materialized copy of it.
     PkbView view = PkbView::from_bytes(bytes, PkbView::Verify::kFull);
     expect_trials_equal(t, view);
-    expect_trials_equal(t, view.promote());
+    expect_trials_equal(t, view.materialize());
   }
 }
 
@@ -192,7 +192,6 @@ TEST(PkbFormat, CommittedCorpusSeedsParse) {
 TEST(PkbView, ServesSeriesWithoutMaterializing) {
   const Trial t = make_trial("lazy", 5);
   PkbView view = PkbView::from_bytes(pk::perfdmf::to_pkb(t));
-  EXPECT_FALSE(view.promoted());
 
   const auto m = view.metric_id("TIME");
   const auto e = view.event_id("main => loop");
@@ -205,8 +204,6 @@ TEST(PkbView, ServesSeriesWithoutMaterializing) {
   EXPECT_EQ(view.mean_inclusive(e, m), t.mean_inclusive(e, m));
   EXPECT_EQ(view.main_event(), t.main_event());
   EXPECT_EQ(view.children_of(view.event_id("main")).size(), 1u);
-  // Reads never promoted.
-  EXPECT_FALSE(view.promoted());
 }
 
 TEST(PkbView, OpenFromFileAndBoundsChecks) {
@@ -225,29 +222,14 @@ TEST(PkbView, OpenFromFileAndBoundsChecks) {
   EXPECT_THROW((void)view.event(99), pk::InvalidArgumentError);
 }
 
-TEST(PkbView, PromotionMaterializesOnceAndReflectsWrites) {
-  const Trial t = make_trial("promote");
-  PkbView view = PkbView::from_bytes(pk::perfdmf::to_pkb(t));
-  Trial& mut = view.promote();
-  EXPECT_TRUE(view.promoted());
-  EXPECT_EQ(&mut, &view.promote());  // same Trial on every call
-
-  // Writes through the promoted trial are visible through the view.
-  mut.set_inclusive(0, 0, 0, 4242.0);
-  EXPECT_EQ(view.inclusive(0, 0, 0), 4242.0);
-  const auto m = mut.add_metric("NEW_METRIC");
-  EXPECT_EQ(view.metric_count(), t.metric_count() + 1);
-  EXPECT_TRUE(view.find_metric("NEW_METRIC").has_value());
-  (void)m;
-}
-
-TEST(PkbView, SharedPromotionKeepsViewAlive) {
-  const Trial t = make_trial("aliased");
-  auto view = std::make_shared<PkbView>(
-      PkbView::from_bytes(pk::perfdmf::to_pkb(t)));
-  std::shared_ptr<Trial> trial = PkbView::promote_shared(std::move(view));
-  ASSERT_TRUE(trial);
-  expect_trials_equal(t, *trial);
+TEST(PkbView, MaterializedCopyLeavesViewUntouched) {
+  const Trial t = make_trial("copied");
+  const PkbView view = PkbView::from_bytes(pk::perfdmf::to_pkb(t));
+  Trial copy = view.materialize();
+  expect_trials_equal(t, copy);
+  // Edits to the copy never reach readers of the view.
+  copy.set_inclusive(0, 0, 0, -1.0);
+  EXPECT_EQ(view.inclusive(0, 0, 0), t.inclusive(0, 0, 0));
 }
 
 // ---- corruption --------------------------------------------------------
@@ -292,16 +274,16 @@ TEST(PkbCorruption, ChecksumMismatchNamesByteOffset) {
   }
 }
 
-TEST(PkbCorruption, SchemaOnlyVerifySkipsColumnsButPromotionChecks) {
+TEST(PkbCorruption, SchemaOnlyVerifySkipsColumnsButMaterializeChecks) {
   std::string bytes = pk::perfdmf::to_pkb(make_trial("lazy crc"));
   bytes[bytes.size() - 32] ^= 0x01;
   // Opening the view is O(schema): the flipped column byte goes unseen...
   PkbView view = PkbView::from_bytes(bytes, PkbView::Verify::kSchema);
   EXPECT_EQ(view.name(), "lazy crc");
-  // ...full verification and promotion both catch it.
+  // ...full verification and materialization both catch it.
   EXPECT_THROW((void)PkbView::from_bytes(bytes, PkbView::Verify::kFull),
                pk::ParseError);
-  EXPECT_THROW((void)view.promote(), pk::ParseError);
+  EXPECT_THROW((void)view.materialize(), pk::ParseError);
 }
 
 TEST(PkbCorruption, VerifyColumnsUpgradesSchemaOnlyViews) {
@@ -376,12 +358,11 @@ TEST(PkbCorruption, LoadErrorsNameTheFile) {
   }
 }
 
-TEST(PkbFormat, WritesFromAnUnpromotedViewAreIdentical) {
+TEST(PkbFormat, WritesFromAViewAreIdentical) {
   // write_pkb over a PkbView must produce the same bytes as over the
   // original trial — the repository streams cached views out this way.
   const Trial t = make_trial("restream");
   const std::string bytes = pk::perfdmf::to_pkb(t);
   PkbView view = PkbView::from_bytes(bytes);
   EXPECT_EQ(pk::perfdmf::to_pkb(view), bytes);
-  EXPECT_FALSE(view.promoted());
 }

@@ -420,7 +420,7 @@ TEST(Provenance, JsonRoundTripPreservesRenderedText) {
   EXPECT_EQ(prov::to_text(one[0]), prov::to_text(explanations[0]));
 }
 
-TEST(Provenance, JsonParserRejectsMalformedInput) {
+TEST(Provenance, JsonReaderRejectsMalformedInput) {
   EXPECT_THROW((void)prov::explanations_from_json(""), pk::ParseError);
   EXPECT_THROW((void)prov::explanations_from_json("42"), pk::ParseError);
   EXPECT_THROW((void)prov::explanations_from_json("[{]"), pk::ParseError);

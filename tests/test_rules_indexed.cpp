@@ -1,9 +1,9 @@
-// Differential tests for the incremental matchers: the naive full-rescan
-// matcher is the oracle, and both the alpha-indexed engine and the
-// beta-memory join network must produce byte-identical output lines,
-// diagnoses, firing counts, and provenance trees on every shipped
-// rulebase and on randomized fact soups / rulebases — including
-// retract-heavy sequences that exercise memoized-join invalidation.
+// Differential tests for the incremental matcher: the naive full-rescan
+// matcher is the oracle, and the beta-memory join network must produce
+// byte-identical output lines, diagnoses, firing counts, and provenance
+// trees on every shipped rulebase and on randomized fact soups /
+// rulebases — including retract-heavy sequences that exercise
+// memoized-join invalidation.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -85,8 +85,8 @@ Op op_process() {
 }
 
 /// Runs an op sequence with one strategy, full provenance capture on.
-/// Later process steps re-enter a harness whose watermarks (and, for
-/// kBeta, memoized tokens) are already advanced.
+/// Later process steps re-enter a harness whose memoized kBeta tokens
+/// and watermarks are already advanced.
 RunResult run_ops(MatchStrategy strategy, const std::vector<Rule>& rules,
                   const std::vector<Op>& ops) {
   RuleHarness h;
@@ -140,14 +140,12 @@ void expect_same(const RunResult& oracle, const RunResult& got,
   }
 }
 
-/// The three-way differential assertion: naive is the oracle; both the
-/// indexed matcher and the beta network must agree byte-for-byte.
+/// The differential assertion: naive is the oracle; the beta network
+/// must agree byte-for-byte.
 std::size_t expect_identical_ops(const std::vector<Rule>& rules,
                                  const std::vector<Op>& ops,
                                  const std::string& label) {
   const RunResult naive = run_ops(MatchStrategy::kNaive, rules, ops);
-  expect_same(naive, run_ops(MatchStrategy::kIndexed, rules, ops),
-              label + " [indexed]");
   expect_same(naive, run_ops(MatchStrategy::kBeta, rules, ops),
               label + " [beta]");
   std::size_t total = 0;
@@ -174,7 +172,7 @@ std::size_t expect_identical(const std::vector<Rule>& rules,
 // variable took), plus perturbed near-miss variants and random noise
 // facts of the same types. This exercises each rulebase without
 // hand-curating its field names, and guarantees both satisfying and
-// non-satisfying candidates flow through the index probes.
+// non-satisfying candidates flow through the alpha tests and join buckets.
 
 // Numbers only: generated values can flow through rulebase arithmetic
 // ("dispatchCycles > j * 2"), which throws on strings/booleans — equally
@@ -253,7 +251,7 @@ std::vector<Fact> soup_for_rules(const std::vector<Rule>& rules,
         }
       }
       // A perturbed near-miss sibling: one field nudged off-target so the
-      // index must separate it from the satisfying fact.
+      // matcher must separate it from the satisfying fact.
       Fact miss = f;
       if (!f.fields().empty()) {
         const auto& first = f.fields().begin()->first;
@@ -449,10 +447,10 @@ TEST(IndexedDifferential, StrategyAccessorsAndDefault) {
 }
 
 TEST(IndexedDifferential, IncrementalRerunOnlyFiresNewFacts) {
-  // Watermarks (and, for kBeta, memoized tokens) must survive across
-  // process_rules calls: re-running after new asserts fires only
-  // activations involving the new facts.
-  for (const auto strategy : {MatchStrategy::kIndexed, MatchStrategy::kBeta}) {
+  // Fired-tuple dedup (and, for kBeta, memoized tokens and watermarks)
+  // must survive across process_rules calls: re-running after new
+  // asserts fires only activations involving the new facts.
+  for (const auto strategy : {MatchStrategy::kNaive, MatchStrategy::kBeta}) {
     RuleHarness h;
     h.set_match_strategy(strategy);
     Rule r;
@@ -477,9 +475,9 @@ TEST(IndexedDifferential, IncrementalRerunOnlyFiresNewFacts) {
 }
 
 TEST(IndexedDifferential, IndexProbeRespectsValueEquivalence) {
-  // values_equal treats true == "true" and 2 == 2.0; the alpha index
-  // must bucket them identically or the indexed engine would miss
-  // activations the naive engine finds.
+  // values_equal treats true == "true" and 2 == 2.0; the beta network's
+  // literal tests and hash buckets must treat them identically or it
+  // would miss activations the naive engine finds.
   Rule r;
   r.name = "boolish";
   Pattern p;
@@ -621,8 +619,7 @@ TEST(IndexedDifferential, RuleAddedAfterFactsSeesOldFacts) {
   // A rule registered after facts were asserted (and processed) must
   // still match them: the beta network backfills its alpha memories from
   // facts below the type watermark.
-  for (const auto strategy : {MatchStrategy::kNaive, MatchStrategy::kIndexed,
-                              MatchStrategy::kBeta}) {
+  for (const auto strategy : {MatchStrategy::kNaive, MatchStrategy::kBeta}) {
     RuleHarness h;
     h.set_match_strategy(strategy);
     h.add_rule(parent_child_rule());

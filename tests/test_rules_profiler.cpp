@@ -1,5 +1,5 @@
 // Rule-engine cost attribution (rules/profiler.hpp): the gate, the
-// per-rule / per-level counters under all three matchers, the PKB
+// per-rule / per-level counters under both matchers, the PKB
 // export + fact-assertion round trip, and the shipped rule_tuning
 // rulebase diagnosing planted pathologies end to end.
 #include <gtest/gtest.h>
@@ -152,8 +152,7 @@ TEST(RulesProfiler, FiringsAreByteIdenticalAcrossStrategiesWhileProfiling) {
   pk::rules::set_profiling_enabled(true);
   std::vector<std::string> outputs;
   std::vector<std::uint64_t> firings;
-  for (const auto strategy : {MatchStrategy::kNaive, MatchStrategy::kIndexed,
-                              MatchStrategy::kBeta}) {
+  for (const auto strategy : {MatchStrategy::kNaive, MatchStrategy::kBeta}) {
     RuleHarness h;
     h.set_match_strategy(strategy);
     pk::rules::add_rules(h, kJoinRules, "test");
@@ -162,7 +161,8 @@ TEST(RulesProfiler, FiringsAreByteIdenticalAcrossStrategiesWhileProfiling) {
     std::string joined;
     for (const auto& line : h.output()) joined += line + "\n";
     outputs.push_back(joined);
-    const auto* r = find_rule(h.rule_profile(), "Hot And Cold");
+    const RuleProfile profile = h.rule_profile();
+    const auto* r = find_rule(profile, "Hot And Cold");
     ASSERT_NE(r, nullptr);
     firings.push_back(r->firings);
     // Probe/activation counts are strategy-local evidence (a
@@ -171,10 +171,8 @@ TEST(RulesProfiler, FiringsAreByteIdenticalAcrossStrategiesWhileProfiling) {
     EXPECT_GE(r->activations, r->firings);
   }
   EXPECT_EQ(outputs[0], outputs[1]);
-  EXPECT_EQ(outputs[0], outputs[2]);
   EXPECT_EQ(firings[0], 5u);
   EXPECT_EQ(firings[1], 5u);
-  EXPECT_EQ(firings[2], 5u);
 }
 
 TEST(RulesProfiler, ProfileToTrialRoundTripsAndAssertsFacts) {

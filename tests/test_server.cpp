@@ -4,11 +4,13 @@
 // closed loop where a saturated server diagnoses itself
 // (ServerQueueSaturated) with a grounded proof tree.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -797,4 +799,56 @@ TEST(ServerDaemon, ServesAnAttachedRepositoryDirectory) {
   ASSERT_TRUE(diff.ok()) << diff.error_message;
   EXPECT_NE(diff.result.find("\"regression\":true"), std::string::npos);
   server.stop();
+}
+
+TEST(ServerDaemon, AnalysisLeavesAttachedSnapshotsClean) {
+  // The pipelines read trials through verified views, never through the
+  // mutable get(), so analyzing and diffing an attached repository
+  // leaves every entry clean: saving back to the same directory must not
+  // rewrite (temp file + rename) a single snapshot.
+  TempDir repo_dir;
+  TempDir scratch;
+  {
+    pk::perfdmf::Repository repo;
+    const auto [base, cur] = regression_pair(scratch.path());
+    repo.put_version("perfknow", "bench",
+                     std::make_shared<pk::profile::Trial>(
+                         pk::io::trial_from_benchmark_files({base}, "v1")));
+    repo.put_version("perfknow", "bench",
+                     std::make_shared<pk::profile::Trial>(
+                         pk::io::trial_from_benchmark_files({cur}, "v2")));
+    repo.save(repo_dir.path());
+  }
+  // snapshot path -> (inode, mtime seconds, mtime nanoseconds)
+  const auto stamps = [&] {
+    std::map<std::string, std::tuple<ino_t, long, long>> out;
+    for (const auto& e : fs::recursive_directory_iterator(repo_dir.path())) {
+      if (e.path().extension() != ".pkb") continue;
+      struct stat st {};
+      EXPECT_EQ(::stat(e.path().c_str(), &st), 0) << e.path();
+      out[e.path().string()] = {st.st_ino, st.st_mtim.tv_sec,
+                                st.st_mtim.tv_nsec};
+    }
+    return out;
+  };
+  const auto before = stamps();
+  ASSERT_EQ(before.size(), 2u);
+
+  auto repo = pk::perfdmf::Repository::attach(repo_dir.path());
+  pk::server::AnalyzeParams analyze;
+  analyze.application = "perfknow";
+  analyze.experiment = "bench";
+  analyze.trial = "v2";
+  pk::rules::RuleHarness analysis_harness;
+  (void)pk::server::run_analysis(repo, analyze, {}, analysis_harness);
+  pk::server::DiffParams diff;
+  diff.application = "perfknow";
+  diff.experiment = "bench";
+  diff.base = "v1";
+  diff.current = "v2";
+  pk::rules::RuleHarness diff_harness;
+  EXPECT_TRUE(pk::server::run_diff(repo, diff, diff_harness).regression);
+
+  repo.save(repo_dir.path());
+  EXPECT_EQ(stamps(), before);
 }

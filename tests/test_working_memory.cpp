@@ -1,12 +1,11 @@
 // Tests for the columnar WorkingMemory: the symbol interner, arena
-// lifecycle across clear(), FactRef handle semantics, lazy alpha-index
-// catch-up under interleaved retracts, for_each_live, and the
+// lifecycle across clear(), FactRef handle semantics, lazy id-list
+// compaction under interleaved retracts, for_each_live, and the
 // differential guarantee that the SoA read side (FactRef) renders
 // byte-identically to the AoS write side (the Fact builder) — both as
-// str() and through kFull provenance JSON across all three matchers.
+// str() and through kFull provenance JSON across both matchers.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <map>
 #include <set>
 #include <string>
@@ -183,60 +182,37 @@ TEST(WorkingMemoryColumnar, ForEachLiveVisitsAscendingAndSkipsRetracted) {
 }
 
 // ---------------------------------------------------------------------------
-// Lazy index catch-up under interleaved retracts
+// Lazy id-list compaction under interleaved retracts
 // ---------------------------------------------------------------------------
 
-TEST(WorkingMemoryColumnar, IndexCatchesUpAfterInterleavedRetracts) {
+TEST(WorkingMemoryColumnar, IdsOfTypeCompactAfterInterleavedRetracts) {
   WorkingMemory wm;
-  std::vector<FactId> time_ids;
+  std::vector<FactId> ids;
   for (int i = 0; i < 50; ++i) {
-    const FactId id = wm.assert_fact(
+    ids.push_back(wm.assert_fact(
         Fact("MeanEventFact")
             .set("metric", i % 2 ? "TIME" : "CACHE")
-            .set("severity", static_cast<double>(i % 5)));
-    if (i % 2) time_ids.push_back(id);
+            .set("severity", static_cast<double>(i % 5))));
   }
-  // First probe builds the buckets.
-  EXPECT_EQ(wm.ids_with_field_value("MeanEventFact", "metric",
-                                    FactValue(std::string("TIME"))),
-            time_ids);
+  EXPECT_EQ(wm.ids_of_type("MeanEventFact"), ids);
 
   // Retract a prefix, assert more, retract from the middle — the next
-  // probe must compact tombstones AND admit the late rows.
-  wm.retract(time_ids[0]);
-  wm.retract(time_ids[1]);
+  // probe must compact tombstones AND keep the late row.
+  wm.retract(ids[0]);
+  wm.retract(ids[1]);
   const FactId late = wm.assert_fact(
       Fact("MeanEventFact").set("metric", "TIME").set("severity", 9.0));
-  wm.retract(time_ids[10]);
+  wm.retract(ids[10]);
 
-  std::vector<FactId> expected(time_ids.begin() + 2, time_ids.end());
-  expected.erase(expected.begin() + 8);  // time_ids[10]
+  std::vector<FactId> expected(ids.begin() + 2, ids.end());
+  expected.erase(expected.begin() + 8);  // ids[10]
   expected.push_back(late);
-  EXPECT_EQ(wm.ids_with_field_value("MeanEventFact", "metric",
-                                    FactValue(std::string("TIME"))),
-            expected);
-
-  // ids_of_type compacts on the same epoch scheme.
   const auto& all = wm.ids_of_type("MeanEventFact");
-  EXPECT_EQ(all.size(), 48u);
+  EXPECT_EQ(all, expected);
   for (const FactId id : all) EXPECT_TRUE(wm.find(id)) << id;
 
-  // Symbol-keyed overloads answer identically to the string overloads.
-  const Symbol type = wm.symbols().lookup("MeanEventFact");
-  const Symbol field = wm.symbols().lookup("metric");
-  EXPECT_EQ(wm.ids_with_field_value(type, field, FactValue(std::string("TIME"))),
-            expected);
-  EXPECT_EQ(wm.ids_of_type(type), all);
-
-  // NaN never equals anything (values_equal semantics).
-  EXPECT_TRUE(wm.ids_with_field_value("MeanEventFact", "severity",
-                                      FactValue(std::nan("")))
-                  .empty());
-  // -0.0 and 0.0 share an equivalence class.
-  EXPECT_EQ(wm.ids_with_field_value("MeanEventFact", "severity",
-                                    FactValue(-0.0)),
-            wm.ids_with_field_value("MeanEventFact", "severity",
-                                    FactValue(0.0)));
+  // The Symbol-keyed overload answers identically to the string one.
+  EXPECT_EQ(wm.ids_of_type(wm.symbols().lookup("MeanEventFact")), all);
 }
 
 // ---------------------------------------------------------------------------
@@ -321,7 +297,6 @@ std::string provenance_json_for(MatchStrategy strategy) {
 
 TEST(WorkingMemoryColumnar, ProvenanceJsonByteIdenticalAcrossStrategies) {
   const std::string naive = provenance_json_for(MatchStrategy::kNaive);
-  EXPECT_EQ(provenance_json_for(MatchStrategy::kIndexed), naive);
   EXPECT_EQ(provenance_json_for(MatchStrategy::kBeta), naive);
   // kFull snapshots must carry the matched fields through FactRef.
   EXPECT_NE(naive.find("\"factType\""), std::string::npos);
