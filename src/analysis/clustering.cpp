@@ -157,7 +157,7 @@ double silhouette(const std::vector<std::vector<double>>& rows,
 }
 
 std::vector<std::vector<double>> thread_event_matrix(
-    const profile::TrialView& trial, const std::string& metric, bool zscore) {
+    const profile::Trial& trial, const std::string& metric, bool zscore) {
   const auto m = trial.metric_id(metric);
   std::vector<std::vector<double>> rows(
       trial.thread_count(), std::vector<double>(trial.event_count(), 0.0));
@@ -178,7 +178,7 @@ std::vector<std::vector<double>> thread_event_matrix(
   return rows;
 }
 
-ClusteringResult cluster_threads(const profile::TrialView& trial,
+ClusteringResult cluster_threads(const profile::Trial& trial,
                                  const std::string& metric, std::size_t k) {
   return kmeans(thread_event_matrix(trial, metric), k);
 }

@@ -42,11 +42,11 @@ struct ClusteringResult {
 /// (exclusive values), optionally z-scored per column so high-magnitude
 /// events don't dominate the distance.
 [[nodiscard]] std::vector<std::vector<double>> thread_event_matrix(
-    const profile::TrialView& trial, const std::string& metric,
+    const profile::Trial& trial, const std::string& metric,
     bool zscore = true);
 
 /// Convenience: cluster the threads of a trial by event behaviour.
-[[nodiscard]] ClusteringResult cluster_threads(const profile::TrialView& trial,
+[[nodiscard]] ClusteringResult cluster_threads(const profile::Trial& trial,
                                                const std::string& metric,
                                                std::size_t k);
 

@@ -17,7 +17,7 @@ namespace {
 double round4(double v) { return std::round(v * 1e4) / 1e4; }
 
 std::map<std::string, profile::EventId> events_by_name(
-    const profile::TrialView& trial) {
+    const profile::Trial& trial) {
   std::map<std::string, profile::EventId> out;
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
     out.emplace(trial.event(e).name, e);
@@ -28,14 +28,14 @@ std::map<std::string, profile::EventId> events_by_name(
 /// Metric-lineage chains from BOTH trials, computed only under kFull so
 /// the default path never touches metadata (same contract as facts.cpp).
 std::vector<std::string> chains_if_full(
-    const rules::RuleHarness& harness, const profile::TrialView& base,
-    const profile::TrialView& current,
+    const rules::RuleHarness& harness, const profile::Trial& base,
+    const profile::Trial& current,
     const std::vector<std::string>& metrics) {
   std::vector<std::string> out;
   if (harness.provenance_mode() != provenance::ProvenanceMode::kFull) {
     return out;
   }
-  for (const profile::TrialView* trial : {&base, &current}) {
+  for (const profile::Trial* trial : {&base, &current}) {
     for (const auto& m : metrics) {
       auto chain = provenance::lineage_chain(*trial, m);
       out.insert(out.end(), std::make_move_iterator(chain.begin()),
@@ -45,8 +45,8 @@ std::vector<std::string> chains_if_full(
   return out;
 }
 
-std::vector<std::string> shared_metrics(const profile::TrialView& base,
-                                        const profile::TrialView& current,
+std::vector<std::string> shared_metrics(const profile::Trial& base,
+                                        const profile::Trial& current,
                                         const DiffOptions& options) {
   std::vector<std::string> out;
   if (options.metrics.empty()) {
@@ -88,8 +88,8 @@ void DiffOptions::validate() const {
 }
 
 DiffSummary assert_diff_facts(rules::RuleHarness& harness,
-                              const profile::TrialView& base,
-                              const profile::TrialView& current,
+                              const profile::Trial& base,
+                              const profile::Trial& current,
                               const DiffOptions& options) {
   static const telemetry::SpanSite site("analysis.diff");
   telemetry::ScopedSpan span(site);

@@ -40,7 +40,7 @@
 #include <string>
 #include <vector>
 
-#include "profile/trial_view.hpp"
+#include "profile/profile.hpp"
 #include "rules/engine.hpp"
 
 namespace perfknow::analysis {
@@ -88,8 +88,8 @@ struct DiffSummary {
 /// Throws InvalidArgumentError when no metric is shared (or a requested
 /// metric is missing from either trial).
 DiffSummary assert_diff_facts(rules::RuleHarness& harness,
-                              const profile::TrialView& base,
-                              const profile::TrialView& current,
+                              const profile::Trial& base,
+                              const profile::Trial& current,
                               const DiffOptions& options = {});
 
 /// Asserts ScalingShiftFact per event present in both studies' baseline

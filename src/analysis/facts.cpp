@@ -10,7 +10,7 @@ namespace {
 
 /// Share of total runtime: prefer TIME when present so severity always
 /// means "fraction of wall time", as in the paper's 10 % threshold.
-double severity_of(const profile::TrialView& trial, profile::EventId event) {
+double severity_of(const profile::Trial& trial, profile::EventId event) {
   if (trial.find_metric("TIME")) {
     return runtime_fraction(trial, event, "TIME");
   }
@@ -20,7 +20,7 @@ double severity_of(const profile::TrialView& trial, profile::EventId event) {
 /// Metric-lineage chains for the provenance origin label — computed
 /// only under kFull so the default path never touches metadata.
 std::vector<std::string> chains_if_full(
-    const rules::RuleHarness& harness, const profile::TrialView& trial,
+    const rules::RuleHarness& harness, const profile::Trial& trial,
     std::initializer_list<std::string> metrics) {
   std::vector<std::string> out;
   if (harness.provenance_mode() != provenance::ProvenanceMode::kFull) {
@@ -36,7 +36,7 @@ std::vector<std::string> chains_if_full(
 
 }  // namespace
 
-rules::Fact compare_event_to_main(const profile::TrialView& trial,
+rules::Fact compare_event_to_main(const profile::Trial& trial,
                                   const std::string& metric,
                                   profile::EventId event) {
   const auto m = trial.metric_id(metric);
@@ -59,7 +59,7 @@ rules::Fact compare_event_to_main(const profile::TrialView& trial,
 }
 
 std::size_t assert_compare_to_main_facts(rules::RuleHarness& harness,
-                                         const profile::TrialView& trial,
+                                         const profile::Trial& trial,
                                          const std::string& metric) {
   const rules::ProvenanceSource src(
       harness,
@@ -77,7 +77,7 @@ std::size_t assert_compare_to_main_facts(rules::RuleHarness& harness,
 }
 
 std::size_t assert_compare_to_average_facts(rules::RuleHarness& harness,
-                                            const profile::TrialView& trial,
+                                            const profile::Trial& trial,
                                             const std::string& metric) {
   const rules::ProvenanceSource src(
       harness,
@@ -118,7 +118,7 @@ std::size_t assert_compare_to_average_facts(rules::RuleHarness& harness,
 }
 
 std::size_t assert_load_balance_facts(rules::RuleHarness& harness,
-                                      const profile::TrialView& trial,
+                                      const profile::Trial& trial,
                                       const std::string& metric) {
   const rules::ProvenanceSource src(
       harness,
@@ -157,7 +157,7 @@ std::size_t assert_load_balance_facts(rules::RuleHarness& harness,
 }
 
 std::size_t assert_stall_facts(rules::RuleHarness& harness,
-                               const profile::TrialView& trial) {
+                               const profile::Trial& trial) {
   const rules::ProvenanceSource src(
       harness, "assert_stall_facts(trial='" + trial.name() + "')",
       chains_if_full(harness, trial,
@@ -185,7 +185,7 @@ std::size_t assert_stall_facts(rules::RuleHarness& harness,
 }
 
 std::size_t assert_memory_locality_facts(rules::RuleHarness& harness,
-                                         const profile::TrialView& trial) {
+                                         const profile::Trial& trial) {
   const rules::ProvenanceSource src(
       harness, "assert_memory_locality_facts(trial='" + trial.name() + "')",
       chains_if_full(harness, trial,

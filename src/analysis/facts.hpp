@@ -34,14 +34,14 @@ namespace perfknow::analysis {
 /// mean inclusive value, mirroring MeanEventFact.compareEventToMain.
 /// `severity` is the event's share of total runtime (TIME-based when the
 /// trial has TIME, else metric-based).
-[[nodiscard]] rules::Fact compare_event_to_main(const profile::TrialView& trial,
+[[nodiscard]] rules::Fact compare_event_to_main(const profile::Trial& trial,
                                                 const std::string& metric,
                                                 profile::EventId event);
 
 /// Asserts a MeanEventFact for every event (skipping main itself).
 /// Returns the number of facts asserted.
 std::size_t assert_compare_to_main_facts(rules::RuleHarness& harness,
-                                         const profile::TrialView& trial,
+                                         const profile::Trial& trial,
                                          const std::string& metric);
 
 /// Like assert_compare_to_main_facts, but mainValue is the mean of the
@@ -50,26 +50,26 @@ std::size_t assert_compare_to_main_facts(rules::RuleHarness& harness,
 /// rate, where main's inclusive value is the sum of everything and no
 /// event could ever compare "higher".
 std::size_t assert_compare_to_average_facts(rules::RuleHarness& harness,
-                                            const profile::TrialView& trial,
+                                            const profile::Trial& trial,
                                             const std::string& metric);
 
 /// Asserts LoadBalanceFact for every event plus NestingFact for every
 /// callgraph edge plus CorrelationFact for every (parent, child) pair —
 /// the fact set the load-imbalance rule joins over.
 std::size_t assert_load_balance_facts(rules::RuleHarness& harness,
-                                      const profile::TrialView& trial,
+                                      const profile::Trial& trial,
                                       const std::string& metric = "TIME");
 
 /// Asserts StallBreakdownFact per event from the trial's counter metrics
 /// (requires BACK_END_BUBBLE_ALL, CPU_CYCLES, L1D_STALL_CYCLES,
 /// FP_STALL_CYCLES). Returns facts asserted.
 std::size_t assert_stall_facts(rules::RuleHarness& harness,
-                               const profile::TrialView& trial);
+                               const profile::Trial& trial);
 
 /// Asserts MemoryLocalityFact per event (requires L3_MISSES,
 /// REMOTE_MEMORY_ACCESSES, LOCAL_MEMORY_ACCESSES).
 std::size_t assert_memory_locality_facts(rules::RuleHarness& harness,
-                                         const profile::TrialView& trial);
+                                         const profile::Trial& trial);
 
 class ScalabilityAnalysis;  // operations.hpp
 

@@ -108,7 +108,7 @@ profile::MetricId scale_metric(profile::Trial& trial,
   return d;
 }
 
-EventStatistics event_statistics(const profile::TrialView& trial,
+EventStatistics event_statistics(const profile::Trial& trial,
                                  profile::EventId event,
                                  const std::string& metric, bool exclusive) {
   const auto m = trial.metric_id(metric);
@@ -128,7 +128,7 @@ EventStatistics event_statistics(const profile::TrialView& trial,
   return s;
 }
 
-std::vector<EventStatistics> basic_statistics(const profile::TrialView& trial,
+std::vector<EventStatistics> basic_statistics(const profile::Trial& trial,
                                               const std::string& metric,
                                               bool exclusive) {
   // Resolve the metric up front so a bad name throws before any parallel
@@ -145,7 +145,7 @@ std::vector<EventStatistics> basic_statistics(const profile::TrialView& trial,
   return out;
 }
 
-double correlate_events(const profile::TrialView& trial, profile::EventId a,
+double correlate_events(const profile::Trial& trial, profile::EventId a,
                         profile::EventId b, const std::string& metric,
                         bool exclusive) {
   const auto m = trial.metric_id(metric);
@@ -157,7 +157,7 @@ double correlate_events(const profile::TrialView& trial, profile::EventId a,
   return stats::pearson_correlation(xs, ys);
 }
 
-std::vector<EventStatistics> top_events(const profile::TrialView& trial,
+std::vector<EventStatistics> top_events(const profile::Trial& trial,
                                         const std::string& metric,
                                         std::size_t n) {
   auto all = basic_statistics(trial, metric, /*exclusive=*/true);
@@ -169,7 +169,7 @@ std::vector<EventStatistics> top_events(const profile::TrialView& trial,
   return all;
 }
 
-double runtime_fraction(const profile::TrialView& trial, profile::EventId event,
+double runtime_fraction(const profile::Trial& trial, profile::EventId event,
                         const std::string& metric) {
   const auto m = trial.metric_id(metric);
   const auto main = trial.main_event();
@@ -178,8 +178,8 @@ double runtime_fraction(const profile::TrialView& trial, profile::EventId event,
   return trial.mean_exclusive(event, m) / total;
 }
 
-std::map<std::string, double> difference(const profile::TrialView& trial_a,
-                                         const profile::TrialView& trial_b,
+std::map<std::string, double> difference(const profile::Trial& trial_a,
+                                         const profile::Trial& trial_b,
                                          const std::string& metric) {
   const auto ma = trial_a.metric_id(metric);
   const auto mb = trial_b.metric_id(metric);
@@ -193,8 +193,8 @@ std::map<std::string, double> difference(const profile::TrialView& trial_a,
   return out;
 }
 
-profile::Trial merge_trials(const profile::TrialView& trial_a,
-                            const profile::TrialView& trial_b) {
+profile::Trial merge_trials(const profile::Trial& trial_a,
+                            const profile::Trial& trial_b) {
   if (trial_a.thread_count() != trial_b.thread_count()) {
     throw InvalidArgumentError(
         "merge_trials: thread counts differ (" +
@@ -224,7 +224,7 @@ profile::Trial merge_trials(const profile::TrialView& trial_a,
 
   // Shared events average the two inputs; events unique to one input
   // pass through unchanged.
-  auto fold = [&](const profile::TrialView& src, bool is_a) {
+  auto fold = [&](const profile::Trial& src, bool is_a) {
     for (profile::EventId e = 0; e < src.event_count(); ++e) {
       const auto& name = src.event(e).name;
       const bool shared = trial_a.find_event(name).has_value() &&
@@ -251,7 +251,7 @@ profile::Trial merge_trials(const profile::TrialView& trial_a,
   return out;
 }
 
-profile::Trial aggregate_threads(const profile::TrialView& trial, bool mean) {
+profile::Trial aggregate_threads(const profile::Trial& trial, bool mean) {
   profile::Trial out((mean ? "mean(" : "sum(") + trial.name() + ")");
   out.set_thread_count(1);
   for (profile::MetricId m = 0; m < trial.metric_count(); ++m) {

@@ -49,10 +49,10 @@ struct EventStatistics {
 /// Per-event statistics (exclusive values by default — "where is time
 /// actually spent"; inclusive available for callpath roots).
 [[nodiscard]] std::vector<EventStatistics> basic_statistics(
-    const profile::TrialView& trial, const std::string& metric,
+    const profile::Trial& trial, const std::string& metric,
     bool exclusive = true);
 
-[[nodiscard]] EventStatistics event_statistics(const profile::TrialView& trial,
+[[nodiscard]] EventStatistics event_statistics(const profile::Trial& trial,
                                                profile::EventId event,
                                                const std::string& metric,
                                                bool exclusive = true);
@@ -60,18 +60,18 @@ struct EventStatistics {
 /// Pearson correlation of two events' per-thread values. The MSAP rule
 /// uses this: inner-loop work time and outer-loop barrier time correlate
 /// strongly negatively when the imbalance bounces between them.
-[[nodiscard]] double correlate_events(const profile::TrialView& trial,
+[[nodiscard]] double correlate_events(const profile::Trial& trial,
                                       profile::EventId a, profile::EventId b,
                                       const std::string& metric,
                                       bool exclusive = true);
 
 /// Top-n events by mean exclusive value of `metric`, descending.
 [[nodiscard]] std::vector<EventStatistics> top_events(
-    const profile::TrialView& trial, const std::string& metric, std::size_t n);
+    const profile::Trial& trial, const std::string& metric, std::size_t n);
 
 /// Fraction of total runtime (mean inclusive TIME of the main event)
 /// spent in `event` (mean exclusive). Returns 0 when main has no time.
-[[nodiscard]] double runtime_fraction(const profile::TrialView& trial,
+[[nodiscard]] double runtime_fraction(const profile::Trial& trial,
                                       profile::EventId event,
                                       const std::string& metric = "TIME");
 
@@ -79,7 +79,7 @@ struct EventStatistics {
 /// (trial_b - trial_a), matched by event name. Events present in only
 /// one trial appear with the other side treated as 0.
 [[nodiscard]] std::map<std::string, double> difference(
-    const profile::TrialView& trial_a, const profile::TrialView& trial_b,
+    const profile::Trial& trial_a, const profile::Trial& trial_b,
     const std::string& metric);
 
 /// Performance algebra (CUBE-style merge): a trial whose event set is the
@@ -87,13 +87,13 @@ struct EventStatistics {
 /// matching (thread, event, metric) cells over the metrics common to
 /// both. Thread counts must match; throws otherwise. Useful for merging
 /// repeated runs of the same configuration.
-[[nodiscard]] profile::Trial merge_trials(const profile::TrialView& trial_a,
-                                          const profile::TrialView& trial_b);
+[[nodiscard]] profile::Trial merge_trials(const profile::Trial& trial_a,
+                                          const profile::Trial& trial_b);
 
 /// Performance algebra (CUBE-style aggregation): collapses the thread
 /// dimension into a single row holding, per (event, metric), either the
 /// sum or the mean over threads (calls likewise).
-[[nodiscard]] profile::Trial aggregate_threads(const profile::TrialView& trial,
+[[nodiscard]] profile::Trial aggregate_threads(const profile::Trial& trial,
                                                bool mean = false);
 
 /// One point of a scalability study.

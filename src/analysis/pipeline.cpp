@@ -9,7 +9,7 @@
 namespace perfknow::analysis {
 
 std::vector<rules::Diagnosis> analyze_trial(rules::RuleHarness& harness,
-                                            const profile::TrialView& trial) {
+                                            const profile::Trial& trial) {
   assert_load_balance_facts(harness, trial);
   if (trial.find_metric("BACK_END_BUBBLE_ALL")) {
     assert_stall_facts(harness, trial);

@@ -9,9 +9,9 @@
 // (tests/test_server.cpp pins this).
 //
 // Trials are read through Repository::verified_view: the pipelines only
-// read, so a PKB-backed trial is analyzed from its CRC-checked mmap'd
-// columns without being materialized, and the repository entry stays
-// clean (a later save() does not rewrite it).
+// read, so a PKB-backed trial is analyzed straight from its CRC-checked
+// mmap'd columns, and the repository entry stays clean (a later save()
+// does not rewrite it).
 #pragma once
 
 #include <filesystem>
@@ -52,7 +52,7 @@ struct DiffParams {
 /// carries the counters), then process rules. Fires whatever rulebase
 /// `harness` already holds; returns its diagnoses.
 std::vector<rules::Diagnosis> analyze_trial(rules::RuleHarness& harness,
-                                            const profile::TrialView& trial);
+                                            const profile::Trial& trial);
 
 /// Runs the pkx-explain pipeline into `harness`: resolve the rulebase,
 /// then analyze_trial on the verified view of the named trial. Returns

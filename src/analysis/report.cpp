@@ -7,7 +7,7 @@
 
 namespace perfknow::analysis {
 
-std::string render_report(const profile::TrialView& trial,
+std::string render_report(const profile::Trial& trial,
                           const rules::RuleHarness* harness,
                           const ReportOptions& options) {
   std::string out;

@@ -24,7 +24,7 @@ struct ReportOptions {
 
 /// Renders a markdown report for one analyzed trial. The harness is
 /// optional (pass nullptr for a profile-only report).
-[[nodiscard]] std::string render_report(const profile::TrialView& trial,
+[[nodiscard]] std::string render_report(const profile::Trial& trial,
                                         const rules::RuleHarness* harness,
                                         const ReportOptions& options = {});
 

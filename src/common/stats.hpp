@@ -2,10 +2,10 @@
 //
 // All functions operate on std::span<const double> so callers can pass
 // vectors, arrays, or sub-ranges without copies; the hot reductions also
-// take a StridedSpan so profile::Trial's (thread x event x metric) value
-// cube can be reduced across threads in place — one (event, metric)
-// column is a strided slice of the cube, and materializing it as a
-// vector per call dominated the analysis primitives' cost. Empty-input
+// take a StridedSpan so profile::Trial's [thread][event] value columns
+// can be reduced across threads in place — one (event, metric) series is
+// a strided slice of a column, and copying it into a vector per call
+// dominated the analysis primitives' cost. Empty-input
 // behaviour is documented per function; most throw InvalidArgumentError
 // because a silent NaN would poison downstream inference-rule facts.
 #pragma once

@@ -6,7 +6,7 @@
 
 namespace perfknow::instrument {
 
-OverheadReport estimate_overhead(const profile::TrialView& trial,
+OverheadReport estimate_overhead(const profile::Trial& trial,
                                  double probe_cycles, double clock_ghz) {
   if (probe_cycles < 0.0 || clock_ghz <= 0.0) {
     throw InvalidArgumentError(

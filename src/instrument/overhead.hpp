@@ -44,7 +44,7 @@ constexpr double kDefaultProbeCycles = 280.0;
 /// trial must carry CPU_CYCLES (counter-free TIME-only trials convert via
 /// `clock_ghz`). Throws NotFoundError when neither is present.
 [[nodiscard]] OverheadReport estimate_overhead(
-    const profile::TrialView& trial, double probe_cycles = kDefaultProbeCycles,
+    const profile::Trial& trial, double probe_cycles = kDefaultProbeCycles,
     double clock_ghz = 1.5);
 
 /// Asserts OverheadFact per event (eventName, calls, dilation) plus one

@@ -4,8 +4,6 @@
 #include <cctype>
 #include <fstream>
 
-#include <sstream>
-
 #include "common/error.hpp"
 #include "io/bench_json.hpp"
 #include "perfdmf/csv_format.hpp"
@@ -39,9 +37,9 @@ profile::Trial read_file(const std::filesystem::path& path, bool binary,
   }
 }
 
-void write_file(const profile::TrialView& trial,
+void write_file(const profile::Trial& trial,
                 const std::filesystem::path& path, bool binary,
-                void (*write)(const profile::TrialView&, std::ostream&)) {
+                void (*write)(const profile::Trial&, std::ostream&)) {
   std::ofstream os(path, binary ? std::ios::binary : std::ios::out);
   if (!os) {
     throw IoError("cannot open for writing: " + path.string());
@@ -86,14 +84,20 @@ bool pkb_can_read(std::string_view head, const std::filesystem::path&) {
   return head.substr(0, 4) == perfdmf::kPkbMagic;
 }
 profile::Trial pkb_read(const std::filesystem::path& path) {
-  // Binary format: slurp then parse so ParseError offsets are absolute.
+  // Read whole (ParseError offsets are absolute) into an exactly sized
+  // buffer the trial's columns then point into. Not mapped: a caller may
+  // save over the file it opened.
   return read_file(path, /*binary=*/true, +[](std::istream& is) {
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    return perfdmf::parse_pkb(std::move(ss).str());
+    is.seekg(0, std::ios::end);
+    const std::streamoff size = is.tellg();
+    if (size < 0) throw ParseError("PKB: cannot determine the file size");
+    std::string bytes(static_cast<std::size_t>(size), '\0');
+    is.seekg(0);
+    is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return perfdmf::parse_pkb(std::move(bytes));
   });
 }
-void pkb_write(const profile::TrialView& trial,
+void pkb_write(const profile::Trial& trial,
                const std::filesystem::path& path) {
   write_file(trial, path, /*binary=*/true, perfdmf::write_pkb);
 }
@@ -104,7 +108,7 @@ bool pkprof_can_read(std::string_view head, const std::filesystem::path&) {
 profile::Trial pkprof_read(const std::filesystem::path& path) {
   return read_file(path, /*binary=*/false, perfdmf::read_snapshot);
 }
-void pkprof_write(const profile::TrialView& trial,
+void pkprof_write(const profile::Trial& trial,
                   const std::filesystem::path& path) {
   write_file(trial, path, /*binary=*/false, perfdmf::write_snapshot);
 }
@@ -136,7 +140,7 @@ bool json_can_read(std::string_view head, const std::filesystem::path&) {
 profile::Trial json_read(const std::filesystem::path& path) {
   return read_file(path, /*binary=*/false, perfdmf::read_json);
 }
-void json_write(const profile::TrialView& trial,
+void json_write(const profile::Trial& trial,
                 const std::filesystem::path& path) {
   write_file(trial, path, /*binary=*/false, perfdmf::write_json);
 }
@@ -193,7 +197,7 @@ profile::Trial csv_read(const std::filesystem::path& path) {
   trial.set_name(path.stem().string());
   return trial;
 }
-void csv_write(const profile::TrialView& trial,
+void csv_write(const profile::Trial& trial,
                const std::filesystem::path& path) {
   write_file(trial, path, /*binary=*/false, perfdmf::write_csv_long);
 }
@@ -228,7 +232,7 @@ profile::Trial timed_read(const Format& f,
   return trial;
 }
 
-void timed_write(const Format& f, const profile::TrialView& trial,
+void timed_write(const Format& f, const profile::Trial& trial,
                  const std::filesystem::path& file) {
   static telemetry::Counter& saved = telemetry::counter("io.trials_saved");
   telemetry::ScopedSpan span(std::string("io.write.") + f.name);
@@ -308,7 +312,7 @@ profile::Trial open_trial(const std::filesystem::path& file,
   return timed_read(*f, file);
 }
 
-void save_trial(const profile::TrialView& trial,
+void save_trial(const profile::Trial& trial,
                 const std::filesystem::path& file) {
   static const telemetry::SpanSite site("io.save_trial");
   telemetry::ScopedSpan span(site);
@@ -327,7 +331,7 @@ void save_trial(const profile::TrialView& trial,
       "' (writable formats: " + writable_format_names() + ")");
 }
 
-void save_trial(const profile::TrialView& trial,
+void save_trial(const profile::Trial& trial,
                 const std::filesystem::path& file, std::string_view format) {
   static const telemetry::SpanSite site("io.save_trial");
   telemetry::ScopedSpan span(site);

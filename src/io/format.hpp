@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "profile/profile.hpp"
-#include "profile/trial_view.hpp"
 
 namespace perfknow::io {
 
@@ -39,11 +38,11 @@ struct Format {
   /// Content sniff: does `head` (the first bytes of the file, possibly
   /// empty) / the path look like this format?
   bool (*can_read)(std::string_view head, const std::filesystem::path& path);
-  /// Reads the file (or directory, for TAU) into a materialized trial.
+  /// Reads the file (or directory, for TAU) into a trial.
   profile::Trial (*read)(const std::filesystem::path& path);
   /// Writes a trial; null for read-only formats (TAU needs a metric and
   /// a directory, so it keeps its dedicated writer).
-  void (*write)(const profile::TrialView& trial,
+  void (*write)(const profile::Trial& trial,
                 const std::filesystem::path& path);
 };
 
@@ -68,11 +67,11 @@ struct Format {
 /// Saves a trial in the format matching the file's extension. Throws
 /// InvalidArgumentError listing the writable formats when the extension
 /// is not recognized.
-void save_trial(const profile::TrialView& trial,
+void save_trial(const profile::Trial& trial,
                 const std::filesystem::path& file);
 
 /// Saves a trial in an explicitly named format.
-void save_trial(const profile::TrialView& trial,
+void save_trial(const profile::Trial& trial,
                 const std::filesystem::path& file, std::string_view format);
 
 }  // namespace perfknow::io

@@ -6,7 +6,7 @@
 
 namespace perfknow::openuh {
 
-FrequencyProfile FrequencyProfile::from_trial(const profile::TrialView& trial) {
+FrequencyProfile FrequencyProfile::from_trial(const profile::Trial& trial) {
   FrequencyProfile fp;
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
     double total = 0.0;

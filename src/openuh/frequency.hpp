@@ -27,7 +27,7 @@ class FrequencyProfile {
  public:
   /// Extracts call counts per event name (summed over threads).
   [[nodiscard]] static FrequencyProfile from_trial(
-      const profile::TrialView& trial);
+      const profile::Trial& trial);
 
   void set(const std::string& region, double count) {
     counts_[region] = count;

@@ -113,7 +113,7 @@ void read_csv_row(profile::Trial& trial, const std::string& line,
 
 }  // namespace
 
-void write_csv_long(const profile::TrialView& trial, std::ostream& os) {
+void write_csv_long(const profile::Trial& trial, std::ostream& os) {
   os << kHeader << '\n';
   os.precision(17);
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {

@@ -23,7 +23,7 @@ namespace perfknow::perfdmf {
 /// Writes every (event, thread, metric) cell of the trial. The format
 /// primitive behind io::save_trial (io/format.hpp) — call that for
 /// file-level access.
-void write_csv_long(const profile::TrialView& trial, std::ostream& os);
+void write_csv_long(const profile::Trial& trial, std::ostream& os);
 
 /// Parses a long-format CSV into a trial (named "csv_import";
 /// io::open_trial renames it after the file). Throws ParseError on

@@ -69,7 +69,7 @@ void write_number(std::ostream& os, double v) {
 
 }  // namespace
 
-void write_json(const profile::TrialView& trial, std::ostream& os) {
+void write_json(const profile::Trial& trial, std::ostream& os) {
   os << "{\n  \"name\": ";
   os << json::quote(trial.name());
   os << ",\n  \"threads\": " << trial.thread_count();
@@ -134,7 +134,7 @@ void write_json(const profile::TrialView& trial, std::ostream& os) {
   os << "\n  ]\n}\n";
 }
 
-std::string to_json(const profile::TrialView& trial) {
+std::string to_json(const profile::Trial& trial) {
   std::ostringstream ss;
   write_json(trial, ss);
   return ss.str();

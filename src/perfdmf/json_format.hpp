@@ -27,8 +27,8 @@ namespace perfknow::perfdmf {
 // The format primitives behind io::open_trial / io::save_trial
 // (io/format.hpp) — call those for file-level access; the stream and
 // string forms exist for in-memory use.
-void write_json(const profile::TrialView& trial, std::ostream& os);
-[[nodiscard]] std::string to_json(const profile::TrialView& trial);
+void write_json(const profile::Trial& trial, std::ostream& os);
+[[nodiscard]] std::string to_json(const profile::Trial& trial);
 
 /// Throws ParseError on malformed JSON or schema violations.
 [[nodiscard]] profile::Trial read_json(std::istream& is);

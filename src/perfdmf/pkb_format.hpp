@@ -3,9 +3,12 @@
 // PKPROF (snapshot.hpp) is the line-oriented text format: convenient to
 // diff and to check into fixtures, but parsing it materializes the whole
 // value cube through a million parse_double calls. PKB is the storage
-// engine's format: little-endian, sectioned, and columnar, so a reader
-// can mmap the file and serve strided per-(event,metric) series straight
-// from the page cache (see pkb_view.hpp) without ever materializing.
+// engine's format: little-endian, sectioned, and columnar. Its COLS
+// section is profile::Trial's own column layout, so writing a trial is
+// one pass over its column rows, and reading one (open_pkb, parse_pkb)
+// parses only the schema: the trial's columns point straight into the
+// mapped file or the parsed buffer, and pages are faulted in only as the
+// analysis touches them.
 //
 // Layout (all integers little-endian):
 //
@@ -41,7 +44,6 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "profile/profile.hpp"
 
@@ -50,62 +52,39 @@ namespace perfknow::perfdmf {
 inline constexpr std::string_view kPkbMagic = "PKB1";
 inline constexpr std::uint32_t kPkbVersion = 1;
 
-/// Serializes a trial (any TrialView — a materialized Trial or an open
-/// PkbView) to the PKB binary format. The format primitives behind
+/// Serializes a trial to the PKB binary format, writing each column's
+/// rows straight from the trial's storage. The format primitives behind
 /// io::save_trial (io/format.hpp) — call that for file-level access.
-void write_pkb(const profile::TrialView& trial, std::ostream& os);
-[[nodiscard]] std::string to_pkb(const profile::TrialView& trial);
+void write_pkb(const profile::Trial& trial, std::ostream& os);
+[[nodiscard]] std::string to_pkb(const profile::Trial& trial);
 
-/// Everything in a PKB file except the value cube: the parsed schema,
-/// metadata, and the byte offsets the columns live at. This is what an
-/// mmap-backed view needs to serve reads lazily.
-struct PkbLayout {
-  std::string trial_name;
-  std::vector<std::pair<std::string, std::string>> metadata;
-  std::vector<profile::Metric> metrics;
-  std::vector<profile::Event> events;
-  std::size_t threads = 0;
-  std::size_t cols_offset = 0;  ///< absolute offset of the COLS payload
-  std::size_t total_size = 0;   ///< snapshot size in bytes
-  std::uint32_t cols_crc = 0;   ///< stored CRC of the COLS payload
-
-  /// threads * events — the length of one column.
-  [[nodiscard]] std::size_t cells() const noexcept {
-    return threads * events.size();
-  }
-  [[nodiscard]] std::size_t column_bytes() const noexcept {
-    return cells() * sizeof(double);
-  }
-  [[nodiscard]] std::size_t inclusive_column(profile::MetricId m) const {
-    return cols_offset + 2 * m * column_bytes();
-  }
-  [[nodiscard]] std::size_t exclusive_column(profile::MetricId m) const {
-    return inclusive_column(m) + column_bytes();
-  }
-  [[nodiscard]] std::size_t calls_column() const {
-    return cols_offset + 2 * metrics.size() * column_bytes();
-  }
-  [[nodiscard]] std::size_t subcalls_column() const {
-    return calls_column() + column_bytes();
-  }
+/// How much of a snapshot open_pkb checks up front.
+enum class Verify {
+  kSchema,  ///< structure + schema/metadata CRCs; COLS CRC deferred
+  kFull,    ///< every section CRC, including the value columns
 };
 
-/// Parses and validates a PKB image: magic, version, section structure,
-/// schema sanity against perfdmf/limits.hpp, and section checksums.
-/// When `verify_columns` is false the (potentially huge) COLS payload's
-/// CRC is skipped — structure and bounds are still fully validated —
-/// so opening a view over a large snapshot stays O(schema), not O(cube).
-/// Throws ParseError with a byte-offset diagnostic on any violation.
-[[nodiscard]] PkbLayout parse_pkb_layout(std::string_view bytes,
-                                         bool verify_columns = true);
+/// Maps `file` (or reads it, where mmap is unavailable) and returns the
+/// trial it holds, its columns borrowed from the mapping. Validates
+/// magic, version, section structure, schema sanity against
+/// perfdmf/limits.hpp and the checksums `verify` asks for. With
+/// Verify::kSchema opening costs O(schema), not O(cube); call
+/// verify_pkb_columns() before trusting the cell values. The file must
+/// not be rewritten in place while a trial borrows from it (replace it
+/// by rename, as Repository::save does). Throws ParseError (with the
+/// file path attached) on malformed input, IoError when the file cannot
+/// be read.
+[[nodiscard]] profile::Trial open_pkb(const std::filesystem::path& file,
+                                      Verify verify = Verify::kFull);
 
-/// Parses a PKB image into a fully-materialized Trial (always verifies
-/// every checksum). This is also what PkbView::materialize() uses, and
-/// the format primitive behind io::open_trial; PkbView::open reads a
-/// snapshot without materializing.
-[[nodiscard]] profile::Trial parse_pkb(std::string_view bytes);
+/// Parses a PKB image (verifying every checksum); the trial adopts
+/// `bytes` as the storage its columns point into. Throws ParseError with
+/// a byte-offset diagnostic on any violation.
+[[nodiscard]] profile::Trial parse_pkb(std::string bytes);
 
-/// Decodes one little-endian f64 at `p` (no alignment requirement).
-[[nodiscard]] double pkb_read_f64(const char* p) noexcept;
+/// Checks the COLS checksum of a trial whose columns are still borrowed
+/// from the PKB image open_pkb gave it, throwing ParseError on mismatch.
+/// A trial that owns its columns has nothing left to check.
+void verify_pkb_columns(const profile::Trial& trial);
 
 }  // namespace perfknow::perfdmf

@@ -1,6 +1,5 @@
 #include "perfdmf/repository.hpp"
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -12,7 +11,6 @@
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 #include "perfdmf/pkb_format.hpp"
-#include "perfdmf/pkb_view.hpp"
 #include "perfdmf/snapshot.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -106,9 +104,9 @@ void rename_into_place(const std::filesystem::path& tmp,
   }
 }
 
-// Approximate in-memory footprint of a materialized trial: the value
-// cube dominates (two doubles per cell plus call counters).
-std::size_t trial_charge(const profile::TrialView& t) {
+// Approximate in-memory footprint of a trial: the value columns dominate
+// (two per metric plus the call counters).
+std::size_t trial_charge(const profile::Trial& t) {
   return t.thread_count() * t.event_count() *
              (t.metric_count() * 2 + 2) * sizeof(double) +
          std::size_t{4096};
@@ -127,22 +125,7 @@ profile::Trial load_text_snapshot(const std::filesystem::path& file) {
   }
 }
 
-profile::Trial load_pkb_file(const std::filesystem::path& file) {
-  std::ifstream is(file, std::ios::binary);
-  if (!is) {
-    throw IoError("cannot open for reading: " + file.string());
-  }
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  try {
-    return parse_pkb(std::move(ss).str());
-  } catch (const ParseError& e) {
-    if (e.file().empty()) throw e.with_file(file.string());
-    throw;
-  }
-}
-
-void save_pkb_file(const profile::TrialView& trial,
+void save_pkb_file(const profile::Trial& trial,
                    const std::filesystem::path& file) {
   std::ofstream os(file, std::ios::binary);
   if (!os) {
@@ -156,19 +139,21 @@ void save_pkb_file(const profile::TrialView& trial,
 
 }  // namespace
 
-// One trial slot. `trial`/`view` are the resident representations; a
-// non-resident entry holds only the backing file path and is reloaded on
-// demand. `file`/`rel`/`pkb`/`pinned` are immutable after construction;
-// every other field is guarded by the repository cache mutex. Residency
-// transitions (demand-loading `trial`/`view` from disk) are additionally
-// serialized by the per-entry `load_mutex` so the expensive open/parse
-// runs with the cache mutex released; `load_mutex` is always acquired
-// before — never while holding — the cache mutex.
+// One trial slot. `trial` is the resident trial; a non-resident entry
+// holds only the backing file path and is reloaded on demand.
+// `file`/`rel`/`pkb`/`pinned` are fixed once the entry is inserted; every
+// other field is guarded by the repository cache mutex. Residency
+// transitions (demand-loading `trial` from disk, get()'s private copy)
+// are additionally serialized by the per-entry `load_mutex` so the
+// expensive open/parse runs with the cache mutex released; `load_mutex`
+// is always acquired before — never while holding — the cache mutex.
 struct Repository::Entry {
   std::mutex load_mutex;  ///< serializes demand-loads of this entry
   TrialPtr trial;
-  std::shared_ptr<PkbView> view;
-  bool columns_verified = false;  ///< `view`'s COLS CRC has been checked
+  /// The image whose COLS CRC is known good: checked by verify_columns,
+  /// or verified before the trial was inserted. Holding it keeps the
+  /// pointer from being reused by another image.
+  std::shared_ptr<const std::string_view> verified_image;
   std::filesystem::path file;  ///< backing snapshot; empty for put() trials
   std::string rel;             ///< `file` as index.tsv names it
   bool pkb = false;
@@ -203,6 +188,7 @@ void Repository::put(const std::string& application,
   auto entry = std::make_shared<Entry>();
   entry->pinned = true;
   entry->dirty = true;
+  entry->verified_image = trial->image();  // the caller's trial is trusted
   std::string name = trial->name();
   entry->trial = std::move(trial);
   insert_entry(application, experiment, name, std::move(entry));
@@ -302,6 +288,13 @@ void Repository::insert_entry(const std::string& application,
                               const std::string& trial, EntryPtr entry) {
   auto& slot = store_[application][experiment][trial];
   if (slot) {
+    // A re-put trial is rewritten to the snapshot it replaces (a legacy
+    // ordinal name included), so no orphan is left behind.
+    if (entry->rel.empty() && slot->pkb && !slot->rel.empty()) {
+      entry->file = slot->file;
+      entry->rel = slot->rel;
+      entry->pkb = true;
+    }
     // `charge` is guarded by the cache mutex: read and settle it under
     // the same lock so a concurrent load can't skew the accounting.
     const std::lock_guard lock(cache_->mutex);
@@ -360,45 +353,13 @@ void Repository::evict_to_budget_locked() const {
     // Dropping our references is safe: callers that still hold the
     // shared_ptr keep the trial (and its mapping) alive.
     victim->trial.reset();
-    victim->view.reset();
+    victim->verified_image.reset();
     cache_->resident -= victim->charge;
     victim->charge = 0;
   }
 }
 
-std::shared_ptr<PkbView> Repository::load_view(Entry& entry) const {
-  {
-    const std::lock_guard lock(cache_->mutex);
-    if (entry.view) return entry.view;
-  }
-  static const telemetry::SpanSite site("perfdmf.load_view");
-  telemetry::ScopedSpan span(site);
-  // The open/mmap/schema parse runs with the cache unlocked; holding the
-  // entry's load mutex guarantees no other thread loads this entry, so
-  // publishing below cannot clobber a concurrent load.
-  auto view = std::make_shared<PkbView>(
-      PkbView::open(entry.file, PkbView::Verify::kSchema));
-  static telemetry::Counter& mapped =
-      telemetry::counter("perfdmf.repository.bytes_mapped");
-  mapped.add(view->byte_size());
-  const std::lock_guard lock(cache_->mutex);
-  entry.view = view;
-  entry.columns_verified = false;
-  charge_locked(entry, view->byte_size());
-  return view;
-}
-
-void Repository::verify_columns(Entry& entry, const PkbView& view) const {
-  {
-    const std::lock_guard lock(cache_->mutex);
-    if (entry.view.get() == &view && entry.columns_verified) return;
-  }
-  view.verify_columns();
-  const std::lock_guard lock(cache_->mutex);
-  if (entry.view.get() == &view) entry.columns_verified = true;
-}
-
-TrialPtr Repository::load_trial(Entry& entry) const {
+TrialPtr Repository::load_entry(Entry& entry) const {
   {
     const std::lock_guard lock(cache_->mutex);
     if (entry.trial) {
@@ -408,32 +369,12 @@ TrialPtr Repository::load_trial(Entry& entry) const {
   }
   static const telemetry::SpanSite site("perfdmf.load_trial");
   telemetry::ScopedSpan span(site);
-  const std::uint64_t t0 =
-      telemetry::enabled()
-          ? static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now().time_since_epoch())
-                    .count())
-          : 0;
-  TrialPtr trial;
-  if (entry.pkb) {
-    // A private copy (every checksum verified): the cached view may be
-    // held by readers on other threads.
-    trial = std::make_shared<profile::Trial>(load_view(entry)->materialize());
-  } else {
-    trial =
-        std::make_shared<profile::Trial>(load_text_snapshot(entry.file));
-  }
-  if (telemetry::enabled()) {
-    static telemetry::Histogram& load_ns =
-        telemetry::histogram("perfdmf.repository.load_ns");
-    load_ns.record(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count()) -
-        t0);
-  }
+  // The open/mmap/schema parse runs with the cache unlocked; holding the
+  // entry's load mutex guarantees no other thread loads this entry, so
+  // publishing below cannot clobber a concurrent load.
+  const auto trial = std::make_shared<profile::Trial>(
+      entry.pkb ? open_pkb(entry.file, Verify::kSchema)
+                : load_text_snapshot(entry.file));
   const std::lock_guard lock(cache_->mutex);
   entry.trial = trial;
   charge_locked(entry, trial_charge(*trial));
@@ -442,12 +383,30 @@ TrialPtr Repository::load_trial(Entry& entry) const {
   return trial;
 }
 
+void Repository::verify_columns(Entry& entry,
+                                const profile::Trial& trial) const {
+  const auto& image = trial.image();
+  if (!image) return;  // owned columns have nothing to check
+  {
+    const std::lock_guard lock(cache_->mutex);
+    if (entry.verified_image == image) return;
+  }
+  try {
+    verify_pkb_columns(trial);
+  } catch (const ParseError& e) {
+    if (e.file().empty()) throw e.with_file(entry.file.string());
+    throw;
+  }
+  const std::lock_guard lock(cache_->mutex);
+  entry.verified_image = image;
+}
+
 namespace {
 
 // Cache hit/miss accounting shared by get() and view(). The hit rate
 // these feed (telemetry "perfdmf.repository.cache.hit_rate") is what the
 // shipped self_diagnosis rules judge, so a hit is strictly "served from
-// an already-resident representation without taking the load mutex".
+// the already-resident trial, without opening its snapshot".
 telemetry::Counter& cache_hits() {
   static telemetry::Counter& c =
       telemetry::counter("perfdmf.repository.cache.hit");
@@ -470,21 +429,34 @@ TrialPtr Repository::get(const std::string& application,
     if (entry->trial) {
       touch_locked(*entry);
       cache_hits().add();
-      entry->dirty = true;
-      return entry->trial;
+      if (entry->dirty) return entry->trial;
+    } else {
+      cache_misses().add();
     }
   }
-  cache_misses().add();
   const std::lock_guard load(entry->load_mutex);
-  TrialPtr out = load_trial(*entry);
+  const TrialPtr resident = load_entry(*entry);
+  verify_columns(*entry, *resident);
+  {
+    const std::lock_guard lock(cache_->mutex);
+    if (entry->dirty && entry->trial) return entry->trial;
+  }
+  // Readers may hold the resident trial: hand out a private copy, which
+  // borrows the same verified snapshot until it is first written.
+  auto mine = std::make_shared<profile::Trial>(*resident);
   const std::lock_guard lock(cache_->mutex);
+  if (!entry->trial) {
+    charge_locked(*entry, trial_charge(*mine));  // evicted meanwhile
+  }
+  entry->trial = mine;
   entry->dirty = true;
-  return out;
+  touch_locked(*entry);
+  return mine;
 }
 
-TrialViewPtr Repository::view(const std::string& application,
-                              const std::string& experiment,
-                              const std::string& trial) const {
+ConstTrialPtr Repository::view(const std::string& application,
+                               const std::string& experiment,
+                               const std::string& trial) const {
   const EntryPtr& entry = find_entry(application, experiment, trial);
   {
     const std::lock_guard lock(cache_->mutex);
@@ -493,39 +465,18 @@ TrialViewPtr Repository::view(const std::string& application,
       cache_hits().add();
       return entry->trial;
     }
-    if (entry->view) {
-      touch_locked(*entry);
-      cache_hits().add();
-      return entry->view;
-    }
   }
   cache_misses().add();
   const std::lock_guard load(entry->load_mutex);
-  if (!entry->pkb) return load_trial(*entry);
-  {
-    // Re-check: a loader we waited on may have materialized the trial.
-    const std::lock_guard lock(cache_->mutex);
-    if (entry->trial) {
-      touch_locked(*entry);
-      return entry->trial;
-    }
-  }
-  const std::shared_ptr<PkbView> out = load_view(*entry);
-  const std::lock_guard lock(cache_->mutex);
-  touch_locked(*entry);
-  evict_to_budget_locked();
-  return out;
+  return load_entry(*entry);
 }
 
-TrialViewPtr Repository::verified_view(const std::string& application,
-                                       const std::string& experiment,
-                                       const std::string& trial) const {
-  TrialViewPtr out = view(application, experiment, trial);
-  // Materialized trials were fully verified when they were loaded (or
-  // never came from disk); only a schema-checked view needs the COLS CRC.
-  if (const auto* pkb = dynamic_cast<const PkbView*>(out.get())) {
-    verify_columns(*find_entry(application, experiment, trial), *pkb);
-  }
+ConstTrialPtr Repository::verified_view(const std::string& application,
+                                        const std::string& experiment,
+                                        const std::string& trial) const {
+  const EntryPtr& entry = find_entry(application, experiment, trial);
+  ConstTrialPtr out = view(application, experiment, trial);
+  verify_columns(*entry, *out);
   return out;
 }
 
@@ -643,7 +594,7 @@ std::size_t Repository::resident_trials() const {
   for (const auto& [_, exps] : store_) {
     for (const auto& [__, trs] : exps) {
       for (const auto& [___, entry] : trs) {
-        if (entry->trial || entry->view) ++n;
+        if (entry->trial) ++n;
       }
     }
   }
@@ -744,31 +695,20 @@ void Repository::save(const std::filesystem::path& dir) const {
 void Repository::save_entry(Entry& entry,
                             const std::filesystem::path& dest) const {
   const std::lock_guard load(entry.load_mutex);
-  TrialPtr trial;
-  {
-    const std::lock_guard lock(cache_->mutex);
-    trial = entry.trial;
-  }
+  const TrialPtr trial = load_entry(entry);
+  // A lazily opened snapshot's COLS CRC was skipped at open; check it
+  // now: write_pkb re-signs the payload with fresh CRCs, which must not
+  // turn a corrupt snapshot into a valid-looking one.
+  verify_columns(entry, *trial);
   // The snapshot is written to a sibling temp file and renamed into
   // place: the write never truncates `dest` itself, so saving an
   // attached repository back into its own directory cannot destroy the
-  // file that backs the live mmap being streamed out (the old inode
-  // stays mapped until the view drops it), and a failed write leaves no
-  // torn snapshot behind.
+  // file whose live mapping is being streamed out (the old inode stays
+  // mapped until the trial drops it), and a failed write leaves no torn
+  // snapshot behind.
   const std::filesystem::path tmp = dest.string() + ".tmp";
   try {
-    if (!trial && entry.pkb) {
-      // A resident view can be streamed out without materializing the
-      // cube — but its COLS CRC was skipped at open (Verify::kSchema),
-      // so check it now: write_pkb re-signs the payload with fresh CRCs,
-      // which must not turn a corrupt snapshot into a valid-looking one.
-      const std::shared_ptr<PkbView> view = load_view(entry);
-      verify_columns(entry, *view);
-      save_pkb_file(*view, tmp);
-    } else {
-      if (!trial) trial = load_trial(entry);
-      save_pkb_file(*trial, tmp);
-    }
+    save_pkb_file(*trial, tmp);
     rename_into_place(tmp, dest);
   } catch (...) {
     std::error_code ec;
@@ -816,10 +756,9 @@ Repository Repository::open_index(const std::filesystem::path& dir,
     std::vector<TrialPtr> loaded(rows.size());
     const auto load_row = [&](std::size_t i) {
       const Row& row = rows[i];
-      loaded[i] = row.pkb ? std::make_shared<profile::Trial>(
-                                load_pkb_file(row.file))
-                          : std::make_shared<profile::Trial>(
-                                load_text_snapshot(row.file));
+      loaded[i] = std::make_shared<profile::Trial>(
+          row.pkb ? open_pkb(row.file, Verify::kFull)
+                  : load_text_snapshot(row.file));
     };
     if (pool != nullptr) {
       pool->parallel_for(rows.size(), load_row);
@@ -833,6 +772,7 @@ Repository Repository::open_index(const std::filesystem::path& dir,
       }
       auto entry = std::make_shared<Entry>();
       entry->pinned = true;
+      entry->verified_image = loaded[i]->image();  // opened with kFull
       entry->trial = std::move(loaded[i]);
       entry->file = rows[i].file;
       entry->rel = rows[i].rel;

@@ -26,16 +26,19 @@
 // indexed file's extension.
 //
 // Two ways to open a repository:
-//   load(dir)    eagerly materializes every trial (optionally fanned out
-//                across a ThreadPool), like the original behaviour;
+//   load(dir)    eagerly opens every trial (optionally fanned out across a
+//                ThreadPool), verifying every checksum;
 //   attach(dir)  reads only the index, then demand-loads trials through
 //                get()/view() into an LRU cache with a configurable byte
 //                budget, so a repository much larger than memory can be
 //                queried.
+// Either way a PKB trial's columns stay in its mmap'd snapshot until
+// something writes them (profile.hpp). Each entry holds one trial.
+// Read-only commands go through view() / verified_view(), which share
+// the resident trial; get() swaps in a private copy, which borrows the
+// same snapshot until it is first written, and hands that out mutable.
 // The pkx CLI attaches with an unbounded budget: a one-shot command pays
-// only for the trials it reads, and never evicts, so it behaves exactly
-// like the eager path. Read-only commands go through view() /
-// verified_view(); only get() hands out a mutable Trial.
+// only for the trials it reads, and never evicts.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +49,6 @@
 #include <vector>
 
 #include "profile/profile.hpp"
-#include "profile/trial_view.hpp"
 
 namespace perfknow {
 class ThreadPool;
@@ -54,14 +56,10 @@ class ThreadPool;
 
 namespace perfknow::perfdmf {
 
-class PkbView;
-
-/// Handle type the analysis layer passes around. Trials are shared:
+/// Handle types the analysis layer passes around. Trials are shared:
 /// analysis operations never copy the value cube.
 using TrialPtr = std::shared_ptr<profile::Trial>;
 using ConstTrialPtr = std::shared_ptr<const profile::Trial>;
-/// Read-only handle; may be backed by an unmaterialized PkbView.
-using TrialViewPtr = std::shared_ptr<const profile::TrialView>;
 
 /// Application -> Experiment -> Trial store, the PerfDMF schema.
 class Repository {
@@ -79,9 +77,11 @@ class Repository {
 
   /// Inserts (replacing any previous trial with the same coordinates).
   /// Directly-put trials are pinned: they are never evicted, and the next
-  /// save() writes them. Throws InvalidArgumentError naming the field
-  /// when the application, experiment or trial name contains a tab,
-  /// newline or carriage return (they would break the TSV index).
+  /// save() writes them. A trial replacing one whose snapshot lives in
+  /// this repository's directory is rewritten to that same file. Throws
+  /// InvalidArgumentError naming the field when the application,
+  /// experiment or trial name contains a tab, newline or carriage return
+  /// (they would break the TSV index).
   void put(const std::string& application, const std::string& experiment,
            TrialPtr trial);
 
@@ -122,31 +122,33 @@ class Repository {
 
   /// Fetches a mutable trial; throws NotFoundError naming the missing
   /// level. In an attached repository this demand-loads (and caches) the
-  /// snapshot, verifying every checksum; ParseError diagnostics name the
-  /// snapshot file. Because the caller may edit the trial in place (a
-  /// script's derive_metric, say), the entry counts as dirty from then
-  /// on and the next save() rewrites it.
+  /// snapshot and verifies its column checksum; ParseError diagnostics
+  /// name the snapshot file. The first get() of an entry swaps in a
+  /// private copy, so readers holding view() results never see its
+  /// edits; later calls return that same copy. Because the caller may
+  /// edit it in place (a script's derive_metric, say), the entry counts
+  /// as dirty from then on and the next save() rewrites it.
   [[nodiscard]] TrialPtr get(const std::string& application,
                              const std::string& experiment,
                              const std::string& trial) const;
 
-  /// Read-only fetch. For PKB-backed trials this returns the mmap-backed
-  /// PkbView without materializing the value cube — the cheap path for
-  /// analysis that only reads. Only the schema checksums are verified,
-  /// so the view's shape, names and metadata are trustworthy but its
-  /// cell values are not yet; see verified_view(). Falls back to the
-  /// materialized trial for text snapshots and in-memory entries.
-  [[nodiscard]] TrialViewPtr view(const std::string& application,
-                                  const std::string& experiment,
-                                  const std::string& trial) const;
+  /// Read-only fetch of the resident trial, demand-loading it when
+  /// needed: opening a PKB snapshot parses only its schema, and the
+  /// columns are read from the mapping as the caller touches them. Only
+  /// the schema checksums are verified, so the trial's shape, names and
+  /// metadata are trustworthy but its cell values are not yet; see
+  /// verified_view().
+  [[nodiscard]] ConstTrialPtr view(const std::string& application,
+                                   const std::string& experiment,
+                                   const std::string& trial) const;
 
-  /// view() plus the column checksum (PkbView::verify_columns(), checked
-  /// once per resident view): every cell value read through the result
-  /// comes from CRC-verified bytes. Throws ParseError naming the snapshot
-  /// file on a mismatch.
-  [[nodiscard]] TrialViewPtr verified_view(const std::string& application,
-                                           const std::string& experiment,
-                                           const std::string& trial) const;
+  /// view() plus the column checksum (verify_pkb_columns(), checked once
+  /// per resident entry): every cell value read through the result comes
+  /// from CRC-verified bytes. Throws ParseError naming the snapshot file
+  /// on a mismatch.
+  [[nodiscard]] ConstTrialPtr verified_view(const std::string& application,
+                                            const std::string& experiment,
+                                            const std::string& trial) const;
 
   [[nodiscard]] bool contains(const std::string& application,
                               const std::string& experiment,
@@ -222,20 +224,18 @@ class Repository {
   [[nodiscard]] const EntryPtr& find_entry(const std::string& application,
                                            const std::string& experiment,
                                            const std::string& trial) const;
-  /// Demand-loads `entry`'s PKB view (publishing and charging it) and
-  /// returns it. Caller must hold the entry's load mutex and must NOT
-  /// hold the cache mutex: the file open/mmap/schema parse runs with the
-  /// cache unlocked so other entries stay serviceable during I/O.
-  [[nodiscard]] std::shared_ptr<PkbView> load_view(Entry& entry) const;
-  /// Demand-loads `entry`'s materialized trial (same locking contract as
-  /// load_view); returns the already-resident trial when there is one.
-  [[nodiscard]] TrialPtr load_trial(Entry& entry) const;
+  /// Returns `entry`'s resident trial, demand-loading (publishing and
+  /// charging) it first when there is none. Caller must hold the entry's
+  /// load mutex and must NOT hold the cache mutex: the file open/mmap/
+  /// schema parse runs with the cache unlocked so other entries stay
+  /// serviceable during I/O.
+  [[nodiscard]] TrialPtr load_entry(Entry& entry) const;
   /// Streams one entry's snapshot to `dest` (temp file + atomic rename;
-  /// verifies a schema-only view's column CRC before re-signing it).
+  /// verifies a lazily opened snapshot's column CRC before re-signing it).
   void save_entry(Entry& entry, const std::filesystem::path& dest) const;
-  /// PkbView::verify_columns(), remembered per resident view so a trial
-  /// read several times by one command is checksummed once.
-  void verify_columns(Entry& entry, const PkbView& view) const;
+  /// verify_pkb_columns(), remembered per resident entry so a trial read
+  /// several times by one command is checksummed once.
+  void verify_columns(Entry& entry, const profile::Trial& trial) const;
   void touch_locked(Entry& entry) const;
   void charge_locked(Entry& entry, std::size_t bytes) const;
   void evict_to_budget_locked() const;

@@ -48,7 +48,7 @@ std::string unescape(std::string_view s) {
 
 }  // namespace
 
-void write_snapshot(const profile::TrialView& trial, std::ostream& os) {
+void write_snapshot(const profile::Trial& trial, std::ostream& os) {
   os << "PKPROF\t1\n";
   os << "trial\t" << escape(trial.name()) << '\n';
   for (const auto& [k, v] : trial.all_metadata()) {
@@ -155,7 +155,7 @@ profile::Trial read_snapshot(std::istream& is) {
   return trial;
 }
 
-std::string to_csv(const profile::TrialView& trial, const std::string& metric) {
+std::string to_csv(const profile::Trial& trial, const std::string& metric) {
   const auto m = trial.metric_id(metric);
   std::ostringstream os;
   os << "event";

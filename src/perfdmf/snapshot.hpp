@@ -17,7 +17,7 @@ namespace perfknow::perfdmf {
 /// Serializes a trial to the PKPROF text format. This is the format
 /// primitive behind io::save_trial (io/format.hpp) — call that for
 /// file-level access; the stream form exists for in-memory use.
-void write_snapshot(const profile::TrialView& trial, std::ostream& os);
+void write_snapshot(const profile::Trial& trial, std::ostream& os);
 
 /// Parses a PKPROF snapshot; throws ParseError on bad input. The format
 /// primitive behind io::open_trial (io/format.hpp), which auto-detects
@@ -26,7 +26,7 @@ void write_snapshot(const profile::TrialView& trial, std::ostream& os);
 
 /// Exports the per-thread exclusive values of one metric as CSV
 /// (rows = events, columns = threads) for spreadsheet-style inspection.
-[[nodiscard]] std::string to_csv(const profile::TrialView& trial,
+[[nodiscard]] std::string to_csv(const profile::Trial& trial,
                                  const std::string& metric);
 
 }  // namespace perfknow::perfdmf

@@ -220,7 +220,7 @@ profile::Trial read_tau_stream(std::istream& is, const std::string& name) {
   return trial;
 }
 
-void write_tau_profiles(const profile::TrialView& trial,
+void write_tau_profiles(const profile::Trial& trial,
                         const std::string& metric,
                         const std::filesystem::path& dir) {
   const auto m = trial.metric_id(metric);

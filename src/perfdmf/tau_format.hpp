@@ -44,7 +44,7 @@ namespace perfknow::perfdmf {
 
 /// Writes `trial`'s metric `metric` in TAU format, one file per thread
 /// ("profile.<t>.0.0") under `dir` (created if needed).
-void write_tau_profiles(const profile::TrialView& trial,
+void write_tau_profiles(const profile::Trial& trial,
                         const std::string& metric,
                         const std::filesystem::path& dir);
 

@@ -22,7 +22,6 @@
 
 // ---- profile data model ------------------------------------------------
 #include "profile/profile.hpp"
-#include "profile/trial_view.hpp"
 
 // ---- PerfDMF-style storage --------------------------------------------
 #include "perfdmf/repository.hpp"

@@ -7,6 +7,13 @@
 
 namespace perfknow::profile {
 
+namespace {
+
+// Event capacity of the first row allocation; it doubles from there.
+constexpr std::size_t kMinStride = 8;
+
+}  // namespace
+
 std::optional<std::string> Trial::metadata(const std::string& key) const {
   const auto it = metadata_.find(key);
   if (it == metadata_.end()) return std::nullopt;
@@ -17,65 +24,75 @@ void Trial::set_thread_count(std::size_t n) {
   if (n < num_threads_) {
     throw InvalidArgumentError("Trial: cannot shrink thread count");
   }
+  if (n == num_threads_) return;
+  own();
+  for (auto& col : owned_) col.resize(n * stride_, 0.0);
   num_threads_ = n;
-  inclusive_.resize(num_threads_ * events_.size() * metrics_.size(), 0.0);
-  exclusive_.resize(num_threads_ * events_.size() * metrics_.size(), 0.0);
-  calls_.resize(num_threads_ * events_.size());
 }
 
 MetricId Trial::add_metric(std::string name, std::string units,
                            bool derived) {
-  if (const auto it = metric_index_.find(name); it != metric_index_.end()) {
+  const auto id = static_cast<MetricId>(metrics_.size());
+  if (const auto [it, added] = metric_index_.try_emplace(name, id); !added) {
     return it->second;
   }
-  const std::size_t old_events = events_.size();
-  const std::size_t old_metrics = metrics_.size();
-  const auto id = static_cast<MetricId>(metrics_.size());
-  metric_index_.emplace(name, id);
+  own();
   metrics_.push_back(Metric{std::move(name), std::move(units), derived});
-  reshape(old_events, old_metrics);
+  // The metric's two columns go before calls and subcalls.
+  owned_.insert(owned_.begin() + 2 * id, 2,
+                std::vector<double>(num_threads_ * stride_, 0.0));
   return id;
 }
 
 EventId Trial::add_event(std::string name, EventId parent,
                          std::string group) {
-  if (const auto it = event_index_.find(name); it != event_index_.end()) {
-    return it->second;
-  }
+  const auto id = static_cast<EventId>(events_.size());
+  const auto [it, added] = event_index_.try_emplace(name, id);
+  if (!added) return it->second;
   if (parent != kNoEvent && parent >= events_.size()) {
+    event_index_.erase(it);
     throw InvalidArgumentError("Trial::add_event: bad parent id");
   }
-  const std::size_t old_events = events_.size();
-  const std::size_t old_metrics = metrics_.size();
-  const auto id = static_cast<EventId>(events_.size());
-  event_index_.emplace(name, id);
+  own();
+  if (events_.size() == stride_) {
+    widen_rows(std::max(kMinStride, 2 * stride_));
+  }
   events_.push_back(Event{std::move(name), parent, std::move(group)});
-  reshape(old_events, old_metrics);
   return id;
 }
 
-void Trial::reshape(std::size_t old_events, std::size_t old_metrics) {
-  const std::size_t new_events = events_.size();
-  const std::size_t new_metrics = metrics_.size();
-  if (new_events == old_events && new_metrics == old_metrics) return;
-
-  std::vector<double> new_incl(num_threads_ * new_events * new_metrics, 0.0);
-  std::vector<double> new_excl(num_threads_ * new_events * new_metrics, 0.0);
-  std::vector<CallInfo> new_calls(num_threads_ * new_events);
-  for (std::size_t t = 0; t < num_threads_; ++t) {
-    for (std::size_t e = 0; e < old_events; ++e) {
-      for (std::size_t m = 0; m < old_metrics; ++m) {
-        const std::size_t src = (t * old_events + e) * old_metrics + m;
-        const std::size_t dst = (t * new_events + e) * new_metrics + m;
-        new_incl[dst] = inclusive_[src];
-        new_excl[dst] = exclusive_[src];
-      }
-      new_calls[t * new_events + e] = calls_[t * old_events + e];
+void Trial::widen_rows(std::size_t stride) {
+  for (auto& col : owned_) {
+    std::vector<double> wide(num_threads_ * stride, 0.0);
+    for (std::size_t t = 0; t < num_threads_; ++t) {
+      std::copy_n(col.begin() + static_cast<std::ptrdiff_t>(t * stride_),
+                  events_.size(),
+                  wide.begin() + static_cast<std::ptrdiff_t>(t * stride));
     }
+    col = std::move(wide);
   }
-  inclusive_ = std::move(new_incl);
-  exclusive_ = std::move(new_excl);
-  calls_ = std::move(new_calls);
+  stride_ = stride;
+}
+
+void Trial::borrow_columns(std::shared_ptr<const std::string_view> image,
+                           const double* cols, std::size_t threads) {
+  owned_.clear();
+  image_ = std::move(image);
+  borrowed_ = cols;
+  num_threads_ = threads;
+  stride_ = events_.size();
+}
+
+void Trial::copy_into_owned() {
+  const std::size_t cells = num_threads_ * stride_;
+  std::vector<std::vector<double>> cols(column_count());
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    const double* src = column(c);
+    cols[c].assign(src, src + cells);
+  }
+  owned_ = std::move(cols);
+  image_.reset();
+  borrowed_ = nullptr;
 }
 
 const Metric& Trial::metric(MetricId m) const {
@@ -100,6 +117,55 @@ std::optional<EventId> Trial::find_event(std::string_view name) const {
   return it->second;
 }
 
+MetricId Trial::metric_id(std::string_view name) const {
+  if (const auto id = find_metric(name)) return *id;
+  throw NotFoundError("Trial '" + name_ + "': no metric named '" +
+                      std::string(name) + "'");
+}
+
+EventId Trial::event_id(std::string_view name) const {
+  if (const auto id = find_event(name)) return *id;
+  throw NotFoundError("Trial '" + name_ + "': no event named '" +
+                      std::string(name) + "'");
+}
+
+std::vector<EventId> Trial::children_of(EventId e) const {
+  check_event(e);
+  std::vector<EventId> out;
+  for (EventId c = 0; c < events_.size(); ++c) {
+    if (events_[c].parent == e) out.push_back(c);
+  }
+  return out;
+}
+
+bool Trial::is_nested_under(EventId e, EventId ancestor) const {
+  check_event(e);
+  check_event(ancestor);
+  for (EventId cur = e; cur != kNoEvent; cur = events_[cur].parent) {
+    if (cur == ancestor) return true;
+  }
+  return false;
+}
+
+EventId Trial::main_event() const {
+  if (events_.empty()) {
+    throw NotFoundError("Trial '" + name_ + "': no events");
+  }
+  if (const auto id = find_event("main")) return *id;
+  if (const auto id = find_event(".TAU application")) return *id;
+  if (metrics_.empty() || num_threads_ == 0) return 0;
+  EventId best = 0;
+  double best_val = -1.0;
+  for (EventId e = 0; e < events_.size(); ++e) {
+    const double v = mean_inclusive(e, 0);
+    if (v > best_val) {
+      best_val = v;
+      best = e;
+    }
+  }
+  return best;
+}
+
 void Trial::check_thread(std::size_t thread) const {
   if (thread >= num_threads_) {
     throw InvalidArgumentError("Trial '" + name_ + "': thread " +
@@ -122,88 +188,105 @@ void Trial::check_metric(MetricId m) const {
 
 void Trial::set_inclusive(std::size_t thread, EventId e, MetricId m,
                           double v) {
-  check_thread(thread);
-  check_event(e);
+  const std::size_t i = cell(thread, e);
   check_metric(m);
-  inclusive_[idx(thread, e, m)] = v;
+  own();
+  owned_[2 * m][i] = v;
 }
 
 void Trial::set_exclusive(std::size_t thread, EventId e, MetricId m,
                           double v) {
-  check_thread(thread);
-  check_event(e);
+  const std::size_t i = cell(thread, e);
   check_metric(m);
-  exclusive_[idx(thread, e, m)] = v;
+  own();
+  owned_[2 * m + 1][i] = v;
 }
 
 void Trial::accumulate_inclusive(std::size_t thread, EventId e, MetricId m,
                                  double v) {
-  check_thread(thread);
-  check_event(e);
+  const std::size_t i = cell(thread, e);
   check_metric(m);
-  inclusive_[idx(thread, e, m)] += v;
+  own();
+  owned_[2 * m][i] += v;
 }
 
 void Trial::accumulate_exclusive(std::size_t thread, EventId e, MetricId m,
                                  double v) {
-  check_thread(thread);
-  check_event(e);
+  const std::size_t i = cell(thread, e);
   check_metric(m);
-  exclusive_[idx(thread, e, m)] += v;
+  own();
+  owned_[2 * m + 1][i] += v;
 }
 
 void Trial::set_calls(std::size_t thread, EventId e, double calls,
                       double subcalls) {
-  check_thread(thread);
-  check_event(e);
-  calls_[thread * events_.size() + e] = CallInfo{calls, subcalls};
+  const std::size_t i = cell(thread, e);
+  own();
+  owned_[2 * metrics_.size()][i] = calls;
+  owned_[2 * metrics_.size() + 1][i] = subcalls;
 }
 
 void Trial::accumulate_calls(std::size_t thread, EventId e, double calls,
                              double subcalls) {
-  check_thread(thread);
-  check_event(e);
-  auto& ci = calls_[thread * events_.size() + e];
-  ci.calls += calls;
-  ci.subcalls += subcalls;
+  const std::size_t i = cell(thread, e);
+  own();
+  owned_[2 * metrics_.size()][i] += calls;
+  owned_[2 * metrics_.size() + 1][i] += subcalls;
 }
 
 double Trial::inclusive(std::size_t thread, EventId e, MetricId m) const {
-  check_thread(thread);
-  check_event(e);
+  const std::size_t i = cell(thread, e);
   check_metric(m);
-  return inclusive_[idx(thread, e, m)];
+  return column(2 * m)[i];
 }
 
 double Trial::exclusive(std::size_t thread, EventId e, MetricId m) const {
-  check_thread(thread);
-  check_event(e);
+  const std::size_t i = cell(thread, e);
   check_metric(m);
-  return exclusive_[idx(thread, e, m)];
+  return column(2 * m + 1)[i];
 }
 
 CallInfo Trial::calls(std::size_t thread, EventId e) const {
-  check_thread(thread);
-  check_event(e);
-  return calls_[thread * events_.size() + e];
+  const std::size_t i = cell(thread, e);
+  return {column(2 * metrics_.size())[i],
+          column(2 * metrics_.size() + 1)[i]};
 }
 
 stats::StridedSpan Trial::inclusive_series(EventId e, MetricId m) const {
   check_event(e);
   check_metric(m);
   if (num_threads_ == 0) return {};
-  // One (event, metric) column of the cube: consecutive threads are
-  // events*metrics doubles apart.
-  return {inclusive_.data() + idx(0, e, m), num_threads_,
-          events_.size() * metrics_.size()};
+  // Fixed e across threads: a stride-row_stride() slice from index e.
+  return {column(2 * m) + e, num_threads_, stride_};
 }
 
 stats::StridedSpan Trial::exclusive_series(EventId e, MetricId m) const {
   check_event(e);
   check_metric(m);
   if (num_threads_ == 0) return {};
-  return {exclusive_.data() + idx(0, e, m), num_threads_,
-          events_.size() * metrics_.size()};
+  return {column(2 * m + 1) + e, num_threads_, stride_};
+}
+
+std::vector<double> Trial::inclusive_across_threads(EventId e,
+                                                    MetricId m) const {
+  return inclusive_series(e, m).to_vector();
+}
+
+std::vector<double> Trial::exclusive_across_threads(EventId e,
+                                                    MetricId m) const {
+  return exclusive_series(e, m).to_vector();
+}
+
+double Trial::mean_inclusive(EventId e, MetricId m) const {
+  const auto xs = inclusive_series(e, m);
+  if (xs.empty()) return 0.0;
+  return stats::mean(xs);
+}
+
+double Trial::mean_exclusive(EventId e, MetricId m) const {
+  const auto xs = exclusive_series(e, m);
+  if (xs.empty()) return 0.0;
+  return stats::mean(xs);
 }
 
 }  // namespace perfknow::profile

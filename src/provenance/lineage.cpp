@@ -41,7 +41,7 @@ void stamp(profile::Trial& trial, const MetricLineage& lineage) {
   trial.set_metadata(kMetricKeyPrefix + lineage.metric, std::move(value));
 }
 
-std::optional<MetricLineage> lineage_of(const profile::TrialView& trial,
+std::optional<MetricLineage> lineage_of(const profile::Trial& trial,
                                         const std::string& metric) {
   const auto value = trial.metadata(kMetricKeyPrefix + metric);
   if (!value) return std::nullopt;
@@ -56,7 +56,7 @@ std::optional<MetricLineage> lineage_of(const profile::TrialView& trial,
   return l;
 }
 
-std::vector<std::string> lineage_chain(const profile::TrialView& trial,
+std::vector<std::string> lineage_chain(const profile::Trial& trial,
                                        const std::string& metric) {
   std::vector<std::string> out;
   std::vector<std::string> seen;

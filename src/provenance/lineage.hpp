@@ -38,7 +38,7 @@ void stamp(profile::Trial& trial, const MetricLineage& lineage);
 /// Reads the stamp for `metric`; nullopt for raw metrics, missing
 /// stamps, or stamps that fail to decode.
 [[nodiscard]] std::optional<MetricLineage> lineage_of(
-    const profile::TrialView& trial, const std::string& metric);
+    const profile::Trial& trial, const std::string& metric);
 
 /// Human-readable chain from `metric` down to raw columns, one line per
 /// step:
@@ -46,6 +46,6 @@ void stamp(profile::Trial& trial, const MetricLineage& lineage);
 ///   "A": raw column of trial 'x'
 /// Bounded depth; never throws on malformed stamps.
 [[nodiscard]] std::vector<std::string> lineage_chain(
-    const profile::TrialView& trial, const std::string& metric);
+    const profile::Trial& trial, const std::string& metric);
 
 }  // namespace perfknow::provenance

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "profile/profile.hpp"
-#include "profile/trial_view.hpp"
 #include "rules/engine.hpp"
 
 namespace perfknow::rules {
@@ -111,7 +110,7 @@ profile::Trial profile_to_trial(const RuleProfile& profile,
 }
 
 std::size_t assert_profile_facts(RuleHarness& harness,
-                                 const profile::TrialView& trial) {
+                                 const profile::Trial& trial) {
   if (trial.metadata("perfknow.rules_profile").value_or("") != "1") {
     throw InvalidArgumentError(
         "assert_profile_facts: trial '" + trial.name() +

@@ -44,7 +44,6 @@
 
 namespace perfknow::profile {
 class Trial;
-class TrialView;
 }  // namespace perfknow::profile
 
 namespace perfknow::rules {
@@ -162,6 +161,6 @@ class RuleProfiler {
 /// rules/rule_tuning.rules. Throws InvalidArgumentError if the trial
 /// lacks the perfknow.rules_profile marker. Returns facts asserted.
 std::size_t assert_profile_facts(RuleHarness& harness,
-                                 const profile::TrialView& trial);
+                                 const profile::Trial& trial);
 
 }  // namespace perfknow::rules

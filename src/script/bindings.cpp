@@ -69,7 +69,7 @@ std::shared_ptr<ResultHandle> result_of(const Value& v) {
   return host_cast<ResultHandle>(v, "TrialResult");
 }
 
-std::string default_metric(const profile::TrialView& t) {
+std::string default_metric(const profile::Trial& t) {
   return t.find_metric("TIME") ? "TIME" : t.metric(0).name;
 }
 
@@ -93,7 +93,7 @@ const std::string& arg_string(const std::vector<Value>& args,
 /// saveTrial historically always wrote a PKPROF snapshot, whatever the
 /// file was called. Route through the io registry when the extension
 /// names a writable format, and keep PKPROF as the fallback.
-void save_by_extension(const profile::TrialView& trial,
+void save_by_extension(const profile::Trial& trial,
                        const std::filesystem::path& file) {
   const std::string ext = file.extension().string();
   for (const auto& f : io::formats()) {
@@ -110,7 +110,7 @@ void save_by_extension(const profile::TrialView& trial,
 
 /// Builds the mean per-CPU counter vector of a trial from its counter
 /// metrics (summing events' exclusive values per thread, then averaging).
-hwcounters::CounterVector mean_counters(const profile::TrialView& t) {
+hwcounters::CounterVector mean_counters(const profile::Trial& t) {
   hwcounters::CounterVector mean;
   for (profile::MetricId m = 0; m < t.metric_count(); ++m) {
     const std::string& name = t.metric(m).name;

@@ -655,10 +655,9 @@ void Server::execute(Job& job) {
     } else {
       do_self_diagnosis(job.conn, req);
     }
-  } catch (const wire::WireError& e) {
-    send_error(*job.conn, req.id, e.code(), e.what());
   } catch (const std::exception& e) {
-    send_error(*job.conn, req.id, wire::error_code(e), e.what());
+    send_error(*job.conn, req.id, wire::error_code(std::current_exception()),
+               e.what());
   }
 }
 

@@ -47,22 +47,24 @@ ErrorCode error_code(std::string_view name) {
   return ErrorCode::kInternal;
 }
 
-ErrorCode error_code(const std::exception& e) {
-  if (const auto* w = dynamic_cast<const WireError*>(&e)) return w->code();
-  if (dynamic_cast<const InvalidArgumentError*>(&e) != nullptr) {
+ErrorCode error_code(const std::exception_ptr& e) {
+  try {
+    std::rethrow_exception(e);
+  } catch (const WireError& w) {
+    return w.code();
+  } catch (const InvalidArgumentError&) {
     return ErrorCode::kInvalidArgument;
-  }
-  if (dynamic_cast<const NotFoundError*>(&e) != nullptr) {
+  } catch (const NotFoundError&) {
     return ErrorCode::kNotFound;
-  }
-  if (dynamic_cast<const ParseError*>(&e) != nullptr) {
+  } catch (const ParseError&) {
     return ErrorCode::kParse;
-  }
-  if (dynamic_cast<const EvalError*>(&e) != nullptr) {
+  } catch (const EvalError&) {
     return ErrorCode::kEval;
+  } catch (const IoError&) {
+    return ErrorCode::kIo;
+  } catch (...) {
+    return ErrorCode::kInternal;
   }
-  if (dynamic_cast<const IoError*>(&e) != nullptr) return ErrorCode::kIo;
-  return ErrorCode::kInternal;
 }
 
 int exit_code(ErrorCode code) {

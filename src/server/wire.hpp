@@ -30,6 +30,7 @@
 // analysis over the socket fails exactly like running it in-process.
 #pragma once
 
+#include <exception>
 #include <string>
 #include <string_view>
 
@@ -65,10 +66,10 @@ enum class ErrorCode {
 [[nodiscard]] ErrorCode error_code(std::string_view name);
 
 /// Maps a thrown perfknow error onto the taxonomy: the dynamic type
-/// decides (InvalidArgumentError -> kInvalidArgument, NotFoundError ->
-/// kNotFound, ParseError -> kParse, EvalError -> kEval, IoError -> kIo,
-/// anything else -> kInternal).
-[[nodiscard]] ErrorCode error_code(const std::exception& e);
+/// decides (WireError -> its own code, InvalidArgumentError ->
+/// kInvalidArgument, NotFoundError -> kNotFound, ParseError -> kParse,
+/// EvalError -> kEval, IoError -> kIo, anything else -> kInternal).
+[[nodiscard]] ErrorCode error_code(const std::exception_ptr& e);
 
 /// The pkx exit-code contract for an error received over the wire:
 /// kInvalidArgument is a usage error (2), everything else is a

@@ -12,7 +12,7 @@ namespace perfknow::telemetry {
 
 namespace {
 
-double counter_value(const profile::TrialView& trial, profile::EventId root,
+double counter_value(const profile::Trial& trial, profile::EventId root,
                      std::string_view name) {
   const auto m = trial.find_metric(name);
   if (!m) return 0.0;
@@ -22,7 +22,7 @@ double counter_value(const profile::TrialView& trial, profile::EventId root,
 }  // namespace
 
 std::size_t assert_self_facts(rules::RuleHarness& harness,
-                              const profile::TrialView& trial) {
+                              const profile::Trial& trial) {
   const auto root = trial.find_event("perfknow");
   if (!root) {
     throw InvalidArgumentError(

@@ -21,7 +21,7 @@
 
 #include <cstddef>
 
-#include "profile/trial_view.hpp"
+#include "profile/profile.hpp"
 #include "rules/engine.hpp"
 
 namespace perfknow::telemetry {
@@ -31,6 +31,6 @@ namespace perfknow::telemetry {
 /// Throws InvalidArgumentError when `trial` has no "perfknow" root
 /// event (i.e. was not produced by to_trial).
 std::size_t assert_self_facts(rules::RuleHarness& harness,
-                              const profile::TrialView& trial);
+                              const profile::Trial& trial);
 
 }  // namespace perfknow::telemetry

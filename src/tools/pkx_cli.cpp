@@ -376,7 +376,7 @@ int cmd_rules_profile(pk::perfdmf::Repository& repo,
 
 /// Total runtime of a trial for the history/diff summaries: the main
 /// event's mean inclusive TIME (first metric when there is no TIME).
-double total_time(const profile::TrialView& trial, std::string* metric) {
+double total_time(const profile::Trial& trial, std::string* metric) {
   const std::string m =
       trial.find_metric("TIME") ? "TIME" : trial.metric(0).name;
   if (metric != nullptr) *metric = m;

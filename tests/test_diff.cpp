@@ -292,8 +292,8 @@ namespace {
 
 /// Runs regression.rules over base -> current and returns the harness.
 std::unique_ptr<RuleHarness> diagnose(
-    const pk::profile::TrialView& base,
-    const pk::profile::TrialView& current,
+    const pk::profile::Trial& base,
+    const pk::profile::Trial& current,
     pk::provenance::ProvenanceMode mode =
         pk::provenance::ProvenanceMode::kOff) {
   auto harness = std::make_unique<RuleHarness>();

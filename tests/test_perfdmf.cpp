@@ -8,10 +8,12 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "analysis/operations.hpp"
 #include "common/error.hpp"
 #include "perfdmf/repository.hpp"
 #include "io/format.hpp"
@@ -239,7 +241,7 @@ TEST(RepositoryPersistence, LegacyFlatPkprofLayoutStillLoads) {
   EXPECT_EQ(loaded.trial_count(), 1u);
   EXPECT_EQ(*loaded.get("app", "exp", "old trial")->metadata("schedule"),
             "dynamic,1");
-  // attach() handles it too (text snapshots just materialize eagerly).
+  // attach() handles it too (text snapshots are parsed into owned columns).
   const Repository attached = Repository::attach(dir.path());
   EXPECT_EQ(attached.get("app", "exp", "old trial")->thread_count(), 2u);
 }
@@ -327,7 +329,7 @@ TEST(RepositoryCache, ViewServesReadsWithoutMaterializing) {
   EXPECT_DOUBLE_EQ(
       view->mean_inclusive(view->event_id("main"), view->metric_id("TIME")),
       100.5);
-  // A later get() materializes; the view stays coherent.
+  // A later get() hands out a private copy; the view stays coherent.
   const auto trial = attached.get("app", "exp", "viewed");
   EXPECT_EQ(trial->thread_count(), view->thread_count());
 }
@@ -482,6 +484,60 @@ TEST(RepositoryCache, EvictedTrialsStayAliveForHolders) {
   EXPECT_EQ(*held->metadata("schedule"), "dynamic,1");
   // And a fresh get() reloads from disk.
   EXPECT_EQ(attached.get("app", "exp", "held")->thread_count(), 2u);
+}
+
+TEST(RepositoryCache, DeriveOnAGetCopyLeavesConcurrentReadersAlone) {
+  TempDir dir;
+  {
+    Repository repo;
+    repo.put("app", "exp", make_trial("shared", 64));
+    repo.save(dir.path());
+  }
+  fs::path file;
+  for (const auto& e : fs::recursive_directory_iterator(dir.path())) {
+    if (e.path().extension() == ".pkb") file = e.path();
+  }
+  const auto read_bytes = [&] {
+    std::ifstream is(file, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(is)),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string snapshot = read_bytes();
+
+  const Repository attached = Repository::attach(dir.path());
+  const auto view = attached.verified_view("app", "exp", "shared");
+  ASSERT_TRUE(view->image());  // borrowing the mapped snapshot
+  const auto time = view->metric_id("TIME");
+  const auto loop = view->event_id("main => loop");
+  const auto want = view->inclusive_series(loop, time).to_vector();
+
+  // One thread derives a metric on a get() copy (its add_metric copies
+  // the borrowed columns out of the shared mapping) while another keeps
+  // reading the view it already holds.
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::thread reader([&] {
+    while (!done.load()) {
+      if (view->inclusive_series(loop, time).to_vector() != want) {
+        ++mismatches;
+      }
+    }
+  });
+  const auto copy = attached.get("app", "exp", "shared");
+  const auto derived = pk::analysis::derive_metric(
+      *copy, "TIME", "CPU_CYCLES", pk::analysis::DeriveOp::kAdd);
+  done = true;
+  reader.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(view->metric_count(), 2u);
+  EXPECT_EQ(view->inclusive_series(loop, time).to_vector(), want);
+  EXPECT_EQ(copy->metric_count(), 3u);
+  EXPECT_FALSE(copy->image());
+  EXPECT_DOUBLE_EQ(copy->inclusive(1, loop, derived), 91.0);
+  // The entry now serves the copy; the snapshot on disk is untouched.
+  EXPECT_EQ(attached.view("app", "exp", "shared"), copy);
+  EXPECT_EQ(read_bytes(), snapshot);
 }
 
 // ---- incremental save --------------------------------------------------
@@ -659,6 +715,42 @@ TEST(RepositoryIncrementalSave, LegacyOrdinalNamesSurvive) {
   EXPECT_TRUE(snapshot_ids(dir.path()).at("t2") == ids.at("t2"));
   EXPECT_EQ(count_files(dir.path(), ".pkb"), 4u);
   EXPECT_EQ(Repository::load(dir.path()).trial_count(), 4u);
+}
+
+TEST(RepositoryIncrementalSave, RePutOfALegacyNamedTrialRewritesItInPlace) {
+  TempDir dir;
+  fs::create_directories(dir.path() / "shard-03");
+  {
+    std::ofstream index(dir.path() / "index.tsv");
+    for (int i = 0; i < 2; ++i) {
+      const std::string name = "t" + std::to_string(i);
+      const std::string rel = "shard-03/" + name + "_" + std::to_string(i) +
+                              ".pkb";
+      pk::io::save_trial(*make_trial(name), dir.path() / rel, "pkb");
+      index << "app\texp\t" << name << '\t' << rel << '\n';
+    }
+  }
+  const auto files = [&] {
+    std::set<std::string> out;
+    for (const auto& e : fs::recursive_directory_iterator(dir.path())) {
+      if (e.is_regular_file()) {
+        out.insert(fs::relative(e.path(), dir.path()).string());
+      }
+    }
+    return out;
+  };
+  const auto names = read_index(dir.path());
+  const auto before = files();
+
+  Repository attached = Repository::attach(dir.path());
+  attached.put("app", "exp", make_trial("t1", 3));
+  attached.save(dir.path());
+
+  EXPECT_EQ(files(), before);
+  EXPECT_EQ(read_index(dir.path()), names);
+  EXPECT_EQ(
+      Repository::load(dir.path()).get("app", "exp", "t1")->thread_count(),
+      3u);
 }
 
 TEST(RepositoryIncrementalSave, FailedSnapshotWriteLeavesTheOldIndex) {

@@ -1,6 +1,8 @@
-// Tests for the PKB binary columnar snapshot format and its mmap-backed
-// view: text/binary differential round-trips over the shipped corpora,
-// structural corruption diagnostics, and PkbView materialization semantics.
+// Tests for the PKB binary columnar snapshot format and the trials that
+// borrow their columns from a PKB image: text/binary differential
+// round-trips over the shipped corpora, byte-exact writes whatever order
+// a trial was built in, structural corruption diagnostics, and
+// copy-on-write semantics of borrowed columns.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -16,15 +18,13 @@
 #include "perfdmf/csv_format.hpp"
 #include "perfdmf/json_format.hpp"
 #include "perfdmf/pkb_format.hpp"
-#include "perfdmf/pkb_view.hpp"
 #include "perfdmf/snapshot.hpp"
 #include "perfdmf/tau_format.hpp"
 
 namespace pk = perfknow;
 namespace fs = std::filesystem;
-using pk::perfdmf::PkbView;
+using pk::perfdmf::Verify;
 using pk::profile::Trial;
-using pk::profile::TrialView;
 
 namespace {
 
@@ -51,7 +51,7 @@ Trial make_trial(const std::string& name, std::size_t threads = 3) {
 }
 
 // Exact structural + value equality between two trial surfaces.
-void expect_trials_equal(const TrialView& a, const TrialView& b) {
+void expect_trials_equal(const Trial& a, const Trial& b) {
   EXPECT_EQ(a.name(), b.name());
   ASSERT_EQ(a.thread_count(), b.thread_count());
   ASSERT_EQ(a.event_count(), b.event_count());
@@ -90,6 +90,16 @@ std::string read_file(const fs::path& p) {
   std::ostringstream ss;
   ss << is.rdbuf();
   return std::move(ss).str();
+}
+
+void write_file(const fs::path& p, const std::string& bytes) {
+  std::ofstream os(p, std::ios::binary);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Deterministic cell values for the build-order tests.
+double value(std::size_t th, std::size_t e, std::size_t m) {
+  return static_cast<double>(th * 1000 + e * 10 + m) + 0.5;
 }
 
 class TempDir {
@@ -137,8 +147,8 @@ TEST(PkbFormat, RoundTripEmptyAndZeroThreadTrials) {
 }
 
 // The differential test the format ships with: every committed text
-// corpus input that parses becomes Trial -> PKB -> PkbView -> Trial and
-// must survive byte-identically.
+// corpus input that parses becomes Trial -> PKB -> Trial, both parsed in
+// memory and opened from a file, and must survive exactly.
 TEST(PkbFormat, DifferentialRoundTripOverShippedCorpora) {
   std::vector<Trial> trials;
   for (const auto& entry : fs::directory_iterator(corpus_dir("tau"))) {
@@ -165,14 +175,13 @@ TEST(PkbFormat, DifferentialRoundTripOverShippedCorpora) {
   trials.push_back(make_trial("synthetic", 8));
   ASSERT_GT(trials.size(), 3u);
 
+  TempDir dir;
+  const fs::path file = dir.path() / "corpus.pkb";
   for (const Trial& t : trials) {
     const std::string bytes = pk::perfdmf::to_pkb(t);
-    // Materializing parse.
     expect_trials_equal(t, pk::perfdmf::parse_pkb(bytes));
-    // Lazy view, then a materialized copy of it.
-    PkbView view = PkbView::from_bytes(bytes, PkbView::Verify::kFull);
-    expect_trials_equal(t, view);
-    expect_trials_equal(t, view.materialize());
+    write_file(file, bytes);
+    expect_trials_equal(t, pk::perfdmf::open_pkb(file, Verify::kSchema));
   }
 }
 
@@ -187,11 +196,79 @@ TEST(PkbFormat, CommittedCorpusSeedsParse) {
   EXPECT_GE(parsed, 3u);
 }
 
-// ---- lazy view ---------------------------------------------------------
+// ---- one layout, whatever the build order -------------------------------
 
-TEST(PkbView, ServesSeriesWithoutMaterializing) {
+TEST(PkbFormat, BuildOrderDoesNotChangeTheBytes) {
+  constexpr std::size_t kThreads = 5;
+  constexpr std::size_t kEvents = 37;  // crosses several capacity doublings
+  const auto fill = [](Trial& t) {
+    for (std::size_t th = 0; th < kThreads; ++th) {
+      for (pk::profile::EventId e = 0; e < kEvents; ++e) {
+        for (pk::profile::MetricId m = 0; m < 2; ++m) {
+          t.set_inclusive(th, e, m, value(th, e, m));
+          t.set_exclusive(th, e, m, -value(th, e, m));
+        }
+        t.set_calls(th, e, value(th, e, 7), value(th, e, 8));
+      }
+    }
+  };
+  const auto add_events = [](Trial& t, std::size_t from, std::size_t to) {
+    for (std::size_t e = from; e < to; ++e) {
+      t.add_event("ev" + std::to_string(e),
+                  e == 0 ? pk::profile::kNoEvent : 0, "LOOP");
+    }
+  };
+
+  Trial threads_first("order");
+  threads_first.set_thread_count(kThreads);
+  threads_first.add_metric("TIME", "usec");
+  threads_first.add_metric("CYC");
+  add_events(threads_first, 0, kEvents);
+  fill(threads_first);
+
+  Trial schema_first("order");
+  schema_first.add_metric("TIME", "usec");
+  schema_first.add_metric("CYC");
+  add_events(schema_first, 0, kEvents);
+  schema_first.set_thread_count(kThreads);
+  fill(schema_first);
+
+  // As the CSV reader builds: threads grow row by row, interleaved with
+  // the events each row names, and a metric arrives late.
+  Trial csv_style("order");
+  csv_style.add_metric("TIME", "usec");
+  for (std::size_t th = 0; th < kThreads; ++th) {
+    csv_style.set_thread_count(th + 1);
+    add_events(csv_style, th * kEvents / kThreads,
+               (th + 1) * kEvents / kThreads);
+    if (th == 2) csv_style.add_metric("CYC");
+  }
+  fill(csv_style);
+
+  const std::string bytes = pk::perfdmf::to_pkb(threads_first);
+  EXPECT_EQ(pk::perfdmf::to_pkb(schema_first), bytes);
+  EXPECT_EQ(pk::perfdmf::to_pkb(csv_style), bytes);
+  expect_trials_equal(threads_first, pk::perfdmf::parse_pkb(bytes));
+}
+
+TEST(PkbFormat, ParseThenWriteReproducesTheInput) {
+  std::vector<std::string> images{pk::perfdmf::to_pkb(make_trial("again")),
+                                  pk::perfdmf::to_pkb(Trial("empty"))};
+  for (const auto& entry : fs::directory_iterator(corpus_dir("pkb"))) {
+    images.push_back(read_file(entry.path()));
+  }
+  for (const std::string& bytes : images) {
+    const Trial t = pk::perfdmf::parse_pkb(bytes);
+    EXPECT_EQ(pk::perfdmf::to_pkb(t), bytes) << t.name();
+  }
+}
+
+// ---- borrowed columns --------------------------------------------------
+
+TEST(PkbOpen, ServesSeriesFromTheBorrowedImage) {
   const Trial t = make_trial("lazy", 5);
-  PkbView view = PkbView::from_bytes(pk::perfdmf::to_pkb(t));
+  const Trial view = pk::perfdmf::parse_pkb(pk::perfdmf::to_pkb(t));
+  ASSERT_TRUE(view.image());  // columns point into the parsed bytes
 
   const auto m = view.metric_id("TIME");
   const auto e = view.event_id("main => loop");
@@ -200,21 +277,20 @@ TEST(PkbView, ServesSeriesWithoutMaterializing) {
   EXPECT_EQ(got, want);
   EXPECT_EQ(view.exclusive_series(e, m).to_vector(),
             t.exclusive_series(e, m).to_vector());
-  // Derived helpers work off the primitives.
   EXPECT_EQ(view.mean_inclusive(e, m), t.mean_inclusive(e, m));
   EXPECT_EQ(view.main_event(), t.main_event());
   EXPECT_EQ(view.children_of(view.event_id("main")).size(), 1u);
 }
 
-TEST(PkbView, OpenFromFileAndBoundsChecks) {
+TEST(PkbOpen, OpenFromFileAndBoundsChecks) {
   TempDir dir;
   const Trial t = make_trial("on disk");
   const fs::path file = dir.path() / "trial.pkb";
   pk::io::save_trial(t, file);
 
-  PkbView view = PkbView::open(file);
-  EXPECT_EQ(view.path(), file);
-  EXPECT_EQ(view.byte_size(), fs::file_size(file));
+  const Trial view = pk::perfdmf::open_pkb(file, Verify::kSchema);
+  ASSERT_TRUE(view.image());
+  EXPECT_EQ(view.image()->size(), fs::file_size(file));
   expect_trials_equal(t, view);
   EXPECT_THROW((void)view.inclusive(99, 0, 0), pk::InvalidArgumentError);
   EXPECT_THROW((void)view.inclusive(0, 99, 0), pk::InvalidArgumentError);
@@ -222,14 +298,32 @@ TEST(PkbView, OpenFromFileAndBoundsChecks) {
   EXPECT_THROW((void)view.event(99), pk::InvalidArgumentError);
 }
 
-TEST(PkbView, MaterializedCopyLeavesViewUntouched) {
+TEST(PkbOpen, CopiesOwnTheirColumnsOnFirstWrite) {
   const Trial t = make_trial("copied");
-  const PkbView view = PkbView::from_bytes(pk::perfdmf::to_pkb(t));
-  Trial copy = view.materialize();
-  expect_trials_equal(t, copy);
-  // Edits to the copy never reach readers of the view.
+  const Trial view = pk::perfdmf::parse_pkb(pk::perfdmf::to_pkb(t));
+  Trial copy = view;
+  EXPECT_EQ(copy.image(), view.image());  // a copy shares the image
+  // Metadata and name edits keep borrowing...
+  copy.set_metadata("note", "edited");
+  copy.set_name("renamed");
+  EXPECT_EQ(copy.image(), view.image());
+  // ...the first value write takes owned columns, and the original
+  // never sees it.
   copy.set_inclusive(0, 0, 0, -1.0);
+  EXPECT_FALSE(copy.image());
+  EXPECT_TRUE(view.image());
+  EXPECT_EQ(copy.inclusive(0, 0, 0), -1.0);
   EXPECT_EQ(view.inclusive(0, 0, 0), t.inclusive(0, 0, 0));
+  EXPECT_EQ(copy.inclusive(2, 1, 1), t.inclusive(2, 1, 1));
+
+  // Schema growth owns too, and keeps every value.
+  Trial grown = view;
+  const auto extra = grown.add_event("main => extra");
+  grown.set_thread_count(view.thread_count() + 2);
+  EXPECT_FALSE(grown.image());
+  EXPECT_EQ(grown.inclusive(2, 1, 1), t.inclusive(2, 1, 1));
+  EXPECT_EQ(grown.inclusive(4, extra, 0), 0.0);
+  EXPECT_EQ(grown.calls(1, 2).calls, t.calls(1, 2).calls);
 }
 
 // ---- corruption --------------------------------------------------------
@@ -274,31 +368,44 @@ TEST(PkbCorruption, ChecksumMismatchNamesByteOffset) {
   }
 }
 
-TEST(PkbCorruption, SchemaOnlyVerifySkipsColumnsButMaterializeChecks) {
+TEST(PkbCorruption, SchemaOnlyOpenSkipsColumnsButFullOpenChecks) {
+  TempDir dir;
   std::string bytes = pk::perfdmf::to_pkb(make_trial("lazy crc"));
   bytes[bytes.size() - 32] ^= 0x01;
-  // Opening the view is O(schema): the flipped column byte goes unseen...
-  PkbView view = PkbView::from_bytes(bytes, PkbView::Verify::kSchema);
+  const fs::path file = dir.path() / "lazy.pkb";
+  write_file(file, bytes);
+  // A schema-only open is O(schema): the flipped column byte goes
+  // unseen...
+  const Trial view = pk::perfdmf::open_pkb(file, Verify::kSchema);
   EXPECT_EQ(view.name(), "lazy crc");
-  // ...full verification and materialization both catch it.
-  EXPECT_THROW((void)PkbView::from_bytes(bytes, PkbView::Verify::kFull),
+  // ...full verification and the in-memory parse both catch it.
+  EXPECT_THROW((void)pk::perfdmf::open_pkb(file, Verify::kFull),
                pk::ParseError);
-  EXPECT_THROW((void)view.materialize(), pk::ParseError);
+  EXPECT_THROW((void)pk::perfdmf::parse_pkb(bytes), pk::ParseError);
 }
 
-TEST(PkbCorruption, VerifyColumnsUpgradesSchemaOnlyViews) {
+TEST(PkbCorruption, VerifyPkbColumnsChecksSchemaOnlyOpens) {
+  TempDir dir;
   std::string bytes = pk::perfdmf::to_pkb(make_trial("upgrade"));
-  const PkbView ok = PkbView::from_bytes(bytes, PkbView::Verify::kSchema);
-  EXPECT_NO_THROW(ok.verify_columns());
+  const fs::path good = dir.path() / "good.pkb";
+  write_file(good, bytes);
+  EXPECT_NO_THROW(pk::perfdmf::verify_pkb_columns(
+      pk::perfdmf::open_pkb(good, Verify::kSchema)));
   bytes[bytes.size() - 32] ^= 0x01;
-  const PkbView bad = PkbView::from_bytes(bytes, PkbView::Verify::kSchema);
+  const fs::path bad = dir.path() / "bad.pkb";
+  write_file(bad, bytes);
+  const Trial view = pk::perfdmf::open_pkb(bad, Verify::kSchema);
   try {
-    bad.verify_columns();
+    pk::perfdmf::verify_pkb_columns(view);
     FAIL() << "corrupt columns passed verification";
   } catch (const pk::ParseError& e) {
     EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
         << e.what();
   }
+  // A trial that owns its columns has nothing left to check.
+  Trial owned = view;
+  owned.set_inclusive(0, 0, 0, 1.0);
+  EXPECT_NO_THROW(pk::perfdmf::verify_pkb_columns(owned));
 }
 
 TEST(PkbCorruption, OversizedDimensionsAreRejectedBeforeAllocation) {
@@ -351,18 +458,9 @@ TEST(PkbCorruption, LoadErrorsNameTheFile) {
              static_cast<std::streamsize>(truncated.size()));
   }
   try {
-    (void)PkbView::open(shortfile);
+    (void)pk::perfdmf::open_pkb(shortfile, Verify::kSchema);
     FAIL() << "truncated file opened";
   } catch (const pk::ParseError& e) {
     EXPECT_EQ(e.file(), shortfile.string());
   }
-}
-
-TEST(PkbFormat, WritesFromAViewAreIdentical) {
-  // write_pkb over a PkbView must produce the same bytes as over the
-  // original trial — the repository streams cached views out this way.
-  const Trial t = make_trial("restream");
-  const std::string bytes = pk::perfdmf::to_pkb(t);
-  PkbView view = PkbView::from_bytes(bytes);
-  EXPECT_EQ(pk::perfdmf::to_pkb(view), bytes);
 }

@@ -1,6 +1,9 @@
 // Unit tests for the profile data model (Trial).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+
 #include "common/error.hpp"
 #include "profile/profile.hpp"
 
@@ -153,4 +156,36 @@ TEST(Trial, Metadata) {
 TEST(Trial, BadParentInAddEventThrows) {
   Trial t("bad");
   EXPECT_THROW(t.add_event("x", 42), pk::InvalidArgumentError);
+}
+
+// Building a trial event by event after set_thread_count (what the TAU,
+// JSON and CSV readers do) must grow linearly: 4x the events costs ~4x,
+// while re-laying-out the values on every add_event would cost ~16x.
+// The bound of 8 leaves room for cache effects and a noisy host.
+TEST(Trial, BuildingThreadsFirstGrowsLinearly) {
+  constexpr std::size_t kThreads = 256;
+  const auto build_ms = [](std::size_t events) {
+    double best = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      Trial t("growth");
+      t.set_thread_count(kThreads);
+      const auto time = t.add_metric("TIME", "usec");
+      for (std::size_t e = 0; e < events; ++e) {
+        const auto id = t.add_event("ev" + std::to_string(e));
+        for (std::size_t th = 0; th < kThreads; ++th) {
+          t.set_inclusive(th, id, time, static_cast<double>(th + e));
+          t.set_exclusive(th, id, time, static_cast<double>(th));
+        }
+      }
+      const std::chrono::duration<double, std::milli> ms =
+          std::chrono::steady_clock::now() - t0;
+      if (rep == 0 || ms.count() < best) best = ms.count();
+    }
+    return best;
+  };
+  const double small = build_ms(1000);
+  const double large = build_ms(4000);
+  EXPECT_LT(large / small, 8.0)
+      << "1000 events: " << small << " ms, 4000 events: " << large << " ms";
 }

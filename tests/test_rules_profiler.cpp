@@ -14,7 +14,6 @@
 #include "io/format.hpp"
 #include "provenance/explanation.hpp"
 #include "profile/profile.hpp"
-#include "profile/trial_view.hpp"
 #include "rules/engine.hpp"
 #include "rules/fact.hpp"
 #include "rules/parser.hpp"

@@ -136,14 +136,16 @@ TEST(Wire, ErrorTaxonomyRoundTripsAndMapsExceptions) {
         wire::ErrorCode::kShuttingDown, wire::ErrorCode::kInternal}) {
     EXPECT_EQ(wire::error_code(wire::to_string(code)), code);
   }
-  EXPECT_EQ(wire::error_code(pk::InvalidArgumentError("x")),
+  const auto code_of = [](const auto& error) {
+    return wire::error_code(std::make_exception_ptr(error));
+  };
+  EXPECT_EQ(code_of(pk::InvalidArgumentError("x")),
             wire::ErrorCode::kInvalidArgument);
-  EXPECT_EQ(wire::error_code(pk::NotFoundError("x")),
-            wire::ErrorCode::kNotFound);
-  EXPECT_EQ(wire::error_code(pk::ParseError("x")),
-            wire::ErrorCode::kParse);
-  EXPECT_EQ(wire::error_code(std::runtime_error("x")),
-            wire::ErrorCode::kInternal);
+  EXPECT_EQ(code_of(pk::NotFoundError("x")), wire::ErrorCode::kNotFound);
+  EXPECT_EQ(code_of(pk::ParseError("x")), wire::ErrorCode::kParse);
+  EXPECT_EQ(code_of(wire::WireError(wire::ErrorCode::kOverloaded, "x")),
+            wire::ErrorCode::kOverloaded);
+  EXPECT_EQ(code_of(std::runtime_error("x")), wire::ErrorCode::kInternal);
   // The pkx exit-code contract: usage errors are 2, the rest 1.
   EXPECT_EQ(wire::exit_code(wire::ErrorCode::kInvalidArgument), 2);
   EXPECT_EQ(wire::exit_code(wire::ErrorCode::kNotFound), 1);
