@@ -1,5 +1,6 @@
 #include "perfdmf/repository.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -742,7 +743,20 @@ Repository Repository::open_index(const std::filesystem::path& dir,
     if (fields.size() != 4) {
       throw ParseError("repository index: expected 4 fields", lineno);
     }
+    // The index is untrusted input: a snapshot path must stay inside the
+    // repository, or a load would read (and a save write) outside it.
     const std::filesystem::path rel(fields[3]);
+    const bool escapes =
+        rel.empty() || rel.has_root_path() ||
+        std::any_of(rel.begin(), rel.end(),
+                    [](const std::filesystem::path& part) {
+                      return part == "..";
+                    });
+    if (escapes) {
+      throw ParseError("repository index: snapshot path '" + fields[3] +
+                           "' is not inside the repository",
+                       lineno, 0, "", (dir / "index.tsv").string());
+    }
     rows.push_back(Row{fields[0], fields[1], fields[2], fields[3], dir / rel,
                        rel.extension() == ".pkb"});
   }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -135,6 +137,14 @@ TauFile parse_tau_file(const std::filesystem::path& file, int node,
   }
 }
 
+// The `a` of a callpath event `a => b`, when the trial has it.
+std::optional<profile::EventId> callpath_parent(const profile::Trial& trial,
+                                                std::string_view name) {
+  const std::size_t pos = name.rfind(" => ");
+  if (pos == std::string_view::npos) return std::nullopt;
+  return trial.find_event(name.substr(0, pos));
+}
+
 // Adds one parsed per-thread file's rows to the trial at `flat_thread`,
 // creating callpath parents first so links resolve.
 void fill_trial_from(profile::Trial& trial, const TauFile& tf,
@@ -145,18 +155,59 @@ void fill_trial_from(profile::Trial& trial, const TauFile& tf,
                      return a.name.size() < b.name.size();
                    });
   for (const auto& row : rows) {
-    profile::EventId parent = profile::kNoEvent;
-    const std::size_t pos = row.name.rfind(" => ");
-    if (pos != std::string::npos) {
-      if (const auto p = trial.find_event(row.name.substr(0, pos))) {
-        parent = *p;
-      }
-    }
+    const auto parent =
+        callpath_parent(trial, row.name).value_or(profile::kNoEvent);
     const auto e = trial.add_event(row.name, parent, row.group);
     trial.set_calls(flat_thread, e, row.calls, row.subrs);
     trial.set_inclusive(flat_thread, e, metric_id, row.incl);
     trial.set_exclusive(flat_thread, e, metric_id, row.excl);
   }
+}
+
+// True when an `a => b` event was added before any file had `a`: its
+// parent only appeared in a later thread's file.
+bool has_late_parent(const profile::Trial& trial) {
+  for (const auto& ev : trial.events()) {
+    if (ev.parent == profile::kNoEvent && callpath_parent(trial, ev.name)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Copies `in` with every `a => b` linked to `a`. Parents must keep lower
+// ids than their children (PKB requires it), so each late parent is
+// added just ahead of its first child.
+profile::Trial relink_late_parents(const profile::Trial& in) {
+  profile::Trial out(in.name());
+  out.set_thread_count(in.thread_count());
+  for (const auto& m : in.metrics()) {
+    out.add_metric(m.name, m.units, m.derived);
+  }
+  std::vector<profile::EventId> id(in.event_count(), profile::kNoEvent);
+  const std::function<profile::EventId(profile::EventId)> add =
+      [&](profile::EventId e) {
+        if (id[e] == profile::kNoEvent) {
+          const auto& ev = in.event(e);
+          const auto parent = callpath_parent(in, ev.name);
+          id[e] = out.add_event(ev.name,
+                                parent ? add(*parent) : profile::kNoEvent,
+                                ev.group);
+        }
+        return id[e];
+      };
+  for (profile::EventId e = 0; e < in.event_count(); ++e) add(e);
+  for (std::size_t t = 0; t < in.thread_count(); ++t) {
+    for (profile::EventId e = 0; e < in.event_count(); ++e) {
+      const auto ci = in.calls(t, e);
+      out.set_calls(t, id[e], ci.calls, ci.subcalls);
+      for (profile::MetricId m = 0; m < in.metric_count(); ++m) {
+        out.set_inclusive(t, id[e], m, in.inclusive(t, e, m));
+        out.set_exclusive(t, id[e], m, in.exclusive(t, e, m));
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -205,6 +256,7 @@ profile::Trial read_tau_profiles(const std::filesystem::path& dir) {
     fill_trial_from(trial, tf, flat_thread, metric_id);
     ++flat_thread;
   }
+  if (has_late_parent(trial)) trial = relink_late_parents(trial);
   trial.set_metadata("source_format", "TAU");
   return trial;
 }

@@ -1,9 +1,9 @@
 // Built-in rulebases: the performance knowledge the paper captures.
 //
 // Each rulebase is the DSL source of the expert rules one case study
-// uses. They are embedded as strings (so the library needs no data-file
-// path at runtime) and also shipped as .rules files under rules/ for
-// editing — `perfknow::rules::parse_rules` accepts either.
+// uses, kept once as a file under rules/. The build embeds every
+// rules/*.rules file verbatim under its stem, so the library needs no
+// data-file path at runtime; adding a rulebase means adding a file.
 #pragma once
 
 #include <filesystem>
@@ -75,8 +75,13 @@ namespace perfknow::rules::builtin {
 /// openuh_rules() — it diagnoses the engine, not the application.
 [[nodiscard]] std::string_view rule_tuning();
 
-/// The union of all of the above — the "OpenUHRules" file of Fig. 1.
+/// The union of the nine paper rulebases above (stalls_per_cycle through
+/// openmp) — the "OpenUHRules" file of Fig. 1.
 [[nodiscard]] std::string openuh_rules();
+
+/// The names of every built-in rulebase: the stems of rules/*.rules,
+/// sorted.
+[[nodiscard]] std::vector<std::string_view> names();
 
 /// Parses one built-in rulebase into `harness`.
 void use(RuleHarness& harness, std::string_view rulebase_source);
@@ -87,8 +92,9 @@ namespace perfknow::rules {
 
 /// Resolves a rulebase name to DSL source text the way
 /// RuleHarness.useGlobalRules does: built-in names and aliases first
-/// ("openuh", "self_diagnosis", "regression", the Fig. 1
-/// "openuh/OpenUHRules.drl" spelling, ...), then a file under
+/// (every builtin::names() entry, and "openuh" with its Fig. 1 spellings
+/// "openuh/OpenUHRules.drl", "OpenUHRules.drl" and
+/// "OpenUHRules.rules"), then a file under
 /// `rules_path` (when given), then the filesystem as-is. Throws
 /// NotFoundError naming the rulebase when nothing matches. This is the
 /// one name-resolution policy shared by scripts, `pkx`, and the

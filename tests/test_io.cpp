@@ -121,6 +121,44 @@ TEST(IoOpen, DetectsTauDirectoryAndSingleProfile) {
   EXPECT_EQ(one.thread_count(), 1u);
 }
 
+TEST(IoOpen, TauParentSeenOnlyInALaterThreadFileIsLinked) {
+  TempDir dir;
+  const fs::path tau_dir = dir.path() / "late_parent";
+  fs::create_directories(tau_dir);
+  // Thread 0 names "a => b" but not "a"; only thread 1 has "a".
+  {
+    std::ofstream os(tau_dir / "profile.0.0.0");
+    os << "2 templated_functions_MULTI_TIME\n"
+       << "# Name Calls Subrs Excl Incl ProfileCalls\n"
+       << "\"main\" 1 1 5 10 0 GROUP=\"TAU_DEFAULT\"\n"
+       << "\"a => b\" 1 0 5 5 0 GROUP=\"TAU_CALLPATH\"\n";
+  }
+  {
+    std::ofstream os(tau_dir / "profile.0.0.1");
+    os << "3 templated_functions_MULTI_TIME\n"
+       << "# Name Calls Subrs Excl Incl ProfileCalls\n"
+       << "\"main\" 1 1 2 9 0 GROUP=\"TAU_DEFAULT\"\n"
+       << "\"a\" 1 1 4 7 0 GROUP=\"TAU_DEFAULT\"\n"
+       << "\"a => b\" 1 0 3 3 0 GROUP=\"TAU_CALLPATH\"\n";
+  }
+  const Trial t = pk::io::open_trial(tau_dir);
+  const auto a = t.event_id("a");
+  const auto ab = t.event_id("a => b");
+  EXPECT_EQ(t.event(ab).parent, a);
+  EXPECT_LT(a, ab);  // parents precede children, as PKB requires
+  EXPECT_EQ(t.event(ab).group, "TAU_CALLPATH");
+  const auto m = t.metric_id("TIME");
+  EXPECT_EQ(t.exclusive(0, ab, m), 5.0);
+  EXPECT_EQ(t.exclusive(1, ab, m), 3.0);
+  EXPECT_EQ(t.inclusive(1, a, m), 7.0);
+  EXPECT_EQ(t.inclusive(0, t.event_id("main"), m), 10.0);
+  EXPECT_EQ(t.calls(1, a).subcalls, 1.0);
+
+  pk::io::save_trial(t, dir.path() / "late_parent.pkb");
+  const Trial back = pk::io::open_trial(dir.path() / "late_parent.pkb");
+  EXPECT_EQ(back.event(back.event_id("a => b")).parent, back.event_id("a"));
+}
+
 TEST(IoOpen, DirectoryWithoutTauProfilesIsNotClaimed) {
   TempDir dir;
   const fs::path sub = dir.path() / "not_tau";

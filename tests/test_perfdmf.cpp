@@ -246,6 +246,39 @@ TEST(RepositoryPersistence, LegacyFlatPkprofLayoutStillLoads) {
   EXPECT_EQ(attached.get("app", "exp", "old trial")->thread_count(), 2u);
 }
 
+TEST(RepositoryPersistence, IndexPathsThatEscapeTheRepositoryAreRejected) {
+  TempDir outer;
+  const fs::path dir = outer.path() / "repo";
+  const fs::path escaped = outer.path() / "escaped.pkb";
+  for (const std::string& rel :
+       {std::string("../escaped.pkb"), escaped.string(),
+        std::string("shard-00/../../escaped.pkb"), std::string()}) {
+    fs::create_directories(dir);
+    {
+      std::ofstream index(dir / "index.tsv");
+      index << "app\texp\tkept\tkept.pkb\n"
+            << "app\texp\tt\t" << rel << '\n';
+    }
+    bool rejected = false;
+    try {
+      // Were the row accepted, re-putting "t" would save it to `rel`.
+      Repository repo = Repository::attach(dir);
+      repo.put("app", "exp", make_trial("t"));
+      repo.save(dir);
+    } catch (const pk::ParseError& e) {
+      rejected = true;
+      EXPECT_EQ(e.line(), 2) << e.what();
+      EXPECT_NE(std::string(e.what()).find("index.tsv"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(rejected) << "index path '" << rel << "' accepted";
+    EXPECT_THROW((void)Repository::load(dir), pk::ParseError) << rel;
+    EXPECT_FALSE(fs::exists(escaped)) << rel;
+    fs::remove_all(dir);
+    EXPECT_TRUE(fs::is_empty(outer.path())) << rel;
+  }
+}
+
 TEST(RepositoryPersistence, LoadNamesTheFailingSnapshotFile) {
   TempDir dir;
   Repository repo;

@@ -1,7 +1,9 @@
-// Guards the shipped rules/*.rules files against drifting from the
-// embedded rulebases (they are generated from the same strings).
+// The shipped rules/*.rules files are the only source of the built-in
+// rulebases: the build embeds each one verbatim under its stem. These
+// tests hold the embedded table to the directory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -20,37 +22,73 @@ namespace {
 fs::path rules_dir() { return fs::path(PERFKNOW_SOURCE_DIR) / "rules"; }
 
 std::string slurp(const fs::path& p) {
-  std::ifstream is(p);
+  std::ifstream is(p, std::ios::binary);
   std::ostringstream ss;
   ss << is.rdbuf();
   return ss.str();
 }
 
+std::vector<std::string> rule_file_stems() {
+  std::vector<std::string> stems;
+  for (const auto& entry : fs::directory_iterator(rules_dir())) {
+    if (entry.path().extension() == ".rules") {
+      stems.push_back(entry.path().stem().string());
+    }
+  }
+  std::sort(stems.begin(), stems.end());
+  return stems;
+}
+
 }  // namespace
 
-TEST(ShippedRules, FilesExistParseAndMatchBuiltins) {
-  const std::vector<std::pair<std::string, std::string>> files = {
-      {"stalls_per_cycle.rules", std::string(rb::stalls_per_cycle())},
-      {"load_imbalance.rules", std::string(rb::load_imbalance())},
-      {"inefficiency.rules", std::string(rb::inefficiency())},
-      {"stall_coverage.rules", std::string(rb::stall_coverage())},
-      {"memory_locality.rules", std::string(rb::memory_locality())},
-      {"power.rules", std::string(rb::power())},
-      {"communication.rules", std::string(rb::communication())},
-      {"instrumentation.rules", std::string(rb::instrumentation())},
-      {"openmp.rules", std::string(rb::openmp())},
-      {"self_diagnosis.rules", std::string(rb::self_diagnosis())},
-      {"regression.rules", std::string(rb::regression())},
-      {"rule_tuning.rules", std::string(rb::rule_tuning())},
-      {"OpenUHRules.rules", rb::openuh_rules()},
-  };
-  for (const auto& [name, builtin] : files) {
-    const auto path = rules_dir() / name;
-    ASSERT_TRUE(fs::exists(path)) << path;
-    const auto content = slurp(path);
-    EXPECT_EQ(content, builtin) << name << " drifted from the builtin";
-    EXPECT_GE(pk::rules::load_rules(path).size(), 1u) << name;
+TEST(ShippedRules, EveryFileResolvesToItsExactBytesAndParses) {
+  const auto stems = rule_file_stems();
+  ASSERT_FALSE(stems.empty());
+  for (const auto& stem : stems) {
+    const auto source = pk::rules::resolve_rulebase(stem);
+    EXPECT_EQ(source, slurp(rules_dir() / (stem + ".rules"))) << stem;
+    EXPECT_GE(pk::rules::parse_rules(source, stem).size(), 1u) << stem;
   }
+}
+
+TEST(ShippedRules, TableHasNoEntryWithoutAFile) {
+  const auto names = rb::names();
+  EXPECT_EQ(std::vector<std::string>(names.begin(), names.end()),
+            rule_file_stems());
+}
+
+TEST(ShippedRules, DeclaredAccessorsEqualTheirFiles) {
+  const std::vector<std::pair<std::string, std::string_view>> accessors = {
+      {"stalls_per_cycle", rb::stalls_per_cycle()},
+      {"load_imbalance", rb::load_imbalance()},
+      {"inefficiency", rb::inefficiency()},
+      {"stall_coverage", rb::stall_coverage()},
+      {"memory_locality", rb::memory_locality()},
+      {"power", rb::power()},
+      {"communication", rb::communication()},
+      {"instrumentation", rb::instrumentation()},
+      {"openmp", rb::openmp()},
+      {"self_diagnosis", rb::self_diagnosis()},
+      {"regression", rb::regression()},
+      {"rule_tuning", rb::rule_tuning()},
+  };
+  for (const auto& [stem, source] : accessors) {
+    EXPECT_EQ(source, slurp(rules_dir() / (stem + ".rules"))) << stem;
+  }
+}
+
+TEST(ShippedRules, OpenUhIsTheNinePaperFilesConcatenated) {
+  std::string expected;
+  for (const char* stem :
+       {"stalls_per_cycle", "load_imbalance", "inefficiency",
+        "stall_coverage", "memory_locality", "power", "communication",
+        "instrumentation", "openmp"}) {
+    expected += slurp(rules_dir() / (std::string(stem) + ".rules"));
+  }
+  EXPECT_EQ(rb::openuh_rules(), expected);
+  EXPECT_EQ(pk::rules::resolve_rulebase("OpenUHRules.rules"), expected);
+  EXPECT_EQ(pk::rules::resolve_rulebase("openuh/OpenUHRules.drl"), expected);
+  EXPECT_FALSE(fs::exists(rules_dir() / "OpenUHRules.rules"));
 }
 
 // Diagnosis::to_string() is rendered into reports and example output;
