@@ -6,7 +6,7 @@
 // required for the gate.
 //
 // Usage:
-//   fuzz_smoke --frontend tau|csv|json|rules|perfscript
+//   fuzz_smoke --frontend tau|csv|json|rules|perfscript|pkb|explain|wire
 //              --corpus <dir> [--mutations N] [--seed S]
 //
 // Exit code 0 iff zero contract violations.
@@ -21,7 +21,8 @@ namespace {
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --frontend tau|csv|json|rules|perfscript "
+               "usage: %s --frontend "
+               "tau|csv|json|rules|perfscript|pkb|explain|wire "
                "--corpus <dir> [--mutations N] [--seed S]\n",
                argv0);
 }

@@ -1,0 +1,26 @@
+#include "common/file.hpp"
+
+#include <fstream>
+
+#include "common/error.hpp"
+
+namespace perfknow {
+
+std::string read_file_bytes(const std::filesystem::path& path,
+                            const std::string& what) {
+  std::error_code ec;
+  if (std::filesystem::is_directory(path, ec)) {
+    throw IoError(what + ": " + path.string());
+  }
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  if (!is) throw IoError(what + ": " + path.string());
+  const std::streamoff size = is.tellg();
+  if (size < 0) throw IoError(what + ": " + path.string());
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  is.seekg(0);
+  is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!is) throw IoError("read failed: " + path.string());
+  return bytes;
+}
+
+}  // namespace perfknow

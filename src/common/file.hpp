@@ -1,0 +1,16 @@
+// Whole-file reads for the text and binary readers: one sized read into
+// one buffer, which the parsers then scan in place.
+#pragma once
+
+#include <filesystem>
+#include <string>
+
+namespace perfknow {
+
+/// The bytes of `path`, read with one sized read. Throws IoError
+/// "<what>: <path>" when it is not a readable regular file.
+[[nodiscard]] std::string read_file_bytes(
+    const std::filesystem::path& path,
+    const std::string& what = "cannot open for reading");
+
+}  // namespace perfknow

@@ -1,9 +1,15 @@
-// A minimal JSON value model and recursive-descent parser shared by
-// every JSON front end (trial JSON, explanation JSON re-import,
-// Google-Benchmark trial conversion, the perfknow.api/1 wire envelope),
-// so they all fail the same way: malformed input raises ParseError with
-// a line/column/excerpt diagnostic, never a crash (the `json` and
-// `explain` fuzz front ends exercise it).
+// The one JSON parser, shared by every JSON front end (trial JSON,
+// explanation JSON re-import, Google-Benchmark trial conversion, the
+// perfknow.api/1 wire envelope), so they all fail the same way: malformed
+// input raises ParseError with a line/column/excerpt diagnostic, never a
+// crash (the `json`, `explain` and `wire` fuzz front ends exercise it).
+//
+// It has two layers. Tokenizer is a pull tokenizer: it validates the
+// document as it goes and hands out one token at a time, so a reader
+// with a schema (perfdmf/json_format.cpp) can stream a multi-megabyte
+// trial straight into its columns without materializing anything.
+// parse() builds a small DOM (Value) on top of it for the readers that
+// want random access to a short document.
 //
 // This is deliberately not a general JSON library: numbers are doubles,
 // object member order is preserved (no map), duplicate keys are kept and
@@ -11,11 +17,96 @@
 // readers need and nothing more.
 #pragma once
 
+#include <bitset>
+#include <cstddef>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace perfknow::json {
+
+/// Pulls the tokens of one JSON value out of a byte buffer, checking
+/// the grammar as it goes. Nesting is capped at 96 levels; malformed
+/// input throws ParseError carrying the 1-based line/column and a source
+/// excerpt of the buffer.
+class Tokenizer {
+ public:
+  enum class Token : std::uint8_t {
+    kBeginObject,
+    kEndObject,
+    kBeginArray,
+    kEndArray,
+    kKey,  ///< an object member's key; text() holds it
+    kString,
+    kNumber,
+    kTrue,
+    kFalse,
+    kNull,
+    kEnd,  ///< the document is complete and nothing but whitespace follows
+  };
+
+  /// Tokenizes the value that starts at byte `pos` of `src` (after
+  /// optional whitespace). Locations in errors are always relative to
+  /// the start of `src`, so a reader can revisit a value at an offset an
+  /// earlier pass recorded (token_start()).
+  explicit Tokenizer(std::string_view src, std::size_t pos = 0)
+      : src_(src), pos_(pos) {}
+
+  /// The next token. After the outermost value closes, next() checks
+  /// that only whitespace remains and returns kEnd.
+  Token next();
+
+  /// After kBeginObject / kBeginArray: consumes everything up to and
+  /// including the matching close. A no-op after any other token.
+  void skip(Token current);
+  /// Consumes tokens until no more than `depth` containers are open.
+  void skip_to(std::size_t depth);
+
+  /// kKey / kString: the unescaped text. Valid until the next call.
+  [[nodiscard]] std::string_view text() const noexcept { return text_; }
+  /// kNumber: the value.
+  [[nodiscard]] double number() const noexcept { return number_; }
+  /// Byte offset at which the last token returned by next() starts.
+  [[nodiscard]] std::size_t token_start() const noexcept { return start_; }
+
+  /// Throws ParseError(msg) located at the current position.
+  [[noreturn]] void fail(const std::string& msg) const;
+
+ private:
+  enum class State : std::uint8_t {
+    kValue,        // a value must come next
+    kArrayFirst,   // just after '['
+    kObjectFirst,  // just after '{'
+    kObjectKey,    // a member key must come next
+    kAfterValue,   // ',' or a close, or the end of the document
+    kDone,         // the outermost value has closed
+  };
+
+  static constexpr std::size_t kMaxDepth = 96;
+
+  Token read_value();
+  void read_number();
+  void read_string();
+  void skip_ws();
+  char peek();
+  void close() {
+    --depth_;
+    state_ = State::kAfterValue;
+  }
+
+  std::string_view src_;
+  std::size_t pos_ = 0;
+  std::size_t start_ = 0;
+  State state_ = State::kValue;
+  /// Open containers; object_[i] is set when the i-th is an object.
+  std::size_t depth_ = 0;
+  std::bitset<kMaxDepth> object_;
+  std::string_view text_;
+  std::string unescaped_;
+  double number_ = 0.0;
+};
 
 struct Value {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -27,18 +118,23 @@ struct Value {
   std::vector<std::pair<std::string, Value>> members;
 
   /// First member with the given key, or nullptr. Object kind only.
-  [[nodiscard]] const Value* find(const std::string& key) const {
+  [[nodiscard]] const Value* find(std::string_view key) const {
     for (const auto& [k, v] : members) {
+      if (k == key) return &v;
+    }
+    return nullptr;
+  }
+  [[nodiscard]] Value* find(std::string_view key) {
+    for (auto& [k, v] : members) {
       if (k == key) return &v;
     }
     return nullptr;
   }
 };
 
-/// Parses a complete JSON document (trailing characters are an error).
-/// Nesting is capped at 96 levels; malformed input throws ParseError
-/// carrying the 1-based line/column and a source excerpt.
-[[nodiscard]] Value parse(const std::string& src);
+/// Parses a complete JSON document (trailing characters are an error)
+/// into a DOM, with Tokenizer's limits and diagnostics.
+[[nodiscard]] Value parse(std::string_view src);
 
 // ---- writer primitives -------------------------------------------------
 // The inverse half, shared by every JSON producer (provenance

@@ -27,23 +27,29 @@ std::vector<std::string> split_whitespace(std::string_view s) {
   std::vector<std::string> out;
   std::size_t i = 0;
   while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) {
-      ++i;
-    }
+    while (i < s.size() && is_space(s[i])) ++i;
     const std::size_t start = i;
-    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) {
-      ++i;
-    }
+    while (i < s.size() && !is_space(s[i])) ++i;
     if (i > start) out.emplace_back(s.substr(start, i - start));
   }
   return out;
 }
 
+bool next_line(std::string_view text, std::size_t& pos,
+               std::string_view& line) {
+  if (pos >= text.size()) return false;
+  const std::size_t nl = text.find('\n', pos);
+  const std::size_t end = nl == std::string_view::npos ? text.size() : nl;
+  line = text.substr(pos, end - pos);
+  pos = end + 1;
+  return true;
+}
+
 std::string_view trim(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (b < e && is_space(s[b])) ++b;
+  while (e > b && is_space(s[e - 1])) --e;
   return s.substr(b, e - b);
 }
 

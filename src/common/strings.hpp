@@ -8,11 +8,23 @@
 
 namespace perfknow::strings {
 
+/// std::isspace in the "C" locale (space, \t, \n, \v, \f, \r), inline:
+/// the text readers test every byte with it.
+[[nodiscard]] constexpr bool is_space(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
 /// Splits on a single character; adjacent delimiters yield empty fields.
 [[nodiscard]] std::vector<std::string> split(std::string_view s, char delim);
 
 /// Splits on arbitrary whitespace runs; never yields empty fields.
 [[nodiscard]] std::vector<std::string> split_whitespace(std::string_view s);
+
+/// Reads the line that starts at byte `pos` of `text`, without its
+/// '\n', into `line` and moves `pos` past it. Returns false once `text`
+/// is exhausted; the lines are exactly those std::getline yields.
+bool next_line(std::string_view text, std::size_t& pos,
+               std::string_view& line);
 
 /// Strips leading and trailing whitespace.
 [[nodiscard]] std::string_view trim(std::string_view s);

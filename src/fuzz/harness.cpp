@@ -46,6 +46,7 @@ const char* frontend_name(Frontend fe) {
     case Frontend::kScript: return "perfscript";
     case Frontend::kPkb: return "pkb";
     case Frontend::kExplain: return "explain";
+    case Frontend::kWire: return "wire";
   }
   return "unknown";
 }

@@ -23,17 +23,20 @@
 namespace perfknow::fuzz {
 
 /// The front ends under contract: five text formats, the PKB binary
-/// snapshot format, and the explanation-JSON form behind
-/// `pkx explain --from`.
-enum class Frontend { kTau, kCsv, kJson, kRules, kScript, kPkb, kExplain };
+/// snapshot format, the explanation-JSON form behind
+/// `pkx explain --from`, and the `pkx serve` request line.
+enum class Frontend {
+  kTau, kCsv, kJson, kRules, kScript, kPkb, kExplain, kWire
+};
 
 inline constexpr Frontend kAllFrontends[] = {
-    Frontend::kTau, Frontend::kCsv, Frontend::kJson, Frontend::kRules,
-    Frontend::kScript, Frontend::kPkb, Frontend::kExplain};
+    Frontend::kTau,    Frontend::kCsv, Frontend::kJson,
+    Frontend::kRules,  Frontend::kScript, Frontend::kPkb,
+    Frontend::kExplain, Frontend::kWire};
 
 /// Short name used for corpus directories, regression-file prefixes and
 /// the fuzz_smoke --frontend flag: tau, csv, json, rules, perfscript,
-/// pkb, explain.
+/// pkb, explain, wire.
 [[nodiscard]] const char* frontend_name(Frontend fe);
 [[nodiscard]] std::optional<Frontend> frontend_from_name(
     const std::string& name);

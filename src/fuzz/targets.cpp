@@ -1,7 +1,6 @@
 #include "fuzz/targets.hpp"
 
-#include <sstream>
-
+#include "common/error.hpp"
 #include "perfdmf/csv_format.hpp"
 #include "perfdmf/json_format.hpp"
 #include "perfdmf/pkb_format.hpp"
@@ -9,6 +8,7 @@
 #include "provenance/explanation.hpp"
 #include "rules/parser.hpp"
 #include "script/ast.hpp"
+#include "server/wire.hpp"
 
 namespace perfknow::fuzz {
 
@@ -16,14 +16,10 @@ FuzzTarget target(Frontend fe) {
   switch (fe) {
     case Frontend::kTau:
       return [](const std::string& in) {
-        std::istringstream is(in);
-        (void)perfdmf::read_tau_stream(is, "fuzz");
+        (void)perfdmf::read_tau_stream(in, "fuzz");
       };
     case Frontend::kCsv:
-      return [](const std::string& in) {
-        std::istringstream is(in);
-        (void)perfdmf::read_csv_long(is);
-      };
+      return [](const std::string& in) { (void)perfdmf::read_csv_long(in); };
     case Frontend::kJson:
       return [](const std::string& in) { (void)perfdmf::from_json(in); };
     case Frontend::kRules:
@@ -37,6 +33,18 @@ FuzzTarget target(Frontend fe) {
     case Frontend::kExplain:
       return [](const std::string& in) {
         (void)provenance::explanations_from_json(in);
+      };
+    case Frontend::kWire:
+      return [](const std::string& in) {
+        try {
+          const auto req = server::wire::parse_request(in);
+          const json::Value* body = req.params.find("body");
+          if (body != nullptr && body->kind == json::Value::Kind::kString) {
+            (void)server::wire::base64_decode(body->text);
+          }
+        } catch (const server::wire::WireError& e) {
+          throw ParseError(std::string("wire: ") + e.what());
+        }
       };
   }
   return [](const std::string&) {};
@@ -99,6 +107,12 @@ const std::vector<std::string>& dictionary(Frontend fe) {
       "\"fields\":", "\"origin\":", "\"lineage\":", "\"derived_from\":",
       "null", "true", "false", "\\u0022", "\\\\", "1e308", "-0.5",
   };
+  static const std::vector<std::string> kWireDict = {
+      "{", "}", "\"api\":", "\"perfknow.api/1\"", "\"id\":", "\"method\":",
+      "\"params\":", "\"upload\"", "\"analyze\"", "\"ping\"",
+      "\"body\":", "\"application\":", "\"experiment\":", "null",
+      "\"QUJD\"", "==", "=", "\\n", "+/", "\\u0041",
+  };
   switch (fe) {
     case Frontend::kTau: return kTauDict;
     case Frontend::kCsv: return kCsvDict;
@@ -107,6 +121,7 @@ const std::vector<std::string>& dictionary(Frontend fe) {
     case Frontend::kScript: return kScriptDict;
     case Frontend::kPkb: return kPkbDict;
     case Frontend::kExplain: return kExplainDict;
+    case Frontend::kWire: return kWireDict;
   }
   return kTauDict;
 }

@@ -16,6 +16,10 @@ namespace perfknow::fuzz {
 ///   rules       rules::parse_rules
 ///   perfscript  script::parse_program (tokenize + parse)
 ///   pkb         perfdmf::parse_pkb (binary snapshot)
+///   explain     provenance::explanations_from_json
+///   wire        server::wire::parse_request on one request line, then
+///               base64_decode of its params.body; a WireError is the
+///               rejection, rethrown as ParseError
 [[nodiscard]] FuzzTarget target(Frontend fe);
 
 /// Keywords and structural fragments of the front end's grammar, fed to

@@ -1,11 +1,10 @@
 #include "io/bench_json.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 #include "common/error.hpp"
+#include "common/file.hpp"
 #include "common/json.hpp"
 #include "common/strings.hpp"
 #include "telemetry/telemetry.hpp"
@@ -159,14 +158,9 @@ profile::Trial trial_from_benchmark_files(
   std::map<std::string, Sample> samples;
   std::map<std::string, std::string> metadata;
   for (const auto& file : files) {
-    std::ifstream is(file);
-    if (!is) {
-      throw IoError("cannot open for reading: " + file.string());
-    }
-    std::ostringstream ss;
-    ss << is.rdbuf();
+    const std::string text = read_file_bytes(file);
     try {
-      merge_document(std::move(ss).str(), samples, metadata);
+      merge_document(text, samples, metadata);
     } catch (const ParseError& e) {
       if (e.file().empty()) throw e.with_file(file.string());
       throw;

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <sstream>
 
 #include "common/error.hpp"
+#include "common/file.hpp"
 #include "io/bench_json.hpp"
 #include "perfdmf/csv_format.hpp"
 #include "perfdmf/json_format.hpp"
@@ -17,25 +19,11 @@ namespace perfknow::io {
 
 namespace {
 
-// ---- file-level plumbing over the per-format stream primitives ---------
+// ---- plumbing over the per-format buffer primitives ----------------------
 //
-// Each format module exposes stream/string readers and writers only; the
-// registry owns opening files and attaching the file name to ParseError
-// diagnostics, so the policy lives in exactly one place.
-
-profile::Trial read_file(const std::filesystem::path& path, bool binary,
-                         profile::Trial (*parse)(std::istream&)) {
-  std::ifstream is(path, binary ? std::ios::binary : std::ios::in);
-  if (!is) {
-    throw IoError("cannot open for reading: " + path.string());
-  }
-  try {
-    return parse(is);
-  } catch (const ParseError& e) {
-    if (e.file().empty()) throw e.with_file(path.string());
-    throw;
-  }
-}
+// Each format module exposes string/buffer readers and stream writers;
+// the registry owns sniffing, naming and attaching the input's name to
+// ParseError diagnostics, so the policy lives in exactly one place.
 
 void write_file(const profile::Trial& trial,
                 const std::filesystem::path& path, bool binary,
@@ -54,10 +42,9 @@ void write_file(const profile::Trial& trial,
 // every magic/header line we match.
 constexpr std::size_t kHeadBytes = 512;
 
-std::string first_line(std::string_view head) {
+std::string_view first_line(std::string_view head) {
   const auto nl = head.find('\n');
-  return std::string(nl == std::string_view::npos ? head
-                                                  : head.substr(0, nl));
+  return nl == std::string_view::npos ? head : head.substr(0, nl);
 }
 
 // True when the filename looks like TAU's per-thread "profile.N.C.T".
@@ -78,24 +65,28 @@ bool tau_profile_filename(const std::filesystem::path& path) {
   return dots == 2 && digits >= 3;
 }
 
+// A directory is only claimed for TAU when it actually holds at least
+// one profile.N.C.T file; otherwise an unrelated directory would be
+// dispatched to the TAU reader and fail with a misleading TAU parse
+// error instead of "unrecognized profile format".
+bool tau_profile_directory(const std::filesystem::path& path) {
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(path, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    if (tau_profile_filename(it->path())) return true;
+  }
+  return false;
+}
+
 // ---- per-format hooks --------------------------------------------------
 
 bool pkb_can_read(std::string_view head, const std::filesystem::path&) {
   return head.substr(0, 4) == perfdmf::kPkbMagic;
 }
-profile::Trial pkb_read(const std::filesystem::path& path) {
-  // Read whole (ParseError offsets are absolute) into an exactly sized
-  // buffer the trial's columns then point into. Not mapped: a caller may
-  // save over the file it opened.
-  return read_file(path, /*binary=*/true, +[](std::istream& is) {
-    is.seekg(0, std::ios::end);
-    const std::streamoff size = is.tellg();
-    if (size < 0) throw ParseError("PKB: cannot determine the file size");
-    std::string bytes(static_cast<std::size_t>(size), '\0');
-    is.seekg(0);
-    is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    return perfdmf::parse_pkb(std::move(bytes));
-  });
+profile::Trial pkb_parse(std::string bytes, const std::filesystem::path&) {
+  // The trial's columns point into the adopted buffer. (Files are read,
+  // not mapped: a caller may save over the file it opened.)
+  return perfdmf::parse_pkb(std::move(bytes));
 }
 void pkb_write(const profile::Trial& trial,
                const std::filesystem::path& path) {
@@ -105,8 +96,10 @@ void pkb_write(const profile::Trial& trial,
 bool pkprof_can_read(std::string_view head, const std::filesystem::path&) {
   return head.substr(0, 7) == "PKPROF\t";
 }
-profile::Trial pkprof_read(const std::filesystem::path& path) {
-  return read_file(path, /*binary=*/false, perfdmf::read_snapshot);
+profile::Trial pkprof_parse(std::string bytes,
+                            const std::filesystem::path&) {
+  std::istringstream is(std::move(bytes));
+  return perfdmf::read_snapshot(is);
 }
 void pkprof_write(const profile::Trial& trial,
                   const std::filesystem::path& path) {
@@ -126,8 +119,9 @@ bool benchjson_can_read(std::string_view head,
   return head.find("\"context\"") != std::string_view::npos &&
          head.find("\"threads\"") == std::string_view::npos;
 }
-profile::Trial benchjson_read(const std::filesystem::path& path) {
-  return trial_from_benchmark_files({path}, path.stem().string());
+profile::Trial benchjson_parse(std::string bytes,
+                               const std::filesystem::path& name) {
+  return trial_from_benchmark_json(bytes, name.stem().string());
 }
 
 bool json_can_read(std::string_view head, const std::filesystem::path&) {
@@ -137,64 +131,39 @@ bool json_can_read(std::string_view head, const std::filesystem::path&) {
   }
   return false;
 }
-profile::Trial json_read(const std::filesystem::path& path) {
-  return read_file(path, /*binary=*/false, perfdmf::read_json);
+profile::Trial json_parse(std::string bytes, const std::filesystem::path&) {
+  return perfdmf::from_json(bytes);
 }
 void json_write(const profile::Trial& trial,
                 const std::filesystem::path& path) {
   write_file(trial, path, /*binary=*/false, perfdmf::write_json);
 }
 
-// A directory is only claimed for TAU when it actually holds at least
-// one profile.N.C.T file; otherwise an unrelated directory would be
-// dispatched to the TAU reader and fail with a misleading TAU parse
-// error instead of "unrecognized profile format".
-bool tau_profile_directory(const std::filesystem::path& path) {
-  std::error_code ec;
-  for (std::filesystem::directory_iterator it(path, ec), end;
-       !ec && it != end; it.increment(ec)) {
-    if (tau_profile_filename(it->path())) return true;
-  }
-  return false;
-}
-
-bool tau_can_read(std::string_view head, const std::filesystem::path& path) {
-  if (std::filesystem::is_directory(path)) {
-    return tau_profile_directory(path);
-  }
-  if (first_line(head).find("templated_functions") != std::string::npos) {
+bool tau_can_read(std::string_view head, const std::filesystem::path& name) {
+  if (first_line(head).find("templated_functions") !=
+      std::string_view::npos) {
     return true;
   }
-  return tau_profile_filename(path);
+  return tau_profile_filename(name);
 }
-profile::Trial tau_read(const std::filesystem::path& path) {
-  if (std::filesystem::is_directory(path)) {
-    return perfdmf::read_tau_profiles(path);
-  }
-  std::ifstream is(path);
-  if (!is) {
-    throw IoError("cannot open for reading: " + path.string());
-  }
-  try {
-    return perfdmf::read_tau_stream(is, path.filename().string());
-  } catch (const ParseError& e) {
-    if (e.file().empty()) throw e.with_file(path.string());
-    throw;
-  }
+profile::Trial tau_parse(std::string bytes,
+                         const std::filesystem::path& name) {
+  return perfdmf::read_tau_stream(bytes, name.filename().string());
 }
 
 bool csv_can_read(std::string_view head, const std::filesystem::path&) {
   // The long-format header row: all three leading column names present
   // on the first line, comma-separated.
-  const std::string line = first_line(head);
-  return line.find("event") != std::string::npos &&
-         line.find("thread") != std::string::npos &&
-         line.find("metric") != std::string::npos &&
+  const std::string_view line = first_line(head);
+  return line.find("event") != std::string_view::npos &&
+         line.find("thread") != std::string_view::npos &&
+         line.find("metric") != std::string_view::npos &&
          std::count(line.begin(), line.end(), ',') >= 2;
 }
-profile::Trial csv_read(const std::filesystem::path& path) {
-  auto trial = read_file(path, /*binary=*/false, perfdmf::read_csv_long);
-  trial.set_name(path.stem().string());
+profile::Trial csv_parse(std::string bytes,
+                         const std::filesystem::path& name) {
+  auto trial = perfdmf::read_csv_long(bytes);
+  trial.set_name(name.stem().string());
   return trial;
 }
 void csv_write(const profile::Trial& trial,
@@ -221,13 +190,58 @@ std::string writable_format_names() {
   return out;
 }
 
-// Times one format hook under a per-format span ("io.read.pkb",
-// "io.write.json", ...) so telemetry attributes parse cost by format.
-profile::Trial timed_read(const Format& f,
-                          const std::filesystem::path& file) {
+const Format& known_format(std::string_view format) {
+  const Format* f = find_format(format);
+  if (f == nullptr) {
+    throw InvalidArgumentError("unknown profile format '" +
+                               std::string(format) + "' (known formats: " +
+                               known_format_names() + ")");
+  }
+  return *f;
+}
+
+// Detects the format of an input from its first bytes, with the
+// extension of `name` as the tie-breaker.
+const Format& detect(std::string_view bytes,
+                     const std::filesystem::path& name) {
+  const std::string_view head = bytes.substr(0, kHeadBytes);
+  for (const Format& f : formats()) {
+    if (f.can_read(head, name)) return f;
+  }
+  const std::string ext = name.extension().string();
+  if (!ext.empty()) {
+    for (const Format& f : formats()) {
+      for (const std::string& e : f.extensions) {
+        if (e == ext) return f;
+      }
+    }
+  }
+  throw ParseError("unrecognized profile format (known formats: " +
+                   known_format_names() + ")")
+      .with_file(name.string());
+}
+
+// Parses under a per-format span ("io.read.pkb", ...) so telemetry
+// attributes parse cost by format; ParseErrors get `name` as their file.
+profile::Trial timed_parse(const Format& f, std::string bytes,
+                           const std::string& name) {
   static telemetry::Counter& opened = telemetry::counter("io.trials_opened");
   telemetry::ScopedSpan span(std::string("io.read.") + f.name);
-  auto trial = f.read(file);
+  try {
+    auto trial = f.parse(std::move(bytes), name);
+    opened.add();
+    return trial;
+  } catch (const ParseError& e) {
+    if (e.file().empty()) throw e.with_file(name);
+    throw;
+  }
+}
+
+// A directory is a TAU profile set, read file by file.
+profile::Trial open_tau_directory(const std::filesystem::path& dir) {
+  static telemetry::Counter& opened = telemetry::counter("io.trials_opened");
+  telemetry::ScopedSpan span("io.read.tau");
+  auto trial = perfdmf::read_tau_profiles(dir);
   opened.add();
   return trial;
 }
@@ -240,33 +254,21 @@ void timed_write(const Format& f, const profile::Trial& trial,
   saved.add();
 }
 
-std::string read_head(const std::filesystem::path& file) {
-  if (std::filesystem::is_directory(file)) return {};
-  std::ifstream is(file, std::ios::binary);
-  if (!is) {
-    throw IoError("cannot open for reading: " + file.string());
-  }
-  std::string head(kHeadBytes, '\0');
-  is.read(head.data(), static_cast<std::streamsize>(head.size()));
-  head.resize(static_cast<std::size_t>(is.gcount()));
-  return head;
-}
-
 }  // namespace
 
 const std::vector<Format>& formats() {
   // Detection order: unambiguous magics first, the lenient CSV sniff
   // last. The TAU sniff only matches its header line / filename shape.
   static const std::vector<Format> kFormats = {
-      {"pkb", {".pkb"}, pkb_can_read, pkb_read, pkb_write},
-      {"pkprof", {".pkprof"}, pkprof_can_read, pkprof_read, pkprof_write},
+      {"pkb", {".pkb"}, pkb_can_read, pkb_parse, pkb_write},
+      {"pkprof", {".pkprof"}, pkprof_can_read, pkprof_parse, pkprof_write},
       // benchjson must sniff before the lenient trial-JSON match; it
       // claims no extension so .json files without the context marker
       // still fall through to the trial reader.
-      {"benchjson", {}, benchjson_can_read, benchjson_read, nullptr},
-      {"json", {".json"}, json_can_read, json_read, json_write},
-      {"tau", {".tau"}, tau_can_read, tau_read, nullptr},
-      {"csv", {".csv"}, csv_can_read, csv_read, csv_write},
+      {"benchjson", {}, benchjson_can_read, benchjson_parse, nullptr},
+      {"json", {".json"}, json_can_read, json_parse, json_write},
+      {"tau", {".tau"}, tau_can_read, tau_parse, nullptr},
+      {"csv", {".csv"}, csv_can_read, csv_parse, csv_write},
   };
   return kFormats;
 }
@@ -278,38 +280,38 @@ const Format* find_format(std::string_view name) {
   return nullptr;
 }
 
+profile::Trial parse_trial(std::string bytes, std::string_view format,
+                           const std::string& name) {
+  static const telemetry::SpanSite site("io.open_trial");
+  telemetry::ScopedSpan span(site);
+  const Format& f = format.empty() ? detect(bytes, name)
+                                   : known_format(format);
+  return timed_parse(f, std::move(bytes), name);
+}
+
 profile::Trial open_trial(const std::filesystem::path& file) {
   static const telemetry::SpanSite site("io.open_trial");
   telemetry::ScopedSpan span(site);
-  const std::string head = read_head(file);
-  for (const Format& f : formats()) {
-    if (f.can_read(head, file)) return timed_read(f, file);
+  if (std::filesystem::is_directory(file)) {
+    if (tau_profile_directory(file)) return open_tau_directory(file);
+    throw ParseError("unrecognized profile format (known formats: " +
+                     known_format_names() + ")")
+        .with_file(file.string());
   }
-  // No content match; fall back to the extension.
-  const std::string ext = file.extension().string();
-  if (!ext.empty()) {
-    for (const Format& f : formats()) {
-      for (const std::string& e : f.extensions) {
-        if (e == ext) return timed_read(f, file);
-      }
-    }
-  }
-  throw ParseError("unrecognized profile format (known formats: " +
-                   known_format_names() + ")")
-      .with_file(file.string());
+  std::string bytes = read_file_bytes(file);
+  const Format& f = detect(bytes, file);
+  return timed_parse(f, std::move(bytes), file.string());
 }
 
 profile::Trial open_trial(const std::filesystem::path& file,
                           std::string_view format) {
   static const telemetry::SpanSite site("io.open_trial");
   telemetry::ScopedSpan span(site);
-  const Format* f = find_format(format);
-  if (f == nullptr) {
-    throw InvalidArgumentError("unknown profile format '" +
-                               std::string(format) + "' (known formats: " +
-                               known_format_names() + ")");
+  const Format& f = known_format(format);
+  if (f.name == "tau" && std::filesystem::is_directory(file)) {
+    return open_tau_directory(file);
   }
-  return timed_read(*f, file);
+  return timed_parse(f, read_file_bytes(file), file.string());
 }
 
 void save_trial(const profile::Trial& trial,
@@ -335,17 +337,12 @@ void save_trial(const profile::Trial& trial,
                 const std::filesystem::path& file, std::string_view format) {
   static const telemetry::SpanSite site("io.save_trial");
   telemetry::ScopedSpan span(site);
-  const Format* f = find_format(format);
-  if (f == nullptr) {
-    throw InvalidArgumentError("unknown profile format '" +
-                               std::string(format) + "' (known formats: " +
-                               known_format_names() + ")");
-  }
-  if (f->write == nullptr) {
+  const Format& f = known_format(format);
+  if (f.write == nullptr) {
     throw InvalidArgumentError("format '" + std::string(format) +
                                "' is not writable via io::save_trial");
   }
-  timed_write(*f, trial, file);
+  timed_write(f, trial, file);
 }
 
 }  // namespace perfknow::io

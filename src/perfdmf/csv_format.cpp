@@ -1,9 +1,10 @@
 #include "perfdmf/csv_format.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <ostream>
-#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -26,90 +27,136 @@ std::string csv_quote(const std::string& s) {
   return out + "\"";
 }
 
-/// Splits one CSV line honoring RFC-4180 quoting.
-std::vector<std::string> csv_split(const std::string& line, int lineno) {
-  std::vector<std::string> fields;
-  std::string cur;
+/// Splits one CSV line honoring RFC-4180 quoting into `fields`: views
+/// of `line`, or of `scratch` when the line has quotes or carriage
+/// returns to take out.
+void csv_split(std::string_view line, int lineno,
+               std::vector<std::string_view>& fields,
+               std::string& scratch) {
+  fields.clear();
+  if (line.find('"') == std::string_view::npos &&
+      line.find('\r') == std::string_view::npos) {
+    std::size_t start = 0;
+    for (std::size_t comma = line.find(','); comma != std::string_view::npos;
+         comma = line.find(',', start)) {
+      fields.push_back(line.substr(start, comma - start));
+      start = comma + 1;
+    }
+    fields.push_back(line.substr(start));
+    return;
+  }
+  // Unescape into scratch, recording where each field ends; the views
+  // are taken once scratch has stopped growing.
+  scratch.clear();
+  std::vector<std::size_t> ends;
   bool quoted = false;
   for (std::size_t i = 0; i < line.size(); ++i) {
     const char c = line[i];
     if (quoted) {
       if (c == '"') {
         if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur += '"';
+          scratch += '"';
           ++i;
         } else {
           quoted = false;
         }
       } else {
-        cur += c;
+        scratch += c;
       }
     } else if (c == '"') {
       quoted = true;
     } else if (c == ',') {
-      fields.push_back(std::move(cur));
-      cur.clear();
+      ends.push_back(scratch.size());
     } else if (c != '\r') {
-      cur += c;
+      scratch += c;
     }
   }
   if (quoted) {
     throw ParseError("unterminated quoted CSV field", lineno);
   }
-  fields.push_back(std::move(cur));
-  return fields;
+  ends.push_back(scratch.size());
+  std::size_t start = 0;
+  for (const std::size_t end : ends) {
+    fields.push_back(std::string_view(scratch).substr(start, end - start));
+    start = end;
+  }
 }
 
-constexpr const char* kHeader =
+constexpr std::string_view kHeader =
     "event,thread,metric,inclusive,exclusive,calls,subcalls";
 
+/// Ingests the data rows into one trial. The event and metric of the
+/// previous row are remembered, so a run of rows naming the same ones
+/// resolves each name once, not once per cell.
+class RowReader {
+ public:
+  explicit RowReader(profile::Trial& trial) : trial_(trial) {}
 
-/// Ingests one non-empty CSV data row into the trial.
-void read_csv_row(profile::Trial& trial, const std::string& line,
-                  int lineno) {
-  const auto f = csv_split(line, lineno);
-  if (f.size() != 7) {
-    throw ParseError("CSV row: expected 7 fields, got " +
-                         std::to_string(f.size()),
-                     lineno);
-  }
-  // The thread index is untrusted: "-1" used to wrap through size_t and
-  // either explode the thread count or surface as InvalidArgumentError
-  // from Trial internals (found by fuzzing). Bound it and re-check the
-  // total trial shape before growing anything.
-  const long long raw_thread = strings::parse_int(f[1]);
-  if (raw_thread < 0 ||
-      raw_thread > static_cast<long long>(kMaxThreads)) {
-    throw ParseError("CSV row: thread index out of range (must be in "
-                     "[0, " + std::to_string(kMaxThreads) + "])",
-                     lineno);
-  }
-  const auto thread = static_cast<std::size_t>(raw_thread);
-  const std::size_t new_threads =
-      std::max(trial.thread_count(), thread + 1);
-  const std::size_t new_events =
-      trial.event_count() + (trial.find_event(f[0]) ? 0 : 1);
-  const std::size_t new_metrics =
-      trial.metric_count() + (trial.find_metric(f[2]) ? 0 : 1);
-  check_cells(new_threads, new_events, new_metrics, lineno);
-  if (thread >= trial.thread_count()) {
-    trial.set_thread_count(thread + 1);
-  }
-  // Callpath parents from "a => b" naming, as in the TAU reader.
-  profile::EventId parent = profile::kNoEvent;
-  const auto pos = f[0].rfind(" => ");
-  if (pos != std::string::npos) {
-    if (const auto p = trial.find_event(f[0].substr(0, pos))) {
-      parent = *p;
+  /// Ingests one non-empty CSV data row.
+  void read(std::string_view line, int lineno) {
+    csv_split(line, lineno, f_, scratch_);
+    if (f_.size() != 7) {
+      throw ParseError("CSV row: expected 7 fields, got " +
+                           std::to_string(f_.size()),
+                       lineno);
     }
+    // The thread index is untrusted: "-1" used to wrap through size_t
+    // and either explode the thread count or surface as
+    // InvalidArgumentError from Trial internals (found by fuzzing).
+    // Bound it and re-check the total trial shape before growing
+    // anything.
+    const long long raw_thread = strings::parse_int(f_[1]);
+    if (raw_thread < 0 ||
+        raw_thread > static_cast<long long>(kMaxThreads)) {
+      throw ParseError("CSV row: thread index out of range (must be in "
+                       "[0, " + std::to_string(kMaxThreads) + "])",
+                       lineno);
+    }
+    const auto thread = static_cast<std::size_t>(raw_thread);
+    if (event_ == profile::kNoEvent || trial_.event(event_).name != f_[0]) {
+      event_ = trial_.find_event(f_[0]).value_or(profile::kNoEvent);
+    }
+    if (metric_ == kNoMetric || trial_.metric(metric_).name != f_[2]) {
+      metric_ = trial_.find_metric(f_[2]).value_or(kNoMetric);
+    }
+    check_cells(std::max(trial_.thread_count(), thread + 1),
+                trial_.event_count() + (event_ == profile::kNoEvent ? 1 : 0),
+                trial_.metric_count() + (metric_ == kNoMetric ? 1 : 0),
+                lineno);
+    if (thread >= trial_.thread_count()) {
+      trial_.set_thread_count(thread + 1);
+    }
+    if (event_ == profile::kNoEvent) {
+      // Callpath parents from "a => b" naming, as in the TAU reader.
+      profile::EventId parent = profile::kNoEvent;
+      const auto pos = f_[0].rfind(" => ");
+      if (pos != std::string_view::npos) {
+        parent = trial_.find_event(f_[0].substr(0, pos))
+                     .value_or(profile::kNoEvent);
+      }
+      event_ = trial_.add_event(std::string(f_[0]), parent);
+    }
+    if (metric_ == kNoMetric) metric_ = trial_.add_metric(std::string(f_[2]));
+    trial_.set_inclusive(thread, event_, metric_,
+                         strings::parse_double(f_[3]));
+    trial_.set_exclusive(thread, event_, metric_,
+                         strings::parse_double(f_[4]));
+    // subcalls is parsed before calls, as the reader always has.
+    const double subcalls = strings::parse_double(f_[6]);
+    trial_.set_calls(thread, event_, strings::parse_double(f_[5]),
+                     subcalls);
   }
-  const auto event = trial.add_event(f[0], parent);
-  const auto metric = trial.add_metric(f[2]);
-  trial.set_inclusive(thread, event, metric, strings::parse_double(f[3]));
-  trial.set_exclusive(thread, event, metric, strings::parse_double(f[4]));
-  trial.set_calls(thread, event, strings::parse_double(f[5]),
-                  strings::parse_double(f[6]));
-}
+
+ private:
+  static constexpr profile::MetricId kNoMetric =
+      static_cast<profile::MetricId>(-1);
+
+  profile::Trial& trial_;
+  profile::EventId event_ = profile::kNoEvent;
+  profile::MetricId metric_ = kNoMetric;
+  std::vector<std::string_view> f_;
+  std::string scratch_;
+};
 
 }  // namespace
 
@@ -130,18 +177,17 @@ void write_csv_long(const profile::Trial& trial, std::ostream& os) {
   }
 }
 
-profile::Trial read_csv_long(std::istream& is) {
-  std::string line;
+profile::Trial read_csv_long(std::string_view text) {
+  std::size_t pos = 0;
+  std::string_view line;
   int lineno = 0;
-  if (!std::getline(is, line)) {
+  if (!strings::next_line(text, pos, line)) {
     throw ParseError("empty CSV", 1);
   }
   ++lineno;
   // Tolerate a UTF-8 BOM and trailing \r.
-  if (line.size() >= 3 && line.compare(0, 3, "\xEF\xBB\xBF") == 0) {
-    line = line.substr(3);
-  }
-  if (!line.empty() && line.back() == '\r') line.pop_back();
+  if (strings::starts_with(line, "\xEF\xBB\xBF")) line.remove_prefix(3);
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
   if (line != kHeader) {
     throw ParseError("unexpected CSV header (expected '" +
                          std::string(kHeader) + "')",
@@ -149,11 +195,12 @@ profile::Trial read_csv_long(std::istream& is) {
   }
 
   profile::Trial trial("csv_import");
-  while (std::getline(is, line)) {
+  RowReader rows(trial);
+  while (strings::next_line(text, pos, line)) {
     ++lineno;
     if (strings::trim(line).empty()) continue;
     try {
-      read_csv_row(trial, line, lineno);
+      rows.read(line, lineno);
     } catch (const ParseError& e) {
       // Field-level parses (parse_int/parse_double) throw without a
       // location; attach the row's line number before propagating.

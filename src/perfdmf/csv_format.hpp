@@ -15,6 +15,7 @@
 
 #include <filesystem>
 #include <iosfwd>
+#include <string_view>
 
 #include "profile/profile.hpp"
 
@@ -25,10 +26,10 @@ namespace perfknow::perfdmf {
 /// file-level access.
 void write_csv_long(const profile::Trial& trial, std::ostream& os);
 
-/// Parses a long-format CSV into a trial (named "csv_import";
-/// io::open_trial renames it after the file). Throws ParseError on
+/// Parses a whole long-format CSV into a trial (named "csv_import";
+/// io::parse_trial renames it after the file). Throws ParseError on
 /// malformed rows; unknown columns are rejected so silent data loss is
-/// impossible. The format primitive behind io::open_trial.
-[[nodiscard]] profile::Trial read_csv_long(std::istream& is);
+/// impossible. The format primitive behind io::parse_trial.
+[[nodiscard]] profile::Trial read_csv_long(std::string_view text);
 
 }  // namespace perfknow::perfdmf

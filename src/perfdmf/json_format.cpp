@@ -1,9 +1,15 @@
 #include "perfdmf/json_format.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
+#include <iterator>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -13,45 +19,6 @@
 namespace perfknow::perfdmf {
 
 namespace {
-
-// ---------------------------------------------------------------------
-// Checked access to the parsed document. Every schema violation is a
-// ParseError whose text starts with "JSON:", like a syntax error.
-// ---------------------------------------------------------------------
-
-using json::Value;
-
-const Value& expect(const Value& v, Value::Kind kind, const char* what) {
-  if (v.kind != kind) throw ParseError(std::string("JSON: expected ") + what);
-  return v;
-}
-
-const std::vector<Value>& as_array(const Value& v) {
-  return expect(v, Value::Kind::kArray, "array").items;
-}
-double as_number(const Value& v) {
-  return expect(v, Value::Kind::kNumber, "number").number;
-}
-const std::string& as_string(const Value& v) {
-  return expect(v, Value::Kind::kString, "string").text;
-}
-
-/// Object member, or nullptr when absent. A duplicated key resolves to
-/// its last occurrence, as in a key -> value map.
-const Value* find(const Value& obj, const std::string& key) {
-  const auto& members = expect(obj, Value::Kind::kObject, "object").members;
-  for (auto it = members.rbegin(); it != members.rend(); ++it) {
-    if (it->first == key) return &it->second;
-  }
-  return nullptr;
-}
-
-/// Required object member; throws with the key named.
-const Value& at(const Value& obj, const std::string& key) {
-  const Value* v = find(obj, key);
-  if (v == nullptr) throw ParseError("JSON: missing key '" + key + "'");
-  return *v;
-}
 
 // ---------------------------------------------------------------------
 // Writer
@@ -140,45 +107,250 @@ std::string to_json(const profile::Trial& trial) {
   return ss.str();
 }
 
-profile::Trial from_json(const std::string& text) {
-  // Tolerate a UTF-8 BOM before the document.
-  const bool bom = text.compare(0, 3, "\xEF\xBB\xBF") == 0;
-  Value root;
-  try {
-    root = bom ? json::parse(text.substr(3)) : json::parse(text);
-  } catch (const ParseError& e) {
-    throw ParseError("JSON: " + e.message(), e.line(), e.column(),
-                     e.excerpt());
+namespace {
+
+// ---------------------------------------------------------------------
+// Reader. One pass tokenizes the whole document, recording where the
+// value of each top-level member starts. When it reaches `data` it
+// reads the schema from the members recorded so far and streams the
+// rows straight into the trial's columns; no DOM of the trial is ever
+// built. A schema error met there is held back until the rest of the
+// document has been tokenized, so a syntax error anywhere is reported
+// first. If `data` is absent, or a member after it changes what the
+// schema reads (members may come in any order, and a duplicated key
+// resolves to its last occurrence), the schema and `data` are read
+// again from the final offsets. Every schema violation is a ParseError
+// whose text starts with "JSON:", like a syntax error, and carries no
+// location; the tokenizer's syntax errors always carry one.
+// ---------------------------------------------------------------------
+
+using Token = json::Tokenizer::Token;
+
+/// Offset of a member that is not present.
+constexpr std::size_t kAbsent = std::string_view::npos;
+
+[[noreturn]] void expected(const char* what) {
+  throw ParseError(std::string("JSON: expected ") + what);
+}
+
+std::size_t require(std::size_t offset, const char* key) {
+  if (offset == kAbsent) {
+    throw ParseError(std::string("JSON: missing key '") + key + "'");
+  }
+  return offset;
+}
+
+/// Reads the members of the object whose kBeginObject `t` just returned.
+/// offsets[i] receives where the value of keys[i] starts, or kAbsent; a
+/// duplicated key resolves to its last occurrence, as in a key -> value
+/// map.
+void scan_members(json::Tokenizer& t,
+                  std::initializer_list<std::string_view> keys,
+                  std::size_t* offsets) {
+  std::fill_n(offsets, keys.size(), kAbsent);
+  for (Token tok = t.next(); tok != Token::kEndObject; tok = t.next()) {
+    std::size_t* slot = nullptr;
+    std::size_t i = 0;
+    for (const std::string_view key : keys) {
+      if (t.text() == key) slot = offsets + i;
+      ++i;
+    }
+    const Token value = t.next();
+    if (slot != nullptr) *slot = t.token_start();
+    t.skip(value);
+  }
+}
+
+/// Typed reads of the values at recorded offsets of a validated document.
+class Document {
+ public:
+  explicit Document(std::string_view text) : text_(text) {}
+
+  [[nodiscard]] json::Tokenizer at(std::size_t offset) const {
+    return json::Tokenizer(text_, offset);
+  }
+  [[nodiscard]] std::string string_at(std::size_t offset) const {
+    auto t = at(offset);
+    if (t.next() != Token::kString) expected("string");
+    return std::string(t.text());
+  }
+  [[nodiscard]] double number_at(std::size_t offset) const {
+    auto t = at(offset);
+    if (t.next() != Token::kNumber) expected("number");
+    return t.number();
+  }
+  [[nodiscard]] bool boolean_at(std::size_t offset) const {
+    auto t = at(offset);
+    const Token tok = t.next();
+    if (tok != Token::kTrue && tok != Token::kFalse) expected("boolean");
+    return tok == Token::kTrue;
+  }
+  /// Where each element of the array at `offset` starts.
+  [[nodiscard]] std::vector<std::size_t> elements_at(
+      std::size_t offset) const {
+    auto t = at(offset);
+    if (t.next() != Token::kBeginArray) expected("array");
+    std::vector<std::size_t> out;
+    for (Token tok = t.next(); tok != Token::kEndArray; tok = t.next()) {
+      out.push_back(t.token_start());
+      t.skip(tok);
+    }
+    return out;
+  }
+  /// scan_members over the object at `offset`.
+  void members_at(std::size_t offset,
+                  std::initializer_list<std::string_view> keys,
+                  std::size_t* offsets) const {
+    auto t = at(offset);
+    if (t.next() != Token::kBeginObject) expected("object");
+    scan_members(t, keys, offsets);
   }
 
-  profile::Trial trial(as_string(at(root, "name")));
+ private:
+  std::string_view text_;
+};
+
+/// A scalar member of a data row; kind kEnd when the row lacks it.
+struct Scalar {
+  Token kind = Token::kEnd;
+  double value = 0.0;
+
+  double number(const char* key) const {
+    if (kind == Token::kEnd) {
+      throw ParseError(std::string("JSON: missing key '") + key + "'");
+    }
+    if (kind != Token::kNumber) expected("number");
+    return value;
+  }
+};
+
+/// One element of a row's "values": its first two items, and how many
+/// items it has (when it is an array at all).
+struct ValuePair {
+  bool array = false;
+  std::size_t size = 0;
+  Scalar item[2];
+};
+
+/// Streams the rows of the `data` array, whose first token `t` just
+/// returned, into the trial's columns.
+void read_data(json::Tokenizer& t, Token first, profile::Trial& trial) {
+  if (first != Token::kBeginArray) expected("array");
+  std::vector<ValuePair> pairs;
+  for (Token row = t.next(); row != Token::kEndArray; row = t.next()) {
+    if (row != Token::kBeginObject) expected("object");
+    Scalar thread;
+    Scalar event;
+    Scalar calls;
+    Scalar subcalls;
+    Token values = Token::kEnd;
+    for (Token tok = t.next(); tok != Token::kEndObject; tok = t.next()) {
+      const std::string_view name = t.text();
+      Scalar* scalar = name == "thread"     ? &thread
+                       : name == "event"    ? &event
+                       : name == "calls"    ? &calls
+                       : name == "subcalls" ? &subcalls
+                                            : nullptr;
+      const bool is_values = scalar == nullptr && name == "values";
+      const Token value = t.next();
+      if (scalar != nullptr) {
+        *scalar = Scalar{value, t.number()};
+        t.skip(value);
+      } else if (is_values) {
+        values = value;
+        pairs.clear();
+        if (value != Token::kBeginArray) {
+          t.skip(value);
+          continue;
+        }
+        for (Token el = t.next(); el != Token::kEndArray; el = t.next()) {
+          ValuePair& p = pairs.emplace_back();
+          p.array = el == Token::kBeginArray;
+          if (!p.array) {
+            t.skip(el);
+            continue;
+          }
+          for (Token it = t.next(); it != Token::kEndArray; it = t.next()) {
+            if (p.size < 2) p.item[p.size] = Scalar{it, t.number()};
+            ++p.size;
+            t.skip(it);
+          }
+        }
+      } else {
+        t.skip(value);
+      }
+    }
+
+    const auto th = checked_index(thread.number("thread"),
+                                  trial.thread_count(), "JSON: data thread");
+    const auto e = static_cast<profile::EventId>(checked_index(
+        event.number("event"), trial.event_count(), "JSON: data event"));
+    if (e >= trial.event_count() || th >= trial.thread_count()) {
+      throw ParseError("JSON: data row out of range");
+    }
+    // "subcalls" is checked before "calls", as the reader always has.
+    const double sub = subcalls.number("subcalls");
+    trial.set_calls(th, e, calls.number("calls"), sub);
+    if (values == Token::kEnd) {
+      throw ParseError("JSON: missing key 'values'");
+    }
+    if (values != Token::kBeginArray) expected("array");
+    if (pairs.size() != trial.metric_count()) {
+      throw ParseError("JSON: values width does not match metric count");
+    }
+    for (profile::MetricId m = 0; m < trial.metric_count(); ++m) {
+      const ValuePair& pair = pairs[m];
+      if (!pair.array) expected("array");
+      if (pair.size != 2) {
+        throw ParseError("JSON: value pair must be [inclusive, exclusive]");
+      }
+      trial.set_inclusive(th, e, m, pair.item[0].number("inclusive"));
+      trial.set_exclusive(th, e, m, pair.item[1].number("exclusive"));
+    }
+  }
+}
+
+enum Member { kName, kThreads, kMetadata, kMetrics, kEvents, kData, kMembers };
+using Members = std::array<std::size_t, kMembers>;
+
+/// The trial's schema, read from the top-level members at `root`.
+profile::Trial read_schema(const Document& doc, const Members& root) {
+  profile::Trial trial(doc.string_at(require(root[kName], "name")));
   // Dimension-like numbers come from untrusted input: funnel every one
   // through checked_index so "threads": -1 / 1e18 / NaN becomes a
   // ParseError instead of a UB float cast or an unbounded allocation
   // (both found by fuzzing).
-  const std::size_t threads = checked_index(
-      as_number(at(root, "threads")), kMaxThreads, "JSON: thread count");
-  const auto& metrics = as_array(at(root, "metrics"));
-  const auto& events = as_array(at(root, "events"));
+  const std::size_t threads =
+      checked_index(doc.number_at(require(root[kThreads], "threads")),
+                    kMaxThreads, "JSON: thread count");
+  const auto metrics = doc.elements_at(require(root[kMetrics], "metrics"));
+  const auto events = doc.elements_at(require(root[kEvents], "events"));
   check_cells(threads, events.size(), metrics.size());
   trial.set_thread_count(threads);
-  if (const Value* md = find(root, "metadata")) {
-    for (const auto& [k, v] : expect(*md, Value::Kind::kObject, "object")
-                                  .members) {
-      trial.set_metadata(k, as_string(v));
+  trial.reserve_events(events.size());
+  if (root[kMetadata] != kAbsent) {
+    auto t = doc.at(root[kMetadata]);
+    if (t.next() != Token::kBeginObject) expected("object");
+    for (Token tok = t.next(); tok != Token::kEndObject; tok = t.next()) {
+      std::string key(t.text());
+      if (t.next() != Token::kString) expected("string");
+      trial.set_metadata(key, std::string(t.text()));
     }
   }
-  for (const auto& m : metrics) {
-    const Value* derived = find(m, "derived");
-    const Value* units = find(m, "units");
-    trial.add_metric(
-        as_string(at(m, "name")),
-        units != nullptr ? as_string(*units) : "count",
-        derived != nullptr &&
-            expect(*derived, Value::Kind::kBool, "boolean").boolean);
+  // Within a metric or event, members are checked right to left, as the
+  // reader always has.
+  for (const std::size_t m : metrics) {
+    std::size_t at[3];
+    doc.members_at(m, {"name", "units", "derived"}, at);
+    const bool derived = at[2] != kAbsent && doc.boolean_at(at[2]);
+    std::string units = at[1] != kAbsent ? doc.string_at(at[1]) : "count";
+    trial.add_metric(doc.string_at(require(at[0], "name")), std::move(units),
+                     derived);
   }
-  for (const auto& e : events) {
-    const double parent_num = as_number(at(e, "parent"));
+  for (const std::size_t e : events) {
+    std::size_t at[3];
+    doc.members_at(e, {"name", "parent", "group"}, at);
+    const double parent_num = doc.number_at(require(at[1], "parent"));
     profile::EventId parent = profile::kNoEvent;
     if (parent_num >= 0.0) {
       const std::size_t p = checked_index(parent_num, events.size(),
@@ -188,41 +360,77 @@ profile::Trial from_json(const std::string& text) {
       }
       parent = static_cast<profile::EventId>(p);
     }
-    const Value* group = find(e, "group");
-    trial.add_event(as_string(at(e, "name")), parent,
-                    group != nullptr ? as_string(*group) : "");
-  }
-  for (const auto& row : as_array(at(root, "data"))) {
-    const auto th = checked_index(as_number(at(row, "thread")),
-                                  trial.thread_count(), "JSON: data thread");
-    const auto e = static_cast<profile::EventId>(
-        checked_index(as_number(at(row, "event")), trial.event_count(),
-                      "JSON: data event"));
-    if (e >= trial.event_count() || th >= trial.thread_count()) {
-      throw ParseError("JSON: data row out of range");
-    }
-    trial.set_calls(th, e, as_number(at(row, "calls")),
-                    as_number(at(row, "subcalls")));
-    const auto& values = as_array(at(row, "values"));
-    if (values.size() != trial.metric_count()) {
-      throw ParseError("JSON: values width does not match metric count");
-    }
-    for (profile::MetricId m = 0; m < trial.metric_count(); ++m) {
-      const auto& pair = as_array(values[m]);
-      if (pair.size() != 2) {
-        throw ParseError("JSON: value pair must be [inclusive, exclusive]");
-      }
-      trial.set_inclusive(th, e, m, as_number(pair[0]));
-      trial.set_exclusive(th, e, m, as_number(pair[1]));
-    }
+    std::string group = at[2] != kAbsent ? doc.string_at(at[2]) : "";
+    trial.add_event(doc.string_at(require(at[0], "name")), parent,
+                    std::move(group));
   }
   return trial;
 }
 
-profile::Trial read_json(std::istream& is) {
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return from_json(ss.str());
+}  // namespace
+
+profile::Trial from_json(std::string_view text) {
+  // Tolerate a UTF-8 BOM before the document.
+  if (text.substr(0, 3) == "\xEF\xBB\xBF") text.remove_prefix(3);
+  const Document doc(text);
+
+  Members root;
+  root.fill(kAbsent);
+  // What reading the schema and `data` at the offsets `read_at` gave.
+  Members read_at;
+  read_at.fill(kAbsent);
+  std::optional<profile::Trial> trial;
+  std::optional<ParseError> schema_error;
+  bool object = false;
+  try {
+    json::Tokenizer t(text);
+    const Token first = t.next();
+    object = first == Token::kBeginObject;
+    if (!object) t.skip(first);
+    for (Token tok = object ? t.next() : Token::kEndObject;
+         tok != Token::kEndObject; tok = t.next()) {
+      static constexpr std::string_view kKeys[kMembers] = {
+          "name", "threads", "metadata", "metrics", "events", "data"};
+      const auto key = static_cast<std::size_t>(
+          std::find(std::begin(kKeys), std::end(kKeys), t.text()) -
+          std::begin(kKeys));
+      const Token value = t.next();
+      if (key == kMembers) {
+        t.skip(value);
+        continue;
+      }
+      root[key] = t.token_start();
+      if (key != kData) {
+        t.skip(value);
+        continue;
+      }
+      read_at = root;
+      trial.reset();
+      schema_error.reset();
+      try {
+        profile::Trial read = read_schema(doc, root);
+        read_data(t, value, read);
+        trial = std::move(read);
+      } catch (const ParseError& e) {
+        if (e.line() != 0) throw;  // a syntax error inside `data`
+        schema_error = e;
+        t.skip_to(1);  // still check the rest of `data`
+      }
+    }
+    (void)t.next();  // kEnd: nothing but whitespace may follow
+  } catch (const ParseError& e) {
+    throw ParseError("JSON: " + e.message(), e.line(), e.column(),
+                     e.excerpt());
+  }
+  if (!object) expected("object");
+  if (root[kData] != kAbsent && root == read_at) {
+    if (schema_error) throw *schema_error;
+    return std::move(*trial);
+  }
+  profile::Trial read = read_schema(doc, root);
+  auto t = doc.at(require(root[kData], "data"));
+  read_data(t, t.next(), read);
+  return read;
 }
 
 }  // namespace perfknow::perfdmf

@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "profile/profile.hpp"
 
@@ -30,8 +31,11 @@ namespace perfknow::perfdmf {
 void write_json(const profile::Trial& trial, std::ostream& os);
 [[nodiscard]] std::string to_json(const profile::Trial& trial);
 
-/// Throws ParseError on malformed JSON or schema violations.
-[[nodiscard]] profile::Trial read_json(std::istream& is);
-[[nodiscard]] profile::Trial from_json(const std::string& text);
+/// Parses a whole document. Top-level members may come in any order and
+/// a duplicated key resolves to its last occurrence. Throws ParseError
+/// ("JSON: ...") on malformed JSON, reporting any syntax error before
+/// any schema violation. The values stream into the trial's columns; no
+/// DOM of the document is built.
+[[nodiscard]] profile::Trial from_json(std::string_view text);
 
 }  // namespace perfknow::perfdmf

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "common/error.hpp"
 
@@ -29,10 +30,11 @@ inline constexpr std::size_t kMaxCells = 1u << 26;
 /// with a ParseError naming the field. The comparison happens in double
 /// so no UB-prone float->integer cast is ever applied to a bad value.
 inline std::size_t checked_index(double v, std::size_t max,
-                                 const std::string& what, int line = 0) {
+                                 std::string_view what, int line = 0) {
   if (!(v >= 0.0) || v != std::floor(v) ||
       v > static_cast<double>(max)) {
-    throw ParseError(what + " out of range (must be an integer in [0, " +
+    throw ParseError(std::string(what) +
+                         " out of range (must be an integer in [0, " +
                          std::to_string(max) + "])",
                      line);
   }

@@ -3,21 +3,23 @@
 #include <algorithm>
 #include <fstream>
 #include <functional>
-#include <map>
 #include <optional>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/file.hpp"
 #include "common/strings.hpp"
 
 namespace perfknow::perfdmf {
 
 namespace {
 
+// One function line of a TAU profile; the strings are views of the
+// profile's bytes.
 struct TauFunctionRow {
-  std::string name;
-  std::string group;
+  std::string_view name;
+  std::string_view group;
   double calls = 0.0;
   double subrs = 0.0;
   double excl = 0.0;
@@ -25,62 +27,68 @@ struct TauFunctionRow {
 };
 
 struct TauFile {
-  int node = 0;
-  int context = 0;
-  int thread = 0;
   std::string metric;
   std::vector<TauFunctionRow> rows;
 };
 
+// The next whitespace-separated token of `s` from `pos`; empty at the end.
+std::string_view next_token(std::string_view s, std::size_t& pos) {
+  while (pos < s.size() && strings::is_space(s[pos])) ++pos;
+  const std::size_t start = pos;
+  while (pos < s.size() && !strings::is_space(s[pos])) ++pos;
+  return s.substr(start, pos - start);
+}
+
 // Parses one `"name" calls subrs excl incl profcalls GROUP="..."` line.
-TauFunctionRow parse_function_line(const std::string& line, int lineno) {
+TauFunctionRow parse_function_line(std::string_view line, int lineno) {
   if (line.empty() || line.front() != '"') {
     throw ParseError("TAU function line must start with a quoted name",
                      lineno);
   }
   const std::size_t close = line.find('"', 1);
-  if (close == std::string::npos) {
+  if (close == std::string_view::npos) {
     throw ParseError("unterminated function name", lineno);
   }
   TauFunctionRow row;
   row.name = line.substr(1, close - 1);
-  const auto rest = strings::split_whitespace(line.substr(close + 1));
-  if (rest.size() < 4) {
-    throw ParseError("TAU function line: too few numeric fields", lineno);
+  const std::string_view rest = line.substr(close + 1);
+  std::size_t pos = 0;
+  std::string_view numbers[4];
+  for (auto& field : numbers) {
+    field = next_token(rest, pos);
+    if (field.empty()) {
+      throw ParseError("TAU function line: too few numeric fields", lineno);
+    }
   }
-  row.calls = strings::parse_double(rest[0]);
-  row.subrs = strings::parse_double(rest[1]);
-  row.excl = strings::parse_double(rest[2]);
-  row.incl = strings::parse_double(rest[3]);
-  for (std::size_t i = 4; i < rest.size(); ++i) {
-    if (strings::starts_with(rest[i], "GROUP=\"")) {
-      std::string g = rest[i].substr(7);
-      if (!g.empty() && g.back() == '"') g.pop_back();
+  row.calls = strings::parse_double(numbers[0]);
+  row.subrs = strings::parse_double(numbers[1]);
+  row.excl = strings::parse_double(numbers[2]);
+  row.incl = strings::parse_double(numbers[3]);
+  for (std::string_view field = next_token(rest, pos); !field.empty();
+       field = next_token(rest, pos)) {
+    if (strings::starts_with(field, "GROUP=\"")) {
+      std::string_view g = field.substr(7);
+      if (!g.empty() && g.back() == '"') g.remove_suffix(1);
       row.group = g;
     }
   }
   return row;
 }
 
-// Parses one TAU profile from a stream. Messages carry only line numbers;
-// file-based callers attach the path via ParseError::with_file.
-TauFile parse_tau_source(std::istream& is, int node, int context,
-                         int thread) {
-  TauFile tf;
-  tf.node = node;
-  tf.context = context;
-  tf.thread = thread;
-
-  std::string line;
+// Parses one TAU profile held in `text` into `tf`, whose rows then view
+// `text`. Messages carry only line numbers; file-based callers attach
+// the path via ParseError::with_file.
+void parse_tau_source(std::string_view text, TauFile& tf) {
+  tf.rows.clear();
+  std::size_t pos = 0;
+  std::string_view line;
   int lineno = 0;
-  if (!std::getline(is, line)) {
+  if (!strings::next_line(text, pos, line)) {
     throw ParseError("empty TAU profile", 1);
   }
   ++lineno;
   // Tolerate a UTF-8 BOM on the first line.
-  if (line.size() >= 3 && line.compare(0, 3, "\xEF\xBB\xBF") == 0) {
-    line = line.substr(3);
-  }
+  if (strings::starts_with(line, "\xEF\xBB\xBF")) line.remove_prefix(3);
   const auto header = strings::split_whitespace(line);
   if (header.size() < 2) {
     throw ParseError("bad TAU header", lineno);
@@ -105,10 +113,10 @@ TauFile parse_tau_source(std::istream& is, int node, int context,
   }
 
   // The line after the header is the column comment ("# Name Calls ...").
-  if (std::getline(is, line)) ++lineno;
+  if (strings::next_line(text, pos, line)) ++lineno;
 
   for (long long i = 0; i < nfuncs; ++i) {
-    if (!std::getline(is, line)) {
+    if (!strings::next_line(text, pos, line)) {
       throw ParseError("truncated TAU profile", lineno);
     }
     ++lineno;
@@ -121,20 +129,6 @@ TauFile parse_tau_source(std::istream& is, int node, int context,
     }
   }
   // Remaining sections (aggregates, userevents) are ignored.
-  return tf;
-}
-
-TauFile parse_tau_file(const std::filesystem::path& file, int node,
-                       int context, int thread) {
-  std::ifstream is(file);
-  if (!is) {
-    throw IoError("cannot open TAU profile: " + file.string());
-  }
-  try {
-    return parse_tau_source(is, node, context, thread);
-  } catch (const ParseError& e) {
-    throw e.with_file(file.string());
-  }
 }
 
 // The `a` of a callpath event `a => b`, when the trial has it.
@@ -145,22 +139,43 @@ std::optional<profile::EventId> callpath_parent(const profile::Trial& trial,
   return trial.find_event(name.substr(0, pos));
 }
 
-// Adds one parsed per-thread file's rows to the trial at `flat_thread`,
-// creating callpath parents first so links resolve.
+// Adds one parsed per-thread file's rows to the trial at `flat_thread`.
+// `ids` holds the event id of each row of the previous file: a row named
+// like the previous file's row at the same index reuses that id, so
+// thread files with one layout resolve each name once. Events new to
+// the trial are added parent-first (shortest name first, ties in file
+// order) so callpath links resolve.
 void fill_trial_from(profile::Trial& trial, const TauFile& tf,
-                     std::size_t flat_thread, profile::MetricId metric_id) {
-  std::vector<TauFunctionRow> rows = tf.rows;
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const TauFunctionRow& a, const TauFunctionRow& b) {
-                     return a.name.size() < b.name.size();
+                     std::size_t flat_thread, profile::MetricId metric_id,
+                     std::vector<profile::EventId>& ids) {
+  const std::size_t cached = std::min(ids.size(), tf.rows.size());
+  ids.resize(tf.rows.size());
+  std::vector<std::size_t> fresh;
+  for (std::size_t i = 0; i < tf.rows.size(); ++i) {
+    const std::string_view name = tf.rows[i].name;
+    if (i < cached && trial.event(ids[i]).name == name) continue;
+    if (const auto e = trial.find_event(name)) {
+      ids[i] = *e;
+    } else {
+      fresh.push_back(i);
+    }
+  }
+  std::stable_sort(fresh.begin(), fresh.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return tf.rows[a].name.size() < tf.rows[b].name.size();
                    });
-  for (const auto& row : rows) {
-    const auto parent =
-        callpath_parent(trial, row.name).value_or(profile::kNoEvent);
-    const auto e = trial.add_event(row.name, parent, row.group);
-    trial.set_calls(flat_thread, e, row.calls, row.subrs);
-    trial.set_inclusive(flat_thread, e, metric_id, row.incl);
-    trial.set_exclusive(flat_thread, e, metric_id, row.excl);
+  for (const std::size_t i : fresh) {
+    const TauFunctionRow& row = tf.rows[i];
+    ids[i] = trial.add_event(
+        std::string(row.name),
+        callpath_parent(trial, row.name).value_or(profile::kNoEvent),
+        std::string(row.group));
+  }
+  for (std::size_t i = 0; i < tf.rows.size(); ++i) {
+    const TauFunctionRow& row = tf.rows[i];
+    trial.set_calls(flat_thread, ids[i], row.calls, row.subrs);
+    trial.set_inclusive(flat_thread, ids[i], metric_id, row.incl);
+    trial.set_exclusive(flat_thread, ids[i], metric_id, row.excl);
   }
 }
 
@@ -242,9 +257,18 @@ profile::Trial read_tau_profiles(const std::filesystem::path& dir) {
   bool first = true;
 
   std::size_t flat_thread = 0;
+  std::string bytes;
+  TauFile tf;
+  std::vector<profile::EventId> ids;
   for (const auto& [node, context, thread, path] : files) {
-    const TauFile tf = parse_tau_file(path, node, context, thread);
+    bytes = read_file_bytes(path, "cannot open TAU profile");
+    try {
+      parse_tau_source(bytes, tf);
+    } catch (const ParseError& e) {
+      throw e.with_file(path.string());
+    }
     if (first) {
+      trial.reserve_events(tf.rows.size());
       metric_id = trial.add_metric(tf.metric,
                                    tf.metric == "TIME" ? "usec" : "count");
       first = false;
@@ -253,7 +277,7 @@ profile::Trial read_tau_profiles(const std::filesystem::path& dir) {
                        trial.metric(metric_id).name + "' vs '" + tf.metric +
                        "' in " + path.string());
     }
-    fill_trial_from(trial, tf, flat_thread, metric_id);
+    fill_trial_from(trial, tf, flat_thread, metric_id, ids);
     ++flat_thread;
   }
   if (has_late_parent(trial)) trial = relink_late_parents(trial);
@@ -261,13 +285,17 @@ profile::Trial read_tau_profiles(const std::filesystem::path& dir) {
   return trial;
 }
 
-profile::Trial read_tau_stream(std::istream& is, const std::string& name) {
-  const TauFile tf = parse_tau_source(is, 0, 0, 0);
+profile::Trial read_tau_stream(std::string_view text,
+                               const std::string& name) {
+  TauFile tf;
+  parse_tau_source(text, tf);
   profile::Trial trial(name);
   trial.set_thread_count(1);
+  trial.reserve_events(tf.rows.size());
   const auto metric_id = trial.add_metric(
       tf.metric, tf.metric == "TIME" ? "usec" : "count");
-  fill_trial_from(trial, tf, 0, metric_id);
+  std::vector<profile::EventId> ids;
+  fill_trial_from(trial, tf, 0, metric_id, ids);
   trial.set_metadata("source_format", "TAU");
   return trial;
 }

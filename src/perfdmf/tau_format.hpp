@@ -17,8 +17,8 @@
 #pragma once
 
 #include <filesystem>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "profile/profile.hpp"
 
@@ -35,12 +35,12 @@ namespace perfknow::perfdmf {
     const std::filesystem::path& dir);
 
 /// Parses a single TAU profile (the contents of one "profile.N.C.T"
-/// file) from a stream into a one-thread Trial named `name`. This is the
-/// same parser read_tau_profiles applies per file, exposed so in-memory
-/// data (snapshots, network payloads, fuzz harnesses) can be ingested
-/// without touching the filesystem. Throws ParseError on bad input.
+/// file) into a one-thread Trial named `name`. This is the same parser
+/// read_tau_profiles applies per file, exposed so in-memory data
+/// (network payloads, fuzz harnesses) can be ingested without touching
+/// the filesystem. Throws ParseError on bad input.
 [[nodiscard]] profile::Trial read_tau_stream(
-    std::istream& is, const std::string& name = "tau_stream");
+    std::string_view text, const std::string& name = "tau_stream");
 
 /// Writes `trial`'s metric `metric` in TAU format, one file per thread
 /// ("profile.<t>.0.0") under `dir` (created if needed).

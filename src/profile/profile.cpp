@@ -61,6 +61,12 @@ EventId Trial::add_event(std::string name, EventId parent,
   return id;
 }
 
+void Trial::reserve_events(std::size_t n) {
+  if (n <= stride_) return;
+  own();
+  widen_rows(n);
+}
+
 void Trial::widen_rows(std::size_t stride) {
   for (auto& col : owned_) {
     std::vector<double> wide(num_threads_ * stride, 0.0);

@@ -109,6 +109,10 @@ class Trial {
   /// Adds an event (idempotent per name); returns its id.
   EventId add_event(std::string name, EventId parent = kNoEvent,
                     std::string group = "");
+  /// Sizes every row for `n` events, so a reader that knows its event
+  /// count up front adds them without re-laying-out the columns and
+  /// without the slack of geometric growth.
+  void reserve_events(std::size_t n);
 
   [[nodiscard]] const Metric& metric(MetricId m) const;
   [[nodiscard]] const Event& event(EventId e) const;

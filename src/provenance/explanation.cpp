@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <utility>
 
@@ -267,6 +268,16 @@ double num_or(const JsonValue* v, double fallback) {
                                                              : fallback;
 }
 
+/// num_or as an integer of type T; `fallback` too when the number lies
+/// outside T's range, where the cast would be undefined.
+template <class T>
+T int_or(const JsonValue* v, T fallback) {
+  const double d = num_or(v, static_cast<double>(fallback));
+  const double low = static_cast<double>(std::numeric_limits<T>::min()) - 1.0;
+  const double high = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  return d > low && d < high ? static_cast<T>(d) : fallback;
+}
+
 std::string text_or(const JsonValue* v) {
   return v != nullptr && v->kind == JsonValue::Kind::kString ? v->text : "";
 }
@@ -274,8 +285,8 @@ std::string text_or(const JsonValue* v) {
 SourceLoc loc_from(const JsonValue& obj) {
   SourceLoc loc;
   loc.file = text_or(obj.find("file"));
-  loc.line = static_cast<int>(num_or(obj.find("line"), 0));
-  loc.column = static_cast<int>(num_or(obj.find("column"), 0));
+  loc.line = int_or(obj.find("line"), 0);
+  loc.column = int_or(obj.find("column"), 0);
   return loc;
 }
 
@@ -292,7 +303,7 @@ std::shared_ptr<const FiringNode> firing_from(const JsonValue& obj);
 
 BoundFact bound_fact_from(const JsonValue& obj) {
   BoundFact bf;
-  bf.id = static_cast<rules::FactId>(num_or(obj.find("fact"), 0));
+  bf.id = int_or<rules::FactId>(obj.find("fact"), 0);
   bf.type = text_or(obj.find("type"));
   bf.pattern_loc = loc_from(obj);
   if (const auto* fields = obj.find("fields");
@@ -319,11 +330,11 @@ BoundFact bound_fact_from(const JsonValue& obj) {
 
 std::shared_ptr<const FiringNode> firing_from(const JsonValue& obj) {
   auto f = std::make_shared<FiringNode>();
-  f->id = static_cast<std::size_t>(num_or(obj.find("id"), 0));
+  f->id = int_or<std::size_t>(obj.find("id"), 0);
   f->rule = text_or(obj.find("rule"));
   f->rule_loc = loc_from(obj);
-  f->salience = static_cast<int>(num_or(obj.find("salience"), 0));
-  f->generation = static_cast<std::size_t>(num_or(obj.find("generation"), 0));
+  f->salience = int_or(obj.find("salience"), 0);
+  f->generation = int_or<std::size_t>(obj.find("generation"), 0);
   if (const auto* bindings = obj.find("bindings");
       bindings != nullptr && bindings->kind == JsonValue::Kind::kObject) {
     for (const auto& [k, v] : bindings->members) {

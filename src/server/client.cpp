@@ -6,10 +6,10 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <string_view>
 
 #include "common/error.hpp"
+#include "common/file.hpp"
 #include "common/json.hpp"
 
 namespace perfknow::server {
@@ -43,35 +43,34 @@ Client::~Client() {
 }
 
 void Client::send_line(const std::string& line) {
-  std::string framed = line;
-  framed += '\n';
-  std::size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t n = ::send(fd_, framed.data() + sent,
-                             framed.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      throw IoError("Client: connection lost while sending");
+  // The line and its terminator go out separately: an upload line is
+  // megabytes, not worth copying to append one byte.
+  for (const std::string_view part : {std::string_view(line),
+                                      std::string_view("\n")}) {
+    std::size_t sent = 0;
+    while (sent < part.size()) {
+      const ssize_t n = ::send(fd_, part.data() + sent, part.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) {
+        if (n < 0 && errno == EINTR) continue;
+        throw IoError("Client: connection lost while sending");
+      }
+      sent += static_cast<std::size_t>(n);
     }
-    sent += static_cast<std::size_t>(n);
   }
 }
 
 std::string Client::read_line() {
+  constexpr std::size_t kChunk = 64 << 10;
   for (;;) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      return line;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    std::string_view line;
+    if (buffer_.next_line(line)) return std::string(line);
+    const ssize_t n = ::recv(fd_, buffer_.prepare(kChunk), kChunk, 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       throw IoError("Client: server closed the connection");
     }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+    buffer_.commit(static_cast<std::size_t>(n));
   }
 }
 
@@ -157,25 +156,22 @@ Client::Response Client::upload_file(const std::string& application,
                                      const std::filesystem::path& file,
                                      const std::string& version,
                                      const std::string& predecessor) {
-  std::ifstream is(file, std::ios::binary);
-  if (!is) {
-    throw IoError("Client::upload_file: cannot open " + file.string());
-  }
-  std::ostringstream body;
-  body << is.rdbuf();
+  const std::string body =
+      read_file_bytes(file, "Client::upload_file: cannot open");
   std::string params = "{\"application\":" + json::quote(application) +
                        ",\"experiment\":" + json::quote(experiment);
   if (!version.empty()) {
     params += ",\"version\":" + json::quote(version);
   } else {
     // Without a version the trial keeps an addressable name: the
-    // uploaded file's stem, not the server's staging-file name.
+    // uploaded file's stem, not the server's "upload-<n>".
     params += ",\"trial\":" + json::quote(file.stem().string());
   }
   if (!predecessor.empty()) {
     params += ",\"predecessor\":" + json::quote(predecessor);
   }
-  params += ",\"body\":" + json::quote(wire::base64_encode(body.str())) + "}";
+  // The base64 alphabet needs no JSON escaping.
+  params += ",\"body\":\"" + wire::base64_encode(body) + "\"}";
   return call("upload", params);
 }
 

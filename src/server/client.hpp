@@ -81,7 +81,7 @@ class Client {
 
  private:
   int fd_ = -1;
-  std::string buffer_;
+  wire::LineBuffer buffer_;
   std::uint64_t next_id_ = 1;
   /// Lines for ids other than the one being collected, in arrival order.
   std::vector<std::string> parked_;

@@ -7,10 +7,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <thread>
+#include <utility>
 
 #include "common/error.hpp"
 #include "io/format.hpp"
@@ -29,9 +28,9 @@ std::uint64_t now_ns() {
 
 /// Required string member of a params object; throws the field-naming
 /// error the wire maps to invalid_argument.
-std::string required_string(const json::Value& params,
-                            const std::string& key,
-                            const std::string& method) {
+const std::string& required_string(const json::Value& params,
+                                   const std::string& key,
+                                   const std::string& method) {
   const json::Value* v = params.find(key);
   if (v == nullptr || v->kind != json::Value::Kind::kString ||
       v->text.empty()) {
@@ -154,25 +153,6 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {
     throw IoError("pkx serve: listen(): " + why);
   }
 
-  // Upload bodies are staged under a private 0700 directory (mkdtemp),
-  // not at predictable names in the shared temp dir: staged trial data
-  // stays unreadable to other local users, and nobody can pre-plant a
-  // symlink where the daemon is about to write.
-  {
-    std::string tmpl =
-        (std::filesystem::temp_directory_path() / "pkx-serve-XXXXXX")
-            .string();
-    if (::mkdtemp(tmpl.data()) == nullptr) {
-      const std::string why = std::strerror(errno);
-      ::close(listen_fd_.exchange(-1));
-      ::unlink(options_.socket_path.c_str());
-      throw IoError("pkx serve: cannot create staging directory under " +
-                    std::filesystem::temp_directory_path().string() + ": " +
-                    why);
-    }
-    staging_dir_ = tmpl;
-  }
-
   // The longest legitimate line is an upload envelope: base64 expands
   // the byte budget 4/3, plus slack for the JSON framing. Anything
   // longer is a flood that admission control would never accept.
@@ -260,10 +240,6 @@ void Server::stop() {
     conns_.clear();
   }
   ::unlink(options_.socket_path.c_str());
-  if (!staging_dir_.empty()) {
-    std::error_code ec;
-    std::filesystem::remove_all(staging_dir_, ec);
-  }
 
   {
     std::lock_guard<std::mutex> lock(stop_mutex_);
@@ -345,22 +321,18 @@ void Server::reap_readers() {
 }
 
 void Server::reader_loop(ConnectionPtr conn) {
-  std::string buffer;
-  char chunk[4096];
+  constexpr std::size_t kChunk = 64 << 10;
+  wire::LineBuffer buffer;
   bool overflow = false;
   while (!stopping_.load() && !overflow) {
-    const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
+    const ssize_t n = ::recv(conn->fd, buffer.prepare(kChunk), kChunk, 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       break;  // peer closed or connection shut down
     }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start);
-         nl != std::string::npos && !overflow;
-         nl = buffer.find('\n', start)) {
-      std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
+    buffer.commit(static_cast<std::size_t>(n));
+    std::string_view line;
+    while (!overflow && buffer.next_line(line)) {
       if (line.empty()) continue;
       if (line.size() > max_line_bytes_) {
         overflow = true;
@@ -376,11 +348,10 @@ void Server::reader_loop(ConnectionPtr conn) {
         send_error(*conn, "", e.code(), e.what());
       }
     }
-    buffer.erase(0, start);
     // All admission limits act on parsed lines; without this cap a
     // client could stream unbounded bytes with no newline and run the
     // server out of memory before any limit applies.
-    if (buffer.size() > max_line_bytes_) overflow = true;
+    if (buffer.pending() > max_line_bytes_) overflow = true;
     if (overflow) {
       static telemetry::Counter& oversized =
           telemetry::counter("server.rejected.oversized_line");
@@ -645,7 +616,7 @@ void Server::execute(Job& job) {
   const wire::Request& req = job.request;
   try {
     if (req.method == "upload") {
-      do_upload(job.conn, req);
+      do_upload(job.conn, job.request);
     } else if (req.method == "analyze") {
       do_analyze(job.conn, req, /*explanations_only=*/false);
     } else if (req.method == "explain") {
@@ -661,43 +632,25 @@ void Server::execute(Job& job) {
   }
 }
 
-void Server::do_upload(const ConnectionPtr& conn,
-                       const wire::Request& req) {
+void Server::do_upload(const ConnectionPtr& conn, wire::Request& req) {
   const std::string application =
       required_string(req.params, "application", "upload");
   const std::string experiment =
       required_string(req.params, "experiment", "upload");
-  const std::string body = required_string(req.params, "body", "upload");
-  const std::string bytes = wire::base64_decode(body);
+  (void)required_string(req.params, "body", "upload");
+  // The base64 text is freed as soon as it is decoded, before the parse
+  // allocates the trial the repository keeps.
+  std::string bytes = wire::base64_decode(
+      std::exchange(req.params.find("body")->text, std::string()));
+  const std::size_t byte_count = bytes.size();
 
-  // io::open_trial is the file-level front door (it owns format
-  // sniffing and file-naming diagnostics), so the decoded body makes a
-  // brief stop on disk — inside the server-private 0700 staging
-  // directory, where other local users can neither read it nor
-  // pre-plant a symlink at the target name.
+  // The decoded body is parsed in memory, by the same front door that
+  // opens files. Formats that carry no trial name (CSV, a TAU profile)
+  // get "upload-<n>" unless the request names the trial.
   static std::atomic<std::uint64_t> upload_seq{0};
-  const std::filesystem::path tmp =
-      staging_dir_ / ("upload-" + std::to_string(upload_seq.fetch_add(1)) +
-                      ".bin");
-  {
-    std::ofstream os(tmp, std::ios::binary);
-    if (!os) {
-      throw IoError("upload: cannot stage body to " + tmp.string());
-    }
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  profile::Trial trial;
-  try {
-    const std::string format = optional_string(req.params, "format");
-    trial = format.empty() ? io::open_trial(tmp)
-                           : io::open_trial(tmp, format);
-  } catch (...) {
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    throw;
-  }
-  std::error_code ec;
-  std::filesystem::remove(tmp, ec);
+  profile::Trial trial = io::parse_trial(
+      std::move(bytes), optional_string(req.params, "format"),
+      "upload-" + std::to_string(upload_seq.fetch_add(1)));
 
   const std::string version = optional_string(req.params, "version");
   const std::string name = optional_string(req.params, "trial");
@@ -724,7 +677,7 @@ void Server::do_upload(const ConnectionPtr& conn,
   send_line(*conn,
             wire::result_line(
                 req.id, "{\"trial\":" + json::quote(stored) +
-                            ",\"bytes\":" + std::to_string(bytes.size()) +
+                            ",\"bytes\":" + std::to_string(byte_count) +
                             "}"));
 }
 

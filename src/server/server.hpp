@@ -202,7 +202,7 @@ class Server {
   void watch_loop(ConnectionPtr conn, std::string id, double interval_s,
                   std::uint64_t count);
   void execute(Job& job);
-  void do_upload(const ConnectionPtr& conn, const wire::Request& req);
+  void do_upload(const ConnectionPtr& conn, wire::Request& req);
   void do_analyze(const ConnectionPtr& conn, const wire::Request& req,
                   bool explanations_only);
   void do_diff(const ConnectionPtr& conn, const wire::Request& req);
@@ -232,12 +232,6 @@ class Server {
   /// (by accept_loop on the next accept, or by stop()). Guarded by
   /// conns_mutex_.
   std::vector<std::thread> zombie_readers_;
-
-  /// Server-private 0700 directory (mkdtemp) where upload bodies are
-  /// staged before io::open_trial; removed on stop(). Keeps staged
-  /// trial data unreadable to other users and defeats symlink planting
-  /// at predictable temp paths.
-  std::filesystem::path staging_dir_;
 
   /// Hard cap on one request line, derived from client_byte_budget
   /// (base64 expansion plus envelope slack). A connection that streams

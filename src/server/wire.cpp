@@ -1,6 +1,10 @@
 #include "server/wire.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
+#include <cstring>
+#include <utility>
 
 namespace perfknow::server::wire {
 
@@ -71,7 +75,35 @@ int exit_code(ErrorCode code) {
   return code == ErrorCode::kInvalidArgument ? 2 : 1;
 }
 
-Request parse_request(const std::string& line) {
+char* LineBuffer::prepare(std::size_t n) {
+  if (start_ > 0) {
+    // Only the tail of a partial line remains; move it to the front.
+    std::memmove(buf_.data(), buf_.data() + start_, size_ - start_);
+    size_ -= start_;
+    scanned_ -= start_;
+    start_ = 0;
+  }
+  if (buf_.size() < size_ + n) {
+    buf_.resize(std::max(size_ + n, 2 * buf_.size()));
+  }
+  return buf_.data() + size_;
+}
+
+bool LineBuffer::next_line(std::string_view& line) {
+  const void* nl =
+      std::memchr(buf_.data() + scanned_, '\n', size_ - scanned_);
+  if (nl == nullptr) {
+    scanned_ = size_;
+    return false;
+  }
+  const auto end =
+      static_cast<std::size_t>(static_cast<const char*>(nl) - buf_.data());
+  line = std::string_view(buf_.data() + start_, end - start_);
+  start_ = scanned_ = end + 1;
+  return true;
+}
+
+Request parse_request(std::string_view line) {
   json::Value doc;
   try {
     doc = json::parse(line);
@@ -112,13 +144,14 @@ Request parse_request(const std::string& line) {
                     "request has no \"method\" string");
   }
   req.method = method->text;
-  if (const json::Value* params = doc.find("params"); params != nullptr) {
+  if (json::Value* params = doc.find("params"); params != nullptr) {
     if (params->kind != json::Value::Kind::kObject &&
         params->kind != json::Value::Kind::kNull) {
       throw WireError(ErrorCode::kBadRequest,
                       "request \"params\" must be an object");
     }
-    req.params = *params;
+    // Moved, not copied: an upload's params hold its multi-MB body.
+    req.params = std::move(*params);
   }
   return req;
 }
@@ -171,55 +204,85 @@ namespace {
 constexpr char kB64[] =
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
-int b64_value(char c) {
-  if (c >= 'A' && c <= 'Z') return c - 'A';
-  if (c >= 'a' && c <= 'z') return c - 'a' + 26;
-  if (c >= '0' && c <= '9') return c - '0' + 52;
-  if (c == '+') return 62;
-  if (c == '/') return 63;
-  return -1;
+// Decode table: the 6-bit value of each alphabet byte; the other codes
+// mark the bytes the decoder treats specially.
+constexpr std::uint8_t kSkip = 64;     // '\n', '\r': ignored
+constexpr std::uint8_t kPad = 65;      // '='
+constexpr std::uint8_t kInvalid = 66;  // anything else
+
+constexpr std::array<std::uint8_t, 256> decode_table() {
+  std::array<std::uint8_t, 256> t{};
+  for (auto& v : t) v = kInvalid;
+  for (std::uint8_t i = 0; i < 64; ++i) {
+    t[static_cast<unsigned char>(kB64[i])] = i;
+  }
+  t['\n'] = kSkip;
+  t['\r'] = kSkip;
+  t['='] = kPad;
+  return t;
 }
+constexpr std::array<std::uint8_t, 256> kDecode = decode_table();
 }  // namespace
 
 std::string base64_encode(std::string_view bytes) {
-  std::string out;
-  out.reserve((bytes.size() + 2) / 3 * 4);
+  std::string out((bytes.size() + 2) / 3 * 4, '\0');
+  char* o = out.data();
   std::size_t i = 0;
   for (; i + 3 <= bytes.size(); i += 3) {
     const unsigned v = (static_cast<unsigned char>(bytes[i]) << 16) |
                        (static_cast<unsigned char>(bytes[i + 1]) << 8) |
                        static_cast<unsigned char>(bytes[i + 2]);
-    out += kB64[(v >> 18) & 63];
-    out += kB64[(v >> 12) & 63];
-    out += kB64[(v >> 6) & 63];
-    out += kB64[v & 63];
+    *o++ = kB64[(v >> 18) & 63];
+    *o++ = kB64[(v >> 12) & 63];
+    *o++ = kB64[(v >> 6) & 63];
+    *o++ = kB64[v & 63];
   }
   const std::size_t rest = bytes.size() - i;
   if (rest == 1) {
     const unsigned v = static_cast<unsigned char>(bytes[i]) << 16;
-    out += kB64[(v >> 18) & 63];
-    out += kB64[(v >> 12) & 63];
-    out += "==";
+    *o++ = kB64[(v >> 18) & 63];
+    *o++ = kB64[(v >> 12) & 63];
+    *o++ = '=';
+    *o++ = '=';
   } else if (rest == 2) {
     const unsigned v = (static_cast<unsigned char>(bytes[i]) << 16) |
                        (static_cast<unsigned char>(bytes[i + 1]) << 8);
-    out += kB64[(v >> 18) & 63];
-    out += kB64[(v >> 12) & 63];
-    out += kB64[(v >> 6) & 63];
-    out += '=';
+    *o++ = kB64[(v >> 18) & 63];
+    *o++ = kB64[(v >> 12) & 63];
+    *o++ = kB64[(v >> 6) & 63];
+    *o++ = '=';
   }
   return out;
 }
 
 std::string base64_decode(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() / 4 * 3);
+  std::string out(text.size() / 4 * 3 + 3, '\0');
+  char* o = out.data();
   unsigned acc = 0;
   int bits = 0;
   std::size_t pad = 0;
-  for (const char c : text) {
-    if (c == '\n' || c == '\r') continue;
-    if (c == '=') {
+  std::size_t i = 0;
+  while (i < text.size()) {
+    // Whole quads of alphabet bytes on a group boundary: three bytes
+    // out, no per-byte bookkeeping.
+    if (bits == 0 && pad == 0 && i + 4 <= text.size()) {
+      const unsigned a = kDecode[static_cast<unsigned char>(text[i])];
+      const unsigned b = kDecode[static_cast<unsigned char>(text[i + 1])];
+      const unsigned c = kDecode[static_cast<unsigned char>(text[i + 2])];
+      const unsigned d = kDecode[static_cast<unsigned char>(text[i + 3])];
+      if ((a | b | c | d) < 64) {
+        const unsigned v = (a << 18) | (b << 12) | (c << 6) | d;
+        *o++ = static_cast<char>(v >> 16);
+        *o++ = static_cast<char>((v >> 8) & 0xFF);
+        *o++ = static_cast<char>(v & 0xFF);
+        i += 4;
+        continue;
+      }
+    }
+    const char ch = text[i++];
+    const unsigned v = kDecode[static_cast<unsigned char>(ch)];
+    if (v == kSkip) continue;
+    if (v == kPad) {
       ++pad;
       continue;
     }
@@ -227,17 +290,16 @@ std::string base64_decode(std::string_view text) {
       throw WireError(ErrorCode::kBadRequest,
                       "base64 body: data after '=' padding");
     }
-    const int v = b64_value(c);
-    if (v < 0) {
+    if (v == kInvalid) {
       throw WireError(ErrorCode::kBadRequest,
                       "base64 body: invalid character '" +
-                          std::string(1, c) + "'");
+                          std::string(1, ch) + "'");
     }
-    acc = (acc << 6) | static_cast<unsigned>(v);
+    acc = (acc << 6) | v;
     bits += 6;
     if (bits >= 8) {
       bits -= 8;
-      out += static_cast<char>((acc >> bits) & 0xFF);
+      *o++ = static_cast<char>((acc >> bits) & 0xFF);
     }
   }
   // A dangling 6-bit group (non-padding length of 1 mod 4, bits == 6)
@@ -248,6 +310,7 @@ std::string base64_decode(std::string_view text) {
     throw WireError(ErrorCode::kBadRequest,
                     "base64 body: truncated or over-padded input");
   }
+  out.resize(static_cast<std::size_t>(o - out.data()));
   return out;
 }
 

@@ -30,6 +30,7 @@
 // analysis over the socket fails exactly like running it in-process.
 #pragma once
 
+#include <cstddef>
 #include <exception>
 #include <string>
 #include <string_view>
@@ -95,10 +96,33 @@ struct Request {
   json::Value params;  ///< the "params" object; kNull when absent
 };
 
+/// Frames a received byte stream into LF-terminated lines, for both ends
+/// of the socket. Each byte is searched for the terminator once, however
+/// many reads a long line arrives in, so framing an upload line costs
+/// time linear in its length.
+class LineBuffer {
+ public:
+  /// Room for `n` more received bytes; commit() says how many arrived.
+  /// Invalidates lines handed out earlier.
+  [[nodiscard]] char* prepare(std::size_t n);
+  void commit(std::size_t n) { size_ += n; }
+  /// The next complete line, without its '\n'; false when none is
+  /// complete yet. `line` views the buffer until the next prepare().
+  bool next_line(std::string_view& line);
+  /// Received bytes not yet returned as a line.
+  [[nodiscard]] std::size_t pending() const noexcept { return size_ - start_; }
+
+ private:
+  std::string buf_;
+  std::size_t size_ = 0;     // bytes received into buf_
+  std::size_t start_ = 0;    // first byte not yet returned as a line
+  std::size_t scanned_ = 0;  // [start_, scanned_) holds no '\n'
+};
+
 /// Parses one request line. Throws WireError (kBadRequest on JSON or
 /// envelope-shape problems, kUnsupportedVersion on a version mismatch).
 /// A numeric id is normalized to its shortest decimal rendering.
-[[nodiscard]] Request parse_request(const std::string& line);
+[[nodiscard]] Request parse_request(std::string_view line);
 
 // ---- response builders -------------------------------------------------
 // Each returns one complete line WITHOUT the trailing newline; `data`

@@ -41,7 +41,7 @@ TEST(CsvLong, RoundTripValuesAndCallpath) {
   const Trial t = fixture();
   std::stringstream ss;
   pk::perfdmf::write_csv_long(t, ss);
-  const Trial back = pk::perfdmf::read_csv_long(ss);
+  const Trial back = pk::perfdmf::read_csv_long(ss.str());
 
   EXPECT_EQ(back.thread_count(), 2u);
   EXPECT_EQ(back.event_count(), 2u);
@@ -56,18 +56,16 @@ TEST(CsvLong, RoundTripValuesAndCallpath) {
 }
 
 TEST(CsvLong, RejectsMalformedInput) {
-  std::stringstream empty("");
-  EXPECT_THROW(pk::perfdmf::read_csv_long(empty), pk::ParseError);
-  std::stringstream bad_header("a,b,c\n");
-  EXPECT_THROW(pk::perfdmf::read_csv_long(bad_header), pk::ParseError);
-  std::stringstream short_row(
-      "event,thread,metric,inclusive,exclusive,calls,subcalls\n"
-      "main,0,TIME,1\n");
-  EXPECT_THROW(pk::perfdmf::read_csv_long(short_row), pk::ParseError);
-  std::stringstream bad_quote(
-      "event,thread,metric,inclusive,exclusive,calls,subcalls\n"
-      "\"unterminated,0,TIME,1,1,1,0\n");
-  EXPECT_THROW(pk::perfdmf::read_csv_long(bad_quote), pk::ParseError);
+  EXPECT_THROW(pk::perfdmf::read_csv_long(""), pk::ParseError);
+  EXPECT_THROW(pk::perfdmf::read_csv_long("a,b,c\n"), pk::ParseError);
+  EXPECT_THROW(pk::perfdmf::read_csv_long(
+                   "event,thread,metric,inclusive,exclusive,calls,subcalls\n"
+                   "main,0,TIME,1\n"),
+               pk::ParseError);
+  EXPECT_THROW(pk::perfdmf::read_csv_long(
+                   "event,thread,metric,inclusive,exclusive,calls,subcalls\n"
+                   "\"unterminated,0,TIME,1,1,1,0\n"),
+               pk::ParseError);
 }
 
 TEST(JsonFormat, RoundTripExact) {

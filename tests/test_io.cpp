@@ -1,14 +1,19 @@
-// Tests for the unified io::open_trial / io::save_trial front door:
-// auto-detection across all six registered formats, content-over-
-// extension sniffing, and the candidate-listing failure diagnostics.
+// Tests for the unified io::open_trial / io::parse_trial / io::save_trial
+// front door: auto-detection across all six registered formats, content-
+// over-extension sniffing, the candidate-listing failure diagnostics, and
+// linear-time text ingest.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 
 #include "common/error.hpp"
 #include "io/format.hpp"
+#include "perfdmf/csv_format.hpp"
 #include "perfdmf/tau_format.hpp"
 
 namespace pk = perfknow;
@@ -242,4 +247,87 @@ TEST(IoOpen, MislabeledExtensionStillDetectsByMagic) {
   pk::io::save_trial(t, file, "pkb");
   const Trial back = pk::io::open_trial(file);
   EXPECT_EQ(back.name(), "mislabeled");
+}
+
+TEST(IoParse, BytesParseLikeTheFileTheyCameFrom) {
+  TempDir dir;
+  const Trial t = make_trial("bytes");
+  for (const char* format : {"pkb", "pkprof", "json", "csv"}) {
+    const fs::path file = dir.path() / (std::string("run.") + format);
+    pk::io::save_trial(t, file, format);
+    std::ifstream is(file, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(is)),
+                            std::istreambuf_iterator<char>());
+    // Detected from the content, named as the file would be.
+    const Trial parsed = pk::io::parse_trial(bytes, "", file.string());
+    const Trial opened = pk::io::open_trial(file);
+    EXPECT_EQ(parsed.name(), opened.name()) << format;
+    EXPECT_EQ(parsed.event_count(), opened.event_count()) << format;
+    const auto m = parsed.metric_id("TIME");
+    EXPECT_EQ(parsed.exclusive(1, parsed.event_id("main => loop"), m),
+              opened.exclusive(1, opened.event_id("main => loop"), m))
+        << format;
+  }
+  // A CSV body's trial takes its name from the name it was given.
+  std::ostringstream csv;
+  pk::perfdmf::write_csv_long(t, csv);
+  EXPECT_EQ(pk::io::parse_trial(csv.str(), "csv", "upload-3").name(),
+            "upload-3");
+  try {
+    (void)pk::io::parse_trial("no format looks like this\n", "", "upload-4");
+    FAIL() << "garbage parsed";
+  } catch (const pk::ParseError& e) {
+    EXPECT_EQ(e.file(), "upload-4");
+  }
+  EXPECT_THROW((void)pk::io::parse_trial("x", "nope", "upload-5"),
+               pk::InvalidArgumentError);
+}
+
+// Opening a text profile must cost time linear in its size, like
+// building the trial does (Trial.BuildingThreadsFirstGrowsLinearly): 4x
+// the events at 64 threads costs ~4x, a per-row rescan would cost ~16x.
+// The bound of 8 leaves room for cache effects and a noisy host.
+TEST(IoOpen, TextIngestGrowsLinearlyInEvents) {
+  constexpr std::size_t kThreads = 64;
+  TempDir dir;
+  const auto write_trial = [&](std::size_t events, const std::string& tag) {
+    Trial t("growth");
+    t.set_thread_count(kThreads);
+    const auto time = t.add_metric("TIME", "usec");
+    const auto main = t.add_event("main");
+    for (std::size_t e = 0; e < events; ++e) {
+      const auto id = t.add_event(
+          "main => ev" + std::to_string(e), e % 3 == 0 ? main : pk::profile::kNoEvent);
+      for (std::size_t th = 0; th < kThreads; ++th) {
+        t.set_inclusive(th, id, time, 1.5 * static_cast<double>(th + e));
+        t.set_exclusive(th, id, time, 0.25 * static_cast<double>(th + 1));
+        t.set_calls(th, id, 1.0, 0.0);
+      }
+    }
+    pk::io::save_trial(t, dir.path() / (tag + ".json"));
+    pk::io::save_trial(t, dir.path() / (tag + ".csv"));
+    pk::perfdmf::write_tau_profiles(t, "TIME", dir.path() / (tag + "_tau"));
+  };
+  write_trial(500, "small");
+  write_trial(2000, "large");
+  const auto open_ms = [&](const fs::path& path) {
+    double best = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const Trial t = pk::io::open_trial(path);
+      const std::chrono::duration<double, std::milli> ms =
+          std::chrono::steady_clock::now() - t0;
+      EXPECT_EQ(t.thread_count(), kThreads);
+      if (rep == 0 || ms.count() < best) best = ms.count();
+    }
+    return best;
+  };
+  for (const std::string format : {"json", "csv", "tau"}) {
+    const std::string suffix = format == "tau" ? "_tau" : "." + format;
+    const double small = open_ms(dir.path() / ("small" + suffix));
+    const double large = open_ms(dir.path() / ("large" + suffix));
+    EXPECT_LT(large / small, 8.0)
+        << format << ": 500 events " << small << " ms, 2000 events "
+        << large << " ms";
+  }
 }

@@ -153,16 +153,15 @@ TEST(PkbFormat, DifferentialRoundTripOverShippedCorpora) {
   std::vector<Trial> trials;
   for (const auto& entry : fs::directory_iterator(corpus_dir("tau"))) {
     try {
-      std::istringstream is(read_file(entry.path()));
-      trials.push_back(pk::perfdmf::read_tau_stream(is, "corpus"));
+      trials.push_back(
+          pk::perfdmf::read_tau_stream(read_file(entry.path()), "corpus"));
     } catch (const pk::Error&) {
       // Rejection corpus entries exercise the parsers, not the formats.
     }
   }
   for (const auto& entry : fs::directory_iterator(corpus_dir("csv"))) {
     try {
-      std::istringstream is(read_file(entry.path()));
-      trials.push_back(pk::perfdmf::read_csv_long(is));
+      trials.push_back(pk::perfdmf::read_csv_long(read_file(entry.path())));
     } catch (const pk::Error&) {
     }
   }

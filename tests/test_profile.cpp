@@ -189,3 +189,24 @@ TEST(Trial, BuildingThreadsFirstGrowsLinearly) {
   EXPECT_LT(large / small, 8.0)
       << "1000 events: " << small << " ms, 4000 events: " << large << " ms";
 }
+
+TEST(Trial, ReservedEventsAddWithoutSlackOrRelayout) {
+  Trial t("reserved");
+  t.set_thread_count(3);
+  t.reserve_events(5);
+  const auto time = t.add_metric("TIME", "usec");
+  EXPECT_EQ(t.row_stride(), 5u);
+  for (int e = 0; e < 5; ++e) {
+    const auto id = t.add_event("ev" + std::to_string(e));
+    for (std::size_t th = 0; th < 3; ++th) {
+      t.set_inclusive(th, id, time, 10.0 * e + static_cast<double>(th));
+    }
+  }
+  EXPECT_EQ(t.row_stride(), 5u);
+  t.reserve_events(2);  // never shrinks
+  EXPECT_EQ(t.row_stride(), 5u);
+  const auto sixth = t.add_event("ev5");  // grows geometrically again
+  EXPECT_GT(t.row_stride(), 5u);
+  EXPECT_EQ(t.inclusive(2, t.event_id("ev4"), time), 42.0);
+  EXPECT_EQ(t.inclusive(1, sixth, time), 0.0);
+}

@@ -438,6 +438,20 @@ TEST(Provenance, JsonReaderRejectsMalformedInput) {
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].problem, "p");
   EXPECT_EQ(parsed[0].severity, 0.0);
+  // Integers out of their field's range read as 0 instead of taking an
+  // undefined float-to-integer cast.
+  const auto wide = prov::explanations_from_json(
+      R"({"schema":"perfknow.explanation/1","diagnosis":{"rule":"r"},)"
+      R"("firing":{"id":18446744073709551615,"line":-3e10,"salience":1e300,)"
+      R"("generation":7,"facts":[{"fact":-1}]}})");
+  ASSERT_EQ(wide.size(), 1u);
+  ASSERT_NE(wide[0].root, nullptr);
+  EXPECT_EQ(wide[0].root->id, 0u);
+  EXPECT_EQ(wide[0].root->rule_loc.line, 0);
+  EXPECT_EQ(wide[0].root->salience, 0);
+  EXPECT_EQ(wide[0].root->generation, 7u);
+  ASSERT_EQ(wide[0].root->facts.size(), 1u);
+  EXPECT_EQ(wide[0].root->facts[0].id, 0u);
 }
 
 TEST(Provenance, DotRendersDedupedDag) {

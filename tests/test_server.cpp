@@ -6,12 +6,17 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <regex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -169,6 +174,91 @@ TEST(Wire, Base64RoundTripsAndRejectsGarbage) {
   EXPECT_THROW((void)wire::base64_decode("QQQQA"), wire::WireError);
 }
 
+TEST(Wire, Base64DecodesWrappedBodiesAndKeepsItsErrorMessages) {
+  std::string bytes;
+  for (int i = 0; i < 1000; ++i) bytes += static_cast<char>(i * 37 % 256);
+  const std::string encoded = wire::base64_encode(bytes);
+  // Line-wrapped bodies (76 columns, CRLF or LF) decode the same.
+  std::string wrapped;
+  for (std::size_t i = 0; i < encoded.size(); i += 76) {
+    wrapped += encoded.substr(i, 76) + (i % 152 == 0 ? "\r\n" : "\n");
+  }
+  EXPECT_EQ(wire::base64_decode(wrapped), bytes);
+  EXPECT_EQ(wire::base64_decode("QUJ\nDRA=\n="), "ABCD");
+  const auto message_of = [](const std::string& text) {
+    try {
+      (void)wire::base64_decode(text);
+    } catch (const wire::WireError& e) {
+      EXPECT_EQ(e.code(), wire::ErrorCode::kBadRequest);
+      return std::string(e.what());
+    }
+    return std::string("decoded");
+  };
+  EXPECT_EQ(message_of("QUJD!"), "base64 body: invalid character '!'");
+  EXPECT_EQ(message_of("QUJDRA==QQ"), "base64 body: data after '=' padding");
+  EXPECT_EQ(message_of("QUJDRA==="),
+            "base64 body: truncated or over-padded input");
+  EXPECT_EQ(message_of("QUJDR"),
+            "base64 body: truncated or over-padded input");
+  EXPECT_EQ(message_of("QUJDRB=="),
+            "base64 body: truncated or over-padded input");
+}
+
+// Framing a request line must cost time linear in its length however
+// many reads it arrives in: 4x the line costs ~4x, while searching the
+// whole buffer again after every read would cost ~16x. The bound of 8
+// leaves room for cache effects and a noisy host.
+TEST(Wire, LineFramingGrowsLinearlyInTheLineLength) {
+  const auto frame_ms = [](std::size_t bytes) {
+    constexpr std::size_t kRead = 4096;
+    const std::string line = std::string(bytes, 'x') + "\n";
+    double best = 0.0;
+    for (int rep = 0; rep < 5; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      wire::LineBuffer buffer;
+      std::size_t lines = 0;
+      for (std::size_t at = 0; at < line.size(); at += kRead) {
+        const std::size_t n = std::min(kRead, line.size() - at);
+        std::memcpy(buffer.prepare(kRead), line.data() + at, n);
+        buffer.commit(n);
+        std::string_view framed;
+        while (buffer.next_line(framed)) {
+          EXPECT_EQ(framed.size(), bytes);
+          ++lines;
+        }
+      }
+      EXPECT_EQ(lines, 1u);
+      EXPECT_EQ(buffer.pending(), 0u);
+      const std::chrono::duration<double, std::milli> ms =
+          std::chrono::steady_clock::now() - t0;
+      if (rep == 0 || ms.count() < best) best = ms.count();
+    }
+    return best;
+  };
+  const double small = frame_ms(std::size_t{2} << 20);
+  const double large = frame_ms(std::size_t{8} << 20);
+  EXPECT_LT(large / small, 8.0)
+      << "2 MiB line: " << small << " ms, 8 MiB line: " << large << " ms";
+}
+
+TEST(Wire, LineBufferSplitsManyLinesAndKeepsAPartialTail) {
+  wire::LineBuffer buffer;
+  const std::string stream = "a\n\nbc\ndef";
+  std::memcpy(buffer.prepare(stream.size()), stream.data(), stream.size());
+  buffer.commit(stream.size());
+  std::vector<std::string> lines;
+  std::string_view line;
+  while (buffer.next_line(line)) lines.emplace_back(line);
+  EXPECT_EQ(lines, (std::vector<std::string>{"a", "", "bc"}));
+  EXPECT_EQ(buffer.pending(), 3u);
+  std::memcpy(buffer.prepare(2), "g\n", 2);
+  buffer.commit(2);
+  ASSERT_TRUE(buffer.next_line(line));
+  EXPECT_EQ(line, "defg");
+  EXPECT_FALSE(buffer.next_line(line));
+  EXPECT_EQ(buffer.pending(), 0u);
+}
+
 TEST(Wire, ResponseLinesCarryEnvelopeAndEscapeStrings) {
   const std::string line = wire::error_line("7", wire::ErrorCode::kNotFound,
                                             "no \"such\" trial");
@@ -324,6 +414,55 @@ TEST(ServerDaemon, UploadWithIndexBreakingNameIsRejected) {
   const auto good = client.upload_file("perfknow", "bench", cur, "v1");
   EXPECT_TRUE(good.ok()) << good.error_message;
   EXPECT_EQ(server.stats().uploads, 1u);
+  server.stop();
+}
+
+// Upload bodies are parsed in memory. Formats whose content names no
+// trial (CSV, a TAU profile) get "upload-<n>" unless the request names
+// one, and parse errors are located in that name, not in a file.
+TEST(ServerDaemon, UploadsParseInMemoryAndNameUnnamedTrials) {
+  ServerOptions opt;
+  opt.socket_path = socket_path();
+  opt.workers = 1;
+  Server server(opt);
+  Client client(opt.socket_path);
+  const auto upload = [&](const std::string& body,
+                          const std::string& extra) {
+    return client.call(
+        "upload", "{\"application\":\"app\",\"experiment\":\"exp\"" +
+                      extra + ",\"body\":" +
+                      pk::json::quote(wire::base64_encode(body)) + "}");
+  };
+  const std::regex unnamed("\"trial\":\"upload-[0-9]+\"");
+  const std::string csv =
+      "event,thread,metric,inclusive,exclusive,calls,subcalls\n"
+      "main,0,TIME,5,4,1,1\nmain => f,1,TIME,1,1,2,0\n";
+  const auto by_content = upload(csv, "");
+  ASSERT_TRUE(by_content.ok()) << by_content.error_message;
+  EXPECT_TRUE(std::regex_search(by_content.result, unnamed))
+      << by_content.result;
+  const auto named_format = upload(csv, ",\"format\":\"csv\"");
+  ASSERT_TRUE(named_format.ok()) << named_format.error_message;
+  EXPECT_TRUE(std::regex_search(named_format.result, unnamed))
+      << named_format.result;
+  const std::string tau =
+      "2 templated_functions_MULTI_TIME\n# Name Calls Subrs Excl Incl\n"
+      "\"main\" 1 1 5 10 0 GROUP=\"TAU_DEFAULT\"\n"
+      "\"main => f\" 1 0 5 5 0 GROUP=\"TAU_CALLPATH\"\n";
+  const auto tau_up = upload(tau, "");
+  ASSERT_TRUE(tau_up.ok()) << tau_up.error_message;
+  EXPECT_TRUE(std::regex_search(tau_up.result, unnamed)) << tau_up.result;
+  const auto named = upload(csv, ",\"trial\":\"mine\"");
+  ASSERT_TRUE(named.ok()) << named.error_message;
+  EXPECT_NE(named.result.find("\"trial\":\"mine\""), std::string::npos);
+
+  const auto bad = upload(csv + "main,0,TIME,x,1,1,0\n", "");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.error, wire::ErrorCode::kParse);
+  EXPECT_TRUE(std::regex_search(bad.error_message,
+                                std::regex("^upload-[0-9]+:4: not a number")))
+      << bad.error_message;
+  EXPECT_EQ(server.stats().uploads, 4u);
   server.stop();
 }
 
