@@ -6,7 +6,7 @@
 // required for the gate.
 //
 // Usage:
-//   fuzz_smoke --frontend tau|csv|json|rules|perfscript|pkb|explain|wire
+//   fuzz_smoke --frontend tau|csv|json|rules|perfscript|pkb|explain|wire|index
 //              --corpus <dir> [--mutations N] [--seed S]
 //
 // Exit code 0 iff zero contract violations.
@@ -22,7 +22,7 @@ namespace {
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --frontend "
-               "tau|csv|json|rules|perfscript|pkb|explain|wire "
+               "tau|csv|json|rules|perfscript|pkb|explain|wire|index "
                "--corpus <dir> [--mutations N] [--seed S]\n",
                argv0);
 }

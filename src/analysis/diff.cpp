@@ -146,11 +146,12 @@ DiffSummary assert_diff_facts(rules::RuleHarness& harness,
             ? std::exp(log_sum / static_cast<double>(cells.size()))
             : 1.0;
 
+    const RuntimeFraction current_fraction(current, metric);
     for (const auto& cell : cells) {
       const double ratio = cell.current_value / cell.base_value;
       const double nr = round4(ratio / geomean);
-      const double fraction = runtime_fraction(
-          current, current_events.at(*cell.event), metric);
+      const double fraction =
+          current_fraction(current_events.at(*cell.event));
       const char* direction = "same";
       if (fraction >= options.min_fraction) {
         if (nr > 1.0 + options.noise_band) {
@@ -197,12 +198,14 @@ DiffSummary assert_diff_facts(rules::RuleHarness& harness,
   // Presence changes, judged against the first compared metric's
   // runtime share in the trial that still has the event.
   const std::string& fraction_metric = metrics.front();
+  const RuntimeFraction base_fraction(base, fraction_metric);
+  const RuntimeFraction added_fraction(current, fraction_metric);
   for (const auto& [name, be] : base_events) {
     if (current_events.count(name) != 0) continue;
     rules::Fact f("EventPresenceFact");
     f.set("eventName", name);
     f.set("presence", "removed");
-    f.set("runtimeFraction", runtime_fraction(base, be, fraction_metric));
+    f.set("runtimeFraction", base_fraction(be));
     f.set("baseTrial", base.name());
     f.set("currentTrial", current.name());
     harness.assert_fact(std::move(f));
@@ -214,8 +217,7 @@ DiffSummary assert_diff_facts(rules::RuleHarness& harness,
     rules::Fact f("EventPresenceFact");
     f.set("eventName", name);
     f.set("presence", "added");
-    f.set("runtimeFraction",
-          runtime_fraction(current, ce, fraction_metric));
+    f.set("runtimeFraction", added_fraction(ce));
     f.set("baseTrial", base.name());
     f.set("currentTrial", current.name());
     harness.assert_fact(std::move(f));

@@ -10,11 +10,28 @@ namespace {
 
 /// Share of total runtime: prefer TIME when present so severity always
 /// means "fraction of wall time", as in the paper's 10 % threshold.
-double severity_of(const profile::Trial& trial, profile::EventId event) {
-  if (trial.find_metric("TIME")) {
-    return runtime_fraction(trial, event, "TIME");
-  }
-  return runtime_fraction(trial, event, trial.metric(0).name);
+RuntimeFraction severity_of(const profile::Trial& trial) {
+  return RuntimeFraction(
+      trial, trial.find_metric("TIME") ? "TIME" : trial.metric(0).name);
+}
+
+rules::Fact main_comparison(const profile::Trial& trial,
+                            const std::string& metric, profile::MetricId m,
+                            double main_value, profile::EventId event,
+                            double severity) {
+  const double event_value = trial.mean_exclusive(event, m);
+  rules::Fact f("MeanEventFact");
+  f.set("factType", "Compared to Main");
+  f.set("metric", metric);
+  f.set("eventName", trial.event(event).name);
+  f.set("mainValue", main_value);
+  f.set("eventValue", event_value);
+  const char* rel = "same";
+  if (event_value > main_value) rel = "higher";
+  else if (event_value < main_value) rel = "lower";
+  f.set("higherLower", rel);
+  f.set("severity", severity);
+  return f;
 }
 
 /// Metric-lineage chains for the provenance origin label — computed
@@ -40,22 +57,9 @@ rules::Fact compare_event_to_main(const profile::Trial& trial,
                                   const std::string& metric,
                                   profile::EventId event) {
   const auto m = trial.metric_id(metric);
-  const auto main = trial.main_event();
-  const double main_value = trial.mean_inclusive(main, m);
-  const double event_value = trial.mean_exclusive(event, m);
-
-  rules::Fact f("MeanEventFact");
-  f.set("factType", "Compared to Main");
-  f.set("metric", metric);
-  f.set("eventName", trial.event(event).name);
-  f.set("mainValue", main_value);
-  f.set("eventValue", event_value);
-  const char* rel = "same";
-  if (event_value > main_value) rel = "higher";
-  else if (event_value < main_value) rel = "lower";
-  f.set("higherLower", rel);
-  f.set("severity", severity_of(trial, event));
-  return f;
+  const double main_value = trial.mean_inclusive(trial.main_event(), m);
+  return main_comparison(trial, metric, m, main_value, event,
+                         severity_of(trial)(event));
 }
 
 std::size_t assert_compare_to_main_facts(rules::RuleHarness& harness,
@@ -67,10 +71,14 @@ std::size_t assert_compare_to_main_facts(rules::RuleHarness& harness,
           metric + "')",
       chains_if_full(harness, trial, {metric}));
   const auto main = trial.main_event();
+  const auto m = trial.metric_id(metric);
+  const double main_value = trial.mean_inclusive(main, m);
+  const RuntimeFraction severity = severity_of(trial);
   std::size_t n = 0;
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
     if (e == main) continue;
-    harness.assert_fact(compare_event_to_main(trial, metric, e));
+    harness.assert_fact(
+        main_comparison(trial, metric, m, main_value, e, severity(e)));
     ++n;
   }
   return n;
@@ -95,6 +103,7 @@ std::size_t assert_compare_to_average_facts(rules::RuleHarness& harness,
   }
   const double average =
       counted == 0 ? 0.0 : total / static_cast<double>(counted);
+  const RuntimeFraction severity = severity_of(trial);
 
   std::size_t n = 0;
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
@@ -110,7 +119,7 @@ std::size_t assert_compare_to_average_facts(rules::RuleHarness& harness,
     if (value > average) rel = "higher";
     else if (value < average) rel = "lower";
     f.set("higherLower", rel);
-    f.set("severity", severity_of(trial, e));
+    f.set("severity", severity(e));
     harness.assert_fact(std::move(f));
     ++n;
   }
@@ -125,13 +134,14 @@ std::size_t assert_load_balance_facts(rules::RuleHarness& harness,
       "assert_load_balance_facts(trial='" + trial.name() + "', metric='" +
           metric + "')",
       chains_if_full(harness, trial, {metric}));
+  const RuntimeFraction fraction(trial, metric);
   std::size_t n = 0;
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
     const auto s = event_statistics(trial, e, metric, /*exclusive=*/true);
     rules::Fact f("LoadBalanceFact");
     f.set("eventName", s.name);
     f.set("cv", s.cv);
-    f.set("runtimeFraction", runtime_fraction(trial, e, metric));
+    f.set("runtimeFraction", fraction(e));
     harness.assert_fact(std::move(f));
     ++n;
   }
@@ -167,6 +177,7 @@ std::size_t assert_stall_facts(rules::RuleHarness& harness,
   const auto cycles = trial.metric_id("CPU_CYCLES");
   const auto mem = trial.metric_id("L1D_STALL_CYCLES");
   const auto fp = trial.metric_id("FP_STALL_CYCLES");
+  const RuntimeFraction severity = severity_of(trial);
   std::size_t n = 0;
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
     const double st = trial.mean_exclusive(e, stalls);
@@ -177,7 +188,7 @@ std::size_t assert_stall_facts(rules::RuleHarness& harness,
     f.set("eventName", trial.event(e).name);
     f.set("stallsPerCycle", cy == 0.0 ? 0.0 : st / cy);
     f.set("memoryFpFraction", st == 0.0 ? 0.0 : memfp / st);
-    f.set("runtimeFraction", severity_of(trial, e));
+    f.set("runtimeFraction", severity(e));
     harness.assert_fact(std::move(f));
     ++n;
   }
@@ -204,6 +215,7 @@ std::size_t assert_memory_locality_facts(rules::RuleHarness& harness,
   }
   const double app_ratio =
       total_remote == 0.0 ? total_local : total_local / total_remote;
+  const RuntimeFraction severity = severity_of(trial);
 
   std::size_t n = 0;
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
@@ -218,7 +230,7 @@ std::size_t assert_memory_locality_facts(rules::RuleHarness& harness,
     f.set("localToRemote", local_to_remote);
     f.set("appLocalToRemote", app_ratio);
     f.set("belowAppAverage", local_to_remote < app_ratio);
-    f.set("runtimeFraction", severity_of(trial, e));
+    f.set("runtimeFraction", severity(e));
     harness.assert_fact(std::move(f));
     ++n;
   }

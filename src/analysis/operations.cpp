@@ -112,19 +112,19 @@ EventStatistics event_statistics(const profile::Trial& trial,
                                  profile::EventId event,
                                  const std::string& metric, bool exclusive) {
   const auto m = trial.metric_id(metric);
-  // Strided view straight into the value cube — no per-call copy.
-  const auto xs = exclusive ? trial.exclusive_series(event, m)
-                            : trial.inclusive_series(event, m);
   EventStatistics s;
   s.event = event;
   s.name = trial.event(event).name;
-  if (xs.empty()) return s;
-  s.mean = stats::mean(xs);
-  s.stddev = stats::stddev(xs);
-  s.cv = stats::coefficient_of_variation(xs);
-  s.min = stats::min(xs);
-  s.max = stats::max(xs);
-  s.total = stats::sum(xs);
+  if (trial.thread_count() == 0) return s;
+  // stats::mean and stats::coefficient_of_variation are these same
+  // expressions over the summary's total and stddev.
+  const auto summary = trial.series_summary(event, m, exclusive);
+  s.total = summary.total;
+  s.mean = summary.total / static_cast<double>(trial.thread_count());
+  s.stddev = summary.stddev;
+  s.cv = s.mean == 0.0 ? 0.0 : summary.stddev / s.mean;
+  s.min = summary.min;
+  s.max = summary.max;
   return s;
 }
 
@@ -169,13 +169,23 @@ std::vector<EventStatistics> top_events(const profile::Trial& trial,
   return all;
 }
 
+RuntimeFraction::RuntimeFraction(const profile::Trial& trial,
+                                 const std::string& metric)
+    : trial_(&trial) {
+  // An empty trial has no main event, and no event to ask about.
+  if (trial.event_count() == 0) return;
+  metric_ = trial.metric_id(metric);
+  main_total_ = trial.mean_inclusive(trial.main_event(), metric_);
+}
+
+double RuntimeFraction::operator()(profile::EventId event) const {
+  const double value = trial_->mean_exclusive(event, metric_);
+  return main_total_ == 0.0 ? 0.0 : value / main_total_;
+}
+
 double runtime_fraction(const profile::Trial& trial, profile::EventId event,
                         const std::string& metric) {
-  const auto m = trial.metric_id(metric);
-  const auto main = trial.main_event();
-  const double total = trial.mean_inclusive(main, m);
-  if (total == 0.0) return 0.0;
-  return trial.mean_exclusive(event, m) / total;
+  return RuntimeFraction(trial, metric)(event);
 }
 
 std::map<std::string, double> difference(const profile::Trial& trial_a,

@@ -75,6 +75,20 @@ struct EventStatistics {
                                       profile::EventId event,
                                       const std::string& metric = "TIME");
 
+/// runtime_fraction for many events of one trial and metric: the main
+/// event and its total are resolved once, at construction, since
+/// main_event() may scan every event. The trial must outlive it.
+class RuntimeFraction {
+ public:
+  RuntimeFraction(const profile::Trial& trial, const std::string& metric);
+  [[nodiscard]] double operator()(profile::EventId event) const;
+
+ private:
+  const profile::Trial* trial_;
+  profile::MetricId metric_ = 0;
+  double main_total_ = 0.0;
+};
+
 /// Performance algebra: per-event difference of mean exclusive values
 /// (trial_b - trial_a), matched by event name. Events present in only
 /// one trial appear with the other side treated as 0.

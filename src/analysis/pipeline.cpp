@@ -36,10 +36,11 @@ DiffOutcome run_diff(const perfdmf::Repository& repo,
                      const DiffParams& params,
                      rules::RuleHarness& harness) {
   params.options.validate();
+  // A diff compares means only, which the snapshots' summaries serve.
   const auto base =
-      repo.verified_view(params.application, params.experiment, params.base);
-  const auto current = repo.verified_view(params.application,
-                                          params.experiment, params.current);
+      repo.summary_view(params.application, params.experiment, params.base);
+  const auto current = repo.summary_view(params.application,
+                                         params.experiment, params.current);
 
   harness.set_provenance(provenance::ProvenanceMode::kFull);
   rules::builtin::use(harness, rules::builtin::regression());

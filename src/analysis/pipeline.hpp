@@ -8,10 +8,12 @@
 // diagnosis streamed by the daemon is byte-identical to a local one
 // (tests/test_server.cpp pins this).
 //
-// Trials are read through Repository::verified_view: the pipelines only
-// read, so a PKB-backed trial is analyzed straight from its CRC-checked
-// mmap'd columns, and the repository entry stays clean (a later save()
-// does not rewrite it).
+// The pipelines only read, so a PKB-backed trial is analyzed straight
+// from its mmap'd snapshot and the repository entry stays clean (a
+// later save() does not rewrite it). run_analysis reads cells, through
+// Repository::verified_view; run_diff compares means only, so it reads
+// through Repository::summary_view and never touches the value columns
+// of a snapshot that carries a summary.
 #pragma once
 
 #include <filesystem>

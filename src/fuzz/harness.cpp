@@ -47,6 +47,7 @@ const char* frontend_name(Frontend fe) {
     case Frontend::kPkb: return "pkb";
     case Frontend::kExplain: return "explain";
     case Frontend::kWire: return "wire";
+    case Frontend::kIndex: return "index";
   }
   return "unknown";
 }

@@ -24,19 +24,20 @@ namespace perfknow::fuzz {
 
 /// The front ends under contract: five text formats, the PKB binary
 /// snapshot format, the explanation-JSON form behind
-/// `pkx explain --from`, and the `pkx serve` request line.
+/// `pkx explain --from`, the `pkx serve` request line, and the
+/// repository's index.tsv/lineage.tsv tables.
 enum class Frontend {
-  kTau, kCsv, kJson, kRules, kScript, kPkb, kExplain, kWire
+  kTau, kCsv, kJson, kRules, kScript, kPkb, kExplain, kWire, kIndex
 };
 
 inline constexpr Frontend kAllFrontends[] = {
     Frontend::kTau,    Frontend::kCsv, Frontend::kJson,
     Frontend::kRules,  Frontend::kScript, Frontend::kPkb,
-    Frontend::kExplain, Frontend::kWire};
+    Frontend::kExplain, Frontend::kWire, Frontend::kIndex};
 
 /// Short name used for corpus directories, regression-file prefixes and
 /// the fuzz_smoke --frontend flag: tau, csv, json, rules, perfscript,
-/// pkb, explain, wire.
+/// pkb, explain, wire, index.
 [[nodiscard]] const char* frontend_name(Frontend fe);
 [[nodiscard]] std::optional<Frontend> frontend_from_name(
     const std::string& name);

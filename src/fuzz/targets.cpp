@@ -2,6 +2,7 @@
 
 #include "common/error.hpp"
 #include "perfdmf/csv_format.hpp"
+#include "perfdmf/index_format.hpp"
 #include "perfdmf/json_format.hpp"
 #include "perfdmf/pkb_format.hpp"
 #include "perfdmf/tau_format.hpp"
@@ -46,6 +47,11 @@ FuzzTarget target(Frontend fe) {
           throw ParseError(std::string("wire: ") + e.what());
         }
       };
+    case Frontend::kIndex:
+      return [](const std::string& in) {
+        (void)perfdmf::parse_index(in);
+        (void)perfdmf::parse_lineage(in);
+      };
   }
   return [](const std::string&) {};
 }
@@ -88,8 +94,8 @@ const std::vector<std::string>& dictionary(Frontend fe) {
   static const std::vector<std::string> kPkbDict = {
       std::string("PKB1"),
       std::string("\x01\x00\x00\x00", 4),
-      std::string("SCHM"), std::string("META"), std::string("COLS"),
-      std::string("PKBE"),
+      std::string("SCHM"), std::string("META"), std::string("SUMM"),
+      std::string("COLS"), std::string("PKBE"),
       std::string("\x10\x00\x00\x00\x00\x00\x00\x00", 8),
       std::string("\x00\x00\x00\x00", 4),
       std::string("\x01\x00\x00\x00\x00\x00\x00\x00", 8),
@@ -113,6 +119,12 @@ const std::vector<std::string>& dictionary(Frontend fe) {
       "\"body\":", "\"application\":", "\"experiment\":", "null",
       "\"QUJD\"", "==", "=", "\\n", "+/", "\\u0041",
   };
+  // Index rows: the separators, path shapes the loader must reject, and
+  // the names save() writes.
+  static const std::vector<std::string> kIndexDict = {
+      "\t", "\n", "\r", "..", "../", "/", "shard-00/", ".pkb", ".pkprof",
+      "_3f9c0d2a81b4e6f0", "app\texp\t", "v1\tv0\n",
+  };
   switch (fe) {
     case Frontend::kTau: return kTauDict;
     case Frontend::kCsv: return kCsvDict;
@@ -122,6 +134,7 @@ const std::vector<std::string>& dictionary(Frontend fe) {
     case Frontend::kPkb: return kPkbDict;
     case Frontend::kExplain: return kExplainDict;
     case Frontend::kWire: return kWireDict;
+    case Frontend::kIndex: return kIndexDict;
   }
   return kTauDict;
 }

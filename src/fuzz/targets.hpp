@@ -20,6 +20,8 @@ namespace perfknow::fuzz {
 ///   wire        server::wire::parse_request on one request line, then
 ///               base64_decode of its params.body; a WireError is the
 ///               rejection, rethrown as ParseError
+///   index       perfdmf::parse_index, then perfdmf::parse_lineage, on
+///               the same bytes
 [[nodiscard]] FuzzTarget target(Frontend fe);
 
 /// Keywords and structural fragments of the front end's grammar, fed to

@@ -1,7 +1,10 @@
 #include "perfdmf/pkb_format.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -36,6 +39,7 @@ constexpr std::uint32_t fourcc(const char (&s)[5]) {
 
 constexpr std::uint32_t kTagSchema = fourcc("SCHM");
 constexpr std::uint32_t kTagMeta = fourcc("META");
+constexpr std::uint32_t kTagSummary = fourcc("SUMM");
 constexpr std::uint32_t kTagColumns = fourcc("COLS");
 constexpr std::uint32_t kTagEnd = fourcc("PKBE");
 
@@ -56,6 +60,16 @@ constexpr std::uint64_t bswap64(std::uint64_t v) {
   v = ((v & 0x0000FFFF0000FFFFull) << 16) |
       ((v >> 16) & 0x0000FFFF0000FFFFull);
   return (v << 32) | (v >> 32);
+}
+
+/// SUMM holds, per value column and event, the SeriesSummary fields
+/// total, stddev, min and max.
+constexpr std::size_t kSummaryFields = 4;
+constexpr const char* kSummaryFieldNames[kSummaryFields] = {
+    "total", "stddev", "min", "max"};
+
+std::size_t summary_values(const profile::Trial& trial) {
+  return 2 * trial.metric_count() * trial.event_count() * kSummaryFields;
 }
 
 // ---- little-endian encoding --------------------------------------------
@@ -101,26 +115,132 @@ void write_section(std::ostream& os, std::uint32_t tag,
 
 // ---- column rows --------------------------------------------------------
 
-/// Hands every row of the trial's columns, in COLS order and
-/// little-endian, to `sink(const char*, bytes)`: event_count() values
-/// per row, skipping the spare event capacity of owned columns.
+/// Accumulates one value column's SUMM values a few rows (threads) at a
+/// time. Every event keeps its own Kahan sum, min and max in thread
+/// order and then its own squared-deviation sum, with stats::'s
+/// expressions, so each value equals the stats:: reduction over the
+/// event's StridedSpan bit for bit.
+class ColumnSummarizer {
+ public:
+  /// Rows handed over together; each event's accumulators stay in
+  /// registers across them.
+  static constexpr std::size_t kBlock = 4;
+
+  explicit ColumnSummarizer(std::size_t events)
+      : total_(events), comp_(events), min_(events), max_(events),
+        dev_(events) {}
+
+  /// Adds rows[0..n) (n <= kBlock), the next threads in order; `first`
+  /// when rows[0] is thread 0.
+  void add_rows(const double* const* rows, std::size_t n, bool first) {
+    const std::size_t events = total_.size();
+    if (first) {
+      std::fill(total_.begin(), total_.end(), 0.0);
+      std::fill(comp_.begin(), comp_.end(), 0.0);
+      std::copy_n(rows[0], events, min_.begin());
+      std::copy_n(rows[0], events, max_.begin());
+    }
+    for (std::size_t e = 0; e < events; ++e) {
+      double s = total_[e];
+      double c = comp_[e];
+      double lo = min_[e];
+      double hi = max_[e];
+      for (std::size_t k = 0; k < n; ++k) {
+        const double x = rows[k][e];
+        const double y = x - c;
+        const double t = s + y;
+        c = (t - s) - y;
+        s = t;
+        lo = std::min(lo, x);
+        hi = std::max(hi, x);
+      }
+      total_[e] = s;
+      comp_[e] = c;
+      min_[e] = lo;
+      max_[e] = hi;
+    }
+  }
+
+  /// Second pass over the column's `threads` rows (stride apart) for the
+  /// stddev; writes the column's SUMM values to `out`.
+  void finish(const double* column, std::size_t threads, std::size_t stride,
+              double* out) {
+    const std::size_t events = total_.size();
+    if (threads == 0) {
+      std::fill_n(out, events * kSummaryFields, 0.0);
+      return;
+    }
+    const auto n = static_cast<double>(threads);
+    for (std::size_t e = 0; e < events; ++e) comp_[e] = total_[e] / n;
+    std::fill(dev_.begin(), dev_.end(), 0.0);
+    for (std::size_t t0 = 0; t0 < threads; t0 += kBlock) {
+      const std::size_t rows = std::min(kBlock, threads - t0);
+      const double* block = column + t0 * stride;
+      for (std::size_t e = 0; e < events; ++e) {
+        const double mean = comp_[e];
+        double acc = dev_[e];
+        for (std::size_t k = 0; k < rows; ++k) {
+          const double d = block[k * stride + e] - mean;
+          acc += d * d;
+        }
+        dev_[e] = acc;
+      }
+    }
+    for (std::size_t e = 0; e < events; ++e) {
+      double* s = out + e * kSummaryFields;
+      s[0] = total_[e];
+      s[1] = std::sqrt(dev_[e] / n);
+      s[2] = min_[e];
+      s[3] = max_[e];
+    }
+  }
+
+ private:
+  std::vector<double> total_;
+  std::vector<double> comp_;  ///< Kahan compensation, then the mean
+  std::vector<double> min_;
+  std::vector<double> max_;
+  std::vector<double> dev_;
+};
+
+/// One row-wise walk over the trial's columns in COLS order: hands every
+/// row to `sink(const char*, bytes)` little-endian, as COLS stores it
+/// (event_count() values per row, skipping the spare event capacity of
+/// owned columns). When `summary` is not null, it also stores every
+/// value column's SUMM values there, in SUMM order.
 template <typename Sink>
-void for_each_column_row(const profile::Trial& trial, Sink&& sink) {
+void walk_columns(const profile::Trial& trial, double* summary, Sink&& sink) {
   const std::size_t events = trial.event_count();
   if (events == 0) return;
+  const std::size_t threads = trial.thread_count();
+  const std::size_t stride = trial.row_stride();
+  const std::size_t value_columns = 2 * trial.metric_count();
   std::vector<double> swapped;  // big-endian hosts only
+  ColumnSummarizer summarizer(summary != nullptr ? events : 0);
   for (std::size_t c = 0; c < trial.column_count(); ++c) {
-    for (std::size_t t = 0; t < trial.thread_count(); ++t) {
-      const double* row = trial.column(c) + t * trial.row_stride();
-      if constexpr (!kHostLittle) {
-        swapped.resize(events);
-        for (std::size_t e = 0; e < events; ++e) {
-          swapped[e] = std::bit_cast<double>(
-              bswap64(std::bit_cast<std::uint64_t>(row[e])));
+    const double* column = trial.column(c);
+    const bool summarize = summary != nullptr && c < value_columns;
+    for (std::size_t t0 = 0; t0 < threads; t0 += ColumnSummarizer::kBlock) {
+      const std::size_t n = std::min(ColumnSummarizer::kBlock, threads - t0);
+      const double* rows[ColumnSummarizer::kBlock] = {};
+      for (std::size_t k = 0; k < n; ++k) {
+        rows[k] = column + (t0 + k) * stride;
+        const double* row = rows[k];
+        if constexpr (!kHostLittle) {
+          swapped.resize(events);
+          for (std::size_t e = 0; e < events; ++e) {
+            swapped[e] = std::bit_cast<double>(
+                bswap64(std::bit_cast<std::uint64_t>(row[e])));
+          }
+          row = swapped.data();
         }
-        row = swapped.data();
+        sink(reinterpret_cast<const char*>(row), events * sizeof(double));
       }
-      sink(reinterpret_cast<const char*>(row), events * sizeof(double));
+      if (summarize) summarizer.add_rows(rows, n, t0 == 0);
+    }
+    if (summarize) {
+      summarizer.finish(column, threads, stride,
+                        summary + c * events * kSummaryFields);
     }
   }
 }
@@ -165,6 +285,13 @@ struct Cursor {
     }
     pos += 8;
     return v;
+  }
+
+  /// True when the next four bytes are `tag`, as a section header
+  /// starts.
+  [[nodiscard]] bool at_tag(std::string_view tag) const {
+    return pos <= data.size() && data.size() - pos >= tag.size() &&
+           data.compare(pos, tag.size(), tag) == 0;
   }
 
   std::string read_str(const char* what) {
@@ -215,20 +342,23 @@ void expect_tag(const Cursor& cur, const Section& s, std::uint32_t want) {
 }
 
 /// Where a PKB image's value columns live: the thread count the schema
-/// declares and the absolute offset of the COLS payload.
+/// declares and the absolute offsets of the COLS payload and of the SUMM
+/// payload (0 when the image has no SUMM section).
 struct PkbLayout {
   std::size_t threads = 0;
   std::size_t cols_offset = 0;
+  std::size_t summary_offset = 0;
 };
 
 /// Parses and validates a PKB image — magic, version, section structure,
-/// schema sanity against perfdmf/limits.hpp, and section checksums — into
+/// schema sanity against perfdmf/limits.hpp, and the SCHM and META
+/// checksums, plus the SUMM checksum from Verify::kSummary on — into
 /// `trial`'s name, metadata, metrics and events (a default-constructed
-/// trial, so no cells are allocated). When `verify_columns` is false the
-/// (potentially huge) COLS payload's CRC is skipped — structure and
-/// bounds are still fully validated — so opening a large snapshot stays
-/// O(schema), not O(cube).
-PkbLayout parse_pkb_layout(std::string_view bytes, bool verify_columns,
+/// trial, so no cells are allocated). The (potentially huge) COLS
+/// payload's CRC is left to check_columns — structure and bounds are
+/// still fully validated — so opening a large snapshot stays O(schema),
+/// not O(cube).
+PkbLayout parse_pkb_layout(std::string_view bytes, Verify verify,
                             profile::Trial& trial) {
   Cursor cur{bytes, 0};
   cur.need(8, "header");
@@ -319,8 +449,22 @@ PkbLayout parse_pkb_layout(std::string_view bytes, bool verify_columns,
   }
   cur.pos = align8(meta_end);
 
+  // SUMM, optional: snapshots written before it existed go from META
+  // straight to COLS.
+  if (cur.at_tag("SUMM")) {
+    const Section summ = read_section(cur, verify != Verify::kSchema);
+    const std::size_t expected = summary_values(trial) * sizeof(double);
+    if (summ.payload_len != expected) {
+      cur.pos = summ.payload_off - 16;
+      cur.fail("summary section is " + std::to_string(summ.payload_len) +
+               " bytes, schema requires " + std::to_string(expected));
+    }
+    layout.summary_offset = summ.payload_off;
+    cur.pos = summ.payload_off + summ.payload_len;  // a multiple of 8
+  }
+
   // COLS
-  const Section cols = read_section(cur, verify_columns);
+  const Section cols = read_section(cur, /*verify_crc=*/false);
   expect_tag(cur, cols, kTagColumns);
   const std::size_t expected = trial.column_count() * layout.threads *
                                trial.event_count() * sizeof(double);
@@ -404,22 +548,103 @@ std::shared_ptr<const std::string_view> map_file(
   return Image::share(std::make_shared<const Image>(std::move(ss).str()));
 }
 
+std::string format_value(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+/// Checks the SUMM checksum of the image at `summary_offset`.
+void check_summary_crc(std::string_view bytes, std::size_t summary_offset) {
+  Cursor cur{bytes, summary_offset - 16};
+  const Section summ = read_section(cur, /*verify_crc=*/true);
+  expect_tag(cur, summ, kTagSummary);
+}
+
+/// Checks the COLS payload against its checksum and, when the image has
+/// a SUMM section, every summary value against the one the columns give.
+/// `trial` holds the image's schema and its cells (borrowed, or decoded
+/// on big-endian hosts). One row-wise walk computes both, so a summary
+/// costs this check little more than the CRC. The checksum is judged
+/// first: a damaged column byte reads as a bad checksum, not as a
+/// disagreeing summary.
+void check_columns(const profile::Trial& trial, std::string_view bytes,
+                   const PkbLayout& layout) {
+  Cursor cur{bytes, layout.cols_offset - 16};
+  const Section cols = read_section(cur, /*verify_crc=*/false);
+  expect_tag(cur, cols, kTagColumns);
+  std::vector<double> want(layout.summary_offset != 0 ? summary_values(trial)
+                                                      : 0);
+  std::uint32_t crc = 0;
+  walk_columns(trial, want.empty() ? nullptr : want.data(),
+               [&](const char* p, std::size_t n) { crc = crc32(p, n, crc); });
+  if (crc != cols.crc) {
+    cur.pos = layout.cols_offset - 16;
+    cur.fail("bad section checksum in 'COLS'");
+  }
+  // Identical bytes (a little-endian host and no NaN payload mismatch)
+  // need no value-by-value walk.
+  if (kHostLittle && !want.empty() &&
+      std::memcmp(want.data(), bytes.data() + layout.summary_offset,
+                  want.size() * sizeof(double)) == 0) {
+    return;
+  }
+  const std::size_t events = trial.event_count();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const std::size_t at = layout.summary_offset + i * sizeof(double);
+    cur.pos = at;
+    const double got = std::bit_cast<double>(cur.read_u64("summary value"));
+    if (std::bit_cast<std::uint64_t>(got) ==
+            std::bit_cast<std::uint64_t>(want[i]) ||
+        (std::isnan(got) && std::isnan(want[i]))) {
+      continue;
+    }
+    cur.pos = at;
+    const std::size_t column = i / (events * kSummaryFields);
+    const std::size_t event = i / kSummaryFields % events;
+    cur.fail("summary disagrees with the value columns: " +
+             std::string(column % 2 == 0 ? "inclusive " : "exclusive ") +
+             trial.metric(static_cast<profile::MetricId>(column / 2)).name +
+             " of event '" +
+             trial.event(static_cast<profile::EventId>(event)).name +
+             "' has " + kSummaryFieldNames[i % kSummaryFields] + " " +
+             format_value(got) + ", the columns give " +
+             format_value(want[i]));
+  }
+}
+
+/// The layout of the image a trial borrows its columns from.
+PkbLayout borrowed_layout(const profile::Trial& trial) {
+  const char* base = trial.image()->data();
+  const auto offset = [base](const double* p) {
+    return static_cast<std::size_t>(reinterpret_cast<const char*>(p) - base);
+  };
+  const double* summary = trial.borrowed_summary();
+  return {trial.thread_count(), offset(trial.column(0)),
+          summary != nullptr ? offset(summary) : 0};
+}
+
 /// Builds the trial an image holds. On little-endian hosts its columns
-/// point into the image; elsewhere they are decoded into owned storage,
-/// which needs the column checksum verified first.
+/// (and summary) point into the image; elsewhere they are decoded into
+/// owned storage, which needs every checksum verified first.
 profile::Trial trial_from_image(std::shared_ptr<const std::string_view> image,
                                 Verify verify) {
+  if constexpr (!kHostLittle) verify = Verify::kFull;
   const std::string_view bytes = *image;
   profile::Trial trial;
-  const PkbLayout layout = parse_pkb_layout(
-      bytes, verify == Verify::kFull || !kHostLittle, trial);
+  const PkbLayout layout = parse_pkb_layout(bytes, verify, trial);
   const char* cols = bytes.data() + layout.cols_offset;
   if constexpr (kHostLittle) {
     // Images start 8-byte aligned (mmap'd pages, heap strings) and the
     // format aligns every section payload, so the reinterpret is safe.
+    const auto* summary =
+        layout.summary_offset == 0
+            ? nullptr
+            : reinterpret_cast<const double*>(bytes.data() +
+                                              layout.summary_offset);
     trial.borrow_columns(std::move(image),
                          reinterpret_cast<const double*>(cols),
-                         layout.threads);
+                         layout.threads, summary);
   } else {
     trial.set_thread_count(layout.threads);
     const std::size_t events = trial.event_count();
@@ -442,6 +667,11 @@ profile::Trial trial_from_image(std::shared_ptr<const std::string_view> image,
         trial.set_calls(t, e, cell(calls, t, e), cell(calls + 1, t, e));
       }
     }
+  }
+  // Without SUMM, the aggregates a kSummary reader trusts are the cells.
+  if (verify == Verify::kFull ||
+      (verify == Verify::kSummary && layout.summary_offset == 0)) {
+    check_columns(trial, bytes, layout);
   }
   return trial;
 }
@@ -485,17 +715,31 @@ void write_pkb(const profile::Trial& trial, std::ostream& os) {
   }
   write_section(os, kTagMeta, meta);
 
-  // COLS — written straight from the trial's column rows: pass 1
-  // computes the payload CRC (the header precedes the payload), pass 2
-  // writes the same bytes.
+  // SUMM and COLS — both from the trial's column rows: pass 1 computes
+  // the summary and the COLS CRC (the header precedes the payload),
+  // pass 2 writes the rows. A trial still borrowing an image with a
+  // summary writes that summary back: it describes these very columns,
+  // which are written back unchanged too.
+  const std::size_t values = summary_values(trial);
+  std::vector<double> computed(trial.borrowed_summary() ? 0 : values);
   std::uint32_t crc = 0;
-  for_each_column_row(trial, [&](const char* p, std::size_t n) {
-    crc = crc32(p, n, crc);
-  });
+  walk_columns(trial, computed.empty() ? nullptr : computed.data(),
+               [&](const char* p, std::size_t n) { crc = crc32(p, n, crc); });
+  if constexpr (!kHostLittle) {
+    for (double& v : computed) {
+      v = std::bit_cast<double>(bswap64(std::bit_cast<std::uint64_t>(v)));
+    }
+  }
+  const double* summary =
+      computed.empty() ? trial.borrowed_summary() : computed.data();
+  write_section(os, kTagSummary,
+                {reinterpret_cast<const char*>(summary),
+                 values * sizeof(double)});
+
   const std::uint64_t cols_len = trial.column_count() * trial.thread_count() *
                                  trial.event_count() * sizeof(double);
   write_section_header(os, kTagColumns, crc, cols_len);
-  for_each_column_row(trial, [&](const char* p, std::size_t n) {
+  walk_columns(trial, nullptr, [&](const char* p, std::size_t n) {
     os.write(p, static_cast<std::streamsize>(n));
   });
   // cols_len is a multiple of 8, so no padding is needed.
@@ -525,16 +769,24 @@ profile::Trial parse_pkb(std::string bytes) {
       Verify::kFull);
 }
 
+void verify_pkb_summary(const profile::Trial& trial) {
+  if (!trial.image()) return;
+  const PkbLayout layout = borrowed_layout(trial);
+  if (layout.summary_offset == 0) {
+    // No summary: aggregates come from the cells.
+    check_columns(trial, *trial.image(), layout);
+  } else {
+    check_summary_crc(*trial.image(), layout.summary_offset);
+  }
+}
+
 void verify_pkb_columns(const profile::Trial& trial) {
   if (!trial.image()) return;
-  // Borrowed columns are the image's COLS payload, so the section header
-  // sits just before column 0.
-  const std::string_view bytes = *trial.image();
-  const auto payload = static_cast<std::size_t>(
-      reinterpret_cast<const char*>(trial.column(0)) - bytes.data());
-  Cursor cur{bytes, payload - 16};
-  const Section cols = read_section(cur, /*verify_crc=*/true);
-  expect_tag(cur, cols, kTagColumns);
+  const PkbLayout layout = borrowed_layout(trial);
+  if (layout.summary_offset != 0) {
+    check_summary_crc(*trial.image(), layout.summary_offset);
+  }
+  check_columns(trial, *trial.image(), layout);
 }
 
 }  // namespace perfknow::perfdmf

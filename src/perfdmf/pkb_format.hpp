@@ -16,7 +16,7 @@
 //   offset 4   u32 version (currently 1)
 //   offset 8   sections, each 8-byte aligned:
 //
-//     +0   u32 tag        ("SCHM", "META", "COLS", "PKBE")
+//     +0   u32 tag        ("SCHM", "META", "SUMM", "COLS", "PKBE")
 //     +4   u32 crc32      (CRC-32/IEEE of the payload bytes)
 //     +8   u64 length     (payload bytes, excluding padding)
 //     +16  payload, then zero padding to the next 8-byte boundary
@@ -26,6 +26,17 @@
 //         u32 event-count; per event { str name; i64 parent; str group }
 //         (str = u32 byte length + bytes, no terminator)
 //   META  u32 count; per entry { str key; str value }
+//   SUMM  optional (files written before it existed lack it). Four f64
+//         per (metric, field, event), field = inclusive then exclusive,
+//         in COLS column order:
+//           for each metric m, for inclusive then exclusive,
+//             for each event e: total, stddev, min, max
+//         over threads: the Kahan total (the mean is total / threads),
+//         the population stddev, the min and the max, each equal bit
+//         for bit to the stats:: reduction over the series; all zero
+//         for a trial without threads. Derived data: COLS stays the
+//         source of truth, and every check of COLS also checks that
+//         SUMM agrees with it.
 //   COLS  one contiguous column of threads*events f64 values per
 //         (metric, field) over the thread x event cube, cube index
 //         [thread][event]:
@@ -60,8 +71,9 @@ void write_pkb(const profile::Trial& trial, std::ostream& os);
 
 /// How much of a snapshot open_pkb checks up front.
 enum class Verify {
-  kSchema,  ///< structure + schema/metadata CRCs; COLS CRC deferred
-  kFull,    ///< every section CRC, including the value columns
+  kSchema,   ///< structure + schema/metadata CRCs; SUMM and COLS deferred
+  kSummary,  ///< kSchema + the SUMM CRC: means and summaries are trusted
+  kFull,     ///< every section CRC, and SUMM checked against COLS
 };
 
 /// Maps `file` (or reads it, where mmap is unavailable) and returns the
@@ -69,7 +81,9 @@ enum class Verify {
 /// magic, version, section structure, schema sanity against
 /// perfdmf/limits.hpp and the checksums `verify` asks for. With
 /// Verify::kSchema opening costs O(schema), not O(cube); call
-/// verify_pkb_columns() before trusting the cell values. The file must
+/// verify_pkb_columns() before trusting the cell values. Verify::kSummary
+/// adds the SUMM checksum (O(events x metrics)); a snapshot without SUMM
+/// gets the full check instead, since its aggregates come from the cells. The file must
 /// not be rewritten in place while a trial borrows from it (replace it
 /// by rename, as Repository::save does). Throws ParseError (with the
 /// file path attached) on malformed input, IoError when the file cannot
@@ -83,8 +97,16 @@ enum class Verify {
 [[nodiscard]] profile::Trial parse_pkb(std::string bytes);
 
 /// Checks the COLS checksum of a trial whose columns are still borrowed
-/// from the PKB image open_pkb gave it, throwing ParseError on mismatch.
-/// A trial that owns its columns has nothing left to check.
+/// from the PKB image open_pkb gave it, and that its SUMM section (if
+/// any) passes its own checksum and agrees with the columns; throws
+/// ParseError naming the byte offset on a mismatch. A trial that owns
+/// its columns has nothing left to check.
 void verify_pkb_columns(const profile::Trial& trial);
+
+/// Checks what a reader of aggregates only relies on: the SUMM checksum,
+/// or, for a snapshot without SUMM (whose aggregates come from the
+/// cells), everything verify_pkb_columns checks. Costs O(events x
+/// metrics) when the snapshot has a summary.
+void verify_pkb_summary(const profile::Trial& trial);
 
 }  // namespace perfknow::perfdmf

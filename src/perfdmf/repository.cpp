@@ -9,8 +9,9 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "common/strings.hpp"
+#include "common/file.hpp"
 #include "common/thread_pool.hpp"
+#include "perfdmf/index_format.hpp"
 #include "perfdmf/pkb_format.hpp"
 #include "perfdmf/snapshot.hpp"
 #include "telemetry/telemetry.hpp"
@@ -126,6 +127,18 @@ profile::Trial load_text_snapshot(const std::filesystem::path& file) {
   }
 }
 
+/// Runs one of the index_format.hpp parsers, naming `file` in its
+/// diagnostics.
+template <typename Parse>
+auto parse_table(Parse&& parse, std::string_view text,
+                 const std::filesystem::path& file) {
+  try {
+    return parse(text);
+  } catch (const ParseError& e) {
+    throw e.with_file(file.string());
+  }
+}
+
 void save_pkb_file(const profile::Trial& trial,
                    const std::filesystem::path& file) {
   std::ofstream os(file, std::ios::binary);
@@ -151,10 +164,13 @@ void save_pkb_file(const profile::Trial& trial,
 struct Repository::Entry {
   std::mutex load_mutex;  ///< serializes demand-loads of this entry
   TrialPtr trial;
-  /// The image whose COLS CRC is known good: checked by verify_columns,
-  /// or verified before the trial was inserted. Holding it keeps the
-  /// pointer from being reused by another image.
+  /// The image whose COLS (and SUMM) are known good: checked by
+  /// verify_entry, or verified before the trial was inserted. Holding it
+  /// keeps the pointer from being reused by another image.
   std::shared_ptr<const std::string_view> verified_image;
+  /// The image whose SUMM checksum is known good (verify_entry at
+  /// Verify::kSummary).
+  std::shared_ptr<const std::string_view> summary_image;
   std::filesystem::path file;  ///< backing snapshot; empty for put() trials
   std::string rel;             ///< `file` as index.tsv names it
   bool pkb = false;
@@ -355,6 +371,7 @@ void Repository::evict_to_budget_locked() const {
     // shared_ptr keep the trial (and its mapping) alive.
     victim->trial.reset();
     victim->verified_image.reset();
+    victim->summary_image.reset();
     cache_->resident -= victim->charge;
     victim->charge = 0;
   }
@@ -384,22 +401,30 @@ TrialPtr Repository::load_entry(Entry& entry) const {
   return trial;
 }
 
-void Repository::verify_columns(Entry& entry,
-                                const profile::Trial& trial) const {
+void Repository::verify_entry(Entry& entry, const profile::Trial& trial,
+                              Verify level) const {
   const auto& image = trial.image();
   if (!image) return;  // owned columns have nothing to check
+  // Without SUMM the aggregates come from the cells.
+  if (trial.borrowed_summary() == nullptr) level = Verify::kFull;
   {
     const std::lock_guard lock(cache_->mutex);
     if (entry.verified_image == image) return;
+    if (level == Verify::kSummary && entry.summary_image == image) return;
   }
   try {
-    verify_pkb_columns(trial);
+    if (level == Verify::kFull) {
+      verify_pkb_columns(trial);
+    } else {
+      verify_pkb_summary(trial);
+    }
   } catch (const ParseError& e) {
     if (e.file().empty()) throw e.with_file(entry.file.string());
     throw;
   }
   const std::lock_guard lock(cache_->mutex);
-  entry.verified_image = image;
+  (level == Verify::kFull ? entry.verified_image : entry.summary_image) =
+      image;
 }
 
 namespace {
@@ -437,7 +462,7 @@ TrialPtr Repository::get(const std::string& application,
   }
   const std::lock_guard load(entry->load_mutex);
   const TrialPtr resident = load_entry(*entry);
-  verify_columns(*entry, *resident);
+  verify_entry(*entry, *resident, Verify::kFull);
   {
     const std::lock_guard lock(cache_->mutex);
     if (entry->dirty && entry->trial) return entry->trial;
@@ -472,12 +497,21 @@ ConstTrialPtr Repository::view(const std::string& application,
   return load_entry(*entry);
 }
 
+ConstTrialPtr Repository::summary_view(const std::string& application,
+                                       const std::string& experiment,
+                                       const std::string& trial) const {
+  const EntryPtr& entry = find_entry(application, experiment, trial);
+  ConstTrialPtr out = view(application, experiment, trial);
+  verify_entry(*entry, *out, Verify::kSummary);
+  return out;
+}
+
 ConstTrialPtr Repository::verified_view(const std::string& application,
                                         const std::string& experiment,
                                         const std::string& trial) const {
   const EntryPtr& entry = find_entry(application, experiment, trial);
   ConstTrialPtr out = view(application, experiment, trial);
-  verify_columns(*entry, *out);
+  verify_entry(*entry, *out, Verify::kFull);
   return out;
 }
 
@@ -700,7 +734,7 @@ void Repository::save_entry(Entry& entry,
   // A lazily opened snapshot's COLS CRC was skipped at open; check it
   // now: write_pkb re-signs the payload with fresh CRCs, which must not
   // turn a corrupt snapshot into a valid-looking one.
-  verify_columns(entry, *trial);
+  verify_entry(entry, *trial, Verify::kFull);
   // The snapshot is written to a sibling temp file and renamed into
   // place: the write never truncates `dest` itself, so saving an
   // attached repository back into its own directory cannot destroy the
@@ -724,40 +758,19 @@ void Repository::save_entry(Entry& entry,
 Repository Repository::open_index(const std::filesystem::path& dir,
                                   bool eager, ThreadPool* pool,
                                   std::size_t cache_budget) {
-  std::ifstream index(dir / "index.tsv");
-  if (!index) {
-    throw IoError("cannot read index: " + (dir / "index.tsv").string());
-  }
+  const std::filesystem::path index_file = dir / "index.tsv";
+  const std::string index_text =
+      read_file_bytes(index_file, "cannot read index");
   struct Row {
     std::string app, exp, name, rel;
     std::filesystem::path file;
     bool pkb;
   };
   std::vector<Row> rows;
-  std::string line;
-  int lineno = 0;
-  while (std::getline(index, line)) {
-    ++lineno;
-    if (strings::trim(line).empty()) continue;
-    const auto fields = strings::split(line, '\t');
-    if (fields.size() != 4) {
-      throw ParseError("repository index: expected 4 fields", lineno);
-    }
-    // The index is untrusted input: a snapshot path must stay inside the
-    // repository, or a load would read (and a save write) outside it.
-    const std::filesystem::path rel(fields[3]);
-    const bool escapes =
-        rel.empty() || rel.has_root_path() ||
-        std::any_of(rel.begin(), rel.end(),
-                    [](const std::filesystem::path& part) {
-                      return part == "..";
-                    });
-    if (escapes) {
-      throw ParseError("repository index: snapshot path '" + fields[3] +
-                           "' is not inside the repository",
-                       lineno, 0, "", (dir / "index.tsv").string());
-    }
-    rows.push_back(Row{fields[0], fields[1], fields[2], fields[3], dir / rel,
+  for (IndexRow& row : parse_table(parse_index, index_text, index_file)) {
+    const std::filesystem::path rel(row.path);
+    rows.push_back(Row{std::move(row.application), std::move(row.experiment),
+                       std::move(row.trial), std::move(row.path), dir / rel,
                        rel.extension() == ".pkb"});
   }
 
@@ -809,19 +822,18 @@ Repository Repository::open_index(const std::filesystem::path& dir,
   // it never touches the snapshots, so attach() stays lazy. Links naming
   // trials absent from the index are dropped silently: the chain is
   // advisory metadata, not a second source of truth.
-  std::ifstream lineage(dir / "lineage.tsv");
-  if (lineage) {
-    lineno = 0;
-    while (std::getline(lineage, line)) {
-      ++lineno;
-      if (strings::trim(line).empty()) continue;
-      const auto fields = strings::split(line, '\t');
-      if (fields.size() != 4) {
-        throw ParseError("repository lineage: expected 4 fields", lineno);
+  const std::filesystem::path lineage_file = dir / "lineage.tsv";
+  std::error_code ec;
+  if (std::filesystem::is_regular_file(lineage_file, ec)) {
+    const std::string lineage_text =
+        read_file_bytes(lineage_file, "cannot read lineage");
+    for (LineageRow& link :
+         parse_table(parse_lineage, lineage_text, lineage_file)) {
+      if (!repo.contains(link.application, link.experiment, link.version)) {
+        continue;
       }
-      if (!repo.contains(fields[0], fields[1], fields[2])) continue;
-      repo.lineage_[fields[0]][fields[1]].push_back(
-          VersionLink{fields[2], fields[3]});
+      repo.lineage_[link.application][link.experiment].push_back(
+          VersionLink{std::move(link.version), std::move(link.predecessor)});
     }
   }
   return repo;

@@ -34,9 +34,12 @@
 //                queried.
 // Either way a PKB trial's columns stay in its mmap'd snapshot until
 // something writes them (profile.hpp). Each entry holds one trial.
-// Read-only commands go through view() / verified_view(), which share
-// the resident trial; get() swaps in a private copy, which borrows the
-// same snapshot until it is first written, and hands that out mutable.
+// Read-only commands go through view() / summary_view() /
+// verified_view(), which share the resident trial and differ only in
+// how much of its snapshot they checksum: the schema, the summary
+// profile (SUMM, pkb_format.hpp) as well, or every cell as well. get()
+// swaps in a private copy, which borrows the same snapshot until it is
+// first written, and hands that out mutable.
 // The pkx CLI attaches with an unbounded budget: a one-shot command pays
 // only for the trials it reads, and never evicts.
 #pragma once
@@ -48,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "perfdmf/pkb_format.hpp"
 #include "profile/profile.hpp"
 
 namespace perfknow {
@@ -142,10 +146,21 @@ class Repository {
                                    const std::string& experiment,
                                    const std::string& trial) const;
 
-  /// view() plus the column checksum (verify_pkb_columns(), checked once
-  /// per resident entry): every cell value read through the result comes
-  /// from CRC-verified bytes. Throws ParseError naming the snapshot file
-  /// on a mismatch.
+  /// view() plus the summary checksum (verify_pkb_summary(), checked
+  /// once per resident entry): the means and Trial::series_summary()
+  /// read through the result come from CRC-verified bytes, and the value
+  /// columns are never paged in or checksummed. A snapshot without a
+  /// summary is checked as verified_view() checks it. Throws ParseError
+  /// naming the snapshot file on a mismatch.
+  [[nodiscard]] ConstTrialPtr summary_view(const std::string& application,
+                                           const std::string& experiment,
+                                           const std::string& trial) const;
+
+  /// view() plus the column checksum and the summary's agreement with
+  /// the columns (verify_pkb_columns(), checked once per resident
+  /// entry): every cell value read through the result comes from
+  /// CRC-verified bytes. Throws ParseError naming the snapshot file on a
+  /// mismatch.
   [[nodiscard]] ConstTrialPtr verified_view(const std::string& application,
                                             const std::string& experiment,
                                             const std::string& trial) const;
@@ -233,9 +248,11 @@ class Repository {
   /// Streams one entry's snapshot to `dest` (temp file + atomic rename;
   /// verifies a lazily opened snapshot's column CRC before re-signing it).
   void save_entry(Entry& entry, const std::filesystem::path& dest) const;
-  /// verify_pkb_columns(), remembered per resident entry so a trial read
+  /// verify_pkb_columns() (Verify::kFull) or verify_pkb_summary()
+  /// (Verify::kSummary), remembered per resident entry so a trial read
   /// several times by one command is checksummed once.
-  void verify_columns(Entry& entry, const profile::Trial& trial) const;
+  void verify_entry(Entry& entry, const profile::Trial& trial,
+                    Verify level) const;
   void touch_locked(Entry& entry) const;
   void charge_locked(Entry& entry, std::size_t bytes) const;
   void evict_to_budget_locked() const;

@@ -81,10 +81,12 @@ void Trial::widen_rows(std::size_t stride) {
 }
 
 void Trial::borrow_columns(std::shared_ptr<const std::string_view> image,
-                           const double* cols, std::size_t threads) {
+                           const double* cols, std::size_t threads,
+                           const double* summary) {
   owned_.clear();
   image_ = std::move(image);
   borrowed_ = cols;
+  summary_ = summary;
   num_threads_ = threads;
   stride_ = events_.size();
 }
@@ -99,6 +101,7 @@ void Trial::copy_into_owned() {
   owned_ = std::move(cols);
   image_.reset();
   borrowed_ = nullptr;
+  summary_ = nullptr;
 }
 
 const Metric& Trial::metric(MetricId m) const {
@@ -283,16 +286,35 @@ std::vector<double> Trial::exclusive_across_threads(EventId e,
   return exclusive_series(e, m).to_vector();
 }
 
+// The stored total divided by the thread count is stats::mean's own
+// formula, so both paths return the same bits.
 double Trial::mean_inclusive(EventId e, MetricId m) const {
   const auto xs = inclusive_series(e, m);
   if (xs.empty()) return 0.0;
+  if (summary_) {
+    return stored_summary(e, m, false)[0] / static_cast<double>(xs.size());
+  }
   return stats::mean(xs);
 }
 
 double Trial::mean_exclusive(EventId e, MetricId m) const {
   const auto xs = exclusive_series(e, m);
   if (xs.empty()) return 0.0;
+  if (summary_) {
+    return stored_summary(e, m, true)[0] / static_cast<double>(xs.size());
+  }
   return stats::mean(xs);
+}
+
+SeriesSummary Trial::series_summary(EventId e, MetricId m,
+                                    bool exclusive) const {
+  const auto xs = exclusive ? exclusive_series(e, m) : inclusive_series(e, m);
+  if (xs.empty()) return {};
+  if (summary_) {
+    const double* s = stored_summary(e, m, exclusive);
+    return {s[0], s[1], s[2], s[3]};
+  }
+  return {stats::sum(xs), stats::stddev(xs), stats::min(xs), stats::max(xs)};
 }
 
 }  // namespace perfknow::profile

@@ -21,6 +21,12 @@
 // (perfdmf::open_pkb) or the bytes handed to perfdmf::parse_pkb. Copying
 // a borrowing trial costs O(schema). The first value or schema mutator
 // copies the columns into owned storage; metadata and name edits do not.
+// An image may also carry the trial's summary profile (the PKB SUMM
+// section): per (event, metric) the total, stddev, min and max over
+// threads. While the trial borrows such an image, the means and
+// series_summary() read it instead of the cells; they return the same
+// bits either way, and owning the columns drops the summary with the
+// image.
 //
 // Thread safety: concurrent const reads are safe. A mutator must not run
 // concurrently with anything else on the same trial, except set_* /
@@ -63,6 +69,16 @@ struct Event {
 struct CallInfo {
   double calls = 0.0;
   double subcalls = 0.0;
+};
+
+/// One (event, metric) series reduced over threads, as stats:: computes
+/// it: the Kahan total, the population stddev, the min and the max.
+/// All zero for a trial without threads.
+struct SeriesSummary {
+  double total = 0.0;
+  double stddev = 0.0;
+  double min = 0.0;
+  double max = 0.0;
 };
 
 /// A single experiment run: the full (thread x event x metric) values.
@@ -173,9 +189,13 @@ class Trial {
   [[nodiscard]] std::vector<double> exclusive_across_threads(
       EventId e, MetricId m) const;
 
-  /// Mean over threads for one (event, metric).
+  /// Mean over threads for one (event, metric); 0 without threads.
   [[nodiscard]] double mean_inclusive(EventId e, MetricId m) const;
   [[nodiscard]] double mean_exclusive(EventId e, MetricId m) const;
+  /// The across-thread summary of one series, read from the borrowed
+  /// summary profile when there is one, else reduced from the cells.
+  [[nodiscard]] SeriesSummary series_summary(EventId e, MetricId m,
+                                             bool exclusive) const;
 
   // ---- column storage -------------------------------------------------
   /// Columns in PKB order: 2m and 2m+1 hold metric m's inclusive and
@@ -196,20 +216,35 @@ class Trial {
   /// `threads` threads over the current schema: column c is the
   /// threads * event_count() host-order doubles at
   /// cols + c * threads * event_count(), which must lie inside *image
-  /// and be 8-byte aligned. The trial keeps the image alive and never
-  /// writes to it. Any values held before are dropped.
+  /// and be 8-byte aligned. `summary`, when not null, is the image's
+  /// summary profile: for each value column c < 2 * metric_count() and
+  /// event e, the four host-order doubles of its SeriesSummary at
+  /// summary + (c * event_count() + e) * 4. The trial keeps the image
+  /// alive and never writes to it. Any values held before are dropped.
   void borrow_columns(std::shared_ptr<const std::string_view> image,
-                      const double* cols, std::size_t threads);
+                      const double* cols, std::size_t threads,
+                      const double* summary = nullptr);
   /// The image the columns are borrowed from; null once they are owned.
   [[nodiscard]] const std::shared_ptr<const std::string_view>& image()
       const noexcept {
     return image_;
+  }
+  /// The borrowed summary profile; null when the image has none or the
+  /// columns are owned.
+  [[nodiscard]] const double* borrowed_summary() const noexcept {
+    return summary_;
   }
 
  private:
   void check_thread(std::size_t thread) const;
   void check_event(EventId e) const;
   void check_metric(MetricId m) const;
+  /// The borrowed SeriesSummary of one series (summary_ must be set).
+  [[nodiscard]] const double* stored_summary(EventId e, MetricId m,
+                                             bool exclusive) const {
+    return summary_ +
+           ((2 * m + (exclusive ? 1 : 0)) * events_.size() + e) * 4;
+  }
   [[nodiscard]] std::size_t cell(std::size_t thread, EventId e) const {
     check_thread(thread);
     check_event(e);
@@ -240,6 +275,8 @@ class Trial {
   /// Borrowed columns: column 0 inside *image_, the rest following it.
   std::shared_ptr<const std::string_view> image_;
   const double* borrowed_ = nullptr;
+  /// Borrowed summary profile inside *image_, or null.
+  const double* summary_ = nullptr;
 };
 
 /// The older name of the read-only trial surface; the end-to-end

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <set>
@@ -164,7 +165,9 @@ int cmd_list(const pk::perfdmf::Repository& repo, std::ostream& out) {
 int cmd_show(const pk::perfdmf::Repository& repo, const std::string& app,
              const std::string& exp, const std::string& trial_name,
              std::ostream& out) {
-  const auto trial = repo.verified_view(app, exp, trial_name);
+  // Means, cvs and runtime shares are all aggregates: the summary serves
+  // them without reading the value columns.
+  const auto trial = repo.summary_view(app, exp, trial_name);
   out << "trial " << trial->name() << " (" << trial->thread_count()
       << " threads)\n";
   for (const auto& [k, v] : trial->all_metadata()) {
@@ -172,15 +175,14 @@ int cmd_show(const pk::perfdmf::Repository& repo, const std::string& app,
   }
   const std::string metric =
       trial->find_metric("TIME") ? "TIME" : trial->metric(0).name;
+  const pk::analysis::RuntimeFraction fraction(*trial, metric);
   pk::TextTable table({"event", "mean " + metric, "cv", "% of runtime"});
   for (const auto& s : pk::analysis::top_events(*trial, metric, 12)) {
     table.begin_row()
         .add(s.name)
         .add(s.mean, 1)
         .add(s.cv, 3)
-        .add(pk::analysis::runtime_fraction(*trial, s.event, metric) *
-                 100.0,
-             1);
+        .add(fraction(s.event) * 100.0, 1);
   }
   out << "\n" << table.str();
   return 0;
@@ -376,36 +378,42 @@ int cmd_rules_profile(pk::perfdmf::Repository& repo,
 
 /// Total runtime of a trial for the history/diff summaries: the main
 /// event's mean inclusive TIME (first metric when there is no TIME).
-double total_time(const profile::Trial& trial, std::string* metric) {
-  const std::string m =
-      trial.find_metric("TIME") ? "TIME" : trial.metric(0).name;
-  if (metric != nullptr) *metric = m;
-  return trial.mean_inclusive(trial.main_event(), trial.metric_id(m));
+double total_time(const profile::Trial& trial) {
+  const auto m = trial.metric_id(
+      trial.find_metric("TIME") ? "TIME" : trial.metric(0).name);
+  return trial.mean_inclusive(trial.main_event(), m);
 }
 
 int cmd_history(const pk::perfdmf::Repository& repo, const std::string& app,
                 const std::string& exp, std::ostream& out) {
   const auto versions = repo.history(app, exp);
+  // Each version is read once, through its summary. history() names
+  // every trial of the experiment, so any predecessor's total is here
+  // too, whatever the shape of the lineage.
+  struct Version {
+    std::size_t events = 0;
+    double total = 0.0;
+  };
+  std::map<std::string, Version> read;
+  for (const auto& version : versions) {
+    const auto trial = repo.summary_view(app, exp, version);
+    read[version] = {trial->event_count(), total_time(*trial)};
+  }
   pk::TextTable table(
       {"version", "predecessor", "events", "total", "vs prev"});
   for (const auto& version : versions) {
-    const auto trial = repo.verified_view(app, exp, version);
-    std::string metric;
-    const double total = total_time(*trial, &metric);
+    const Version& v = read.at(version);
     const std::string pred = repo.predecessor_of(app, exp, version);
     std::string vs = "-";
-    if (!pred.empty() && repo.contains(app, exp, pred)) {
-      const double prev =
-          total_time(*repo.verified_view(app, exp, pred), nullptr);
-      if (prev > 0.0) {
-        vs = pk::strings::format_double(total / prev, 4) + "x";
-      }
+    if (const auto prev = read.find(pred); !pred.empty() &&
+        prev != read.end() && prev->second.total > 0.0) {
+      vs = pk::strings::format_double(v.total / prev->second.total, 4) + "x";
     }
     table.begin_row()
         .add(version)
         .add(pred.empty() ? "-" : pred)
-        .add(static_cast<long long>(trial->event_count()))
-        .add(total, 1)
+        .add(static_cast<long long>(v.events))
+        .add(v.total, 1)
         .add(vs);
   }
   out << app << "/" << exp << ": " << versions.size() << " versions\n"

@@ -3,6 +3,7 @@
 // rulebase that turns those facts into gate verdicts.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -311,6 +312,49 @@ std::vector<std::string> diagnosis_lines(const RuleHarness& harness) {
 }
 
 }  // namespace
+
+// A trial with neither "main" nor ".TAU application" makes main_event()
+// scan every event's mean. The diff resolves it once per trial and
+// metric, so 2x the events costs ~2x; resolving it per compared cell
+// would cost ~4x. The bound of 3 leaves room for a noisy host.
+TEST(Diff, TimeGrowsLinearlyInEventsWithoutAMainEvent) {
+  constexpr std::size_t kThreads = 64;
+  const auto make = [](const std::string& name, std::size_t events,
+                       double scale) {
+    Trial t(name);
+    t.set_thread_count(kThreads);
+    const auto time = t.add_metric("TIME", "usec");
+    for (std::size_t e = 0; e < events; ++e) {
+      const auto id = t.add_event("ev" + std::to_string(e));
+      for (std::size_t th = 0; th < kThreads; ++th) {
+        const double v = scale * static_cast<double>(1 + (e * 7 + th) % 13);
+        t.set_inclusive(th, id, time, 2.0 * v);
+        t.set_exclusive(th, id, time, v);
+      }
+    }
+    return t;
+  };
+  const auto diff_ms = [&](std::size_t events) {
+    const Trial base = make("base", events, 1.0);
+    const Trial current = make("current", events, 1.1);
+    double best = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+      RuleHarness harness;
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto summary =
+          pk::analysis::assert_diff_facts(harness, base, current, {});
+      const std::chrono::duration<double, std::milli> ms =
+          std::chrono::steady_clock::now() - t0;
+      EXPECT_EQ(summary.compared_cells, events);
+      if (rep == 0 || ms.count() < best) best = ms.count();
+    }
+    return best;
+  };
+  const double small = diff_ms(1000);
+  const double large = diff_ms(2000);
+  EXPECT_LT(large / small, 3.0)
+      << "1000 events: " << small << " ms, 2000 events: " << large << " ms";
+}
 
 TEST(RegressionRules, SelfDiffIsWithinNoiseAcrossShippedCorpora) {
   // diff(A, A) must never diagnose a regression, whatever the corpus.

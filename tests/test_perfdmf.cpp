@@ -3,6 +3,7 @@
 #include <sys/stat.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -11,10 +12,12 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "analysis/operations.hpp"
 #include "common/error.hpp"
+#include "perfdmf/index_format.hpp"
 #include "perfdmf/repository.hpp"
 #include "io/format.hpp"
 #include "perfdmf/snapshot.hpp"
@@ -500,6 +503,132 @@ TEST(RepositoryPersistence, SaveDoesNotResignCorruptColumns) {
   }
   // Materialization rejects it the same way.
   EXPECT_THROW((void)attached.get("app", "exp", "tamper"), pk::ParseError);
+}
+
+namespace {
+
+/// Flips one byte of `file` at `offset`.
+void flip_byte(const fs::path& file, std::streamoff offset) {
+  std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekg(offset);
+  char b = 0;
+  f.get(b);
+  f.seekp(offset);
+  f.put(static_cast<char>(b ^ 0x01));
+}
+
+/// Offset of the first SUMM value in a snapshot this build wrote: the
+/// section follows SCHM and META, so find its tag by walking them.
+std::streamoff summary_payload(const fs::path& file) {
+  std::ifstream is(file, std::ios::binary);
+  std::ostringstream ss;
+  ss << is.rdbuf();
+  const std::string bytes = ss.str();
+  std::size_t pos = 8;
+  while (pos + 16 <= bytes.size() && bytes.compare(pos, 4, "SUMM") != 0) {
+    std::uint64_t len = 0;
+    std::memcpy(&len, bytes.data() + pos + 8, sizeof len);
+    pos += 16 + ((len + 7) & ~std::uint64_t{7});
+  }
+  return static_cast<std::streamoff>(pos + 16);
+}
+
+}  // namespace
+
+// summary_view checks the summary once per resident entry and never the
+// columns; verified_view and get() check the columns.
+TEST(RepositoryCache, SummaryViewChecksTheSummaryNotTheColumns) {
+  TempDir dir;
+  {
+    Repository repo;
+    repo.put("app", "exp", make_trial("cols", 4));
+    repo.put("app", "exp", make_trial("summ", 4));
+    repo.save(dir.path());
+  }
+  std::map<std::string, fs::path> files;
+  {
+    std::ifstream index(dir.path() / "index.tsv");
+    std::string app, exp, name, rel;
+    while (std::getline(index, app, '\t') &&
+           std::getline(index, exp, '\t') &&
+           std::getline(index, name, '\t') && std::getline(index, rel)) {
+      files[name] = dir.path() / rel;
+    }
+  }
+  flip_byte(files.at("cols"), static_cast<std::streamoff>(
+                                  fs::file_size(files.at("cols")) - 32));
+  flip_byte(files.at("summ"), summary_payload(files.at("summ")) + 3);
+
+  const Repository attached = Repository::attach(dir.path());
+  const auto want = make_trial("cols", 4);
+  const auto cols = attached.summary_view("app", "exp", "cols");
+  ASSERT_NE(cols->borrowed_summary(), nullptr);
+  EXPECT_EQ(cols->mean_inclusive(1, 0), want->mean_inclusive(1, 0));
+  EXPECT_EQ(pk::analysis::event_statistics(*cols, 1, "TIME").cv,
+            pk::analysis::event_statistics(*want, 1, "TIME").cv);
+  for (const auto& read : std::vector<std::function<void()>>{
+           [&] { (void)attached.verified_view("app", "exp", "cols"); },
+           [&] { (void)attached.get("app", "exp", "cols"); }}) {
+    try {
+      read();
+      FAIL() << "corrupt columns passed a full check";
+    } catch (const pk::ParseError& e) {
+      EXPECT_EQ(e.file(), files.at("cols").string());
+      EXPECT_NE(std::string(e.what()).find("'COLS'"), std::string::npos)
+          << e.what();
+    }
+  }
+  try {
+    (void)attached.summary_view("app", "exp", "summ");
+    FAIL() << "corrupt summary passed its check";
+  } catch (const pk::ParseError& e) {
+    EXPECT_EQ(e.file(), files.at("summ").string());
+    EXPECT_NE(std::string(e.what()).find("'SUMM'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)attached.verified_view("app", "exp", "summ"),
+               pk::ParseError);
+}
+
+TEST(RepositoryIndex, CommittedSeedsParseOrNameTheBadRow) {
+  const fs::path seeds =
+      fs::path(PERFKNOW_SOURCE_DIR) / "fuzz" / "corpus" / "index";
+  const auto text = [&](const char* name) {
+    std::ifstream is(seeds / name, std::ios::binary);
+    std::ostringstream ss;
+    ss << is.rdbuf();
+    return ss.str();
+  };
+  const auto index = pk::perfdmf::parse_index(text("index.tsv"));
+  ASSERT_EQ(index.size(), 3u);
+  EXPECT_EQ(index[2].application, "Fluid Dynamic");
+  EXPECT_EQ(index[2].experiment, "rib 90");
+  EXPECT_EQ(index[2].path, "shard-00/opt_1.pkb");
+  const auto lineage = pk::perfdmf::parse_lineage(text("lineage.tsv"));
+  ASSERT_EQ(lineage.size(), 3u);
+  EXPECT_EQ(lineage[0].predecessor, "");
+  EXPECT_EQ(lineage[2].version, "v2b");
+  EXPECT_EQ(lineage[2].predecessor, "v1");
+  EXPECT_EQ(pk::perfdmf::parse_index(text("blank_lines_crlf.tsv")).size(),
+            1u);
+  for (const auto& [name, line, what] :
+       std::vector<std::tuple<const char*, int, std::string>>{
+           {"dotdot_path.tsv", 1, "is not inside the repository"},
+           {"absolute_path.tsv", 1, "is not inside the repository"},
+           {"empty_path.tsv", 1, "is not inside the repository"},
+           {"tab_in_name.tsv", 1, "expected 4 fields"},
+           {"truncated_row.tsv", 2, "expected 4 fields"}}) {
+    try {
+      (void)pk::perfdmf::parse_index(text(name));
+      ADD_FAILURE() << name << " parsed";
+    } catch (const pk::ParseError& e) {
+      EXPECT_EQ(e.line(), line) << name << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << name << ": " << e.what();
+    }
+  }
+  EXPECT_THROW((void)pk::perfdmf::parse_lineage(text("truncated_row.tsv")),
+               pk::ParseError);
 }
 
 TEST(RepositoryCache, EvictedTrialsStayAliveForHolders) {

@@ -5,15 +5,18 @@
 // copy-on-write semantics of borrowed columns.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/stats.hpp"
 #include "io/format.hpp"
 #include "perfdmf/csv_format.hpp"
 #include "perfdmf/json_format.hpp"
@@ -102,6 +105,107 @@ double value(std::size_t th, std::size_t e, std::size_t m) {
   return static_cast<double>(th * 1000 + e * 10 + m) + 0.5;
 }
 
+/// Header offset of the section tagged `tag` in a PKB image, walking
+/// the section chain from the file header; npos when there is none.
+std::size_t section_at(const std::string& bytes, std::string_view tag) {
+  std::size_t pos = 8;
+  while (pos + 16 <= bytes.size()) {
+    std::uint64_t len = 0;
+    std::memcpy(&len, bytes.data() + pos + 8, sizeof len);
+    if (bytes.compare(pos, 4, tag) == 0) return pos;
+    pos += 16 + ((len + 7) & ~std::uint64_t{7});
+  }
+  return std::string::npos;
+}
+
+/// Re-signs the section whose header is at `header` after an edit.
+void resign(std::string& bytes, std::size_t header) {
+  std::uint64_t len = 0;
+  std::memcpy(&len, bytes.data() + header + 8, sizeof len);
+  const std::uint32_t crc = pk::crc32(bytes.data() + header + 16, len);
+  std::memcpy(bytes.data() + header + 4, &crc, sizeof crc);
+}
+
+/// The image as a writer without the SUMM section produced it.
+std::string without_summary(const std::string& bytes) {
+  const std::size_t at = section_at(bytes, "SUMM");
+  if (at == std::string::npos) return bytes;
+  std::uint64_t len = 0;
+  std::memcpy(&len, bytes.data() + at + 8, sizeof len);
+  return bytes.substr(0, at) + bytes.substr(at + 16 + len);
+}
+
+/// Bit-for-bit equality, under which a NaN equals a NaN: what a summary
+/// of a series holding NaN cells must give.
+bool same_value(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0 ||
+         (std::isnan(a) && std::isnan(b));
+}
+
+/// Every value the written SUMM section holds for `t` (read back through
+/// a parsed image) equals the stats:: reduction over `t`'s series.
+void expect_summary_exact(const Trial& t) {
+  const Trial back = pk::perfdmf::parse_pkb(pk::perfdmf::to_pkb(t));
+  ASSERT_NE(back.borrowed_summary(), nullptr) << t.name();
+  for (pk::profile::MetricId m = 0; m < t.metric_count(); ++m) {
+    for (pk::profile::EventId e = 0; e < t.event_count(); ++e) {
+      for (const bool exclusive : {false, true}) {
+        const auto xs =
+            exclusive ? t.exclusive_series(e, m) : t.inclusive_series(e, m);
+        pk::profile::SeriesSummary want;
+        double mean = 0.0;
+        if (!xs.empty()) {
+          want = {pk::stats::sum(xs), pk::stats::stddev(xs),
+                  pk::stats::min(xs), pk::stats::max(xs)};
+          mean = pk::stats::mean(xs);
+        }
+        const auto got = back.series_summary(e, m, exclusive);
+        const std::string where = t.name() + " metric " + std::to_string(m) +
+                                  " event " + std::to_string(e) +
+                                  (exclusive ? " exclusive" : " inclusive");
+        EXPECT_TRUE(same_value(got.total, want.total)) << where;
+        EXPECT_TRUE(same_value(got.stddev, want.stddev)) << where;
+        EXPECT_TRUE(same_value(got.min, want.min)) << where;
+        EXPECT_TRUE(same_value(got.max, want.max)) << where;
+        EXPECT_TRUE(same_value(exclusive ? back.mean_exclusive(e, m)
+                                         : back.mean_inclusive(e, m),
+                               mean))
+            << where;
+        // The owned trial's cell path gives the same summary.
+        const auto cells = t.series_summary(e, m, exclusive);
+        EXPECT_TRUE(same_value(cells.total, want.total)) << where;
+        EXPECT_TRUE(same_value(cells.stddev, want.stddev)) << where;
+      }
+    }
+  }
+}
+
+/// Every trial the shipped text corpora parse into.
+std::vector<Trial> corpus_trials() {
+  std::vector<Trial> trials;
+  for (const auto& entry : fs::directory_iterator(corpus_dir("tau"))) {
+    try {
+      trials.push_back(
+          pk::perfdmf::read_tau_stream(read_file(entry.path()), "corpus"));
+    } catch (const pk::Error&) {
+      // Rejection corpus entries exercise the parsers, not the formats.
+    }
+  }
+  for (const auto& entry : fs::directory_iterator(corpus_dir("csv"))) {
+    try {
+      trials.push_back(pk::perfdmf::read_csv_long(read_file(entry.path())));
+    } catch (const pk::Error&) {
+    }
+  }
+  for (const auto& entry : fs::directory_iterator(corpus_dir("json"))) {
+    try {
+      trials.push_back(pk::perfdmf::from_json(read_file(entry.path())));
+    } catch (const pk::Error&) {
+    }
+  }
+  return trials;
+}
+
 class TempDir {
  public:
   TempDir() {
@@ -150,27 +254,7 @@ TEST(PkbFormat, RoundTripEmptyAndZeroThreadTrials) {
 // corpus input that parses becomes Trial -> PKB -> Trial, both parsed in
 // memory and opened from a file, and must survive exactly.
 TEST(PkbFormat, DifferentialRoundTripOverShippedCorpora) {
-  std::vector<Trial> trials;
-  for (const auto& entry : fs::directory_iterator(corpus_dir("tau"))) {
-    try {
-      trials.push_back(
-          pk::perfdmf::read_tau_stream(read_file(entry.path()), "corpus"));
-    } catch (const pk::Error&) {
-      // Rejection corpus entries exercise the parsers, not the formats.
-    }
-  }
-  for (const auto& entry : fs::directory_iterator(corpus_dir("csv"))) {
-    try {
-      trials.push_back(pk::perfdmf::read_csv_long(read_file(entry.path())));
-    } catch (const pk::Error&) {
-    }
-  }
-  for (const auto& entry : fs::directory_iterator(corpus_dir("json"))) {
-    try {
-      trials.push_back(pk::perfdmf::from_json(read_file(entry.path())));
-    } catch (const pk::Error&) {
-    }
-  }
+  std::vector<Trial> trials = corpus_trials();
   trials.push_back(make_trial("synthetic", 8));
   ASSERT_GT(trials.size(), 3u);
 
@@ -250,16 +334,146 @@ TEST(PkbFormat, BuildOrderDoesNotChangeTheBytes) {
   expect_trials_equal(threads_first, pk::perfdmf::parse_pkb(bytes));
 }
 
+// What the writer produces, parse -> write reproduces byte for byte. A
+// snapshot written before SUMM existed gains the section on its first
+// rewrite, keeps every cell, and is a fixed point from then on.
 TEST(PkbFormat, ParseThenWriteReproducesTheInput) {
   std::vector<std::string> images{pk::perfdmf::to_pkb(make_trial("again")),
                                   pk::perfdmf::to_pkb(Trial("empty"))};
+  std::size_t legacy = 0;
   for (const auto& entry : fs::directory_iterator(corpus_dir("pkb"))) {
-    images.push_back(read_file(entry.path()));
+    const std::string bytes = read_file(entry.path());
+    if (section_at(bytes, "SUMM") != std::string::npos) {
+      images.push_back(bytes);
+      continue;
+    }
+    ++legacy;
+    const Trial old_trial = pk::perfdmf::parse_pkb(bytes);
+    EXPECT_EQ(old_trial.borrowed_summary(), nullptr);
+    const std::string first = pk::perfdmf::to_pkb(old_trial);
+    EXPECT_NE(section_at(first, "SUMM"), std::string::npos);
+    const Trial rewritten = pk::perfdmf::parse_pkb(first);
+    expect_trials_equal(old_trial, rewritten);
+    EXPECT_EQ(pk::perfdmf::to_pkb(rewritten), first) << entry.path();
+    EXPECT_EQ(without_summary(first), bytes) << entry.path();
   }
+  EXPECT_GE(legacy, 3u);
+  EXPECT_GT(images.size(), 2u);  // the committed with_summary.pkb
   for (const std::string& bytes : images) {
     const Trial t = pk::perfdmf::parse_pkb(bytes);
     EXPECT_EQ(pk::perfdmf::to_pkb(t), bytes) << t.name();
   }
+}
+
+// ---- summary profile ---------------------------------------------------
+
+TEST(PkbSummary, EqualsTheStatsReductionOverEverySeries) {
+  std::vector<Trial> trials = corpus_trials();
+  for (const auto& entry : fs::directory_iterator(corpus_dir("pkb"))) {
+    trials.push_back(pk::perfdmf::parse_pkb(read_file(entry.path())));
+  }
+  trials.push_back(make_trial("synthetic", 8));
+  Trial zero("zero threads");
+  zero.add_metric("TIME", "usec");
+  zero.add_event("main");
+  trials.push_back(zero);
+  // NaN and infinite cells, signed zeros, and magnitudes that make
+  // Kahan summation differ from naive summation.
+  Trial odd("odd cells");
+  {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto time = odd.add_metric("TIME", "usec");
+    for (const char* name : {"a", "b", "c", "d"}) odd.add_event(name);
+    odd.set_thread_count(5);
+    const double cells[4][5] = {{1e16, 1.0, -1e16, 3.5, 1e-8},
+                                {0.0, -0.0, 0.0, -0.0, 0.0},
+                                {1.0, nan, 2.0, 3.0, 4.0},
+                                {inf, 1.0, -2.0, 4.0, 0.5}};
+    for (pk::profile::EventId e = 0; e < 4; ++e) {
+      for (std::size_t th = 0; th < 5; ++th) {
+        odd.set_inclusive(th, e, time, cells[e][th]);
+        odd.set_exclusive(th, e, time, -cells[e][th]);
+      }
+    }
+  }
+  trials.push_back(odd);
+  // A larger cube whose values span nine orders of magnitude.
+  Trial wide("wide");
+  {
+    const auto time = wide.add_metric("TIME", "usec");
+    const auto cyc = wide.add_metric("CYC");
+    wide.set_thread_count(64);
+    std::uint64_t x = 12345;
+    for (std::size_t e = 0; e < 300; ++e) {
+      const auto id = wide.add_event("ev" + std::to_string(e));
+      for (std::size_t th = 0; th < 64; ++th) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        const double v = std::ldexp(static_cast<double>(x >> 40),
+                                    static_cast<int>(x % 30) - 20);
+        wide.set_inclusive(th, id, time, v * 3.0);
+        wide.set_exclusive(th, id, time, v);
+        wide.set_inclusive(th, id, cyc, v * 1e6);
+        wide.set_exclusive(th, id, cyc, v * 7e5);
+      }
+    }
+  }
+  trials.push_back(wide);
+  for (const Trial& t : trials) expect_summary_exact(t);
+}
+
+TEST(PkbSummary, BorrowedSummaryServesMeansUntilTheTrialOwnsItsColumns) {
+  const Trial t = make_trial("served", 4);
+  std::string bytes = pk::perfdmf::to_pkb(t);
+  // Plant a (checksum-valid) summary total that the columns contradict:
+  // a summary-level reader sees the plant, so it really reads SUMM.
+  const std::size_t summ = section_at(bytes, "SUMM");
+  ASSERT_NE(summ, std::string::npos);
+  const double planted = 12345.0 * 4;  // mean 12345 over four threads
+  std::memcpy(bytes.data() + summ + 16, &planted, sizeof planted);
+  resign(bytes, summ);
+  TempDir dir;
+  const fs::path file = dir.path() / "planted.pkb";
+  write_file(file, bytes);
+  const Trial view = pk::perfdmf::open_pkb(file, Verify::kSummary);
+  ASSERT_NE(view.borrowed_summary(), nullptr);
+  EXPECT_EQ(view.mean_inclusive(0, 0), 12345.0);
+  // The first value write owns the columns; the summary goes with the
+  // image, and the means come from the cells again.
+  Trial copy = view;
+  copy.set_calls(0, 0, 1.0, 0.0);
+  EXPECT_EQ(copy.borrowed_summary(), nullptr);
+  EXPECT_EQ(copy.mean_inclusive(0, 0), t.mean_inclusive(0, 0));
+}
+
+TEST(PkbSummary, SnapshotsWithoutSummaryServeAggregatesFromTheCells) {
+  TempDir dir;
+  const Trial t = make_trial("legacy", 4);
+  const std::string bytes = without_summary(pk::perfdmf::to_pkb(t));
+  ASSERT_EQ(section_at(bytes, "SUMM"), std::string::npos);
+  const fs::path file = dir.path() / "legacy.pkb";
+  write_file(file, bytes);
+  for (const Verify level : {Verify::kSchema, Verify::kSummary,
+                             Verify::kFull}) {
+    const Trial view = pk::perfdmf::open_pkb(file, level);
+    EXPECT_EQ(view.borrowed_summary(), nullptr);
+    expect_trials_equal(t, view);
+    for (pk::profile::EventId e = 0; e < t.event_count(); ++e) {
+      EXPECT_EQ(view.mean_exclusive(e, 1), t.mean_exclusive(e, 1));
+      EXPECT_EQ(view.series_summary(e, 0, false).stddev,
+                t.series_summary(e, 0, false).stddev);
+    }
+  }
+  // Without a summary, the summary-level check is the column check.
+  std::string bad = bytes;
+  bad[bad.size() - 32] ^= 0x01;
+  write_file(file, bad);
+  EXPECT_NO_THROW((void)pk::perfdmf::open_pkb(file, Verify::kSchema));
+  EXPECT_THROW((void)pk::perfdmf::open_pkb(file, Verify::kSummary),
+               pk::ParseError);
+  EXPECT_THROW(pk::perfdmf::verify_pkb_summary(
+                   pk::perfdmf::open_pkb(file, Verify::kSchema)),
+               pk::ParseError);
 }
 
 // ---- borrowed columns --------------------------------------------------
@@ -405,6 +619,123 @@ TEST(PkbCorruption, VerifyPkbColumnsChecksSchemaOnlyOpens) {
   Trial owned = view;
   owned.set_inclusive(0, 0, 0, 1.0);
   EXPECT_NO_THROW(pk::perfdmf::verify_pkb_columns(owned));
+}
+
+namespace {
+
+/// Expects `open` to throw a ParseError whose text names `file`, the
+/// byte offset `offset` and `what`.
+template <typename Open>
+void expect_located(Open&& open, const fs::path& file, std::size_t offset,
+                    const std::string& what) {
+  try {
+    open();
+    ADD_FAILURE() << "no ParseError for " << what;
+  } catch (const pk::ParseError& e) {
+    const std::string text = e.what();
+    EXPECT_EQ(e.file(), file.string()) << text;
+    EXPECT_NE(text.find("byte offset " + std::to_string(offset)),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find(what), std::string::npos) << text;
+  }
+}
+
+}  // namespace
+
+TEST(PkbCorruption, BadSummaryChecksumIsLocated) {
+  TempDir dir;
+  std::string bytes = pk::perfdmf::to_pkb(make_trial("summ crc"));
+  const std::size_t summ = section_at(bytes, "SUMM");
+  ASSERT_NE(summ, std::string::npos);
+  bytes[summ + 16 + 9] ^= 0x01;
+  const fs::path file = dir.path() / "summ_crc.pkb";
+  write_file(file, bytes);
+  // A schema-only open does not read SUMM...
+  const Trial view = pk::perfdmf::open_pkb(file, Verify::kSchema);
+  EXPECT_EQ(view.name(), "summ crc");
+  // ...every level that trusts it checks its checksum.
+  for (const Verify level : {Verify::kSummary, Verify::kFull}) {
+    expect_located([&] { (void)pk::perfdmf::open_pkb(file, level); }, file,
+                   summ, "bad section checksum in 'SUMM'");
+  }
+  expect_located([&] { (void)pk::io::open_trial(file); }, file, summ,
+                 "bad section checksum in 'SUMM'");
+  EXPECT_THROW(pk::perfdmf::verify_pkb_summary(view), pk::ParseError);
+  EXPECT_THROW(pk::perfdmf::verify_pkb_columns(view), pk::ParseError);
+  EXPECT_THROW((void)pk::perfdmf::parse_pkb(bytes), pk::ParseError);
+}
+
+TEST(PkbCorruption, SummaryLengthMustMatchTheSchema) {
+  TempDir dir;
+  const std::string good = pk::perfdmf::to_pkb(make_trial("summ len"));
+  const std::size_t summ = section_at(good, "SUMM");
+  ASSERT_NE(summ, std::string::npos);
+  // Drop the last summary value and re-sign: the section is well formed
+  // but one value short.
+  std::uint64_t len = 0;
+  std::memcpy(&len, good.data() + summ + 8, sizeof len);
+  std::string bytes = good.substr(0, summ + 16 + len - 8) +
+                      good.substr(summ + 16 + len);
+  len -= 8;
+  std::memcpy(bytes.data() + summ + 8, &len, sizeof len);
+  resign(bytes, summ);
+  const fs::path file = dir.path() / "summ_len.pkb";
+  write_file(file, bytes);
+  for (const Verify level :
+       {Verify::kSchema, Verify::kSummary, Verify::kFull}) {
+    expect_located([&] { (void)pk::perfdmf::open_pkb(file, level); }, file,
+                   summ, "summary section is " + std::to_string(len) +
+                             " bytes, schema requires " +
+                             std::to_string(len + 8));
+  }
+}
+
+TEST(PkbCorruption, SummaryThatDisagreesWithTheColumnsIsLocated) {
+  TempDir dir;
+  const Trial t = make_trial("summ lie", 3);
+  std::string bytes = pk::perfdmf::to_pkb(t);
+  const std::size_t summ = section_at(bytes, "SUMM");
+  ASSERT_NE(summ, std::string::npos);
+  // The stddev of metric 0's exclusive series of event 1, nudged and
+  // re-signed: SUMM passes its checksum but no longer matches COLS.
+  const std::size_t value = summ + 16 + ((1 * 3 + 1) * 4 + 1) * 8;
+  double v = 0.0;
+  std::memcpy(&v, bytes.data() + value, sizeof v);
+  v = std::nextafter(v, 1e9);
+  std::memcpy(bytes.data() + value, &v, sizeof v);
+  resign(bytes, summ);
+  const fs::path file = dir.path() / "summ_lie.pkb";
+  write_file(file, bytes);
+  // A summary reader trusts the checksummed summary...
+  const Trial view = pk::perfdmf::open_pkb(file, Verify::kSummary);
+  EXPECT_EQ(view.series_summary(1, 0, true).stddev, v);
+  // ...every check of the columns compares it with them.
+  const std::string what =
+      "summary disagrees with the value columns: exclusive TIME of event "
+      "'main => loop' has stddev";
+  expect_located([&] { (void)pk::perfdmf::open_pkb(file, Verify::kFull); },
+                 file, value, what);
+  expect_located([&] { (void)pk::io::open_trial(file); }, file, value, what);
+  try {
+    pk::perfdmf::verify_pkb_columns(view);
+    FAIL() << "disagreeing summary passed verify_pkb_columns";
+  } catch (const pk::ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)pk::perfdmf::parse_pkb(bytes), pk::ParseError);
+  // A damaged column byte is a bad checksum, not a disagreeing summary.
+  std::string cols = pk::perfdmf::to_pkb(t);
+  cols[cols.size() - 32] ^= 0x01;
+  try {
+    (void)pk::perfdmf::parse_pkb(cols);
+    FAIL() << "corrupt columns parsed";
+  } catch (const pk::ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("bad section checksum in 'COLS'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PkbCorruption, OversizedDimensionsAreRejectedBeforeAllocation) {

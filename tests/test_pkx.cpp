@@ -4,6 +4,8 @@
 // bench2pkb -> diff -> history dogfood loop the CI perf gate runs.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -361,10 +363,8 @@ TEST(PkxRulesProfile, UsageAndErrorExits) {
 
 namespace {
 
-/// Flips one byte inside the COLS payload of `trial`'s snapshot (the last
-/// 16 bytes are the end marker; the cube ends just before) and returns
-/// the snapshot's path.
-fs::path corrupt_columns(const fs::path& repo, const std::string& trial) {
+/// The snapshot file index.tsv names for `trial`.
+fs::path snapshot_of(const fs::path& repo, const std::string& trial) {
   std::ifstream index(repo / "index.tsv");
   std::string app, exp, name, rel;
   fs::path file;
@@ -372,13 +372,67 @@ fs::path corrupt_columns(const fs::path& repo, const std::string& trial) {
          std::getline(index, name, '\t') && std::getline(index, rel)) {
     if (name == trial) file = repo / rel;
   }
-  std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekg(-32, std::ios::end);
-  char b = 0;
-  f.get(b);
-  f.seekp(-32, std::ios::end);
-  f.put(static_cast<char>(b ^ 0x01));
   return file;
+}
+
+std::string read_bytes(const fs::path& file) {
+  std::ifstream is(file, std::ios::binary);
+  std::ostringstream ss;
+  ss << is.rdbuf();
+  return std::move(ss).str();
+}
+
+void write_bytes(const fs::path& file, const std::string& bytes) {
+  std::ofstream os(file, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Header offset of the SUMM section of a PKB image, walking the section
+/// chain; npos when there is none.
+std::size_t summary_at(const std::string& bytes) {
+  std::size_t pos = 8;
+  while (pos + 16 <= bytes.size()) {
+    std::uint64_t len = 0;
+    std::memcpy(&len, bytes.data() + pos + 8, sizeof len);
+    if (bytes.compare(pos, 4, "SUMM") == 0) return pos;
+    pos += 16 + ((len + 7) & ~std::uint64_t{7});
+  }
+  return std::string::npos;
+}
+
+/// Flips one byte inside the COLS payload of `trial`'s snapshot (the last
+/// 16 bytes are the end marker; the cube ends just before) and returns
+/// the snapshot's path.
+fs::path corrupt_columns(const fs::path& repo, const std::string& trial) {
+  const fs::path file = snapshot_of(repo, trial);
+  std::string bytes = read_bytes(file);
+  bytes[bytes.size() - 32] ^= 0x01;
+  write_bytes(file, bytes);
+  return file;
+}
+
+/// Flips one byte inside the SUMM payload of `trial`'s snapshot and
+/// returns the snapshot's path.
+fs::path corrupt_summary(const fs::path& repo, const std::string& trial) {
+  const fs::path file = snapshot_of(repo, trial);
+  std::string bytes = read_bytes(file);
+  bytes.at(summary_at(bytes) + 16) ^= 0x01;
+  write_bytes(file, bytes);
+  return file;
+}
+
+/// Rewrites every snapshot under `repo` without its SUMM section, as a
+/// writer from before the section existed left it.
+void strip_summaries(const fs::path& repo) {
+  for (const auto& e : fs::recursive_directory_iterator(repo)) {
+    if (e.path().extension() != ".pkb") continue;
+    const std::string bytes = read_bytes(e.path());
+    const std::size_t at = summary_at(bytes);
+    ASSERT_NE(at, std::string::npos) << e.path();
+    std::uint64_t len = 0;
+    std::memcpy(&len, bytes.data() + at + 8, sizeof len);
+    write_bytes(e.path(), bytes.substr(0, at) + bytes.substr(at + 16 + len));
+  }
 }
 
 std::size_t count_pkbs(const fs::path& dir) {
@@ -391,7 +445,7 @@ std::size_t count_pkbs(const fs::path& dir) {
 
 }  // namespace
 
-TEST(PkxLazyOpen, CorruptTrialFailsOnlyTheCommandsThatReadIt) {
+TEST(PkxLazyOpen, CorruptColumnsFailOnlyTheCommandsThatReadCells) {
   TempDir repo;
   TempDir scratch;
   seed_history(repo.path(), scratch.path(), 1.0);
@@ -403,26 +457,40 @@ TEST(PkxLazyOpen, CorruptTrialFailsOnlyTheCommandsThatReadIt) {
                  "v3", v3.string()})
                 .code,
             0);
+  const std::string r = repo.path().string();
+  const std::vector<std::vector<std::string>> aggregates = {
+      {r, "show", "perfknow", "bench", "v2"},
+      {r, "history", "perfknow", "bench"},
+      {r, "diff", "perfknow", "bench", "v1", "v2"}};
+  std::vector<PkxResult> before;
+  for (const auto& args : aggregates) before.push_back(pkx(args));
   const fs::path bad = corrupt_columns(repo.path(), "v2");
   ASSERT_FALSE(bad.empty());
-  const std::string r = repo.path().string();
 
-  // Commands that never read v2's cells do not notice.
-  const auto show_ok = pkx({r, "show", "perfknow", "bench", "v3"});
-  EXPECT_EQ(show_ok.code, 0) << show_ok.err;
-  EXPECT_NE(show_ok.out.find("trial v3 "), std::string::npos);
+  // show, history and diff read v2's summary, never its columns: they
+  // print exactly what they printed before the corruption.
+  for (std::size_t i = 0; i < aggregates.size(); ++i) {
+    const auto res = pkx(aggregates[i]);
+    EXPECT_EQ(res.code, before[i].code) << aggregates[i][1] << ": "
+                                        << res.err;
+    EXPECT_EQ(res.out, before[i].out) << aggregates[i][1];
+  }
   const auto list = pkx({r, "list"});
   EXPECT_EQ(list.code, 0) << list.err;
   EXPECT_NE(list.out.find("v2"), std::string::npos);
 
-  // Every command that reports v2's values refuses, naming the file.
+  // Every command that reads v2's cells refuses, naming the file and
+  // the COLS checksum.
   for (const auto& args : std::vector<std::vector<std::string>>{
-           {r, "show", "perfknow", "bench", "v2"},
-           {r, "history", "perfknow", "bench"},
-           {r, "diff", "perfknow", "bench", "v1", "v2"}}) {
+           {r, "explain", "perfknow", "bench", "v2"},
+           {r, "report", "perfknow", "bench", "v2"},
+           {r, "export-csv", "perfknow", "bench", "v2", "TIME"}}) {
     const auto res = pkx(args);
     EXPECT_EQ(res.code, 1) << args[1] << ": " << res.out;
-    EXPECT_NE(res.err.find("checksum"), std::string::npos) << res.err;
+    EXPECT_NE(res.err.find("bad section checksum in 'COLS'"),
+              std::string::npos)
+        << res.err;
+    EXPECT_NE(res.err.find("byte offset"), std::string::npos) << res.err;
     EXPECT_NE(res.err.find(bad.filename().string()), std::string::npos)
         << res.err;
   }
@@ -439,6 +507,130 @@ TEST(PkxLazyOpen, CorruptTrialFailsOnlyTheCommandsThatReadIt) {
       << pruned.out;
   EXPECT_EQ(count_pkbs(repo.path()), 1u);
   EXPECT_EQ(pkx({r, "show", "perfknow", "bench", "v3"}).code, 0);
+}
+
+TEST(PkxLazyOpen, CorruptSummaryFailsTheCommandsThatReadIt) {
+  TempDir repo;
+  TempDir scratch;
+  seed_history(repo.path(), scratch.path(), 1.0);
+  const fs::path bad = corrupt_summary(repo.path(), "v2");
+  const std::string r = repo.path().string();
+
+  EXPECT_EQ(pkx({r, "show", "perfknow", "bench", "v1"}).code, 0);
+  EXPECT_EQ(pkx({r, "list"}).code, 0);
+  for (const auto& args : std::vector<std::vector<std::string>>{
+           {r, "show", "perfknow", "bench", "v2"},
+           {r, "history", "perfknow", "bench"},
+           {r, "diff", "perfknow", "bench", "v1", "v2"},
+           {r, "explain", "perfknow", "bench", "v2"}}) {
+    const auto res = pkx(args);
+    EXPECT_EQ(res.code, 1) << args[1] << ": " << res.out;
+    EXPECT_NE(res.err.find("bad section checksum in 'SUMM'"),
+              std::string::npos)
+        << res.err;
+    EXPECT_NE(res.err.find(bad.filename().string()), std::string::npos)
+        << res.err;
+  }
+}
+
+namespace {
+
+/// Seeds `dir` with `versions` lineage versions of a trial at `threads`
+/// threads with one TIME metric: main, an outer loop whose inner loop's
+/// per-thread imbalance it absorbs at the barrier (which the OpenUH
+/// rules diagnose), and `events` small loops.
+void seed_lineage(const fs::path& dir, std::size_t versions,
+                  std::size_t events, std::size_t threads) {
+  pk::perfdmf::Repository repo;
+  for (std::size_t v = 0; v < versions; ++v) {
+    auto t = std::make_shared<pk::profile::Trial>("v" + std::to_string(v));
+    t->set_thread_count(threads);
+    const auto time = t->add_metric("TIME", "usec");
+    const auto main = t->add_event("main", pk::profile::kNoEvent, "PROC");
+    const auto outer = t->add_event("main => outer", main, "LOOP");
+    const auto inner = t->add_event("main => outer => inner", outer, "LOOP");
+    const double scale = 1.0 + 0.01 * static_cast<double>(v);
+    for (std::size_t th = 0; th < threads; ++th) {
+      const double work = scale * 10.0 * static_cast<double>(1 + th % 4);
+      t->set_inclusive(th, inner, time, work);
+      t->set_exclusive(th, inner, time, work);
+      t->set_inclusive(th, outer, time, 50.0 * scale);
+      t->set_exclusive(th, outer, time, 50.0 * scale - work);
+      t->set_inclusive(th, main, time, 50.0 * scale);
+      t->set_exclusive(th, main, time, 0.0);
+    }
+    for (std::size_t e = 0; e < events; ++e) {
+      const auto id =
+          t->add_event("main => loop" + std::to_string(e), main, "LOOP");
+      for (std::size_t th = 0; th < threads; ++th) {
+        const double x = 0.01 * scale * static_cast<double>(e % 17 + th % 3);
+        t->set_inclusive(th, id, time, x);
+        t->set_exclusive(th, id, time, x);
+        t->set_calls(th, id, 1.0, 0.0);
+        t->accumulate_inclusive(th, main, time, x);
+      }
+    }
+    repo.put_version("app", "lineage", std::move(t));
+  }
+  repo.save(dir);
+}
+
+}  // namespace
+
+// Snapshots written before SUMM existed keep opening and give identical
+// output through the cell path.
+TEST(PkxLegacySnapshots, OutputIsIdenticalWithoutTheSummary) {
+  TempDir repo;
+  seed_lineage(repo.path(), 3, 40, 8);
+  const std::string r = repo.path().string();
+  const std::vector<std::vector<std::string>> commands = {
+      {r, "list"},
+      {r, "show", "app", "lineage", "v1"},
+      {r, "history", "app", "lineage"},
+      {r, "diff", "app", "lineage", "v0", "v2"},
+      {r, "explain", "app", "lineage", "v2"},
+      {r, "report", "app", "lineage", "v2"}};
+  std::vector<PkxResult> with_summary;
+  for (const auto& args : commands) {
+    with_summary.push_back(pkx(args));
+    EXPECT_EQ(with_summary.back().code, 0)
+        << args[1] << ": " << with_summary.back().err;
+  }
+  EXPECT_NE(with_summary[4].out.find("LoadImbalance"), std::string::npos)
+      << with_summary[4].out;
+  strip_summaries(repo.path());
+  for (std::size_t i = 0; i < commands.size(); ++i) {
+    const auto res = pkx(commands[i]);
+    EXPECT_EQ(res.code, with_summary[i].code) << commands[i][1];
+    EXPECT_EQ(res.out, with_summary[i].out) << commands[i][1];
+  }
+}
+
+// history reads one summary per version, so its cost grows with
+// versions x events and not with the cube: 4x the threads must cost
+// less than 2x (checksumming every cell, as history once did, costs
+// ~4x).
+TEST(Pkx, HistoryGrowsWithVersionsTimesEventsNotCells) {
+  const auto history_ms = [](std::size_t threads) {
+    TempDir repo;
+    seed_lineage(repo.path(), 8, 500, threads);
+    double best = 0.0;
+    for (int rep = 0; rep < 5; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto res = pkx({repo.path().string(), "history", "app",
+                            "lineage"});
+      const std::chrono::duration<double, std::milli> ms =
+          std::chrono::steady_clock::now() - t0;
+      EXPECT_EQ(res.code, 0) << res.err;
+      EXPECT_NE(res.out.find("8 versions"), std::string::npos) << res.out;
+      if (rep == 0 || ms.count() < best) best = ms.count();
+    }
+    return best;
+  };
+  const double narrow = history_ms(64);
+  const double wide = history_ms(256);
+  EXPECT_LT(wide / narrow, 2.0)
+      << "64 threads: " << narrow << " ms, 256 threads: " << wide << " ms";
 }
 
 TEST(PkxLazyOpen, ImportRewritesOnlyTheImportedSnapshot) {
