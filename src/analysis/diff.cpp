@@ -1,7 +1,9 @@
 #include "analysis/diff.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
+#include <numeric>
+#include <optional>
 
 #include "analysis/operations.hpp"
 #include "common/error.hpp"
@@ -16,12 +18,54 @@ namespace {
 /// explanation JSON) do not carry platform-dependent decimal tails.
 double round4(double v) { return std::round(v * 1e4) / 1e4; }
 
-std::map<std::string, profile::EventId> events_by_name(
-    const profile::Trial& trial) {
-  std::map<std::string, profile::EventId> out;
-  for (profile::EventId e = 0; e < trial.event_count(); ++e) {
-    out.emplace(trial.event(e).name, e);
+/// The trial's events in name order, the first of each name only.
+std::vector<profile::EventId> events_by_name(const profile::Trial& trial) {
+  std::vector<profile::EventId> out(trial.event_count());
+  std::iota(out.begin(), out.end(), profile::EventId{0});
+  const auto name = [&trial](profile::EventId e) -> const std::string& {
+    return trial.event(e).name;
+  };
+  std::stable_sort(out.begin(), out.end(),
+                   [&](auto a, auto b) { return name(a) < name(b); });
+  out.erase(std::unique(out.begin(), out.end(),
+                        [&](auto a, auto b) { return name(a) == name(b); }),
+            out.end());
+  return out;
+}
+
+/// Base and current events matched by name, built once per diff: the
+/// base events in name order (the order facts are asserted in), each
+/// with its current partner or none, and the current events the base
+/// lacks, in name order.
+struct EventPairing {
+  struct Pair {
+    profile::EventId base;
+    std::optional<profile::EventId> current;
+  };
+  std::vector<Pair> base;
+  std::vector<profile::EventId> added;
+};
+
+EventPairing pair_events(const profile::Trial& base,
+                         const profile::Trial& current) {
+  const auto b = events_by_name(base);
+  const auto c = events_by_name(current);
+  EventPairing out;
+  out.base.reserve(b.size());
+  std::size_t j = 0;
+  for (const profile::EventId be : b) {
+    const std::string& name = base.event(be).name;
+    for (; j < c.size() && current.event(c[j]).name < name; ++j) {
+      out.added.push_back(c[j]);
+    }
+    if (j < c.size() && current.event(c[j]).name == name) {
+      out.base.push_back({be, c[j++]});
+    } else {
+      out.base.push_back({be, std::nullopt});
+    }
   }
+  out.added.insert(out.added.end(), c.begin() + static_cast<std::ptrdiff_t>(j),
+                   c.end());
   return out;
 }
 
@@ -103,8 +147,19 @@ DiffSummary assert_diff_facts(rules::RuleHarness& harness,
           current.name() + "')",
       chains_if_full(harness, base, current, metrics));
 
-  const auto base_events = events_by_name(base);
-  const auto current_events = events_by_name(current);
+  const EventPairing events = pair_events(base, current);
+  const auto delta = harness.schema(
+      "MetricDeltaFact",
+      {"metric", "eventName", "baseValue", "currentValue", "delta", "ratio",
+       "normalizedRatio", "direction", "runtimeFraction", "baseTrial",
+       "currentTrial"});
+  const auto trial_delta = harness.schema(
+      "TrialDeltaFact",
+      {"metric", "baseTotal", "currentTotal", "totalRatio", "geomeanRatio",
+       "sharedEvents", "baseTrial", "currentTrial"});
+  const auto presence = harness.schema(
+      "EventPresenceFact", {"eventName", "presence", "runtimeFraction",
+                            "baseTrial", "currentTrial"});
 
   DiffSummary summary;
   double max_nr = 1.0;
@@ -120,6 +175,7 @@ DiffSummary assert_diff_facts(rules::RuleHarness& harness,
     // to the typical ratio), so a uniformly slower machine cancels out.
     struct Cell {
       const std::string* event;
+      profile::EventId current_event;
       double base_value;
       double current_value;
     };
@@ -127,16 +183,15 @@ DiffSummary assert_diff_facts(rules::RuleHarness& harness,
     double base_total = 0.0;
     double current_total = 0.0;
     double log_sum = 0.0;
-    for (const auto& [name, be] : base_events) {
-      const auto ce = current_events.find(name);
-      if (ce == current_events.end()) continue;
+    for (const auto& [be, ce] : events.base) {
+      if (!ce) continue;
       const double bv = base.mean_exclusive(be, bm);
-      const double cv = current.mean_exclusive(ce->second, cm);
+      const double cv = current.mean_exclusive(*ce, cm);
       if (bv <= 0.0 || cv <= 0.0) {
         ++summary.skipped_cells;
         continue;
       }
-      cells.push_back(Cell{&name, bv, cv});
+      cells.push_back(Cell{&base.event(be).name, *ce, bv, cv});
       base_total += bv;
       current_total += cv;
       log_sum += std::log(cv / bv);
@@ -150,8 +205,7 @@ DiffSummary assert_diff_facts(rules::RuleHarness& harness,
     for (const auto& cell : cells) {
       const double ratio = cell.current_value / cell.base_value;
       const double nr = round4(ratio / geomean);
-      const double fraction =
-          current_fraction(current_events.at(*cell.event));
+      const double fraction = current_fraction(cell.current_event);
       const char* direction = "same";
       if (fraction >= options.min_fraction) {
         if (nr > 1.0 + options.noise_band) {
@@ -164,34 +218,34 @@ DiffSummary assert_diff_facts(rules::RuleHarness& harness,
       }
       if (nr > max_nr) max_nr = nr;
       if (nr < min_nr) min_nr = nr;
-      rules::Fact f("MetricDeltaFact");
-      f.set("metric", metric);
-      f.set("eventName", *cell.event);
-      f.set("baseValue", cell.base_value);
-      f.set("currentValue", cell.current_value);
-      f.set("delta", cell.current_value - cell.base_value);
-      f.set("ratio", round4(ratio));
-      f.set("normalizedRatio", nr);
-      f.set("direction", direction);
-      f.set("runtimeFraction", fraction);
-      f.set("baseTrial", base.name());
-      f.set("currentTrial", current.name());
-      harness.assert_fact(std::move(f));
+      harness.emit(delta)
+          .str("metric", metric)
+          .str("eventName", *cell.event)
+          .num("baseValue", cell.base_value)
+          .num("currentValue", cell.current_value)
+          .num("delta", cell.current_value - cell.base_value)
+          .num("ratio", round4(ratio))
+          .num("normalizedRatio", nr)
+          .str("direction", direction)
+          .num("runtimeFraction", fraction)
+          .str("baseTrial", base.name())
+          .str("currentTrial", current.name())
+          .commit();
       ++summary.compared_cells;
       ++summary.facts;
     }
 
-    rules::Fact t("TrialDeltaFact");
-    t.set("metric", metric);
-    t.set("baseTotal", base_total);
-    t.set("currentTotal", current_total);
-    t.set("totalRatio",
-          base_total == 0.0 ? 0.0 : round4(current_total / base_total));
-    t.set("geomeanRatio", round4(geomean));
-    t.set("sharedEvents", static_cast<double>(cells.size()));
-    t.set("baseTrial", base.name());
-    t.set("currentTrial", current.name());
-    harness.assert_fact(std::move(t));
+    harness.emit(trial_delta)
+        .str("metric", metric)
+        .num("baseTotal", base_total)
+        .num("currentTotal", current_total)
+        .num("totalRatio",
+             base_total == 0.0 ? 0.0 : round4(current_total / base_total))
+        .num("geomeanRatio", round4(geomean))
+        .num("sharedEvents", static_cast<double>(cells.size()))
+        .str("baseTrial", base.name())
+        .str("currentTrial", current.name())
+        .commit();
     ++summary.facts;
   }
 
@@ -200,48 +254,52 @@ DiffSummary assert_diff_facts(rules::RuleHarness& harness,
   const std::string& fraction_metric = metrics.front();
   const RuntimeFraction base_fraction(base, fraction_metric);
   const RuntimeFraction added_fraction(current, fraction_metric);
-  for (const auto& [name, be] : base_events) {
-    if (current_events.count(name) != 0) continue;
-    rules::Fact f("EventPresenceFact");
-    f.set("eventName", name);
-    f.set("presence", "removed");
-    f.set("runtimeFraction", base_fraction(be));
-    f.set("baseTrial", base.name());
-    f.set("currentTrial", current.name());
-    harness.assert_fact(std::move(f));
+  for (const auto& [be, ce] : events.base) {
+    if (ce) continue;
+    harness.emit(presence)
+        .str("eventName", base.event(be).name)
+        .str("presence", "removed")
+        .num("runtimeFraction", base_fraction(be))
+        .str("baseTrial", base.name())
+        .str("currentTrial", current.name())
+        .commit();
     ++summary.missing_events;
     ++summary.facts;
   }
-  for (const auto& [name, ce] : current_events) {
-    if (base_events.count(name) != 0) continue;
-    rules::Fact f("EventPresenceFact");
-    f.set("eventName", name);
-    f.set("presence", "added");
-    f.set("runtimeFraction", added_fraction(ce));
-    f.set("baseTrial", base.name());
-    f.set("currentTrial", current.name());
-    harness.assert_fact(std::move(f));
+  for (const profile::EventId ce : events.added) {
+    harness.emit(presence)
+        .str("eventName", current.event(ce).name)
+        .str("presence", "added")
+        .num("runtimeFraction", added_fraction(ce))
+        .str("baseTrial", base.name())
+        .str("currentTrial", current.name())
+        .commit();
     ++summary.added_events;
     ++summary.facts;
   }
 
-  rules::Fact band("NoiseBandFact");
-  band.set("band", options.noise_band);
-  harness.assert_fact(std::move(band));
+  harness.emit(harness.schema("NoiseBandFact", {"band"}))
+      .num("band", options.noise_band)
+      .commit();
   ++summary.facts;
 
-  rules::Fact s("DiffSummaryFact");
-  s.set("comparedCells", static_cast<double>(summary.compared_cells));
-  s.set("regressedCells", static_cast<double>(summary.regressed_cells));
-  s.set("improvedCells", static_cast<double>(summary.improved_cells));
-  s.set("skippedCells", static_cast<double>(summary.skipped_cells));
-  s.set("missingEvents", static_cast<double>(summary.missing_events));
-  s.set("addedEvents", static_cast<double>(summary.added_events));
-  s.set("maxNormalizedRatio", max_nr);
-  s.set("minNormalizedRatio", min_nr);
-  s.set("baseTrial", base.name());
-  s.set("currentTrial", current.name());
-  harness.assert_fact(std::move(s));
+  harness
+      .emit(harness.schema(
+          "DiffSummaryFact",
+          {"comparedCells", "regressedCells", "improvedCells", "skippedCells",
+           "missingEvents", "addedEvents", "maxNormalizedRatio",
+           "minNormalizedRatio", "baseTrial", "currentTrial"}))
+      .num("comparedCells", static_cast<double>(summary.compared_cells))
+      .num("regressedCells", static_cast<double>(summary.regressed_cells))
+      .num("improvedCells", static_cast<double>(summary.improved_cells))
+      .num("skippedCells", static_cast<double>(summary.skipped_cells))
+      .num("missingEvents", static_cast<double>(summary.missing_events))
+      .num("addedEvents", static_cast<double>(summary.added_events))
+      .num("maxNormalizedRatio", max_nr)
+      .num("minNormalizedRatio", min_nr)
+      .str("baseTrial", base.name())
+      .str("currentTrial", current.name())
+      .commit();
   ++summary.facts;
 
   return summary;
@@ -263,6 +321,10 @@ std::size_t assert_scaling_shift_facts(rules::RuleHarness& harness,
                             static_cast<double>(bp.front().threads);
   const double current_ideal = static_cast<double>(cp.back().threads) /
                                static_cast<double>(cp.front().threads);
+  const auto shift = harness.schema(
+      "ScalingShiftFact",
+      {"eventName", "baseEfficiency", "currentEfficiency", "efficiencyShift",
+       "baseSpeedup", "currentSpeedup", "runtimeFraction"});
   std::size_t n = 0;
   const auto current_names = current.events_by_baseline_cost();
   for (const auto& event : base.events_by_baseline_cost()) {
@@ -285,15 +347,15 @@ std::size_t assert_scaling_shift_facts(rules::RuleHarness& harness,
         (it == cp.back().event_times.end() || cp.back().total_time == 0.0)
             ? 0.0
             : it->second / cp.back().total_time;
-    rules::Fact f("ScalingShiftFact");
-    f.set("eventName", event);
-    f.set("baseEfficiency", round4(base_eff));
-    f.set("currentEfficiency", round4(current_eff));
-    f.set("efficiencyShift", round4(current_eff - base_eff));
-    f.set("baseSpeedup", round4(base_speedup));
-    f.set("currentSpeedup", round4(current_speedup));
-    f.set("runtimeFraction", fraction);
-    harness.assert_fact(std::move(f));
+    harness.emit(shift)
+        .str("eventName", event)
+        .num("baseEfficiency", round4(base_eff))
+        .num("currentEfficiency", round4(current_eff))
+        .num("efficiencyShift", round4(current_eff - base_eff))
+        .num("baseSpeedup", round4(base_speedup))
+        .num("currentSpeedup", round4(current_speedup))
+        .num("runtimeFraction", fraction)
+        .commit();
     ++n;
   }
   return n;

@@ -15,23 +15,32 @@ RuntimeFraction severity_of(const profile::Trial& trial) {
       trial, trial.find_metric("TIME") ? "TIME" : trial.metric(0).name);
 }
 
-rules::Fact main_comparison(const profile::Trial& trial,
-                            const std::string& metric, profile::MetricId m,
-                            double main_value, profile::EventId event,
-                            double severity) {
-  const double event_value = trial.mean_exclusive(event, m);
-  rules::Fact f("MeanEventFact");
-  f.set("factType", "Compared to Main");
-  f.set("metric", metric);
-  f.set("eventName", trial.event(event).name);
-  f.set("mainValue", main_value);
-  f.set("eventValue", event_value);
-  const char* rel = "same";
-  if (event_value > main_value) rel = "higher";
-  else if (event_value < main_value) rel = "lower";
-  f.set("higherLower", rel);
-  f.set("severity", severity);
-  return f;
+/// MeanEventFact's one definition: declares its schema in `sink` (a
+/// RuleHarness, or compare_event_to_main's scratch WorkingMemory) and
+/// returns the writer behind compare-to-main, compare-to-average and
+/// compare_event_to_main. The writer returns the committed fact's id.
+auto mean_event_writer(auto& sink) {
+  return [&sink,
+          schema = sink.schema(
+              "MeanEventFact",
+              {"factType", "metric", "eventName", "mainValue", "eventValue",
+               "higherLower", "severity"})](
+             const char* fact_type, const std::string& metric,
+             const std::string& event, double reference, double value,
+             double severity) {
+    const char* rel = "same";
+    if (value > reference) rel = "higher";
+    else if (value < reference) rel = "lower";
+    return sink.emit(schema)
+        .str("factType", fact_type)
+        .str("metric", metric)
+        .str("eventName", event)
+        .num("mainValue", reference)
+        .num("eventValue", value)
+        .str("higherLower", rel)
+        .num("severity", severity)
+        .commit();
+  };
 }
 
 /// Metric-lineage chains for the provenance origin label — computed
@@ -58,8 +67,14 @@ rules::Fact compare_event_to_main(const profile::Trial& trial,
                                   profile::EventId event) {
   const auto m = trial.metric_id(metric);
   const double main_value = trial.mean_inclusive(trial.main_event(), m);
-  return main_comparison(trial, metric, m, main_value, event,
-                         severity_of(trial)(event));
+  // A per-thread scratch memory keeps its interned symbols and arena
+  // chunks across calls, so building the fact costs one row.
+  thread_local rules::WorkingMemory scratch;
+  scratch.clear();
+  const auto id = mean_event_writer(scratch)(
+      "Compared to Main", metric, trial.event(event).name, main_value,
+      trial.mean_exclusive(event, m), severity_of(trial)(event));
+  return scratch.find(id).to_fact();
 }
 
 std::size_t assert_compare_to_main_facts(rules::RuleHarness& harness,
@@ -74,11 +89,12 @@ std::size_t assert_compare_to_main_facts(rules::RuleHarness& harness,
   const auto m = trial.metric_id(metric);
   const double main_value = trial.mean_inclusive(main, m);
   const RuntimeFraction severity = severity_of(trial);
+  const auto write = mean_event_writer(harness);
   std::size_t n = 0;
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
     if (e == main) continue;
-    harness.assert_fact(
-        main_comparison(trial, metric, m, main_value, e, severity(e)));
+    write("Compared to Main", metric, trial.event(e).name, main_value,
+          trial.mean_exclusive(e, m), severity(e));
     ++n;
   }
   return n;
@@ -104,23 +120,13 @@ std::size_t assert_compare_to_average_facts(rules::RuleHarness& harness,
   const double average =
       counted == 0 ? 0.0 : total / static_cast<double>(counted);
   const RuntimeFraction severity = severity_of(trial);
+  const auto write = mean_event_writer(harness);
 
   std::size_t n = 0;
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
     if (e == main) continue;
-    const double value = trial.mean_exclusive(e, m);
-    rules::Fact f("MeanEventFact");
-    f.set("factType", "Compared to Average");
-    f.set("metric", metric);
-    f.set("eventName", trial.event(e).name);
-    f.set("mainValue", average);
-    f.set("eventValue", value);
-    const char* rel = "same";
-    if (value > average) rel = "higher";
-    else if (value < average) rel = "lower";
-    f.set("higherLower", rel);
-    f.set("severity", severity(e));
-    harness.assert_fact(std::move(f));
+    write("Compared to Average", metric, trial.event(e).name, average,
+          trial.mean_exclusive(e, m), severity(e));
     ++n;
   }
   return n;
@@ -135,30 +141,36 @@ std::size_t assert_load_balance_facts(rules::RuleHarness& harness,
           metric + "')",
       chains_if_full(harness, trial, {metric}));
   const RuntimeFraction fraction(trial, metric);
+  const auto balance = harness.schema(
+      "LoadBalanceFact", {"eventName", "cv", "runtimeFraction"});
+  const auto nesting =
+      harness.schema("NestingFact", {"parentEvent", "childEvent"});
+  const auto correlation = harness.schema(
+      "CorrelationFact", {"eventA", "eventB", "metric", "correlation"});
   std::size_t n = 0;
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
     const auto s = event_statistics(trial, e, metric, /*exclusive=*/true);
-    rules::Fact f("LoadBalanceFact");
-    f.set("eventName", s.name);
-    f.set("cv", s.cv);
-    f.set("runtimeFraction", fraction(e));
-    harness.assert_fact(std::move(f));
+    harness.emit(balance)
+        .str("eventName", s.name)
+        .num("cv", s.cv)
+        .num("runtimeFraction", fraction(e))
+        .commit();
     ++n;
   }
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
     for (const auto c : trial.children_of(e)) {
-      rules::Fact nest("NestingFact");
-      nest.set("parentEvent", trial.event(e).name);
-      nest.set("childEvent", trial.event(c).name);
-      harness.assert_fact(std::move(nest));
+      harness.emit(nesting)
+          .str("parentEvent", trial.event(e).name)
+          .str("childEvent", trial.event(c).name)
+          .commit();
       ++n;
       if (trial.thread_count() >= 2) {
-        rules::Fact corr("CorrelationFact");
-        corr.set("eventA", trial.event(e).name);
-        corr.set("eventB", trial.event(c).name);
-        corr.set("metric", metric);
-        corr.set("correlation", correlate_events(trial, e, c, metric));
-        harness.assert_fact(std::move(corr));
+        harness.emit(correlation)
+            .str("eventA", trial.event(e).name)
+            .str("eventB", trial.event(c).name)
+            .str("metric", metric)
+            .num("correlation", correlate_events(trial, e, c, metric))
+            .commit();
         ++n;
       }
     }
@@ -178,18 +190,21 @@ std::size_t assert_stall_facts(rules::RuleHarness& harness,
   const auto mem = trial.metric_id("L1D_STALL_CYCLES");
   const auto fp = trial.metric_id("FP_STALL_CYCLES");
   const RuntimeFraction severity = severity_of(trial);
+  const auto breakdown = harness.schema(
+      "StallBreakdownFact",
+      {"eventName", "stallsPerCycle", "memoryFpFraction", "runtimeFraction"});
   std::size_t n = 0;
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
     const double st = trial.mean_exclusive(e, stalls);
     const double cy = trial.mean_exclusive(e, cycles);
     const double memfp =
         trial.mean_exclusive(e, mem) + trial.mean_exclusive(e, fp);
-    rules::Fact f("StallBreakdownFact");
-    f.set("eventName", trial.event(e).name);
-    f.set("stallsPerCycle", cy == 0.0 ? 0.0 : st / cy);
-    f.set("memoryFpFraction", st == 0.0 ? 0.0 : memfp / st);
-    f.set("runtimeFraction", severity(e));
-    harness.assert_fact(std::move(f));
+    harness.emit(breakdown)
+        .str("eventName", trial.event(e).name)
+        .num("stallsPerCycle", cy == 0.0 ? 0.0 : st / cy)
+        .num("memoryFpFraction", st == 0.0 ? 0.0 : memfp / st)
+        .num("runtimeFraction", severity(e))
+        .commit();
     ++n;
   }
   return n;
@@ -216,22 +231,26 @@ std::size_t assert_memory_locality_facts(rules::RuleHarness& harness,
   const double app_ratio =
       total_remote == 0.0 ? total_local : total_local / total_remote;
   const RuntimeFraction severity = severity_of(trial);
+  const auto locality = harness.schema(
+      "MemoryLocalityFact",
+      {"eventName", "l3Misses", "remoteRatio", "localToRemote",
+       "appLocalToRemote", "belowAppAverage", "runtimeFraction"});
 
   std::size_t n = 0;
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
     const double l3m = trial.mean_exclusive(e, l3);
     const double rem = trial.mean_exclusive(e, remote);
     const double loc = trial.mean_exclusive(e, local);
-    rules::Fact f("MemoryLocalityFact");
-    f.set("eventName", trial.event(e).name);
-    f.set("l3Misses", l3m);
-    f.set("remoteRatio", l3m == 0.0 ? 0.0 : rem / l3m);
     const double local_to_remote = rem == 0.0 ? loc : loc / rem;
-    f.set("localToRemote", local_to_remote);
-    f.set("appLocalToRemote", app_ratio);
-    f.set("belowAppAverage", local_to_remote < app_ratio);
-    f.set("runtimeFraction", severity(e));
-    harness.assert_fact(std::move(f));
+    harness.emit(locality)
+        .str("eventName", trial.event(e).name)
+        .num("l3Misses", l3m)
+        .num("remoteRatio", l3m == 0.0 ? 0.0 : rem / l3m)
+        .num("localToRemote", local_to_remote)
+        .num("appLocalToRemote", app_ratio)
+        .flag("belowAppAverage", local_to_remote < app_ratio)
+        .num("runtimeFraction", severity(e))
+        .commit();
     ++n;
   }
   return n;
@@ -248,6 +267,9 @@ std::size_t assert_scaling_facts(rules::RuleHarness& harness,
                    std::to_string(last.threads) + ")");
   const double ideal = static_cast<double>(last.threads) /
                        static_cast<double>(base.threads);
+  const auto scaling = harness.schema(
+      "ScalingFact", {"eventName", "speedup", "idealSpeedup", "efficiency",
+                      "runtimeFraction"});
   std::size_t n = 0;
   for (const auto& event : analysis.events_by_baseline_cost()) {
     const auto speedups = analysis.event_speedup(event);
@@ -257,13 +279,13 @@ std::size_t assert_scaling_facts(rules::RuleHarness& harness,
         (it == last.event_times.end() || last.total_time == 0.0)
             ? 0.0
             : it->second / last.total_time;
-    rules::Fact f("ScalingFact");
-    f.set("eventName", event);
-    f.set("speedup", speedup);
-    f.set("idealSpeedup", ideal);
-    f.set("efficiency", ideal == 0.0 ? 0.0 : speedup / ideal);
-    f.set("runtimeFraction", frac);
-    harness.assert_fact(std::move(f));
+    harness.emit(scaling)
+        .str("eventName", event)
+        .num("speedup", speedup)
+        .num("idealSpeedup", ideal)
+        .num("efficiency", ideal == 0.0 ? 0.0 : speedup / ideal)
+        .num("runtimeFraction", frac)
+        .commit();
     ++n;
   }
   return n;

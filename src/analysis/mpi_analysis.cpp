@@ -79,21 +79,25 @@ std::size_t assert_communication_facts(rules::RuleHarness& harness,
   const rules::ProvenanceSource source(harness,
                                        "assert_communication_facts()");
   const auto elapsed = static_cast<double>(elapsed_cycles);
+  const auto communication = harness.schema(
+      "CommunicationFact",
+      {"rank", "commFraction", "waitFraction", "copyFraction",
+       "collectiveFraction", "bytesSent", "bytesReceived", "messagesSent"});
   std::size_t n = 0;
   for (unsigned r = 0; r < recorder.ranks(); ++r) {
     const auto& s = recorder.rank(r);
-    rules::Fact f("CommunicationFact");
-    f.set("rank", static_cast<double>(r));
-    f.set("commFraction",
-          static_cast<double>(s.total_comm_cycles()) / elapsed);
-    f.set("waitFraction", static_cast<double>(s.wait_cycles) / elapsed);
-    f.set("copyFraction", static_cast<double>(s.copy_cycles) / elapsed);
-    f.set("collectiveFraction",
-          static_cast<double>(s.collective_cycles) / elapsed);
-    f.set("bytesSent", static_cast<double>(s.bytes_sent));
-    f.set("bytesReceived", static_cast<double>(s.bytes_received));
-    f.set("messagesSent", static_cast<double>(s.messages_sent));
-    harness.assert_fact(std::move(f));
+    harness.emit(communication)
+        .num("rank", static_cast<double>(r))
+        .num("commFraction",
+             static_cast<double>(s.total_comm_cycles()) / elapsed)
+        .num("waitFraction", static_cast<double>(s.wait_cycles) / elapsed)
+        .num("copyFraction", static_cast<double>(s.copy_cycles) / elapsed)
+        .num("collectiveFraction",
+             static_cast<double>(s.collective_cycles) / elapsed)
+        .num("bytesSent", static_cast<double>(s.bytes_sent))
+        .num("bytesReceived", static_cast<double>(s.bytes_received))
+        .num("messagesSent", static_cast<double>(s.messages_sent))
+        .commit();
     ++n;
   }
   return n;
@@ -109,6 +113,8 @@ std::size_t assert_late_sender_facts(rules::RuleHarness& harness,
   }
   const rules::ProvenanceSource source(harness, "assert_late_sender_facts()");
   const auto elapsed = static_cast<double>(elapsed_cycles);
+  const auto late_sender = harness.schema(
+      "LateSenderFact", {"receiver", "sender", "waitFraction"});
   std::size_t n = 0;
   for (unsigned dst = 0; dst < recorder.ranks(); ++dst) {
     for (unsigned src = 0; src < recorder.ranks(); ++src) {
@@ -116,11 +122,11 @@ std::size_t assert_late_sender_facts(rules::RuleHarness& harness,
       const double frac =
           static_cast<double>(recorder.wait_from(dst, src)) / elapsed;
       if (frac < min_fraction) continue;
-      rules::Fact f("LateSenderFact");
-      f.set("receiver", static_cast<double>(dst));
-      f.set("sender", static_cast<double>(src));
-      f.set("waitFraction", frac);
-      harness.assert_fact(std::move(f));
+      harness.emit(late_sender)
+          .num("receiver", static_cast<double>(dst))
+          .num("sender", static_cast<double>(src))
+          .num("waitFraction", frac)
+          .commit();
       ++n;
     }
   }

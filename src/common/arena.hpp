@@ -108,6 +108,12 @@ class Column {
     ++size_;
   }
 
+  /// Drops the elements from `n` on; their chunks stay for the next
+  /// push_back. No-op when `n >= size()`.
+  void truncate(std::size_t n) noexcept {
+    if (n < size_) size_ = n;
+  }
+
   /// Drops all elements AND the chunk pointers: the backing arena is
   /// expected to be reset() by the owner, which recycles the memory.
   void clear() noexcept {

@@ -62,19 +62,23 @@ OverheadReport estimate_overhead(const profile::Trial& trial,
 std::size_t assert_overhead_facts(rules::RuleHarness& harness,
                                   const OverheadReport& report) {
   const rules::ProvenanceSource source(harness, "assert_overhead_facts()");
+  const auto overhead =
+      harness.schema("OverheadFact", {"eventName", "calls", "dilation"});
   std::size_t n = 0;
   for (const auto& est : report.per_event) {
-    rules::Fact f("OverheadFact");
-    f.set("eventName", est.event);
-    f.set("calls", est.calls);
-    f.set("dilation", est.dilation);
-    harness.assert_fact(std::move(f));
+    harness.emit(overhead)
+        .str("eventName", est.event)
+        .num("calls", est.calls)
+        .num("dilation", est.dilation)
+        .commit();
     ++n;
   }
-  rules::Fact summary("OverheadSummaryFact");
-  summary.set("appOverheadFraction", report.app_overhead_fraction);
-  summary.set("totalProbeCycles", report.total_probe_cycles);
-  harness.assert_fact(std::move(summary));
+  harness
+      .emit(harness.schema("OverheadSummaryFact",
+                           {"appOverheadFraction", "totalProbeCycles"}))
+      .num("appOverheadFraction", report.app_overhead_fraction)
+      .num("totalProbeCycles", report.total_probe_cycles)
+      .commit();
   return n + 1;
 }
 

@@ -74,16 +74,19 @@ std::size_t assert_dvs_facts(rules::RuleHarness& harness,
         "assert_dvs_facts: sweep does not contain the nominal frequency");
   }
   const rules::ProvenanceSource source(harness, "assert_dvs_facts()");
+  const auto dvs = harness.schema(
+      "DvsFact", {"frequencyGhz", "relativeTime", "relativeWatts",
+                  "relativeJoules", "isMinEnergy", "isMinEdp"});
   std::size_t n = 0;
   for (const auto& p : sweep) {
-    rules::Fact f("DvsFact");
-    f.set("frequencyGhz", p.frequency_ghz);
-    f.set("relativeTime", p.seconds / nominal->seconds);
-    f.set("relativeWatts", p.watts / nominal->watts);
-    f.set("relativeJoules", p.joules / nominal->joules);
-    f.set("isMinEnergy", p.is_min_energy);
-    f.set("isMinEdp", p.is_min_edp);
-    harness.assert_fact(std::move(f));
+    harness.emit(dvs)
+        .num("frequencyGhz", p.frequency_ghz)
+        .num("relativeTime", p.seconds / nominal->seconds)
+        .num("relativeWatts", p.watts / nominal->watts)
+        .num("relativeJoules", p.joules / nominal->joules)
+        .flag("isMinEnergy", p.is_min_energy)
+        .flag("isMinEdp", p.is_min_edp)
+        .commit();
     ++n;
   }
   return n;

@@ -174,28 +174,33 @@ std::size_t PowerStudy::assert_facts(rules::RuleHarness& harness) const {
       balanced = i;
     }
   }
+  const auto study = harness.schema(
+      "PowerStudyFact",
+      {"level", "relativeTime", "relativeInstructions", "relativeWatts",
+       "relativeJoules", "relativeFlopPerJoule", "isLowestPower",
+       "isLowestEnergy", "isBalanced", "correlatedEnergyInstructions"});
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const auto& r = rows_[i];
-    rules::Fact f("PowerStudyFact");
-    f.set("level", std::string(openuh::to_string(r.level)));
-    f.set("relativeTime", rel(r.seconds, base.seconds));
-    f.set("relativeInstructions",
-          rel(r.instructions_completed, base.instructions_completed));
-    f.set("relativeWatts", rel(r.watts, base.watts));
-    f.set("relativeJoules", rel(r.joules, base.joules));
-    f.set("relativeFlopPerJoule",
-          rel(r.flop_per_joule, base.flop_per_joule));
-    f.set("isLowestPower", i == lowest_power);
-    f.set("isLowestEnergy", i == lowest_energy);
-    f.set("isBalanced", i == balanced);
     // Energy tracks instruction count when their relative values agree
     // within 25% (the correlation Valluri & John report).
     const double rj = rel(r.joules, base.joules);
     const double ri =
         rel(r.instructions_completed, base.instructions_completed);
-    f.set("correlatedEnergyInstructions",
-          rj > 0.0 && ri > 0.0 && std::abs(rj - ri) / std::max(rj, ri) < 0.25);
-    harness.assert_fact(std::move(f));
+    harness.emit(study)
+        .str("level", std::string(openuh::to_string(r.level)))
+        .num("relativeTime", rel(r.seconds, base.seconds))
+        .num("relativeInstructions", ri)
+        .num("relativeWatts", rel(r.watts, base.watts))
+        .num("relativeJoules", rj)
+        .num("relativeFlopPerJoule",
+             rel(r.flop_per_joule, base.flop_per_joule))
+        .flag("isLowestPower", i == lowest_power)
+        .flag("isLowestEnergy", i == lowest_energy)
+        .flag("isBalanced", i == balanced)
+        .flag("correlatedEnergyInstructions",
+              rj > 0.0 && ri > 0.0 &&
+                  std::abs(rj - ri) / std::max(rj, ri) < 0.25)
+        .commit();
   }
   return rows_.size();
 }

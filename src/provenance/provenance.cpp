@@ -17,12 +17,12 @@ std::string_view to_string(ProvenanceMode mode) {
 
 void Recorder::push_source(std::string label,
                            std::vector<std::string> lineage) {
-  Origin o;
+  Origin& o = origin_pool_.emplace_back();
   o.label = std::move(label);
   if (mode_ == ProvenanceMode::kFull) {
     o.lineage = std::move(lineage);
   }
-  source_stack_.push_back(std::move(o));
+  source_stack_.push_back(&o);
 }
 
 void Recorder::pop_source() {
@@ -30,15 +30,24 @@ void Recorder::pop_source() {
 }
 
 void Recorder::on_assert(rules::FactId id) {
-  Origin o;
+  const Origin* o = &outside_;
   if (current_) {
-    o.firing = current_;
+    if (firing_origin_ == nullptr) {
+      firing_origin_ = &origin_pool_.emplace_back(Origin{current_, {}, {}});
+    }
+    o = firing_origin_;
   } else if (!source_stack_.empty()) {
     o = source_stack_.back();
-  } else {
-    o.label = "(asserted outside any labelled source)";
   }
-  origins_[id] = std::move(o);
+  if (origins_.empty()) first_id_ = id;
+  const auto i = static_cast<std::size_t>(id - first_id_);
+  if (i >= origins_.size()) origins_.resize(i + 1, nullptr);
+  origins_[i] = o;
+}
+
+const Recorder::Origin* Recorder::origin_of(rules::FactId id) const noexcept {
+  if (id < first_id_ || id - first_id_ >= origins_.size()) return nullptr;
+  return origins_[static_cast<std::size_t>(id - first_id_)];
 }
 
 void Recorder::begin_firing(
@@ -66,10 +75,10 @@ void Recorder::begin_firing(
             });
       }
     }
-    if (const auto it = origins_.find(m.id); it != origins_.end()) {
-      bf.derived_from = it->second.firing;
-      bf.origin = it->second.label;
-      bf.lineage = it->second.lineage;
+    if (const Origin* o = origin_of(m.id)) {
+      bf.derived_from = o->firing;
+      bf.origin = o->label;
+      bf.lineage = o->lineage;
     } else {
       // Facts asserted before provenance was switched on have no
       // recorded origin; keep the tree free of dangling edges anyway.
@@ -78,9 +87,13 @@ void Recorder::begin_firing(
     node->facts.push_back(std::move(bf));
   }
   current_ = std::move(node);
+  firing_origin_ = nullptr;
 }
 
-void Recorder::end_firing() { current_.reset(); }
+void Recorder::end_firing() {
+  current_.reset();
+  firing_origin_ = nullptr;
+}
 
 void Recorder::on_print(const std::string& line) {
   if (current_) current_->prints.push_back(line);

@@ -9,7 +9,9 @@
 //     that asserted it (a lineage edge in the DAG) or, for baseline
 //     facts asserted from the analysis layer, a source label pushed by
 //     rules::ProvenanceSource (e.g. "assert_load_balance_facts(...)")
-//     plus the metric-lineage chain back to raw PKB columns;
+//     plus the metric-lineage chain back to raw PKB columns. Each
+//     source and each firing has one shared origin, and a fact records
+//     a pointer to it;
 //   * every firing: rule name + .rules source location, salience, the
 //     delta-window generation (match round) that admitted it, the full
 //     binding set, and a per-pattern snapshot of the matched facts;
@@ -25,10 +27,10 @@
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/source_loc.hpp"
@@ -129,17 +131,34 @@ class Recorder {
       const rules::Diagnosis& d) const;
 
  private:
-  /// How one fact came to exist: exactly one of firing / label is set.
+  /// How facts came to exist: exactly one of firing / label is set.
+  /// Immutable once made and shared by every fact of one source or one
+  /// firing, so recording a fact's origin costs one pointer whatever
+  /// the label and lineage hold.
   struct Origin {
     std::shared_ptr<const FiringNode> firing;
     std::string label;
     std::vector<std::string> lineage;
   };
 
+  /// The recorded origin of `id`; null when capture never saw it.
+  [[nodiscard]] const Origin* origin_of(rules::FactId id) const noexcept;
+
   ProvenanceMode mode_;
-  std::vector<Origin> source_stack_;
-  std::unordered_map<rules::FactId, Origin> origins_;
+  /// Every origin ever pushed or fired; a deque, so the pointers below
+  /// stay valid for the recorder's life.
+  std::deque<Origin> origin_pool_;
+  std::vector<const Origin*> source_stack_;
+  /// Origin per fact, indexed by id - first_id_ (ids are dense and
+  /// monotonic); null for ids the harness never reported (asserted
+  /// straight into its memory).
+  std::vector<const Origin*> origins_;
+  rules::FactId first_id_ = 0;
+  const Origin outside_{nullptr, "(asserted outside any labelled source)",
+                        {}};
   std::shared_ptr<FiringNode> current_;
+  /// The current firing's origin, made on its first assert.
+  const Origin* firing_origin_ = nullptr;
   std::size_t next_firing_id_ = 1;
 };
 

@@ -87,12 +87,16 @@ FactId RuleContext::assert_fact(Fact fact) {
 }
 
 FactId RuleHarness::assert_fact(Fact fact) {
+  const FactId id = memory_.assert_fact(std::move(fact));
+  on_asserted(id);
+  return id;
+}
+
+void RuleHarness::on_asserted(FactId id) {
   static telemetry::Counter& asserted =
       telemetry::counter("rules.facts_asserted");
   asserted.add();
-  const FactId id = memory_.assert_fact(std::move(fact));
   if (recorder_) recorder_->on_assert(id);
-  return id;
 }
 
 bool RuleHarness::retract(FactId id) { return memory_.retract(id); }

@@ -215,6 +215,20 @@ class RuleHarness {
   [[nodiscard]] const WorkingMemory& memory() const noexcept {
     return memory_;
   }
+  /// Declares a fact type and its fields in this harness's memory; see
+  /// FactSchema. Asserters declare their schemas once per call and emit
+  /// every row through them.
+  [[nodiscard]] FactSchema schema(
+      std::string_view type, std::initializer_list<std::string_view> fields) {
+    return memory_.schema(type, fields);
+  }
+  /// Opens a row of `schema`'s type, written straight into working
+  /// memory: `emit(s).num("f", x).str("g", y).commit()`. The committed
+  /// fact is recorded like any assert_fact.
+  [[nodiscard]] FactRow emit(const FactSchema& schema) {
+    return memory_.open_row(schema, this);
+  }
+  /// Asserts a fact whose field set is only known at run time.
   FactId assert_fact(Fact fact);
   /// Removes a fact between firing cycles; returns false when the id is
   /// unknown (already retracted). Tuples that fired over the fact stay
@@ -258,6 +272,10 @@ class RuleHarness {
 
  private:
   friend class RuleContext;
+  friend class FactRow;
+
+  /// Counts and records a fact that just entered working memory.
+  void on_asserted(FactId id);
 
   /// Per-pattern matching plan computed once in add_rule: the pattern's
   /// type and field names interned to Symbols, so the hot loop never

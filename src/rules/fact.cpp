@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "rules/engine.hpp"
 
 namespace perfknow::rules {
 
@@ -85,7 +86,7 @@ std::uint64_t value_hash(const FactValue& v) {
 }
 
 // ---------------------------------------------------------------------------
-// Fact (write-side builder)
+// Fact (builder for run-time field sets)
 
 Fact& Fact::set(const std::string& field, FactValue v) {
   const auto it = std::lower_bound(
@@ -197,6 +198,105 @@ Fact FactRef::to_fact() const {
 }
 
 // ---------------------------------------------------------------------------
+// FactSchema
+
+FactSchema::FactSchema(WorkingMemory& memory, std::string_view type,
+                       std::initializer_list<std::string_view> fields)
+    : symbols_(&memory.symbols()), type_(memory.symbols().intern(type)) {
+  SymbolTable& symbols = memory.symbols();
+  declared_.reserve(fields.size());
+  for (const std::string_view f : fields) {
+    const Symbol sym = symbols.intern(f);
+    declared_.push_back(Declared{symbols.name(sym), sym, 0});
+  }
+  index_fields();
+}
+
+FactSchema::FactSchema(SymbolTable& symbols, const Fact& builder)
+    : symbols_(&symbols), type_(symbols.intern(builder.type())) {
+  declared_.reserve(builder.fields().size());
+  for (const auto& field : builder.fields()) {
+    const Symbol sym = symbols.intern(field.first);
+    declared_.push_back(Declared{symbols.name(sym), sym, 0});
+  }
+  index_fields();
+}
+
+void FactSchema::index_fields() {
+  // Rank the declared names: a row stores its fields name-ascending,
+  // the order Fact::fields() and every reader of FactRef rely on.
+  std::vector<std::uint32_t> order(declared_.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [this](auto a, auto b) {
+    return declared_[a].name < declared_[b].name;
+  });
+  syms_.reserve(order.size());
+  for (std::uint32_t pos = 0; pos < order.size(); ++pos) {
+    const Declared& d = declared_[order[pos]];
+    if (pos > 0 && declared_[order[pos - 1]].name == d.name) {
+      throw InvalidArgumentError("fact schema " + type_name() +
+                                 ": duplicate field '" +
+                                 std::string(d.name) + "'");
+    }
+    declared_[order[pos]].pos = pos;
+    syms_.push_back(d.sym);
+  }
+}
+
+const std::string& FactSchema::type_name() const {
+  return symbols_->name(type_);
+}
+
+const std::string& FactSchema::field_name(std::size_t pos) const {
+  return symbols_->name(syms_[pos]);
+}
+
+std::size_t FactSchema::position(std::string_view field,
+                                 std::size_t& hint) const noexcept {
+  if (hint < declared_.size() && declared_[hint].name == field) {
+    return declared_[hint++].pos;
+  }
+  for (std::size_t i = 0; i < declared_.size(); ++i) {
+    if (declared_[i].name == field) {
+      hint = i + 1;
+      return declared_[i].pos;
+    }
+  }
+  return declared_.size();
+}
+
+// ---------------------------------------------------------------------------
+// FactRow (the row writer)
+
+FactRow::~FactRow() {
+  if (open_) wm_->discard_row(*this);
+}
+
+FactValue& FactRow::slot(std::string_view field) {
+  const std::size_t pos = schema_->position(field, hint_);
+  if (pos == schema_->field_count()) {
+    throw InvalidArgumentError("fact " + schema_->type_name() +
+                               " has no field '" + std::string(field) +
+                               "' in its schema");
+  }
+  return slot_at(pos);
+}
+
+FactId FactRow::commit() {
+  for (std::size_t pos = 0; pos < schema_->field_count(); ++pos) {
+    if (wm_->row_set_[pos] == 0) {
+      throw InvalidArgumentError("fact " + schema_->type_name() +
+                                 ": field '" + schema_->field_name(pos) +
+                                 "' was never set");
+    }
+  }
+  const FactId id = wm_->commit_row(*this);
+  open_ = false;
+  if (harness_ != nullptr) harness_->on_asserted(id);
+  return id;
+}
+
+// ---------------------------------------------------------------------------
 // WorkingMemory (columnar store)
 
 namespace {
@@ -208,8 +308,21 @@ const std::vector<FactId>& empty_ids() {
 
 }  // namespace
 
-FactId WorkingMemory::assert_fact(Fact fact) {
-  const Symbol type = symbols_.intern(fact.type());
+FactRow WorkingMemory::emit(const FactSchema& schema) {
+  return open_row(schema, nullptr);
+}
+
+FactRow WorkingMemory::open_row(const FactSchema& schema,
+                                RuleHarness* harness) {
+  if (schema.symbols_ != &symbols_) {
+    throw InvalidArgumentError("fact schema " + schema.type_name() +
+                               " was declared for another working memory");
+  }
+  if (row_open_) {
+    throw InvalidArgumentError("fact " + schema.type_name() +
+                               ": another fact row is still open");
+  }
+  const Symbol type = schema.type();
   if (type >= store_of_sym_.size()) store_of_sym_.resize(type + 1, 0);
   std::uint32_t sidx = store_of_sym_[type];
   if (sidx == 0) {
@@ -218,24 +331,45 @@ FactId WorkingMemory::assert_fact(Fact fact) {
     store_of_sym_[type] = sidx;
   }
   TypeStore& store = stores_[sidx - 1];
+  const std::size_t begin = store.field_syms.size();
+  for (const Symbol field : schema.syms_) {
+    store.field_syms.push_back(field);
+    store.values.emplace_back();
+  }
+  row_set_.assign(schema.syms_.size(), 0);
+  row_open_ = true;
+  return FactRow(*this, schema, store, sidx - 1, begin, harness);
+}
 
+FactId WorkingMemory::commit_row(const FactRow& row) {
   const FactId id = next_++;
   Slot slot;
-  slot.store = sidx - 1;
-  slot.nfields = static_cast<std::uint32_t>(fact.fields_.size());
-  slot.begin = store.field_syms.size();
+  slot.store = row.store_index_;
+  slot.nfields = static_cast<std::uint32_t>(row.schema_->field_count());
+  slot.begin = row.begin_;
   slot.live = true;
-  // Decompose the builder into columns: the row keeps the builder's
-  // name-ascending field order, so FactRef iteration and the value at
-  // row offset j line up with Fact::fields() exactly.
-  for (auto& [name, value] : fact.fields_) {
-    store.field_syms.push_back(symbols_.intern(name));
-    store.values.push_back(std::move(value));
-  }
-  store.ids.push_back(id);  // ids are ascending, so append keeps order
+  row.store_->ids.push_back(id);  // ids are ascending, so append keeps order
   slots_.push_back(slot);
   ++live_;
+  row_open_ = false;
   return id;
+}
+
+void WorkingMemory::discard_row(const FactRow& row) noexcept {
+  row.store_->field_syms.truncate(row.begin_);
+  row.store_->values.resize(row.begin_);
+  row_open_ = false;
+}
+
+FactId WorkingMemory::assert_fact(Fact fact) {
+  // The builder's fields are already name-sorted and unique, so they map
+  // onto the schema's row positions one to one.
+  const FactSchema schema(symbols_, fact);
+  FactRow row = open_row(schema, nullptr);
+  for (std::size_t pos = 0; pos < fact.fields_.size(); ++pos) {
+    row.slot_at(pos) = std::move(fact.fields_[pos].second);
+  }
+  return row.commit();
 }
 
 bool WorkingMemory::retract(FactId id) {

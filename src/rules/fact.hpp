@@ -1,13 +1,24 @@
 // Facts and working memory for the inference engine.
 //
-// A Fact mirrors a JBoss-Rules fact object: a type name plus named
+// A fact mirrors a JBoss-Rules fact object: a type name plus named
 // fields. The analysis layer asserts facts (e.g. MeanEventFact instances
 // comparing each event to main); rules match on type and field
 // constraints and may assert further facts, chaining inference forward.
 //
-// Fact is the WRITE-side builder only: callers compose a type name and
-// name-sorted fields, and assert_fact decomposes it into columns. The
-// READ side is FactRef, a handle (WorkingMemory + FactId) over the
+// There is one write path into working memory, a row writer:
+//   * FactSchema declares a fact type and its field names once, resolved
+//     to Symbols in one memory's SymbolTable and kept name-ascending
+//     (the row order every reader relies on);
+//   * WorkingMemory::emit / RuleHarness::emit open a FactRow that writes
+//     each value straight into the type's columns — no field-name
+//     string, no sorted insert, no re-intern — and commit() appends the
+//     slot. Committing with a field unset, or setting a field the schema
+//     lacks, is an InvalidArgumentError naming the type and field.
+//   * Fact is the builder for field sets only known at run time (rule
+//     actions, PerfScript's assertFact, modify, tests): assert_fact
+//     resolves a schema from its already-sorted fields and writes
+//     through the same row writer.
+// The READ side is FactRef, a handle (WorkingMemory + FactId) over the
 // columnar store — no `const Fact*` crosses a module boundary, because
 // after assertion no Fact object exists to point at.
 //
@@ -35,7 +46,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -67,9 +80,9 @@ using FactValue = std::variant<double, std::string, bool>;
 /// Allocation-free; the beta network's join buckets key on this.
 [[nodiscard]] std::uint64_t value_hash(const FactValue& v);
 
-/// The write-side fact builder. Compose type + fields, hand it to
-/// WorkingMemory::assert_fact (which decomposes it into columns), read
-/// it back through FactRef.
+/// The builder for facts whose field set is only known at run time.
+/// Compose type + fields, hand it to WorkingMemory::assert_fact (which
+/// writes it through the row writer), read it back through FactRef.
 class Fact {
  public:
   /// Name-sorted (ascending) field storage; iteration order matches the
@@ -121,6 +134,50 @@ class Fact {
 using FactId = std::uint64_t;
 
 class FactRef;
+class FactRow;
+class RuleHarness;
+class WorkingMemory;
+
+/// A fact type and its field names, declared once and resolved to
+/// Symbols in one WorkingMemory's table. Rows written through a schema
+/// keep its name-ascending field order, whatever order the fields were
+/// declared in, so they read back exactly like a Fact with those fields.
+/// Valid for the life of that memory (symbols survive clear()).
+class FactSchema {
+ public:
+  /// Interns `type` and `fields` in `memory`'s table. Throws
+  /// InvalidArgumentError naming the type and field on a duplicate.
+  FactSchema(WorkingMemory& memory, std::string_view type,
+             std::initializer_list<std::string_view> fields);
+
+  [[nodiscard]] Symbol type() const noexcept { return type_; }
+  [[nodiscard]] const std::string& type_name() const;
+  [[nodiscard]] std::size_t field_count() const noexcept {
+    return syms_.size();
+  }
+
+ private:
+  friend class FactRow;
+  friend class WorkingMemory;
+  FactSchema(SymbolTable& symbols, const Fact& builder);
+  void index_fields();
+  /// Row position of `field`, or field_count() when the schema lacks
+  /// it. `hint` is the declaration index to try first: writers that set
+  /// fields in declaration order hit it with one compare.
+  [[nodiscard]] std::size_t position(std::string_view field,
+                                     std::size_t& hint) const noexcept;
+  [[nodiscard]] const std::string& field_name(std::size_t pos) const;
+
+  struct Declared {
+    std::string_view name;  ///< view into the table's stable storage
+    Symbol sym = kNoSymbol;
+    std::uint32_t pos = 0;  ///< row position (name-ascending rank)
+  };
+  const SymbolTable* symbols_;
+  Symbol type_;
+  std::vector<Symbol> syms_;        ///< row order (name-ascending)
+  std::vector<Declared> declared_;  ///< declaration order
+};
 
 /// The set of asserted facts. Ids are stable, ascending in assertion
 /// order, and never reused — so "asserted after fact X" is simply
@@ -134,6 +191,15 @@ class WorkingMemory {
   WorkingMemory(const WorkingMemory&) = delete;
   WorkingMemory& operator=(const WorkingMemory&) = delete;
 
+  /// Declares a fact type and its fields in this memory; see FactSchema.
+  [[nodiscard]] FactSchema schema(
+      std::string_view type, std::initializer_list<std::string_view> fields) {
+    return FactSchema(*this, type, fields);
+  }
+  /// Opens a row of `schema`'s type; the fact exists once the row is
+  /// committed. One row may be open per memory at a time.
+  [[nodiscard]] FactRow emit(const FactSchema& schema);
+  /// Writes a run-time-shaped builder through the same row writer.
   FactId assert_fact(Fact fact);
   /// Returns false when the id is unknown (already retracted). O(1):
   /// tombstones the slot; id lists compact lazily on their next probe.
@@ -190,6 +256,8 @@ class WorkingMemory {
 
  private:
   friend class FactRef;
+  friend class FactRow;
+  friend class RuleHarness;
 
   /// FactId -> row: which per-type store, where the row begins, how
   /// many fields, and whether the fact is still live.
@@ -224,6 +292,15 @@ class WorkingMemory {
   [[nodiscard]] const TypeStore* store_of(Symbol type) const noexcept;
   void compact_ids(const TypeStore& store) const;
 
+  /// The one function that appends a row: reserves `schema`'s field
+  /// symbols and default values at the end of its type's columns.
+  /// `harness`, when set, is notified of the committed fact.
+  FactRow open_row(const FactSchema& schema, RuleHarness* harness);
+  /// Gives an open row its id and slot (FactRow::commit).
+  FactId commit_row(const FactRow& row);
+  /// Drops an uncommitted row from its columns (~FactRow).
+  void discard_row(const FactRow& row) noexcept;
+
   Arena arena_;
   SymbolTable symbols_;
   // Dense id -> row map: slot i holds id base_ + i. clear() keeps ids
@@ -235,6 +312,66 @@ class WorkingMemory {
   FactId next_ = 1;
   std::size_t live_ = 0;
   std::uint64_t epoch_ = 0;
+  /// The open row's set flags, one per field (reused across rows).
+  std::vector<std::uint8_t> row_set_;
+  bool row_open_ = false;
+};
+
+/// One fact being written into working memory: each setter stores its
+/// value in the row's column slot, commit() makes the fact live.
+/// Destroying an uncommitted row discards it. The memory must not be
+/// cleared while a row is open.
+class FactRow {
+ public:
+  FactRow(const FactRow&) = delete;
+  FactRow& operator=(const FactRow&) = delete;
+  ~FactRow();
+
+  FactRow& num(std::string_view field, double v) {
+    slot(field).emplace<double>(v);
+    return *this;
+  }
+  FactRow& str(std::string_view field, std::string v) {
+    slot(field).emplace<std::string>(std::move(v));
+    return *this;
+  }
+  FactRow& flag(std::string_view field, bool v) {
+    slot(field).emplace<bool>(v);
+    return *this;
+  }
+
+  /// Appends the fact and returns its id. Throws InvalidArgumentError
+  /// naming the type and field when a field was never set.
+  FactId commit();
+
+ private:
+  friend class WorkingMemory;
+  FactRow(WorkingMemory& wm, const FactSchema& schema,
+          WorkingMemory::TypeStore& store, std::uint32_t store_index,
+          std::size_t begin, RuleHarness* harness) noexcept
+      : wm_(&wm),
+        schema_(&schema),
+        store_(&store),
+        store_index_(store_index),
+        begin_(begin),
+        harness_(harness) {}
+
+  /// The value slot of `field`; throws InvalidArgumentError naming the
+  /// type and field when the schema lacks it.
+  FactValue& slot(std::string_view field);
+  FactValue& slot_at(std::size_t pos) noexcept {
+    wm_->row_set_[pos] = 1;
+    return store_->values[begin_ + pos];
+  }
+
+  WorkingMemory* wm_;
+  const FactSchema* schema_;
+  WorkingMemory::TypeStore* store_;
+  std::uint32_t store_index_;
+  std::size_t begin_;
+  RuleHarness* harness_;
+  std::size_t hint_ = 0;
+  bool open_ = true;
 };
 
 /// Handle-based read view of one live fact: the unit that crosses

@@ -135,36 +135,44 @@ std::size_t assert_profile_facts(RuleHarness& harness,
     return m ? trial.inclusive(0, e, *m) : 0.0;
   };
 
+  const auto rule_fact = harness.schema(
+      "RuleProfileFact",
+      {"ruleName", "strategy", "matchUsec", "firings", "activations",
+       "bindings", "admissions", "cycles", "wmSize"});
+  const auto level_fact = harness.schema(
+      "JoinLevelFact",
+      {"ruleName", "level", "admissions", "probes", "hits", "liveTokens",
+       "deadTokens", "tokenBytes", "wmSize"});
   std::size_t n = 0;
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
     const std::string& name = trial.event(e).name;
     if (name == kRootEvent) continue;
     const auto sep = name.find(kLevelSep);
     if (sep == std::string::npos) {
-      Fact f("RuleProfileFact");
-      f.set("ruleName", name);
-      f.set("strategy", strategy);
-      f.set("matchUsec", metric("TIME", e));
-      f.set("firings", metric("rules.firings", e));
-      f.set("activations", metric("rules.activations", e));
-      f.set("bindings", metric("rules.bindings", e));
-      f.set("admissions", metric("rules.admissions", e));
-      f.set("cycles", cycles);
-      f.set("wmSize", wm_size);
-      harness.assert_fact(std::move(f));
+      harness.emit(rule_fact)
+          .str("ruleName", name)
+          .str("strategy", strategy)
+          .num("matchUsec", metric("TIME", e))
+          .num("firings", metric("rules.firings", e))
+          .num("activations", metric("rules.activations", e))
+          .num("bindings", metric("rules.bindings", e))
+          .num("admissions", metric("rules.admissions", e))
+          .num("cycles", cycles)
+          .num("wmSize", wm_size)
+          .commit();
     } else {
-      Fact f("JoinLevelFact");
-      f.set("ruleName", name.substr(0, sep));
-      f.set("level",
-            std::strtod(name.c_str() + sep + kLevelSep.size(), nullptr));
-      f.set("admissions", metric("rules.admissions", e));
-      f.set("probes", metric("rules.probes", e));
-      f.set("hits", metric("rules.hits", e));
-      f.set("liveTokens", metric("rules.live_tokens", e));
-      f.set("deadTokens", metric("rules.dead_tokens", e));
-      f.set("tokenBytes", metric("rules.token_bytes", e));
-      f.set("wmSize", wm_size);
-      harness.assert_fact(std::move(f));
+      harness.emit(level_fact)
+          .str("ruleName", name.substr(0, sep))
+          .num("level",
+               std::strtod(name.c_str() + sep + kLevelSep.size(), nullptr))
+          .num("admissions", metric("rules.admissions", e))
+          .num("probes", metric("rules.probes", e))
+          .num("hits", metric("rules.hits", e))
+          .num("liveTokens", metric("rules.live_tokens", e))
+          .num("deadTokens", metric("rules.dead_tokens", e))
+          .num("tokenBytes", metric("rules.token_bytes", e))
+          .num("wmSize", wm_size)
+          .commit();
     }
     ++n;
   }

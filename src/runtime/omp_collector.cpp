@@ -106,6 +106,10 @@ const OmpCollector::RegionStats& OmpCollector::region(
 std::size_t OmpCollector::assert_facts(rules::RuleHarness& harness) const {
   const rules::ProvenanceSource source(harness,
                                        "assert_facts(OmpCollector)");
+  const auto region = harness.schema(
+      "OmpRegionFact",
+      {"region", "invocations", "forkJoinCycles", "dispatchCycles",
+       "meanBarrierWait", "forkJoinShare", "barrierShare", "imbalanceCv"});
   std::size_t n = 0;
   for (const auto& r : regions_) {
     // Per-thread barrier wait statistics.
@@ -118,20 +122,20 @@ std::size_t OmpCollector::assert_facts(rules::RuleHarness& harness) const {
     // runtime-overhead pool (what the paper's §V wants attributed).
     const double pool = static_cast<double>(r.fork_join_cycles) +
                         static_cast<double>(r.dispatch_cycles) + total_wait;
-    rules::Fact f("OmpRegionFact");
-    f.set("region", r.region);
-    f.set("invocations", static_cast<double>(r.invocations));
-    f.set("forkJoinCycles", static_cast<double>(r.fork_join_cycles));
-    f.set("dispatchCycles", static_cast<double>(r.dispatch_cycles));
-    f.set("meanBarrierWait", mean_wait);
-    f.set("forkJoinShare",
-          pool == 0.0 ? 0.0 : static_cast<double>(r.fork_join_cycles) / pool);
-    f.set("barrierShare", pool == 0.0 ? 0.0 : total_wait / pool);
-    f.set("imbalanceCv",
-          waits.empty() || mean_wait == 0.0
-              ? 0.0
-              : stats::coefficient_of_variation(waits));
-    harness.assert_fact(std::move(f));
+    harness.emit(region)
+        .str("region", r.region)
+        .num("invocations", static_cast<double>(r.invocations))
+        .num("forkJoinCycles", static_cast<double>(r.fork_join_cycles))
+        .num("dispatchCycles", static_cast<double>(r.dispatch_cycles))
+        .num("meanBarrierWait", mean_wait)
+        .num("forkJoinShare",
+             pool == 0.0 ? 0.0
+                         : static_cast<double>(r.fork_join_cycles) / pool)
+        .num("barrierShare", pool == 0.0 ? 0.0 : total_wait / pool)
+        .num("imbalanceCv", waits.empty() || mean_wait == 0.0
+                                ? 0.0
+                                : stats::coefficient_of_variation(waits))
+        .commit();
     ++n;
   }
   return n;

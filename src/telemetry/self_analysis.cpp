@@ -39,6 +39,11 @@ std::size_t assert_self_facts(rules::RuleHarness& harness,
   std::size_t asserted = 0;
   const rules::ProvenanceSource source(
       harness, "assert_self_facts(trial='" + trial.name() + "')");
+  const auto span = harness.schema(
+      "TelemetrySpanFact", {"name", "totalUsec", "exclusiveUsec", "calls",
+                            "share", "imbalanceCv"});
+  const auto metric_fact =
+      harness.schema("TelemetryMetricFact", {"name", "value"});
 
   // Total instrumented time across threads: the root event's inclusive
   // TIME is the per-thread sum of exclusive span times (see to_trial).
@@ -66,14 +71,14 @@ std::size_t assert_self_facts(rules::RuleHarness& harness,
         per_thread_excl.size() > 1
             ? stats::coefficient_of_variation(per_thread_excl)
             : 0.0;
-    rules::Fact fact("TelemetrySpanFact");
-    fact.set("name", trial.event(e).name);
-    fact.set("totalUsec", total);
-    fact.set("exclusiveUsec", exclusive);
-    fact.set("calls", calls);
-    fact.set("share", total_us > 0.0 ? exclusive / total_us : 0.0);
-    fact.set("imbalanceCv", cv);
-    harness.assert_fact(std::move(fact));
+    harness.emit(span)
+        .str("name", trial.event(e).name)
+        .num("totalUsec", total)
+        .num("exclusiveUsec", exclusive)
+        .num("calls", calls)
+        .num("share", total_us > 0.0 ? exclusive / total_us : 0.0)
+        .num("imbalanceCv", cv)
+        .commit();
     ++asserted;
   }
 
@@ -81,10 +86,10 @@ std::size_t assert_self_facts(rules::RuleHarness& harness,
   for (profile::MetricId m = 0; m < trial.metric_count(); ++m) {
     const auto& metric = trial.metric(m);
     if (m == *time_m || metric.units != "count") continue;
-    rules::Fact fact("TelemetryMetricFact");
-    fact.set("name", metric.name);
-    fact.set("value", trial.inclusive(0, *root, m));
-    harness.assert_fact(std::move(fact));
+    harness.emit(metric_fact)
+        .str("name", metric.name)
+        .num("value", trial.inclusive(0, *root, m))
+        .commit();
     ++asserted;
   }
 
@@ -95,14 +100,14 @@ std::size_t assert_self_facts(rules::RuleHarness& harness,
       counter_value(trial, *root, "perfdmf.repository.cache.miss");
   const double lookups = hits + misses;
   if (lookups > 0.0) {
-    rules::Fact lf("TelemetryMetricFact");
-    lf.set("name", "perfdmf.repository.cache.lookups");
-    lf.set("value", lookups);
-    harness.assert_fact(std::move(lf));
-    rules::Fact rf("TelemetryMetricFact");
-    rf.set("name", "perfdmf.repository.cache.hit_rate");
-    rf.set("value", hits / lookups);
-    harness.assert_fact(std::move(rf));
+    harness.emit(metric_fact)
+        .str("name", "perfdmf.repository.cache.lookups")
+        .num("value", lookups)
+        .commit();
+    harness.emit(metric_fact)
+        .str("name", "perfdmf.repository.cache.hit_rate")
+        .num("value", hits / lookups)
+        .commit();
     asserted += 2;
   }
 

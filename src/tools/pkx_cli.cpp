@@ -12,9 +12,11 @@
 
 #include "apps/genidlest/genidlest.hpp"
 #include "apps/msap/msap.hpp"
+#include "common/file.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "machine/machine.hpp"
+#include "perfdmf/index_format.hpp"
 #include "perfknow.hpp"
 
 namespace perfknow::tools {
@@ -219,11 +221,13 @@ int cmd_explain(const pk::perfdmf::Repository& repo,
   }
   if (!json_file.empty()) {
     std::ofstream os(json_file);
+    if (!os) throw pk::IoError("cannot open for writing: " + json_file);
     os << pk::provenance::to_json(explanations);
     out << "wrote " << json_file << "\n";
   }
   if (!dot_file.empty()) {
     std::ofstream os(dot_file);
+    if (!os) throw pk::IoError("cannot open for writing: " + dot_file);
     os << pk::provenance::to_dot(explanations);
     out << "wrote " << dot_file << "\n";
   }
@@ -543,13 +547,19 @@ int cmd_prune(pk::perfdmf::Repository& repo, const std::string& repo_dir,
   repo.save(repo_dir);
   // The pruned trials' snapshot files are now orphaned; drop any .pkb
   // under the repository that the fresh index no longer references.
+  // The index is read with the parser open_index uses, so the sweep
+  // keeps exactly the snapshots a load would read.
   std::size_t orphans = 0;
-  std::ifstream index(std::filesystem::path(repo_dir) / "index.tsv");
+  const std::filesystem::path index_file =
+      std::filesystem::path(repo_dir) / "index.tsv";
   std::set<std::string> referenced;
-  std::string line;
-  while (std::getline(index, line)) {
-    const auto fields = pk::strings::split(line, '\t');
-    if (fields.size() == 4) referenced.insert(fields[3]);
+  try {
+    for (auto& row : pk::perfdmf::parse_index(
+             pk::read_file_bytes(index_file, "cannot read index"))) {
+      referenced.insert(std::move(row.path));
+    }
+  } catch (const pk::ParseError& e) {
+    throw e.with_file(index_file.string());
   }
   std::error_code ec;
   for (std::filesystem::recursive_directory_iterator

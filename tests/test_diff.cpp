@@ -356,6 +356,61 @@ TEST(Diff, TimeGrowsLinearlyInEventsWithoutAMainEvent) {
       << "1000 events: " << small << " ms, 2000 events: " << large << " ms";
 }
 
+// Full provenance adds metric lineage to the diff's one source (16
+// lines here: 8 metrics x 2 trials). Each fact records a reference to
+// that source, so kFull must cost about what kRules does; copying the
+// lineage into every fact's origin measured 1.5-2.1x.
+TEST(Diff, FullProvenanceCostsLikeRulesProvenance) {
+  constexpr std::size_t kEvents = 2000;
+  constexpr std::size_t kMetrics = 8;
+  constexpr std::size_t kThreads = 4;
+  const auto make = [](const std::string& name, double scale) {
+    Trial t(name);
+    t.set_thread_count(kThreads);
+    std::vector<pk::profile::MetricId> metrics;
+    for (std::size_t m = 0; m < kMetrics; ++m) {
+      metrics.push_back(t.add_metric(m == 0 ? "TIME" : "M" + std::to_string(m),
+                                     "count"));
+    }
+    const auto root = t.add_event("main");
+    for (std::size_t e = 0; e < kEvents; ++e) {
+      const auto id = t.add_event(
+          "app::solver::phase_" + std::to_string(e) + "::kernel", root);
+      for (std::size_t th = 0; th < kThreads; ++th) {
+        for (const auto m : metrics) {
+          const double v =
+              scale * static_cast<double>(1 + (e * 7 + th + m) % 13);
+          t.set_inclusive(th, id, m, v);
+          t.set_exclusive(th, id, m, v);
+        }
+      }
+    }
+    return t;
+  };
+  const Trial base = make("base", 1.0);
+  const Trial current = make("current", 1.1);
+  const auto best_ms = [&](pk::provenance::ProvenanceMode mode) {
+    double best = 0.0;
+    for (int rep = 0; rep < 5; ++rep) {
+      RuleHarness harness;
+      harness.set_provenance(mode);
+      pk::rules::builtin::use(harness, pk::rules::builtin::regression());
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto summary =
+          pk::analysis::assert_diff_facts(harness, base, current);
+      const std::chrono::duration<double, std::milli> ms =
+          std::chrono::steady_clock::now() - t0;
+      EXPECT_EQ(summary.compared_cells, kEvents * kMetrics);
+      if (rep == 0 || ms.count() < best) best = ms.count();
+    }
+    return best;
+  };
+  const double rules = best_ms(pk::provenance::ProvenanceMode::kRules);
+  const double full = best_ms(pk::provenance::ProvenanceMode::kFull);
+  EXPECT_LT(full, 1.3 * rules)
+      << "kRules: " << rules << " ms, kFull: " << full << " ms";
+}
+
 TEST(RegressionRules, SelfDiffIsWithinNoiseAcrossShippedCorpora) {
   // diff(A, A) must never diagnose a regression, whatever the corpus.
   std::vector<std::shared_ptr<Trial>> corpora;

@@ -606,6 +606,64 @@ TEST(PkxLegacySnapshots, OutputIsIdenticalWithoutTheSummary) {
   }
 }
 
+// explain names an export it cannot write instead of reporting it
+// written.
+TEST(PkxExplain, UnwritableExportFailsAndWritesNothing) {
+  TempDir repo;
+  seed_lineage(repo.path(), 3, 40, 8);
+  const std::string r = repo.path().string();
+  for (const char* flag : {"--json", "--dot"}) {
+    const fs::path target = repo.path() / "missing" / "explain.out";
+    const auto res =
+        pkx({r, "explain", "app", "lineage", "v2", flag, target.string()});
+    EXPECT_NE(res.code, 0) << flag;
+    EXPECT_NE(res.err.find("cannot open for writing: " + target.string()),
+              std::string::npos)
+        << flag << ": " << res.err;
+    EXPECT_EQ(res.out.find("wrote"), std::string::npos) << res.out;
+    EXPECT_FALSE(fs::exists(target.parent_path())) << flag;
+  }
+}
+
+// prune's orphan sweep reads the index with the repository's own parser:
+// the snapshots the index references survive, whatever their directory,
+// and only the pruned versions' files go.
+TEST(PkxPrune, ReferencedSnapshotsSurviveAPruneThatDropsOthers) {
+  TempDir repo;
+  seed_lineage(repo.path(), 4, 10, 2);
+  {
+    auto other = pk::perfdmf::Repository::attach(repo.path());
+    auto t = std::make_shared<pk::profile::Trial>("kept run");
+    t->set_thread_count(1);
+    const auto time = t->add_metric("TIME", "usec");
+    const auto main = t->add_event("main");
+    t->set_inclusive(0, main, time, 1.0);
+    t->set_exclusive(0, main, time, 1.0);
+    other.put("other app", "other exp", std::move(t));
+    other.save(repo.path());
+  }
+  const std::string r = repo.path().string();
+  const auto pruned = pkx({r, "prune", "app", "lineage", "--keep", "1"});
+  ASSERT_EQ(pruned.code, 0) << pruned.err;
+  EXPECT_NE(pruned.out.find("pruned 3 version(s) (v0, v1, v2)"),
+            std::string::npos)
+      << pruned.out;
+  EXPECT_NE(pruned.out.find("removed 3 orphaned snapshot(s)"),
+            std::string::npos)
+      << pruned.out;
+
+  // Exactly the referenced snapshots remain, and both still open.
+  std::size_t pkbs = 0;
+  for (const auto& entry : fs::recursive_directory_iterator(repo.path())) {
+    if (entry.path().extension() == ".pkb") ++pkbs;
+  }
+  EXPECT_EQ(pkbs, 2u);
+  const auto kept = pkx({r, "show", "other app", "other exp", "kept run"});
+  EXPECT_EQ(kept.code, 0) << kept.err;
+  const auto head = pkx({r, "show", "app", "lineage", "v3"});
+  EXPECT_EQ(head.code, 0) << head.err;
+}
+
 // history reads one summary per version, so its cost grows with
 // versions x events and not with the cube: 4x the threads must cost
 // less than 2x (checksumming every cell, as history once did, costs

@@ -4,6 +4,7 @@
 // capture never changes what is diagnosed.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -387,6 +388,92 @@ TEST(Provenance, SelfDiagnosisExplanationsGroundInTelemetryFacts) {
     ASSERT_NE(d.provenance, nullptr);
     expect_grounded(*d.provenance->root);
   }
+}
+
+// A fact's origin is a reference to its source, so recording it costs
+// the same whatever the source's lineage holds. Copying the origin into
+// every fact grows with the number of lineage lines.
+TEST(Provenance, OriginCostDoesNotGrowWithLineageLength) {
+  static constexpr std::size_t kFacts = 20000;
+  const auto best_ms = [](std::size_t lineage_lines) {
+    std::vector<std::string> lineage;
+    for (std::size_t i = 0; i < lineage_lines; ++i) {
+      lineage.push_back("\"M" + std::to_string(i) +
+                        "\": raw column of trial 'lineage-cost-trial'");
+    }
+    double best = 0.0;
+    for (int rep = 0; rep < 5; ++rep) {
+      RuleHarness h;
+      h.set_provenance(ProvenanceMode::kFull);
+      const auto schema = h.schema("LoadBalanceFact", {"cv", "eventName"});
+      const pk::rules::ProvenanceSource src(h, "assert_cost_probe()",
+                                            lineage);
+      const auto t0 = std::chrono::steady_clock::now();
+      for (std::size_t i = 0; i < kFacts; ++i) {
+        h.emit(schema)
+            .num("cv", static_cast<double>(i))
+            .str("eventName", "e")
+            .commit();
+      }
+      const std::chrono::duration<double, std::milli> ms =
+          std::chrono::steady_clock::now() - t0;
+      EXPECT_EQ(h.memory().size(), kFacts);
+      if (rep == 0 || ms.count() < best) best = ms.count();
+    }
+    return best;
+  };
+  const double one = best_ms(1);
+  const double many = best_ms(64);
+  EXPECT_LT(many / one, 1.5)
+      << "1 lineage line: " << one << " ms, 64 lines: " << many << " ms";
+}
+
+// Facts asserted under a source and inside a firing keep their own
+// origins: the label and lineage of the source, the firing's edge.
+TEST(Provenance, SharedOriginsKeepEachFactsSource) {
+  RuleHarness h;
+  h.set_provenance(ProvenanceMode::kFull);
+  pk::rules::add_rules(h, R"RULES(
+    rule "Derive"
+      when
+        a : SeedFact( v : value )
+      then
+        assert(DerivedFact(value = v))
+    end
+    rule "Report"
+      when
+        s : SeedFact( v : value )
+        d : DerivedFact( value == v )
+      then
+        diagnose(problem = "seen", event = "e", severity = 1.0,
+                 recommendation = "none")
+    end
+  )RULES", "origins.rules");
+  const auto seed = h.schema("SeedFact", {"value"});
+  {
+    const pk::rules::ProvenanceSource a(h, "assert_first()", {"lineage A"});
+    h.emit(seed).num("value", 1.0).commit();
+  }
+  {
+    const pk::rules::ProvenanceSource b(h, "assert_second()", {"lineage B"});
+    h.emit(seed).num("value", 2.0).commit();
+  }
+  h.process_rules();
+  ASSERT_EQ(h.diagnoses().size(), 2u);
+  std::set<std::string> seen;
+  for (const auto& d : h.diagnoses()) {
+    ASSERT_NE(d.provenance, nullptr);
+    const auto& facts = d.provenance->root->facts;
+    ASSERT_EQ(facts.size(), 2u);
+    EXPECT_EQ(facts[0].derived_from, nullptr);
+    ASSERT_EQ(facts[0].lineage.size(), 1u);
+    seen.insert(facts[0].origin + " " + facts[0].lineage[0]);
+    ASSERT_NE(facts[1].derived_from, nullptr);
+    EXPECT_EQ(facts[1].derived_from->rule, "Derive");
+    EXPECT_TRUE(facts[1].origin.empty());
+  }
+  EXPECT_EQ(seen, (std::set<std::string>{"assert_first() lineage A",
+                                         "assert_second() lineage B"}));
 }
 
 TEST(Provenance, JsonRoundTripPreservesRenderedText) {

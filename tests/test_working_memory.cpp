@@ -302,3 +302,105 @@ TEST(WorkingMemoryColumnar, ProvenanceJsonByteIdenticalAcrossStrategies) {
   EXPECT_NE(naive.find("\"factType\""), std::string::npos);
   EXPECT_NE(naive.find("jacobi"), std::string::npos);
 }
+
+// ---------------------------------------------------------------------------
+// FactSchema and the row writer
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Runs `fn`, which must throw InvalidArgumentError, and returns what().
+template <typename Fn>
+std::string invalid_argument_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const pk::InvalidArgumentError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected InvalidArgumentError";
+  return {};
+}
+
+}  // namespace
+
+TEST(FactSchema, EmittedRowReadsBackLikeTheBuilder) {
+  // Declared out of name order: rows still store fields name-ascending.
+  WorkingMemory wm;
+  const pk::rules::FactSchema schema(wm, "OverheadFact",
+                                     {"zeta", "alpha", "flag", "count"});
+  const FactId id = wm.emit(schema)
+                        .str("zeta", "last")
+                        .num("alpha", 1.25)
+                        .flag("flag", true)
+                        .num("count", 42.0)
+                        .commit();
+  const Fact builder = Fact("OverheadFact")
+                           .set("zeta", "last")
+                           .set("alpha", 1.25)
+                           .set("flag", true)
+                           .set("count", 42.0);
+  const FactRef ref = wm.find(id);
+  ASSERT_TRUE(ref);
+  EXPECT_EQ(ref.str(), builder.str());
+  EXPECT_EQ(ref.field_count(), 4u);
+  EXPECT_EQ(ref.type_symbol(), wm.symbols().lookup("OverheadFact"));
+  // A builder with the same fields lands in the same columns.
+  const FactId next = wm.assert_fact(builder);
+  EXPECT_EQ(next, id + 1);
+  EXPECT_EQ(wm.find(next).str(), ref.str());
+  EXPECT_EQ(wm.ids_of_type("OverheadFact"), (std::vector<FactId>{id, next}));
+}
+
+TEST(FactSchema, DuplicateFieldIsRejectedNamingTypeAndField) {
+  WorkingMemory wm;
+  const std::string what = invalid_argument_message([&] {
+    const pk::rules::FactSchema schema(wm, "DupFact",
+                                       {"value", "name", "value"});
+  });
+  EXPECT_NE(what.find("DupFact"), std::string::npos) << what;
+  EXPECT_NE(what.find("'value'"), std::string::npos) << what;
+}
+
+TEST(FactSchema, UnsetFieldAtCommitIsRejectedAndTheRowDiscarded) {
+  RuleHarness h;
+  h.set_provenance(pk::provenance::ProvenanceMode::kFull);
+  const auto schema = h.schema("PairFact", {"left", "right"});
+  const std::string what = invalid_argument_message(
+      [&] { h.emit(schema).num("left", 1.0).commit(); });
+  EXPECT_NE(what.find("PairFact"), std::string::npos) << what;
+  EXPECT_NE(what.find("'right'"), std::string::npos) << what;
+  // Nothing was asserted, and the columns hold no trace of the row:
+  // the next fact of the type reads back whole.
+  EXPECT_EQ(h.memory().size(), 0u);
+  const FactId id =
+      h.emit(schema).num("left", 2.0).num("right", 3.0).commit();
+  EXPECT_EQ(h.memory().find(id).str(), "PairFact{left=2, right=3}");
+  EXPECT_EQ(h.memory().ids_of_type("PairFact"), std::vector<FactId>{id});
+}
+
+TEST(FactSchema, UnknownFieldIsRejectedNamingTypeAndField) {
+  WorkingMemory wm;
+  const pk::rules::FactSchema schema(wm, "PairFact", {"left", "right"});
+  const std::string what = invalid_argument_message([&] {
+    wm.emit(schema).num("left", 1.0).num("middle", 2.0).num("right", 3.0)
+        .commit();
+  });
+  EXPECT_NE(what.find("PairFact"), std::string::npos) << what;
+  EXPECT_NE(what.find("'middle'"), std::string::npos) << what;
+  EXPECT_EQ(wm.size(), 0u);
+}
+
+TEST(FactSchema, RowsAreWrittenOneAtATimeIntoTheirOwnMemory) {
+  WorkingMemory wm;
+  WorkingMemory other;
+  const pk::rules::FactSchema schema(wm, "PairFact", {"left", "right"});
+  EXPECT_NE(invalid_argument_message([&] { (void)other.emit(schema); })
+                .find("PairFact"),
+            std::string::npos);
+  auto open = wm.emit(schema);
+  EXPECT_NE(invalid_argument_message([&] { (void)wm.emit(schema); })
+                .find("still open"),
+            std::string::npos);
+  open.num("left", 1.0).num("right", 2.0).commit();
+  EXPECT_EQ(wm.size(), 1u);
+}
