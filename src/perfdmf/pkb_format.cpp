@@ -715,11 +715,26 @@ void write_pkb(const profile::Trial& trial, std::ostream& os) {
   }
   write_section(os, kTagMeta, meta);
 
-  // SUMM and COLS — both from the trial's column rows: pass 1 computes
+  // SUMM and COLS. A trial still borrowing an image with a summary holds
+  // both sections unchanged (value and schema edits copy the columns
+  // first), so they are copied back verbatim, stored CRCs included: the
+  // bytes equal what the row walk below writes for a valid image, and a
+  // corrupt image stays detectably corrupt.
+  if (kHostLittle && trial.image() && trial.borrowed_summary() != nullptr) {
+    const PkbLayout layout = borrowed_layout(trial);
+    const std::size_t begin = layout.summary_offset - 16;
+    const std::size_t end = layout.cols_offset + trial.column_count() *
+                                                     trial.thread_count() *
+                                                     trial.event_count() *
+                                                     sizeof(double);
+    os.write(trial.image()->data() + begin,
+             static_cast<std::streamsize>(end - begin));
+    write_section(os, kTagEnd, {});
+    return;
+  }
+  // Otherwise both come from the trial's column rows: pass 1 computes
   // the summary and the COLS CRC (the header precedes the payload),
-  // pass 2 writes the rows. A trial still borrowing an image with a
-  // summary writes that summary back: it describes these very columns,
-  // which are written back unchanged too.
+  // pass 2 writes the rows.
   const std::size_t values = summary_values(trial);
   std::vector<double> computed(trial.borrowed_summary() ? 0 : values);
   std::uint32_t crc = 0;

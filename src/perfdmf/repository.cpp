@@ -1,16 +1,18 @@
 #include "perfdmf/repository.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <set>
-#include <sstream>
+#include <shared_mutex>
 
 #include "common/error.hpp"
 #include "common/file.hpp"
 #include "common/thread_pool.hpp"
+#include "perfdmf/durable.hpp"
 #include "perfdmf/index_format.hpp"
 #include "perfdmf/pkb_format.hpp"
 #include "perfdmf/snapshot.hpp"
@@ -76,6 +78,15 @@ void check_name(const char* where, const char* field,
                                " name must not contain a tab, newline or "
                                "carriage return");
   }
+}
+
+// Index rows: app, experiment, trial, relative snapshot path; lineage
+// rows: app, experiment, version, predecessor (possibly empty). Both
+// tab-separated, one per line.
+void append_row(std::string& out, const std::string& a, const std::string& b,
+                const std::string& c, const std::string& d) {
+  out.append(a).append(1, '\t').append(b).append(1, '\t').append(c);
+  out.append(1, '\t').append(d).append(1, '\n');
 }
 
 // Writes `text` to a sibling temp file of `file` and returns its path.
@@ -187,6 +198,19 @@ struct Repository::Cache {
   std::size_t budget = Repository::kDefaultCacheBudget;
   std::size_t resident = 0;
   std::uint64_t tick = 0;
+
+  // commit() bookkeeping. `commit_mutex` guards the two sets and is
+  // never held while waiting for anything else.
+  std::mutex commit_mutex;
+  std::condition_variable commit_done;
+  /// Experiments with a commit in flight: one at a time each.
+  std::set<std::pair<std::string, std::string>> committing;
+  /// Snapshot paths those commits write, not yet in the store.
+  std::set<std::string> writing;
+  /// Commits inserted so far; guarded by the exclusive repository lock.
+  std::uint64_t inserted = 0;
+  std::mutex index_mutex;  ///< orders the index and lineage writes
+  std::uint64_t indexed = 0;  ///< commits the index on disk names
 };
 
 Repository::Repository() : cache_(std::make_unique<Cache>()) {}
@@ -221,25 +245,214 @@ void Repository::put_version(const std::string& application,
   check_name("Repository::put_version", "experiment", experiment);
   check_name("Repository::put_version", "trial", trial->name());
   check_name("Repository::put_version", "predecessor", predecessor);
-  auto& chain = lineage_[application][experiment];
-  std::string pred = predecessor;
-  if (pred.empty() && !chain.empty()) pred = chain.back().version;
-  if (pred == trial->name()) {
-    throw InvalidArgumentError("Repository::put_version: trial '" +
-                               trial->name() +
-                               "' cannot be its own predecessor");
-  }
-  trial->set_metadata("version.predecessor", pred);
+  const std::string pred = stamp_predecessor("Repository::put_version",
+                                             application, experiment, *trial,
+                                             predecessor);
   const std::string name = trial->name();
   put(application, experiment, std::move(trial));
+  link_version(application, experiment, name, pred);
+}
+
+std::string Repository::stamp_predecessor(
+    const char* where, const std::string& application,
+    const std::string& experiment, profile::Trial& trial,
+    const std::string& predecessor) const {
+  std::string pred = predecessor;
+  if (pred.empty()) {
+    if (const auto a = lineage_.find(application); a != lineage_.end()) {
+      if (const auto e = a->second.find(experiment);
+          e != a->second.end() && !e->second.empty()) {
+        pred = e->second.back().version;
+      }
+    }
+  }
+  if (pred == trial.name()) {
+    throw InvalidArgumentError(std::string(where) + ": trial '" +
+                               trial.name() +
+                               "' cannot be its own predecessor");
+  }
+  trial.set_metadata("version.predecessor", pred);
+  return pred;
+}
+
+void Repository::link_version(const std::string& application,
+                              const std::string& experiment,
+                              const std::string& version,
+                              const std::string& predecessor) {
+  auto& chain = lineage_[application][experiment];
   // Re-putting an existing version moves it to the head of the chain.
   for (auto it = chain.begin(); it != chain.end(); ++it) {
-    if (it->version == name) {
+    if (it->version == version) {
       chain.erase(it);
       break;
     }
   }
-  chain.push_back(VersionLink{name, pred});
+  chain.push_back(VersionLink{version, predecessor});
+}
+
+void Repository::commit(const std::string& application,
+                        const std::string& experiment, TrialPtr trial,
+                        std::shared_mutex& guard, bool version,
+                        const std::string& predecessor) {
+  if (!trial) {
+    throw InvalidArgumentError("Repository::commit: null trial");
+  }
+  if (root_.empty()) {
+    throw InvalidArgumentError(
+        "Repository::commit: the repository has no directory");
+  }
+  check_name("Repository::commit", "application", application);
+  check_name("Repository::commit", "experiment", experiment);
+  check_name("Repository::commit", "trial", trial->name());
+  check_name("Repository::commit", "predecessor", predecessor);
+  const std::string name = trial->name();
+  // One commit per experiment at a time: its chain head must not move
+  // between resolving the predecessor and linking the new version.
+  // Commits to other experiments write their snapshots meanwhile.
+  const auto experiment_key = std::make_pair(application, experiment);
+  std::string rel;
+  {
+    std::unique_lock lock(cache_->commit_mutex);
+    cache_->commit_done.wait(lock, [&] {
+      return cache_->committing.count(experiment_key) == 0;
+    });
+    cache_->committing.insert(experiment_key);
+  }
+  struct Done {
+    Cache& cache;
+    const std::pair<std::string, std::string>& key;
+    const std::string& rel;
+    ~Done() {
+      {
+        const std::lock_guard lock(cache.commit_mutex);
+        cache.committing.erase(key);
+        cache.writing.erase(rel);
+      }
+      cache.commit_done.notify_all();
+    }
+  } done{*cache_, experiment_key, rel};
+
+  // 1. Resolve the lineage link and the snapshot path.
+  std::string pred;
+  {
+    const std::shared_lock read(guard);
+    if (version) {
+      pred = stamp_predecessor("Repository::commit", application, experiment,
+                               *trial, predecessor);
+    }
+    const std::lock_guard lock(cache_->commit_mutex);
+    rel = commit_path(application, experiment, name);
+    cache_->writing.insert(rel);
+  }
+
+  // 2. The snapshot, with no repository lock held.
+  const std::filesystem::path file = root_ / rel;
+  std::error_code ec;
+  std::filesystem::create_directories(file.parent_path(), ec);
+  if (ec) {
+    throw IoError("cannot create directory " +
+                  file.parent_path().string() + ": " + ec.message());
+  }
+  detail::write_durably(
+      {{file, [&](std::ostream& os) { write_pkb(*trial, os); }}});
+
+  // 3. The entry is built whole before it is inserted: it is backed by
+  //    the file just written, so it is charged and evictable like any
+  //    demand-loaded entry and needs no save().
+  auto entry = std::make_shared<Entry>();
+  entry->file = file;
+  entry->rel = rel;
+  entry->pkb = true;
+  entry->verified_image = trial->image();  // the caller's trial is trusted
+  const std::size_t charge = trial_charge(*trial);
+  entry->trial = std::move(trial);
+  std::uint64_t mine = 0;
+  {
+    Dropped dropped;
+    const std::unique_lock write(guard);
+    Entry& e = *entry;
+    insert_entry(application, experiment, name, std::move(entry));
+    if (version) link_version(application, experiment, name, pred);
+    mine = ++cache_->inserted;
+    const std::lock_guard lock(cache_->mutex);
+    charge_locked(e, charge);
+    touch_locked(e);
+    evict_to_budget_locked(dropped);
+  }
+
+  // 4. Lineage first, then the index: the index names the snapshot, so
+  //    its rename is the commit point (lineage links naming trials the
+  //    index lacks are dropped when the directory is opened). Commits
+  //    that finish together share one write (a group commit): every
+  //    entry the rendered text names was inserted after its snapshot was
+  //    durable.
+  const std::lock_guard order(cache_->index_mutex);
+  if (cache_->indexed >= mine) return;
+  std::string index;
+  std::string lineage;
+  std::uint64_t upto = 0;
+  {
+    const std::shared_lock read(guard);
+    for (const auto& [app, exps] : store_) {
+      for (const auto& [exp, trs] : exps) {
+        for (const auto& [tname, slot] : trs) {
+          // put() entries live in memory only until a save().
+          if (!slot->rel.empty()) append_row(index, app, exp, tname, slot->rel);
+        }
+      }
+    }
+    lineage = lineage_text();
+    upto = cache_->inserted;
+  }
+  const auto text = [](const std::string& bytes) {
+    return [&bytes](std::ostream& os) { os << bytes; };
+  };
+  std::vector<detail::DurableFile> files;
+  const std::filesystem::path lineage_file = root_ / "lineage.tsv";
+  if (lineage.empty()) {
+    std::filesystem::remove(lineage_file, ec);
+  } else {
+    files.push_back({lineage_file, text(lineage)});
+  }
+  files.push_back({root_ / "index.tsv", text(index)});
+  detail::write_durably(files);
+  cache_->indexed = upto;
+}
+
+std::string Repository::commit_path(const std::string& application,
+                                    const std::string& experiment,
+                                    const std::string& trial) const {
+  // A replaced snapshot is rewritten in place (a legacy ordinal name
+  // included), as put() + save() would.
+  if (contains(application, experiment, trial)) {
+    const Entry& slot = *find_entry(application, experiment, trial);
+    if (slot.pkb && !slot.rel.empty()) return slot.rel;
+  }
+  std::set<std::string_view> taken(cache_->writing.begin(),
+                                   cache_->writing.end());
+  for (const auto& [app, exps] : store_) {
+    for (const auto& [exp, trs] : exps) {
+      for (const auto& [tname, slot] : trs) taken.insert(slot->rel);
+    }
+  }
+  const std::string base = stable_filename(application, experiment, trial);
+  std::string rel = base + ".pkb";
+  for (int n = 1; taken.count(rel) != 0; ++n) {
+    rel = base + "-" + std::to_string(n) + ".pkb";
+  }
+  return rel;
+}
+
+std::string Repository::lineage_text() const {
+  std::string out;
+  for (const auto& [app, exps] : lineage_) {
+    for (const auto& [exp, chain] : exps) {
+      for (const auto& link : chain) {
+        append_row(out, app, exp, link.version, link.predecessor);
+      }
+    }
+  }
+  return out;
 }
 
 std::vector<std::string> Repository::history(
@@ -350,7 +563,7 @@ void Repository::charge_locked(Entry& entry, std::size_t bytes) const {
   cache_->resident += bytes;
 }
 
-void Repository::evict_to_budget_locked() const {
+void Repository::evict_to_budget_locked(Dropped& dropped) const {
   while (cache_->resident > cache_->budget) {
     Entry* victim = nullptr;
     for (const auto& [app, exps] : store_) {
@@ -368,10 +581,12 @@ void Repository::evict_to_budget_locked() const {
         telemetry::counter("perfdmf.repository.cache.eviction");
     evictions.add();
     // Dropping our references is safe: callers that still hold the
-    // shared_ptr keep the trial (and its mapping) alive.
-    victim->trial.reset();
-    victim->verified_image.reset();
-    victim->summary_image.reset();
+    // shared_ptr keep the trial (and its mapping) alive. The caller
+    // releases them once its locks are released, since unmapping a
+    // snapshot can take milliseconds.
+    dropped.push_back(std::move(victim->trial));
+    dropped.push_back(std::move(victim->verified_image));
+    dropped.push_back(std::move(victim->summary_image));
     cache_->resident -= victim->charge;
     victim->charge = 0;
   }
@@ -393,11 +608,12 @@ TrialPtr Repository::load_entry(Entry& entry) const {
   const auto trial = std::make_shared<profile::Trial>(
       entry.pkb ? open_pkb(entry.file, Verify::kSchema)
                 : load_text_snapshot(entry.file));
+  Dropped dropped;
   const std::lock_guard lock(cache_->mutex);
   entry.trial = trial;
   charge_locked(entry, trial_charge(*trial));
   touch_locked(entry);
-  evict_to_budget_locked();
+  evict_to_budget_locked(dropped);
   return trial;
 }
 
@@ -613,9 +829,10 @@ std::size_t Repository::trial_count() const noexcept {
 }
 
 void Repository::set_cache_budget(std::size_t bytes) {
+  Dropped dropped;
   const std::lock_guard lock(cache_->mutex);
   cache_->budget = bytes;
-  evict_to_budget_locked();
+  evict_to_budget_locked(dropped);
 }
 
 std::size_t Repository::cached_bytes() const {
@@ -687,29 +904,18 @@ void Repository::save(const std::filesystem::path& dir) const {
 
   // The index and lineage go out last, each through a temp file, so the
   // old pair stays in place until every snapshot it will name exists.
-  std::ostringstream index;
+  std::string index;
   for (const Row& row : rows) {
-    index << row.app << '\t' << row.exp << '\t' << row.name << '\t'
-          << row.rel << '\n';
+    append_row(index, row.app, row.exp, row.name, row.rel);
   }
-  // Lineage rows: app, experiment, version, predecessor (possibly
-  // empty), tab-separated, chain order preserved.
-  std::ostringstream lineage;
-  for (const auto& [app, exps] : lineage_) {
-    for (const auto& [exp, chain] : exps) {
-      for (const auto& link : chain) {
-        lineage << app << '\t' << exp << '\t' << link.version << '\t'
-                << link.predecessor << '\n';
-      }
-    }
-  }
+  const std::string lineage = lineage_text();
   const std::filesystem::path index_file = dir / "index.tsv";
   const std::filesystem::path lineage_file = dir / "lineage.tsv";
-  const std::filesystem::path index_tmp = write_temp(index_file, index.str());
+  const std::filesystem::path index_tmp = write_temp(index_file, index);
   std::filesystem::path lineage_tmp;
-  if (!lineage.str().empty()) {
+  if (!lineage.empty()) {
     try {
-      lineage_tmp = write_temp(lineage_file, lineage.str());
+      lineage_tmp = write_temp(lineage_file, lineage);
     } catch (...) {
       std::error_code ec;
       std::filesystem::remove(index_tmp, ec);
@@ -750,9 +956,10 @@ void Repository::save_entry(Entry& entry,
     std::filesystem::remove(tmp, ec);
     throw;
   }
+  Dropped dropped;
   const std::lock_guard lock(cache_->mutex);
   touch_locked(entry);
-  evict_to_budget_locked();
+  evict_to_budget_locked(dropped);
 }
 
 Repository Repository::open_index(const std::filesystem::path& dir,
@@ -825,10 +1032,9 @@ Repository Repository::open_index(const std::filesystem::path& dir,
   const std::filesystem::path lineage_file = dir / "lineage.tsv";
   std::error_code ec;
   if (std::filesystem::is_regular_file(lineage_file, ec)) {
-    const std::string lineage_text =
+    const std::string text =
         read_file_bytes(lineage_file, "cannot read lineage");
-    for (LineageRow& link :
-         parse_table(parse_lineage, lineage_text, lineage_file)) {
+    for (LineageRow& link : parse_table(parse_lineage, text, lineage_file)) {
       if (!repo.contains(link.application, link.experiment, link.version)) {
         continue;
       }
@@ -851,6 +1057,17 @@ Repository Repository::load(const std::filesystem::path& dir,
 Repository Repository::attach(const std::filesystem::path& dir,
                               std::size_t cache_budget) {
   return open_index(dir, /*eager=*/false, nullptr, cache_budget);
+}
+
+Repository Repository::create(const std::filesystem::path& dir,
+                              std::size_t cache_budget) {
+  if (!std::filesystem::is_directory(dir)) {
+    throw IoError("not a directory: " + dir.string());
+  }
+  Repository repo;
+  repo.cache_->budget = cache_budget;
+  repo.root_ = dir;
+  return repo;
 }
 
 }  // namespace perfknow::perfdmf

@@ -48,6 +48,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -80,8 +81,10 @@ class Repository {
   ~Repository();
 
   /// Inserts (replacing any previous trial with the same coordinates).
-  /// Directly-put trials are pinned: they are never evicted, and the next
-  /// save() writes them. A trial replacing one whose snapshot lives in
+  /// Directly-put trials are pinned: they live only in memory, so they
+  /// are never charged to the cache budget or evicted until the next
+  /// save() writes them (commit() is the path that is charged and
+  /// evictable from the start). A trial replacing one whose snapshot lives in
   /// this repository's directory is rewritten to that same file. Throws
   /// InvalidArgumentError naming the field when the application,
   /// experiment or trial name contains a tab, newline or carriage return
@@ -100,6 +103,36 @@ class Repository {
   void put_version(const std::string& application,
                    const std::string& experiment, TrialPtr trial,
                    const std::string& predecessor = "");
+
+  /// put() (or, with `version`, put_version()) made durable in the
+  /// directory this repository was opened from or create()d at, for a
+  /// daemon that shares the repository between threads. `guard` is the
+  /// readers/writer lock the caller holds while reading the repository;
+  /// commit() takes it itself and must be called without it. Commits to
+  /// one experiment are serialized; commits to different experiments
+  /// write their snapshots concurrently and may share one index write.
+  /// Readers keep the shared lock throughout except for one short
+  /// exclusive section:
+  ///   1. shared: resolve and stamp the predecessor, and pick the
+  ///      snapshot path (the replaced entry's, or the stable name);
+  ///   2. unlocked: write the snapshot durably (temp file, fsync,
+  ///      rename, fsync its shard directory);
+  ///   3. exclusive: insert the entry, backed by that file, unpinned,
+  ///      clean and charged to the cache budget;
+  ///   4. shared: render index.tsv and lineage.tsv, unless a commit that
+  ///      inserted later already wrote them; then, unlocked, write both
+  ///      durably, renaming lineage.tsv first and index.tsv (the commit
+  ///      point) last.
+  /// When commit() returns, the trial survives a crash or restart. On
+  /// any failure it throws: before step 3 nothing changed, in memory or
+  /// in the index; after it the trial is served but not known to be
+  /// durable, and the next successful commit persists it. Throws
+  /// IoError naming the file and step that failed, and
+  /// InvalidArgumentError as put_version() does or when the repository
+  /// has no directory.
+  void commit(const std::string& application, const std::string& experiment,
+              TrialPtr trial, std::shared_mutex& guard, bool version = false,
+              const std::string& predecessor = "");
 
   /// Version names in lineage order, oldest first. Experiments with no
   /// recorded lineage fall back to name order (= trials()), so history()
@@ -220,6 +253,12 @@ class Repository {
       const std::filesystem::path& dir,
       std::size_t cache_budget = kDefaultCacheBudget);
 
+  /// An empty repository rooted at the existing directory `dir`, for a
+  /// directory that holds no index.tsv yet: commit() writes into it.
+  [[nodiscard]] static Repository create(
+      const std::filesystem::path& dir,
+      std::size_t cache_budget = kDefaultCacheBudget);
+
   /// Adjusts the demand-load cache budget, evicting as needed.
   void set_cache_budget(std::size_t bytes);
   /// Bytes currently charged against the cache budget.
@@ -233,6 +272,26 @@ class Repository {
 
   using EntryPtr = std::shared_ptr<Entry>;
 
+  /// The predecessor a new version of the experiment links to
+  /// (`predecessor`, or the chain head when empty), stamped into
+  /// `trial`'s "version.predecessor"; `where` prefixes the self-link
+  /// error.
+  std::string stamp_predecessor(const char* where,
+                                const std::string& application,
+                                const std::string& experiment,
+                                profile::Trial& trial,
+                                const std::string& predecessor) const;
+  /// Appends `version` to the chain, moving it there if already linked.
+  void link_version(const std::string& application,
+                    const std::string& experiment, const std::string& version,
+                    const std::string& predecessor);
+  /// commit()'s snapshot path, relative to the root, avoiding the paths
+  /// in-flight commits write. Caller holds the commit mutex.
+  [[nodiscard]] std::string commit_path(const std::string& application,
+                                        const std::string& experiment,
+                                        const std::string& trial) const;
+  /// lineage.tsv's text.
+  [[nodiscard]] std::string lineage_text() const;
   void insert_entry(const std::string& application,
                     const std::string& experiment, const std::string& trial,
                     EntryPtr entry);
@@ -255,7 +314,10 @@ class Repository {
                     Verify level) const;
   void touch_locked(Entry& entry) const;
   void charge_locked(Entry& entry, std::size_t bytes) const;
-  void evict_to_budget_locked() const;
+  /// References evict_to_budget_locked() drops, released by its caller
+  /// after the locks.
+  using Dropped = std::vector<std::shared_ptr<const void>>;
+  void evict_to_budget_locked(Dropped& dropped) const;
 
   static Repository open_index(const std::filesystem::path& dir,
                                bool eager, ThreadPool* pool,

@@ -124,8 +124,14 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {
   options_.validate();
   if (options_.enable_telemetry) telemetry::set_enabled(true);
   if (!options_.repository_dir.empty()) {
-    repo_ = perfdmf::Repository::attach(options_.repository_dir,
-                                        options_.cache_budget);
+    // A directory without an index (a fresh one, say) starts an empty
+    // repository there; uploads then commit into it.
+    const auto index = options_.repository_dir / "index.tsv";
+    repo_ = std::filesystem::exists(std::filesystem::symlink_status(index))
+                ? perfdmf::Repository::attach(options_.repository_dir,
+                                              options_.cache_budget)
+                : perfdmf::Repository::create(options_.repository_dir,
+                                              options_.cache_budget);
   }
 
   listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -661,11 +667,17 @@ void Server::do_upload(const ConnectionPtr& conn, wire::Request& req) {
   }
   auto ptr = std::make_shared<profile::Trial>(std::move(trial));
   const std::string stored = ptr->name();
-  {
+  const std::string predecessor = optional_string(req.params, "predecessor");
+  if (!options_.repository_dir.empty()) {
+    // Acknowledged only once the snapshot and the index naming it are on
+    // disk; analyses keep the shared lock meanwhile.
+    repo_.commit(application, experiment, std::move(ptr), repo_mutex_,
+                 !version.empty(), predecessor);
+  } else {
     std::unique_lock<std::shared_mutex> lock(repo_mutex_);
     if (!version.empty()) {
       repo_.put_version(application, experiment, std::move(ptr),
-                        optional_string(req.params, "predecessor"));
+                        predecessor);
     } else {
       repo_.put(application, experiment, std::move(ptr));
     }

@@ -21,8 +21,11 @@
 //     the connection's byte budget, until the requested count, peer
 //     disconnect, budget exhaustion, or shutdown ends the stream;
 //   * the shared repository is guarded by a readers/writer lock —
-//     uploads take it exclusively, analyses share it — because
-//     Repository::put mutates the store map without an internal lock;
+//     analyses share it, and an upload takes it exclusively only to
+//     insert its entry, because that mutates the store map without an
+//     internal lock. With a repository_dir, Repository::commit writes
+//     the upload's snapshot and index durably outside that section and
+//     the result line is sent only after both are on disk;
 //   * admission control: a request beyond the queue limit (global or
 //     per-client) is rejected immediately with "overloaded", and a
 //     client that uploads past its byte budget gets "budget_exceeded".
@@ -77,9 +80,12 @@ struct ServerOptions {
   /// file from a previous run is replaced).
   std::filesystem::path socket_path;
 
-  /// Repository to serve. Empty = start with a fresh in-memory store
-  /// (uploads only). A directory with an index.tsv is attach()ed
-  /// lazily under `cache_budget`.
+  /// Repository to serve. Empty = a fresh in-memory store: uploads live
+  /// only as long as the daemon. A directory with an index.tsv is
+  /// attach()ed lazily under `cache_budget`; one without starts empty.
+  /// Either way every upload is committed into the directory (snapshot
+  /// and index fsynced) before it is acknowledged, so it survives a
+  /// restart, and it is cached under the same budget as stored trials.
   std::filesystem::path repository_dir;
 
   /// Extra rulebase search directory (rules::resolve_rulebase).

@@ -365,6 +365,38 @@ TEST(PkbFormat, ParseThenWriteReproducesTheInput) {
   }
 }
 
+// A trial still borrowing its image copies SUMM and COLS back verbatim;
+// the row walk over an owned copy must give the same bytes.
+TEST(PkbFormat, BorrowingTrialWritesTheBytesOfItsOwnedCopy) {
+  std::vector<Trial> sources = corpus_trials();
+  sources.push_back(make_trial("verbatim"));
+  sources.push_back(make_trial("one thread", 1));
+  Trial renamed = pk::perfdmf::parse_pkb(pk::perfdmf::to_pkb(
+      make_trial("before")));
+  // Name and metadata edits keep borrowing; they land in SCHM and META.
+  renamed.set_name("after");
+  renamed.set_metadata("version.predecessor", "v0");
+  sources.push_back(renamed);
+  std::size_t compared = 0;
+  for (const Trial& source : sources) {
+    if (source.thread_count() == 0 || source.event_count() == 0) continue;
+    const Trial borrowing =
+        source.image() ? source
+                       : pk::perfdmf::parse_pkb(pk::perfdmf::to_pkb(source));
+    ASSERT_TRUE(borrowing.image()) << source.name();
+    Trial owned = borrowing;
+    const auto calls = owned.calls(0, 0);
+    owned.set_calls(0, 0, calls.calls, calls.subcalls);  // copies the cells
+    ASSERT_FALSE(owned.image()) << source.name();
+    EXPECT_EQ(pk::perfdmf::to_pkb(borrowing), pk::perfdmf::to_pkb(owned))
+        << source.name();
+    ++compared;
+  }
+  EXPECT_GT(compared, 10u);
+  EXPECT_EQ(pk::perfdmf::parse_pkb(pk::perfdmf::to_pkb(renamed)).name(),
+            "after");
+}
+
 // ---- summary profile ---------------------------------------------------
 
 TEST(PkbSummary, EqualsTheStatsReductionOverEverySeries) {
@@ -595,6 +627,10 @@ TEST(PkbCorruption, SchemaOnlyOpenSkipsColumnsButFullOpenChecks) {
   EXPECT_THROW((void)pk::perfdmf::open_pkb(file, Verify::kFull),
                pk::ParseError);
   EXPECT_THROW((void)pk::perfdmf::parse_pkb(bytes), pk::ParseError);
+  // Rewriting the borrowing trial keeps the stored column checksum, so
+  // the copy is as detectably corrupt as the original.
+  EXPECT_THROW((void)pk::perfdmf::parse_pkb(pk::perfdmf::to_pkb(view)),
+               pk::ParseError);
 }
 
 TEST(PkbCorruption, VerifyPkbColumnsChecksSchemaOnlyOpens) {

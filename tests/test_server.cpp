@@ -2,7 +2,10 @@
 // the daemon under >= 8 concurrent clients, byte-identical streamed
 // diagnoses vs in-process runs, budget/backpressure admission, and the
 // closed loop where a saturated server diagnoses itself
-// (ServerQueueSaturated) with a grounded proof tree.
+// (ServerQueueSaturated) with a grounded proof tree, and uploads
+// committed to a repository directory: surviving a restart, bounded by
+// the cache budget, chained in ack order under concurrency, and never
+// leaving a torn index when a write, fsync or rename fails.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
@@ -15,13 +18,18 @@
 #include <iterator>
 #include <map>
 #include <regex>
+#include <set>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "apps/msap/msap.hpp"
 #include "io/bench_json.hpp"
+#include "machine/machine.hpp"
+#include "perfdmf/durable.hpp"
 #include "perfknow.hpp"
 
 namespace pk = perfknow;
@@ -992,4 +1000,344 @@ TEST(ServerDaemon, AnalysisLeavesAttachedSnapshotsClean) {
 
   repo.save(repo_dir.path());
   EXPECT_EQ(stamps(), before);
+}
+
+// ---- uploads committed to the repository directory ---------------------
+
+namespace {
+
+/// An MSAP schedule-study profile (the static schedule fires the
+/// load-balance rules) written to `file` in the format its extension
+/// names.
+fs::path write_msap_body(const fs::path& file, bool dynamic,
+                         std::size_t threads) {
+  pk::machine::Machine m(pk::machine::MachineConfig::altix300());
+  pk::apps::msap::MsapConfig cfg;
+  cfg.threads = threads;
+  cfg.schedule = dynamic ? pk::runtime::Schedule::dynamic(1)
+                         : pk::runtime::Schedule::static_even();
+  pk::io::save_trial(pk::apps::msap::run_msap(m, cfg).trial, file);
+  return file;
+}
+
+std::string trial_params(const std::string& exp, const std::string& trial) {
+  return "{\"application\":\"MSAP\",\"experiment\":" + pk::json::quote(exp) +
+         ",\"trial\":" + pk::json::quote(trial) + "}";
+}
+
+/// Every streamed line of a response plus its result (or error) data.
+std::vector<std::string> response_lines(const Client::Response& r) {
+  std::vector<std::string> out;
+  for (const auto& ev : r.events) out.push_back(ev.line);
+  out.push_back(r.ok() ? r.result : r.error_message);
+  return out;
+}
+
+std::vector<fs::path> temp_files(const fs::path& dir) {
+  std::vector<fs::path> out;
+  for (const auto& e : fs::recursive_directory_iterator(dir)) {
+    if (e.path().extension() == ".tmp") out.push_back(e.path());
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(ServerDaemon, AcknowledgedUploadsSurviveARestart) {
+  TempDir repo_dir;  // exists, but holds no index.tsv yet
+  TempDir scratch;
+  const fs::path v1 = write_msap_body(scratch.path() / "v1.pkb", false, 16);
+  const fs::path v2 = write_msap_body(scratch.path() / "v2.json", true, 16);
+  const fs::path v3 = write_msap_body(scratch.path() / "v3.pkb", false, 8);
+  ServerOptions opt;
+  opt.socket_path = socket_path();
+  opt.repository_dir = repo_dir.path();
+
+  // The same requests from a fresh client, so the ids match too.
+  const auto queries = [&] {
+    Client client(opt.socket_path);
+    std::vector<std::vector<std::string>> out;
+    for (const char* v : {"v1", "v2", "v3"}) {
+      out.push_back(response_lines(client.call("analyze",
+                                               trial_params("runs", v))));
+    }
+    for (const auto& [base, cur] :
+         std::vector<std::pair<std::string, std::string>>{{"v1", "v2"},
+                                                          {"v2", "v3"}}) {
+      out.push_back(response_lines(client.call(
+          "diff", "{\"application\":\"MSAP\",\"experiment\":\"runs\","
+                  "\"base\":\"" + base + "\",\"current\":\"" + cur + "\"}")));
+    }
+    return out;
+  };
+
+  std::vector<std::vector<std::string>> before;
+  {
+    Server server(opt);
+    Client client(opt.socket_path);
+    for (const auto& [body, version] :
+         std::vector<std::pair<fs::path, std::string>>{
+             {v1, "v1"}, {v2, "v2"}, {v3, "v3"}}) {
+      const auto r = client.upload_file("MSAP", "runs", body, version);
+      ASSERT_TRUE(r.ok()) << version << ": " << r.error_message;
+    }
+    before = queries();
+    // The static schedule is diagnosed, so the lines carry diagnoses.
+    ASSERT_GT(before[0].size(), 1u);
+  }  // the daemon is gone; only the directory remains
+
+  EXPECT_TRUE(fs::exists(repo_dir.path() / "index.tsv"));
+  EXPECT_TRUE(temp_files(repo_dir.path()).empty());
+  const auto attached = pk::perfdmf::Repository::attach(repo_dir.path());
+  EXPECT_EQ(attached.history("MSAP", "runs"),
+            (std::vector<std::string>{"v1", "v2", "v3"}));
+  EXPECT_EQ(attached.predecessor_of("MSAP", "runs", "v3"), "v2");
+
+  Server restarted(opt);
+  EXPECT_EQ(queries(), before);
+  {
+    std::shared_lock<std::shared_mutex> lock(restarted.repository_mutex());
+    EXPECT_EQ(restarted.repository().history("MSAP", "runs"),
+              (std::vector<std::string>{"v1", "v2", "v3"}));
+  }
+  restarted.stop();
+}
+
+TEST(ServerDaemon, AMalformedRepositoryIndexStillFailsLocated) {
+  TempDir repo_dir;
+  {
+    std::ofstream os(repo_dir.path() / "index.tsv");
+    os << "app\texp\n";
+  }
+  ServerOptions opt;
+  opt.socket_path = socket_path();
+  opt.repository_dir = repo_dir.path();
+  try {
+    Server server(opt);
+    FAIL() << "a malformed index was accepted";
+  } catch (const pk::ParseError& e) {
+    EXPECT_NE(e.file().find("index.tsv"), std::string::npos) << e.what();
+  }
+}
+
+TEST(ServerDaemon, CommittedUploadsStayWithinTheCacheBudget) {
+  TempDir repo_dir;
+  TempDir scratch;
+  const fs::path pkb = write_msap_body(scratch.path() / "s.pkb", false, 16);
+  const fs::path json = write_msap_body(scratch.path() / "d.json", true, 16);
+  ServerOptions opt;
+  opt.socket_path = socket_path();
+  opt.repository_dir = repo_dir.path();
+  opt.cache_budget = std::numeric_limits<std::size_t>::max();
+  Server server(opt);
+  Client client(opt.socket_path);
+  const auto version = [](int i) { return "u" + std::to_string(i); };
+
+  // One upload's charge sizes the budget: about three of them fit.
+  ASSERT_TRUE(client.upload_file("MSAP", "runs", pkb, version(0)).ok());
+  const std::size_t one = server.repository().cached_bytes();
+  ASSERT_GT(one, 0u);
+  const std::size_t budget = 3 * one + one / 2;
+  {
+    std::unique_lock<std::shared_mutex> lock(server.repository_mutex());
+    server.repository().set_cache_budget(budget);
+  }
+
+  constexpr int kUploads = 20;
+  std::vector<std::vector<std::string>> first(kUploads);
+  const auto analyze = [&](int i) {
+    auto lines = response_lines(
+        client.call("analyze", trial_params("runs", version(i))));
+    // Ids differ between rounds; the payload must not.
+    for (auto& line : lines) {
+      line = std::regex_replace(line, std::regex("\"id\":\"[0-9]+\""), "");
+    }
+    return lines;
+  };
+  first[0] = analyze(0);
+  for (int i = 1; i < kUploads; ++i) {
+    const auto r = client.upload_file("MSAP", "runs", i % 2 ? json : pkb,
+                                      version(i));
+    ASSERT_TRUE(r.ok()) << version(i) << ": " << r.error_message;
+    EXPECT_LE(server.repository().cached_bytes(), budget) << version(i);
+    first[i] = analyze(i);
+    EXPECT_LE(server.repository().cached_bytes(), budget) << version(i);
+  }
+  EXPECT_LT(server.repository().resident_trials(),
+            static_cast<std::size_t>(kUploads));
+  // Evicted uploads reload from their snapshots and analyze the same.
+  for (int i = 0; i < kUploads; ++i) {
+    EXPECT_EQ(analyze(i), first[i]) << version(i);
+    EXPECT_LE(server.repository().cached_bytes(), budget);
+  }
+
+  // A reload verifies the snapshot's column checksum: damage the
+  // least recently used upload's file on disk.
+  std::string rel;
+  {
+    std::ifstream index(repo_dir.path() / "index.tsv");
+    for (std::string line; std::getline(index, line);) {
+      if (line.rfind("MSAP\truns\tu0\t", 0) == 0) rel = line.substr(13);
+    }
+  }
+  ASSERT_FALSE(rel.empty());
+  {
+    std::fstream f(repo_dir.path() / rel,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(-32, std::ios::end);
+    char c = 0;
+    f.get(c);
+    f.seekp(-32, std::ios::end);
+    f.put(static_cast<char>(c ^ 0x01));
+  }
+  const auto damaged =
+      client.call("analyze", trial_params("runs", version(0)));
+  EXPECT_FALSE(damaged.ok());
+  EXPECT_EQ(damaged.error, wire::ErrorCode::kParse) << damaged.error_message;
+  EXPECT_NE(damaged.error_message.find("checksum"), std::string::npos)
+      << damaged.error_message;
+  server.stop();
+}
+
+TEST(ServerDaemon, ConcurrentUploadsChainInTheOrderTheyWereAcknowledged) {
+  TempDir repo_dir;
+  TempDir scratch;
+  const auto [base, cur] = regression_pair(scratch.path());
+  ServerOptions opt;
+  opt.socket_path = socket_path();
+  opt.repository_dir = repo_dir.path();
+  opt.workers = 3;
+  Server server(opt);
+
+  // Clients a and c share one experiment; b has its own.
+  using Clock = std::chrono::steady_clock;
+  struct Upload {
+    std::string version;
+    Clock::time_point sent, acked;
+  };
+  constexpr int kEach = 6;
+  const std::vector<std::pair<std::string, std::string>> clients{
+      {"a", "shared"}, {"b", "solo"}, {"c", "shared"}};
+  std::vector<std::vector<Upload>> log(clients.size());
+  std::vector<std::string> failures(clients.size());
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < clients.size(); ++c) {
+    threads.emplace_back([&, c] {
+      try {
+        Client client(opt.socket_path);
+        for (int i = 1; i <= kEach; ++i) {
+          Upload u{clients[c].first + std::to_string(i), Clock::now(), {}};
+          const auto r = client.upload_file("perfknow", clients[c].second,
+                                            i % 2 ? base : cur, u.version);
+          u.acked = Clock::now();
+          if (!r.ok()) {
+            failures[c] = u.version + ": " + r.error_message;
+            return;
+          }
+          log[c].push_back(u);
+        }
+      } catch (const std::exception& e) {
+        failures[c] = e.what();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (const auto& f : failures) ASSERT_TRUE(f.empty()) << f;
+  server.stop();
+
+  const auto repo = pk::perfdmf::Repository::attach(repo_dir.path());
+  const auto check = [&](const std::string& exp,
+                         const std::vector<std::size_t>& members) {
+    const auto chain = repo.history("perfknow", exp);
+    std::map<std::string, std::size_t> position;
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+      position[chain[i]] = i;
+      EXPECT_EQ(repo.predecessor_of("perfknow", exp, chain[i]),
+                i == 0 ? "" : chain[i - 1])
+          << exp << " link " << i;
+    }
+    std::vector<Upload> uploads;
+    for (const std::size_t c : members) {
+      uploads.insert(uploads.end(), log[c].begin(), log[c].end());
+    }
+    ASSERT_EQ(chain.size(), uploads.size()) << exp;
+    // An upload acknowledged before another was sent precedes it.
+    for (const auto& x : uploads) {
+      ASSERT_EQ(position.count(x.version), 1u) << x.version;
+      for (const auto& y : uploads) {
+        if (x.acked < y.sent) {
+          EXPECT_LT(position[x.version], position[y.version])
+              << exp << ": " << x.version << " was acked before "
+              << y.version << " was sent";
+        }
+      }
+    }
+  };
+  check("shared", {0, 2});
+  check("solo", {1});
+  EXPECT_TRUE(temp_files(repo_dir.path()).empty());
+}
+
+TEST(ServerDaemon, AFailedCommitStepLeavesTheOldOrTheNewRepository) {
+  namespace detail = pk::perfdmf::detail;
+  TempDir repo_dir;
+  TempDir scratch;
+  const auto [base, cur] = regression_pair(scratch.path());
+  ServerOptions opt;
+  opt.socket_path = socket_path();
+  opt.repository_dir = repo_dir.path();
+  Server server(opt);
+  Client client(opt.socket_path);
+  ASSERT_TRUE(client.upload_file("perfknow", "bench", base, "v1").ok());
+
+  // The history on disk, every snapshot it names opened and verified.
+  using State = std::vector<std::pair<std::string, std::string>>;
+  const auto on_disk = [&] {
+    const auto repo = pk::perfdmf::Repository::attach(repo_dir.path());
+    State out;
+    for (const auto& v : repo.history("perfknow", "bench")) {
+      EXPECT_NO_THROW((void)repo.verified_view("perfknow", "bench", v)) << v;
+      out.emplace_back(v, repo.predecessor_of("perfknow", "bench", v));
+    }
+    return out;
+  };
+
+  const std::uint64_t start = detail::operation_count();
+  ASSERT_TRUE(client.upload_file("perfknow", "bench", cur, "v2").ok());
+  const std::uint64_t steps = detail::operation_count() - start;
+  // The snapshot (write, fsync, rename, directory fsync), then lineage
+  // and index together (two each of write, fsync and rename, then one
+  // directory fsync).
+  EXPECT_GE(steps, 11u);
+
+  for (std::uint64_t k = 1; k <= steps; ++k) {
+    const State pre = on_disk();
+    const std::string version = "f" + std::to_string(k);
+    detail::fail_nth_operation(k);
+    const auto r = client.upload_file("perfknow", "bench", cur, version);
+    detail::fail_nth_operation(0);
+    EXPECT_FALSE(r.ok()) << "step " << k;
+    EXPECT_EQ(r.error, wire::ErrorCode::kIo) << r.error_message;
+
+    State post = pre;
+    post.emplace_back(version, pre.back().first);
+    const State now = on_disk();
+    EXPECT_TRUE(now == pre || now == post) << "step " << k;
+    EXPECT_TRUE(temp_files(repo_dir.path()).empty()) << "step " << k;
+
+    // The daemon keeps serving, and the next commit persists whatever
+    // the failed one left in memory.
+    EXPECT_TRUE(client.call("ping").ok());
+    const std::string next = "g" + std::to_string(k);
+    ASSERT_TRUE(client.upload_file("perfknow", "bench", base, next).ok());
+    const auto analyzed =
+        client.call("analyze", "{\"application\":\"perfknow\","
+                               "\"experiment\":\"bench\",\"trial\":\"" +
+                                   next + "\"}");
+    EXPECT_TRUE(analyzed.ok()) << analyzed.error_message;
+    std::shared_lock<std::shared_mutex> lock(server.repository_mutex());
+    EXPECT_EQ(on_disk().size(),
+              server.repository().history("perfknow", "bench").size());
+  }
+  server.stop();
 }
