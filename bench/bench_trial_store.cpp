@@ -12,7 +12,10 @@
 // least 5x faster than the text parser. BM_OpenPkbView (named for the
 // view type it used to time) shows the lazy path the repository cache
 // actually uses: mmap + schema verify + one strided series read, with
-// the columns left in the mapping.
+// the columns left in the mapping. BM_VerifyColumns is the full check a
+// cold repository read adds on top (the COLS CRC plus the SUMM
+// recompute) over a borrowed 2000-event x 64-thread x 8-metric trial,
+// and BM_Crc32/16MiB the raw checksum rate.
 //
 // Run with --benchmark_format=json --benchmark_out=... for the CI
 // artifact.
@@ -22,7 +25,9 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/crc32.hpp"
 #include "common/thread_pool.hpp"
 #include "io/format.hpp"
 #include "perfdmf/pkb_format.hpp"
@@ -39,11 +44,15 @@ using pk::profile::Trial;
 constexpr std::size_t kEvents = 10000;
 constexpr std::size_t kThreads = 256;
 
+/// `metrics` metrics (TIME, then M1, M2, ...) holding the same values.
 Trial make_cube(const std::string& name, std::size_t events,
-                std::size_t threads) {
+                std::size_t threads, std::size_t metrics = 1) {
   Trial t(name);
   t.set_thread_count(threads);
-  const auto time = t.add_metric("TIME", "usec");
+  t.add_metric("TIME", "usec");
+  for (std::size_t m = 1; m < metrics; ++m) {
+    t.add_metric("M" + std::to_string(m));
+  }
   std::vector<std::size_t> ids;
   ids.reserve(events);
   for (std::size_t e = 0; e < events; ++e) {
@@ -57,8 +66,10 @@ Trial make_cube(const std::string& name, std::size_t events,
       // Short decimal values keep the text snapshot compact and cheap
       // to format; the parse cost under test is per-cell, not per-digit.
       const double v = static_cast<double>((e * threads + th) % 1000);
-      t.set_inclusive(th, ids[e], time, v + 1.0);
-      t.set_exclusive(th, ids[e], time, v);
+      for (pk::profile::MetricId m = 0; m < metrics; ++m) {
+        t.set_inclusive(th, ids[e], m, v + 1.0);
+        t.set_exclusive(th, ids[e], m, v);
+      }
       t.set_calls(th, ids[e], 1 + e % 7, e % 3);
     }
   }
@@ -72,6 +83,7 @@ struct Fixture {
   fs::path dir;
   fs::path text_file;
   fs::path pkb_file;
+  fs::path metrics_file;
   fs::path repo_dir;
 
   Fixture() {
@@ -83,6 +95,8 @@ struct Fixture {
     pkb_file = dir / "cube.pkb";
     pk::io::save_trial(cube, text_file);
     pk::io::save_trial(cube, pkb_file);
+    metrics_file = dir / "metrics.pkb";
+    pk::io::save_trial(make_cube("metrics", 2000, 64, 8), metrics_file);
 
     pk::perfdmf::Repository repo;
     for (int i = 0; i < 16; ++i) {
@@ -137,6 +151,31 @@ void BM_OpenPkbView(benchmark::State& state) {
   }
 }
 
+void BM_VerifyColumns(benchmark::State& state) {
+  const auto& f = Fixture::get();
+  const Trial view =
+      pk::perfdmf::open_pkb(f.metrics_file, pk::perfdmf::Verify::kSchema);
+  for (auto _ : state) pk::perfdmf::verify_pkb_columns(view);
+  const auto bytes = static_cast<std::int64_t>(
+      view.column_count() * view.thread_count() * view.event_count() *
+      sizeof(double));
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+
+void BM_Crc32(benchmark::State& state, std::size_t bytes) {
+  std::vector<unsigned char> buf(bytes);
+  std::uint32_t x = 1;
+  for (auto& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pk::crc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+
 void BM_RepoGetCold(benchmark::State& state) {
   const auto& f = Fixture::get();
   for (auto _ : state) {
@@ -169,6 +208,9 @@ void BM_BulkIngest(benchmark::State& state) {
 BENCHMARK(BM_ColdLoadText)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ColdLoadPkb)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OpenPkbView)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_VerifyColumns)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Crc32, 16MiB, std::size_t{16} << 20)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RepoGetCold)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RepoGetWarm)->Unit(benchmark::kMillisecond);
 // range(0) is total threads doing the ingest: the caller alone, or the

@@ -62,6 +62,9 @@ class FdBuf final : public std::streambuf {
     return traits_type::not_eof(c);
   }
   std::streamsize xsputn(const char* s, std::streamsize n) override {
+    // An empty write may pass a null `s` (an empty section payload), which
+    // memcpy must not see even with a zero length.
+    if (n <= 0) return 0;
     if (n < epptr() - pptr()) {
       std::memcpy(pptr(), s, static_cast<std::size_t>(n));
       pbump(static_cast<int>(n));

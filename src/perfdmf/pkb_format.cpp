@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -14,6 +13,7 @@
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/file.hpp"
 #include "perfdmf/limits.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -115,11 +115,141 @@ void write_section(std::ostream& os, std::uint32_t tag,
 
 // ---- column rows --------------------------------------------------------
 
+#if defined(__x86_64__)
+/// True when the CPU has AVX2. Checked on first use, not by a static
+/// initializer, so the CPU model is known by then.
+bool have_avx2() {
+  static const bool have = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return have;
+}
+
+/// Four doubles in one GCC/Clang generic vector: arithmetic and
+/// comparisons act lane by lane with the scalar IEEE operations.
+using Lanes4 = double __attribute__((vector_size(4 * sizeof(double))));
+#endif
+
+/// A column's per-event accumulators: the Kahan sum and compensation (the
+/// mean, once finish has computed it), min, max and squared-deviation
+/// sum.
+struct SummaryAccumulators {
+  std::vector<double> total;
+  std::vector<double> comp;
+  std::vector<double> min;
+  std::vector<double> max;
+  std::vector<double> dev;
+};
+
+// Loads and stores of a double or a lane vector at any alignment.
+// Vectors pass by reference only, so no function signature carries a
+// 32-byte vector across the AVX/non-AVX ABI boundary.
+template <typename V>
+[[gnu::always_inline]] inline void load(V& v, const double* p) {
+  std::memcpy(&v, p, sizeof v);
+}
+template <typename V>
+[[gnu::always_inline]] inline void store(double* p, const V& v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+/// Folds rows[0..n), the next threads in order, into events [e, events)
+/// of `a`, V's lanes at a time; returns the first event not reached (e
+/// plus a multiple of the lane count). Per lane this is stats::'s Kahan
+/// step and std::min(lo, x) / std::max(hi, x).
+template <typename V>
+[[gnu::always_inline]] inline std::size_t add_rows_span(
+    SummaryAccumulators& a, const double* const* rows, std::size_t n,
+    std::size_t e, std::size_t events) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+  for (; e + kLanes <= events; e += kLanes) {
+    V s{}, c{}, lo{}, hi{};
+    load(s, &a.total[e]);
+    load(c, &a.comp[e]);
+    load(lo, &a.min[e]);
+    load(hi, &a.max[e]);
+    for (std::size_t k = 0; k < n; ++k) {
+      V x{};
+      load(x, rows[k] + e);
+      const V y = x - c;
+      const V t = s + y;
+      c = (t - s) - y;
+      s = t;
+      lo = x < lo ? x : lo;
+      hi = hi < x ? x : hi;
+    }
+    store(&a.total[e], s);
+    store(&a.comp[e], c);
+    store(&a.min[e], lo);
+    store(&a.max[e], hi);
+  }
+  return e;
+}
+
+/// Adds the squared deviations of `rows` rows (stride apart, from
+/// `block`) from each event's mean, held in a.comp, to events
+/// [e, events) of a.dev, V's lanes at a time; returns the first event
+/// not reached.
+template <typename V>
+[[gnu::always_inline]] inline std::size_t deviation_span(
+    SummaryAccumulators& a, const double* block, std::size_t rows,
+    std::size_t stride, std::size_t e, std::size_t events) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+  for (; e + kLanes <= events; e += kLanes) {
+    V mean{}, acc{};
+    load(mean, &a.comp[e]);
+    load(acc, &a.dev[e]);
+    for (std::size_t k = 0; k < rows; ++k) {
+      V x{};
+      load(x, block + k * stride + e);
+      const V d = x - mean;
+      acc += d * d;
+    }
+    store(&a.dev[e], acc);
+  }
+  return e;
+}
+
+void add_rows_scalar(SummaryAccumulators& a, const double* const* rows,
+                     std::size_t n) {
+  add_rows_span<double>(a, rows, n, 0, a.total.size());
+}
+
+void deviation_scalar(SummaryAccumulators& a, const double* block,
+                      std::size_t rows, std::size_t stride) {
+  deviation_span<double>(a, block, rows, stride, 0, a.total.size());
+}
+
+#if defined(__x86_64__)
+// The same spans four events at a time, then the scalar tail. No FMA:
+// target("avx2") does not enable it, so nothing is contracted.
+[[gnu::target("avx2")]] void add_rows_avx2(SummaryAccumulators& a,
+                                           const double* const* rows,
+                                           std::size_t n) {
+  const std::size_t events = a.total.size();
+  add_rows_span<double>(
+      a, rows, n, add_rows_span<Lanes4>(a, rows, n, 0, events), events);
+}
+
+[[gnu::target("avx2")]] void deviation_avx2(SummaryAccumulators& a,
+                                            const double* block,
+                                            std::size_t rows,
+                                            std::size_t stride) {
+  const std::size_t events = a.total.size();
+  deviation_span<double>(
+      a, block, rows, stride,
+      deviation_span<Lanes4>(a, block, rows, stride, 0, events), events);
+}
+#endif
+
 /// Accumulates one value column's SUMM values a few rows (threads) at a
 /// time. Every event keeps its own Kahan sum, min and max in thread
 /// order and then its own squared-deviation sum, with stats::'s
 /// expressions, so each value equals the stats:: reduction over the
-/// event's StridedSpan bit for bit.
+/// event's StridedSpan bit for bit. Where the CPU has AVX2, four events
+/// share one generic vector (each lane runs the scalar operations in the
+/// scalar order) and the rest take the scalar path.
 class ColumnSummarizer {
  public:
   /// Rows handed over together; each event's accumulators stay in
@@ -127,80 +257,61 @@ class ColumnSummarizer {
   static constexpr std::size_t kBlock = 4;
 
   explicit ColumnSummarizer(std::size_t events)
-      : total_(events), comp_(events), min_(events), max_(events),
-        dev_(events) {}
+      : acc_{std::vector<double>(events), std::vector<double>(events),
+             std::vector<double>(events), std::vector<double>(events),
+             std::vector<double>(events)} {
+#if defined(__x86_64__)
+    if (have_avx2()) {
+      add_rows_ = add_rows_avx2;
+      deviation_ = deviation_avx2;
+    }
+#endif
+  }
 
   /// Adds rows[0..n) (n <= kBlock), the next threads in order; `first`
   /// when rows[0] is thread 0.
   void add_rows(const double* const* rows, std::size_t n, bool first) {
-    const std::size_t events = total_.size();
     if (first) {
-      std::fill(total_.begin(), total_.end(), 0.0);
-      std::fill(comp_.begin(), comp_.end(), 0.0);
-      std::copy_n(rows[0], events, min_.begin());
-      std::copy_n(rows[0], events, max_.begin());
+      const std::size_t events = acc_.total.size();
+      std::fill(acc_.total.begin(), acc_.total.end(), 0.0);
+      std::fill(acc_.comp.begin(), acc_.comp.end(), 0.0);
+      std::copy_n(rows[0], events, acc_.min.begin());
+      std::copy_n(rows[0], events, acc_.max.begin());
     }
-    for (std::size_t e = 0; e < events; ++e) {
-      double s = total_[e];
-      double c = comp_[e];
-      double lo = min_[e];
-      double hi = max_[e];
-      for (std::size_t k = 0; k < n; ++k) {
-        const double x = rows[k][e];
-        const double y = x - c;
-        const double t = s + y;
-        c = (t - s) - y;
-        s = t;
-        lo = std::min(lo, x);
-        hi = std::max(hi, x);
-      }
-      total_[e] = s;
-      comp_[e] = c;
-      min_[e] = lo;
-      max_[e] = hi;
-    }
+    add_rows_(acc_, rows, n);
   }
 
   /// Second pass over the column's `threads` rows (stride apart) for the
   /// stddev; writes the column's SUMM values to `out`.
   void finish(const double* column, std::size_t threads, std::size_t stride,
               double* out) {
-    const std::size_t events = total_.size();
+    const std::size_t events = acc_.total.size();
     if (threads == 0) {
       std::fill_n(out, events * kSummaryFields, 0.0);
       return;
     }
     const auto n = static_cast<double>(threads);
-    for (std::size_t e = 0; e < events; ++e) comp_[e] = total_[e] / n;
-    std::fill(dev_.begin(), dev_.end(), 0.0);
+    for (std::size_t e = 0; e < events; ++e) acc_.comp[e] = acc_.total[e] / n;
+    std::fill(acc_.dev.begin(), acc_.dev.end(), 0.0);
     for (std::size_t t0 = 0; t0 < threads; t0 += kBlock) {
-      const std::size_t rows = std::min(kBlock, threads - t0);
-      const double* block = column + t0 * stride;
-      for (std::size_t e = 0; e < events; ++e) {
-        const double mean = comp_[e];
-        double acc = dev_[e];
-        for (std::size_t k = 0; k < rows; ++k) {
-          const double d = block[k * stride + e] - mean;
-          acc += d * d;
-        }
-        dev_[e] = acc;
-      }
+      deviation_(acc_, column + t0 * stride, std::min(kBlock, threads - t0),
+                 stride);
     }
     for (std::size_t e = 0; e < events; ++e) {
       double* s = out + e * kSummaryFields;
-      s[0] = total_[e];
-      s[1] = std::sqrt(dev_[e] / n);
-      s[2] = min_[e];
-      s[3] = max_[e];
+      s[0] = acc_.total[e];
+      s[1] = std::sqrt(acc_.dev[e] / n);
+      s[2] = acc_.min[e];
+      s[3] = acc_.max[e];
     }
   }
 
  private:
-  std::vector<double> total_;
-  std::vector<double> comp_;  ///< Kahan compensation, then the mean
-  std::vector<double> min_;
-  std::vector<double> max_;
-  std::vector<double> dev_;
+  SummaryAccumulators acc_;
+  void (*add_rows_)(SummaryAccumulators&, const double* const*,
+                    std::size_t) = add_rows_scalar;
+  void (*deviation_)(SummaryAccumulators&, const double*, std::size_t,
+                     std::size_t) = deviation_scalar;
 };
 
 /// One row-wise walk over the trial's columns in COLS order: hands every
@@ -404,6 +515,11 @@ PkbLayout parse_pkb_layout(std::string_view bytes, Verify verify,
     }
 
     const std::uint32_t event_count = sc.read_u32("event count");
+    // Every event takes at least 16 schema bytes, so a count the section
+    // cannot hold reserves no more than the bytes allow.
+    constexpr std::size_t kMinEventBytes = 4 + 8 + 4;
+    trial.reserve_events(std::min<std::size_t>(
+        event_count, (schm_end - sc.pos) / kMinEventBytes));
     for (std::uint32_t e = 0; e < event_count; ++e) {
       std::string name = sc.read_str("event name");
       const auto parent =
@@ -539,13 +655,8 @@ std::shared_ptr<const std::string_view> map_file(
   // Fall through to the buffered path on any failure; it produces the
   // proper IoError/ParseError diagnostics.
 #endif
-  std::ifstream is(file, std::ios::binary);
-  if (!is) {
-    throw IoError("cannot open PKB snapshot: " + file.string());
-  }
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return Image::share(std::make_shared<const Image>(std::move(ss).str()));
+  return Image::share(std::make_shared<const Image>(
+      read_file_bytes(file, "cannot open PKB snapshot")));
 }
 
 std::string format_value(double v) {

@@ -62,6 +62,7 @@ EventId Trial::add_event(std::string name, EventId parent,
 }
 
 void Trial::reserve_events(std::size_t n) {
+  event_index_.reserve(n);
   if (n <= stride_) return;
   own();
   widen_rows(n);

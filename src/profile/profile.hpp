@@ -40,6 +40,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -125,9 +126,9 @@ class Trial {
   /// Adds an event (idempotent per name); returns its id.
   EventId add_event(std::string name, EventId parent = kNoEvent,
                     std::string group = "");
-  /// Sizes every row for `n` events, so a reader that knows its event
-  /// count up front adds them without re-laying-out the columns and
-  /// without the slack of geometric growth.
+  /// Sizes every row and the name index for `n` events, so a reader that
+  /// knows its event count up front adds them without re-laying-out the
+  /// columns or rehashing, and without the slack of geometric growth.
   void reserve_events(std::size_t n);
 
   [[nodiscard]] const Metric& metric(MetricId m) const;
@@ -265,7 +266,18 @@ class Trial {
   std::vector<Metric> metrics_;
   std::vector<Event> events_;
   std::map<std::string, MetricId, std::less<>> metric_index_;
-  std::map<std::string, EventId, std::less<>> event_index_;
+  /// Hashes event names for the string_view lookups of find_event.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  /// Event name -> id. Hashed, not ordered: callpath names share long
+  /// "main => ..." prefixes that every ordered comparison would rescan,
+  /// and nothing iterates the index.
+  std::unordered_map<std::string, EventId, NameHash, std::equal_to<>>
+      event_index_;
   /// Row length of every column: the event capacity.
   std::size_t stride_ = 0;
   /// Owned columns (column_count() of them, each threads * stride_);

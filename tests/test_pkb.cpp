@@ -135,15 +135,14 @@ std::string without_summary(const std::string& bytes) {
   return bytes.substr(0, at) + bytes.substr(at + 16 + len);
 }
 
-/// Bit-for-bit equality, under which a NaN equals a NaN: what a summary
-/// of a series holding NaN cells must give.
-bool same_value(double a, double b) {
-  return std::memcmp(&a, &b, sizeof a) == 0 ||
-         (std::isnan(a) && std::isnan(b));
+/// True when a and b have the same bits, NaN payload and sign included.
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
 /// Every value the written SUMM section holds for `t` (read back through
-/// a parsed image) equals the stats:: reduction over `t`'s series.
+/// a parsed image) equals the stats:: reduction over `t`'s series, bit
+/// for bit.
 void expect_summary_exact(const Trial& t) {
   const Trial back = pk::perfdmf::parse_pkb(pk::perfdmf::to_pkb(t));
   ASSERT_NE(back.borrowed_summary(), nullptr) << t.name();
@@ -163,21 +162,76 @@ void expect_summary_exact(const Trial& t) {
         const std::string where = t.name() + " metric " + std::to_string(m) +
                                   " event " + std::to_string(e) +
                                   (exclusive ? " exclusive" : " inclusive");
-        EXPECT_TRUE(same_value(got.total, want.total)) << where;
-        EXPECT_TRUE(same_value(got.stddev, want.stddev)) << where;
-        EXPECT_TRUE(same_value(got.min, want.min)) << where;
-        EXPECT_TRUE(same_value(got.max, want.max)) << where;
-        EXPECT_TRUE(same_value(exclusive ? back.mean_exclusive(e, m)
-                                         : back.mean_inclusive(e, m),
-                               mean))
+        EXPECT_TRUE(same_bits(got.total, want.total)) << where;
+        EXPECT_TRUE(same_bits(got.stddev, want.stddev)) << where;
+        EXPECT_TRUE(same_bits(got.min, want.min)) << where;
+        EXPECT_TRUE(same_bits(got.max, want.max)) << where;
+        EXPECT_TRUE(same_bits(exclusive ? back.mean_exclusive(e, m)
+                                        : back.mean_inclusive(e, m),
+                              mean))
             << where;
         // The owned trial's cell path gives the same summary.
         const auto cells = t.series_summary(e, m, exclusive);
-        EXPECT_TRUE(same_value(cells.total, want.total)) << where;
-        EXPECT_TRUE(same_value(cells.stddev, want.stddev)) << where;
+        EXPECT_TRUE(same_bits(cells.total, want.total)) << where;
+        EXPECT_TRUE(same_bits(cells.stddev, want.stddev)) << where;
       }
     }
   }
+}
+
+/// A trial whose event e holds special-cell mix (e + shift) % 6 across
+/// nine threads (two full four-row blocks and a one-row block): plain
+/// values over 24 binary orders of magnitude, a NaN, signed zeros only,
+/// a +inf, 1e16/1e-16 mixes that Kahan summation sums differently from
+/// naive summation, and -0.0 first with -inf last.
+Trial lane_trial(std::size_t events, std::size_t shift) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  constexpr std::size_t kThreads = 9;
+  Trial t("lanes " + std::to_string(events) + " shift " +
+          std::to_string(shift));
+  const auto time = t.add_metric("TIME", "usec");
+  const auto cyc = t.add_metric("CYC");
+  for (std::size_t e = 0; e < events; ++e) {
+    t.add_event("ev" + std::to_string(e));
+  }
+  t.set_thread_count(kThreads);
+  std::uint64_t x = 977 + events * 31 + shift;
+  for (pk::profile::EventId e = 0; e < events; ++e) {
+    const std::size_t mix = (e + shift) % 6;
+    for (std::size_t th = 0; th < kThreads; ++th) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      double v = std::ldexp(static_cast<double>(x >> 40),
+                            static_cast<int>(x % 24) - 12);
+      switch (mix) {
+        case 1:
+          if (th == (e + shift) % kThreads) v = nan;
+          break;
+        case 2:
+          v = th % 2 == 0 ? 0.0 : -0.0;
+          break;
+        case 3:
+          if (th == (3 * e + shift) % kThreads) v = inf;
+          break;
+        case 4: {
+          const double mag[3] = {1e16, 1e-16, -1e16};
+          v = mag[(th + e) % 3] * (th % 4 == 3 ? 3.0 : 1.0);
+          break;
+        }
+        case 5:
+          if (th == 0) v = -0.0;
+          if (th == kThreads - 1) v = -inf;
+          break;
+        default:
+          break;
+      }
+      t.set_inclusive(th, e, time, v);
+      t.set_exclusive(th, e, time, -v);
+      t.set_inclusive(th, e, cyc, v * 1e6);
+      t.set_exclusive(th, e, cyc, v * 1e-6);
+    }
+  }
+  return t;
 }
 
 /// Every trial the shipped text corpora parse into.
@@ -451,6 +505,15 @@ TEST(PkbSummary, EqualsTheStatsReductionOverEverySeries) {
     }
   }
   trials.push_back(wide);
+  // Event counts below, at and past the summarizer's four-event vectors
+  // (1, 2, 3: tail only; 5, 7: one vector and a tail; 2001: 500 vectors
+  // and a one-event tail). Over the six shifts, every event position
+  // holds every mix of special cells.
+  for (const std::size_t events : {1u, 2u, 3u, 5u, 7u, 2001u}) {
+    for (std::size_t shift = 0; shift < 6; ++shift) {
+      trials.push_back(lane_trial(events, shift));
+    }
+  }
   for (const Trial& t : trials) expect_summary_exact(t);
 }
 

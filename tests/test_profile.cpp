@@ -210,3 +210,61 @@ TEST(Trial, ReservedEventsAddWithoutSlackOrRelayout) {
   EXPECT_EQ(t.inclusive(2, t.event_id("ev4"), time), 42.0);
   EXPECT_EQ(t.inclusive(1, sixth, time), 0.0);
 }
+
+// Callpath names share long "main => ..." prefixes; the name index must
+// still tell them apart by the whole name, answer string_view lookups
+// without a copy, and keep its add-or-find contract.
+TEST(Trial, EventIndexFindsExactNamesSharingLongPrefixes) {
+  std::string prefix = "main";
+  for (int depth = 0; depth < 12; ++depth) {
+    prefix += " => solver_stage_" + std::to_string(depth);
+  }
+  prefix += " => ";
+  constexpr std::size_t kEvents = 2000;
+  Trial t("callpaths");
+  t.reserve_events(kEvents);
+  const auto root = t.add_event("main");
+  for (std::size_t e = 1; e < kEvents; ++e) {
+    EXPECT_EQ(t.add_event(prefix + "leaf_" + std::to_string(e), root), e);
+  }
+  ASSERT_EQ(t.event_count(), kEvents);
+  for (std::size_t e = 1; e < kEvents; ++e) {
+    const std::string name = prefix + "leaf_" + std::to_string(e);
+    const auto id = t.find_event(std::string_view(name));
+    ASSERT_TRUE(id.has_value()) << name;
+    EXPECT_EQ(*id, e);
+    EXPECT_EQ(t.event(*id).name, name);
+  }
+  // Names that are prefixes of one another are distinct events.
+  EXPECT_EQ(t.find_event(prefix + "leaf_19"), 19u);
+  EXPECT_EQ(t.find_event(prefix + "leaf_199"), 199u);
+  EXPECT_EQ(t.find_event(prefix + "leaf_1999"), 1999u);
+  // Misses: the bare prefix, a name one character short or long of a
+  // stored one, and an id past the last.
+  EXPECT_FALSE(t.find_event(prefix).has_value());
+  EXPECT_FALSE(t.find_event(prefix + "leaf_1999x").has_value());
+  EXPECT_FALSE(t.find_event(prefix + "leaf_").has_value());
+  EXPECT_FALSE(t.find_event(prefix + "leaf_2000").has_value());
+  EXPECT_FALSE(t.find_event(std::string_view{}).has_value());
+  const std::string padded = "  " + prefix + "leaf_7";
+  EXPECT_FALSE(
+      t.find_event(std::string_view(padded).substr(1)).has_value());
+  EXPECT_EQ(t.find_event(std::string_view(padded).substr(2)), 7u);
+  // Re-adding a name returns the earlier id, whatever parent or group
+  // the second call names, and adds nothing.
+  EXPECT_EQ(t.add_event(prefix + "leaf_42", pk::profile::kNoEvent, "LOOP"),
+            42u);
+  EXPECT_EQ(t.add_event("main"), root);
+  EXPECT_EQ(t.event_count(), kEvents);
+  EXPECT_EQ(t.event(42).parent, root);
+  // A name whose add_event threw "bad parent id" was not kept: it stays
+  // unknown and can be added again with a valid parent.
+  const std::string orphan = prefix + "orphan";
+  EXPECT_THROW(t.add_event(orphan, static_cast<pk::profile::EventId>(kEvents)),
+               pk::InvalidArgumentError);
+  EXPECT_FALSE(t.find_event(orphan).has_value());
+  EXPECT_EQ(t.event_count(), kEvents);
+  EXPECT_EQ(t.add_event(orphan, root), kEvents);
+  EXPECT_EQ(t.event_id(orphan), kEvents);
+  EXPECT_EQ(t.event(kEvents).parent, root);
+}
