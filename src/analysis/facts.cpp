@@ -77,29 +77,6 @@ rules::Fact compare_event_to_main(const profile::Trial& trial,
   return scratch.find(id).to_fact();
 }
 
-std::size_t assert_compare_to_main_facts(rules::RuleHarness& harness,
-                                         const profile::Trial& trial,
-                                         const std::string& metric) {
-  const rules::ProvenanceSource src(
-      harness,
-      "assert_compare_to_main_facts(trial='" + trial.name() + "', metric='" +
-          metric + "')",
-      chains_if_full(harness, trial, {metric}));
-  const auto main = trial.main_event();
-  const auto m = trial.metric_id(metric);
-  const double main_value = trial.mean_inclusive(main, m);
-  const RuntimeFraction severity = severity_of(trial);
-  const auto write = mean_event_writer(harness);
-  std::size_t n = 0;
-  for (profile::EventId e = 0; e < trial.event_count(); ++e) {
-    if (e == main) continue;
-    write("Compared to Main", metric, trial.event(e).name, main_value,
-          trial.mean_exclusive(e, m), severity(e));
-    ++n;
-  }
-  return n;
-}
-
 std::size_t assert_compare_to_average_facts(rules::RuleHarness& harness,
                                             const profile::Trial& trial,
                                             const std::string& metric) {

@@ -38,14 +38,10 @@ namespace perfknow::analysis {
                                                 const std::string& metric,
                                                 profile::EventId event);
 
-/// Asserts a MeanEventFact for every event (skipping main itself).
-/// Returns the number of facts asserted.
-std::size_t assert_compare_to_main_facts(rules::RuleHarness& harness,
-                                         const profile::Trial& trial,
-                                         const std::string& metric);
-
-/// Like assert_compare_to_main_facts, but mainValue is the mean of the
-/// per-event mean-exclusive values (factType "Compared to Average").
+/// Asserts a MeanEventFact for every event (skipping main itself) whose
+/// mainValue is the mean of the per-event mean-exclusive values
+/// (factType "Compared to Average"), not main's inclusive value as in
+/// compare_event_to_main.
 /// Right for accumulating metrics like Inefficiency = FLOPs x stall
 /// rate, where main's inclusive value is the sum of everything and no
 /// event could ever compare "higher".

@@ -24,29 +24,48 @@ std::vector<rules::Diagnosis> analyze_trial(rules::RuleHarness& harness,
 std::vector<rules::Diagnosis> run_analysis(
     const perfdmf::Repository& repo, const AnalyzeParams& params,
     const std::filesystem::path& rules_path, rules::RuleHarness& harness) {
-  const auto trial = repo.verified_view(params.application,
-                                        params.experiment, params.trial);
+  return analyze_resolved(*resolve_analysis(repo, params), params,
+                          rules_path, harness);
+}
+
+perfdmf::ConstTrialPtr resolve_analysis(const perfdmf::Repository& repo,
+                                        const AnalyzeParams& params) {
+  return repo.verified_view(params.application, params.experiment,
+                            params.trial);
+}
+
+std::vector<rules::Diagnosis> analyze_resolved(
+    const profile::Trial& trial, const AnalyzeParams& params,
+    const std::filesystem::path& rules_path, rules::RuleHarness& harness) {
   harness.set_provenance(params.provenance);
   rules::builtin::use(harness,
                       rules::resolve_rulebase(params.rulebase, rules_path));
-  return analyze_trial(harness, *trial);
+  return analyze_trial(harness, trial);
 }
 
 DiffOutcome run_diff(const perfdmf::Repository& repo,
                      const DiffParams& params,
                      rules::RuleHarness& harness) {
+  return diff_resolved(resolve_diff(repo, params), params, harness);
+}
+
+DiffTrials resolve_diff(const perfdmf::Repository& repo,
+                        const DiffParams& params) {
   params.options.validate();
   // A diff compares means only, which the snapshots' summaries serve.
-  const auto base =
-      repo.summary_view(params.application, params.experiment, params.base);
-  const auto current = repo.summary_view(params.application,
-                                         params.experiment, params.current);
+  return {
+      repo.summary_view(params.application, params.experiment, params.base),
+      repo.summary_view(params.application, params.experiment,
+                        params.current)};
+}
 
+DiffOutcome diff_resolved(const DiffTrials& trials, const DiffParams& params,
+                          rules::RuleHarness& harness) {
   harness.set_provenance(provenance::ProvenanceMode::kFull);
   rules::builtin::use(harness, rules::builtin::regression());
   DiffOutcome outcome;
-  outcome.summary =
-      assert_diff_facts(harness, *base, *current, params.options);
+  outcome.summary = assert_diff_facts(harness, *trials.base, *trials.current,
+                                      params.options);
   harness.process_rules();
   outcome.diagnoses = harness.diagnoses();
   for (const auto& d : outcome.diagnoses) {

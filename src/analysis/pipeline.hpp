@@ -14,6 +14,12 @@
 // Repository::verified_view; run_diff compares means only, so it reads
 // through Repository::summary_view and never touches the value columns
 // of a snapshot that carries a summary.
+//
+// Each pipeline is two steps: resolve (and pin) the trials it reads,
+// then analyze the pinned trials. Only the first reads the repository;
+// a pinned trial keeps its snapshot mapped even if its entry is
+// replaced or evicted, so a caller sharing the repository between
+// threads (the daemon) holds its lock for the first step only.
 #pragma once
 
 #include <filesystem>
@@ -56,11 +62,20 @@ struct DiffParams {
 std::vector<rules::Diagnosis> analyze_trial(rules::RuleHarness& harness,
                                             const profile::Trial& trial);
 
-/// Runs the pkx-explain pipeline into `harness`: resolve the rulebase,
-/// then analyze_trial on the verified view of the named trial. Returns
-/// the fired diagnoses.
+/// Runs the pkx-explain pipeline into `harness`: resolve_analysis, then
+/// analyze_resolved. Returns the fired diagnoses.
 [[nodiscard]] std::vector<rules::Diagnosis> run_analysis(
     const perfdmf::Repository& repo, const AnalyzeParams& params,
+    const std::filesystem::path& rules_path, rules::RuleHarness& harness);
+
+/// run_analysis's repository step: the verified view of the named trial.
+[[nodiscard]] perfdmf::ConstTrialPtr resolve_analysis(
+    const perfdmf::Repository& repo, const AnalyzeParams& params);
+
+/// run_analysis's compute step over the resolved trial: resolve the
+/// rulebase, then analyze_trial.
+[[nodiscard]] std::vector<rules::Diagnosis> analyze_resolved(
+    const profile::Trial& trial, const AnalyzeParams& params,
     const std::filesystem::path& rules_path, rules::RuleHarness& harness);
 
 /// One diff outcome: the asserted summary, the fired diagnoses, and the
@@ -72,10 +87,26 @@ struct DiffOutcome {
 };
 
 /// Runs the pkx-diff pipeline (rules/regression.rules over
-/// assert_diff_facts) into `harness`. DiffOptions are validated first.
+/// assert_diff_facts) into `harness`: resolve_diff, then diff_resolved.
 [[nodiscard]] DiffOutcome run_diff(const perfdmf::Repository& repo,
                                    const DiffParams& params,
                                    rules::RuleHarness& harness);
+
+/// The two trials a diff compares.
+struct DiffTrials {
+  perfdmf::ConstTrialPtr base;
+  perfdmf::ConstTrialPtr current;
+};
+
+/// run_diff's repository step: validates the DiffOptions, then the
+/// summary views of base and current.
+[[nodiscard]] DiffTrials resolve_diff(const perfdmf::Repository& repo,
+                                      const DiffParams& params);
+
+/// run_diff's compute step over the resolved trials.
+[[nodiscard]] DiffOutcome diff_resolved(const DiffTrials& trials,
+                                        const DiffParams& params,
+                                        rules::RuleHarness& harness);
 
 /// Runs rules/self_diagnosis.rules over a telemetry trial built from
 /// the current process-wide snapshot. Returns the fired diagnoses.

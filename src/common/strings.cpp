@@ -1,6 +1,5 @@
 #include "common/strings.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
@@ -57,29 +56,8 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }
 
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 bool contains(std::string_view s, std::string_view needle) {
   return s.find(needle) != std::string_view::npos;
-}
-
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
-
-std::string to_upper(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::toupper(c));
-  });
-  return out;
 }
 
 std::string join(const std::vector<std::string>& parts,

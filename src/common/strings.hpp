@@ -30,11 +30,7 @@ bool next_line(std::string_view text, std::size_t& pos,
 [[nodiscard]] std::string_view trim(std::string_view s);
 
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
-[[nodiscard]] bool ends_with(std::string_view s, std::string_view suffix);
 [[nodiscard]] bool contains(std::string_view s, std::string_view needle);
-
-[[nodiscard]] std::string to_lower(std::string_view s);
-[[nodiscard]] std::string to_upper(std::string_view s);
 
 /// Joins elements with the given separator.
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,

@@ -37,11 +37,30 @@ FuzzTarget target(Frontend fe) {
       };
     case Frontend::kWire:
       return [](const std::string& in) {
+        namespace wire = server::wire;
+        // No fuzz input is longer than the Mutator's 1 MiB cap.
+        constexpr std::uint64_t kBodyCap = std::uint64_t{1} << 20;
         try {
-          const auto req = server::wire::parse_request(in);
-          const json::Value* body = req.params.find("body");
-          if (body != nullptr && body->kind == json::Value::Kind::kString) {
-            (void)server::wire::base64_decode(body->text);
+          std::string_view rest = in;
+          while (!rest.empty()) {
+            const std::size_t nl = rest.find('\n');
+            const std::string_view line = rest.substr(0, nl);
+            rest.remove_prefix(nl == std::string_view::npos ? rest.size()
+                                                            : nl + 1);
+            if (line.empty()) continue;
+            const auto req = wire::parse_request(line);
+            if (const auto n = wire::body_length(req, kBodyCap)) {
+              if (rest.size() < *n) {
+                throw wire::WireError(
+                    wire::ErrorCode::kBadRequest,
+                    wire::short_body_message(*n, rest.size()));
+              }
+              rest.remove_prefix(static_cast<std::size_t>(*n));
+            } else if (const json::Value* body = req.params.find("body");
+                       body != nullptr &&
+                       body->kind == json::Value::Kind::kString) {
+              (void)wire::base64_decode(body->text);
+            }
           }
         } catch (const server::wire::WireError& e) {
           throw ParseError(std::string("wire: ") + e.what());
@@ -118,6 +137,7 @@ const std::vector<std::string>& dictionary(Frontend fe) {
       "\"params\":", "\"upload\"", "\"analyze\"", "\"ping\"",
       "\"body\":", "\"application\":", "\"experiment\":", "null",
       "\"QUJD\"", "==", "=", "\\n", "+/", "\\u0041",
+      "\"body_bytes\":", "\n", "-1", "1.5", "1048577",
   };
   // Index rows: the separators, path shapes the loader must reject, and
   // the names save() writes.

@@ -17,9 +17,11 @@ namespace perfknow::fuzz {
 ///   perfscript  script::parse_program (tokenize + parse)
 ///   pkb         perfdmf::parse_pkb (binary snapshot)
 ///   explain     provenance::explanations_from_json
-///   wire        server::wire::parse_request on one request line, then
-///               base64_decode of its params.body; a WireError is the
-///               rejection, rethrown as ParseError
+///   wire        server::wire::parse_request on each request line, then
+///               for a framed one (params.body_bytes) body_length and
+///               the N raw bytes after the line, else base64_decode of
+///               its params.body; a WireError is the rejection,
+///               rethrown as ParseError
 ///   index       perfdmf::parse_index, then perfdmf::parse_lineage, on
 ///               the same bytes
 [[nodiscard]] FuzzTarget target(Frontend fe);

@@ -353,8 +353,12 @@ void Repository::commit(const std::string& application,
     throw IoError("cannot create directory " +
                   file.parent_path().string() + ": " + ec.message());
   }
-  detail::write_durably(
-      {{file, [&](std::ostream& os) { write_pkb(*trial, os); }}});
+  {
+    static const telemetry::SpanSite site("perfdmf.commit.snapshot");
+    telemetry::ScopedSpan span(site);
+    detail::write_durably(
+        {{file, [&](std::ostream& os) { write_pkb(*trial, os); }}});
+  }
 
   // 3. The entry is built whole before it is inserted: it is backed by
   //    the file just written, so it is charged and evictable like any
@@ -369,7 +373,12 @@ void Repository::commit(const std::string& application,
   std::uint64_t mine = 0;
   {
     Dropped dropped;
-    const std::unique_lock write(guard);
+    std::unique_lock write(guard, std::defer_lock);
+    {
+      static const telemetry::SpanSite site("perfdmf.commit.lock_wait");
+      telemetry::ScopedSpan span(site);
+      write.lock();
+    }
     Entry& e = *entry;
     insert_entry(application, experiment, name, std::move(entry));
     if (version) link_version(application, experiment, name, pred);
@@ -386,6 +395,8 @@ void Repository::commit(const std::string& application,
   //    that finish together share one write (a group commit): every
   //    entry the rendered text names was inserted after its snapshot was
   //    durable.
+  static const telemetry::SpanSite index_site("perfdmf.commit.index");
+  telemetry::ScopedSpan span(index_site);
   const std::lock_guard order(cache_->index_mutex);
   if (cache_->indexed >= mine) return;
   std::string index;
@@ -904,6 +915,9 @@ void Repository::save(const std::filesystem::path& dir) const {
 
   // The index and lineage go out last, each through a temp file, so the
   // old pair stays in place until every snapshot it will name exists.
+  // Lineage is renamed first and the index last, as in commit(): the
+  // index rename is the commit point, and lineage links naming trials
+  // the index lacks are dropped when the directory is opened.
   std::string index;
   for (const Row& row : rows) {
     append_row(index, row.app, row.exp, row.name, row.rel);
@@ -913,24 +927,23 @@ void Repository::save(const std::filesystem::path& dir) const {
   const std::filesystem::path lineage_file = dir / "lineage.tsv";
   const std::filesystem::path index_tmp = write_temp(index_file, index);
   std::filesystem::path lineage_tmp;
-  if (!lineage.empty()) {
-    try {
-      lineage_tmp = write_temp(lineage_file, lineage);
-    } catch (...) {
+  try {
+    if (lineage.empty()) {
+      // Saving a lineage-free repository over an old directory must not
+      // leave a stale chain behind.
       std::error_code ec;
-      std::filesystem::remove(index_tmp, ec);
-      throw;
+      std::filesystem::remove(lineage_file, ec);
+    } else {
+      lineage_tmp = write_temp(lineage_file, lineage);
+      rename_into_place(lineage_tmp, lineage_file);
     }
+  } catch (...) {
+    std::error_code ec;
+    std::filesystem::remove(index_tmp, ec);
+    if (!lineage_tmp.empty()) std::filesystem::remove(lineage_tmp, ec);
+    throw;
   }
   rename_into_place(index_tmp, index_file);
-  if (lineage_tmp.empty()) {
-    // Saving a lineage-free repository over an old directory must not
-    // leave a stale chain behind.
-    std::error_code ec;
-    std::filesystem::remove(lineage_file, ec);
-  } else {
-    rename_into_place(lineage_tmp, lineage_file);
-  }
 }
 
 void Repository::save_entry(Entry& entry,

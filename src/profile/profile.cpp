@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace perfknow::profile {
 
@@ -164,6 +165,11 @@ EventId Trial::main_event() const {
   if (const auto id = find_event("main")) return *id;
   if (const auto id = find_event(".TAU application")) return *id;
   if (metrics_.empty() || num_threads_ == 0) return 0;
+  // Counted so tests can check that callers pay for this scan once per
+  // trial, not once per event.
+  static telemetry::Counter& scanned =
+      telemetry::counter("profile.main_event.scanned");
+  scanned.add(events_.size());
   EventId best = 0;
   double best_val = -1.0;
   for (EventId e = 0; e < events_.size(); ++e) {

@@ -27,13 +27,6 @@ double ParallelForResult::imbalance() const {
   return stats::coefficient_of_variation(xs);
 }
 
-double ParallelForResult::max_over_mean() const {
-  if (work_cycles.empty()) return 1.0;
-  std::vector<double> xs(work_cycles.begin(), work_cycles.end());
-  const double m = stats::mean(xs);
-  return m == 0.0 ? 1.0 : stats::max(xs) / m;
-}
-
 OmpTeam::OmpTeam(machine::Machine& m, unsigned num_threads, OmpCosts costs)
     : machine_(m), num_threads_(num_threads), costs_(costs) {
   if (num_threads == 0) {

@@ -64,8 +64,6 @@ struct ParallelForResult {
   /// Load-imbalance indicator: coefficient of variation of per-thread
   /// work cycles (the paper's stddev/mean ratio).
   [[nodiscard]] double imbalance() const;
-  /// max(work) / mean(work) — 1.0 means perfectly balanced.
-  [[nodiscard]] double max_over_mean() const;
 };
 
 /// A simulated OpenMP thread team. Thread t runs on CPU t of the machine

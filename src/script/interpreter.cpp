@@ -31,10 +31,6 @@ Value Interpreter::global(const std::string& name) const {
   return it->second;
 }
 
-bool Interpreter::has_global(const std::string& name) const {
-  return globals_.vars.count(name) != 0;
-}
-
 void Interpreter::register_method(const std::string& type,
                                   const std::string& name,
                                   HostMethod method) {

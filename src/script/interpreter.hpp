@@ -30,7 +30,6 @@ class Interpreter {
   // ---- host surface ------------------------------------------------------
   void set_global(const std::string& name, Value v);
   [[nodiscard]] Value global(const std::string& name) const;
-  [[nodiscard]] bool has_global(const std::string& name) const;
 
   /// Registers a method callable as `obj.name(...)` on host objects whose
   /// type tag equals `type`.

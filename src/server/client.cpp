@@ -43,22 +43,26 @@ Client::~Client() {
 }
 
 void Client::send_line(const std::string& line) {
-  // The line and its terminator go out separately: an upload line is
-  // megabytes, not worth copying to append one byte.
-  for (const std::string_view part : {std::string_view(line),
-                                      std::string_view("\n")}) {
-    std::size_t sent = 0;
-    while (sent < part.size()) {
-      const ssize_t n = ::send(fd_, part.data() + sent, part.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        throw IoError("Client: connection lost while sending");
-      }
-      sent += static_cast<std::size_t>(n);
+  // The line and its terminator go out separately: a base64 upload line
+  // is megabytes, not worth copying to append one byte.
+  send_bytes(line);
+  send_bytes("\n");
+}
+
+void Client::send_bytes(std::string_view bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      throw IoError("Client: connection lost while sending");
     }
+    sent += static_cast<std::size_t>(n);
   }
 }
+
+void Client::shutdown_send() { ::shutdown(fd_, SHUT_WR); }
 
 std::string Client::read_line() {
   constexpr std::size_t kChunk = 64 << 10;
@@ -170,9 +174,11 @@ Client::Response Client::upload_file(const std::string& application,
   if (!predecessor.empty()) {
     params += ",\"predecessor\":" + json::quote(predecessor);
   }
-  // The base64 alphabet needs no JSON escaping.
-  params += ",\"body\":\"" + wire::base64_encode(body) + "\"}";
-  return call("upload", params);
+  // The file's bytes follow the request line as they are.
+  params += ",\"body_bytes\":" + std::to_string(body.size()) + "}";
+  const std::string id = send("upload", params);
+  send_bytes(body);
+  return collect(id);
 }
 
 }  // namespace perfknow::server

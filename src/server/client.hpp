@@ -11,14 +11,15 @@
 //   if (!r.ok()) exit(wire::exit_code(r.error));
 //
 // call() assigns ids and collects the response stream for that id up to
-// its terminal line. Raw send_line()/read_line() stay public for tests
-// that pipeline many requests before reading anything (the saturation
-// and concurrency tests).
+// its terminal line. Raw send_line()/send_bytes()/read_line() stay
+// public for tests that pipeline many requests before reading anything
+// (the saturation and concurrency tests) or frame bodies by hand.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "server/wire.hpp"
@@ -64,9 +65,11 @@ class Client {
   /// Blocks until the terminal line for `id` (parked lines included).
   Response collect(const std::string& id);
 
-  /// Base64-encodes `file` and uploads it into application/experiment.
-  /// Non-empty `version` stores it as the next history version
-  /// (put_version semantics, with optional explicit predecessor).
+  /// Uploads `file` into application/experiment as a framed body: the
+  /// request line carries "body_bytes" and the file's bytes follow it
+  /// unencoded. Non-empty `version` stores it as the next history
+  /// version (put_version semantics, with optional explicit
+  /// predecessor).
   Response upload_file(const std::string& application,
                        const std::string& experiment,
                        const std::filesystem::path& file,
@@ -75,6 +78,11 @@ class Client {
 
   // ---- raw framing (pipelining tests) ----------------------------------
   void send_line(const std::string& line);
+  /// Sends bytes as they are, with no terminator (a framed body).
+  void send_bytes(std::string_view bytes);
+  /// Half-closes the connection: the server sees end of input, and
+  /// responses can still be read.
+  void shutdown_send();
   /// Next line from the socket (parked lines are NOT consulted); throws
   /// IoError on EOF.
   std::string read_line();

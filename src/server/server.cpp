@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -159,9 +160,10 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {
     throw IoError("pkx serve: listen(): " + why);
   }
 
-  // The longest legitimate line is an upload envelope: base64 expands
-  // the byte budget 4/3, plus slack for the JSON framing. Anything
-  // longer is a flood that admission control would never accept.
+  // The longest legitimate line is a base64 upload envelope: base64
+  // expands the byte budget 4/3, plus slack for the JSON framing.
+  // Anything longer is a flood that admission control would never
+  // accept; a framed body announcing more is refused the same way.
   max_line_bytes_ =
       options_.client_byte_budget / 3 * 4 + (std::size_t{64} << 10);
 
@@ -327,10 +329,10 @@ void Server::reap_readers() {
 }
 
 void Server::reader_loop(ConnectionPtr conn) {
-  constexpr std::size_t kChunk = 64 << 10;
   wire::LineBuffer buffer;
   bool overflow = false;
-  while (!stopping_.load() && !overflow) {
+  bool closing = false;
+  while (!stopping_.load() && !overflow && !closing) {
     const ssize_t n = ::recv(conn->fd, buffer.prepare(kChunk), kChunk, 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
@@ -338,7 +340,7 @@ void Server::reader_loop(ConnectionPtr conn) {
     }
     buffer.commit(static_cast<std::size_t>(n));
     std::string_view line;
-    while (!overflow && buffer.next_line(line)) {
+    while (!overflow && !closing && buffer.next_line(line)) {
       if (line.empty()) continue;
       if (line.size() > max_line_bytes_) {
         overflow = true;
@@ -348,11 +350,32 @@ void Server::reader_loop(ConnectionPtr conn) {
       static telemetry::Counter& requests =
           telemetry::counter("server.requests");
       requests.add();
+      wire::Request req;
       try {
-        dispatch(conn, wire::parse_request(line));
+        req = wire::parse_request(line);
       } catch (const wire::WireError& e) {
         send_error(*conn, "", e.code(), e.what());
+        continue;
       }
+      std::optional<std::uint64_t> body;
+      try {
+        body = wire::body_length(req, max_line_bytes_);
+      } catch (const wire::WireError& e) {
+        // Where the next request starts is unknown: stop reading.
+        static telemetry::Counter& unframed =
+            telemetry::counter("server.rejected.bad_frame");
+        unframed.add();
+        send_error(*conn, req.id, e.code(),
+                   std::string(e.what()) + "; closing connection");
+        closing = true;
+        break;
+      }
+      if (body) {
+        const BodyRead got = read_body(*conn, buffer, req, *body);
+        if (got == BodyRead::kCut) closing = true;
+        if (got != BodyRead::kRead) continue;
+      }
+      dispatch(conn, std::move(req));
     }
     // All admission limits act on parsed lines; without this cap a
     // client could stream unbounded bytes with no newline and run the
@@ -392,6 +415,56 @@ void Server::reader_loop(ConnectionPtr conn) {
   }
 }
 
+Server::BodyRead Server::read_body(Connection& conn,
+                                   wire::LineBuffer& buffer,
+                                   wire::Request& req, std::uint64_t n) {
+  static const telemetry::SpanSite site("server.upload.body");
+  telemetry::ScopedSpan span(site);
+  // Over budget, the bytes are drained through one chunk instead of
+  // kept, so the next request line is still found.
+  const bool admitted = charge_upload(conn, req.id, n);
+  std::string drain;
+  if (admitted) {
+    req.body.resize(n);
+  } else {
+    drain.resize(static_cast<std::size_t>(std::min<std::uint64_t>(n, kChunk)));
+  }
+  const std::string_view held = buffer.take(n);
+  if (admitted) std::memcpy(req.body.data(), held.data(), held.size());
+  std::uint64_t got = held.size();
+  while (got < n) {
+    char* const into = admitted ? req.body.data() + got : drain.data();
+    const std::size_t room = static_cast<std::size_t>(
+        admitted ? n - got : std::min<std::uint64_t>(n - got, drain.size()));
+    const ssize_t r = ::recv(conn.fd, into, room, 0);
+    if (r <= 0) {
+      if (r < 0 && errno == EINTR) continue;
+      send_error(conn, req.id, wire::ErrorCode::kBadRequest,
+                 wire::short_body_message(n, got));
+      return BodyRead::kCut;
+    }
+    got += static_cast<std::uint64_t>(r);
+  }
+  return admitted ? BodyRead::kRead : BodyRead::kRejected;
+}
+
+bool Server::charge_upload(Connection& conn, const std::string& id,
+                           std::uint64_t bytes) {
+  const std::uint64_t already =
+      conn.uploaded_bytes.fetch_add(bytes, std::memory_order_relaxed);
+  if (already + bytes <= options_.client_byte_budget) return true;
+  conn.uploaded_bytes.fetch_sub(bytes, std::memory_order_relaxed);
+  rejected_budget_.fetch_add(1, std::memory_order_relaxed);
+  static telemetry::Counter& rejected =
+      telemetry::counter("server.rejected.budget");
+  rejected.add();
+  send_error(conn, id, wire::ErrorCode::kBudgetExceeded,
+             "upload budget of " +
+                 std::to_string(options_.client_byte_budget) +
+                 " bytes exhausted for this connection");
+  return false;
+}
+
 void Server::send_line(Connection& conn, const std::string& line) {
   std::lock_guard<std::mutex> lock(conn.write_mutex);
   if (conn.fd < 0) return;
@@ -417,6 +490,12 @@ void Server::send_error(Connection& conn, const std::string& id,
 // ---- admission ---------------------------------------------------------
 
 void Server::dispatch(const ConnectionPtr& conn, wire::Request req) {
+  const bool framed = req.params.find("body_bytes") != nullptr;
+  if (framed && req.method != "upload") {
+    send_error(*conn, req.id, wire::ErrorCode::kBadRequest,
+               "method '" + req.method + "' takes no framed body");
+    return;
+  }
   if (req.method == "ping") {
     send_line(*conn, wire::result_line(req.id, "{\"pong\":true}"));
     return;
@@ -443,29 +522,20 @@ void Server::dispatch(const ConnectionPtr& conn, wire::Request req) {
                "server is shutting down");
     return;
   }
+  // An upload is charged at admission so a client cannot queue itself
+  // past its budget; the worker never uncharges. Only admission itself
+  // may refund: an upload turned away at the queue (below) stored
+  // nothing, so it must not consume budget.
   std::uint64_t upload_charge = 0;
-  if (req.method == "upload") {
-    // Charge the (estimated) decoded size at admission so a client
-    // cannot queue itself past its budget; the worker never uncharges.
-    // Only admission itself may refund: an upload turned away at the
-    // queue (below) stored nothing, so it must not consume budget.
-    const std::string body = optional_string(req.params, "body");
-    const std::uint64_t decoded = body.size() / 4 * 3;
-    const std::uint64_t already =
-        conn->uploaded_bytes.fetch_add(decoded, std::memory_order_relaxed);
-    if (already + decoded > options_.client_byte_budget) {
-      conn->uploaded_bytes.fetch_sub(decoded, std::memory_order_relaxed);
-      rejected_budget_.fetch_add(1, std::memory_order_relaxed);
-      static telemetry::Counter& rejected =
-          telemetry::counter("server.rejected.budget");
-      rejected.add();
-      send_error(*conn, req.id, wire::ErrorCode::kBudgetExceeded,
-                 "upload budget of " +
-                     std::to_string(options_.client_byte_budget) +
-                     " bytes exhausted for this connection");
-      return;
-    }
-    upload_charge = decoded;
+  if (framed) {
+    upload_charge = req.body.size();  // charged exactly by read_body
+  } else if (req.method == "upload") {
+    // The base64 form is charged its estimated decoded size.
+    const json::Value* body = req.params.find("body");
+    upload_charge = body != nullptr && body->kind == json::Value::Kind::kString
+                        ? body->text.size() / 4 * 3
+                        : 0;
+    if (!charge_upload(*conn, req.id, upload_charge)) return;
   }
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -643,20 +713,31 @@ void Server::do_upload(const ConnectionPtr& conn, wire::Request& req) {
       required_string(req.params, "application", "upload");
   const std::string experiment =
       required_string(req.params, "experiment", "upload");
-  (void)required_string(req.params, "body", "upload");
-  // The base64 text is freed as soon as it is decoded, before the parse
-  // allocates the trial the repository keeps.
-  std::string bytes = wire::base64_decode(
-      std::exchange(req.params.find("body")->text, std::string()));
+  std::string bytes;
+  if (req.params.find("body_bytes") != nullptr) {
+    bytes = std::move(req.body);
+  } else {
+    (void)required_string(req.params, "body", "upload");
+    // The base64 text is freed as soon as it is decoded, before the
+    // parse allocates the trial the repository keeps.
+    static const telemetry::SpanSite decode_site("server.upload.body");
+    telemetry::ScopedSpan decode(decode_site);
+    bytes = wire::base64_decode(
+        std::exchange(req.params.find("body")->text, std::string()));
+  }
   const std::size_t byte_count = bytes.size();
 
-  // The decoded body is parsed in memory, by the same front door that
-  // opens files. Formats that carry no trial name (CSV, a TAU profile)
-  // get "upload-<n>" unless the request names the trial.
+  // The body is parsed in memory, by the same front door that opens
+  // files. Formats that carry no trial name (CSV, a TAU profile) get
+  // "upload-<n>" unless the request names the trial.
   static std::atomic<std::uint64_t> upload_seq{0};
-  profile::Trial trial = io::parse_trial(
-      std::move(bytes), optional_string(req.params, "format"),
-      "upload-" + std::to_string(upload_seq.fetch_add(1)));
+  profile::Trial trial = [&] {
+    static const telemetry::SpanSite site("server.upload.parse");
+    telemetry::ScopedSpan span(site);
+    return io::parse_trial(
+        std::move(bytes), optional_string(req.params, "format"),
+        "upload-" + std::to_string(upload_seq.fetch_add(1)));
+  }();
 
   const std::string version = optional_string(req.params, "version");
   const std::string name = optional_string(req.params, "trial");
@@ -707,12 +788,18 @@ void Server::do_analyze(const ConnectionPtr& conn, const wire::Request& req,
                           ? provenance::ProvenanceMode::kFull
                           : provenance_mode(req.params, req.method);
 
-  rules::RuleHarness harness;
-  std::vector<rules::Diagnosis> diagnoses;
+  // The repository lock covers only resolving and pinning the trial:
+  // the pinned view keeps its snapshot mapped even if the entry is
+  // replaced or evicted meanwhile, so facts and rules run unlocked and
+  // a commit's exclusive section never waits behind them.
+  perfdmf::ConstTrialPtr trial;
   {
     std::shared_lock<std::shared_mutex> lock(repo_mutex_);
-    diagnoses = run_analysis(repo_, params, options_.rules_path, harness);
+    trial = analysis::resolve_analysis(repo_, params);
   }
+  rules::RuleHarness harness;
+  const std::vector<rules::Diagnosis> diagnoses = analysis::analyze_resolved(
+      *trial, params, options_.rules_path, harness);
   std::size_t explanations = 0;
   for (const auto& d : diagnoses) {
     if (!explanations_only) {
@@ -758,12 +845,14 @@ void Server::do_diff(const ConnectionPtr& conn, const wire::Request& req) {
     }
   }
 
-  rules::RuleHarness harness;
-  DiffOutcome outcome;
+  // Pinned under the lock, compared without it, as in do_analyze.
+  analysis::DiffTrials trials;
   {
     std::shared_lock<std::shared_mutex> lock(repo_mutex_);
-    outcome = run_diff(repo_, params, harness);
+    trials = analysis::resolve_diff(repo_, params);
   }
+  rules::RuleHarness harness;
+  const DiffOutcome outcome = analysis::diff_resolved(trials, params, harness);
   for (const auto& d : outcome.diagnoses) {
     send_line(*conn, wire::diagnosis_line(req.id, d));
     if (d.provenance) {

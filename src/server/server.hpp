@@ -2,10 +2,11 @@
 //
 // A Server binds a local AF_UNIX socket and speaks the perfknow.api/1
 // line protocol (wire.hpp): multiple clients connect concurrently,
-// upload trials (any io::open_trial format, base64-encoded in the
-// envelope) into one shared repository, and drive analyze / diff /
-// explain / selfdiagnose requests whose diagnoses and
-// perfknow.explanation/1 proof trees stream back incrementally.
+// upload trials (any io::open_trial format, as raw bytes framed after
+// the request line, or base64-encoded in it) into one shared
+// repository, and drive analyze / diff / explain / selfdiagnose
+// requests whose diagnoses and perfknow.explanation/1 proof trees
+// stream back incrementally.
 //
 // Concurrency model:
 //   * one accept thread, one reader thread per connection, a fixed pool
@@ -20,15 +21,21 @@
 //     (current totals plus per-interval deltas), each charged against
 //     the connection's byte budget, until the requested count, peer
 //     disconnect, budget exhaustion, or shutdown ends the stream;
+//   * a framed upload's body is read by the connection's reader straight
+//     into the request (the bytes that arrived with the line first, then
+//     recv into the sized body), after its length has been checked
+//     against the line cap and the connection's byte budget;
 //   * the shared repository is guarded by a readers/writer lock —
-//     analyses share it, and an upload takes it exclusively only to
-//     insert its entry, because that mutates the store map without an
+//     analyses hold it shared only while they resolve and pin their
+//     trials, then compute unlocked; an upload takes it exclusively only
+//     to insert its entry, because that mutates the store map without an
 //     internal lock. With a repository_dir, Repository::commit writes
 //     the upload's snapshot and index durably outside that section and
 //     the result line is sent only after both are on disk;
 //   * admission control: a request beyond the queue limit (global or
 //     per-client) is rejected immediately with "overloaded", and a
-//     client that uploads past its byte budget gets "budget_exceeded".
+//     client that uploads past its byte budget gets "budget_exceeded"
+//     (a framed body is then drained, so the connection stays usable).
 //     Rejections are telemetry counters, so the server diagnoses its
 //     own saturation through rules/self_diagnosis.rules
 //     (ServerQueueSaturated / ServerClientOverBudget) via the
@@ -101,8 +108,9 @@ struct ServerOptions {
   /// Per-connection bound on in-flight (queued or executing) jobs.
   std::size_t client_queue_limit = 16;
 
-  /// Per-connection upload budget in decoded bytes; uploads beyond it
-  /// are rejected with "budget_exceeded".
+  /// Per-connection upload budget in body bytes (a framed body's exact
+  /// size, a base64 body's decoded size); uploads beyond it are rejected
+  /// with "budget_exceeded".
   std::size_t client_byte_budget = std::size_t{64} * 1024 * 1024;
 
   /// Demand-load cache budget for an attached repository_dir.
@@ -186,9 +194,25 @@ class Server {
     std::uint64_t enqueued_ns = 0;
   };
 
+  /// recv() size of the connection readers.
+  static constexpr std::size_t kChunk = 64 << 10;
+
   void accept_loop();
   void reader_loop(ConnectionPtr conn);
   void worker_loop();
+
+  enum class BodyRead { kRead, kRejected, kCut };
+  /// Reads the `n` raw bytes following a framed request line into
+  /// req.body, first those `buffer` already holds. Over the byte budget
+  /// it answers budget_exceeded and drains them instead (kRejected); a
+  /// peer that closes first gets a bad_request naming both counts
+  /// (kCut).
+  BodyRead read_body(Connection& conn, wire::LineBuffer& buffer,
+                     wire::Request& req, std::uint64_t n);
+  /// Charges an upload's bytes to the connection's budget; over budget
+  /// it answers budget_exceeded and returns false.
+  bool charge_upload(Connection& conn, const std::string& id,
+                     std::uint64_t bytes);
 
   /// Joins reader threads parked in zombie_readers_ (called by the
   /// accept loop between accepts, and by stop()).
@@ -240,9 +264,10 @@ class Server {
   std::vector<std::thread> zombie_readers_;
 
   /// Hard cap on one request line, derived from client_byte_budget
-  /// (base64 expansion plus envelope slack). A connection that streams
-  /// past it without a newline gets bad_request and is closed, so an
-  /// unframed flood cannot bypass admission control.
+  /// (base64 expansion plus envelope slack), and on one framed body. A
+  /// connection that streams past it without a newline, or announces a
+  /// larger body, gets bad_request and is closed, so a flood cannot
+  /// bypass admission control.
   std::size_t max_line_bytes_ = 0;
 
   std::thread accept_thread_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <utility>
@@ -103,6 +104,14 @@ bool LineBuffer::next_line(std::string_view& line) {
   return true;
 }
 
+std::string_view LineBuffer::take(std::size_t n) {
+  n = std::min(n, pending());
+  const std::string_view bytes(buf_.data() + start_, n);
+  start_ += n;
+  scanned_ = std::max(scanned_, start_);
+  return bytes;
+}
+
 Request parse_request(std::string_view line) {
   json::Value doc;
   try {
@@ -154,6 +163,38 @@ Request parse_request(std::string_view line) {
     req.params = std::move(*params);
   }
   return req;
+}
+
+std::optional<std::uint64_t> body_length(const Request& req,
+                                         std::uint64_t cap) {
+  const json::Value* n = req.params.find("body_bytes");
+  if (n == nullptr) return std::nullopt;
+  // Integers up to 2^53 are exact in a double; a cap is far below that.
+  if (n->kind != json::Value::Kind::kNumber || !(n->number >= 0.0) ||
+      n->number > 9007199254740992.0 || n->number != std::floor(n->number)) {
+    throw WireError(ErrorCode::kBadRequest,
+                    "request params.body_bytes must be a non-negative "
+                    "integer byte count");
+  }
+  const auto bytes = static_cast<std::uint64_t>(n->number);
+  if (bytes > cap) {
+    throw WireError(ErrorCode::kBadRequest,
+                    "request params.body_bytes of " + std::to_string(bytes) +
+                        " exceeds the " + std::to_string(cap) +
+                        "-byte cap");
+  }
+  if (req.params.find("body") != nullptr) {
+    throw WireError(ErrorCode::kBadRequest,
+                    "request carries both params.body and params.body_bytes");
+  }
+  return bytes;
+}
+
+std::string short_body_message(std::uint64_t expected,
+                               std::uint64_t received) {
+  return "framed body: expected " + std::to_string(expected) +
+         " bytes, received " + std::to_string(received) +
+         " before the connection closed";
 }
 
 std::string event_line(const std::string& id, std::string_view event,

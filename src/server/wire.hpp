@@ -8,6 +8,9 @@
 //
 //   request:  {"api":"perfknow.api/1","id":"7","method":"analyze",
 //              "params":{...}}
+//   framed:   {"api":"perfknow.api/1","id":"8","method":"upload",
+//              "params":{...,"body_bytes":N}}
+//             <exactly N raw bytes>               (no terminator)
 //   response: {"api":"perfknow.api/1","id":"7","event":"diagnosis",
 //              "data":{...}}                      (zero or more)
 //             {"api":"perfknow.api/1","id":"7","event":"explanation",
@@ -24,6 +27,13 @@
 // Responses to different in-flight requests of one connection may
 // interleave; the id is the correlator.
 //
+// A request whose params carry "body_bytes" is followed by that many raw
+// bytes (an upload's trial file, as it is on disk) and the next request
+// line starts right after them. body_length() validates N; a line whose
+// N is malformed or over the cap leaves the stream unframeable, so the
+// daemon answers bad_request and closes the connection. The older
+// base64 "body" param inside the line is still accepted.
+//
 // The error taxonomy mirrors the pk::Error hierarchy plus the
 // server-side admission verdicts, and maps onto the pkx exit-code
 // contract (invalid_argument -> 2, everything else -> 1) so driving an
@@ -31,7 +41,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <exception>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -94,6 +106,9 @@ struct Request {
   std::string id;      ///< echoed on every response line; may be empty
   std::string method;  ///< e.g. "upload", "analyze", "diff"
   json::Value params;  ///< the "params" object; kNull when absent
+  /// The raw bytes that followed a framed line (params.body_bytes of
+  /// them); empty for an unframed request.
+  std::string body;
 };
 
 /// Frames a received byte stream into LF-terminated lines, for both ends
@@ -111,6 +126,10 @@ class LineBuffer {
   bool next_line(std::string_view& line);
   /// Received bytes not yet returned as a line.
   [[nodiscard]] std::size_t pending() const noexcept { return size_ - start_; }
+  /// Consumes up to `n` pending bytes as raw data, not lines (a framed
+  /// body that arrived with its request line). The view lasts until the
+  /// next prepare().
+  std::string_view take(std::size_t n);
 
  private:
   std::string buf_;
@@ -123,6 +142,19 @@ class LineBuffer {
 /// envelope-shape problems, kUnsupportedVersion on a version mismatch).
 /// A numeric id is normalized to its shortest decimal rendering.
 [[nodiscard]] Request parse_request(std::string_view line);
+
+/// How many raw body bytes follow `req`'s line: params.body_bytes, or
+/// nullopt for an unframed request. Throws WireError(kBadRequest) when
+/// body_bytes is not a non-negative integer, exceeds `cap`, or comes
+/// with a base64 "body" as well; the bytes after such a line cannot be
+/// framed.
+[[nodiscard]] std::optional<std::uint64_t> body_length(const Request& req,
+                                                       std::uint64_t cap);
+
+/// The located error for a framed body cut short: "framed body: expected
+/// N bytes, received K before the connection closed".
+[[nodiscard]] std::string short_body_message(std::uint64_t expected,
+                                             std::uint64_t received);
 
 // ---- response builders -------------------------------------------------
 // Each returns one complete line WITHOUT the trailing newline; `data`
@@ -148,9 +180,9 @@ class LineBuffer {
 [[nodiscard]] std::string explanation_line(
     const std::string& id, const provenance::Explanation& e);
 
-// ---- upload bodies -----------------------------------------------------
-// Trial uploads travel base64-encoded inside the JSON line so binary
-// PKB bodies survive the text framing.
+// ---- base64 upload bodies ----------------------------------------------
+// The unframed upload form: the trial's bytes base64-encoded in
+// params.body, so binary PKB bodies survive the text framing.
 
 [[nodiscard]] std::string base64_encode(std::string_view bytes);
 /// Throws WireError(kBadRequest) on non-base64 input.

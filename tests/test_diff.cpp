@@ -21,6 +21,7 @@
 #include "provenance/explanation.hpp"
 #include "rules/engine.hpp"
 #include "rules/rulebases.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace pk = perfknow;
 namespace fs = std::filesystem;
@@ -354,6 +355,47 @@ TEST(Diff, TimeGrowsLinearlyInEventsWithoutAMainEvent) {
   const double large = diff_ms(2000);
   EXPECT_LT(large / small, 3.0)
       << "1000 events: " << small << " ms, 2000 events: " << large << " ms";
+}
+
+// The counted twin of the timing test above: the events main_event()'s
+// fallback scans (a telemetry counter) double exactly with the events.
+// Resolving main per compared cell would quadruple them.
+TEST(Diff, MainEventScansGrowLinearlyInEventsWithoutAMainEvent) {
+  const auto make = [](const std::string& name, std::size_t events,
+                       double scale) {
+    Trial t(name);
+    t.set_thread_count(2);
+    const auto time = t.add_metric("TIME", "usec");
+    for (std::size_t e = 0; e < events; ++e) {
+      const auto id = t.add_event("ev" + std::to_string(e));
+      for (std::size_t th = 0; th < 2; ++th) {
+        const double v = scale * static_cast<double>(1 + (e * 7 + th) % 13);
+        t.set_inclusive(th, id, time, 2.0 * v);
+        t.set_exclusive(th, id, time, v);
+      }
+    }
+    return t;
+  };
+  pk::telemetry::Counter& scanned =
+      pk::telemetry::counter("profile.main_event.scanned");
+  const bool was_enabled = pk::telemetry::enabled();
+  pk::telemetry::set_enabled(true);
+  const auto scans = [&](std::size_t events) {
+    const Trial base = make("base", events, 1.0);
+    const Trial current = make("current", events, 1.1);
+    RuleHarness harness;
+    const std::uint64_t before = scanned.value();
+    const auto summary =
+        pk::analysis::assert_diff_facts(harness, base, current, {});
+    EXPECT_EQ(summary.compared_cells, events);
+    return scanned.value() - before;
+  };
+  const std::uint64_t small = scans(500);
+  const std::uint64_t large = scans(1000);
+  pk::telemetry::set_enabled(was_enabled);
+  EXPECT_GT(small, 0u);
+  EXPECT_EQ(large, 2 * small) << "500 events: " << small
+                              << " scanned, 1000 events: " << large;
 }
 
 // Full provenance adds metric lineage to the diff's one source (16

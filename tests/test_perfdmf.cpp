@@ -950,6 +950,32 @@ TEST(RepositoryIncrementalSave, FailedSnapshotWriteLeavesTheOldIndex) {
   EXPECT_EQ(Repository::load(dir.path()).trial_count(), 1u);
 }
 
+TEST(RepositoryIncrementalSave, FailedLineageStepLeavesTheOldIndex) {
+  TempDir dir;
+  {
+    Repository repo;
+    repo.put("app", "exp", make_trial("a"));
+    repo.save(dir.path());
+  }
+  std::ifstream before_is(dir.path() / "index.tsv");
+  const std::string before((std::istreambuf_iterator<char>(before_is)),
+                           std::istreambuf_iterator<char>());
+  // A non-empty directory squatting on lineage.tsv makes its rename
+  // fail. The index rename is the commit point, so it must not have
+  // happened yet.
+  fs::create_directories(dir.path() / "lineage.tsv" / "squat");
+  Repository attached = Repository::attach(dir.path());
+  attached.put_version("app", "exp", make_trial("v1"));
+  EXPECT_THROW(attached.save(dir.path()), pk::IoError);
+
+  std::ifstream after_is(dir.path() / "index.tsv");
+  const std::string after((std::istreambuf_iterator<char>(after_is)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(after, before);
+  EXPECT_FALSE(fs::exists(dir.path() / "index.tsv.tmp"));
+  EXPECT_FALSE(fs::exists(dir.path() / "lineage.tsv.tmp"));
+}
+
 TEST(Repository, RejectsNamesThatWouldBreakTheIndex) {
   Repository repo;
   const auto expect_field = [](const std::function<void()>& op,

@@ -1341,3 +1341,322 @@ TEST(ServerDaemon, AFailedCommitStepLeavesTheOldOrTheNewRepository) {
   }
   server.stop();
 }
+
+// ---- framed upload bodies ---------------------------------------------
+
+TEST(Wire, BodyLengthValidatesTheFramedByteCount) {
+  const auto length = [](const std::string& params) {
+    return wire::body_length(
+        wire::parse_request(R"({"api":"perfknow.api/1","id":"1",)"
+                            R"("method":"upload","params":)" +
+                            params + "}"),
+        100);
+  };
+  EXPECT_EQ(length(R"({"body":"QUJD"})"), std::nullopt);
+  EXPECT_EQ(length(R"({"body_bytes":0})"), std::optional<std::uint64_t>(0));
+  EXPECT_EQ(length(R"({"body_bytes":100})"),
+            std::optional<std::uint64_t>(100));
+  const auto message_of = [&](const std::string& params) {
+    try {
+      (void)length(params);
+    } catch (const wire::WireError& e) {
+      EXPECT_EQ(e.code(), wire::ErrorCode::kBadRequest);
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  for (const char* bad : {R"({"body_bytes":-1})", R"({"body_bytes":1.5})",
+                          R"({"body_bytes":"4"})", R"({"body_bytes":null})",
+                          R"({"body_bytes":1e300})"}) {
+    EXPECT_NE(message_of(bad).find("non-negative integer"),
+              std::string::npos)
+        << bad;
+  }
+  EXPECT_EQ(message_of(R"({"body_bytes":101})"),
+            "request params.body_bytes of 101 exceeds the 100-byte cap");
+  EXPECT_EQ(message_of(R"({"body":"QUJD","body_bytes":3})"),
+            "request carries both params.body and params.body_bytes");
+}
+
+TEST(Wire, LineBufferHandsOutTheRawBytesAfterALine) {
+  wire::LineBuffer buffer;
+  const std::string in = "head\nRAW\nBYTES\nnext\npartial";
+  std::memcpy(buffer.prepare(in.size()), in.data(), in.size());
+  buffer.commit(in.size());
+  std::string_view line;
+  ASSERT_TRUE(buffer.next_line(line));
+  EXPECT_EQ(line, "head");
+  // A body may hold newlines; they are data, not framing.
+  EXPECT_EQ(buffer.take(10), "RAW\nBYTES\n");
+  ASSERT_TRUE(buffer.next_line(line));
+  EXPECT_EQ(line, "next");
+  EXPECT_FALSE(buffer.next_line(line));
+  // take() stops at what has arrived.
+  EXPECT_EQ(buffer.take(100), "partial");
+  EXPECT_EQ(buffer.pending(), 0u);
+}
+
+namespace {
+
+std::string file_bytes(const fs::path& file) {
+  std::ifstream is(file, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is), {});
+}
+
+/// The sum of every inclusive and exclusive cell of a trial.
+double cell_sum(const pk::profile::Trial& t) {
+  double sum = 0.0;
+  for (std::size_t th = 0; th < t.thread_count(); ++th) {
+    for (pk::profile::EventId e = 0; e < t.event_count(); ++e) {
+      for (pk::profile::MetricId m = 0; m < t.metric_count(); ++m) {
+        sum += t.inclusive(th, e, m) + t.exclusive(th, e, m);
+      }
+    }
+  }
+  return sum;
+}
+
+/// `lines` with their request ids blanked, so the lines of two requests
+/// can be compared.
+std::vector<std::string> without_ids(std::vector<std::string> lines) {
+  for (auto& line : lines) {
+    line = std::regex_replace(line, std::regex("\"id\":\"[0-9]+\""), "");
+  }
+  return lines;
+}
+
+std::vector<std::string> without_ids(const Client::Response& r) {
+  return without_ids(response_lines(r));
+}
+
+/// A framed upload request line announcing `n` body bytes.
+std::string framed_header(const std::string& id, const std::string& trial,
+                          std::uint64_t n) {
+  return R"({"api":"perfknow.api/1","id":")" + id +
+         R"(","method":"upload","params":{"application":"app",)"
+         R"("experiment":"exp","trial":")" +
+         trial + R"(","body_bytes":)" + std::to_string(n) + "}}";
+}
+
+std::string small_csv(int rows) {
+  std::string csv = "event,thread,metric,inclusive,exclusive,calls,subcalls\n"
+                    "main,0,TIME,5,4,1,1\n";
+  for (int i = 0; i < rows; ++i) {
+    csv += "main => f" + std::to_string(i) + ",0,TIME,1,1,2,0\n";
+  }
+  return csv;
+}
+
+}  // namespace
+
+TEST(ServerDaemon, FramedAndBase64UploadsStoreAndAnalyzeTheSame) {
+  TempDir scratch;
+  const std::vector<fs::path> files = {
+      write_msap_body(scratch.path() / "s.pkb", false, 8),
+      write_msap_body(scratch.path() / "d.json", true, 8),
+      write_msap_body(scratch.path() / "c.csv", false, 4),
+      [&] {
+        const fs::path tau = scratch.path() / "p.tau";
+        std::ofstream os(tau);
+        os << "2 templated_functions_MULTI_TIME\n"
+              "# Name Calls Subrs Excl Incl\n"
+              "\"main\" 1 1 5 10 0 GROUP=\"TAU_DEFAULT\"\n"
+              "\"main => f\" 1 0 5 5 0 GROUP=\"TAU_CALLPATH\"\n";
+        return tau;
+      }()};
+  ServerOptions opt;
+  opt.socket_path = socket_path();
+  Server server(opt);
+  Client client(opt.socket_path);
+  for (const fs::path& file : files) {
+    const std::string trial = file.stem().string();
+    const auto framed = client.upload_file("MSAP", "framed", file);
+    ASSERT_TRUE(framed.ok()) << file << ": " << framed.error_message;
+    const auto base64 = client.call(
+        "upload",
+        "{\"application\":\"MSAP\",\"experiment\":\"base64\",\"trial\":" +
+            pk::json::quote(trial) + ",\"body\":" +
+            pk::json::quote(wire::base64_encode(file_bytes(file))) + "}");
+    ASSERT_TRUE(base64.ok()) << file << ": " << base64.error_message;
+    EXPECT_EQ(framed.result, base64.result);
+    EXPECT_EQ(framed.result,
+              "{\"trial\":" + pk::json::quote(trial) + ",\"bytes\":" +
+                  std::to_string(fs::file_size(file)) + "}");
+    {
+      std::shared_lock<std::shared_mutex> lock(server.repository_mutex());
+      EXPECT_EQ(
+          cell_sum(*server.repository().view("MSAP", "framed", trial)),
+          cell_sum(*server.repository().view("MSAP", "base64", trial)))
+          << file;
+    }
+    const auto analyzed = [&](const std::string& exp) {
+      return without_ids(client.call(
+          "analyze", "{\"application\":\"MSAP\",\"experiment\":\"" + exp +
+                         "\",\"trial\":" + pk::json::quote(trial) + "}"));
+    };
+    const auto lines = analyzed("framed");
+    EXPECT_EQ(lines, analyzed("base64")) << file;
+    if (file.extension() == ".pkb") {
+      EXPECT_GT(lines.size(), 1u);
+    }
+  }
+  EXPECT_EQ(server.stats().uploads, 2 * files.size());
+  server.stop();
+}
+
+TEST(ServerDaemon, AFramedBodyArrivingAcrossManyReadsIsReadWhole) {
+  ServerOptions opt;
+  opt.socket_path = socket_path();
+  Server server(opt);
+  Client client(opt.socket_path);
+  // Bigger than one read chunk, and sent in pieces with pauses, so the
+  // daemon finds part of it with the line and reads the rest in many
+  // recv calls.
+  const std::string csv = small_csv(6000);
+  ASSERT_GT(csv.size(), std::size_t{128} << 10);
+  client.send_line(framed_header("1", "pieces", csv.size()));
+  for (std::size_t at = 0; at < csv.size(); at += 16 << 10) {
+    client.send_bytes(std::string_view(csv).substr(at, 16 << 10));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  // A request right behind the body is framed from where the body ends.
+  client.send_line(R"({"api":"perfknow.api/1","id":"2","method":"ping"})");
+  const auto r = client.collect("1");
+  ASSERT_TRUE(r.ok()) << r.error_message;
+  EXPECT_EQ(r.result, "{\"trial\":\"pieces\",\"bytes\":" +
+                          std::to_string(csv.size()) + "}");
+  EXPECT_EQ(client.collect("2").result, "{\"pong\":true}");
+  server.stop();
+}
+
+TEST(ServerDaemon, APeerClosingMidBodyGetsALocatedBadRequest) {
+  ServerOptions opt;
+  opt.socket_path = socket_path();
+  Server server(opt);
+  Client client(opt.socket_path);
+  const std::string csv = small_csv(3);
+  client.send_line(framed_header("1", "cut", csv.size() + 100));
+  client.send_bytes(csv);
+  client.shutdown_send();
+  const auto r = client.collect("1");
+  EXPECT_EQ(r.error, wire::ErrorCode::kBadRequest);
+  EXPECT_EQ(r.error_message,
+            wire::short_body_message(csv.size() + 100, csv.size()));
+  EXPECT_EQ(server.stats().uploads, 0u);
+  server.stop();
+}
+
+TEST(ServerDaemon, AFramedBodyOverTheBudgetIsDrainedAndTheConnectionKept) {
+  ServerOptions opt;
+  opt.socket_path = socket_path();
+  opt.client_byte_budget = 1024;
+  Server server(opt);
+  Client client(opt.socket_path);
+  TempDir scratch;
+  const fs::path big = scratch.path() / "big.csv";
+  const fs::path small = scratch.path() / "small.csv";
+  {
+    std::ofstream(big) << small_csv(200);
+    std::ofstream(small) << small_csv(3);
+  }
+  ASSERT_GT(fs::file_size(big), opt.client_byte_budget);
+  const auto over = client.upload_file("app", "exp", big);
+  EXPECT_EQ(over.error, wire::ErrorCode::kBudgetExceeded)
+      << over.error_message;
+  EXPECT_EQ(server.stats().rejected_budget, 1u);
+  // The body was drained, not parsed as request lines: the connection
+  // still pings and uploads, charged the exact body size.
+  EXPECT_TRUE(client.call("ping").ok());
+  EXPECT_EQ(server.stats().requests, 2u);
+  const std::uint64_t fits = opt.client_byte_budget / fs::file_size(small);
+  for (std::uint64_t i = 0; i < fits; ++i) {
+    const auto r = client.upload_file("app", "exp", small);
+    EXPECT_TRUE(r.ok()) << i << ": " << r.error_message;
+  }
+  EXPECT_EQ(client.upload_file("app", "exp", small).error,
+            wire::ErrorCode::kBudgetExceeded);
+  EXPECT_EQ(server.stats().uploads, fits);
+  server.stop();
+}
+
+TEST(ServerDaemon, AFramedBodyOverTheLineCapClosesTheConnection) {
+  ServerOptions opt;
+  opt.socket_path = socket_path();
+  opt.client_byte_budget = 1024;  // line cap ~= 64 KiB slack + 4/3 * this
+  Server server(opt);
+  Client client(opt.socket_path);
+  client.send_line(framed_header("1", "huge", std::uint64_t{1} << 30));
+  const auto r = client.collect("1");
+  EXPECT_EQ(r.error, wire::ErrorCode::kBadRequest);
+  EXPECT_NE(r.error_message.find("exceeds the"), std::string::npos)
+      << r.error_message;
+  EXPECT_NE(r.error_message.find("closing connection"), std::string::npos);
+  EXPECT_THROW((void)client.read_line(), pk::IoError);
+  Client again(opt.socket_path);
+  EXPECT_TRUE(again.call("ping").ok());
+  server.stop();
+}
+
+TEST(ServerDaemon, AnAnalysisKeepsItsPinnedTrialThroughEviction) {
+  TempDir repo_dir;
+  TempDir scratch;
+  const fs::path body = write_msap_body(scratch.path() / "s.pkb", false, 16);
+  ServerOptions opt;
+  opt.socket_path = socket_path();
+  opt.repository_dir = repo_dir.path();
+  opt.cache_budget = 1;  // every entry is evicted as soon as it is charged
+  opt.workers = 2;
+  Server server(opt);
+  Client client(opt.socket_path);
+  // Stored under its file's stem, "s"; uploading it again replaces it.
+  ASSERT_TRUE(client.upload_file("MSAP", "runs", body).ok());
+  const auto expected =
+      without_ids(client.call("analyze", trial_params("runs", "s")));
+  ASSERT_GT(expected.size(), 1u);
+
+  // Resolve and pin, evict and replace the entry, then compute.
+  pk::analysis::AnalyzeParams params;
+  params.application = "MSAP";
+  params.experiment = "runs";
+  params.trial = "s";
+  pk::perfdmf::ConstTrialPtr pinned;
+  {
+    std::shared_lock<std::shared_mutex> lock(server.repository_mutex());
+    pinned = pk::analysis::resolve_analysis(server.repository(), params);
+    EXPECT_EQ(server.repository().resident_trials(), 0u);
+  }
+  ASSERT_TRUE(client.upload_file("MSAP", "runs", body).ok());
+  pk::rules::RuleHarness harness;
+  const auto diagnoses =
+      pk::analysis::analyze_resolved(*pinned, params, {}, harness);
+  std::vector<std::string> lines;
+  for (const auto& d : diagnoses) {
+    lines.push_back(wire::diagnosis_line("0", d));
+    if (d.provenance) {
+      lines.push_back(wire::explanation_line("0", *d.provenance));
+    }
+  }
+  std::vector<std::string> streamed = expected;
+  streamed.pop_back();  // the result line
+  EXPECT_EQ(without_ids(lines), streamed);
+
+  // Analyses racing uploads that evict their trial give the same lines.
+  std::atomic<bool> done{false};
+  std::thread uploader([&] {
+    Client up(opt.socket_path);
+    for (int i = 0; !done.load(); ++i) {
+      if (!up.upload_file("MSAP", "runs", body, "w" + std::to_string(i))
+               .ok()) {
+        break;
+      }
+    }
+  });
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(without_ids(client.call("analyze", trial_params("runs", "s"))),
+              expected)
+        << i;
+  }
+  done.store(true);
+  uploader.join();
+  server.stop();
+}
