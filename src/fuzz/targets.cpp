@@ -56,11 +56,8 @@ FuzzTarget target(Frontend fe) {
                     wire::short_body_message(*n, rest.size()));
               }
               rest.remove_prefix(static_cast<std::size_t>(*n));
-            } else if (const json::Value* body = req.params.find("body");
-                       body != nullptr &&
-                       body->kind == json::Value::Kind::kString) {
-              (void)wire::base64_decode(body->text);
             }
+            wire::check_framing(req);
           }
         } catch (const server::wire::WireError& e) {
           throw ParseError(std::string("wire: ") + e.what());
@@ -136,7 +133,7 @@ const std::vector<std::string>& dictionary(Frontend fe) {
       "{", "}", "\"api\":", "\"perfknow.api/1\"", "\"id\":", "\"method\":",
       "\"params\":", "\"upload\"", "\"analyze\"", "\"ping\"",
       "\"body\":", "\"application\":", "\"experiment\":", "null",
-      "\"QUJD\"", "==", "=", "\\n", "+/", "\\u0041",
+      "\\n", "\\u0041",
       "\"body_bytes\":", "\n", "-1", "1.5", "1048577",
   };
   // Index rows: the separators, path shapes the loader must reject, and

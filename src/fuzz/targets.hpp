@@ -19,8 +19,8 @@ namespace perfknow::fuzz {
 ///   explain     provenance::explanations_from_json
 ///   wire        server::wire::parse_request on each request line, then
 ///               for a framed one (params.body_bytes) body_length and
-///               the N raw bytes after the line, else base64_decode of
-///               its params.body; a WireError is the rejection,
+///               the N raw bytes after the line, then check_framing (an
+///               upload must be framed); a WireError is the rejection,
 ///               rethrown as ParseError
 ///   index       perfdmf::parse_index, then perfdmf::parse_lineage, on
 ///               the same bytes

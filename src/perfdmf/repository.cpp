@@ -70,6 +70,19 @@ std::string stable_filename(const std::string& app, const std::string& exp,
   return out + hash;
 }
 
+// A new snapshot's path: stable_filename + ".pkb", or the first "-<n>"
+// variant that `taken` does not hold.
+template <class Taken>
+std::string snapshot_name(const std::string& app, const std::string& exp,
+                          const std::string& trial, const Taken& taken) {
+  const std::string base = stable_filename(app, exp, trial);
+  std::string rel = base + ".pkb";
+  for (int n = 1; taken.count(rel) != 0; ++n) {
+    rel = base + "-" + std::to_string(n) + ".pkb";
+  }
+  return rel;
+}
+
 // Tabs and line breaks would split an index or lineage row.
 void check_name(const char* where, const char* field,
                 const std::string& value) {
@@ -446,12 +459,7 @@ std::string Repository::commit_path(const std::string& application,
       for (const auto& [tname, slot] : trs) taken.insert(slot->rel);
     }
   }
-  const std::string base = stable_filename(application, experiment, trial);
-  std::string rel = base + ".pkb";
-  for (int n = 1; taken.count(rel) != 0; ++n) {
-    rel = base + "-" + std::to_string(n) + ".pkb";
-  }
-  return rel;
+  return snapshot_name(application, experiment, trial, taken);
 }
 
 std::string Repository::lineage_text() const {
@@ -903,11 +911,8 @@ void Repository::save(const std::filesystem::path& dir) const {
   // snapshot never lands on a file another entry still owns.
   for (Row& row : rows) {
     if (!row.rel.empty()) continue;
-    const std::string base = stable_filename(row.app, row.exp, row.name);
-    row.rel = base + ".pkb";
-    for (int n = 1; !taken.insert(row.rel).second; ++n) {
-      row.rel = base + "-" + std::to_string(n) + ".pkb";
-    }
+    row.rel = snapshot_name(row.app, row.exp, row.name, taken);
+    taken.insert(row.rel);
   }
   for (const Row& row : rows) {
     if (row.write) save_entry(row.entry, dir / row.rel);

@@ -130,7 +130,6 @@ class Recorder {
   [[nodiscard]] std::shared_ptr<const Explanation> make_explanation(
       const rules::Diagnosis& d) const;
 
- private:
   /// How facts came to exist: exactly one of firing / label is set.
   /// Immutable once made and shared by every fact of one source or one
   /// firing, so recording a fact's origin costs one pointer whatever
@@ -141,9 +140,11 @@ class Recorder {
     std::vector<std::string> lineage;
   };
 
-  /// The recorded origin of `id`; null when capture never saw it.
+  /// The recorded origin of `id`, the same object for every fact of one
+  /// source or firing; null when capture never saw it.
   [[nodiscard]] const Origin* origin_of(rules::FactId id) const noexcept;
 
+ private:
   ProvenanceMode mode_;
   /// Every origin ever pushed or fired; a deque, so the pointers below
   /// stay valid for the recorder's life.

@@ -210,6 +210,11 @@ class RuleHarness {
   [[nodiscard]] provenance::ProvenanceMode provenance_mode() const noexcept {
     return recorder_ ? recorder_->mode() : provenance::ProvenanceMode::kOff;
   }
+  /// The provenance capture; null while it is off.
+  [[nodiscard]] const provenance::Recorder* provenance_recorder()
+      const noexcept {
+    return recorder_.get();
+  }
 
   [[nodiscard]] WorkingMemory& memory() noexcept { return memory_; }
   [[nodiscard]] const WorkingMemory& memory() const noexcept {

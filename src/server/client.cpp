@@ -43,10 +43,7 @@ Client::~Client() {
 }
 
 void Client::send_line(const std::string& line) {
-  // The line and its terminator go out separately: a base64 upload line
-  // is megabytes, not worth copying to append one byte.
-  send_bytes(line);
-  send_bytes("\n");
+  send_bytes(line + '\n');
 }
 
 void Client::send_bytes(std::string_view bytes) {

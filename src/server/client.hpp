@@ -67,7 +67,7 @@ class Client {
 
   /// Uploads `file` into application/experiment as a framed body: the
   /// request line carries "body_bytes" and the file's bytes follow it
-  /// unencoded. Non-empty `version` stores it as the next history
+  /// as they are. Non-empty `version` stores it as the next history
   /// version (put_version semantics, with optional explicit
   /// predecessor).
   Response upload_file(const std::string& application,

@@ -160,13 +160,6 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {
     throw IoError("pkx serve: listen(): " + why);
   }
 
-  // The longest legitimate line is a base64 upload envelope: base64
-  // expands the byte budget 4/3, plus slack for the JSON framing.
-  // Anything longer is a flood that admission control would never
-  // accept; a framed body announcing more is refused the same way.
-  max_line_bytes_ =
-      options_.client_byte_budget / 3 * 4 + (std::size_t{64} << 10);
-
   workers_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -329,6 +322,12 @@ void Server::reap_readers() {
 }
 
 void Server::reader_loop(ConnectionPtr conn) {
+  // A body larger than the whole budget could never be admitted, so
+  // announcing one closes the connection; one above only the remaining
+  // budget is drained to keep the framing. Small budgets still drain up
+  // to a line's worth.
+  const std::uint64_t body_cap = std::max<std::uint64_t>(
+      options_.client_byte_budget, wire::kMaxLineBytes);
   wire::LineBuffer buffer;
   bool overflow = false;
   bool closing = false;
@@ -342,7 +341,7 @@ void Server::reader_loop(ConnectionPtr conn) {
     std::string_view line;
     while (!overflow && !closing && buffer.next_line(line)) {
       if (line.empty()) continue;
-      if (line.size() > max_line_bytes_) {
+      if (line.size() > wire::kMaxLineBytes) {
         overflow = true;
         break;
       }
@@ -359,7 +358,7 @@ void Server::reader_loop(ConnectionPtr conn) {
       }
       std::optional<std::uint64_t> body;
       try {
-        body = wire::body_length(req, max_line_bytes_);
+        body = wire::body_length(req, body_cap);
       } catch (const wire::WireError& e) {
         // Where the next request starts is unknown: stop reading.
         static telemetry::Counter& unframed =
@@ -380,13 +379,14 @@ void Server::reader_loop(ConnectionPtr conn) {
     // All admission limits act on parsed lines; without this cap a
     // client could stream unbounded bytes with no newline and run the
     // server out of memory before any limit applies.
-    if (buffer.pending() > max_line_bytes_) overflow = true;
+    if (buffer.pending() > wire::kMaxLineBytes) overflow = true;
     if (overflow) {
       static telemetry::Counter& oversized =
           telemetry::counter("server.rejected.oversized_line");
       oversized.add();
       send_error(*conn, "", wire::ErrorCode::kBadRequest,
-                 "request line exceeds " + std::to_string(max_line_bytes_) +
+                 "request line exceeds " +
+                     std::to_string(wire::kMaxLineBytes) +
                      " bytes; closing connection");
     }
   }
@@ -490,10 +490,10 @@ void Server::send_error(Connection& conn, const std::string& id,
 // ---- admission ---------------------------------------------------------
 
 void Server::dispatch(const ConnectionPtr& conn, wire::Request req) {
-  const bool framed = req.params.find("body_bytes") != nullptr;
-  if (framed && req.method != "upload") {
-    send_error(*conn, req.id, wire::ErrorCode::kBadRequest,
-               "method '" + req.method + "' takes no framed body");
+  try {
+    wire::check_framing(req);
+  } catch (const wire::WireError& e) {
+    send_error(*conn, req.id, e.code(), e.what());
     return;
   }
   if (req.method == "ping") {
@@ -522,21 +522,11 @@ void Server::dispatch(const ConnectionPtr& conn, wire::Request req) {
                "server is shutting down");
     return;
   }
-  // An upload is charged at admission so a client cannot queue itself
-  // past its budget; the worker never uncharges. Only admission itself
-  // may refund: an upload turned away at the queue (below) stored
-  // nothing, so it must not consume budget.
-  std::uint64_t upload_charge = 0;
-  if (framed) {
-    upload_charge = req.body.size();  // charged exactly by read_body
-  } else if (req.method == "upload") {
-    // The base64 form is charged its estimated decoded size.
-    const json::Value* body = req.params.find("body");
-    upload_charge = body != nullptr && body->kind == json::Value::Kind::kString
-                        ? body->text.size() / 4 * 3
-                        : 0;
-    if (!charge_upload(*conn, req.id, upload_charge)) return;
-  }
+  // read_body charged an upload's exact body size before reading it, so
+  // a client cannot queue itself past its budget; the worker never
+  // uncharges. Only admission itself may refund: an upload turned away
+  // at the queue (below) stored nothing, so it must not consume budget.
+  const std::uint64_t upload_charge = req.body.size();
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     const std::size_t mine =
@@ -713,19 +703,7 @@ void Server::do_upload(const ConnectionPtr& conn, wire::Request& req) {
       required_string(req.params, "application", "upload");
   const std::string experiment =
       required_string(req.params, "experiment", "upload");
-  std::string bytes;
-  if (req.params.find("body_bytes") != nullptr) {
-    bytes = std::move(req.body);
-  } else {
-    (void)required_string(req.params, "body", "upload");
-    // The base64 text is freed as soon as it is decoded, before the
-    // parse allocates the trial the repository keeps.
-    static const telemetry::SpanSite decode_site("server.upload.body");
-    telemetry::ScopedSpan decode(decode_site);
-    bytes = wire::base64_decode(
-        std::exchange(req.params.find("body")->text, std::string()));
-  }
-  const std::size_t byte_count = bytes.size();
+  const std::size_t byte_count = req.body.size();
 
   // The body is parsed in memory, by the same front door that opens
   // files. Formats that carry no trial name (CSV, a TAU profile) get
@@ -735,7 +713,7 @@ void Server::do_upload(const ConnectionPtr& conn, wire::Request& req) {
     static const telemetry::SpanSite site("server.upload.parse");
     telemetry::ScopedSpan span(site);
     return io::parse_trial(
-        std::move(bytes), optional_string(req.params, "format"),
+        std::move(req.body), optional_string(req.params, "format"),
         "upload-" + std::to_string(upload_seq.fetch_add(1)));
   }();
 

@@ -3,10 +3,9 @@
 // A Server binds a local AF_UNIX socket and speaks the perfknow.api/1
 // line protocol (wire.hpp): multiple clients connect concurrently,
 // upload trials (any io::open_trial format, as raw bytes framed after
-// the request line, or base64-encoded in it) into one shared
-// repository, and drive analyze / diff / explain / selfdiagnose
-// requests whose diagnoses and perfknow.explanation/1 proof trees
-// stream back incrementally.
+// the request line) into one shared repository, and drive analyze /
+// diff / explain / selfdiagnose requests whose diagnoses and
+// perfknow.explanation/1 proof trees stream back incrementally.
 //
 // Concurrency model:
 //   * one accept thread, one reader thread per connection, a fixed pool
@@ -24,7 +23,7 @@
 //   * a framed upload's body is read by the connection's reader straight
 //     into the request (the bytes that arrived with the line first, then
 //     recv into the sized body), after its length has been checked
-//     against the line cap and the connection's byte budget;
+//     against the body cap and the connection's byte budget;
 //   * the shared repository is guarded by a readers/writer lock —
 //     analyses hold it shared only while they resolve and pin their
 //     trials, then compute unlocked; an upload takes it exclusively only
@@ -108,9 +107,10 @@ struct ServerOptions {
   /// Per-connection bound on in-flight (queued or executing) jobs.
   std::size_t client_queue_limit = 16;
 
-  /// Per-connection upload budget in body bytes (a framed body's exact
-  /// size, a base64 body's decoded size); uploads beyond it are rejected
-  /// with "budget_exceeded".
+  /// Per-connection upload budget in body bytes (each framed body's
+  /// exact size); uploads beyond it are rejected with "budget_exceeded".
+  /// A body announcing more than max(this, wire::kMaxLineBytes) bytes
+  /// gets bad_request and its connection is closed.
   std::size_t client_byte_budget = std::size_t{64} * 1024 * 1024;
 
   /// Demand-load cache budget for an attached repository_dir.
@@ -262,13 +262,6 @@ class Server {
   /// (by accept_loop on the next accept, or by stop()). Guarded by
   /// conns_mutex_.
   std::vector<std::thread> zombie_readers_;
-
-  /// Hard cap on one request line, derived from client_byte_budget
-  /// (base64 expansion plus envelope slack), and on one framed body. A
-  /// connection that streams past it without a newline, or announces a
-  /// larger body, gets bad_request and is closed, so a flood cannot
-  /// bypass admission control.
-  std::size_t max_line_bytes_ = 0;
 
   std::thread accept_thread_;
   std::vector<std::thread> workers_;

@@ -159,7 +159,6 @@ Request parse_request(std::string_view line) {
       throw WireError(ErrorCode::kBadRequest,
                       "request \"params\" must be an object");
     }
-    // Moved, not copied: an upload's params hold its multi-MB body.
     req.params = std::move(*params);
   }
   return req;
@@ -183,11 +182,20 @@ std::optional<std::uint64_t> body_length(const Request& req,
                         " exceeds the " + std::to_string(cap) +
                         "-byte cap");
   }
-  if (req.params.find("body") != nullptr) {
-    throw WireError(ErrorCode::kBadRequest,
-                    "request carries both params.body and params.body_bytes");
-  }
   return bytes;
+}
+
+void check_framing(const Request& req) {
+  const bool framed = req.params.find("body_bytes") != nullptr;
+  if (req.method == "upload" && !framed) {
+    throw WireError(ErrorCode::kBadRequest,
+                    "upload: params.body_bytes must give the byte count of "
+                    "the trial body that follows the request line");
+  }
+  if (framed && req.method != "upload") {
+    throw WireError(ErrorCode::kBadRequest,
+                    "method '" + req.method + "' takes no framed body");
+  }
 }
 
 std::string short_body_message(std::uint64_t expected,
@@ -237,122 +245,6 @@ std::string explanation_line(const std::string& id,
     data.pop_back();
   }
   return event_line(id, "explanation", data);
-}
-
-// ---- base64 ------------------------------------------------------------
-
-namespace {
-constexpr char kB64[] =
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-
-// Decode table: the 6-bit value of each alphabet byte; the other codes
-// mark the bytes the decoder treats specially.
-constexpr std::uint8_t kSkip = 64;     // '\n', '\r': ignored
-constexpr std::uint8_t kPad = 65;      // '='
-constexpr std::uint8_t kInvalid = 66;  // anything else
-
-constexpr std::array<std::uint8_t, 256> decode_table() {
-  std::array<std::uint8_t, 256> t{};
-  for (auto& v : t) v = kInvalid;
-  for (std::uint8_t i = 0; i < 64; ++i) {
-    t[static_cast<unsigned char>(kB64[i])] = i;
-  }
-  t['\n'] = kSkip;
-  t['\r'] = kSkip;
-  t['='] = kPad;
-  return t;
-}
-constexpr std::array<std::uint8_t, 256> kDecode = decode_table();
-}  // namespace
-
-std::string base64_encode(std::string_view bytes) {
-  std::string out((bytes.size() + 2) / 3 * 4, '\0');
-  char* o = out.data();
-  std::size_t i = 0;
-  for (; i + 3 <= bytes.size(); i += 3) {
-    const unsigned v = (static_cast<unsigned char>(bytes[i]) << 16) |
-                       (static_cast<unsigned char>(bytes[i + 1]) << 8) |
-                       static_cast<unsigned char>(bytes[i + 2]);
-    *o++ = kB64[(v >> 18) & 63];
-    *o++ = kB64[(v >> 12) & 63];
-    *o++ = kB64[(v >> 6) & 63];
-    *o++ = kB64[v & 63];
-  }
-  const std::size_t rest = bytes.size() - i;
-  if (rest == 1) {
-    const unsigned v = static_cast<unsigned char>(bytes[i]) << 16;
-    *o++ = kB64[(v >> 18) & 63];
-    *o++ = kB64[(v >> 12) & 63];
-    *o++ = '=';
-    *o++ = '=';
-  } else if (rest == 2) {
-    const unsigned v = (static_cast<unsigned char>(bytes[i]) << 16) |
-                       (static_cast<unsigned char>(bytes[i + 1]) << 8);
-    *o++ = kB64[(v >> 18) & 63];
-    *o++ = kB64[(v >> 12) & 63];
-    *o++ = kB64[(v >> 6) & 63];
-    *o++ = '=';
-  }
-  return out;
-}
-
-std::string base64_decode(std::string_view text) {
-  std::string out(text.size() / 4 * 3 + 3, '\0');
-  char* o = out.data();
-  unsigned acc = 0;
-  int bits = 0;
-  std::size_t pad = 0;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    // Whole quads of alphabet bytes on a group boundary: three bytes
-    // out, no per-byte bookkeeping.
-    if (bits == 0 && pad == 0 && i + 4 <= text.size()) {
-      const unsigned a = kDecode[static_cast<unsigned char>(text[i])];
-      const unsigned b = kDecode[static_cast<unsigned char>(text[i + 1])];
-      const unsigned c = kDecode[static_cast<unsigned char>(text[i + 2])];
-      const unsigned d = kDecode[static_cast<unsigned char>(text[i + 3])];
-      if ((a | b | c | d) < 64) {
-        const unsigned v = (a << 18) | (b << 12) | (c << 6) | d;
-        *o++ = static_cast<char>(v >> 16);
-        *o++ = static_cast<char>((v >> 8) & 0xFF);
-        *o++ = static_cast<char>(v & 0xFF);
-        i += 4;
-        continue;
-      }
-    }
-    const char ch = text[i++];
-    const unsigned v = kDecode[static_cast<unsigned char>(ch)];
-    if (v == kSkip) continue;
-    if (v == kPad) {
-      ++pad;
-      continue;
-    }
-    if (pad > 0) {
-      throw WireError(ErrorCode::kBadRequest,
-                      "base64 body: data after '=' padding");
-    }
-    if (v == kInvalid) {
-      throw WireError(ErrorCode::kBadRequest,
-                      "base64 body: invalid character '" +
-                          std::string(1, ch) + "'");
-    }
-    acc = (acc << 6) | v;
-    bits += 6;
-    if (bits >= 8) {
-      bits -= 8;
-      *o++ = static_cast<char>((acc >> bits) & 0xFF);
-    }
-  }
-  // A dangling 6-bit group (non-padding length of 1 mod 4, bits == 6)
-  // can never encode a whole byte and is truncated input even when the
-  // leftover bits happen to be zero.
-  if (pad > 2 || bits == 6 ||
-      (bits != 0 && (acc & ((1u << bits) - 1)) != 0)) {
-    throw WireError(ErrorCode::kBadRequest,
-                    "base64 body: truncated or over-padded input");
-  }
-  out.resize(static_cast<std::size_t>(o - out.data()));
-  return out;
 }
 
 }  // namespace perfknow::server::wire

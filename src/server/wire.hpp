@@ -31,8 +31,9 @@
 // bytes (an upload's trial file, as it is on disk) and the next request
 // line starts right after them. body_length() validates N; a line whose
 // N is malformed or over the cap leaves the stream unframeable, so the
-// daemon answers bad_request and closes the connection. The older
-// base64 "body" param inside the line is still accepted.
+// daemon answers bad_request and closes the connection. An upload's
+// trial bytes travel only this way, and every request line itself is
+// capped at kMaxLineBytes.
 //
 // The error taxonomy mirrors the pk::Error hierarchy plus the
 // server-side admission verdicts, and maps onto the pkx exit-code
@@ -56,6 +57,11 @@ namespace perfknow::server::wire {
 
 /// Protocol identifier carried by every request and response line.
 inline constexpr std::string_view kApi = "perfknow.api/1";
+
+/// The longest request line a daemon reads, without its '\n'. Bodies
+/// travel framed after the line, so no legitimate request comes near it;
+/// a longer line is a flood, refused and its connection closed.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{64} << 10;
 
 /// Everything that can go wrong with a request, as wire-stable codes.
 enum class ErrorCode {
@@ -89,8 +95,9 @@ enum class ErrorCode {
 /// perfknow error (1).
 [[nodiscard]] int exit_code(ErrorCode code);
 
-/// A malformed or rejected message, thrown by parse_request (and by
-/// base64_decode). Carries the taxonomy code the error line should use.
+/// A malformed or rejected message, thrown by parse_request,
+/// body_length and check_framing. Carries the taxonomy code the error
+/// line should use.
 class WireError : public Error {
  public:
   WireError(ErrorCode code, const std::string& what)
@@ -145,11 +152,16 @@ class LineBuffer {
 
 /// How many raw body bytes follow `req`'s line: params.body_bytes, or
 /// nullopt for an unframed request. Throws WireError(kBadRequest) when
-/// body_bytes is not a non-negative integer, exceeds `cap`, or comes
-/// with a base64 "body" as well; the bytes after such a line cannot be
-/// framed.
+/// body_bytes is not a non-negative integer or exceeds `cap`; the bytes
+/// after such a line cannot be framed.
 [[nodiscard]] std::optional<std::uint64_t> body_length(const Request& req,
                                                        std::uint64_t cap);
+
+/// Throws WireError(kBadRequest) unless `req` is framed exactly when it
+/// is an upload: an upload must announce its body with
+/// params.body_bytes, and no other method takes one. The line itself was
+/// well framed, so the connection can go on.
+void check_framing(const Request& req);
 
 /// The located error for a framed body cut short: "framed body: expected
 /// N bytes, received K before the connection closed".
@@ -179,13 +191,5 @@ class LineBuffer {
 /// same schema pkx explain --json writes.
 [[nodiscard]] std::string explanation_line(
     const std::string& id, const provenance::Explanation& e);
-
-// ---- base64 upload bodies ----------------------------------------------
-// The unframed upload form: the trial's bytes base64-encoded in
-// params.body, so binary PKB bodies survive the text framing.
-
-[[nodiscard]] std::string base64_encode(std::string_view bytes);
-/// Throws WireError(kBadRequest) on non-base64 input.
-[[nodiscard]] std::string base64_decode(std::string_view text);
 
 }  // namespace perfknow::server::wire

@@ -5,9 +5,11 @@
 // mutation engine also explores randomly.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 
 #include "common/error.hpp"
+#include "common/file.hpp"
 #include "fuzz/harness.hpp"
 #include "fuzz/mutator.hpp"
 #include "fuzz/targets.hpp"
@@ -123,6 +125,28 @@ TEST(FuzzContracts, ParseErrorsCarryLocations) {
     EXPECT_GE(e.line(), 1);
     EXPECT_GE(e.column(), 1);
     EXPECT_FALSE(e.excerpt().empty());
+  }
+}
+
+// The wire corpus keeps one request of the removed unframed upload form
+// (the trial inside the line as params.body) to pin its rejection, which
+// names the param the upload lacks; the framed upload seeds parse.
+TEST(FuzzContracts, TheWireCorpusRejectsOnlyTheUnframedUpload) {
+  const std::filesystem::path corpus =
+      std::filesystem::path(PERFKNOW_SOURCE_DIR) / "fuzz" / "corpus" / "wire";
+  const auto wire = target(Frontend::kWire);
+  const auto seed = [&](const char* name) {
+    return pk::read_file_bytes(corpus / name, "wire seed");
+  };
+  EXPECT_NO_THROW(wire(seed("upload_csv.txt")));
+  EXPECT_NO_THROW(wire(seed("framed_exact.txt")));
+  try {
+    wire(seed("upload_body_param_rejected.txt"));
+    FAIL() << "the unframed upload seed parsed";
+  } catch (const pk::ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("params.body_bytes"),
+              std::string::npos)
+        << e.what();
   }
 }
 

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <shared_mutex>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -913,6 +914,48 @@ TEST(RepositoryIncrementalSave, RePutOfALegacyNamedTrialRewritesItInPlace) {
   EXPECT_EQ(
       Repository::load(dir.path()).get("app", "exp", "t1")->thread_count(),
       3u);
+}
+
+// save() and commit() name a new snapshot alike: its stable name, or
+// "-1" appended to it when another entry's file already holds that path.
+TEST(RepositoryIncrementalSave, SaveAndCommitNameACollidingSnapshotAlike) {
+  TempDir first;
+  {
+    Repository repo;
+    repo.put("app", "exp", make_trial("a"));
+    repo.save(first.path());
+  }
+  const std::string stable = read_index(first.path()).at("a");
+  ASSERT_EQ(stable.substr(stable.size() - 4), ".pkb");
+  const std::string bumped = stable.substr(0, stable.size() - 4) + "-1.pkb";
+  // A directory whose index already gives "a"'s stable path to "other".
+  const auto occupied = [&](const fs::path& dir) {
+    fs::create_directories((dir / stable).parent_path());
+    pk::io::save_trial(*make_trial("other"), dir / stable, "pkb");
+    std::ofstream(dir / "index.tsv") << "app\texp\tother\t" << stable
+                                     << '\n';
+  };
+  TempDir saved;
+  occupied(saved.path());
+  {
+    Repository attached = Repository::attach(saved.path());
+    attached.put("app", "exp", make_trial("a"));
+    attached.save(saved.path());
+  }
+  TempDir committed;
+  occupied(committed.path());
+  {
+    Repository attached = Repository::attach(committed.path());
+    std::shared_mutex guard;
+    attached.commit("app", "exp", make_trial("a"), guard);
+  }
+  const std::map<std::string, std::string> expected = {{"a", bumped},
+                                                       {"other", stable}};
+  EXPECT_EQ(read_index(saved.path()), expected);
+  EXPECT_EQ(read_index(committed.path()), expected);
+  EXPECT_EQ(Repository::load(committed.path()).get("app", "exp", "a")
+                ->thread_count(),
+            2u);
 }
 
 TEST(RepositoryIncrementalSave, FailedSnapshotWriteLeavesTheOldIndex) {

@@ -428,6 +428,34 @@ TEST(Provenance, OriginCostDoesNotGrowWithLineageLength) {
       << "1 lineage line: " << one << " ms, 64 lines: " << many << " ms";
 }
 
+// The counted-work twin of the timing test above: every fact asserted
+// under one source records the same origin object, so no fact copies the
+// lineage, whether it holds 1 line or 64.
+TEST(Provenance, FactsOfOneSourceShareOneOrigin) {
+  for (const std::size_t lineage_lines : {1, 64}) {
+    const std::vector<std::string> lineage(lineage_lines, "raw column");
+    RuleHarness h;
+    h.set_provenance(ProvenanceMode::kFull);
+    const auto schema = h.schema("LoadBalanceFact", {"cv"});
+    std::vector<pk::rules::FactId> ids;
+    {
+      const pk::rules::ProvenanceSource src(h, "assert_cost_probe()",
+                                            lineage);
+      for (int i = 0; i < 100; ++i) {
+        ids.push_back(h.emit(schema).num("cv", i).commit());
+      }
+    }
+    const auto* recorder = h.provenance_recorder();
+    ASSERT_NE(recorder, nullptr);
+    const auto* origin = recorder->origin_of(ids.front());
+    ASSERT_NE(origin, nullptr);
+    EXPECT_EQ(origin->lineage.size(), lineage_lines);
+    std::size_t others = 0;
+    for (const auto id : ids) others += recorder->origin_of(id) != origin;
+    EXPECT_EQ(others, 0u) << lineage_lines << " lineage lines";
+  }
+}
+
 // Facts asserted under a source and inside a firing keep their own
 // origins: the label and lineage of the source, the firing's edge.
 TEST(Provenance, SharedOriginsKeepEachFactsSource) {

@@ -98,6 +98,20 @@ std::pair<fs::path, fs::path> regression_pair(const fs::path& scratch) {
   return {base, cur};
 }
 
+std::string file_bytes(const fs::path& file) {
+  std::ifstream is(file, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is), {});
+}
+
+/// A framed upload request line announcing `n` body bytes.
+std::string framed_header(const std::string& id, const std::string& trial,
+                          std::uint64_t n) {
+  return R"({"api":"perfknow.api/1","id":")" + id +
+         R"(","method":"upload","params":{"application":"app",)"
+         R"("experiment":"exp","trial":")" +
+         trial + R"(","body_bytes":)" + std::to_string(n) + "}}";
+}
+
 std::string diff_params(const std::string& app) {
   return "{\"application\":" + pk::json::quote(app) +
          ",\"experiment\":\"bench\",\"base\":\"v1\",\"current\":\"v2\"}";
@@ -163,53 +177,6 @@ TEST(Wire, ErrorTaxonomyRoundTripsAndMapsExceptions) {
   EXPECT_EQ(wire::exit_code(wire::ErrorCode::kInvalidArgument), 2);
   EXPECT_EQ(wire::exit_code(wire::ErrorCode::kNotFound), 1);
   EXPECT_EQ(wire::exit_code(wire::ErrorCode::kOverloaded), 1);
-}
-
-TEST(Wire, Base64RoundTripsAndRejectsGarbage) {
-  for (const std::string& s :
-       {std::string(), std::string("a"), std::string("ab"),
-        std::string("abc"), std::string("hello world"),
-        std::string("\x00\xff\x7f\x01", 4)}) {
-    EXPECT_EQ(wire::base64_decode(wire::base64_encode(s)), s);
-  }
-  EXPECT_THROW((void)wire::base64_decode("not base64!"), wire::WireError);
-  EXPECT_THROW((void)wire::base64_decode("QQ=="
-                                         "QQ=="),
-               wire::WireError);
-  // A dangling 6-bit group (non-padding length of 1 mod 4) is truncated
-  // input even when its leftover bits happen to be zero ('A' == 0).
-  EXPECT_THROW((void)wire::base64_decode("A"), wire::WireError);
-  EXPECT_THROW((void)wire::base64_decode("QQQQA"), wire::WireError);
-}
-
-TEST(Wire, Base64DecodesWrappedBodiesAndKeepsItsErrorMessages) {
-  std::string bytes;
-  for (int i = 0; i < 1000; ++i) bytes += static_cast<char>(i * 37 % 256);
-  const std::string encoded = wire::base64_encode(bytes);
-  // Line-wrapped bodies (76 columns, CRLF or LF) decode the same.
-  std::string wrapped;
-  for (std::size_t i = 0; i < encoded.size(); i += 76) {
-    wrapped += encoded.substr(i, 76) + (i % 152 == 0 ? "\r\n" : "\n");
-  }
-  EXPECT_EQ(wire::base64_decode(wrapped), bytes);
-  EXPECT_EQ(wire::base64_decode("QUJ\nDRA=\n="), "ABCD");
-  const auto message_of = [](const std::string& text) {
-    try {
-      (void)wire::base64_decode(text);
-    } catch (const wire::WireError& e) {
-      EXPECT_EQ(e.code(), wire::ErrorCode::kBadRequest);
-      return std::string(e.what());
-    }
-    return std::string("decoded");
-  };
-  EXPECT_EQ(message_of("QUJD!"), "base64 body: invalid character '!'");
-  EXPECT_EQ(message_of("QUJDRA==QQ"), "base64 body: data after '=' padding");
-  EXPECT_EQ(message_of("QUJDRA==="),
-            "base64 body: truncated or over-padded input");
-  EXPECT_EQ(message_of("QUJDR"),
-            "base64 body: truncated or over-padded input");
-  EXPECT_EQ(message_of("QUJDRB=="),
-            "base64 body: truncated or over-padded input");
 }
 
 // Framing a request line must cost time linear in its length however
@@ -436,10 +403,12 @@ TEST(ServerDaemon, UploadsParseInMemoryAndNameUnnamedTrials) {
   Client client(opt.socket_path);
   const auto upload = [&](const std::string& body,
                           const std::string& extra) {
-    return client.call(
+    const std::string id = client.send(
         "upload", "{\"application\":\"app\",\"experiment\":\"exp\"" +
-                      extra + ",\"body\":" +
-                      pk::json::quote(wire::base64_encode(body)) + "}");
+                      extra + ",\"body_bytes\":" +
+                      std::to_string(body.size()) + "}");
+    client.send_bytes(body);
+    return client.collect(id);
   };
   const std::regex unnamed("\"trial\":\"upload-[0-9]+\"");
   const std::string csv =
@@ -650,7 +619,7 @@ TEST(ServerDaemon, DisconnectedClientsDoNotLeakFdsOrStallAccept) {
 TEST(ServerDaemon, UnframedFloodGetsBadRequestAndTheConnectionClosed) {
   ServerOptions opt;
   opt.socket_path = socket_path();
-  opt.client_byte_budget = 1024;  // line cap ~= 64 KiB slack + 4/3 * this
+  opt.client_byte_budget = 1024;
   Server server(opt);
 
   Client flood(opt.socket_path);
@@ -683,6 +652,33 @@ TEST(ServerDaemon, UnframedFloodGetsBadRequestAndTheConnectionClosed) {
   server.stop();
 }
 
+// Bodies travel after the line, so the line cap is one constant: the
+// default 64 MiB byte budget does not stretch it.
+TEST(ServerDaemon, TheRequestLineCapIsAConstant) {
+  ServerOptions opt;
+  opt.socket_path = socket_path();
+  Server server(opt);
+  const auto padded_ping = [](std::size_t size) {
+    const std::string head = R"({"api":"perfknow.api/1","id":"1",)"
+                             R"("method":"ping","params":{"pad":")";
+    const std::string tail = "\"}}";
+    return head + std::string(size - head.size() - tail.size(), 'x') + tail;
+  };
+  Client fits(opt.socket_path);
+  fits.send_line(padded_ping(wire::kMaxLineBytes));
+  EXPECT_EQ(fits.collect("1").result, "{\"pong\":true}");
+
+  Client over(opt.socket_path);
+  over.send_line(padded_ping(wire::kMaxLineBytes + 1));
+  const auto r = over.collect("");
+  EXPECT_EQ(r.error, wire::ErrorCode::kBadRequest);
+  EXPECT_EQ(r.error_message, "request line exceeds " +
+                                 std::to_string(wire::kMaxLineBytes) +
+                                 " bytes; closing connection");
+  EXPECT_THROW((void)over.read_line(), pk::IoError);
+  server.stop();
+}
+
 TEST(ServerDaemon, OverloadRejectedUploadsDoNotConsumeBudget) {
   TempDir scratch;
   ServerOptions opt;
@@ -691,26 +687,22 @@ TEST(ServerDaemon, OverloadRejectedUploadsDoNotConsumeBudget) {
   opt.queue_limit = 1;
   opt.client_queue_limit = 16;
 
-  const auto file = write_bench_json(scratch.path() / "t.json",
-                                     {{"BM_Parse", 120.0}});
-  std::string bytes;
-  {
-    std::ifstream is(file, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(is), {});
-  }
-  const std::string body = wire::base64_encode(bytes);
-  // The admission charge per upload, as the server estimates it.
-  const std::size_t charge = body.size() / 4 * 3;
-  opt.client_byte_budget = charge * 10;  // room for exactly 10 stored
+  const std::string bytes = file_bytes(
+      write_bench_json(scratch.path() / "t.json", {{"BM_Parse", 120.0}}));
+  // Each upload is charged its exact body size.
+  opt.client_byte_budget = bytes.size() * 10;  // room for exactly 10 stored
   Server server(opt);
 
   Client client(opt.socket_path);
   int seq = 0;
-  const auto upload_params = [&] {
-    return "{\"application\":\"perfknow\",\"experiment\":\"bench\","
-           "\"trial\":\"t" +
-           std::to_string(seq++) + "\",\"body\":" + pk::json::quote(body) +
-           "}";
+  // Pipelined without waiting; the ids cannot collide with the
+  // client's own numeric ones.
+  const auto send_upload = [&] {
+    const std::string id = "u" + std::to_string(seq);
+    client.send_line(
+        framed_header(id, "t" + std::to_string(seq++), bytes.size()));
+    client.send_bytes(bytes);
+    return id;
   };
 
   // Stuff the single worker and depth-1 queue with selfdiagnose jobs,
@@ -726,7 +718,7 @@ TEST(ServerDaemon, OverloadRejectedUploadsDoNotConsumeBudget) {
     std::vector<std::string> uploads;
     for (int i = 0; i < 4; ++i) stuffers.push_back(client.send("selfdiagnose"));
     for (int i = 0; i < 4; ++i) {
-      uploads.push_back(client.send("upload", upload_params()));
+      uploads.push_back(send_upload());
     }
     for (const auto& id : stuffers) (void)client.collect(id);
     for (const auto& id : uploads) {
@@ -746,11 +738,11 @@ TEST(ServerDaemon, OverloadRejectedUploadsDoNotConsumeBudget) {
 
   // The refunded budget is genuinely available: fill all 10 slots...
   for (; stored < 10; ++stored) {
-    const auto r = client.call("upload", upload_params());
+    const auto r = client.collect(send_upload());
     ASSERT_TRUE(r.ok()) << r.error_message;
   }
   // ...and only the 11th hits the (still enforced) budget.
-  const auto over = client.call("upload", upload_params());
+  const auto over = client.collect(send_upload());
   EXPECT_FALSE(over.ok());
   EXPECT_EQ(over.error, wire::ErrorCode::kBudgetExceeded);
   server.stop();
@@ -1374,8 +1366,6 @@ TEST(Wire, BodyLengthValidatesTheFramedByteCount) {
   }
   EXPECT_EQ(message_of(R"({"body_bytes":101})"),
             "request params.body_bytes of 101 exceeds the 100-byte cap");
-  EXPECT_EQ(message_of(R"({"body":"QUJD","body_bytes":3})"),
-            "request carries both params.body and params.body_bytes");
 }
 
 TEST(Wire, LineBufferHandsOutTheRawBytesAfterALine) {
@@ -1397,11 +1387,6 @@ TEST(Wire, LineBufferHandsOutTheRawBytesAfterALine) {
 }
 
 namespace {
-
-std::string file_bytes(const fs::path& file) {
-  std::ifstream is(file, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(is), {});
-}
 
 /// The sum of every inclusive and exclusive cell of a trial.
 double cell_sum(const pk::profile::Trial& t) {
@@ -1429,15 +1414,6 @@ std::vector<std::string> without_ids(const Client::Response& r) {
   return without_ids(response_lines(r));
 }
 
-/// A framed upload request line announcing `n` body bytes.
-std::string framed_header(const std::string& id, const std::string& trial,
-                          std::uint64_t n) {
-  return R"({"api":"perfknow.api/1","id":")" + id +
-         R"(","method":"upload","params":{"application":"app",)"
-         R"("experiment":"exp","trial":")" +
-         trial + R"(","body_bytes":)" + std::to_string(n) + "}}";
-}
-
 std::string small_csv(int rows) {
   std::string csv = "event,thread,metric,inclusive,exclusive,calls,subcalls\n"
                     "main,0,TIME,5,4,1,1\n";
@@ -1449,7 +1425,7 @@ std::string small_csv(int rows) {
 
 }  // namespace
 
-TEST(ServerDaemon, FramedAndBase64UploadsStoreAndAnalyzeTheSame) {
+TEST(ServerDaemon, FramedUploadsStoreAndAnalyzeLikeALocalOpen) {
   TempDir scratch;
   const std::vector<fs::path> files = {
       write_msap_body(scratch.path() / "s.pkb", false, 8),
@@ -1468,39 +1444,80 @@ TEST(ServerDaemon, FramedAndBase64UploadsStoreAndAnalyzeTheSame) {
   opt.socket_path = socket_path();
   Server server(opt);
   Client client(opt.socket_path);
+  // The same files opened in-process, under the names the uploads get.
+  pk::perfdmf::Repository local;
   for (const fs::path& file : files) {
     const std::string trial = file.stem().string();
     const auto framed = client.upload_file("MSAP", "framed", file);
     ASSERT_TRUE(framed.ok()) << file << ": " << framed.error_message;
-    const auto base64 = client.call(
-        "upload",
-        "{\"application\":\"MSAP\",\"experiment\":\"base64\",\"trial\":" +
-            pk::json::quote(trial) + ",\"body\":" +
-            pk::json::quote(wire::base64_encode(file_bytes(file))) + "}");
-    ASSERT_TRUE(base64.ok()) << file << ": " << base64.error_message;
-    EXPECT_EQ(framed.result, base64.result);
     EXPECT_EQ(framed.result,
               "{\"trial\":" + pk::json::quote(trial) + ",\"bytes\":" +
                   std::to_string(fs::file_size(file)) + "}");
+    auto opened =
+        std::make_shared<pk::profile::Trial>(pk::io::open_trial(file));
+    opened->set_name(trial);
+    local.put("MSAP", "framed", opened);
     {
       std::shared_lock<std::shared_mutex> lock(server.repository_mutex());
       EXPECT_EQ(
           cell_sum(*server.repository().view("MSAP", "framed", trial)),
-          cell_sum(*server.repository().view("MSAP", "base64", trial)))
+          cell_sum(*opened))
           << file;
     }
-    const auto analyzed = [&](const std::string& exp) {
-      return without_ids(client.call(
-          "analyze", "{\"application\":\"MSAP\",\"experiment\":\"" + exp +
-                         "\",\"trial\":" + pk::json::quote(trial) + "}"));
-    };
-    const auto lines = analyzed("framed");
-    EXPECT_EQ(lines, analyzed("base64")) << file;
+    const std::string id =
+        client.send("analyze", trial_params("framed", trial));
+    const auto streamed = client.collect(id);
+    ASSERT_TRUE(streamed.ok()) << file << ": " << streamed.error_message;
+    pk::server::AnalyzeParams params;
+    params.application = "MSAP";
+    params.experiment = "framed";
+    params.trial = trial;
+    pk::rules::RuleHarness harness;
+    const auto diagnoses =
+        pk::server::run_analysis(local, params, {}, harness);
+    std::vector<std::string> expected;
+    std::size_t explanations = 0;
+    for (const auto& d : diagnoses) {
+      expected.push_back(wire::diagnosis_line(id, d));
+      if (d.provenance) {
+        ++explanations;
+        expected.push_back(wire::explanation_line(id, *d.provenance));
+      }
+    }
+    expected.push_back("{\"diagnoses\":" + std::to_string(diagnoses.size()) +
+                       ",\"explanations\":" + std::to_string(explanations) +
+                       "}");
+    EXPECT_EQ(response_lines(streamed), expected) << file;
     if (file.extension() == ".pkb") {
-      EXPECT_GT(lines.size(), 1u);
+      EXPECT_GT(expected.size(), 1u);
     }
   }
-  EXPECT_EQ(server.stats().uploads, 2 * files.size());
+  EXPECT_EQ(server.stats().uploads, files.size());
+  server.stop();
+}
+
+// Uploads, and only uploads, travel framed. One that still carries its
+// trial inside the line (a params.body, no body_bytes) is refused by
+// name, as is a body on another method; each line was well framed, so
+// the connection keeps serving.
+TEST(ServerDaemon, OnlyUploadsAreFramedAndEveryUploadIs) {
+  ServerOptions opt;
+  opt.socket_path = socket_path();
+  Server server(opt);
+  Client client(opt.socket_path);
+  const auto old_form = client.call(
+      "upload",
+      R"({"application":"app","experiment":"exp","trial":"t","body":"QUJD"})");
+  EXPECT_EQ(old_form.error, wire::ErrorCode::kBadRequest);
+  EXPECT_EQ(old_form.error_message,
+            "upload: params.body_bytes must give the byte count of the "
+            "trial body that follows the request line");
+  const std::string id = client.send("analyze", R"({"body_bytes":4})");
+  client.send_bytes("ABCD");
+  EXPECT_EQ(client.collect(id).error_message,
+            "method 'analyze' takes no framed body");
+  EXPECT_TRUE(client.call("ping").ok());
+  EXPECT_EQ(server.stats().uploads, 0u);
   server.stop();
 }
 
@@ -1582,7 +1599,7 @@ TEST(ServerDaemon, AFramedBodyOverTheBudgetIsDrainedAndTheConnectionKept) {
 TEST(ServerDaemon, AFramedBodyOverTheLineCapClosesTheConnection) {
   ServerOptions opt;
   opt.socket_path = socket_path();
-  opt.client_byte_budget = 1024;  // line cap ~= 64 KiB slack + 4/3 * this
+  opt.client_byte_budget = 1024;  // bodies capped at max(this, 64 KiB)
   Server server(opt);
   Client client(opt.socket_path);
   client.send_line(framed_header("1", "huge", std::uint64_t{1} << 30));
