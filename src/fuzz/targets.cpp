@@ -1,5 +1,7 @@
 #include "fuzz/targets.hpp"
 
+#include <stdexcept>
+
 #include "common/error.hpp"
 #include "perfdmf/csv_format.hpp"
 #include "perfdmf/index_format.hpp"
@@ -65,7 +67,27 @@ FuzzTarget target(Frontend fe) {
       };
     case Frontend::kIndex:
       return [](const std::string& in) {
-        (void)perfdmf::parse_index(in);
+        // Whatever parses re-renders to rows that parse to the same
+        // values: the writer and the parser agree on every record.
+        const auto rows = perfdmf::parse_index(in);
+        std::string again;
+        for (const auto& r : rows) {
+          perfdmf::append_index_row(again, r.application, r.experiment,
+                                    r.trial, r.path, r.record);
+        }
+        const auto back = perfdmf::parse_index(again);
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          const auto& a = rows[i];
+          const auto& b = back.at(i);
+          if (a.application != b.application || a.experiment != b.experiment ||
+              a.trial != b.trial || a.path != b.path ||
+              a.record.has_value() != b.record.has_value() ||
+              (a.record && !perfdmf::same_record(*a.record, *b.record))) {
+            throw std::logic_error("index row at line " +
+                                   std::to_string(a.line) +
+                                   " changes when re-rendered");
+          }
+        }
         (void)perfdmf::parse_lineage(in);
       };
   }
@@ -140,7 +162,8 @@ const std::vector<std::string>& dictionary(Frontend fe) {
   // the names save() writes.
   static const std::vector<std::string> kIndexDict = {
       "\t", "\n", "\r", "..", "../", "/", "shard-00/", ".pkb", ".pkprof",
-      "_3f9c0d2a81b4e6f0", "app\texp\t", "v1\tv0\n",
+      "_3f9c0d2a81b4e6f0", "app\texp\t", "v1\tv0\n", "\t64\t2000\t8\t",
+      "\t-\n", "nan", "-inf", "-0", "1e-320", "18446744073709551616",
   };
   switch (fe) {
     case Frontend::kTau: return kTauDict;

@@ -22,8 +22,9 @@ namespace perfknow::fuzz {
 ///               the N raw bytes after the line, then check_framing (an
 ///               upload must be framed); a WireError is the rejection,
 ///               rethrown as ParseError
-///   index       perfdmf::parse_index, then perfdmf::parse_lineage, on
-///               the same bytes
+///   index       perfdmf::parse_index, whose rows must re-render
+///               (append_index_row) to rows that parse to the same
+///               values, then perfdmf::parse_lineage, on the same bytes
 [[nodiscard]] FuzzTarget target(Frontend fe);
 
 /// Keywords and structural fragments of the front end's grammar, fed to

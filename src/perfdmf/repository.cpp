@@ -93,11 +93,11 @@ void check_name(const char* where, const char* field,
   }
 }
 
-// Index rows: app, experiment, trial, relative snapshot path; lineage
-// rows: app, experiment, version, predecessor (possibly empty). Both
-// tab-separated, one per line.
-void append_row(std::string& out, const std::string& a, const std::string& b,
-                const std::string& c, const std::string& d) {
+// Lineage rows: app, experiment, version, predecessor (possibly empty),
+// tab-separated, one per line. Index rows are append_index_row's.
+void append_lineage_row(std::string& out, const std::string& a,
+                        const std::string& b, const std::string& c,
+                        const std::string& d) {
   out.append(a).append(1, '\t').append(b).append(1, '\t').append(c);
   out.append(1, '\t').append(d).append(1, '\n');
 }
@@ -163,6 +163,58 @@ auto parse_table(Parse&& parse, std::string_view text,
   }
 }
 
+// The ParseError for an index record that disagrees with its snapshot:
+// `what` gives both values; the error names `dir`'s index.tsv and the
+// row's line.
+ParseError index_mismatch(const std::filesystem::path& dir,
+                          const std::string& what, int line) {
+  return ParseError("repository index: " + what, line)
+      .with_file((dir / "index.tsv").string());
+}
+
+std::string shape_text(const TrialRecord& r) {
+  return std::to_string(r.threads) + " threads, " + std::to_string(r.events) +
+         " events, " + std::to_string(r.metrics) + " metrics";
+}
+
+// Throws index_mismatch when the shape of the trial just opened is not
+// the one its row (at `line`) records.
+void check_shape(const std::filesystem::path& dir, const TrialRecord& row,
+                 int line, const profile::Trial& opened) {
+  const TrialRecord shape{opened.thread_count(), opened.event_count(),
+                          opened.metric_count(), std::nullopt};
+  if (row.threads == shape.threads && row.events == shape.events &&
+      row.metrics == shape.metrics) {
+    return;
+  }
+  throw index_mismatch(dir,
+                       "trial '" + opened.name() + "' has " +
+                           shape_text(shape) +
+                           " in its snapshot, but its row says " +
+                           shape_text(row),
+                       line);
+}
+
+// Throws index_mismatch when the record computed from a checksummed
+// trial has another total than its row (at `line`).
+void check_total(const std::filesystem::path& dir, const TrialRecord& row,
+                 int line, const std::string& name,
+                 const TrialRecord& opened) {
+  if (same_record(row, opened)) return;
+  throw index_mismatch(dir,
+                       "trial '" + name + "' has total " +
+                           total_field(opened.total) +
+                           " in its snapshot, but its row says " +
+                           total_field(row.total),
+                       line);
+}
+
+telemetry::Counter& snapshots_opened() {
+  static telemetry::Counter& c =
+      telemetry::counter("perfdmf.snapshot.opened");
+  return c;
+}
+
 void save_pkb_file(const profile::Trial& trial,
                    const std::filesystem::path& file) {
   std::ofstream os(file, std::ios::binary);
@@ -202,6 +254,14 @@ struct Repository::Entry {
   /// put() since open, or handed out mutable by get(): the next save()
   /// rewrites the snapshot. Never cleared — the holder may keep editing.
   bool dirty = false;
+  /// The index record: read from index.tsv, or computed from the trial
+  /// that commit(), save() or load() wrote or read. Empty for a row
+  /// written before records existed, until a save() fills it in.
+  std::optional<TrialRecord> record;
+  /// index.tsv line `record` was read from while it is unchecked against
+  /// the snapshot; 0 for a computed record.
+  int record_line = 0;
+  bool total_checked = false;  ///< record's total matched the snapshot
   std::size_t charge = 0;
   std::uint64_t last_used = 0;
 };
@@ -381,6 +441,7 @@ void Repository::commit(const std::string& application,
   entry->rel = rel;
   entry->pkb = true;
   entry->verified_image = trial->image();  // the caller's trial is trusted
+  entry->record = record_of(*trial);
   const std::size_t charge = trial_charge(*trial);
   entry->trial = std::move(trial);
   std::uint64_t mine = 0;
@@ -417,11 +478,14 @@ void Repository::commit(const std::string& application,
   std::uint64_t upto = 0;
   {
     const std::shared_lock read(guard);
+    const std::lock_guard lock(cache_->mutex);
     for (const auto& [app, exps] : store_) {
       for (const auto& [exp, trs] : exps) {
         for (const auto& [tname, slot] : trs) {
           // put() entries live in memory only until a save().
-          if (!slot->rel.empty()) append_row(index, app, exp, tname, slot->rel);
+          if (!slot->rel.empty()) {
+            append_index_row(index, app, exp, tname, slot->rel, slot->record);
+          }
         }
       }
     }
@@ -467,7 +531,7 @@ std::string Repository::lineage_text() const {
   for (const auto& [app, exps] : lineage_) {
     for (const auto& [exp, chain] : exps) {
       for (const auto& link : chain) {
-        append_row(out, app, exp, link.version, link.predecessor);
+        append_lineage_row(out, app, exp, link.version, link.predecessor);
       }
     }
   }
@@ -624,9 +688,20 @@ TrialPtr Repository::load_entry(Entry& entry) const {
   // The open/mmap/schema parse runs with the cache unlocked; holding the
   // entry's load mutex guarantees no other thread loads this entry, so
   // publishing below cannot clobber a concurrent load.
+  snapshots_opened().add();
   const auto trial = std::make_shared<profile::Trial>(
       entry.pkb ? open_pkb(entry.file, Verify::kSchema)
                 : load_text_snapshot(entry.file));
+  std::optional<TrialRecord> row;
+  int line = 0;
+  {
+    const std::lock_guard lock(cache_->mutex);
+    row = entry.record;
+    line = entry.record_line;
+  }
+  if (line > 0) {
+    check_shape(root_, *row, line, *trial);
+  }
   Dropped dropped;
   const std::lock_guard lock(cache_->mutex);
   entry.trial = trial;
@@ -638,28 +713,45 @@ TrialPtr Repository::load_entry(Entry& entry) const {
 
 void Repository::verify_entry(Entry& entry, const profile::Trial& trial,
                               Verify level) const {
-  const auto& image = trial.image();
-  if (!image) return;  // owned columns have nothing to check
-  // Without SUMM the aggregates come from the cells.
-  if (trial.borrowed_summary() == nullptr) level = Verify::kFull;
+  // Owned columns have no checksum to check.
+  if (const auto& image = trial.image()) {
+    // Without SUMM the aggregates come from the cells.
+    if (trial.borrowed_summary() == nullptr) level = Verify::kFull;
+    bool checked = false;
+    {
+      const std::lock_guard lock(cache_->mutex);
+      checked = entry.verified_image == image ||
+                (level == Verify::kSummary && entry.summary_image == image);
+    }
+    if (!checked) {
+      try {
+        if (level == Verify::kFull) {
+          verify_pkb_columns(trial);
+        } else {
+          verify_pkb_summary(trial);
+        }
+      } catch (const ParseError& e) {
+        if (e.file().empty()) throw e.with_file(entry.file.string());
+        throw;
+      }
+      const std::lock_guard lock(cache_->mutex);
+      (level == Verify::kFull ? entry.verified_image : entry.summary_image) =
+          image;
+    }
+  }
+  // The values are trustworthy now: check the row's total against them.
+  // A dirty entry's trial may have been edited since it was read.
+  TrialRecord row;
+  int line = 0;
   {
     const std::lock_guard lock(cache_->mutex);
-    if (entry.verified_image == image) return;
-    if (level == Verify::kSummary && entry.summary_image == image) return;
+    if (entry.record_line == 0 || entry.total_checked || entry.dirty) return;
+    row = *entry.record;
+    line = entry.record_line;
   }
-  try {
-    if (level == Verify::kFull) {
-      verify_pkb_columns(trial);
-    } else {
-      verify_pkb_summary(trial);
-    }
-  } catch (const ParseError& e) {
-    if (e.file().empty()) throw e.with_file(entry.file.string());
-    throw;
-  }
+  check_total(root_, row, line, trial.name(), record_of(trial));
   const std::lock_guard lock(cache_->mutex);
-  (level == Verify::kFull ? entry.verified_image : entry.summary_image) =
-      image;
+  entry.total_checked = true;
 }
 
 namespace {
@@ -748,6 +840,15 @@ ConstTrialPtr Repository::verified_view(const std::string& application,
   ConstTrialPtr out = view(application, experiment, trial);
   verify_entry(*entry, *out, Verify::kFull);
   return out;
+}
+
+std::optional<TrialRecord> Repository::record(
+    const std::string& application, const std::string& experiment,
+    const std::string& trial) const {
+  const EntryPtr& entry = find_entry(application, experiment, trial);
+  const std::lock_guard lock(cache_->mutex);
+  if (entry->dirty) return std::nullopt;
+  return entry->record;
 }
 
 bool Repository::contains(const std::string& application,
@@ -915,7 +1016,11 @@ void Repository::save(const std::filesystem::path& dir) const {
     taken.insert(row.rel);
   }
   for (const Row& row : rows) {
-    if (row.write) save_entry(row.entry, dir / row.rel);
+    if (row.write) {
+      save_entry(row.entry, dir / row.rel);
+    } else {
+      fill_record(row.entry);
+    }
   }
 
   // The index and lineage go out last, each through a temp file, so the
@@ -924,8 +1029,12 @@ void Repository::save(const std::filesystem::path& dir) const {
   // index rename is the commit point, and lineage links naming trials
   // the index lacks are dropped when the directory is opened.
   std::string index;
-  for (const Row& row : rows) {
-    append_row(index, row.app, row.exp, row.name, row.rel);
+  {
+    const std::lock_guard lock(cache_->mutex);
+    for (const Row& row : rows) {
+      append_index_row(index, row.app, row.exp, row.name, row.rel,
+                       row.entry.record);
+    }
   }
   const std::string lineage = lineage_text();
   const std::filesystem::path index_file = dir / "index.tsv";
@@ -974,10 +1083,31 @@ void Repository::save_entry(Entry& entry,
     std::filesystem::remove(tmp, ec);
     throw;
   }
+  const TrialRecord written = record_of(*trial);
   Dropped dropped;
   const std::lock_guard lock(cache_->mutex);
+  entry.record = written;
+  entry.record_line = 0;
   touch_locked(entry);
   evict_to_budget_locked(dropped);
+}
+
+void Repository::fill_record(Entry& entry) const {
+  TrialPtr trial;
+  {
+    const std::lock_guard lock(cache_->mutex);
+    if (entry.record || !entry.trial) return;
+    // Only values a checksum has covered go into the index.
+    const auto& image = entry.trial->image();
+    if (image && entry.verified_image != image &&
+        entry.summary_image != image) {
+      return;
+    }
+    trial = entry.trial;
+  }
+  const TrialRecord computed = record_of(*trial);
+  const std::lock_guard lock(cache_->mutex);
+  entry.record = computed;
 }
 
 Repository Repository::open_index(const std::filesystem::path& dir,
@@ -990,13 +1120,15 @@ Repository Repository::open_index(const std::filesystem::path& dir,
     std::string app, exp, name, rel;
     std::filesystem::path file;
     bool pkb;
+    std::optional<TrialRecord> record;
+    int line;
   };
   std::vector<Row> rows;
   for (IndexRow& row : parse_table(parse_index, index_text, index_file)) {
     const std::filesystem::path rel(row.path);
     rows.push_back(Row{std::move(row.application), std::move(row.experiment),
                        std::move(row.trial), std::move(row.path), dir / rel,
-                       rel.extension() == ".pkb"});
+                       rel.extension() == ".pkb", row.record, row.line});
   }
 
   Repository repo;
@@ -1008,6 +1140,7 @@ Repository Repository::open_index(const std::filesystem::path& dir,
     std::vector<TrialPtr> loaded(rows.size());
     const auto load_row = [&](std::size_t i) {
       const Row& row = rows[i];
+      snapshots_opened().add();
       loaded[i] = std::make_shared<profile::Trial>(
           row.pkb ? open_pkb(row.file, Verify::kFull)
                   : load_text_snapshot(row.file));
@@ -1022,8 +1155,15 @@ Repository Repository::open_index(const std::filesystem::path& dir,
         throw ParseError("repository index: trial name mismatch for '" +
                          rows[i].file.filename().string() + "'");
       }
+      // Every value was just checksummed: check the row against them.
+      const TrialRecord opened = record_of(*loaded[i]);
+      if (const auto& row = rows[i].record) {
+        check_shape(dir, *row, rows[i].line, *loaded[i]);
+        check_total(dir, *row, rows[i].line, rows[i].name, opened);
+      }
       auto entry = std::make_shared<Entry>();
       entry->pinned = true;
+      entry->record = opened;
       entry->verified_image = loaded[i]->image();  // opened with kFull
       entry->trial = std::move(loaded[i]);
       entry->file = rows[i].file;
@@ -1038,6 +1178,8 @@ Repository Repository::open_index(const std::filesystem::path& dir,
       entry->file = row.file;
       entry->rel = row.rel;
       entry->pkb = row.pkb;
+      entry->record = row.record;
+      if (row.record) entry->record_line = row.line;
       repo.insert_entry(row.app, row.exp, row.name, std::move(entry));
     }
   }

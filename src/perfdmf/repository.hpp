@@ -8,6 +8,7 @@
 //
 //   repo-dir/
 //     index.tsv        app \t experiment \t trial \t relative-path
+//                      \t threads \t events \t metrics \t total
 //     lineage.tsv      app \t experiment \t version \t predecessor
 //     shard-00/ ... shard-15/   one .pkb file per trial, placed by a
 //                               hash of (app, experiment, trial)
@@ -18,6 +19,16 @@
 // later one. Repositories written with the older ordinal names
 // ("name_K.pkb") keep those names; the index is the only authority on
 // where a trial lives.
+//
+// An index row's last four fields are the trial's record
+// (index_format.hpp): its shape and total_time(), "-" for a total that
+// cannot be computed. `pkx list` and `pkx history` print them without
+// opening a snapshot; rows written before records existed have only the
+// first four fields, and those commands open the snapshot for them. A
+// record read from the index is checked against the snapshot whenever
+// one is opened anyway: the shape on open, the total once the summary
+// or column checksum has passed. A disagreement is a ParseError naming
+// index.tsv and the row's line.
 //
 // Sharding keeps directory fan-out bounded for repositories with tens of
 // thousands of trials and gives concurrent bulk ingest naturally disjoint
@@ -52,6 +63,7 @@
 #include <string>
 #include <vector>
 
+#include "perfdmf/index_format.hpp"
 #include "perfdmf/pkb_format.hpp"
 #include "profile/profile.hpp"
 
@@ -198,6 +210,16 @@ class Repository {
                                             const std::string& experiment,
                                             const std::string& trial) const;
 
+  /// The trial's record (index_format.hpp) without opening its
+  /// snapshot: as read from index.tsv, or as commit(), save() or load()
+  /// computed it from the trial they wrote or read. Empty when the row
+  /// predates records and no save() since the trial was opened has
+  /// filled it in, and for a trial put() or handed out mutable by get(),
+  /// whose values may still change. Throws NotFoundError as view() does.
+  [[nodiscard]] std::optional<TrialRecord> record(
+      const std::string& application, const std::string& experiment,
+      const std::string& trial) const;
+
   [[nodiscard]] bool contains(const std::string& application,
                               const std::string& experiment,
                               const std::string& trial) const noexcept;
@@ -307,9 +329,14 @@ class Repository {
   /// Streams one entry's snapshot to `dest` (temp file + atomic rename;
   /// verifies a lazily opened snapshot's column CRC before re-signing it).
   void save_entry(Entry& entry, const std::filesystem::path& dest) const;
+  /// Fills in a clean entry's missing record (a row written before
+  /// records existed) from its resident trial, when a checksum has
+  /// covered that trial's values. Never opens the snapshot.
+  void fill_record(Entry& entry) const;
   /// verify_pkb_columns() (Verify::kFull) or verify_pkb_summary()
   /// (Verify::kSummary), remembered per resident entry so a trial read
-  /// several times by one command is checksummed once.
+  /// several times by one command is checksummed once; then the total of
+  /// a record read from the index is checked against the trial, once.
   void verify_entry(Entry& entry, const profile::Trial& trial,
                     Verify level) const;
   void touch_locked(Entry& entry) const;

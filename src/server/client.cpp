@@ -1,15 +1,20 @@
 #include "server/client.hpp"
 
+#include <fcntl.h>
+#include <pthread.h>
+#include <sys/sendfile.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstring>
+#include <ctime>
 #include <string_view>
 
 #include "common/error.hpp"
-#include "common/file.hpp"
 #include "common/json.hpp"
 
 namespace perfknow::server {
@@ -60,6 +65,47 @@ void Client::send_bytes(std::string_view bytes) {
 }
 
 void Client::shutdown_send() { ::shutdown(fd_, SHUT_WR); }
+
+void Client::send_file(int file_fd, std::uint64_t n,
+                       const std::filesystem::path& file) {
+  // sendfile has no MSG_NOSIGNAL: SIGPIPE is blocked while it runs, and
+  // one it raised on a closed peer is taken back before the old mask is
+  // restored (unless one was already pending).
+  sigset_t pipe_set;
+  sigset_t old_set;
+  sigset_t pending;
+  sigemptyset(&pipe_set);
+  sigaddset(&pipe_set, SIGPIPE);
+  pthread_sigmask(SIG_BLOCK, &pipe_set, &old_set);
+  sigpending(&pending);
+  const bool was_pending = sigismember(&pending, SIGPIPE) == 1;
+  off_t offset = 0;
+  int error = 0;
+  while (static_cast<std::uint64_t>(offset) < n) {
+    const ssize_t r = ::sendfile(
+        fd_, file_fd, &offset,
+        static_cast<std::size_t>(n - static_cast<std::uint64_t>(offset)));
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) {
+      error = r < 0 ? errno : 0;
+      break;
+    }
+  }
+  if (error == EPIPE && !was_pending) {
+    const timespec zero{};
+    (void)sigtimedwait(&pipe_set, nullptr, &zero);
+  }
+  pthread_sigmask(SIG_SETMASK, &old_set, nullptr);
+  if (error != 0) throw IoError("Client: connection lost while sending");
+  if (static_cast<std::uint64_t>(offset) < n) {
+    // The request line promised n bytes: the frame cannot be completed.
+    ::close(fd_);
+    fd_ = -1;
+    throw IoError("Client::upload_file: " + file.string() + " ended after " +
+                  std::to_string(offset) + " of " + std::to_string(n) +
+                  " bytes");
+  }
+}
 
 std::string Client::read_line() {
   constexpr std::size_t kChunk = 64 << 10;
@@ -157,8 +203,17 @@ Client::Response Client::upload_file(const std::string& application,
                                      const std::filesystem::path& file,
                                      const std::string& version,
                                      const std::string& predecessor) {
-  const std::string body =
-      read_file_bytes(file, "Client::upload_file: cannot open");
+  struct File {
+    int fd;
+    ~File() {
+      if (fd >= 0) ::close(fd);
+    }
+  } const in{::open(file.c_str(), O_RDONLY | O_CLOEXEC)};
+  struct stat st {};
+  if (in.fd < 0 || ::fstat(in.fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    throw IoError("Client::upload_file: cannot open: " + file.string());
+  }
+  const auto body_bytes = static_cast<std::uint64_t>(st.st_size);
   std::string params = "{\"application\":" + json::quote(application) +
                        ",\"experiment\":" + json::quote(experiment);
   if (!version.empty()) {
@@ -171,10 +226,11 @@ Client::Response Client::upload_file(const std::string& application,
   if (!predecessor.empty()) {
     params += ",\"predecessor\":" + json::quote(predecessor);
   }
-  // The file's bytes follow the request line as they are.
-  params += ",\"body_bytes\":" + std::to_string(body.size()) + "}";
+  // The file's bytes follow the request line as they are, sent from the
+  // file without a copy in this process.
+  params += ",\"body_bytes\":" + std::to_string(body_bytes) + "}";
   const std::string id = send("upload", params);
-  send_bytes(body);
+  send_file(in.fd, body_bytes, file);
   return collect(id);
 }
 

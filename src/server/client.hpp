@@ -66,10 +66,10 @@ class Client {
   Response collect(const std::string& id);
 
   /// Uploads `file` into application/experiment as a framed body: the
-  /// request line carries "body_bytes" and the file's bytes follow it
-  /// as they are. Non-empty `version` stores it as the next history
-  /// version (put_version semantics, with optional explicit
-  /// predecessor).
+  /// request line carries "body_bytes" (the file's size) and the file's
+  /// bytes follow it as they are, through send_file(). Non-empty
+  /// `version` stores it as the next history version (put_version
+  /// semantics, with optional explicit predecessor).
   Response upload_file(const std::string& application,
                        const std::string& experiment,
                        const std::filesystem::path& file,
@@ -80,6 +80,11 @@ class Client {
   void send_line(const std::string& line);
   /// Sends bytes as they are, with no terminator (a framed body).
   void send_bytes(std::string_view bytes);
+  /// Sends the first `n` bytes of the open file `file_fd` (named `file`)
+  /// with sendfile(2). A file shorter than `n` leaves a frame that cannot
+  /// be completed: the connection is closed and IoError names the file.
+  void send_file(int file_fd, std::uint64_t n,
+                 const std::filesystem::path& file);
   /// Half-closes the connection: the server sees end of input, and
   /// responses can still be read.
   void shutdown_send();

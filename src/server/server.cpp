@@ -490,10 +490,19 @@ void Server::send_error(Connection& conn, const std::string& id,
 // ---- admission ---------------------------------------------------------
 
 void Server::dispatch(const ConnectionPtr& conn, wire::Request req) {
+  // read_body charged a framed body's exact size before reading it, so a
+  // client cannot queue itself past its budget; the worker never
+  // uncharges. Only admission itself may refund: a request turned away
+  // here stored nothing, so every refusal gives its body's bytes back.
+  const std::uint64_t upload_charge = req.body.size();
+  const auto refuse = [&](wire::ErrorCode code, const std::string& message) {
+    conn->uploaded_bytes.fetch_sub(upload_charge, std::memory_order_relaxed);
+    send_error(*conn, req.id, code, message);
+  };
   try {
     wire::check_framing(req);
   } catch (const wire::WireError& e) {
-    send_error(*conn, req.id, e.code(), e.what());
+    refuse(e.code(), e.what());
     return;
   }
   if (req.method == "ping") {
@@ -513,42 +522,32 @@ void Server::dispatch(const ConnectionPtr& conn, wire::Request req) {
   if (req.method != "upload" && req.method != "analyze" &&
       req.method != "explain" && req.method != "diff" &&
       req.method != "selfdiagnose") {
-    send_error(*conn, req.id, wire::ErrorCode::kUnknownMethod,
-               "unknown method '" + req.method + "'");
+    refuse(wire::ErrorCode::kUnknownMethod,
+           "unknown method '" + req.method + "'");
     return;
   }
   if (stopping_.load()) {
-    send_error(*conn, req.id, wire::ErrorCode::kShuttingDown,
-               "server is shutting down");
+    refuse(wire::ErrorCode::kShuttingDown, "server is shutting down");
     return;
   }
-  // read_body charged an upload's exact body size before reading it, so
-  // a client cannot queue itself past its budget; the worker never
-  // uncharges. Only admission itself may refund: an upload turned away
-  // at the queue (below) stored nothing, so it must not consume budget.
-  const std::uint64_t upload_charge = req.body.size();
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     const std::size_t mine =
         conn->in_flight.load(std::memory_order_relaxed);
     if (queue_.size() >= options_.queue_limit ||
         mine >= options_.client_queue_limit) {
-      if (upload_charge > 0) {
-        conn->uploaded_bytes.fetch_sub(upload_charge,
-                                       std::memory_order_relaxed);
-      }
       rejected_overload_.fetch_add(1, std::memory_order_relaxed);
       static telemetry::Counter& rejected =
           telemetry::counter("server.rejected.overload");
       rejected.add();
-      send_error(*conn, req.id, wire::ErrorCode::kOverloaded,
-                 queue_.size() >= options_.queue_limit
-                     ? "server queue is full (" +
-                           std::to_string(options_.queue_limit) +
-                           " pending); retry later"
-                     : "connection has too many requests in flight (" +
-                           std::to_string(options_.client_queue_limit) +
-                           "); wait for results");
+      refuse(wire::ErrorCode::kOverloaded,
+             queue_.size() >= options_.queue_limit
+                 ? "server queue is full (" +
+                       std::to_string(options_.queue_limit) +
+                       " pending); retry later"
+                 : "connection has too many requests in flight (" +
+                       std::to_string(options_.client_queue_limit) +
+                       "); wait for results");
       return;
     }
     conn->in_flight.fetch_add(1, std::memory_order_relaxed);

@@ -16,7 +16,6 @@
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "machine/machine.hpp"
-#include "perfdmf/index_format.hpp"
 #include "perfknow.hpp"
 
 namespace perfknow::tools {
@@ -150,13 +149,19 @@ int cmd_list(const pk::perfdmf::Repository& repo, std::ostream& out) {
     for (const auto& exp : repo.experiments(app)) {
       out << "  " << exp << "\n";
       for (const auto& trial : repo.trials(app, exp)) {
-        // Shape only: the schema is CRC-checked when the view opens.
-        const auto t = repo.view(app, exp, trial);
+        // Shape only: the index row records it. A row without a record
+        // opens the snapshot, whose schema is CRC-checked on open.
+        auto shape = repo.record(app, exp, trial);
+        if (!shape) {
+          const auto t = repo.view(app, exp, trial);
+          shape = {t->thread_count(), t->event_count(), t->metric_count(),
+                   std::nullopt};
+        }
         char buf[160];
         std::snprintf(buf, sizeof buf,
                       "    %-28s %zu threads, %zu events, %zu metrics\n",
-                      trial.c_str(), t->thread_count(), t->event_count(),
-                      t->metric_count());
+                      trial.c_str(), shape->threads, shape->events,
+                      shape->metrics);
         out << buf;
       }
     }
@@ -380,28 +385,27 @@ int cmd_rules_profile(pk::perfdmf::Repository& repo,
 
 // ---- trial history -----------------------------------------------------
 
-/// Total runtime of a trial for the history/diff summaries: the main
-/// event's mean inclusive TIME (first metric when there is no TIME).
-double total_time(const profile::Trial& trial) {
-  const auto m = trial.metric_id(
-      trial.find_metric("TIME") ? "TIME" : trial.metric(0).name);
-  return trial.mean_inclusive(trial.main_event(), m);
-}
-
 int cmd_history(const pk::perfdmf::Repository& repo, const std::string& app,
                 const std::string& exp, std::ostream& out) {
   const auto versions = repo.history(app, exp);
-  // Each version is read once, through its summary. history() names
-  // every trial of the experiment, so any predecessor's total is here
-  // too, whatever the shape of the lineage.
+  // Each version's events and total come from its index record; a row
+  // without a total reads the version once, through its summary.
+  // history() names every trial of the experiment, so any predecessor's
+  // total is here too, whatever the shape of the lineage.
   struct Version {
     std::size_t events = 0;
     double total = 0.0;
   };
   std::map<std::string, Version> read;
   for (const auto& version : versions) {
-    const auto trial = repo.summary_view(app, exp, version);
-    read[version] = {trial->event_count(), total_time(*trial)};
+    const auto record = repo.record(app, exp, version);
+    if (record && record->total) {
+      read[version] = {record->events, *record->total};
+    } else {
+      const auto trial = repo.summary_view(app, exp, version);
+      read[version] = {trial->event_count(),
+                       pk::perfdmf::total_time(*trial)};
+    }
   }
   pk::TextTable table(
       {"version", "predecessor", "events", "total", "vs prev"});

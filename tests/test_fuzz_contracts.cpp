@@ -5,7 +5,9 @@
 // mutation engine also explores randomly.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -13,6 +15,7 @@
 #include "fuzz/harness.hpp"
 #include "fuzz/mutator.hpp"
 #include "fuzz/targets.hpp"
+#include "perfdmf/index_format.hpp"
 #include "perfdmf/json_format.hpp"
 
 namespace pk = perfknow;
@@ -147,6 +150,65 @@ TEST(FuzzContracts, TheWireCorpusRejectsOnlyTheUnframedUpload) {
     EXPECT_NE(std::string(e.what()).find("params.body_bytes"),
               std::string::npos)
         << e.what();
+  }
+}
+
+// The index corpus's record seeds: the valid rows parse to exactly the
+// values written (nan, inf and -0 totals included, since a trial's mean
+// may be any of them), and each malformed row is refused at its line.
+TEST(FuzzContracts, TheIndexCorpusPinsEveryRecordField) {
+  const std::filesystem::path corpus =
+      std::filesystem::path(PERFKNOW_SOURCE_DIR) / "fuzz" / "corpus" / "index";
+  const auto seed = [&](const char* name) {
+    return pk::read_file_bytes(corpus / name, "index seed");
+  };
+  const auto valid = pk::perfdmf::parse_index(seed("record_valid.tsv"));
+  ASSERT_EQ(valid.size(), 3u);
+  ASSERT_TRUE(valid[0].record.has_value());
+  EXPECT_EQ(valid[0].record->threads, 16u);
+  EXPECT_EQ(valid[0].record->events, 2000u);
+  EXPECT_EQ(valid[0].record->metrics, 8u);
+  EXPECT_EQ(valid[0].record->total, 4805112.1866666665);
+  EXPECT_EQ(pk::perfdmf::total_field(valid[0].record->total),
+            "4805112.1866666665");
+  ASSERT_TRUE(valid[1].record.has_value());
+  EXPECT_EQ(valid[1].record->metrics, 0u);
+  EXPECT_FALSE(valid[1].record->total.has_value());
+  EXPECT_FALSE(valid[2].record.has_value());
+  EXPECT_EQ(valid[2].line, 3);
+
+  const auto special =
+      pk::perfdmf::parse_index(seed("record_special_totals.tsv"));
+  ASSERT_EQ(special.size(), 3u);
+  EXPECT_TRUE(std::isnan(*special[0].record->total));
+  EXPECT_FALSE(std::signbit(*special[0].record->total));
+  EXPECT_EQ(*special[1].record->total,
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(*special[2].record->total, 0.0);
+  EXPECT_TRUE(std::signbit(*special[2].record->total));
+  EXPECT_EQ(pk::perfdmf::total_field(special[2].record->total), "-0");
+
+  for (const auto& [name, what] :
+       std::vector<std::pair<const char*, std::string>>{
+           {"record_negative_count.tsv", "event count '-3'"},
+           {"record_fractional_count.tsv", "thread count '2.5'"},
+           {"record_overflow_count.tsv",
+            "metric count '18446744073709551616'"},
+           {"record_six_fields.tsv",
+            "expected 4 fields, or 8 with the trial's shape and total"}}) {
+    try {
+      (void)pk::perfdmf::parse_index(seed(name));
+      ADD_FAILURE() << name << " parsed";
+    } catch (const pk::ParseError& e) {
+      EXPECT_EQ(e.line(), 2) << name << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << name << ": " << e.what();
+    }
+    expect_contract(Frontend::kIndex, seed(name), name);
+  }
+  // The front end re-renders the valid rows and parses them again.
+  for (const char* name : {"record_valid.tsv", "record_special_totals.tsv"}) {
+    expect_contract(Frontend::kIndex, seed(name), name);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <shared_mutex>
 #include <sstream>
@@ -18,12 +19,15 @@
 
 #include "analysis/operations.hpp"
 #include "common/error.hpp"
+#include "common/file.hpp"
 #include "perfdmf/index_format.hpp"
 #include "perfdmf/repository.hpp"
 #include "io/format.hpp"
 #include "perfdmf/snapshot.hpp"
 #include "common/thread_pool.hpp"
 #include "perfdmf/tau_format.hpp"
+#include "common/strings.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace pk = perfknow;
 namespace fs = std::filesystem;
@@ -547,14 +551,9 @@ TEST(RepositoryCache, SummaryViewChecksTheSummaryNotTheColumns) {
     repo.save(dir.path());
   }
   std::map<std::string, fs::path> files;
-  {
-    std::ifstream index(dir.path() / "index.tsv");
-    std::string app, exp, name, rel;
-    while (std::getline(index, app, '\t') &&
-           std::getline(index, exp, '\t') &&
-           std::getline(index, name, '\t') && std::getline(index, rel)) {
-      files[name] = dir.path() / rel;
-    }
+  for (const auto& row : pk::perfdmf::parse_index(
+           pk::read_file_bytes(dir.path() / "index.tsv", "index"))) {
+    files[row.trial] = dir.path() / row.path;
   }
   flip_byte(files.at("cols"), static_cast<std::streamoff>(
                                   fs::file_size(files.at("cols")) - 32));
@@ -630,6 +629,250 @@ TEST(RepositoryIndex, CommittedSeedsParseOrNameTheBadRow) {
   }
   EXPECT_THROW((void)pk::perfdmf::parse_lineage(text("truncated_row.tsv")),
                pk::ParseError);
+}
+
+// ---- the trial table: each index row records its trial -----------------
+
+namespace {
+
+pk::telemetry::Counter& opened_counter() {
+  return pk::telemetry::counter("perfdmf.snapshot.opened");
+}
+
+/// Snapshots opened while `run` runs, with telemetry on.
+std::uint64_t snapshots_opened_by(const std::function<void()>& run) {
+  const bool was_enabled = pk::telemetry::enabled();
+  pk::telemetry::set_enabled(true);
+  const std::uint64_t before = opened_counter().value();
+  run();
+  const std::uint64_t opened = opened_counter().value() - before;
+  pk::telemetry::set_enabled(was_enabled);
+  return opened;
+}
+
+std::string index_text(const fs::path& dir) {
+  return pk::read_file_bytes(dir / "index.tsv", "index");
+}
+
+/// Rewrites every index row through `edit` (its tab-separated fields).
+void edit_index(const fs::path& dir,
+                const std::function<void(std::vector<std::string>&)>& edit) {
+  std::string out;
+  std::istringstream is(index_text(dir));
+  for (std::string line; std::getline(is, line);) {
+    auto fields = pk::strings::split(line, '\t');
+    edit(fields);
+    out += pk::strings::join(fields, "\t") + "\n";
+  }
+  std::ofstream(dir / "index.tsv", std::ios::trunc) << out;
+}
+
+/// A trial with one event and no metric: it has no total.
+std::shared_ptr<Trial> metricless_trial(const std::string& name) {
+  auto t = std::make_shared<Trial>(name);
+  t->set_thread_count(1);
+  (void)t->add_event("main");
+  return t;
+}
+
+}  // namespace
+
+// save() and commit() write each row's record from the trial in hand,
+// and attach() serves it without opening a snapshot.
+TEST(RepositoryIndex, RowsRecordTheTrialAndAttachServesThemUnopened) {
+  TempDir saved;
+  {
+    Repository repo;
+    repo.put("app", "exp", make_trial("a", 2));
+    repo.put("app", "exp", make_trial("b", 3));
+    repo.put("app", "exp", metricless_trial("bare"));
+    repo.save(saved.path());
+  }
+  TempDir committed;
+  {
+    Repository repo = Repository::create(committed.path());
+    std::shared_mutex guard;
+    repo.commit("app", "exp", make_trial("a", 2), guard);
+    repo.commit("app", "exp", make_trial("b", 3), guard);
+    repo.commit("app", "exp", metricless_trial("bare"), guard);
+  }
+  for (const fs::path& dir : {saved.path(), committed.path()}) {
+    const auto rows = pk::perfdmf::parse_index(index_text(dir));
+    ASSERT_EQ(rows.size(), 3u) << dir;
+    for (const auto& row : rows) {
+      const auto want = pk::perfdmf::record_of(
+          row.trial == "bare" ? *metricless_trial("bare")
+                              : *make_trial(row.trial, row.trial == "a" ? 2 : 3));
+      ASSERT_TRUE(row.record.has_value()) << row.trial;
+      EXPECT_TRUE(pk::perfdmf::same_record(*row.record, want)) << row.trial;
+    }
+    EXPECT_EQ(rows[0].record->threads, 2u);
+    EXPECT_EQ(rows[0].record->events, 2u);
+    EXPECT_EQ(rows[0].record->metrics, 2u);
+    EXPECT_EQ(*rows[0].record->total, 100.5);  // main's mean TIME
+    EXPECT_FALSE(rows[2].record->total.has_value());
+    EXPECT_NE(index_text(dir).find("\tbare\t"), std::string::npos);
+    EXPECT_NE(index_text(dir).find("\t1\t1\t0\t-\n"), std::string::npos)
+        << index_text(dir);
+
+    const Repository attached = Repository::attach(dir);
+    std::optional<pk::perfdmf::TrialRecord> b;
+    EXPECT_EQ(snapshots_opened_by([&] {
+                b = attached.record("app", "exp", "b");
+              }),
+              0u);
+    ASSERT_TRUE(b.has_value());
+    EXPECT_EQ(b->threads, 3u);
+    EXPECT_EQ(attached.resident_trials(), 0u);
+    // Opening and checking the snapshot agrees with the row.
+    EXPECT_EQ(snapshots_opened_by([&] {
+                (void)attached.verified_view("app", "exp", "b");
+              }),
+              1u);
+  }
+}
+
+// A record field that is not a count or a total fails the attach,
+// naming index.tsv and the row's line.
+TEST(RepositoryIndex, MalformedRecordFieldsAreLocated) {
+  TempDir dir;
+  for (const auto& [fields, what] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"2\t-1\t2\t1.5", "event count '-1'"},
+           {"2\t2.5\t2\t1.5", "event count '2.5'"},
+           {"18446744073709551616\t2\t2\t1.5", "thread count"},
+           {"2\t2\t2\tfast", "total 'fast'"},
+           {"2\t2\t2\t1e999", "total '1e999'"},
+           {"2\t2\t2\t", "total ''"},
+           {"2\t2\t2", "expected 4 fields, or 8"}}) {
+    std::ofstream(dir.path() / "index.tsv", std::ios::trunc)
+        << "app\texp\tfine\tshard-00/fine.pkb\n"
+        << "app\texp\tbad\tshard-00/bad.pkb\t" << fields << "\n";
+    try {
+      (void)Repository::attach(dir.path());
+      ADD_FAILURE() << fields << " accepted";
+    } catch (const pk::ParseError& e) {
+      EXPECT_EQ(e.line(), 2) << e.what();
+      EXPECT_EQ(e.file(), (dir.path() / "index.tsv").string());
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// A row whose shape disagrees with its snapshot fails the open; one
+// whose total disagrees fails the first summary or full check. Both
+// name index.tsv and the row's line.
+TEST(RepositoryIndex, ARowThatDisagreesWithItsSnapshotFailsLocated) {
+  TempDir dir;
+  {
+    Repository repo;
+    repo.put("app", "exp", make_trial("a"));
+    repo.put("app", "exp", make_trial("b"));
+    repo.save(dir.path());
+  }
+  const std::string file = (dir.path() / "index.tsv").string();
+  const auto expect_located = [&](const std::function<void()>& read,
+                                  const std::string& what) {
+    try {
+      read();
+      ADD_FAILURE() << "a disagreeing row passed: " << what;
+    } catch (const pk::ParseError& e) {
+      EXPECT_EQ(e.file(), file) << e.what();
+      EXPECT_EQ(e.line(), 2) << e.what();
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  const std::string good = index_text(dir.path());
+
+  edit_index(dir.path(), [](std::vector<std::string>& f) {
+    if (f[2] == "b") f[5] = "3";  // events
+  });
+  {
+    const Repository attached = Repository::attach(dir.path());
+    EXPECT_EQ(attached.record("app", "exp", "b")->events, 3u);
+    (void)attached.view("app", "exp", "a");
+    expect_located([&] { (void)attached.view("app", "exp", "b"); },
+                   "has 2 threads, 2 events, 2 metrics in its snapshot, but "
+                   "its row says 2 threads, 3 events, 2 metrics");
+  }
+  expect_located([&] { (void)Repository::load(dir.path()); }, "3 events");
+
+  std::ofstream(dir.path() / "index.tsv", std::ios::trunc) << good;
+  edit_index(dir.path(), [](std::vector<std::string>& f) {
+    if (f[2] == "b") f[7] = "100.25";
+  });
+  const std::string total = "has total 100.5 in its snapshot, but its row "
+                            "says 100.25";
+  {
+    const Repository attached = Repository::attach(dir.path());
+    (void)attached.view("app", "exp", "b");  // the shape agrees
+    expect_located([&] { (void)attached.summary_view("app", "exp", "b"); },
+                   total);
+  }
+  for (const auto& read : std::vector<std::function<void(const Repository&)>>{
+           [](const Repository& r) { (void)r.verified_view("app", "exp", "b"); },
+           [](const Repository& r) { (void)r.get("app", "exp", "b"); }}) {
+    const Repository attached = Repository::attach(dir.path());
+    expect_located([&] { read(attached); }, total);
+  }
+  expect_located([&] { (void)Repository::load(dir.path()); }, total);
+}
+
+// A save() upgrades a legacy 4-field row only when this process opened
+// the trial and checked its values; it never opens a snapshot to do so.
+TEST(RepositoryIndex, LegacyRowsUpgradeOnlyWhenOpenedAndChecked) {
+  TempDir dir;
+  {
+    Repository repo;
+    for (const char* name : {"t0", "t1", "t2"}) {
+      repo.put("app", "exp", make_trial(name));
+    }
+    repo.save(dir.path());
+  }
+  edit_index(dir.path(), [](std::vector<std::string>& f) { f.resize(4); });
+  Repository attached = Repository::attach(dir.path());
+  EXPECT_FALSE(attached.record("app", "exp", "t1").has_value());
+  (void)attached.summary_view("app", "exp", "t1");  // opened and checked
+  (void)attached.view("app", "exp", "t2");          // opened, schema only
+  attached.put("app", "exp", make_trial("t3"));
+  EXPECT_EQ(snapshots_opened_by([&] { attached.save(dir.path()); }), 0u);
+  std::map<std::string, bool> recorded;
+  for (const auto& row : pk::perfdmf::parse_index(index_text(dir.path()))) {
+    recorded[row.trial] = row.record.has_value();
+  }
+  EXPECT_EQ(recorded, (std::map<std::string, bool>{
+                          {"t0", false}, {"t1", true}, {"t2", false},
+                          {"t3", true}}));
+  EXPECT_TRUE(pk::perfdmf::same_record(
+      *Repository::attach(dir.path()).record("app", "exp", "t1"),
+      pk::perfdmf::record_of(*make_trial("t1"))));
+}
+
+// load() opens every snapshot once and records every row, a legacy one
+// included.
+TEST(RepositoryIndex, EagerLoadRecordsEveryRow) {
+  TempDir dir;
+  {
+    Repository repo;
+    repo.put("app", "exp", make_trial("t0"));
+    repo.put("app", "exp", make_trial("t1"));
+    repo.save(dir.path());
+  }
+  edit_index(dir.path(), [](std::vector<std::string>& f) {
+    if (f[2] == "t0") f.resize(4);
+  });
+  std::optional<Repository> loaded;
+  EXPECT_EQ(snapshots_opened_by([&] { loaded = Repository::load(dir.path()); }),
+            2u);
+  for (const char* name : {"t0", "t1"}) {
+    const auto r = loaded->record("app", "exp", name);
+    ASSERT_TRUE(r.has_value()) << name;
+    EXPECT_TRUE(pk::perfdmf::same_record(
+        *r, pk::perfdmf::record_of(*make_trial(name))))
+        << name;
+  }
 }
 
 TEST(RepositoryCache, EvictedTrialsStayAliveForHolders) {
@@ -710,11 +953,9 @@ namespace {
 /// index.tsv as trial name -> relative snapshot path.
 std::map<std::string, std::string> read_index(const fs::path& dir) {
   std::map<std::string, std::string> out;
-  std::ifstream is(dir / "index.tsv");
-  std::string app, exp, name, rel;
-  while (std::getline(is, app, '\t') && std::getline(is, exp, '\t') &&
-         std::getline(is, name, '\t') && std::getline(is, rel)) {
-    out[name] = rel;
+  for (const auto& row : pk::perfdmf::parse_index(
+           pk::read_file_bytes(dir / "index.tsv", "index"))) {
+    out[row.trial] = row.path;
   }
   return out;
 }

@@ -13,9 +13,14 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
+#include "common/file.hpp"
+#include "common/strings.hpp"
+#include "perfdmf/index_format.hpp"
 #include "perfdmf/repository.hpp"
 #include "profile/profile.hpp"
 #include "provenance/explanation.hpp"
+#include "telemetry/telemetry.hpp"
 #include "tools/pkx_cli.hpp"
 
 namespace pk = perfknow;
@@ -365,12 +370,10 @@ namespace {
 
 /// The snapshot file index.tsv names for `trial`.
 fs::path snapshot_of(const fs::path& repo, const std::string& trial) {
-  std::ifstream index(repo / "index.tsv");
-  std::string app, exp, name, rel;
   fs::path file;
-  while (std::getline(index, app, '\t') && std::getline(index, exp, '\t') &&
-         std::getline(index, name, '\t') && std::getline(index, rel)) {
-    if (name == trial) file = repo / rel;
+  for (const auto& row : pk::perfdmf::parse_index(
+           pk::read_file_bytes(repo / "index.tsv", "index"))) {
+    if (row.trial == trial) file = repo / row.path;
   }
   return file;
 }
@@ -509,18 +512,28 @@ TEST(PkxLazyOpen, CorruptColumnsFailOnlyTheCommandsThatReadCells) {
   EXPECT_EQ(pkx({r, "show", "perfknow", "bench", "v3"}).code, 0);
 }
 
+// history answers from the index and reads no SUMM, so it prints what it
+// printed before the corruption.
 TEST(PkxLazyOpen, CorruptSummaryFailsTheCommandsThatReadIt) {
   TempDir repo;
   TempDir scratch;
   seed_history(repo.path(), scratch.path(), 1.0);
-  const fs::path bad = corrupt_summary(repo.path(), "v2");
   const std::string r = repo.path().string();
+  const std::vector<std::vector<std::string>> unaffected = {
+      {r, "show", "perfknow", "bench", "v1"},
+      {r, "list"},
+      {r, "history", "perfknow", "bench"}};
+  std::vector<PkxResult> before;
+  for (const auto& args : unaffected) before.push_back(pkx(args));
+  const fs::path bad = corrupt_summary(repo.path(), "v2");
 
-  EXPECT_EQ(pkx({r, "show", "perfknow", "bench", "v1"}).code, 0);
-  EXPECT_EQ(pkx({r, "list"}).code, 0);
+  for (std::size_t i = 0; i < unaffected.size(); ++i) {
+    const auto res = pkx(unaffected[i]);
+    EXPECT_EQ(res.code, 0) << unaffected[i][1] << ": " << res.err;
+    EXPECT_EQ(res.out, before[i].out) << unaffected[i][1];
+  }
   for (const auto& args : std::vector<std::vector<std::string>>{
            {r, "show", "perfknow", "bench", "v2"},
-           {r, "history", "perfknow", "bench"},
            {r, "diff", "perfknow", "bench", "v1", "v2"},
            {r, "explain", "perfknow", "bench", "v2"}}) {
     const auto res = pkx(args);
@@ -604,6 +617,114 @@ TEST(PkxLegacySnapshots, OutputIsIdenticalWithoutTheSummary) {
     EXPECT_EQ(res.code, with_summary[i].code) << commands[i][1];
     EXPECT_EQ(res.out, with_summary[i].out) << commands[i][1];
   }
+}
+
+namespace {
+
+/// Cuts every index.tsv row to its first four fields, as a writer from
+/// before the rows recorded their trials left it.
+void strip_records(const fs::path& repo) {
+  std::string out;
+  std::istringstream is(pk::read_file_bytes(repo / "index.tsv", "index"));
+  for (std::string line; std::getline(is, line);) {
+    auto fields = pk::strings::split(line, '\t');
+    fields.resize(4);
+    out += pk::strings::join(fields, "\t") + "\n";
+  }
+  write_bytes(repo / "index.tsv", out);
+}
+
+/// Snapshots a pkx command opens (telemetry counter
+/// "perfdmf.snapshot.opened").
+std::uint64_t snapshots_opened(const std::vector<std::string>& args) {
+  auto& opened = pk::telemetry::counter("perfdmf.snapshot.opened");
+  const bool was_enabled = pk::telemetry::enabled();
+  pk::telemetry::set_enabled(true);
+  const std::uint64_t before = opened.value();
+  const auto res = pkx(args);
+  const std::uint64_t n = opened.value() - before;
+  pk::telemetry::set_enabled(was_enabled);
+  EXPECT_EQ(res.code, 0) << args[1] << ": " << res.err;
+  return n;
+}
+
+}  // namespace
+
+// Rows written before they recorded their trials print the same bytes:
+// list and history open the snapshots instead.
+TEST(PkxLegacyIndex, OutputIsIdenticalWithFourFieldRows) {
+  TempDir repo;
+  seed_lineage(repo.path(), 3, 40, 8);
+  const std::string r = repo.path().string();
+  const std::vector<std::vector<std::string>> commands = {
+      {r, "list"},
+      {r, "show", "app", "lineage", "v1"},
+      {r, "history", "app", "lineage"},
+      {r, "diff", "app", "lineage", "v0", "v2"},
+      {r, "explain", "app", "lineage", "v2"},
+      {r, "report", "app", "lineage", "v2"}};
+  std::vector<PkxResult> recorded;
+  for (const auto& args : commands) {
+    recorded.push_back(pkx(args));
+    EXPECT_EQ(recorded.back().code, 0)
+        << args[1] << ": " << recorded.back().err;
+  }
+  strip_records(repo.path());
+  EXPECT_EQ(read_bytes(repo.path() / "index.tsv").find("\t8\t"),
+            std::string::npos);
+  for (std::size_t i = 0; i < commands.size(); ++i) {
+    const auto res = pkx(commands[i]);
+    EXPECT_EQ(res.code, recorded[i].code) << commands[i][1];
+    EXPECT_EQ(res.out, recorded[i].out) << commands[i][1];
+  }
+}
+
+// list and history answer from index.tsv: on 20 versions neither opens
+// a snapshot. show opens the one it prints, and four-field rows send
+// history back to every version's snapshot.
+TEST(Pkx, ListAndHistoryOpenNoSnapshot) {
+  TempDir repo;
+  seed_lineage(repo.path(), 20, 30, 4);
+  const std::string r = repo.path().string();
+  EXPECT_EQ(snapshots_opened({r, "list"}), 0u);
+  EXPECT_EQ(snapshots_opened({r, "history", "app", "lineage"}), 0u);
+  EXPECT_EQ(snapshots_opened({r, "show", "app", "lineage", "v7"}), 1u);
+  strip_records(repo.path());
+  EXPECT_EQ(snapshots_opened({r, "history", "app", "lineage"}), 20u);
+  EXPECT_EQ(snapshots_opened({r, "list"}), 20u);
+}
+
+// A version whose total cannot be computed (no metric) is recorded as
+// "-": history reads its snapshot and fails as total_time() does there.
+TEST(PkxHistory, AVersionWithoutATotalFailsAsItsSnapshotRead) {
+  TempDir repo;
+  seed_lineage(repo.path(), 2, 5, 2);
+  auto bare = std::make_shared<pk::profile::Trial>("bare");
+  bare->set_thread_count(2);
+  (void)bare->add_event("main");
+  std::string why;
+  try {
+    (void)pk::perfdmf::total_time(*bare);
+  } catch (const pk::Error& e) {
+    why = e.what();
+  }
+  ASSERT_FALSE(why.empty());
+  {
+    auto attached = pk::perfdmf::Repository::attach(repo.path());
+    attached.put_version("app", "lineage", bare);
+    attached.save(repo.path());
+  }
+  EXPECT_NE(read_bytes(repo.path() / "index.tsv").find("\tbare\t"),
+            std::string::npos);
+  EXPECT_NE(read_bytes(repo.path() / "index.tsv").find("\t2\t1\t0\t-\n"),
+            std::string::npos)
+      << read_bytes(repo.path() / "index.tsv");
+  // total_time's error is an invalid argument: pkx exits 2 with it and
+  // history's usage.
+  const auto res = pkx({repo.path().string(), "history", "app", "lineage"});
+  EXPECT_EQ(res.code, 2) << res.out;
+  EXPECT_EQ(res.err, "pkx: " + why +
+                         "\nusage:\n  pkx <repo-dir> history <app> <exp>\n");
 }
 
 // explain names an export it cannot write instead of reporting it

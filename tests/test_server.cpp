@@ -6,8 +6,10 @@
 // committed to a repository directory: surviving a restart, bounded by
 // the cache budget, chained in ack order under concurrency, and never
 // leaving a torn index when a write, fsync or rename fails.
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "apps/msap/msap.hpp"
+#include "common/file.hpp"
 #include "io/bench_json.hpp"
 #include "machine/machine.hpp"
 #include "perfdmf/durable.hpp"
@@ -1166,10 +1169,11 @@ TEST(ServerDaemon, CommittedUploadsStayWithinTheCacheBudget) {
   // A reload verifies the snapshot's column checksum: damage the
   // least recently used upload's file on disk.
   std::string rel;
-  {
-    std::ifstream index(repo_dir.path() / "index.tsv");
-    for (std::string line; std::getline(index, line);) {
-      if (line.rfind("MSAP\truns\tu0\t", 0) == 0) rel = line.substr(13);
+  for (const auto& row : pk::perfdmf::parse_index(
+           pk::read_file_bytes(repo_dir.path() / "index.tsv", "index"))) {
+    if (row.application == "MSAP" && row.experiment == "runs" &&
+        row.trial == "u0") {
+      rel = row.path;
     }
   }
   ASSERT_FALSE(rel.empty());
@@ -1609,6 +1613,90 @@ TEST(ServerDaemon, AFramedBodyOverTheLineCapClosesTheConnection) {
       << r.error_message;
   EXPECT_NE(r.error_message.find("closing connection"), std::string::npos);
   EXPECT_THROW((void)client.read_line(), pk::IoError);
+  Client again(opt.socket_path);
+  EXPECT_TRUE(again.call("ping").ok());
+  server.stop();
+}
+
+// A framed body refused before the queue stored nothing, so its charge
+// goes back to the connection's budget: after a 1000-byte body on an
+// analyze, a 100-byte upload still fits a 1024-byte budget.
+TEST(ServerDaemon, ARefusedFramedBodyGivesItsBudgetBack) {
+  ServerOptions opt;
+  opt.socket_path = socket_path();
+  opt.client_byte_budget = 1024;
+  Server server(opt);
+  Client client(opt.socket_path);
+  const std::string id = client.send("analyze", R"({"body_bytes":1000})");
+  client.send_bytes(std::string(1000, 'x'));
+  const auto refused = client.collect(id);
+  EXPECT_EQ(refused.error, wire::ErrorCode::kBadRequest);
+  EXPECT_EQ(refused.error_message, "method 'analyze' takes no framed body");
+  TempDir scratch;
+  const fs::path small = scratch.path() / "small.csv";
+  std::ofstream(small) << small_csv(1);
+  ASSERT_GT(fs::file_size(small), opt.client_byte_budget - 1000);
+  const auto r = client.upload_file("app", "exp", small);
+  EXPECT_TRUE(r.ok()) << r.error_message;
+  EXPECT_EQ(server.stats().rejected_budget, 0u);
+  EXPECT_EQ(server.stats().uploads, 1u);
+  server.stop();
+}
+
+// A file that ends before the byte count its request line announced
+// cannot complete the frame: the client names the file and closes the
+// connection, and the daemon stores nothing.
+TEST(ServerDaemon, AFileShorterThanItsFrameClosesTheConnection) {
+  ServerOptions opt;
+  opt.socket_path = socket_path();
+  Server server(opt);
+  TempDir scratch;
+  const fs::path file = scratch.path() / "short.csv";
+  std::ofstream(file) << small_csv(1);
+  const std::uint64_t size = fs::file_size(file);
+  {
+    Client client(opt.socket_path);
+    client.send_line(framed_header("1", "short", size + 50));
+    const int fd = ::open(file.c_str(), O_RDONLY | O_CLOEXEC);
+    ASSERT_GE(fd, 0);
+    try {
+      client.send_file(fd, size + 50, file);
+      ADD_FAILURE() << "a short file completed its frame";
+    } catch (const pk::IoError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "Client::upload_file: " + file.string() + " ended after " +
+                    std::to_string(size) + " of " +
+                    std::to_string(size + 50) + " bytes");
+    }
+    ::close(fd);
+    EXPECT_THROW((void)client.read_line(), pk::IoError);
+  }
+  Client again(opt.socket_path);
+  EXPECT_TRUE(again.call("ping").ok());
+  EXPECT_EQ(server.stats().uploads, 0u);
+  server.stop();
+}
+
+// The daemon closes a connection whose frame is over the cap as soon as
+// it reads the request line: the client's send of the file then fails
+// with a typed error, not a SIGPIPE that would kill the process.
+TEST(ServerDaemon, AnUploadCutOffMidSendFailsWithoutSigpipe) {
+  ServerOptions opt;
+  opt.socket_path = socket_path();
+  opt.client_byte_budget = 1024;
+  Server server(opt);
+  TempDir scratch;
+  const fs::path big = scratch.path() / "big.csv";
+  std::ofstream(big) << small_csv(200000);
+  ASSERT_GT(fs::file_size(big), std::uint64_t{4} << 20);
+  Client client(opt.socket_path);
+  try {
+    const auto r = client.upload_file("app", "exp", big);
+    EXPECT_EQ(r.error, wire::ErrorCode::kBadRequest) << r.error_message;
+  } catch (const pk::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("connection"), std::string::npos)
+        << e.what();
+  }
   Client again(opt.socket_path);
   EXPECT_TRUE(again.call("ping").ok());
   server.stop();
