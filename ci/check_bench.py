@@ -1,57 +1,38 @@
 #!/usr/bin/env python3
-"""Benchmark regression gate for the bench_* binaries.
+"""Speedup pins for the bench_* binaries.
 
-Compares a fresh google-benchmark JSON report against the committed
-baseline (bench/baseline/<bench_name>.json) and fails if any
-benchmark regressed by more than the threshold (default 25%).
+The baseline-vs-current regression comparison lives in the rule-driven
+`pkx diff` gate (bench2pkb + rules/regression.rules). This script holds
+only the pins CI runs over google-benchmark JSON reports.
 
-The baseline-vs-current comparison in CI has moved to the rule-driven
-`pkx diff` gate (bench2pkb + rules/regression.rules), which applies the
-same geomean normalization but diagnoses through the rules engine and
-emits proof-tree explanations. This script remains for the absolute
---require-speedup pins within a single report, which need no baseline
-at all: pass --current with --require-speedup and omit --baseline.
-
-CI runners and the machine that produced the baseline differ in raw
-speed, so absolute times are not comparable. Instead each benchmark is
-normalized by the geometric mean of all benchmarks *in the same
-report*:
-
-    ratio(b) = real_time(b) / geomean(all real_times in report)
-
-which cancels machine speed to first order; a benchmark only fails the
-gate when it got slower *relative to its siblings* -- i.e. when the
-code path it measures actually regressed. A uniform slowdown across
-every benchmark (new machine, debug build) passes by construction, so
-the gate catches per-path regressions, not environment changes.
-
---require-speedup SLOW FAST RATIO additionally asserts an absolute
-speedup *within* the current report: real_time(SLOW) must be at least
-RATIO times real_time(FAST). Both benchmarks come from the same run on
-the same machine, so no normalization is needed; this pins down claims
-like "PKB cold load is >= 5x faster than the text parse" instead of
-merely keeping the ratio from drifting. Repeatable.
+--require-speedup SLOW FAST RATIO asserts an absolute speedup *within*
+the current report: real_time(SLOW) must be at least RATIO times
+real_time(FAST). Both benchmarks come from the same run on the same
+machine, so no normalization is needed; this pins down claims like "PKB
+cold load is >= 5x faster than the text parse". Repeatable; needs no
+baseline.
 
 --require-speedup-vs-baseline NAME RATIO asserts a speedup *across*
 reports: benchmark NAME in the current report must be at least RATIO
-times faster than in the baseline, after the same per-report geomean
-normalization as the regression gate (so a faster CI machine cannot
-fake the speedup, and the shared unaffected benchmarks anchor the
-scale). This is how a PR pins "the columnar store makes fact churn
->= 2x faster than the pre-overhaul code": the pre-overhaul report is
+times faster than in the baseline. Each report is normalized by the
+geometric mean of the benchmarks both share,
+
+    ratio(b) = real_time(b) / geomean(shared real_times in report)
+
+which cancels machine speed to first order, so a faster CI machine
+cannot fake the speedup and the shared unaffected benchmarks anchor the
+scale. This is how CI pins "the columnar store makes fact churn >= 2x
+faster than the pre-overhaul code": the pre-overhaul report is
 committed once (bench/baseline/bench_fact_churn_pre.json) and never
-regenerated. Combine with --skip-compare — a pinned *intentionally
-slower* baseline is not a regression baseline, and the normalized
-compare would misread the gated benchmark's speedup as everything
-else slowing down relatively. Repeatable.
+regenerated. Repeatable.
 
-Exit codes: 0 pass, 1 regression detected, 2 usage/input error.
+Exit codes: 0 pass, 1 a pin failed, 2 usage/input error.
 
---self-test proves the gate can fire: it re-reads the baseline as the
-"current" report with a synthetic 2x slowdown injected into one
-non-reference benchmark, and asserts the comparison fails (and that the
-unmodified report passes). Run in CI before the real comparison so a
-silently broken gate cannot masquerade as green.
+--self-test proves both pins can fire: over the --baseline report, a
+satisfiable and an unsatisfiable --require-speedup, an identical report
+and an injected 4x speedup against --require-speedup-vs-baseline. Run
+in CI before the real pins so a silently broken pin cannot masquerade
+as green.
 
 Stdlib only (no pip installs on the runner).
 """
@@ -92,38 +73,6 @@ def geomean(times):
     return math.exp(sum(math.log(t) for t in times) / len(times))
 
 
-def compare(baseline, current, threshold):
-    """Returns a list of failure strings (empty = gate passes)."""
-    failures = []
-    missing = sorted(set(baseline) - set(current))
-    for name in missing:
-        failures.append(f"{name}: present in baseline but missing from "
-                        f"current report")
-    shared = sorted(set(baseline) & set(current))
-    if not shared:
-        failures.append("no shared benchmarks between baseline and current")
-        return failures
-    if any(baseline[n] <= 0 or current[n] <= 0 for n in shared):
-        failures.append("non-positive benchmark time in report")
-        return failures
-    # Normalize by the report's own geometric mean so machine speed
-    # cancels; only a benchmark that slowed relative to its siblings
-    # (i.e. a real code regression on its path) trips the gate.
-    base_geo = geomean([baseline[n] for n in shared])
-    cur_geo = geomean([current[n] for n in shared])
-    for name in shared:
-        base_ratio = baseline[name] / base_geo
-        cur_ratio = current[name] / cur_geo
-        rel = cur_ratio / base_ratio - 1.0
-        status = "FAIL" if rel > threshold else "ok"
-        print(f"  {status:4s} {name}: ratio {base_ratio:.3f} -> "
-              f"{cur_ratio:.3f} ({rel:+.1%} vs {threshold:.0%} allowed)")
-        if rel > threshold:
-            failures.append(f"{name}: {rel:+.1%} relative slowdown "
-                            f"(threshold {threshold:.0%})")
-    return failures
-
-
 def check_speedups(current, requirements):
     """Returns failure strings for unmet --require-speedup constraints."""
     failures = []
@@ -149,9 +98,9 @@ def check_speedups_vs_baseline(baseline, current, requirements):
     speedup(NAME) = (baseline[NAME] / baseline_geomean)
                   / (current[NAME] / current_geomean)
 
-    computed over the benchmarks shared by both reports, exactly like
-    compare(): machine speed cancels, so only a genuine improvement on
-    NAME's code path (relative to its unaffected siblings) counts.
+    computed over the benchmarks shared by both reports: machine speed
+    cancels, so only a genuine improvement on NAME's code path (relative
+    to its unaffected siblings) counts.
     """
     failures = []
     shared = sorted(set(baseline) & set(current))
@@ -188,32 +137,23 @@ def parse_speedup_args(raw):
     return out
 
 
-def self_test(baseline, threshold):
-    """Proves the gate fires on an injected slowdown and not otherwise."""
-    print("self-test: unmodified report must pass")
-    if compare(baseline, dict(baseline), threshold):
-        print("self-test FAILED: identical report did not pass")
+def self_test(baseline):
+    """Proves both pins fire when unmet and pass when met."""
+    names = sorted(baseline)
+    if len(names) < 2:
+        print("self-test FAILED: the baseline needs two benchmarks")
         return False
-    victim = sorted(baseline)[0]
-    slowed = copy.deepcopy(baseline)
-    slowed[victim] *= 2.0
-    print(f"self-test: 2x slowdown injected into {victim} must fail")
-    failures = compare(baseline, slowed, threshold)
-    if not failures:
-        print("self-test FAILED: injected 2x slowdown was not detected")
+    slow, fast = names[0], names[1]
+    actual = baseline[slow] / baseline[fast]
+    print("self-test: satisfiable --require-speedup must pass")
+    if check_speedups(baseline, [(slow, fast, actual / 2)]):
+        print("self-test FAILED: satisfied speedup requirement failed")
         return False
-    if len(baseline) >= 2:
-        names = sorted(baseline)
-        slow, fast = names[0], names[1]
-        actual = baseline[slow] / baseline[fast]
-        print("self-test: satisfiable --require-speedup must pass")
-        if check_speedups(baseline, [(slow, fast, actual / 2)]):
-            print("self-test FAILED: satisfied speedup requirement failed")
-            return False
-        print("self-test: unsatisfiable --require-speedup must fail")
-        if not check_speedups(baseline, [(slow, fast, actual * 2)]):
-            print("self-test FAILED: unmet speedup requirement passed")
-            return False
+    print("self-test: unsatisfiable --require-speedup must fail")
+    if not check_speedups(baseline, [(slow, fast, actual * 2)]):
+        print("self-test FAILED: unmet speedup requirement passed")
+        return False
+    victim = names[0]
     print("self-test: identical reports give a 1.0x normalized speedup")
     if check_speedups_vs_baseline(baseline, dict(baseline),
                                   [(victim, 0.9)]):
@@ -234,23 +174,21 @@ def self_test(baseline, threshold):
         print("self-test FAILED: injected 4x speedup did not satisfy "
               "the 2x vs-baseline pin")
         return False
-    print("self-test passed: gate fires on injected slowdown")
+    print("self-test passed: both pins fire")
     return True
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", nargs="+",
-                    help="committed baseline JSON report(s); optional "
-                    "when only --require-speedup pins are checked")
+                    help="committed baseline JSON report(s), for "
+                    "--require-speedup-vs-baseline and --self-test")
     ap.add_argument("--current", nargs="+",
                     help="fresh benchmark JSON report(s); several runs "
                     "are merged by elementwise min "
                     "(required unless --self-test)")
-    ap.add_argument("--threshold", type=float, default=0.25,
-                    help="max allowed relative slowdown (default 0.25)")
     ap.add_argument("--self-test", action="store_true",
-                    help="verify the gate fires on a synthetic slowdown")
+                    help="verify both pins fire on the baseline report")
     ap.add_argument("--require-speedup", nargs=3, action="append",
                     metavar=("SLOW", "FAST", "RATIO"),
                     help="require real_time(SLOW) >= RATIO * "
@@ -260,10 +198,6 @@ def main():
                     help="require NAME to be >= RATIO x faster in the "
                     "current report than in the baseline, geomean-"
                     "normalized per report; repeatable")
-    ap.add_argument("--skip-compare", action="store_true",
-                    help="skip the regression compare and check only "
-                    "speedup pins (use with a pinned pre-optimization "
-                    "baseline that is intentionally slower)")
     args = ap.parse_args()
 
     try:
@@ -282,13 +216,13 @@ def main():
         except (OSError, ValueError, KeyError) as e:
             print(f"error reading baseline: {e}", file=sys.stderr)
             return 2
-    elif args.self_test or not speedups or vs_baseline:
-        print("error: --baseline is required unless only "
-              "--require-speedup pins are checked", file=sys.stderr)
+    elif args.self_test or vs_baseline:
+        print("error: --baseline is required by --self-test and "
+              "--require-speedup-vs-baseline", file=sys.stderr)
         return 2
 
     if args.self_test:
-        return 0 if self_test(baseline, args.threshold) else 1
+        return 0 if self_test(baseline) else 1
 
     if not args.current:
         print("error: --current is required unless --self-test",
@@ -300,11 +234,11 @@ def main():
         print(f"error reading current report: {e}", file=sys.stderr)
         return 2
 
+    if not speedups and not vs_baseline:
+        print("error: no pin given (--require-speedup or "
+              "--require-speedup-vs-baseline)", file=sys.stderr)
+        return 2
     failures = []
-    if baseline is not None and not args.skip_compare:
-        print(f"bench gate: geomean-normalized, "
-              f"threshold={args.threshold:.0%}")
-        failures += compare(baseline, current, args.threshold)
     if speedups:
         print("bench gate: absolute speedup requirements")
         failures += check_speedups(current, speedups)
@@ -313,11 +247,11 @@ def main():
         failures += check_speedups_vs_baseline(baseline, current,
                                                vs_baseline)
     if failures:
-        print("\nbenchmark regressions detected:")
+        print("\nspeedup pins failed:")
         for f in failures:
             print(f"  {f}")
         return 1
-    print("bench gate passed")
+    print("speedup pins passed")
     return 0
 
 

@@ -1,10 +1,12 @@
 #include "perfdmf/repository.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <shared_mutex>
@@ -102,15 +104,21 @@ void append_lineage_row(std::string& out, const std::string& a,
   out.append(1, '\t').append(d).append(1, '\n');
 }
 
-// Writes `text` to a sibling temp file of `file` and returns its path.
-std::filesystem::path write_temp(const std::filesystem::path& file,
-                                 const std::string& text) {
+// A writer of `bytes`, which must outlive it.
+std::function<void(std::ostream&)> text(const std::string& bytes) {
+  return [&bytes](std::ostream& os) { os << bytes; };
+}
+
+// Writes `file`'s new bytes to a sibling temp file and returns its path.
+std::filesystem::path write_temp(
+    const std::filesystem::path& file,
+    const std::function<void(std::ostream&)>& write) {
   const std::filesystem::path tmp = file.string() + ".tmp";
   std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
   if (!os) {
     throw IoError("cannot open for writing: " + tmp.string());
   }
-  os << text;
+  write(os);
   os.close();
   if (!os) {
     std::error_code ec;
@@ -120,13 +128,16 @@ std::filesystem::path write_temp(const std::filesystem::path& file,
   return tmp;
 }
 
+// Renames `tmp` over `dest`; on failure removes `tmp` and throws.
 void rename_into_place(const std::filesystem::path& tmp,
                        const std::filesystem::path& dest) {
   std::error_code ec;
   std::filesystem::rename(tmp, dest, ec);
   if (ec) {
+    const std::string why = ec.message();
+    std::filesystem::remove(tmp, ec);
     throw IoError("cannot rename " + tmp.string() + " -> " + dest.string() +
-                  ": " + ec.message());
+                  ": " + why);
   }
 }
 
@@ -177,35 +188,30 @@ std::string shape_text(const TrialRecord& r) {
          " events, " + std::to_string(r.metrics) + " metrics";
 }
 
-// Throws index_mismatch when the shape of the trial just opened is not
-// the one its row (at `line`) records.
-void check_shape(const std::filesystem::path& dir, const TrialRecord& row,
-                 int line, const profile::Trial& opened) {
+// Throws index_mismatch when the trial just opened from `rel` is not the
+// one its row (at `line`) names, or has another shape than the row
+// records.
+void check_opened(const std::filesystem::path& dir, const std::string& name,
+                  const std::string& rel,
+                  const std::optional<TrialRecord>& row, int line,
+                  const profile::Trial& opened) {
+  if (opened.name() != name) {
+    throw index_mismatch(dir,
+                         "row names trial '" + name + "', but its snapshot " +
+                             rel + " holds trial '" + opened.name() + "'",
+                         line);
+  }
   const TrialRecord shape{opened.thread_count(), opened.event_count(),
                           opened.metric_count(), std::nullopt};
-  if (row.threads == shape.threads && row.events == shape.events &&
-      row.metrics == shape.metrics) {
+  if (!row || (row->threads == shape.threads && row->events == shape.events &&
+               row->metrics == shape.metrics)) {
     return;
   }
   throw index_mismatch(dir,
                        "trial '" + opened.name() + "' has " +
                            shape_text(shape) +
                            " in its snapshot, but its row says " +
-                           shape_text(row),
-                       line);
-}
-
-// Throws index_mismatch when the record computed from a checksummed
-// trial has another total than its row (at `line`).
-void check_total(const std::filesystem::path& dir, const TrialRecord& row,
-                 int line, const std::string& name,
-                 const TrialRecord& opened) {
-  if (same_record(row, opened)) return;
-  throw index_mismatch(dir,
-                       "trial '" + name + "' has total " +
-                           total_field(opened.total) +
-                           " in its snapshot, but its row says " +
-                           total_field(row.total),
+                           shape_text(*row),
                        line);
 }
 
@@ -215,28 +221,17 @@ telemetry::Counter& snapshots_opened() {
   return c;
 }
 
-void save_pkb_file(const profile::Trial& trial,
-                   const std::filesystem::path& file) {
-  std::ofstream os(file, std::ios::binary);
-  if (!os) {
-    throw IoError("cannot open for writing: " + file.string());
-  }
-  write_pkb(trial, os);
-  if (!os) {
-    throw IoError("write failed: " + file.string());
-  }
-}
-
 }  // namespace
 
 // One trial slot. `trial` is the resident trial; a non-resident entry
-// holds only the backing file path and is reloaded on demand.
-// `file`/`rel`/`pkb`/`pinned` are fixed once the entry is inserted; every
-// other field is guarded by the repository cache mutex. Residency
-// transitions (demand-loading `trial` from disk, get()'s private copy)
-// are additionally serialized by the per-entry `load_mutex` so the
-// expensive open/parse runs with the cache mutex released; `load_mutex`
-// is always acquired before — never while holding — the cache mutex.
+// holds only the backing file path and is reloaded on demand. Every
+// field but `load_mutex` is guarded by the repository cache mutex.
+// Residency transitions (demand-loading `trial`, get()'s private copy)
+// and save()'s record of where it wrote (`file`/`rel`/`pkb`, which
+// commit() reads under the repository guard alone) also hold the
+// per-entry `load_mutex`, so the expensive open/parse/write runs with the
+// cache mutex released; `load_mutex` is always acquired before — never
+// while holding — the cache mutex.
 struct Repository::Entry {
   std::mutex load_mutex;  ///< serializes demand-loads of this entry
   TrialPtr trial;
@@ -250,18 +245,20 @@ struct Repository::Entry {
   std::filesystem::path file;  ///< backing snapshot; empty for put() trials
   std::string rel;             ///< `file` as index.tsv names it
   bool pkb = false;
-  bool pinned = false;  ///< never evicted, never charged
   /// put() since open, or handed out mutable by get(): the next save()
-  /// rewrites the snapshot. Never cleared — the holder may keep editing.
+  /// rewrites the snapshot. Cleared only by evicting an unchanged copy.
   bool dirty = false;
+  /// The snapshot-backed trial get()'s copy (`trial`) was made from.
+  ConstTrialPtr original;
   /// The index record: read from index.tsv, or computed from the trial
   /// that commit(), save() or load() wrote or read. Empty for a row
   /// written before records existed, until a save() fills it in.
   std::optional<TrialRecord> record;
-  /// index.tsv line `record` was read from while it is unchecked against
-  /// the snapshot; 0 for a computed record.
-  int record_line = 0;
-  bool total_checked = false;  ///< record's total matched the snapshot
+  /// index.tsv line of the row opening the snapshot is checked against;
+  /// 0 once this process wrote the snapshot itself.
+  int line = 0;
+  /// The record's total agrees with the trial, or there is none to check.
+  bool total_checked = false;
   std::size_t charge = 0;
   std::uint64_t last_used = 0;
 };
@@ -300,7 +297,6 @@ void Repository::put(const std::string& application,
   check_name("Repository::put", "experiment", experiment);
   check_name("Repository::put", "trial", trial->name());
   auto entry = std::make_shared<Entry>();
-  entry->pinned = true;
   entry->dirty = true;
   entry->verified_image = trial->image();  // the caller's trial is trusted
   std::string name = trial->name();
@@ -478,23 +474,10 @@ void Repository::commit(const std::string& application,
   std::uint64_t upto = 0;
   {
     const std::shared_lock read(guard);
-    const std::lock_guard lock(cache_->mutex);
-    for (const auto& [app, exps] : store_) {
-      for (const auto& [exp, trs] : exps) {
-        for (const auto& [tname, slot] : trs) {
-          // put() entries live in memory only until a save().
-          if (!slot->rel.empty()) {
-            append_index_row(index, app, exp, tname, slot->rel, slot->record);
-          }
-        }
-      }
-    }
+    index = index_text();
     lineage = lineage_text();
     upto = cache_->inserted;
   }
-  const auto text = [](const std::string& bytes) {
-    return [&bytes](std::ostream& os) { os << bytes; };
-  };
   std::vector<detail::DurableFile> files;
   const std::filesystem::path lineage_file = root_ / "lineage.tsv";
   if (lineage.empty()) {
@@ -524,6 +507,28 @@ std::string Repository::commit_path(const std::string& application,
     }
   }
   return snapshot_name(application, experiment, trial, taken);
+}
+
+std::string Repository::index_text(
+    const std::vector<std::string>* rels) const {
+  std::string out;
+  std::size_t i = 0;
+  int line = 0;
+  const std::lock_guard lock(cache_->mutex);
+  for (const auto& [app, exps] : store_) {
+    for (const auto& [exp, trs] : exps) {
+      for (const auto& [tname, slot] : trs) {
+        const std::string& rel = rels ? (*rels)[i++] : slot->rel;
+        if (rel.empty()) continue;  // a put() trial not saved yet
+        append_index_row(out, app, exp, tname, rel, slot->record);
+        // Rendering the repository's own index: a later check of the row
+        // names the line it is written to.
+        ++line;
+        if (!rels && slot->line > 0) slot->line = line;
+      }
+    }
+  }
+  return out;
 }
 
 std::string Repository::lineage_text() const {
@@ -601,6 +606,9 @@ void Repository::insert_entry(const std::string& application,
                               const std::string& trial, EntryPtr entry) {
   auto& slot = store_[application][experiment][trial];
   if (slot) {
+    // The replaced entry is settled under the cache mutex, so a
+    // concurrent load or save can't skew the accounting or its path.
+    const std::lock_guard lock(cache_->mutex);
     // A re-put trial is rewritten to the snapshot it replaces (a legacy
     // ordinal name included), so no orphan is left behind.
     if (entry->rel.empty() && slot->pkb && !slot->rel.empty()) {
@@ -608,9 +616,6 @@ void Repository::insert_entry(const std::string& application,
       entry->rel = slot->rel;
       entry->pkb = true;
     }
-    // `charge` is guarded by the cache mutex: read and settle it under
-    // the same lock so a concurrent load can't skew the accounting.
-    const std::lock_guard lock(cache_->mutex);
     cache_->resident -= slot->charge;
   }
   slot = std::move(entry);
@@ -641,18 +646,30 @@ void Repository::touch_locked(Entry& entry) const {
 }
 
 void Repository::charge_locked(Entry& entry, std::size_t bytes) const {
-  if (entry.pinned) return;
   entry.charge += bytes;
   cache_->resident += bytes;
 }
 
 void Repository::evict_to_budget_locked(Dropped& dropped) const {
+  // Only a dirty entry can hold edits. get()'s copy holds none while no
+  // one else holds it, it still borrows its original's image (value and
+  // schema edits copy the columns out) and keeps its name and metadata.
+  const auto lossless = [](const Entry& e) {
+    if (!e.dirty) return true;
+    if (!e.original || e.trial.use_count() != 1) return false;
+    // Pairs with the release of the last outside reference.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    const profile::Trial& copy = *e.trial;
+    return copy.image() && copy.image() == e.original->image() &&
+           copy.name() == e.original->name() &&
+           copy.all_metadata() == e.original->all_metadata();
+  };
   while (cache_->resident > cache_->budget) {
     Entry* victim = nullptr;
     for (const auto& [app, exps] : store_) {
       for (const auto& [exp, trs] : exps) {
         for (const auto& [name, entry] : trs) {
-          if (entry->pinned || entry->charge == 0) continue;
+          if (entry->charge == 0 || !lossless(*entry)) continue;
           if (victim == nullptr || entry->last_used < victim->last_used) {
             victim = entry.get();
           }
@@ -668,14 +685,16 @@ void Repository::evict_to_budget_locked(Dropped& dropped) const {
     // releases them once its locks are released, since unmapping a
     // snapshot can take milliseconds.
     dropped.push_back(std::move(victim->trial));
+    dropped.push_back(std::move(victim->original));
     dropped.push_back(std::move(victim->verified_image));
     dropped.push_back(std::move(victim->summary_image));
     cache_->resident -= victim->charge;
     victim->charge = 0;
+    victim->dirty = false;  // the snapshot holds what was dropped
   }
 }
 
-TrialPtr Repository::load_entry(Entry& entry) const {
+TrialPtr Repository::load_entry(Entry& entry, const std::string& name) const {
   {
     const std::lock_guard lock(cache_->mutex);
     if (entry.trial) {
@@ -686,8 +705,8 @@ TrialPtr Repository::load_entry(Entry& entry) const {
   static const telemetry::SpanSite site("perfdmf.load_trial");
   telemetry::ScopedSpan span(site);
   // The open/mmap/schema parse runs with the cache unlocked; holding the
-  // entry's load mutex guarantees no other thread loads this entry, so
-  // publishing below cannot clobber a concurrent load.
+  // entry's load mutex guarantees no other thread loads or moves this
+  // entry, so publishing below cannot clobber a concurrent load.
   snapshots_opened().add();
   const auto trial = std::make_shared<profile::Trial>(
       entry.pkb ? open_pkb(entry.file, Verify::kSchema)
@@ -697,10 +716,10 @@ TrialPtr Repository::load_entry(Entry& entry) const {
   {
     const std::lock_guard lock(cache_->mutex);
     row = entry.record;
-    line = entry.record_line;
+    line = entry.line;
   }
   if (line > 0) {
-    check_shape(root_, *row, line, *trial);
+    check_opened(root_, name, entry.rel, row, line, *trial);
   }
   Dropped dropped;
   const std::lock_guard lock(cache_->mutex);
@@ -731,8 +750,9 @@ void Repository::verify_entry(Entry& entry, const profile::Trial& trial,
           verify_pkb_summary(trial);
         }
       } catch (const ParseError& e) {
-        if (e.file().empty()) throw e.with_file(entry.file.string());
-        throw;
+        if (!e.file().empty()) throw;
+        const std::lock_guard lock(cache_->mutex);  // save() may move it
+        throw e.with_file(entry.file.string());
       }
       const std::lock_guard lock(cache_->mutex);
       (level == Verify::kFull ? entry.verified_image : entry.summary_image) =
@@ -745,11 +765,19 @@ void Repository::verify_entry(Entry& entry, const profile::Trial& trial,
   int line = 0;
   {
     const std::lock_guard lock(cache_->mutex);
-    if (entry.record_line == 0 || entry.total_checked || entry.dirty) return;
+    if (entry.line == 0 || entry.total_checked || entry.dirty) return;
     row = *entry.record;
-    line = entry.record_line;
+    line = entry.line;
   }
-  check_total(root_, row, line, trial.name(), record_of(trial));
+  const TrialRecord opened = record_of(trial);
+  if (!same_record(row, opened)) {
+    throw index_mismatch(root_,
+                         "trial '" + trial.name() + "' has total " +
+                             total_field(opened.total) +
+                             " in its snapshot, but its row says " +
+                             total_field(row.total),
+                         line);
+  }
   const std::lock_guard lock(cache_->mutex);
   entry.total_checked = true;
 }
@@ -788,11 +816,11 @@ TrialPtr Repository::get(const std::string& application,
     }
   }
   const std::lock_guard load(entry->load_mutex);
-  const TrialPtr resident = load_entry(*entry);
+  const TrialPtr resident = load_entry(*entry, trial);
   verify_entry(*entry, *resident, Verify::kFull);
   {
     const std::lock_guard lock(cache_->mutex);
-    if (entry->dirty && entry->trial) return entry->trial;
+    if (entry->dirty) return entry->trial;
   }
   // Readers may hold the resident trial: hand out a private copy, which
   // borrows the same verified snapshot until it is first written.
@@ -801,6 +829,9 @@ TrialPtr Repository::get(const std::string& application,
   if (!entry->trial) {
     charge_locked(*entry, trial_charge(*mine));  // evicted meanwhile
   }
+  // Only a copy that borrows a snapshot image can be shown unchanged; an
+  // owned one is never evicted (keeping its original would double it).
+  if (resident->image()) entry->original = resident;
   entry->trial = mine;
   entry->dirty = true;
   touch_locked(*entry);
@@ -821,7 +852,7 @@ ConstTrialPtr Repository::view(const std::string& application,
   }
   cache_misses().add();
   const std::lock_guard load(entry->load_mutex);
-  return load_entry(*entry);
+  return load_entry(*entry, trial);
 }
 
 ConstTrialPtr Repository::summary_view(const std::string& application,
@@ -1017,7 +1048,7 @@ void Repository::save(const std::filesystem::path& dir) const {
   }
   for (const Row& row : rows) {
     if (row.write) {
-      save_entry(row.entry, dir / row.rel);
+      save_entry(row.entry, row.name, dir, row.rel, home);
     } else {
       fill_record(row.entry);
     }
@@ -1028,19 +1059,13 @@ void Repository::save(const std::filesystem::path& dir) const {
   // Lineage is renamed first and the index last, as in commit(): the
   // index rename is the commit point, and lineage links naming trials
   // the index lacks are dropped when the directory is opened.
-  std::string index;
-  {
-    const std::lock_guard lock(cache_->mutex);
-    for (const Row& row : rows) {
-      append_index_row(index, row.app, row.exp, row.name, row.rel,
-                       row.entry.record);
-    }
-  }
+  std::vector<std::string> rels;
+  for (const Row& row : rows) rels.push_back(row.rel);
+  const std::string index = index_text(home ? nullptr : &rels);
   const std::string lineage = lineage_text();
   const std::filesystem::path index_file = dir / "index.tsv";
   const std::filesystem::path lineage_file = dir / "lineage.tsv";
-  const std::filesystem::path index_tmp = write_temp(index_file, index);
-  std::filesystem::path lineage_tmp;
+  const std::filesystem::path index_tmp = write_temp(index_file, text(index));
   try {
     if (lineage.empty()) {
       // Saving a lineage-free repository over an old directory must not
@@ -1048,22 +1073,22 @@ void Repository::save(const std::filesystem::path& dir) const {
       std::error_code ec;
       std::filesystem::remove(lineage_file, ec);
     } else {
-      lineage_tmp = write_temp(lineage_file, lineage);
-      rename_into_place(lineage_tmp, lineage_file);
+      rename_into_place(write_temp(lineage_file, text(lineage)),
+                        lineage_file);
     }
   } catch (...) {
     std::error_code ec;
     std::filesystem::remove(index_tmp, ec);
-    if (!lineage_tmp.empty()) std::filesystem::remove(lineage_tmp, ec);
     throw;
   }
   rename_into_place(index_tmp, index_file);
 }
 
-void Repository::save_entry(Entry& entry,
-                            const std::filesystem::path& dest) const {
+void Repository::save_entry(Entry& entry, const std::string& name,
+                            const std::filesystem::path& dir,
+                            const std::string& rel, bool home) const {
   const std::lock_guard load(entry.load_mutex);
-  const TrialPtr trial = load_entry(entry);
+  const TrialPtr trial = load_entry(entry, name);
   // A lazily opened snapshot's COLS CRC was skipped at open; check it
   // now: write_pkb re-signs the payload with fresh CRCs, which must not
   // turn a corrupt snapshot into a valid-looking one.
@@ -1074,20 +1099,23 @@ void Repository::save_entry(Entry& entry,
   // file whose live mapping is being streamed out (the old inode stays
   // mapped until the trial drops it), and a failed write leaves no torn
   // snapshot behind.
-  const std::filesystem::path tmp = dest.string() + ".tmp";
-  try {
-    save_pkb_file(*trial, tmp);
-    rename_into_place(tmp, dest);
-  } catch (...) {
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    throw;
-  }
+  const std::filesystem::path dest = dir / rel;
+  rename_into_place(
+      write_temp(dest, [&](std::ostream& os) { write_pkb(*trial, os); }),
+      dest);
   const TrialRecord written = record_of(*trial);
   Dropped dropped;
   const std::lock_guard lock(cache_->mutex);
   entry.record = written;
-  entry.record_line = 0;
+  entry.total_checked = true;
+  if (home) {
+    // The entry's snapshot is the one just written: commit() indexes it
+    // and a reload reads it.
+    entry.file = dest;
+    entry.rel = rel;
+    entry.pkb = true;
+    entry.line = 0;
+  }
   touch_locked(entry);
   evict_to_budget_locked(dropped);
 }
@@ -1108,87 +1136,33 @@ void Repository::fill_record(Entry& entry) const {
   const TrialRecord computed = record_of(*trial);
   const std::lock_guard lock(cache_->mutex);
   entry.record = computed;
+  entry.total_checked = true;
 }
 
-Repository Repository::open_index(const std::filesystem::path& dir,
-                                  bool eager, ThreadPool* pool,
-                                  std::size_t cache_budget) {
+Repository Repository::attach(const std::filesystem::path& dir,
+                              std::size_t cache_budget) {
   const std::filesystem::path index_file = dir / "index.tsv";
   const std::string index_text =
       read_file_bytes(index_file, "cannot read index");
-  struct Row {
-    std::string app, exp, name, rel;
-    std::filesystem::path file;
-    bool pkb;
-    std::optional<TrialRecord> record;
-    int line;
-  };
-  std::vector<Row> rows;
-  for (IndexRow& row : parse_table(parse_index, index_text, index_file)) {
-    const std::filesystem::path rel(row.path);
-    rows.push_back(Row{std::move(row.application), std::move(row.experiment),
-                       std::move(row.trial), std::move(row.path), dir / rel,
-                       rel.extension() == ".pkb", row.record, row.line});
-  }
-
   Repository repo;
   repo.cache_->budget = cache_budget;
   repo.root_ = dir;
-  if (eager) {
-    // Fan the per-snapshot parsing (the expensive part) across the pool;
-    // a failure surfaces deterministically as the lowest row's exception.
-    std::vector<TrialPtr> loaded(rows.size());
-    const auto load_row = [&](std::size_t i) {
-      const Row& row = rows[i];
-      snapshots_opened().add();
-      loaded[i] = std::make_shared<profile::Trial>(
-          row.pkb ? open_pkb(row.file, Verify::kFull)
-                  : load_text_snapshot(row.file));
-    };
-    if (pool != nullptr) {
-      pool->parallel_for(rows.size(), load_row);
-    } else {
-      for (std::size_t i = 0; i < rows.size(); ++i) load_row(i);
-    }
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (loaded[i]->name() != rows[i].name) {
-        throw ParseError("repository index: trial name mismatch for '" +
-                         rows[i].file.filename().string() + "'");
-      }
-      // Every value was just checksummed: check the row against them.
-      const TrialRecord opened = record_of(*loaded[i]);
-      if (const auto& row = rows[i].record) {
-        check_shape(dir, *row, rows[i].line, *loaded[i]);
-        check_total(dir, *row, rows[i].line, rows[i].name, opened);
-      }
-      auto entry = std::make_shared<Entry>();
-      entry->pinned = true;
-      entry->record = opened;
-      entry->verified_image = loaded[i]->image();  // opened with kFull
-      entry->trial = std::move(loaded[i]);
-      entry->file = rows[i].file;
-      entry->rel = rows[i].rel;
-      entry->pkb = rows[i].pkb;
-      repo.insert_entry(rows[i].app, rows[i].exp, rows[i].name,
-                        std::move(entry));
-    }
-  } else {
-    for (const Row& row : rows) {
-      auto entry = std::make_shared<Entry>();
-      entry->file = row.file;
-      entry->rel = row.rel;
-      entry->pkb = row.pkb;
-      entry->record = row.record;
-      if (row.record) entry->record_line = row.line;
-      repo.insert_entry(row.app, row.exp, row.name, std::move(entry));
-    }
+  for (IndexRow& row : parse_table(parse_index, index_text, index_file)) {
+    auto entry = std::make_shared<Entry>();
+    entry->file = dir / row.path;
+    entry->pkb = std::filesystem::path(row.path).extension() == ".pkb";
+    entry->rel = std::move(row.path);
+    entry->record = row.record;
+    entry->total_checked = !row.record;
+    entry->line = row.line;
+    repo.insert_entry(row.application, row.experiment, row.trial,
+                      std::move(entry));
   }
 
   // Lineage is optional (repositories written before it existed have no
-  // lineage.tsv) and is read for both eager and attached repositories —
-  // it never touches the snapshots, so attach() stays lazy. Links naming
-  // trials absent from the index are dropped silently: the chain is
-  // advisory metadata, not a second source of truth.
+  // lineage.tsv). Links naming trials absent from the index are dropped
+  // silently: the chain is advisory metadata, not a second source of
+  // truth.
   const std::filesystem::path lineage_file = dir / "lineage.tsv";
   std::error_code ec;
   if (std::filesystem::is_regular_file(lineage_file, ec)) {
@@ -1206,17 +1180,34 @@ Repository Repository::open_index(const std::filesystem::path& dir,
 }
 
 Repository Repository::load(const std::filesystem::path& dir) {
-  return open_index(dir, /*eager=*/true, nullptr, kDefaultCacheBudget);
+  ThreadPool inline_pool(0);  // no workers: every entry opens here
+  return load(dir, inline_pool);
 }
 
 Repository Repository::load(const std::filesystem::path& dir,
                             ThreadPool& pool) {
-  return open_index(dir, /*eager=*/true, &pool, kDefaultCacheBudget);
-}
-
-Repository Repository::attach(const std::filesystem::path& dir,
-                              std::size_t cache_budget) {
-  return open_index(dir, /*eager=*/false, nullptr, cache_budget);
+  Repository repo = attach(dir, SIZE_MAX);
+  std::vector<std::pair<const std::string*, Entry*>> rows;
+  for (const auto& [app, exps] : repo.store_) {
+    for (const auto& [exp, trs] : exps) {
+      for (const auto& [tname, entry] : trs) {
+        rows.emplace_back(&tname, entry.get());
+      }
+    }
+  }
+  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    return a.second->line < b.second->line;
+  });
+  // Each entry opens as a lazy read would, fanned out across the pool;
+  // in index order, so a failure surfaces as the lowest row's error.
+  pool.parallel_for(rows.size(), [&](std::size_t i) {
+    Entry& entry = *rows[i].second;
+    const std::lock_guard load(entry.load_mutex);
+    repo.verify_entry(entry, *repo.load_entry(entry, *rows[i].first),
+                      Verify::kFull);
+    repo.fill_record(entry);
+  });
+  return repo;
 }
 
 Repository Repository::create(const std::filesystem::path& dir,

@@ -25,9 +25,9 @@
 // cannot be computed. `pkx list` and `pkx history` print them without
 // opening a snapshot; rows written before records existed have only the
 // first four fields, and those commands open the snapshot for them. A
-// record read from the index is checked against the snapshot whenever
-// one is opened anyway: the shape on open, the total once the summary
-// or column checksum has passed. A disagreement is a ParseError naming
+// row is checked against its snapshot whenever one is opened anyway: the
+// trial name and the shape on open, the total once the summary or
+// column checksum has passed. A disagreement is a ParseError naming
 // index.tsv and the row's line.
 //
 // Sharding keeps directory fan-out bounded for repositories with tens of
@@ -36,15 +36,15 @@
 // trial next to index.tsv) is still loadable; load() dispatches on the
 // indexed file's extension.
 //
-// Two ways to open a repository:
-//   load(dir)    eagerly opens every trial (optionally fanned out across a
-//                ThreadPool), verifying every checksum;
-//   attach(dir)  reads only the index, then demand-loads trials through
-//                get()/view() into an LRU cache with a configurable byte
-//                budget, so a repository much larger than memory can be
-//                queried.
-// Either way a PKB trial's columns stay in its mmap'd snapshot until
-// something writes them (profile.hpp). Each entry holds one trial.
+// attach(dir) reads only the index, then demand-loads trials through
+// get()/view() into an LRU cache with a configurable byte budget, so a
+// repository much larger than memory can be queried; load(dir) then
+// opens every entry up front the same way. A PKB trial's columns stay
+// in its mmap'd snapshot until something writes them (profile.hpp).
+// Each entry holds one trial. A put() trial exists only in memory and is
+// never charged or evicted; any other resident trial is charged, and is
+// evicted only when dropping it loses nothing (clean, or a get() copy
+// that nobody holds any more and nobody changed).
 // Read-only commands go through view() / summary_view() /
 // verified_view(), which share the resident trial and differ only in
 // how much of its snapshot they checksum: the schema, the summary
@@ -93,10 +93,10 @@ class Repository {
   ~Repository();
 
   /// Inserts (replacing any previous trial with the same coordinates).
-  /// Directly-put trials are pinned: they live only in memory, so they
-  /// are never charged to the cache budget or evicted until the next
-  /// save() writes them (commit() is the path that is charged and
-  /// evictable from the start). A trial replacing one whose snapshot lives in
+  /// A put() trial is dirty: the caller may keep editing it, so it is
+  /// never charged to the cache budget or evicted, and every save()
+  /// rewrites it (commit() is the path that is charged and evictable
+  /// from the start). A trial replacing one whose snapshot lives in
   /// this repository's directory is rewritten to that same file. Throws
   /// InvalidArgumentError naming the field when the application,
   /// experiment or trial name contains a tab, newline or carriage return
@@ -129,8 +129,8 @@ class Repository {
   ///      snapshot path (the replaced entry's, or the stable name);
   ///   2. unlocked: write the snapshot durably (temp file, fsync,
   ///      rename, fsync its shard directory);
-  ///   3. exclusive: insert the entry, backed by that file, unpinned,
-  ///      clean and charged to the cache budget;
+  ///   3. exclusive: insert the entry, backed by that file, clean and
+  ///      charged to the cache budget;
   ///   4. shared: render index.tsv and lineage.tsv, unless a commit that
   ///      inserted later already wrote them; then, unlocked, write both
   ///      durably, renaming lineage.tsv first and index.tsv (the commit
@@ -176,7 +176,8 @@ class Repository {
   /// private copy, so readers holding view() results never see its
   /// edits; later calls return that same copy. Because the caller may
   /// edit it in place (a script's derive_metric, say), the entry counts
-  /// as dirty from then on and the next save() rewrites it.
+  /// as dirty from then on, every save() rewrites it, and it is evicted
+  /// only once nobody holds it and it provably equals its snapshot.
   [[nodiscard]] TrialPtr get(const std::string& application,
                              const std::string& experiment,
                              const std::string& trial) const;
@@ -249,18 +250,18 @@ class Repository {
   /// .pkb (saving to another directory, legacy .pkprof entries). Clean
   /// entries keep the path index.tsv already names; new snapshots get the
   /// stable name described above, bumped with a "-N" suffix if another
-  /// entry already holds it. Every snapshot goes to a sibling temp file
-  /// and is renamed into place; index.tsv and lineage.tsv are written the
-  /// same way and renamed only after every snapshot is in place, so a
-  /// failed save leaves the previous index, never a torn one.
+  /// entry already holds it; saving home makes it the entry's own. Every
+  /// snapshot goes to a sibling temp file and is renamed into place;
+  /// index.tsv and lineage.tsv are written the same way and renamed only
+  /// after every snapshot is in place, so a failed save leaves the
+  /// previous index, never a torn one. Not to be run beside commit().
   void save(const std::filesystem::path& dir) const;
 
-  /// Eagerly loads a repository previously written by save() — either
-  /// the sharded PKB layout or the legacy flat .pkprof layout. Parse
-  /// failures name the snapshot file that was being read. The overload
-  /// taking a ThreadPool fans the per-trial snapshot parsing across it.
-  /// Costs O(repository bytes); prefer attach() unless every trial is
-  /// about to be read anyway.
+  /// attach(dir, SIZE_MAX), then every entry opened and checked as
+  /// verified_view() does; the lowest failing row's error is thrown. The
+  /// overload taking a ThreadPool fans the opens across it. Costs
+  /// O(repository bytes); prefer attach() unless every trial is about to
+  /// be read anyway.
   [[nodiscard]] static Repository load(const std::filesystem::path& dir);
   [[nodiscard]] static Repository load(const std::filesystem::path& dir,
                                        ThreadPool& pool);
@@ -268,8 +269,8 @@ class Repository {
   /// Opens a repository lazily: only index.tsv and lineage.tsv are read.
   /// Trials are demand-loaded by get()/view() into an LRU cache capped at
   /// `cache_budget` bytes (counting snapshot sizes); least-recently-used
-  /// unpinned entries are dropped first. Evicted trials stay alive for
-  /// callers that still hold their shared_ptr. Pass SIZE_MAX for a
+  /// entries are dropped first. Evicted trials stay alive for callers
+  /// that still hold their shared_ptr. Pass SIZE_MAX for a
   /// one-shot process that should never evict (what pkx does).
   [[nodiscard]] static Repository attach(
       const std::filesystem::path& dir,
@@ -285,7 +286,7 @@ class Repository {
   void set_cache_budget(std::size_t bytes);
   /// Bytes currently charged against the cache budget.
   [[nodiscard]] std::size_t cached_bytes() const;
-  /// Number of trials currently resident in memory (pinned or cached).
+  /// Number of trials currently resident in memory (dirty or cached).
   [[nodiscard]] std::size_t resident_trials() const;
 
  private:
@@ -312,6 +313,12 @@ class Repository {
   [[nodiscard]] std::string commit_path(const std::string& application,
                                         const std::string& experiment,
                                         const std::string& trial) const;
+  /// index.tsv's text: a row per entry in store order naming its own
+  /// snapshot (the repository's own index, whose lines the entries then
+  /// keep), or `rels[i]` for the i-th entry (what save() wrote
+  /// elsewhere); no row for an entry without one (an unsaved put()).
+  [[nodiscard]] std::string index_text(
+      const std::vector<std::string>* rels = nullptr) const;
   /// lineage.tsv's text.
   [[nodiscard]] std::string lineage_text() const;
   void insert_entry(const std::string& application,
@@ -321,14 +328,17 @@ class Repository {
                                            const std::string& experiment,
                                            const std::string& trial) const;
   /// Returns `entry`'s resident trial, demand-loading (publishing and
-  /// charging) it first when there is none. Caller must hold the entry's
-  /// load mutex and must NOT hold the cache mutex: the file open/mmap/
-  /// schema parse runs with the cache unlocked so other entries stay
-  /// serviceable during I/O.
-  [[nodiscard]] TrialPtr load_entry(Entry& entry) const;
-  /// Streams one entry's snapshot to `dest` (temp file + atomic rename;
-  /// verifies a lazily opened snapshot's column CRC before re-signing it).
-  void save_entry(Entry& entry, const std::filesystem::path& dest) const;
+  /// charging) it first when there is none, checked against its index
+  /// row (trial `name`, shape). Caller must hold the entry's load mutex
+  /// and must NOT hold the cache mutex: the file open/mmap/schema parse
+  /// runs with the cache unlocked so other entries stay serviceable.
+  TrialPtr load_entry(Entry& entry, const std::string& name) const;
+  /// Streams one entry's snapshot to `dir`/`rel` (temp file + atomic
+  /// rename; verifies a lazily opened snapshot's column CRC before
+  /// re-signing it); at `home` the entry is backed by that file.
+  void save_entry(Entry& entry, const std::string& name,
+                  const std::filesystem::path& dir, const std::string& rel,
+                  bool home) const;
   /// Fills in a clean entry's missing record (a row written before
   /// records existed) from its resident trial, when a checksum has
   /// covered that trial's values. Never opens the snapshot.
@@ -346,9 +356,6 @@ class Repository {
   using Dropped = std::vector<std::shared_ptr<const void>>;
   void evict_to_budget_locked(Dropped& dropped) const;
 
-  static Repository open_index(const std::filesystem::path& dir,
-                               bool eager, ThreadPool* pool,
-                               std::size_t cache_budget);
 
   // application -> experiment -> trial-name -> entry
   std::map<std::string,

@@ -70,6 +70,11 @@ void Trial::reserve_events(std::size_t n) {
 }
 
 void Trial::widen_rows(std::size_t stride) {
+  // Counted so tests can check that building a trial event by event
+  // relays it out a logarithmic number of times, not once per event.
+  static telemetry::Counter& relayouts =
+      telemetry::counter("profile.trial.relayout");
+  relayouts.add();
   for (auto& col : owned_) {
     std::vector<double> wide(num_threads_ * stride, 0.0);
     for (std::size_t t = 0; t < num_threads_; ++t) {

@@ -9,6 +9,7 @@
 #include "analysis/facts.hpp"
 #include "analysis/operations.hpp"
 #include "analysis/pca.hpp"
+#include "analysis/pipeline.hpp"
 #include "common/error.hpp"
 #include "hwcounters/counters.hpp"
 #include "io/format.hpp"
@@ -552,16 +553,14 @@ void AnalysisSession::register_api() {
            {"diff",
             make_host_fn([harness, repo](Interpreter&,
                                          const std::vector<Value>& a) {
-              const std::string& app = arg_string(a, 0, "diff");
-              const std::string& exp = arg_string(a, 1, "diff");
-              const auto base = repo->get(app, exp,
-                                          arg_string(a, 2, "diff"));
-              const auto current = repo->get(app, exp,
-                                             arg_string(a, 3, "diff"));
-              analysis::DiffOptions options;
-              if (a.size() > 4) options.noise_band = a[4].as_number();
+              analysis::DiffParams params{
+                  arg_string(a, 0, "diff"), arg_string(a, 1, "diff"),
+                  arg_string(a, 2, "diff"), arg_string(a, 3, "diff"), {}};
+              if (a.size() > 4) params.options.noise_band = a[4].as_number();
+              // Read-only, as pkx diff reads them: the summary views.
+              const auto trials = analysis::resolve_diff(*repo, params);
               const auto s = analysis::assert_diff_facts(
-                  *harness, *base, *current, options);
+                  *harness, *trials.base, *trials.current, params.options);
               return make_dict(
                   {{"comparedCells", Value(s.compared_cells)},
                    {"regressedCells", Value(s.regressed_cells)},

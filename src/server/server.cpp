@@ -123,7 +123,8 @@ void ServerOptions::validate() const {
 
 Server::Server(ServerOptions options) : options_(std::move(options)) {
   options_.validate();
-  if (options_.enable_telemetry) telemetry::set_enabled(true);
+  // The serving counters feed "stats" and "selfdiagnose".
+  telemetry::set_enabled(true);
   if (!options_.repository_dir.empty()) {
     // A directory without an index (a fresh one, say) starts an empty
     // repository there; uploads then commit into it.

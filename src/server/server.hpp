@@ -116,10 +116,6 @@ struct ServerOptions {
   /// Demand-load cache budget for an attached repository_dir.
   std::size_t cache_budget = perfdmf::Repository::kDefaultCacheBudget;
 
-  /// Turns process-wide telemetry on at construction, so the serving
-  /// counters (below) actually record and "selfdiagnose" sees them.
-  bool enable_telemetry = true;
-
   /// Checks every field up front; throws InvalidArgumentError naming
   /// the offending field ("ServerOptions.socket_path: ..."). Checks:
   /// socket_path non-empty and short enough for sun_path, workers > 0,

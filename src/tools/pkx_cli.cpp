@@ -353,8 +353,7 @@ int cmd_rules_profile(pk::perfdmf::Repository& repo,
   pk::rules::RuleHarness tuning;
   tuning.set_provenance(pk::provenance::ProvenanceMode::kFull);
   pk::rules::builtin::use(tuning, pk::rules::builtin::rule_tuning());
-  pk::rules::assert_profile_facts(tuning, *repo.get(args[2], args[3],
-                                                    profile_name));
+  pk::rules::assert_profile_facts(tuning, *profile_trial);
   tuning.process_rules();
 
   std::vector<pk::provenance::Explanation> explanations;

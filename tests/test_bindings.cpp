@@ -2,15 +2,19 @@
 // Fig. 1 script, ported line-for-line.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 
+#include "analysis/diff.hpp"
 #include "common/error.hpp"
 #include "hwcounters/counters.hpp"
 #include "perfdmf/repository.hpp"
+#include "rules/engine.hpp"
 #include "script/bindings.hpp"
 
 namespace pk = perfknow;
@@ -369,4 +373,71 @@ print("saved")
   EXPECT_TRUE(std::filesystem::exists(csv_path));
   std::filesystem::remove(json_path);
   std::filesystem::remove(csv_path);
+}
+
+// Session.diff reads both versions through the diff pipeline's summary
+// views, as `pkx diff` does: it returns what assert_diff_facts says of
+// the two trials, leaves both records set and dirties neither, so a
+// save() afterwards rewrites no snapshot.
+TEST(Bindings, SessionDiffReadsVersionsWithoutDirtyingThem) {
+  const auto version = [](const std::string& name, double hot_time) {
+    auto t = make_stall_trial();
+    t->set_name(name);
+    const auto hot = t->event_id("exchange_var__");
+    for (std::size_t th = 0; th < 4; ++th) {
+      t->set_exclusive(th, hot, t->metric_id("TIME"), hot_time);
+    }
+    return t;
+  };
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("pk_bind_diff_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    Repository repo;
+    repo.put_version("app", "exp", version("v1", 500.0));
+    repo.put_version("app", "exp", version("v2", 1500.0));
+    repo.save(dir);
+  }
+  const auto inodes = [&dir] {
+    std::vector<ino_t> out;
+    for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
+      struct stat st{};
+      if (e.path().extension() == ".pkb" &&
+          ::stat(e.path().c_str(), &st) == 0) {
+        out.push_back(st.st_ino);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto before = inodes();
+  ASSERT_EQ(before.size(), 2u);
+
+  Repository attached = Repository::attach(dir);
+  AnalysisSession session(pk::script::SessionOptions{&attached});
+  session.run(R"(
+s = Session.diff("app", "exp", "v1", "v2")
+for key in ["comparedCells", "regressedCells", "improvedCells",
+            "skippedCells", "missingEvents", "addedEvents", "facts"]:
+    print(s[key])
+)");
+  pk::rules::RuleHarness harness;
+  const auto want = pk::analysis::assert_diff_facts(
+      harness, *version("v1", 500.0), *version("v2", 1500.0));
+  const auto& out = session.output();
+  ASSERT_EQ(out.size(), 7u);
+  const std::size_t fields[] = {
+      want.compared_cells, want.regressed_cells, want.improved_cells,
+      want.skipped_cells,  want.missing_events,  want.added_events,
+      want.facts};
+  for (std::size_t i = 0; i < 7; ++i) {
+    EXPECT_EQ(std::stod(out[i]), static_cast<double>(fields[i])) << i;
+  }
+  EXPECT_GT(want.regressed_cells, 0u);
+
+  EXPECT_TRUE(attached.record("app", "exp", "v1").has_value());
+  EXPECT_TRUE(attached.record("app", "exp", "v2").has_value());
+  attached.save(dir);
+  EXPECT_EQ(inodes(), before);
+  std::filesystem::remove_all(dir);
 }

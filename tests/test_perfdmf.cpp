@@ -883,7 +883,7 @@ TEST(RepositoryCache, EvictedTrialsStayAliveForHolders) {
   repo.save(dir.path());
 
   Repository attached = Repository::attach(dir.path());
-  const auto held = attached.get("app", "exp", "held");
+  const auto held = attached.view("app", "exp", "held");
   attached.set_cache_budget(0);  // evicts the cache's reference
   EXPECT_EQ(attached.resident_trials(), 0u);
   // Our shared_ptr (and the mmap behind it) is still fully usable.
@@ -1287,4 +1287,160 @@ TEST(Repository, RejectsNamesThatWouldBreakTheIndex) {
   // Other punctuation stays legal.
   repo.put_version("app", "exp", make_trial("v 1/ok"));
   EXPECT_EQ(repo.history("app", "exp"), std::vector<std::string>{"v 1/ok"});
+}
+
+// ---- one entry lifecycle -------------------------------------------------
+
+// An edited get() copy exists only in memory: a budget too small for
+// any trial must not evict it, or the next save() would reload the
+// snapshot and write the old values back. A copy nobody holds any more
+// and nobody changed is evicted like a clean trial.
+TEST(RepositoryCache, AGetEditSurvivesEvictionAndSave) {
+  TempDir dir;
+  {
+    Repository repo;
+    for (const char* n : {"a", "b", "c"}) repo.put("app", "exp", make_trial(n));
+    repo.save(dir.path());
+  }
+  {
+    Repository attached = Repository::attach(dir.path(), 1);
+    const auto a = attached.get("app", "exp", "a");
+    a->set_inclusive(0, 0, 0, 42.0);
+    attached.get("app", "exp", "c")->set_metadata("schedule", "static");
+    (void)attached.get("app", "exp", "b");  // read, then dropped
+    attached.set_cache_budget(0);
+    EXPECT_EQ(attached.resident_trials(), 2u);  // a and c
+    EXPECT_EQ(attached.view("app", "exp", "a"), a);
+    attached.save(dir.path());
+  }
+  const Repository reattached = Repository::attach(dir.path());
+  EXPECT_EQ(reattached.verified_view("app", "exp", "a")->inclusive(0, 0, 0),
+            42.0);
+  EXPECT_EQ(*reattached.view("app", "exp", "c")->metadata("schedule"),
+            "static");
+}
+
+// get() copies read and dropped on several threads stay evictable under
+// a budget smaller than one trial, while the same threads keep loading.
+TEST(RepositoryCache, DroppedGetCopiesAreEvictedUnderConcurrentLoads) {
+  TempDir dir;
+  {
+    Repository repo;
+    for (int i = 0; i < 4; ++i) {
+      repo.put("app", "exp", make_trial("c" + std::to_string(i)));
+    }
+    repo.save(dir.path());
+  }
+  Repository attached = Repository::attach(dir.path(), 1);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 4; ++w) {
+    workers.emplace_back([&attached, &failures, w] {
+      for (int i = 0; i < 25; ++i) {
+        const auto t =
+            attached.get("app", "exp", "c" + std::to_string((w + i) % 4));
+        if (t->inclusive(1, 0, 0) != 101.0) ++failures;
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(failures.load(), 0);
+  attached.set_cache_budget(0);
+  EXPECT_EQ(attached.resident_trials(), 0u);
+  EXPECT_EQ(attached.cached_bytes(), 0u);
+}
+
+// An index row whose path names another trial's snapshot is refused by
+// every read, as load() refuses it: a ParseError naming index.tsv and
+// the row's line, whether the row carries a record or not.
+TEST(RepositoryIndex, ARowPointingAtAnotherTrialsSnapshotFailsLocated) {
+  TempDir dir;
+  {
+    Repository repo;
+    repo.put("app", "exp", make_trial("x"));
+    repo.put("app", "exp", make_trial("y"));  // same shape and total
+    repo.save(dir.path());
+  }
+  const auto paths = read_index(dir.path());
+  const std::string good = index_text(dir.path());
+  const std::string file = (dir.path() / "index.tsv").string();
+  for (const std::size_t fields : {std::size_t{8}, std::size_t{4}}) {
+    std::ofstream(dir.path() / "index.tsv", std::ios::trunc) << good;
+    edit_index(dir.path(), [&](std::vector<std::string>& f) {
+      f[3] = paths.at(f[2] == "x" ? "y" : "x");
+      f.resize(fields);
+    });
+    const auto expect_located = [&](const std::function<void()>& read) {
+      try {
+        read();
+        ADD_FAILURE() << fields << "-field row served another trial";
+      } catch (const pk::ParseError& e) {
+        EXPECT_EQ(e.file(), file) << e.what();
+        EXPECT_EQ(e.line(), 1) << e.what();
+        EXPECT_NE(std::string(e.what()).find(
+                      "row names trial 'x', but its snapshot " +
+                      paths.at("y") + " holds trial 'y'"),
+                  std::string::npos)
+            << e.what();
+      }
+    };
+    for (const auto& read :
+         std::vector<std::function<void(const Repository&)>>{
+             [](const Repository& r) { (void)r.view("app", "exp", "x"); },
+             [](const Repository& r) {
+               (void)r.summary_view("app", "exp", "x");
+             },
+             [](const Repository& r) {
+               (void)r.verified_view("app", "exp", "x");
+             },
+             [](const Repository& r) { (void)r.get("app", "exp", "x"); }}) {
+      const Repository attached = Repository::attach(dir.path());
+      expect_located([&] { read(attached); });
+    }
+    expect_located([&] { (void)Repository::load(dir.path()); });
+  }
+}
+
+// A commit() rewrites index.tsv in store order; a row checked after it
+// is located at the line the new index gives it.
+TEST(RepositoryIndex, AMismatchAfterACommitNamesTheRowsNewLine) {
+  TempDir dir;
+  {
+    Repository repo;
+    repo.put("app", "exp", make_trial("b"));
+    repo.put("app", "exp", make_trial("c"));
+    repo.save(dir.path());
+  }
+  const auto paths = read_index(dir.path());
+  Repository repo = Repository::attach(dir.path());
+  std::shared_mutex guard;
+  repo.commit("app", "exp", make_trial("a"), guard);  // rows: a, b, c
+  fs::copy_file(dir.path() / paths.at("b"), dir.path() / paths.at("c"),
+                fs::copy_options::overwrite_existing);
+  try {
+    (void)repo.view("app", "exp", "c");
+    ADD_FAILURE() << "c served b's snapshot";
+  } catch (const pk::ParseError& e) {
+    EXPECT_EQ(e.file(), (dir.path() / "index.tsv").string());
+    EXPECT_EQ(e.line(), 3) << e.what();
+  }
+}
+
+// save() into the repository's own directory records where it wrote a
+// put() trial, so a later commit() keeps that trial in the index.
+TEST(RepositoryIncrementalSave, ASavedPutSurvivesALaterCommit) {
+  TempDir dir;
+  {
+    Repository repo = Repository::create(dir.path());
+    repo.put("app", "exp", make_trial("saved"));
+    repo.save(dir.path());
+    std::shared_mutex guard;
+    repo.commit("app", "exp", make_trial("committed"), guard);
+  }
+  const Repository reattached = Repository::attach(dir.path());
+  EXPECT_EQ(reattached.trials("app", "exp"),
+            (std::vector<std::string>{"committed", "saved"}));
+  EXPECT_EQ(reattached.verified_view("app", "exp", "saved")->name(),
+            "saved");
+  EXPECT_EQ(count_files(dir.path(), ".pkb"), 2u);
 }

@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <string>
 
 #include "common/error.hpp"
 #include "profile/profile.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace pk = perfknow;
 using pk::profile::Trial;
@@ -188,6 +190,34 @@ TEST(Trial, BuildingThreadsFirstGrowsLinearly) {
   const double large = build_ms(4000);
   EXPECT_LT(large / small, 8.0)
       << "1000 events: " << small << " ms, 4000 events: " << large << " ms";
+}
+
+// The counted-work twin of the timing test above: doubling the row
+// stride makes 4x the events cost two more relayouts (telemetry counter
+// "profile.trial.relayout"), where relaying out on every add_event would
+// cost 3000 more.
+TEST(Trial, BuildingThreadsFirstRelaysOutLogarithmically) {
+  pk::telemetry::Counter& relayouts =
+      pk::telemetry::counter("profile.trial.relayout");
+  const bool was_enabled = pk::telemetry::enabled();
+  pk::telemetry::set_enabled(true);
+  const auto count = [&](std::size_t events) {
+    const std::uint64_t before = relayouts.value();
+    Trial t("growth");
+    t.set_thread_count(4);
+    const auto time = t.add_metric("TIME", "usec");
+    for (std::size_t e = 0; e < events; ++e) {
+      const auto id = t.add_event("ev" + std::to_string(e));
+      t.set_inclusive(0, id, time, static_cast<double>(e));
+    }
+    return relayouts.value() - before;
+  };
+  const std::uint64_t small = count(1000);
+  const std::uint64_t large = count(4000);
+  pk::telemetry::set_enabled(was_enabled);
+  EXPECT_GT(small, 0u);
+  EXPECT_LE(large, small + 2)
+      << "1000 events: " << small << " relayouts, 4000 events: " << large;
 }
 
 TEST(Trial, ReservedEventsAddWithoutSlackOrRelayout) {

@@ -758,7 +758,6 @@ TEST(ServerDaemon, SaturatedQueueRejectsAndDiagnosesItself) {
   opt.workers = 1;
   opt.queue_limit = 2;
   opt.client_queue_limit = 2;
-  opt.enable_telemetry = true;
   Server server(opt);
 
   const auto [base, cur] = regression_pair(scratch.path());
