@@ -124,11 +124,6 @@ void DiffOptions::validate() const {
         "(a band <= 0 would classify every cell as both regressed and "
         "improved)");
   }
-  if (!std::isfinite(min_fraction) || min_fraction < 0.0 ||
-      min_fraction > 1.0) {
-    throw InvalidArgumentError(
-        "DiffOptions.min_fraction: must be a finite fraction in [0, 1]");
-  }
 }
 
 DiffSummary assert_diff_facts(rules::RuleHarness& harness,
@@ -197,9 +192,8 @@ DiffSummary assert_diff_facts(rules::RuleHarness& harness,
       log_sum += std::log(cv / bv);
     }
     const double geomean =
-        options.normalize && !cells.empty()
-            ? std::exp(log_sum / static_cast<double>(cells.size()))
-            : 1.0;
+        cells.empty() ? 1.0
+                      : std::exp(log_sum / static_cast<double>(cells.size()));
 
     const RuntimeFraction current_fraction(current, metric);
     for (const auto& cell : cells) {
@@ -207,14 +201,12 @@ DiffSummary assert_diff_facts(rules::RuleHarness& harness,
       const double nr = round4(ratio / geomean);
       const double fraction = current_fraction(cell.current_event);
       const char* direction = "same";
-      if (fraction >= options.min_fraction) {
-        if (nr > 1.0 + options.noise_band) {
-          direction = "regressed";
-          ++summary.regressed_cells;
-        } else if (nr < 1.0 - options.noise_band) {
-          direction = "improved";
-          ++summary.improved_cells;
-        }
+      if (nr > 1.0 + options.noise_band) {
+        direction = "regressed";
+        ++summary.regressed_cells;
+      } else if (nr < 1.0 - options.noise_band) {
+        direction = "improved";
+        ++summary.improved_cells;
       }
       if (nr > max_nr) max_nr = nr;
       if (nr < min_nr) min_nr = nr;

@@ -55,19 +55,11 @@ struct DiffOptions {
   /// "regressed" when normalizedRatio > 1 + band, "improved" when
   /// < 1 - band. Matches the historical CI gate threshold.
   double noise_band = 0.25;
-  /// Cells whose event is below this share of current total runtime are
-  /// still asserted (rules may want them) but never counted as
-  /// regressed/improved in the summary. 0 disables the floor.
-  double min_fraction = 0.0;
-  /// When false, normalizedRatio is the raw ratio (no geomean division).
-  bool normalize = true;
 
-  /// Checks the numeric fields and throws InvalidArgumentError naming
-  /// the offending one: noise_band must be finite and > 0 (a zero or
-  /// negative band would classify every cell as regressed AND
-  /// improved), min_fraction finite and in [0, 1]. Called by
-  /// assert_diff_facts; `pkx diff --band` surfaces the same check as a
-  /// usage diagnostic.
+  /// Throws InvalidArgumentError naming noise_band unless it is finite
+  /// and > 0 (a zero or negative band would classify every cell as
+  /// regressed AND improved). Called by assert_diff_facts; `pkx diff
+  /// --band` surfaces the same check as a usage diagnostic.
   void validate() const;
 };
 

@@ -71,7 +71,7 @@ profile::MetricId derive_metric(profile::Trial& trial,
                      {metric_a, metric_b}, trial.name()});
   // Threads write disjoint cube rows, and each row's computation is the
   // same serial loop as before — results are bit-identical to serial.
-  ThreadPool::current().parallel_for(
+  ThreadPool::shared().parallel_for(
       trial.thread_count(),
       [&](std::size_t t) {
         for (profile::EventId e = 0; e < trial.event_count(); ++e) {
@@ -96,7 +96,7 @@ profile::MetricId scale_metric(profile::Trial& trial,
   provenance::stamp(trial,
                     {new_name, "scale(" + format_factor(factor) + ")",
                      {metric}, trial.name()});
-  ThreadPool::current().parallel_for(
+  ThreadPool::shared().parallel_for(
       trial.thread_count(),
       [&](std::size_t t) {
         for (profile::EventId e = 0; e < trial.event_count(); ++e) {
@@ -135,7 +135,7 @@ std::vector<EventStatistics> basic_statistics(const profile::Trial& trial,
   // work starts (same behaviour as the serial loop's first iteration).
   (void)trial.metric_id(metric);
   std::vector<EventStatistics> out(trial.event_count());
-  ThreadPool::current().parallel_for(
+  ThreadPool::shared().parallel_for(
       trial.event_count(),
       [&](std::size_t e) {
         out[e] = event_statistics(trial, static_cast<profile::EventId>(e),
@@ -280,7 +280,7 @@ profile::Trial aggregate_threads(const profile::Trial& trial, bool mean) {
     out_event[e] = out.add_event(trial.event(e).name, trial.event(e).parent,
                                  trial.event(e).group);
   }
-  ThreadPool::current().parallel_for(
+  ThreadPool::shared().parallel_for(
       trial.event_count(),
       [&](std::size_t e) {
         const auto oe = out_event[e];
@@ -320,7 +320,7 @@ ScalabilityAnalysis::ScalabilityAnalysis(
   // missing metric rethrows from the lowest-indexed trial, matching the
   // serial loop's failure order.
   points_.resize(trials.size());
-  ThreadPool::current().parallel_for(
+  ThreadPool::shared().parallel_for(
       trials.size(),
       [&](std::size_t i) {
         const auto& t = trials[i];

@@ -16,9 +16,6 @@ namespace {
 // must not wait on the queue it is itself draining.
 thread_local bool tls_in_pool_task = false;
 
-// Innermost CurrentScope override for this thread; null means shared().
-thread_local ThreadPool* tls_current_pool = nullptr;
-
 std::size_t default_thread_count() {
   if (const char* env = std::getenv("PERFKNOW_THREADS")) {
     const long v = std::strtol(env, nullptr, 10);
@@ -147,16 +144,5 @@ ThreadPool& ThreadPool::shared() {
   static ThreadPool pool(default_thread_count());
   return pool;
 }
-
-ThreadPool& ThreadPool::current() noexcept {
-  return tls_current_pool != nullptr ? *tls_current_pool : shared();
-}
-
-ThreadPool::CurrentScope::CurrentScope(ThreadPool& pool) noexcept
-    : previous_(tls_current_pool) {
-  tls_current_pool = &pool;
-}
-
-ThreadPool::CurrentScope::~CurrentScope() { tls_current_pool = previous_; }
 
 }  // namespace perfknow

@@ -47,28 +47,8 @@ class ThreadPool {
 
   /// Process-wide pool sized from the PERFKNOW_THREADS environment
   /// variable when set, otherwise std::thread::hardware_concurrency().
+  /// The analysis primitives run on it.
   [[nodiscard]] static ThreadPool& shared();
-
-  /// The pool analysis primitives should use on this thread: the pool
-  /// installed by the innermost live CurrentScope, else shared(). This is
-  /// how AnalysisSession's `threads` option reaches analysis::* without
-  /// threading a pool through every call signature.
-  [[nodiscard]] static ThreadPool& current() noexcept;
-
-  /// Installs `pool` as ThreadPool::current() on the constructing thread
-  /// for the scope's lifetime; nests (the previous override is restored
-  /// on destruction). A scope must be destroyed on the thread that
-  /// created it.
-  class CurrentScope {
-   public:
-    explicit CurrentScope(ThreadPool& pool) noexcept;
-    ~CurrentScope();
-    CurrentScope(const CurrentScope&) = delete;
-    CurrentScope& operator=(const CurrentScope&) = delete;
-
-   private:
-    ThreadPool* previous_;
-  };
 
  private:
   void worker_loop();

@@ -1,7 +1,6 @@
 #include "perfdmf/repository.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -226,12 +225,11 @@ telemetry::Counter& snapshots_opened() {
 // One trial slot. `trial` is the resident trial; a non-resident entry
 // holds only the backing file path and is reloaded on demand. Every
 // field but `load_mutex` is guarded by the repository cache mutex.
-// Residency transitions (demand-loading `trial`, get()'s private copy)
-// and save()'s record of where it wrote (`file`/`rel`/`pkb`, which
-// commit() reads under the repository guard alone) also hold the
-// per-entry `load_mutex`, so the expensive open/parse/write runs with the
-// cache mutex released; `load_mutex` is always acquired before — never
-// while holding — the cache mutex.
+// Demand-loading `trial` and save()'s record of where it wrote
+// (`file`/`rel`/`pkb`, which commit() reads under the repository guard
+// alone) also hold the per-entry `load_mutex`, so the expensive
+// open/parse/write runs with the cache mutex released; `load_mutex` is
+// always acquired before — never while holding — the cache mutex.
 struct Repository::Entry {
   std::mutex load_mutex;  ///< serializes demand-loads of this entry
   TrialPtr trial;
@@ -245,11 +243,9 @@ struct Repository::Entry {
   std::filesystem::path file;  ///< backing snapshot; empty for put() trials
   std::string rel;             ///< `file` as index.tsv names it
   bool pkb = false;
-  /// put() since open, or handed out mutable by get(): the next save()
-  /// rewrites the snapshot. Cleared only by evicting an unchanged copy.
+  /// put() since open: the trial exists only in memory, and the next
+  /// save() rewrites its snapshot.
   bool dirty = false;
-  /// The snapshot-backed trial get()'s copy (`trial`) was made from.
-  ConstTrialPtr original;
   /// The index record: read from index.tsv, or computed from the trial
   /// that commit(), save() or load() wrote or read. Empty for a row
   /// written before records existed, until a save() fills it in.
@@ -651,25 +647,13 @@ void Repository::charge_locked(Entry& entry, std::size_t bytes) const {
 }
 
 void Repository::evict_to_budget_locked(Dropped& dropped) const {
-  // Only a dirty entry can hold edits. get()'s copy holds none while no
-  // one else holds it, it still borrows its original's image (value and
-  // schema edits copy the columns out) and keeps its name and metadata.
-  const auto lossless = [](const Entry& e) {
-    if (!e.dirty) return true;
-    if (!e.original || e.trial.use_count() != 1) return false;
-    // Pairs with the release of the last outside reference.
-    std::atomic_thread_fence(std::memory_order_acquire);
-    const profile::Trial& copy = *e.trial;
-    return copy.image() && copy.image() == e.original->image() &&
-           copy.name() == e.original->name() &&
-           copy.all_metadata() == e.original->all_metadata();
-  };
+  // A dirty entry is a put() trial, which exists only in memory.
   while (cache_->resident > cache_->budget) {
     Entry* victim = nullptr;
     for (const auto& [app, exps] : store_) {
       for (const auto& [exp, trs] : exps) {
         for (const auto& [name, entry] : trs) {
-          if (entry->charge == 0 || !lossless(*entry)) continue;
+          if (entry->charge == 0 || entry->dirty) continue;
           if (victim == nullptr || entry->last_used < victim->last_used) {
             victim = entry.get();
           }
@@ -685,12 +669,10 @@ void Repository::evict_to_budget_locked(Dropped& dropped) const {
     // releases them once its locks are released, since unmapping a
     // snapshot can take milliseconds.
     dropped.push_back(std::move(victim->trial));
-    dropped.push_back(std::move(victim->original));
     dropped.push_back(std::move(victim->verified_image));
     dropped.push_back(std::move(victim->summary_image));
     cache_->resident -= victim->charge;
     victim->charge = 0;
-    victim->dirty = false;  // the snapshot holds what was dropped
   }
 }
 
@@ -760,12 +742,11 @@ void Repository::verify_entry(Entry& entry, const profile::Trial& trial,
     }
   }
   // The values are trustworthy now: check the row's total against them.
-  // A dirty entry's trial may have been edited since it was read.
   TrialRecord row;
   int line = 0;
   {
     const std::lock_guard lock(cache_->mutex);
-    if (entry.line == 0 || entry.total_checked || entry.dirty) return;
+    if (entry.line == 0 || entry.total_checked) return;
     row = *entry.record;
     line = entry.line;
   }
@@ -782,75 +763,36 @@ void Repository::verify_entry(Entry& entry, const profile::Trial& trial,
   entry.total_checked = true;
 }
 
-namespace {
-
-// Cache hit/miss accounting shared by get() and view(). The hit rate
-// these feed (telemetry "perfdmf.repository.cache.hit_rate") is what the
-// shipped self_diagnosis rules judge, so a hit is strictly "served from
-// the already-resident trial, without opening its snapshot".
-telemetry::Counter& cache_hits() {
-  static telemetry::Counter& c =
-      telemetry::counter("perfdmf.repository.cache.hit");
-  return c;
-}
-telemetry::Counter& cache_misses() {
-  static telemetry::Counter& c =
-      telemetry::counter("perfdmf.repository.cache.miss");
-  return c;
-}
-
-}  // namespace
-
 TrialPtr Repository::get(const std::string& application,
                          const std::string& experiment,
                          const std::string& trial) const {
-  const EntryPtr& entry = find_entry(application, experiment, trial);
-  {
-    const std::lock_guard lock(cache_->mutex);
-    if (entry->trial) {
-      touch_locked(*entry);
-      cache_hits().add();
-      if (entry->dirty) return entry->trial;
-    } else {
-      cache_misses().add();
-    }
-  }
-  const std::lock_guard load(entry->load_mutex);
-  const TrialPtr resident = load_entry(*entry, trial);
-  verify_entry(*entry, *resident, Verify::kFull);
-  {
-    const std::lock_guard lock(cache_->mutex);
-    if (entry->dirty) return entry->trial;
-  }
-  // Readers may hold the resident trial: hand out a private copy, which
-  // borrows the same verified snapshot until it is first written.
-  auto mine = std::make_shared<profile::Trial>(*resident);
-  const std::lock_guard lock(cache_->mutex);
-  if (!entry->trial) {
-    charge_locked(*entry, trial_charge(*mine));  // evicted meanwhile
-  }
-  // Only a copy that borrows a snapshot image can be shown unchanged; an
-  // owned one is never evicted (keeping its original would double it).
-  if (resident->image()) entry->original = resident;
-  entry->trial = mine;
-  entry->dirty = true;
-  touch_locked(*entry);
-  return mine;
+  // The copy borrows the same verified snapshot until it is first
+  // written; the resident trial never sees the caller's edits.
+  return std::make_shared<profile::Trial>(
+      *verified_view(application, experiment, trial));
 }
 
 ConstTrialPtr Repository::view(const std::string& application,
                                const std::string& experiment,
                                const std::string& trial) const {
+  // The hit rate these feed (telemetry
+  // "perfdmf.repository.cache.hit_rate") is what the shipped
+  // self_diagnosis rules judge, so a hit is strictly "served from the
+  // already-resident trial, without opening its snapshot".
+  static telemetry::Counter& hits =
+      telemetry::counter("perfdmf.repository.cache.hit");
+  static telemetry::Counter& misses =
+      telemetry::counter("perfdmf.repository.cache.miss");
   const EntryPtr& entry = find_entry(application, experiment, trial);
   {
     const std::lock_guard lock(cache_->mutex);
     if (entry->trial) {
       touch_locked(*entry);
-      cache_hits().add();
+      hits.add();
       return entry->trial;
     }
   }
-  cache_misses().add();
+  misses.add();
   const std::lock_guard load(entry->load_mutex);
   return load_entry(*entry, trial);
 }

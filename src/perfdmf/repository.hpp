@@ -42,15 +42,17 @@
 // opens every entry up front the same way. A PKB trial's columns stay
 // in its mmap'd snapshot until something writes them (profile.hpp).
 // Each entry holds one trial. A put() trial exists only in memory and is
-// never charged or evicted; any other resident trial is charged, and is
-// evicted only when dropping it loses nothing (clean, or a get() copy
-// that nobody holds any more and nobody changed).
+// never charged or evicted; any other resident trial is charged and may
+// be evicted, since its snapshot holds it.
 // Read-only commands go through view() / summary_view() /
 // verified_view(), which share the resident trial and differ only in
 // how much of its snapshot they checksum: the schema, the summary
 // profile (SUMM, pkb_format.hpp) as well, or every cell as well. get()
-// swaps in a private copy, which borrows the same snapshot until it is
-// first written, and hands that out mutable.
+// hands out a copy that belongs to the caller: it borrows the same
+// snapshot until it is first written, and the repository never sees
+// its edits. Only put(), put_version(), commit(), erase() and
+// prune_history() change what the repository holds; an edited trial
+// reaches disk by being put() back and saved.
 // The pkx CLI attaches with an unbounded budget: a one-shot command pays
 // only for the trials it reads, and never evicts.
 #pragma once
@@ -169,15 +171,14 @@ class Repository {
                                          const std::string& experiment,
                                          std::size_t keep);
 
-  /// Fetches a mutable trial; throws NotFoundError naming the missing
-  /// level. In an attached repository this demand-loads (and caches) the
-  /// snapshot and verifies its column checksum; ParseError diagnostics
-  /// name the snapshot file. The first get() of an entry swaps in a
-  /// private copy, so readers holding view() results never see its
-  /// edits; later calls return that same copy. Because the caller may
-  /// edit it in place (a script's derive_metric, say), the entry counts
-  /// as dirty from then on, every save() rewrites it, and it is evicted
-  /// only once nobody holds it and it provably equals its snapshot.
+  /// verified_view() plus a copy that belongs to the caller, who may
+  /// edit it (a script's derive_metric, say); throws as
+  /// verified_view() does. A copy of a snapshot-backed trial borrows
+  /// the snapshot until it is first written, so it costs O(schema); a
+  /// trial with owned columns (a committed upload, a .pkprof entry) is
+  /// copied whole. The copy never enters the cache: every call returns
+  /// a new one, the entry stays as it was, and an edit reaches the
+  /// repository only through put().
   [[nodiscard]] TrialPtr get(const std::string& application,
                              const std::string& experiment,
                              const std::string& trial) const;
@@ -215,8 +216,7 @@ class Repository {
   /// snapshot: as read from index.tsv, or as commit(), save() or load()
   /// computed it from the trial they wrote or read. Empty when the row
   /// predates records and no save() since the trial was opened has
-  /// filled it in, and for a trial put() or handed out mutable by get(),
-  /// whose values may still change. Throws NotFoundError as view() does.
+  /// filled it in, and for a put() trial, whose values may still change. Throws NotFoundError as view() does.
   [[nodiscard]] std::optional<TrialRecord> record(
       const std::string& application, const std::string& experiment,
       const std::string& trial) const;
@@ -245,9 +245,9 @@ class Repository {
 
   /// Persists the repository in the sharded PKB layout under `dir`
   /// (created if needed), writing only what changed. An entry's snapshot
-  /// is rewritten when it was put() since open, when get() handed it out
-  /// mutable, or when its snapshot does not already live in `dir` as a
-  /// .pkb (saving to another directory, legacy .pkprof entries). Clean
+  /// is rewritten when it was put() since open, or when its snapshot
+  /// does not already live in `dir` as a .pkb (saving to another
+  /// directory, legacy .pkprof entries). Clean
   /// entries keep the path index.tsv already names; new snapshots get the
   /// stable name described above, bumped with a "-N" suffix if another
   /// entry already holds it; saving home makes it the entry's own. Every

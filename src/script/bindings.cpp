@@ -13,7 +13,6 @@
 #include "common/error.hpp"
 #include "hwcounters/counters.hpp"
 #include "io/format.hpp"
-#include "perfdmf/limits.hpp"
 #include "power/power_model.hpp"
 #include "provenance/explanation.hpp"
 #include "rules/parser.hpp"
@@ -135,13 +134,6 @@ void SessionOptions::validate() const {
     throw InvalidArgumentError(
         "SessionOptions.repository: must not be null");
   }
-  if (threads > perfdmf::kMaxThreads) {
-    throw InvalidArgumentError(
-        "SessionOptions.threads: " + std::to_string(threads) +
-        " exceeds the sanity cap of " +
-        std::to_string(perfdmf::kMaxThreads) +
-        " (was a negative count converted to std::size_t?)");
-  }
   if (!rules_path.empty() && !std::filesystem::is_directory(rules_path)) {
     throw InvalidArgumentError("SessionOptions.rules_path: '" +
                                rules_path.string() +
@@ -162,9 +154,6 @@ AnalysisSession::AnalysisSession(SessionOptions options)
       repository_(options_.repository),
       harness_(std::make_shared<rules::RuleHarness>()) {
   options_.validate();
-  if (options_.threads != 0) {
-    pool_ = std::make_unique<ThreadPool>(options_.threads);
-  }
   harness_->set_match_strategy(options_.match_strategy);
   harness_->set_provenance(options_.provenance);
   if (options_.enable_telemetry) telemetry::set_enabled(true);
@@ -181,14 +170,7 @@ AnalysisSession::~AnalysisSession() {
   }
 }
 
-ThreadPool& AnalysisSession::pool() noexcept {
-  return pool_ ? *pool_ : ThreadPool::shared();
-}
-
-void AnalysisSession::run(const std::string& source) {
-  const ThreadPool::CurrentScope scope(pool());
-  interp_.run(source);
-}
+void AnalysisSession::run(const std::string& source) { interp_.run(source); }
 
 void AnalysisSession::run_file(const std::filesystem::path& path) {
   std::ifstream is(path);

@@ -38,7 +38,6 @@
 #include <memory>
 #include <string>
 
-#include "common/thread_pool.hpp"
 #include "perfdmf/repository.hpp"
 #include "rules/engine.hpp"
 #include "script/interpreter.hpp"
@@ -64,12 +63,6 @@ struct SessionOptions {
   /// RuleHarness.setMatchStrategy).
   rules::MatchStrategy match_strategy = rules::MatchStrategy::kBeta;
 
-  /// Worker threads for analysis primitives run from this session's
-  /// scripts. 0 means the process-wide ThreadPool::shared(); any other
-  /// value gives the session a private pool of that size, installed via
-  /// ThreadPool::CurrentScope for the duration of each run()/run_file().
-  std::size_t threads = 0;
-
   /// Turns telemetry collection on at construction (equivalent to
   /// telemetry::set_enabled(true); the PERFKNOW_TELEMETRY environment
   /// variable still works without this).
@@ -91,10 +84,8 @@ struct SessionOptions {
   /// letting a bad value fail deep inside the interpreter. Called by the
   /// AnalysisSession constructor; callers building options by hand can
   /// call it earlier for a cheaper failure point. Checks: repository is
-  /// non-null, threads <= perfdmf::kMaxThreads (a "negative" count
-  /// wrapped through std::size_t lands here), rules_path (when set)
-  /// names an existing directory, telemetry_trace's parent directory
-  /// (when set) exists.
+  /// non-null, rules_path (when set) names an existing directory,
+  /// telemetry_trace's parent directory (when set) exists.
   void validate() const;
 };
 
@@ -116,10 +107,6 @@ class AnalysisSession {
   [[nodiscard]] const SessionOptions& options() const noexcept {
     return options_;
   }
-  /// The pool analysis primitives use during run(): the private pool
-  /// when options().threads != 0, else ThreadPool::shared().
-  [[nodiscard]] ThreadPool& pool() noexcept;
-
   /// Runs a script; print() output is collected on the interpreter.
   void run(const std::string& source);
   void run_file(const std::filesystem::path& path);
@@ -133,7 +120,6 @@ class AnalysisSession {
 
   SessionOptions options_;
   perfdmf::Repository* repository_;
-  std::unique_ptr<ThreadPool> pool_;  ///< only when options_.threads != 0
   std::shared_ptr<rules::RuleHarness> harness_;
   Interpreter interp_;
 };

@@ -7,6 +7,8 @@
 #include <cstring>
 #include <utility>
 
+#include "telemetry/telemetry.hpp"
+
 namespace perfknow::server::wire {
 
 namespace {
@@ -91,8 +93,12 @@ char* LineBuffer::prepare(std::size_t n) {
 }
 
 bool LineBuffer::next_line(std::string_view& line) {
-  const void* nl =
-      std::memchr(buf_.data() + scanned_, '\n', size_ - scanned_);
+  // Counted so tests can check that each byte is searched once.
+  static telemetry::Counter& searched =
+      telemetry::counter("wire.line.scanned");
+  const std::size_t from = scanned_;
+  searched.add(size_ - from);
+  const void* nl = std::memchr(buf_.data() + from, '\n', size_ - from);
   if (nl == nullptr) {
     scanned_ = size_;
     return false;

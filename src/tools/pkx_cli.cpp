@@ -103,6 +103,14 @@ int usage_for(const std::string& cmd, std::ostream& err) {
   return usage(err);
 }
 
+// Writes an explanation file (--json / --dot); the caller reports it.
+void write_explanation_file(const std::string& file,
+                            const std::string& bytes) {
+  std::ofstream os(file);
+  if (!os) throw pk::IoError("cannot open for writing: " + file);
+  os << bytes;
+}
+
 int cmd_demo(const std::string& dir, std::ostream& out) {
   pk::perfdmf::Repository repo;
   // MSAP under both schedules.
@@ -225,15 +233,11 @@ int cmd_explain(const pk::perfdmf::Repository& repo,
     out << pk::provenance::to_text(e) << "\n";
   }
   if (!json_file.empty()) {
-    std::ofstream os(json_file);
-    if (!os) throw pk::IoError("cannot open for writing: " + json_file);
-    os << pk::provenance::to_json(explanations);
+    write_explanation_file(json_file, pk::provenance::to_json(explanations));
     out << "wrote " << json_file << "\n";
   }
   if (!dot_file.empty()) {
-    std::ofstream os(dot_file);
-    if (!os) throw pk::IoError("cannot open for writing: " + dot_file);
-    os << pk::provenance::to_dot(explanations);
+    write_explanation_file(dot_file, pk::provenance::to_dot(explanations));
     out << "wrote " << dot_file << "\n";
   }
   return 0;
@@ -368,15 +372,11 @@ int cmd_rules_profile(pk::perfdmf::Repository& repo,
     }
   }
   if (!json_file.empty()) {
-    std::ofstream os(json_file);
-    if (!os) throw pk::IoError("cannot open for writing: " + json_file);
-    os << pk::provenance::to_json(explanations);
+    write_explanation_file(json_file, pk::provenance::to_json(explanations));
     out << "wrote " << json_file << "\n";
   }
   if (!dot_file.empty()) {
-    std::ofstream os(dot_file);
-    if (!os) throw pk::IoError("cannot open for writing: " + dot_file);
-    os << pk::provenance::to_dot(explanations);
+    write_explanation_file(dot_file, pk::provenance::to_dot(explanations));
     out << "wrote " << dot_file << "\n";
   }
   return 0;
@@ -487,11 +487,7 @@ int cmd_diff(const pk::perfdmf::Repository& repo,
     out << "\n" << pk::provenance::to_text(e);
   }
   if (!json_file.empty()) {
-    std::ofstream os(json_file);
-    if (!os) {
-      throw pk::IoError("cannot open for writing: " + json_file);
-    }
-    os << pk::provenance::to_json(explanations);
+    write_explanation_file(json_file, pk::provenance::to_json(explanations));
     out << "\nwrote " << json_file << "\n";
   }
   return outcome.regression ? 3 : 0;

@@ -248,18 +248,15 @@ TEST(Bindings, RunFilePrefixesDiagnosticsWithFileAndLine) {
   std::filesystem::remove(path);
 }
 
-TEST(Bindings, SessionOptionsConfiguresHarnessAndPool) {
+TEST(Bindings, SessionOptionsConfiguresHarness) {
   Repository repo;
   repo.put("app", "exp", make_stall_trial());
   pk::script::SessionOptions opts;
   opts.repository = &repo;
   opts.match_strategy = pk::rules::MatchStrategy::kNaive;
-  opts.threads = 2;
   AnalysisSession session(opts);
   EXPECT_EQ(session.harness().match_strategy(),
             pk::rules::MatchStrategy::kNaive);
-  EXPECT_EQ(session.pool().thread_count(), 2u);
-  // The private pool is installed for analysis primitives during run().
   session.run(R"(
 r = TrialMeanResult(Utilities.getTrial("app", "exp", "1_8"))
 print(len(loadBalance(r)))
@@ -326,7 +323,6 @@ TEST(Bindings, DefaultSessionOptionsMatchHistoricalBehaviour) {
   repo.put("app", "exp", make_stall_trial());
   AnalysisSession session(pk::script::SessionOptions{&repo});
   EXPECT_EQ(&session.repository(), &repo);
-  EXPECT_EQ(session.options().threads, 0u);
   EXPECT_EQ(session.harness().provenance_mode(),
             pk::provenance::ProvenanceMode::kOff);
   session.run("print(Utilities.getTrial('app', 'exp', '1_8').getName())\n");

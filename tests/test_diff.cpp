@@ -239,19 +239,6 @@ TEST(Diff, GeomeanNormalizationMatchesHandComputation) {
   EXPECT_TRUE(saw_a);
 }
 
-TEST(Diff, RawRatiosWithoutNormalization) {
-  const auto base = make_versioned("base", {{"a", 100}, {"b", 100}});
-  const auto current = make_versioned("cur", {{"a", 150}, {"b", 100}});
-  RuleHarness harness;
-  DiffOptions options;
-  options.normalize = false;
-  pk::analysis::assert_diff_facts(harness, *base, *current, options);
-  for (const auto& f : facts_of(harness, "MetricDeltaFact")) {
-    EXPECT_DOUBLE_EQ(std::get<double>(f.get("ratio")),
-                     std::get<double>(f.get("normalizedRatio")));
-  }
-}
-
 TEST(Diff, PresenceFactsAndSummary) {
   const auto base = make_versioned("base", {{"gone", 500}, {"kept", 100}});
   const auto current = make_versioned("cur", {{"kept", 100}, {"new", 50}});

@@ -21,6 +21,7 @@
 #include "common/error.hpp"
 #include "common/file.hpp"
 #include "perfdmf/index_format.hpp"
+#include "perfdmf/json_format.hpp"
 #include "perfdmf/repository.hpp"
 #include "io/format.hpp"
 #include "perfdmf/snapshot.hpp"
@@ -351,10 +352,15 @@ TEST(RepositoryCache, AttachIsLazyAndGetDemandLoads) {
   EXPECT_EQ(*t->metadata("schedule"), "dynamic,1");
   EXPECT_EQ(attached.resident_trials(), 1u);
   EXPECT_GT(attached.cached_bytes(), 0u);
-  // Same entry twice -> same shared trial, no duplicate charge.
+  // Same entry twice -> two copies of the one resident trial, both
+  // borrowing its snapshot, and no duplicate charge.
   const auto before = attached.cached_bytes();
-  EXPECT_EQ(attached.get("app", "exp", "lazy1"), t);
+  const auto again = attached.get("app", "exp", "lazy1");
+  EXPECT_NE(again, t);
+  ASSERT_TRUE(t->image());
+  EXPECT_EQ(again->image(), t->image());
   EXPECT_EQ(attached.cached_bytes(), before);
+  EXPECT_EQ(attached.resident_trials(), 1u);
 }
 
 TEST(RepositoryCache, ViewServesReadsWithoutMaterializing) {
@@ -941,8 +947,9 @@ TEST(RepositoryCache, DeriveOnAGetCopyLeavesConcurrentReadersAlone) {
   EXPECT_EQ(copy->metric_count(), 3u);
   EXPECT_FALSE(copy->image());
   EXPECT_DOUBLE_EQ(copy->inclusive(1, loop, derived), 91.0);
-  // The entry now serves the copy; the snapshot on disk is untouched.
-  EXPECT_EQ(attached.view("app", "exp", "shared"), copy);
+  // The entry still serves the snapshot's trial: the copy is the
+  // caller's, and the snapshot on disk is untouched.
+  EXPECT_EQ(attached.view("app", "exp", "shared"), view);
   EXPECT_EQ(read_bytes(), snapshot);
 }
 
@@ -1051,6 +1058,8 @@ TEST(RepositoryIncrementalSave, RePutTrialKeepsItsStableFileName) {
   EXPECT_EQ(read_index(other.path()).at("b"), names.at("b"));
 }
 
+// A get() copy is the caller's: its edits reach disk once it is put()
+// back, and only the trial put() is rewritten.
 TEST(RepositoryIncrementalSave, TrialMutatedThroughGetPersists) {
   TempDir dir;
   {
@@ -1061,14 +1070,18 @@ TEST(RepositoryIncrementalSave, TrialMutatedThroughGetPersists) {
   }
   const auto ids = snapshot_ids(dir.path());
   {
-    const Repository attached = Repository::attach(dir.path());
+    Repository attached = Repository::attach(dir.path());
     const auto t = attached.get("app", "exp", "edited");
     t->set_metadata("note", "derived in place");
+    attached.save(dir.path());
+    EXPECT_TRUE(snapshot_ids(dir.path()) == ids);  // not put(): no write
+    attached.put("app", "exp", t);
     attached.save(dir.path());
   }
   const Repository reloaded = Repository::attach(dir.path());
   EXPECT_EQ(*reloaded.get("app", "exp", "edited")->metadata("note"),
             "derived in place");
+  EXPECT_FALSE(snapshot_ids(dir.path()).at("edited") == ids.at("edited"));
   EXPECT_TRUE(snapshot_ids(dir.path()).at("untouched") == ids.at("untouched"));
 }
 
@@ -1110,12 +1123,14 @@ TEST(RepositoryIncrementalSave, LegacyOrdinalNamesSurvive) {
 
   Repository attached = Repository::attach(dir.path());
   attached.put("app", "exp", make_trial("new"));
-  (void)attached.get("app", "exp", "t1");  // dirty, rewritten in place
+  // A copy of t1 put() back: dirty, rewritten in place.
+  attached.put("app", "exp", attached.get("app", "exp", "t1"));
   attached.save(dir.path());
 
   const auto now = read_index(dir.path());
   for (const auto& [name, rel] : names) EXPECT_EQ(now.at(name), rel);
   EXPECT_TRUE(snapshot_ids(dir.path()).at("t0") == ids.at("t0"));
+  EXPECT_FALSE(snapshot_ids(dir.path()).at("t1") == ids.at("t1"));
   EXPECT_TRUE(snapshot_ids(dir.path()).at("t2") == ids.at("t2"));
   EXPECT_EQ(count_files(dir.path(), ".pkb"), 4u);
   EXPECT_EQ(Repository::load(dir.path()).trial_count(), 4u);
@@ -1291,23 +1306,33 @@ TEST(Repository, RejectsNamesThatWouldBreakTheIndex) {
 
 // ---- one entry lifecycle -------------------------------------------------
 
-// An edited get() copy exists only in memory: a budget too small for
-// any trial must not evict it, or the next save() would reload the
-// snapshot and write the old values back. A copy nobody holds any more
-// and nobody changed is evicted like a clean trial.
-TEST(RepositoryCache, AGetEditSurvivesEvictionAndSave) {
+// A get() copy belongs to the caller and never enters the cache: under
+// a budget too small for any trial, edited copies are evicted with the
+// rest and a save() writes nothing. Put back, they are never evicted
+// and the next save() writes them.
+TEST(RepositoryCache, AGetEditReachesDiskThroughPut) {
   TempDir dir;
   {
     Repository repo;
     for (const char* n : {"a", "b", "c"}) repo.put("app", "exp", make_trial(n));
     repo.save(dir.path());
   }
+  const auto ids = snapshot_ids(dir.path());
   {
     Repository attached = Repository::attach(dir.path(), 1);
     const auto a = attached.get("app", "exp", "a");
     a->set_inclusive(0, 0, 0, 42.0);
-    attached.get("app", "exp", "c")->set_metadata("schedule", "static");
+    const auto c = attached.get("app", "exp", "c");
+    c->set_metadata("schedule", "static");
     (void)attached.get("app", "exp", "b");  // read, then dropped
+    attached.set_cache_budget(0);
+    EXPECT_EQ(attached.resident_trials(), 0u);
+    EXPECT_NE(attached.view("app", "exp", "a"), a);
+    attached.save(dir.path());
+    EXPECT_TRUE(snapshot_ids(dir.path()) == ids);
+
+    attached.put("app", "exp", a);
+    attached.put("app", "exp", c);
     attached.set_cache_budget(0);
     EXPECT_EQ(attached.resident_trials(), 2u);  // a and c
     EXPECT_EQ(attached.view("app", "exp", "a"), a);
@@ -1318,6 +1343,67 @@ TEST(RepositoryCache, AGetEditSurvivesEvictionAndSave) {
             42.0);
   EXPECT_EQ(*reattached.view("app", "exp", "c")->metadata("schedule"),
             "static");
+  EXPECT_TRUE(snapshot_ids(dir.path()).at("b") == ids.at("b"));
+}
+
+// get() leaves its entry as it was: the index record stays, a save()
+// home rewrites nothing, and the resident trial keeps its charge.
+TEST(RepositoryCache, GetLeavesTheEntryClean) {
+  TempDir dir;
+  {
+    Repository repo;
+    for (const char* n : {"a", "b"}) repo.put("app", "exp", make_trial(n));
+    repo.save(dir.path());
+  }
+  const auto ids = snapshot_ids(dir.path());
+  const Repository attached = Repository::attach(dir.path());
+  const auto row = attached.record("app", "exp", "a");
+  ASSERT_TRUE(row);
+  (void)attached.view("app", "exp", "a");
+  const std::size_t charged = attached.cached_bytes();
+  ASSERT_GT(charged, 0u);
+
+  const auto first = attached.get("app", "exp", "a");
+  const auto second = attached.get("app", "exp", "a");
+  EXPECT_NE(first, second);
+  first->set_metadata("note", "the caller's");
+  EXPECT_FALSE(second->metadata("note"));
+  EXPECT_FALSE(attached.view("app", "exp", "a")->metadata("note"));
+  EXPECT_EQ(attached.cached_bytes(), charged);
+  const auto after = attached.record("app", "exp", "a");
+  ASSERT_TRUE(after);
+  EXPECT_TRUE(pk::perfdmf::same_record(*after, *row));
+
+  attached.save(dir.path());
+  EXPECT_TRUE(snapshot_ids(dir.path()) == ids);
+}
+
+// A get() copy of a trial with owned columns (a committed JSON upload,
+// a legacy .pkprof entry) does not pin the resident trial once dropped.
+TEST(RepositoryCache, ADroppedGetCopyOfAnOwnedTrialDoesNotPinIt) {
+  TempDir dir;
+  {
+    Repository repo = Repository::create(dir.path());
+    std::shared_mutex guard;
+    auto upload = std::make_shared<Trial>(pk::io::parse_trial(
+        pk::perfdmf::to_json(*make_trial("up")), "json", "up.json"));
+    ASSERT_FALSE(upload->image());
+    repo.commit("app", "exp", upload, guard);
+    ASSERT_EQ(repo.resident_trials(), 1u);
+    EXPECT_EQ(repo.get("app", "exp", "up")->name(), "up");
+    repo.set_cache_budget(0);
+    EXPECT_EQ(repo.resident_trials(), 0u);
+    EXPECT_EQ(repo.cached_bytes(), 0u);
+  }
+  TempDir legacy;
+  pk::io::save_trial(*make_trial("old"), legacy.path() / "old_0.pkprof");
+  std::ofstream(legacy.path() / "index.tsv") << "app\texp\told\told_0.pkprof\n";
+  Repository attached = Repository::attach(legacy.path());
+  EXPECT_FALSE(attached.get("app", "exp", "old")->image());
+  EXPECT_EQ(attached.resident_trials(), 1u);
+  attached.set_cache_budget(0);
+  EXPECT_EQ(attached.resident_trials(), 0u);
+  EXPECT_EQ(attached.cached_bytes(), 0u);
 }
 
 // get() copies read and dropped on several threads stay evictable under
