@@ -15,7 +15,10 @@
 // the columns left in the mapping. BM_VerifyColumns is the full check a
 // cold repository read adds on top (the COLS CRC plus the SUMM
 // recompute) over a borrowed 2000-event x 64-thread x 8-metric trial,
-// and BM_Crc32/16MiB the raw checksum rate.
+// and BM_Crc32/16MiB the raw checksum rate. BM_OpenText/{json,csv,tau}
+// open one text profile of perfbench's ingest top-rung shape (2800
+// events x 64 threads, one metric, full-precision values) through
+// io::open_trial, one reader each.
 //
 // Run with --benchmark_format=json --benchmark_out=... for the CI
 // artifact.
@@ -33,6 +36,7 @@
 #include "perfdmf/pkb_format.hpp"
 #include "perfdmf/repository.hpp"
 #include "perfdmf/snapshot.hpp"
+#include "perfdmf/tau_format.hpp"
 #include "profile/profile.hpp"
 
 namespace {
@@ -76,8 +80,23 @@ Trial make_cube(const std::string& name, std::size_t events,
   return t;
 }
 
+/// A cube of the ingest top rung's shape whose values need all 17
+/// significant digits, as measured profiles do.
+Trial make_ladder() {
+  Trial t = make_cube("ladder", 2800, 64);
+  for (std::size_t th = 0; th < t.thread_count(); ++th) {
+    for (pk::profile::EventId e = 0; e < t.event_count(); ++e) {
+      const double v = t.exclusive(th, e, 0) * 1.0371 + 0.1;
+      t.set_inclusive(th, e, 0, v * 3.3);
+      t.set_exclusive(th, e, 0, v);
+    }
+  }
+  return t;
+}
+
 /// Writes the benchmark fixtures once per process and cleans them up at
-/// exit: the big cube as .pkprof and .pkb, plus a 16-trial repository
+/// exit: the big cube as .pkprof and .pkb, the ingest ladder's top rung
+/// as JSON, CSV and a TAU directory, plus a 16-trial repository
 /// directory for the ingest benchmarks.
 struct Fixture {
   fs::path dir;
@@ -85,6 +104,9 @@ struct Fixture {
   fs::path pkb_file;
   fs::path metrics_file;
   fs::path repo_dir;
+  fs::path ladder_json;
+  fs::path ladder_csv;
+  fs::path ladder_tau;
 
   Fixture() {
     dir = fs::temp_directory_path() /
@@ -95,6 +117,13 @@ struct Fixture {
     pkb_file = dir / "cube.pkb";
     pk::io::save_trial(cube, text_file);
     pk::io::save_trial(cube, pkb_file);
+    const Trial ladder = make_ladder();
+    ladder_json = dir / "ladder.json";
+    ladder_csv = dir / "ladder.csv";
+    ladder_tau = dir / "ladder";
+    pk::io::save_trial(ladder, ladder_json);
+    pk::io::save_trial(ladder, ladder_csv);
+    pk::perfdmf::write_tau_profiles(ladder, "TIME", ladder_tau);
     metrics_file = dir / "metrics.pkb";
     pk::io::save_trial(make_cube("metrics", 2000, 64, 8), metrics_file);
 
@@ -195,6 +224,18 @@ void BM_RepoGetWarm(benchmark::State& state) {
   }
 }
 
+void BM_OpenText(benchmark::State& state, const char* format) {
+  const auto& f = Fixture::get();
+  const fs::path& file = std::string(format) == "json" ? f.ladder_json
+                         : std::string(format) == "csv" ? f.ladder_csv
+                                                        : f.ladder_tau;
+  for (auto _ : state) {
+    Trial t = pk::io::open_trial(file);
+    benchmark::DoNotOptimize(t.thread_count());
+  }
+  state.counters["cells"] = 2800.0 * 64.0;
+}
+
 void BM_BulkIngest(benchmark::State& state) {
   const auto& f = Fixture::get();
   pk::ThreadPool pool(static_cast<std::size_t>(state.range(0)) - 1);
@@ -213,6 +254,9 @@ BENCHMARK_CAPTURE(BM_Crc32, 16MiB, std::size_t{16} << 20)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RepoGetCold)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RepoGetWarm)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OpenText, json, "json")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OpenText, csv, "csv")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OpenText, tau, "tau")->Unit(benchmark::kMillisecond);
 // range(0) is total threads doing the ingest: the caller alone, or the
 // caller plus seven pool workers.
 BENCHMARK(BM_BulkIngest)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);

@@ -1,16 +1,41 @@
 #include "common/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace perfknow::json {
 
 // ---- tokenizer -----------------------------------------------------------
+
+Tokenizer::~Tokenizer() {
+  // Counted so tests can check that the readers scan their input in
+  // linear time.
+  static telemetry::Counter& scanned = telemetry::counter("text.scanned");
+  scanned.add(pos_ - origin_);
+}
+
+std::size_t number_end(std::string_view src, std::size_t pos) noexcept {
+  while (pos < src.size()) {
+    const char c = src[pos];
+    if (!((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+          c == '+' || c == '-')) {
+      break;
+    }
+    ++pos;
+  }
+  return pos;
+}
+
+bool parse_number(std::string_view text, double& out) noexcept {
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
 
 void Tokenizer::fail(const std::string& msg) const {
   int line = 1;
@@ -136,18 +161,9 @@ Tokenizer::Token Tokenizer::read_value() {
 }
 
 void Tokenizer::read_number() {
-  if (src_[pos_] == '-' || src_[pos_] == '+') ++pos_;
-  while (pos_ < src_.size() &&
-         (std::isdigit(static_cast<unsigned char>(src_[pos_])) ||
-          src_[pos_] == '.' || src_[pos_] == 'e' || src_[pos_] == 'E' ||
-          src_[pos_] == '+' || src_[pos_] == '-')) {
-    ++pos_;
-  }
+  pos_ = number_end(src_, pos_);
   if (pos_ == start_) fail("expected JSON value");
-  const std::string_view text = src_.substr(start_, pos_ - start_);
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), number_);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) {
+  if (!parse_number(src_.substr(start_, pos_ - start_), number_)) {
     fail("malformed number");
   }
 }

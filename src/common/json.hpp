@@ -52,7 +52,12 @@ class Tokenizer {
   /// the start of `src`, so a reader can revisit a value at an offset an
   /// earlier pass recorded (token_start()).
   explicit Tokenizer(std::string_view src, std::size_t pos = 0)
-      : src_(src), pos_(pos) {}
+      : src_(src), pos_(pos), origin_(pos) {}
+  /// Adds the bytes this tokenizer advanced over to the telemetry
+  /// counter "text.scanned".
+  ~Tokenizer();
+  Tokenizer(const Tokenizer&) = delete;
+  Tokenizer& operator=(const Tokenizer&) = delete;
 
   /// The next token. After the outermost value closes, next() checks
   /// that only whitespace remains and returns kEnd.
@@ -63,6 +68,15 @@ class Tokenizer {
   void skip(Token current);
   /// Consumes tokens until no more than `depth` containers are open.
   void skip_to(std::size_t depth);
+  /// After kBeginObject / kBeginArray: the caller has read the rest of
+  /// that container itself, and maybe further values of the enclosing
+  /// one, up to the byte before `end`, which closes the last of them.
+  /// Tokenizing resumes at `end`. The caller vouches that the bytes it
+  /// read are what next() would have accepted.
+  void resume_after(std::size_t end) {
+    pos_ = end;
+    close();
+  }
 
   /// kKey / kString: the unescaped text. Valid until the next call.
   [[nodiscard]] std::string_view text() const noexcept { return text_; }
@@ -98,6 +112,7 @@ class Tokenizer {
 
   std::string_view src_;
   std::size_t pos_ = 0;
+  std::size_t origin_ = 0;
   std::size_t start_ = 0;
   State state_ = State::kValue;
   /// Open containers; object_[i] is set when the i-th is an object.
@@ -107,6 +122,16 @@ class Tokenizer {
   std::string unescaped_;
   double number_ = 0.0;
 };
+
+/// The number-extent rule: a number's text is the longest run of
+/// digits, '.', 'e', 'E', '+' and '-' from `pos`. Returns where it ends
+/// (`pos` itself when there is none).
+[[nodiscard]] std::size_t number_end(std::string_view src,
+                                     std::size_t pos) noexcept;
+
+/// Reads `text`, a whole extent, as std::from_chars does. False when
+/// from_chars fails or stops short of the end.
+[[nodiscard]] bool parse_number(std::string_view text, double& out) noexcept;
 
 struct Value {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };

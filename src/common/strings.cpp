@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/error.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace perfknow::strings {
 
@@ -36,10 +37,14 @@ std::vector<std::string> split_whitespace(std::string_view s) {
 
 bool next_line(std::string_view text, std::size_t& pos,
                std::string_view& line) {
+  // Counted so tests can check that the readers scan their input in
+  // linear time.
+  static telemetry::Counter& scanned = telemetry::counter("text.scanned");
   if (pos >= text.size()) return false;
   const std::size_t nl = text.find('\n', pos);
   const std::size_t end = nl == std::string_view::npos ? text.size() : nl;
   line = text.substr(pos, end - pos);
+  scanned.add(end - pos + (nl == std::string_view::npos ? 0 : 1));
   pos = end + 1;
   return true;
 }

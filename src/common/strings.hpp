@@ -22,7 +22,9 @@ namespace perfknow::strings {
 
 /// Reads the line that starts at byte `pos` of `text`, without its
 /// '\n', into `line` and moves `pos` past it. Returns false once `text`
-/// is exhausted; the lines are exactly those std::getline yields.
+/// is exhausted; the lines are exactly those std::getline yields. The
+/// bytes it moves `pos` over are added to the telemetry counter
+/// "text.scanned".
 bool next_line(std::string_view text, std::size_t& pos,
                std::string_view& line);
 

@@ -3,7 +3,6 @@
 // rulebase that turns those facts into gate verdicts.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -303,50 +302,9 @@ std::vector<std::string> diagnosis_lines(const RuleHarness& harness) {
 
 // A trial with neither "main" nor ".TAU application" makes main_event()
 // scan every event's mean. The diff resolves it once per trial and
-// metric, so 2x the events costs ~2x; resolving it per compared cell
-// would cost ~4x. The bound of 3 leaves room for a noisy host.
-TEST(Diff, TimeGrowsLinearlyInEventsWithoutAMainEvent) {
-  constexpr std::size_t kThreads = 64;
-  const auto make = [](const std::string& name, std::size_t events,
-                       double scale) {
-    Trial t(name);
-    t.set_thread_count(kThreads);
-    const auto time = t.add_metric("TIME", "usec");
-    for (std::size_t e = 0; e < events; ++e) {
-      const auto id = t.add_event("ev" + std::to_string(e));
-      for (std::size_t th = 0; th < kThreads; ++th) {
-        const double v = scale * static_cast<double>(1 + (e * 7 + th) % 13);
-        t.set_inclusive(th, id, time, 2.0 * v);
-        t.set_exclusive(th, id, time, v);
-      }
-    }
-    return t;
-  };
-  const auto diff_ms = [&](std::size_t events) {
-    const Trial base = make("base", events, 1.0);
-    const Trial current = make("current", events, 1.1);
-    double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-      RuleHarness harness;
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto summary =
-          pk::analysis::assert_diff_facts(harness, base, current, {});
-      const std::chrono::duration<double, std::milli> ms =
-          std::chrono::steady_clock::now() - t0;
-      EXPECT_EQ(summary.compared_cells, events);
-      if (rep == 0 || ms.count() < best) best = ms.count();
-    }
-    return best;
-  };
-  const double small = diff_ms(1000);
-  const double large = diff_ms(2000);
-  EXPECT_LT(large / small, 3.0)
-      << "1000 events: " << small << " ms, 2000 events: " << large << " ms";
-}
-
-// The counted twin of the timing test above: the events main_event()'s
-// fallback scans (a telemetry counter) double exactly with the events.
-// Resolving main per compared cell would quadruple them.
+// metric, so the events that fallback scans (a telemetry counter)
+// double exactly with the events; resolving main per compared cell
+// would quadruple them.
 TEST(Diff, MainEventScansGrowLinearlyInEventsWithoutAMainEvent) {
   const auto make = [](const std::string& name, std::size_t events,
                        double scale) {
@@ -383,61 +341,6 @@ TEST(Diff, MainEventScansGrowLinearlyInEventsWithoutAMainEvent) {
   EXPECT_GT(small, 0u);
   EXPECT_EQ(large, 2 * small) << "500 events: " << small
                               << " scanned, 1000 events: " << large;
-}
-
-// Full provenance adds metric lineage to the diff's one source (16
-// lines here: 8 metrics x 2 trials). Each fact records a reference to
-// that source, so kFull must cost about what kRules does; copying the
-// lineage into every fact's origin measured 1.5-2.1x.
-TEST(Diff, FullProvenanceCostsLikeRulesProvenance) {
-  constexpr std::size_t kEvents = 2000;
-  constexpr std::size_t kMetrics = 8;
-  constexpr std::size_t kThreads = 4;
-  const auto make = [](const std::string& name, double scale) {
-    Trial t(name);
-    t.set_thread_count(kThreads);
-    std::vector<pk::profile::MetricId> metrics;
-    for (std::size_t m = 0; m < kMetrics; ++m) {
-      metrics.push_back(t.add_metric(m == 0 ? "TIME" : "M" + std::to_string(m),
-                                     "count"));
-    }
-    const auto root = t.add_event("main");
-    for (std::size_t e = 0; e < kEvents; ++e) {
-      const auto id = t.add_event(
-          "app::solver::phase_" + std::to_string(e) + "::kernel", root);
-      for (std::size_t th = 0; th < kThreads; ++th) {
-        for (const auto m : metrics) {
-          const double v =
-              scale * static_cast<double>(1 + (e * 7 + th + m) % 13);
-          t.set_inclusive(th, id, m, v);
-          t.set_exclusive(th, id, m, v);
-        }
-      }
-    }
-    return t;
-  };
-  const Trial base = make("base", 1.0);
-  const Trial current = make("current", 1.1);
-  const auto best_ms = [&](pk::provenance::ProvenanceMode mode) {
-    double best = 0.0;
-    for (int rep = 0; rep < 5; ++rep) {
-      RuleHarness harness;
-      harness.set_provenance(mode);
-      pk::rules::builtin::use(harness, pk::rules::builtin::regression());
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto summary =
-          pk::analysis::assert_diff_facts(harness, base, current);
-      const std::chrono::duration<double, std::milli> ms =
-          std::chrono::steady_clock::now() - t0;
-      EXPECT_EQ(summary.compared_cells, kEvents * kMetrics);
-      if (rep == 0 || ms.count() < best) best = ms.count();
-    }
-    return best;
-  };
-  const double rules = best_ms(pk::provenance::ProvenanceMode::kRules);
-  const double full = best_ms(pk::provenance::ProvenanceMode::kFull);
-  EXPECT_LT(full, 1.3 * rules)
-      << "kRules: " << rules << " ms, kFull: " << full << " ms";
 }
 
 TEST(RegressionRules, SelfDiffIsWithinNoiseAcrossShippedCorpora) {

@@ -4,7 +4,6 @@
 // capture never changes what is diagnosed.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -391,46 +390,10 @@ TEST(Provenance, SelfDiagnosisExplanationsGroundInTelemetryFacts) {
 }
 
 // A fact's origin is a reference to its source, so recording it costs
-// the same whatever the source's lineage holds. Copying the origin into
-// every fact grows with the number of lineage lines.
-TEST(Provenance, OriginCostDoesNotGrowWithLineageLength) {
-  static constexpr std::size_t kFacts = 20000;
-  const auto best_ms = [](std::size_t lineage_lines) {
-    std::vector<std::string> lineage;
-    for (std::size_t i = 0; i < lineage_lines; ++i) {
-      lineage.push_back("\"M" + std::to_string(i) +
-                        "\": raw column of trial 'lineage-cost-trial'");
-    }
-    double best = 0.0;
-    for (int rep = 0; rep < 5; ++rep) {
-      RuleHarness h;
-      h.set_provenance(ProvenanceMode::kFull);
-      const auto schema = h.schema("LoadBalanceFact", {"cv", "eventName"});
-      const pk::rules::ProvenanceSource src(h, "assert_cost_probe()",
-                                            lineage);
-      const auto t0 = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < kFacts; ++i) {
-        h.emit(schema)
-            .num("cv", static_cast<double>(i))
-            .str("eventName", "e")
-            .commit();
-      }
-      const std::chrono::duration<double, std::milli> ms =
-          std::chrono::steady_clock::now() - t0;
-      EXPECT_EQ(h.memory().size(), kFacts);
-      if (rep == 0 || ms.count() < best) best = ms.count();
-    }
-    return best;
-  };
-  const double one = best_ms(1);
-  const double many = best_ms(64);
-  EXPECT_LT(many / one, 1.5)
-      << "1 lineage line: " << one << " ms, 64 lines: " << many << " ms";
-}
-
-// The counted-work twin of the timing test above: every fact asserted
+// the same whatever the source's lineage holds: every fact asserted
 // under one source records the same origin object, so no fact copies the
-// lineage, whether it holds 1 line or 64.
+// lineage, whether it holds 1 line or 64. This also covers the diff's
+// full provenance, whose facts share the diff's one source.
 TEST(Provenance, FactsOfOneSourceShareOneOrigin) {
   for (const std::size_t lineage_lines : {1, 64}) {
     const std::vector<std::string> lineage(lineage_lines, "raw column");
