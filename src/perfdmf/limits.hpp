@@ -25,14 +25,19 @@ inline constexpr std::size_t kMaxThreads = 1u << 20;
 /// allocate (each cell is two doubles; 2^26 cells ~= 1 GiB total).
 inline constexpr std::size_t kMaxCells = 1u << 26;
 
+/// True when `v` is an integer in [0, max] (never for NaN). The
+/// comparison happens in double so no UB-prone float->integer cast is
+/// ever applied to a bad value.
+inline bool is_index(double v, std::size_t max) {
+  return v >= 0.0 && v == std::floor(v) && v <= static_cast<double>(max);
+}
+
 /// Converts a number parsed from an untrusted profile to an array index.
 /// Rejects NaN, negatives, non-integral values and anything above `max`
-/// with a ParseError naming the field. The comparison happens in double
-/// so no UB-prone float->integer cast is ever applied to a bad value.
+/// (everything is_index rejects) with a ParseError naming the field.
 inline std::size_t checked_index(double v, std::size_t max,
                                  std::string_view what, int line = 0) {
-  if (!(v >= 0.0) || v != std::floor(v) ||
-      v > static_cast<double>(max)) {
+  if (!is_index(v, max)) {
     throw ParseError(std::string(what) +
                          " out of range (must be an integer in [0, " +
                          std::to_string(max) + "])",
