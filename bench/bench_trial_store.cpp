@@ -1,5 +1,5 @@
 // Trial-store benchmark: text (PKPROF) parse vs binary columnar (PKB)
-// load, schema-only PKB open, cold vs LRU-warm repository reads, and bulk
+// load, lazy PKB open, cold vs LRU-warm repository reads, and bulk
 // directory ingest at 1 vs 8 worker threads.
 //
 // The headline trial is the ISSUE's 10k-event x 256-thread cube (one
@@ -11,10 +11,11 @@
 // --require-speedup asserts PKB loads the same fully verified cube at
 // least 5x faster than the text parser. BM_OpenPkbView (named for the
 // view type it used to time) shows the lazy path the repository cache
-// actually uses: mmap + schema verify + one strided series read, with
-// the columns left in the mapping. BM_VerifyColumns is the full check a
-// cold repository read adds on top (the COLS CRC plus the SUMM
-// recompute) over a borrowed 2000-event x 64-thread x 8-metric trial,
+// actually uses: mmap + schema and summary checksums + one strided
+// series read, with the columns left in the mapping. BM_VerifyColumns is
+// the full check a verified repository read adds on top (the COLS CRC
+// plus the SUMM recompute) over a borrowed 2000-event x 64-thread x
+// 8-metric trial,
 // and BM_Crc32/16MiB the raw checksum rate. BM_OpenText/{json,csv,tau}
 // open one text profile of perfbench's ingest top-rung shape (2800
 // events x 64 threads, one metric, full-precision values) through
@@ -169,8 +170,7 @@ void BM_ColdLoadPkb(benchmark::State& state) {
 void BM_OpenPkbView(benchmark::State& state) {
   const auto& f = Fixture::get();
   for (auto _ : state) {
-    const Trial view =
-        pk::perfdmf::open_pkb(f.pkb_file, pk::perfdmf::Verify::kSchema);
+    const Trial view = pk::perfdmf::open_pkb(f.pkb_file);
     // One strided series read proves the mapping is live without
     // touching the other 10k columns.
     const auto series = view.inclusive_series(kEvents / 2, 0);
@@ -182,8 +182,7 @@ void BM_OpenPkbView(benchmark::State& state) {
 
 void BM_VerifyColumns(benchmark::State& state) {
   const auto& f = Fixture::get();
-  const Trial view =
-      pk::perfdmf::open_pkb(f.metrics_file, pk::perfdmf::Verify::kSchema);
+  const Trial view = pk::perfdmf::open_pkb(f.metrics_file);
   for (auto _ : state) pk::perfdmf::verify_pkb_columns(view);
   const auto bytes = static_cast<std::int64_t>(
       view.column_count() * view.thread_count() * view.event_count() *

@@ -11,12 +11,13 @@
 //
 // 1. Build a small on-disk repository and re-attach it with a
 //    degenerate zero-byte cache budget.
-// 2. Run a scripted analysis session with telemetry enabled; the
-//    session writes a Chrome trace (chrome://tracing) on destruction.
+// 2. Run a scripted analysis session with telemetry enabled, then write
+//    a Chrome trace (chrome://tracing) of the process's telemetry.
 // 3. Export the telemetry snapshot as a Trial, round-trip it through
 //    the PKB store, and feed it to the self_diagnosis rules.
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 
@@ -50,11 +51,10 @@ int main() {
 
   // --- 2. a telemetry-enabled scripted session --------------------------
   const fs::path trace = work / "self_profile.trace.json";
+  telemetry::set_enabled(true);
   {
     script::SessionOptions options;
     options.repository = &repo;
-    options.enable_telemetry = true;
-    options.telemetry_trace = trace;  // written when the session closes
     script::AnalysisSession session(options);
     session.run(R"(
 # thrash the zero-budget repository cache: every lookup is a miss
@@ -66,6 +66,10 @@ print("telemetry enabled: " + str(Telemetry.enabled()))
     for (const auto& line : session.output()) {
       std::printf("script: %s\n", line.c_str());
     }
+  }
+  {
+    std::ofstream os(trace);
+    telemetry::write_chrome_trace(telemetry::snapshot(), os);
   }
   telemetry::set_enabled(false);
 

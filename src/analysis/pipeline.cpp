@@ -54,9 +54,8 @@ DiffTrials resolve_diff(const perfdmf::Repository& repo,
   params.options.validate();
   // A diff compares means only, which the snapshots' summaries serve.
   return {
-      repo.summary_view(params.application, params.experiment, params.base),
-      repo.summary_view(params.application, params.experiment,
-                        params.current)};
+      repo.view(params.application, params.experiment, params.base),
+      repo.view(params.application, params.experiment, params.current)};
 }
 
 DiffOutcome diff_resolved(const DiffTrials& trials, const DiffParams& params,

@@ -12,8 +12,8 @@
 // from its mmap'd snapshot and the repository entry stays clean (a
 // later save() does not rewrite it). run_analysis reads cells, through
 // Repository::verified_view; run_diff compares means only, so it reads
-// through Repository::summary_view and never touches the value columns
-// of a snapshot that carries a summary.
+// through Repository::view and never touches the value columns of a
+// snapshot that carries a summary.
 //
 // Each pipeline is two steps: resolve (and pin) the trials it reads,
 // then analyze the pinned trials. Only the first reads the repository;

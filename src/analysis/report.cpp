@@ -7,9 +7,15 @@
 
 namespace perfknow::analysis {
 
+namespace {
+
+constexpr const char* kMetric = "TIME";
+constexpr std::size_t kTopEvents = 10;
+
+}  // namespace
+
 std::string render_report(const profile::Trial& trial,
-                          const rules::RuleHarness* harness,
-                          const ReportOptions& options) {
+                          const rules::RuleHarness* harness) {
   std::string out;
   out += "# Performance report: " + trial.name() + "\n\n";
 
@@ -21,9 +27,8 @@ std::string render_report(const profile::Trial& trial,
   for (const auto& [k, v] : trial.all_metadata()) {
     out += "- " + k + ": " + v + "\n";
   }
-  const auto metric = trial.find_metric(options.metric)
-                          ? options.metric
-                          : trial.metric(0).name;
+  const std::string metric =
+      trial.find_metric(kMetric) ? kMetric : trial.metric(0).name;
   const auto m = trial.metric_id(metric);
   const auto main = trial.main_event();
   out += "- total " + metric + " (mean inclusive of " +
@@ -35,7 +40,7 @@ std::string render_report(const profile::Trial& trial,
   out += "## Hottest events (" + metric + ")\n\n";
   out += "| event | mean exclusive | stddev/mean | % of runtime |\n";
   out += "|---|---|---|---|\n";
-  for (const auto& s : top_events(trial, metric, options.top_events)) {
+  for (const auto& s : top_events(trial, metric, kTopEvents)) {
     out += "| " + s.name + " | " + strings::format_double(s.mean, 1) +
            " | " + strings::format_double(s.cv, 3) + " | " +
            strings::format_double(
@@ -64,13 +69,6 @@ std::string render_report(const profile::Trial& trial,
         }
         out += "\n";
       }
-    }
-    if (options.include_rule_output && !harness->output().empty()) {
-      out += "## Rule output\n\n```\n";
-      for (const auto& line : harness->output()) {
-        out += line + "\n";
-      }
-      out += "```\n";
     }
   }
   return out;

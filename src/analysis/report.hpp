@@ -15,17 +15,10 @@
 
 namespace perfknow::analysis {
 
-struct ReportOptions {
-  std::size_t top_events = 10;
-  std::string metric = "TIME";
-  /// Include the raw rule output lines (the println-style trace).
-  bool include_rule_output = false;
-};
-
-/// Renders a markdown report for one analyzed trial. The harness is
-/// optional (pass nullptr for a profile-only report).
+/// Renders a markdown report for one analyzed trial: its TIME metric
+/// (or its first, without TIME) and its ten hottest events. The harness
+/// is optional (pass nullptr for a profile-only report).
 [[nodiscard]] std::string render_report(const profile::Trial& trial,
-                                        const rules::RuleHarness* harness,
-                                        const ReportOptions& options = {});
+                                        const rules::RuleHarness* harness);
 
 }  // namespace perfknow::analysis

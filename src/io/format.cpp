@@ -32,9 +32,17 @@ void write_file(const profile::Trial& trial,
   if (!os) {
     throw IoError("cannot open for writing: " + path.string());
   }
-  write(trial, os);
-  if (!os) {
-    throw IoError("write failed: " + path.string());
+  try {
+    write(trial, os);
+    if (!os) {
+      throw IoError("write failed: " + path.string());
+    }
+  } catch (...) {
+    // A refused or failed write leaves no partial file behind.
+    os.close();
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+    throw;
   }
 }
 

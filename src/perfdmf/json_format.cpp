@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -29,12 +30,32 @@ namespace {
 
 void write_number(std::ostream& os, double v) {
   if (std::floor(v) == v && std::abs(v) < 1e15) {
+    if (v == 0.0 && std::signbit(v)) os << '-';  // -0.0 reads back as -0.0
     os << static_cast<long long>(v);
   } else {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.17g", v);
     os << buf;
   }
+}
+
+/// True for +0.0 only: a row of such cells is left out, and reads back
+/// as the same bits.
+bool positive_zero(double v) { return std::bit_cast<std::uint64_t>(v) == 0; }
+
+/// JSON has no NaN or infinity: refuses cell `field` (of `metric`, when
+/// not empty) of thread `th` and event `e`.
+[[noreturn]] void refuse_non_finite(const profile::Trial& trial,
+                                    std::size_t th, profile::EventId e,
+                                    std::string_view metric,
+                                    const char* field, double v) {
+  std::string where = "thread " + std::to_string(th) + ", event '" +
+                      trial.event(e).name + "'";
+  if (!metric.empty()) where += ", metric '" + std::string(metric) + "'";
+  throw InvalidArgumentError(
+      "JSON: cannot write " + where + ": its " + field + " value is " +
+      (std::isnan(v) ? "NaN" : v > 0 ? "inf" : "-inf") +
+      ", which JSON cannot represent");
 }
 
 }  // namespace
@@ -73,29 +94,35 @@ void write_json(const profile::Trial& trial, std::ostream& os) {
   for (std::size_t th = 0; th < trial.thread_count(); ++th) {
     for (profile::EventId e = 0; e < trial.event_count(); ++e) {
       const auto ci = trial.calls(th, e);
-      bool all_zero = ci.calls == 0.0 && ci.subcalls == 0.0;
+      bool all_zero = positive_zero(ci.calls) && positive_zero(ci.subcalls);
       for (profile::MetricId m = 0; all_zero && m < trial.metric_count();
            ++m) {
-        if (trial.inclusive(th, e, m) != 0.0 ||
-            trial.exclusive(th, e, m) != 0.0) {
-          all_zero = false;
-        }
+        all_zero = positive_zero(trial.inclusive(th, e, m)) &&
+                   positive_zero(trial.exclusive(th, e, m));
       }
       if (all_zero) continue;
+      const auto cell = [&](double v, std::string_view metric,
+                            const char* field) {
+        if (!std::isfinite(v)) {
+          refuse_non_finite(trial, th, e, metric, field, v);
+        }
+        write_number(os, v);
+      };
       if (!first_row) os << ",";
       first_row = false;
       os << "\n    {\"thread\": " << th << ", \"event\": " << e
          << ", \"calls\": ";
-      write_number(os, ci.calls);
+      cell(ci.calls, {}, "calls");
       os << ", \"subcalls\": ";
-      write_number(os, ci.subcalls);
+      cell(ci.subcalls, {}, "subcalls");
       os << ", \"values\": [";
       for (profile::MetricId m = 0; m < trial.metric_count(); ++m) {
+        const std::string& metric = trial.metric(m).name;
         if (m != 0) os << ", ";
         os << "[";
-        write_number(os, trial.inclusive(th, e, m));
+        cell(trial.inclusive(th, e, m), metric, "inclusive");
         os << ", ";
-        write_number(os, trial.exclusive(th, e, m));
+        cell(trial.exclusive(th, e, m), metric, "exclusive");
         os << "]";
       }
       os << "]}";

@@ -12,8 +12,11 @@
 //               "values": [[inclusive, exclusive], ...per metric]}]
 //   }
 //
-// Round-trip exact for the full value cube. Zero-valued data rows are
-// omitted on write to keep files compact; absent rows read back as 0.
+// Round-trip exact for the full value cube, -0.0 included. Rows whose
+// every value is +0.0 are omitted on write to keep files compact; absent
+// rows read back as +0.0. JSON has no NaN or infinity, so write_json
+// refuses a trial holding one (InvalidArgumentError naming the cell's
+// thread, event and metric); io::save_trial then leaves no file behind.
 #pragma once
 
 #include <filesystem>

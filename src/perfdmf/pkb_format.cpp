@@ -15,6 +15,7 @@
 #include "common/error.hpp"
 #include "common/file.hpp"
 #include "perfdmf/limits.hpp"
+#include "telemetry/telemetry.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define PERFKNOW_HAVE_MMAP 1
@@ -356,6 +357,19 @@ void walk_columns(const profile::Trial& trial, double* summary, Sink&& sink) {
   }
 }
 
+// Counted so tests can check that each section is checksummed once per
+// read, however many readers share the trial.
+telemetry::Counter& summaries_checked() {
+  static telemetry::Counter& c =
+      telemetry::counter("perfdmf.snapshot.summary_checked");
+  return c;
+}
+telemetry::Counter& columns_checked() {
+  static telemetry::Counter& c =
+      telemetry::counter("perfdmf.snapshot.columns_checked");
+  return c;
+}
+
 // ---- parse cursor -------------------------------------------------------
 
 struct Cursor {
@@ -462,15 +476,13 @@ struct PkbLayout {
 };
 
 /// Parses and validates a PKB image — magic, version, section structure,
-/// schema sanity against perfdmf/limits.hpp, and the SCHM and META
-/// checksums, plus the SUMM checksum from Verify::kSummary on — into
-/// `trial`'s name, metadata, metrics and events (a default-constructed
-/// trial, so no cells are allocated). The (potentially huge) COLS
-/// payload's CRC is left to check_columns — structure and bounds are
-/// still fully validated — so opening a large snapshot stays O(schema),
-/// not O(cube).
-PkbLayout parse_pkb_layout(std::string_view bytes, Verify verify,
-                            profile::Trial& trial) {
+/// schema sanity against perfdmf/limits.hpp, and the SCHM, META and SUMM
+/// checksums — into `trial`'s name, metadata, metrics and events (a
+/// default-constructed trial, so no cells are allocated). The
+/// (potentially huge) COLS payload's CRC is left to check_columns —
+/// structure and bounds are still fully validated — so opening a large
+/// snapshot stays O(schema + events x metrics), not O(cube).
+PkbLayout parse_pkb_layout(std::string_view bytes, profile::Trial& trial) {
   Cursor cur{bytes, 0};
   cur.need(8, "header");
   if (bytes.substr(0, 4) != kPkbMagic) {
@@ -568,7 +580,8 @@ PkbLayout parse_pkb_layout(std::string_view bytes, Verify verify,
   // SUMM, optional: snapshots written before it existed go from META
   // straight to COLS.
   if (cur.at_tag("SUMM")) {
-    const Section summ = read_section(cur, verify != Verify::kSchema);
+    const Section summ = read_section(cur, /*verify_crc=*/true);
+    summaries_checked().add();
     const std::size_t expected = summary_values(trial) * sizeof(double);
     if (summ.payload_len != expected) {
       cur.pos = summ.payload_off - 16;
@@ -665,13 +678,6 @@ std::string format_value(double v) {
   return buf;
 }
 
-/// Checks the SUMM checksum of the image at `summary_offset`.
-void check_summary_crc(std::string_view bytes, std::size_t summary_offset) {
-  Cursor cur{bytes, summary_offset - 16};
-  const Section summ = read_section(cur, /*verify_crc=*/true);
-  expect_tag(cur, summ, kTagSummary);
-}
-
 /// Checks the COLS payload against its checksum and, when the image has
 /// a SUMM section, every summary value against the one the columns give.
 /// `trial` holds the image's schema and its cells (borrowed, or decoded
@@ -681,6 +687,7 @@ void check_summary_crc(std::string_view bytes, std::size_t summary_offset) {
 /// disagreeing summary.
 void check_columns(const profile::Trial& trial, std::string_view bytes,
                    const PkbLayout& layout) {
+  columns_checked().add();
   Cursor cur{bytes, layout.cols_offset - 16};
   const Section cols = read_section(cur, /*verify_crc=*/false);
   expect_tag(cur, cols, kTagColumns);
@@ -724,26 +731,24 @@ void check_columns(const profile::Trial& trial, std::string_view bytes,
   }
 }
 
-/// The layout of the image a trial borrows its columns from.
+/// The layout of the image a trial borrows its columns and summary from.
 PkbLayout borrowed_layout(const profile::Trial& trial) {
   const char* base = trial.image()->data();
   const auto offset = [base](const double* p) {
     return static_cast<std::size_t>(reinterpret_cast<const char*>(p) - base);
   };
-  const double* summary = trial.borrowed_summary();
   return {trial.thread_count(), offset(trial.column(0)),
-          summary != nullptr ? offset(summary) : 0};
+          offset(trial.borrowed_summary())};
 }
 
 /// Builds the trial an image holds. On little-endian hosts its columns
 /// (and summary) point into the image; elsewhere they are decoded into
 /// owned storage, which needs every checksum verified first.
-profile::Trial trial_from_image(std::shared_ptr<const std::string_view> image,
-                                Verify verify) {
-  if constexpr (!kHostLittle) verify = Verify::kFull;
+profile::Trial trial_from_image(
+    std::shared_ptr<const std::string_view> image) {
   const std::string_view bytes = *image;
   profile::Trial trial;
-  const PkbLayout layout = parse_pkb_layout(bytes, verify, trial);
+  const PkbLayout layout = parse_pkb_layout(bytes, trial);
   const char* cols = bytes.data() + layout.cols_offset;
   if constexpr (kHostLittle) {
     // Images start 8-byte aligned (mmap'd pages, heap strings) and the
@@ -779,9 +784,8 @@ profile::Trial trial_from_image(std::shared_ptr<const std::string_view> image,
       }
     }
   }
-  // Without SUMM, the aggregates a kSummary reader trusts are the cells.
-  if (verify == Verify::kFull ||
-      (verify == Verify::kSummary && layout.summary_offset == 0)) {
+  // Without SUMM, the aggregates an opened trial serves are the cells.
+  if (!kHostLittle || layout.summary_offset == 0) {
     check_columns(trial, bytes, layout);
   }
   return trial;
@@ -880,9 +884,9 @@ std::string to_pkb(const profile::Trial& trial) {
 }
 
 
-profile::Trial open_pkb(const std::filesystem::path& file, Verify verify) {
+profile::Trial open_pkb(const std::filesystem::path& file) {
   try {
-    return trial_from_image(map_file(file), verify);
+    return trial_from_image(map_file(file));
   } catch (const ParseError& e) {
     if (e.file().empty()) throw e.with_file(file.string());
     throw;
@@ -890,29 +894,16 @@ profile::Trial open_pkb(const std::filesystem::path& file, Verify verify) {
 }
 
 profile::Trial parse_pkb(std::string bytes) {
-  return trial_from_image(
-      Image::share(std::make_shared<const Image>(std::move(bytes))),
-      Verify::kFull);
-}
-
-void verify_pkb_summary(const profile::Trial& trial) {
-  if (!trial.image()) return;
-  const PkbLayout layout = borrowed_layout(trial);
-  if (layout.summary_offset == 0) {
-    // No summary: aggregates come from the cells.
-    check_columns(trial, *trial.image(), layout);
-  } else {
-    check_summary_crc(*trial.image(), layout.summary_offset);
-  }
+  profile::Trial trial = trial_from_image(
+      Image::share(std::make_shared<const Image>(std::move(bytes))));
+  verify_pkb_columns(trial);
+  return trial;
 }
 
 void verify_pkb_columns(const profile::Trial& trial) {
-  if (!trial.image()) return;
-  const PkbLayout layout = borrowed_layout(trial);
-  if (layout.summary_offset != 0) {
-    check_summary_crc(*trial.image(), layout.summary_offset);
-  }
-  check_columns(trial, *trial.image(), layout);
+  // Owned columns, and a snapshot without SUMM, were checked on open.
+  if (!trial.image() || trial.borrowed_summary() == nullptr) return;
+  check_columns(trial, *trial.image(), borrowed_layout(trial));
 }
 
 }  // namespace perfknow::perfdmf

@@ -5,10 +5,12 @@
 // value cube through a million parse_double calls. PKB is the storage
 // engine's format: little-endian, sectioned, and columnar. Its COLS
 // section is profile::Trial's own column layout, so writing a trial is
-// one pass over its column rows, and reading one (open_pkb, parse_pkb)
-// parses only the schema: the trial's columns point straight into the
-// mapped file or the parsed buffer, and pages are faulted in only as the
-// analysis touches them.
+// one pass over its column rows, and opening one (open_pkb) parses the
+// schema and checks the summary, never the cells: the trial's columns
+// point straight into the mapped file or the parsed buffer, and pages
+// are faulted in only as the analysis touches them. There are two read
+// levels: opened, where everything but the cell values is checked, and
+// verified (verify_pkb_columns, parse_pkb), where the cells are too.
 //
 // Layout (all integers little-endian):
 //
@@ -36,7 +38,7 @@
 //         for bit to the stats:: reduction over the series; all zero
 //         for a trial without threads. Derived data: COLS stays the
 //         source of truth, and every check of COLS also checks that
-//         SUMM agrees with it.
+//         SUMM agrees with it. Its own checksum is checked on open.
 //   COLS  one contiguous column of threads*events f64 values per
 //         (metric, field) over the thread x event cube, cube index
 //         [thread][event]:
@@ -69,44 +71,31 @@ inline constexpr std::uint32_t kPkbVersion = 1;
 void write_pkb(const profile::Trial& trial, std::ostream& os);
 [[nodiscard]] std::string to_pkb(const profile::Trial& trial);
 
-/// How much of a snapshot open_pkb checks up front.
-enum class Verify {
-  kSchema,   ///< structure + schema/metadata CRCs; SUMM and COLS deferred
-  kSummary,  ///< kSchema + the SUMM CRC: means and summaries are trusted
-  kFull,     ///< every section CRC, and SUMM checked against COLS
-};
-
 /// Maps `file` (or reads it, where mmap is unavailable) and returns the
 /// trial it holds, its columns borrowed from the mapping. Validates
 /// magic, version, section structure, schema sanity against
-/// perfdmf/limits.hpp and the checksums `verify` asks for. With
-/// Verify::kSchema opening costs O(schema), not O(cube); call
-/// verify_pkb_columns() before trusting the cell values. Verify::kSummary
-/// adds the SUMM checksum (O(events x metrics)); a snapshot without SUMM
-/// gets the full check instead, since its aggregates come from the cells. The file must
-/// not be rewritten in place while a trial borrows from it (replace it
-/// by rename, as Repository::save does). Throws ParseError (with the
-/// file path attached) on malformed input, IoError when the file cannot
-/// be read.
-[[nodiscard]] profile::Trial open_pkb(const std::filesystem::path& file,
-                                      Verify verify = Verify::kFull);
+/// perfdmf/limits.hpp and the SCHM, META and SUMM checksums, so the
+/// schema, metadata, means and Trial::series_summary() are trustworthy
+/// at O(schema + events x metrics) cost; call verify_pkb_columns()
+/// before trusting the cell values. A snapshot without SUMM gets the
+/// full check instead, since its aggregates come from the cells. The
+/// file must not be rewritten in place while a trial borrows from it
+/// (replace it by rename, as Repository::save does). Throws ParseError
+/// (with the file path attached) on malformed input, IoError when the
+/// file cannot be read.
+[[nodiscard]] profile::Trial open_pkb(const std::filesystem::path& file);
 
-/// Parses a PKB image (verifying every checksum); the trial adopts
-/// `bytes` as the storage its columns point into. Throws ParseError with
-/// a byte-offset diagnostic on any violation.
+/// Parses a PKB image as open_pkb does, then checks its columns
+/// (verify_pkb_columns); the trial adopts `bytes` as the storage its
+/// columns point into. Throws ParseError with a byte-offset diagnostic
+/// on any violation.
 [[nodiscard]] profile::Trial parse_pkb(std::string bytes);
 
 /// Checks the COLS checksum of a trial whose columns are still borrowed
-/// from the PKB image open_pkb gave it, and that its SUMM section (if
-/// any) passes its own checksum and agrees with the columns; throws
-/// ParseError naming the byte offset on a mismatch. A trial that owns
-/// its columns has nothing left to check.
+/// from the PKB image open_pkb gave it, and that its SUMM section agrees
+/// with the columns; throws ParseError naming the byte offset on a
+/// mismatch. A trial that owns its columns, or whose snapshot has no
+/// SUMM (open_pkb checked it in full), has nothing left to check.
 void verify_pkb_columns(const profile::Trial& trial);
-
-/// Checks what a reader of aggregates only relies on: the SUMM checksum,
-/// or, for a snapshot without SUMM (whose aggregates come from the
-/// cells), everything verify_pkb_columns checks. Costs O(events x
-/// metrics) when the snapshot has a summary.
-void verify_pkb_summary(const profile::Trial& trial);
 
 }  // namespace perfknow::perfdmf

@@ -188,8 +188,9 @@ std::string shape_text(const TrialRecord& r) {
 }
 
 // Throws index_mismatch when the trial just opened from `rel` is not the
-// one its row (at `line`) names, or has another shape than the row
-// records.
+// one its row (at `line`) names, or has another shape or total than the
+// row records. Opening checked what the total reads (the summary, or the
+// cells of a snapshot without one).
 void check_opened(const std::filesystem::path& dir, const std::string& name,
                   const std::string& rel,
                   const std::optional<TrialRecord>& row, int line,
@@ -200,18 +201,25 @@ void check_opened(const std::filesystem::path& dir, const std::string& name,
                              rel + " holds trial '" + opened.name() + "'",
                          line);
   }
-  const TrialRecord shape{opened.thread_count(), opened.event_count(),
-                          opened.metric_count(), std::nullopt};
-  if (!row || (row->threads == shape.threads && row->events == shape.events &&
-               row->metrics == shape.metrics)) {
-    return;
+  if (!row) return;
+  const TrialRecord record = record_of(opened);
+  if (row->threads != record.threads || row->events != record.events ||
+      row->metrics != record.metrics) {
+    throw index_mismatch(dir,
+                         "trial '" + opened.name() + "' has " +
+                             shape_text(record) +
+                             " in its snapshot, but its row says " +
+                             shape_text(*row),
+                         line);
   }
-  throw index_mismatch(dir,
-                       "trial '" + opened.name() + "' has " +
-                           shape_text(shape) +
-                           " in its snapshot, but its row says " +
-                           shape_text(*row),
-                       line);
+  if (!same_record(*row, record)) {
+    throw index_mismatch(dir,
+                         "trial '" + opened.name() + "' has total " +
+                             total_field(record.total) +
+                             " in its snapshot, but its row says " +
+                             total_field(row->total),
+                         line);
+  }
 }
 
 telemetry::Counter& snapshots_opened() {
@@ -233,13 +241,10 @@ telemetry::Counter& snapshots_opened() {
 struct Repository::Entry {
   std::mutex load_mutex;  ///< serializes demand-loads of this entry
   TrialPtr trial;
-  /// The image whose COLS (and SUMM) are known good: checked by
-  /// verify_entry, or verified before the trial was inserted. Holding it
-  /// keeps the pointer from being reused by another image.
+  /// The image whose COLS are known good: checked by verify_entry, or
+  /// verified before the trial was inserted. Holding it keeps the
+  /// pointer from being reused by another image.
   std::shared_ptr<const std::string_view> verified_image;
-  /// The image whose SUMM checksum is known good (verify_entry at
-  /// Verify::kSummary).
-  std::shared_ptr<const std::string_view> summary_image;
   std::filesystem::path file;  ///< backing snapshot; empty for put() trials
   std::string rel;             ///< `file` as index.tsv names it
   bool pkb = false;
@@ -253,8 +258,6 @@ struct Repository::Entry {
   /// index.tsv line of the row opening the snapshot is checked against;
   /// 0 once this process wrote the snapshot itself.
   int line = 0;
-  /// The record's total agrees with the trial, or there is none to check.
-  bool total_checked = false;
   std::size_t charge = 0;
   std::uint64_t last_used = 0;
 };
@@ -670,7 +673,6 @@ void Repository::evict_to_budget_locked(Dropped& dropped) const {
     // snapshot can take milliseconds.
     dropped.push_back(std::move(victim->trial));
     dropped.push_back(std::move(victim->verified_image));
-    dropped.push_back(std::move(victim->summary_image));
     cache_->resident -= victim->charge;
     victim->charge = 0;
   }
@@ -686,13 +688,12 @@ TrialPtr Repository::load_entry(Entry& entry, const std::string& name) const {
   }
   static const telemetry::SpanSite site("perfdmf.load_trial");
   telemetry::ScopedSpan span(site);
-  // The open/mmap/schema parse runs with the cache unlocked; holding the
+  // The open/mmap/summary check runs with the cache unlocked; holding the
   // entry's load mutex guarantees no other thread loads or moves this
   // entry, so publishing below cannot clobber a concurrent load.
   snapshots_opened().add();
   const auto trial = std::make_shared<profile::Trial>(
-      entry.pkb ? open_pkb(entry.file, Verify::kSchema)
-                : load_text_snapshot(entry.file));
+      entry.pkb ? open_pkb(entry.file) : load_text_snapshot(entry.file));
   std::optional<TrialRecord> row;
   int line = 0;
   {
@@ -712,55 +713,24 @@ TrialPtr Repository::load_entry(Entry& entry, const std::string& name) const {
   return trial;
 }
 
-void Repository::verify_entry(Entry& entry, const profile::Trial& trial,
-                              Verify level) const {
+void Repository::verify_entry(Entry& entry,
+                              const profile::Trial& trial) const {
   // Owned columns have no checksum to check.
-  if (const auto& image = trial.image()) {
-    // Without SUMM the aggregates come from the cells.
-    if (trial.borrowed_summary() == nullptr) level = Verify::kFull;
-    bool checked = false;
-    {
-      const std::lock_guard lock(cache_->mutex);
-      checked = entry.verified_image == image ||
-                (level == Verify::kSummary && entry.summary_image == image);
-    }
-    if (!checked) {
-      try {
-        if (level == Verify::kFull) {
-          verify_pkb_columns(trial);
-        } else {
-          verify_pkb_summary(trial);
-        }
-      } catch (const ParseError& e) {
-        if (!e.file().empty()) throw;
-        const std::lock_guard lock(cache_->mutex);  // save() may move it
-        throw e.with_file(entry.file.string());
-      }
-      const std::lock_guard lock(cache_->mutex);
-      (level == Verify::kFull ? entry.verified_image : entry.summary_image) =
-          image;
-    }
-  }
-  // The values are trustworthy now: check the row's total against them.
-  TrialRecord row;
-  int line = 0;
+  const auto& image = trial.image();
+  if (!image) return;
   {
     const std::lock_guard lock(cache_->mutex);
-    if (entry.line == 0 || entry.total_checked) return;
-    row = *entry.record;
-    line = entry.line;
+    if (entry.verified_image == image) return;
   }
-  const TrialRecord opened = record_of(trial);
-  if (!same_record(row, opened)) {
-    throw index_mismatch(root_,
-                         "trial '" + trial.name() + "' has total " +
-                             total_field(opened.total) +
-                             " in its snapshot, but its row says " +
-                             total_field(row.total),
-                         line);
+  try {
+    verify_pkb_columns(trial);
+  } catch (const ParseError& e) {
+    if (!e.file().empty()) throw;
+    const std::lock_guard lock(cache_->mutex);  // save() may move it
+    throw e.with_file(entry.file.string());
   }
   const std::lock_guard lock(cache_->mutex);
-  entry.total_checked = true;
+  entry.verified_image = image;
 }
 
 TrialPtr Repository::get(const std::string& application,
@@ -797,21 +767,12 @@ ConstTrialPtr Repository::view(const std::string& application,
   return load_entry(*entry, trial);
 }
 
-ConstTrialPtr Repository::summary_view(const std::string& application,
-                                       const std::string& experiment,
-                                       const std::string& trial) const {
-  const EntryPtr& entry = find_entry(application, experiment, trial);
-  ConstTrialPtr out = view(application, experiment, trial);
-  verify_entry(*entry, *out, Verify::kSummary);
-  return out;
-}
-
 ConstTrialPtr Repository::verified_view(const std::string& application,
                                         const std::string& experiment,
                                         const std::string& trial) const {
   const EntryPtr& entry = find_entry(application, experiment, trial);
   ConstTrialPtr out = view(application, experiment, trial);
-  verify_entry(*entry, *out, Verify::kFull);
+  verify_entry(*entry, *out);
   return out;
 }
 
@@ -1034,7 +995,7 @@ void Repository::save_entry(Entry& entry, const std::string& name,
   // A lazily opened snapshot's COLS CRC was skipped at open; check it
   // now: write_pkb re-signs the payload with fresh CRCs, which must not
   // turn a corrupt snapshot into a valid-looking one.
-  verify_entry(entry, *trial, Verify::kFull);
+  verify_entry(entry, *trial);
   // The snapshot is written to a sibling temp file and renamed into
   // place: the write never truncates `dest` itself, so saving an
   // attached repository back into its own directory cannot destroy the
@@ -1049,7 +1010,6 @@ void Repository::save_entry(Entry& entry, const std::string& name,
   Dropped dropped;
   const std::lock_guard lock(cache_->mutex);
   entry.record = written;
-  entry.total_checked = true;
   if (home) {
     // The entry's snapshot is the one just written: commit() indexes it
     // and a reload reads it.
@@ -1067,18 +1027,11 @@ void Repository::fill_record(Entry& entry) const {
   {
     const std::lock_guard lock(cache_->mutex);
     if (entry.record || !entry.trial) return;
-    // Only values a checksum has covered go into the index.
-    const auto& image = entry.trial->image();
-    if (image && entry.verified_image != image &&
-        entry.summary_image != image) {
-      return;
-    }
     trial = entry.trial;
   }
   const TrialRecord computed = record_of(*trial);
   const std::lock_guard lock(cache_->mutex);
   entry.record = computed;
-  entry.total_checked = true;
 }
 
 Repository Repository::attach(const std::filesystem::path& dir,
@@ -1095,7 +1048,6 @@ Repository Repository::attach(const std::filesystem::path& dir,
     entry->pkb = std::filesystem::path(row.path).extension() == ".pkb";
     entry->rel = std::move(row.path);
     entry->record = row.record;
-    entry->total_checked = !row.record;
     entry->line = row.line;
     repo.insert_entry(row.application, row.experiment, row.trial,
                       std::move(entry));
@@ -1145,8 +1097,7 @@ Repository Repository::load(const std::filesystem::path& dir,
   pool.parallel_for(rows.size(), [&](std::size_t i) {
     Entry& entry = *rows[i].second;
     const std::lock_guard load(entry.load_mutex);
-    repo.verify_entry(entry, *repo.load_entry(entry, *rows[i].first),
-                      Verify::kFull);
+    repo.verify_entry(entry, *repo.load_entry(entry, *rows[i].first));
     repo.fill_record(entry);
   });
   return repo;

@@ -26,9 +26,8 @@
 // opening a snapshot; rows written before records existed have only the
 // first four fields, and those commands open the snapshot for them. A
 // row is checked against its snapshot whenever one is opened anyway: the
-// trial name and the shape on open, the total once the summary or
-// column checksum has passed. A disagreement is a ParseError naming
-// index.tsv and the row's line.
+// trial name, the shape and the total. A disagreement is a ParseError
+// naming index.tsv and the row's line.
 //
 // Sharding keeps directory fan-out bounded for repositories with tens of
 // thousands of trials and gives concurrent bulk ingest naturally disjoint
@@ -44,10 +43,10 @@
 // Each entry holds one trial. A put() trial exists only in memory and is
 // never charged or evicted; any other resident trial is charged and may
 // be evicted, since its snapshot holds it.
-// Read-only commands go through view() / summary_view() /
-// verified_view(), which share the resident trial and differ only in
-// how much of its snapshot they checksum: the schema, the summary
-// profile (SUMM, pkb_format.hpp) as well, or every cell as well. get()
+// Read-only commands go through view() or verified_view(), which share
+// the resident trial and differ only in how much of its snapshot they
+// checksum: everything but the cells (the schema, metadata and summary
+// profile, SUMM in pkb_format.hpp), or every cell as well. get()
 // hands out a copy that belongs to the caller: it borrows the same
 // snapshot until it is first written, and the repository never sees
 // its edits. Only put(), put_version(), commit(), erase() and
@@ -184,24 +183,16 @@ class Repository {
                              const std::string& trial) const;
 
   /// Read-only fetch of the resident trial, demand-loading it when
-  /// needed: opening a PKB snapshot parses only its schema, and the
-  /// columns are read from the mapping as the caller touches them. Only
-  /// the schema checksums are verified, so the trial's shape, names and
-  /// metadata are trustworthy but its cell values are not yet; see
-  /// verified_view().
+  /// needed through open_pkb(): the schema, metadata, means and
+  /// Trial::series_summary() read through the result come from
+  /// CRC-verified bytes, and the value columns are read from the mapping
+  /// only as the caller touches them, their checksum not yet checked
+  /// (see verified_view()). A snapshot without a summary is checked in
+  /// full on open. Throws ParseError naming the snapshot file on a
+  /// mismatch.
   [[nodiscard]] ConstTrialPtr view(const std::string& application,
                                    const std::string& experiment,
                                    const std::string& trial) const;
-
-  /// view() plus the summary checksum (verify_pkb_summary(), checked
-  /// once per resident entry): the means and Trial::series_summary()
-  /// read through the result come from CRC-verified bytes, and the value
-  /// columns are never paged in or checksummed. A snapshot without a
-  /// summary is checked as verified_view() checks it. Throws ParseError
-  /// naming the snapshot file on a mismatch.
-  [[nodiscard]] ConstTrialPtr summary_view(const std::string& application,
-                                           const std::string& experiment,
-                                           const std::string& trial) const;
 
   /// view() plus the column checksum and the summary's agreement with
   /// the columns (verify_pkb_columns(), checked once per resident
@@ -329,9 +320,10 @@ class Repository {
                                            const std::string& trial) const;
   /// Returns `entry`'s resident trial, demand-loading (publishing and
   /// charging) it first when there is none, checked against its index
-  /// row (trial `name`, shape). Caller must hold the entry's load mutex
-  /// and must NOT hold the cache mutex: the file open/mmap/schema parse
-  /// runs with the cache unlocked so other entries stay serviceable.
+  /// row (trial `name`, shape, total). Caller must hold the entry's load
+  /// mutex and must NOT hold the cache mutex: the file open/mmap/summary
+  /// check runs with the cache unlocked so other entries stay
+  /// serviceable.
   TrialPtr load_entry(Entry& entry, const std::string& name) const;
   /// Streams one entry's snapshot to `dir`/`rel` (temp file + atomic
   /// rename; verifies a lazily opened snapshot's column CRC before
@@ -340,15 +332,12 @@ class Repository {
                   const std::filesystem::path& dir, const std::string& rel,
                   bool home) const;
   /// Fills in a clean entry's missing record (a row written before
-  /// records existed) from its resident trial, when a checksum has
-  /// covered that trial's values. Never opens the snapshot.
+  /// records existed) from its resident trial, whose aggregates were
+  /// checked on open. Never opens the snapshot.
   void fill_record(Entry& entry) const;
-  /// verify_pkb_columns() (Verify::kFull) or verify_pkb_summary()
-  /// (Verify::kSummary), remembered per resident entry so a trial read
-  /// several times by one command is checksummed once; then the total of
-  /// a record read from the index is checked against the trial, once.
-  void verify_entry(Entry& entry, const profile::Trial& trial,
-                    Verify level) const;
+  /// verify_pkb_columns(), remembered per resident entry so a trial read
+  /// several times by one command is checksummed once.
+  void verify_entry(Entry& entry, const profile::Trial& trial) const;
   void touch_locked(Entry& entry) const;
   void charge_locked(Entry& entry, std::size_t bytes) const;
   /// References evict_to_budget_locked() drops, released by its caller

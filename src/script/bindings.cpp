@@ -139,14 +139,6 @@ void SessionOptions::validate() const {
                                rules_path.string() +
                                "' is not a directory");
   }
-  if (!telemetry_trace.empty()) {
-    const std::filesystem::path parent = telemetry_trace.parent_path();
-    if (!parent.empty() && !std::filesystem::is_directory(parent)) {
-      throw InvalidArgumentError(
-          "SessionOptions.telemetry_trace: parent directory '" +
-          parent.string() + "' does not exist");
-    }
-  }
 }
 
 AnalysisSession::AnalysisSession(SessionOptions options)
@@ -156,18 +148,7 @@ AnalysisSession::AnalysisSession(SessionOptions options)
   options_.validate();
   harness_->set_match_strategy(options_.match_strategy);
   harness_->set_provenance(options_.provenance);
-  if (options_.enable_telemetry) telemetry::set_enabled(true);
   register_api();
-}
-
-AnalysisSession::~AnalysisSession() {
-  if (options_.telemetry_trace.empty()) return;
-  // Best effort: a failed trace dump must not throw out of a destructor.
-  try {
-    std::ofstream os(options_.telemetry_trace);
-    if (os) telemetry::write_chrome_trace(telemetry::snapshot(), os);
-  } catch (...) {  // NOLINT(bugprone-empty-catch)
-  }
 }
 
 void AnalysisSession::run(const std::string& source) { interp_.run(source); }

@@ -63,15 +63,6 @@ struct SessionOptions {
   /// RuleHarness.setMatchStrategy).
   rules::MatchStrategy match_strategy = rules::MatchStrategy::kBeta;
 
-  /// Turns telemetry collection on at construction (equivalent to
-  /// telemetry::set_enabled(true); the PERFKNOW_TELEMETRY environment
-  /// variable still works without this).
-  bool enable_telemetry = false;
-
-  /// When non-empty, the session destructor writes a Chrome trace_event
-  /// JSON snapshot of the whole process's telemetry to this file.
-  std::filesystem::path telemetry_trace = {};
-
   /// Provenance capture on the session's harness: kOff (default) records
   /// nothing; kRules records the firing DAG behind every diagnosis;
   /// kFull additionally snapshots matched-fact fields and metric
@@ -84,8 +75,7 @@ struct SessionOptions {
   /// letting a bad value fail deep inside the interpreter. Called by the
   /// AnalysisSession constructor; callers building options by hand can
   /// call it earlier for a cheaper failure point. Checks: repository is
-  /// non-null, rules_path (when set) names an existing directory,
-  /// telemetry_trace's parent directory (when set) exists.
+  /// non-null, and rules_path (when set) names an existing directory.
   void validate() const;
 };
 
@@ -95,7 +85,6 @@ class AnalysisSession {
   /// options.repository is null.
   explicit AnalysisSession(SessionOptions options);
 
-  ~AnalysisSession();
   AnalysisSession(const AnalysisSession&) = delete;
   AnalysisSession& operator=(const AnalysisSession&) = delete;
 

@@ -182,7 +182,7 @@ int cmd_show(const pk::perfdmf::Repository& repo, const std::string& app,
              std::ostream& out) {
   // Means, cvs and runtime shares are all aggregates: the summary serves
   // them without reading the value columns.
-  const auto trial = repo.summary_view(app, exp, trial_name);
+  const auto trial = repo.view(app, exp, trial_name);
   out << "trial " << trial->name() << " (" << trial->thread_count()
       << " threads)\n";
   for (const auto& [k, v] : trial->all_metadata()) {
@@ -401,7 +401,7 @@ int cmd_history(const pk::perfdmf::Repository& repo, const std::string& app,
     if (record && record->total) {
       read[version] = {record->events, *record->total};
     } else {
-      const auto trial = repo.summary_view(app, exp, version);
+      const auto trial = repo.view(app, exp, version);
       read[version] = {trial->event_count(),
                        pk::perfdmf::total_time(*trial)};
     }

@@ -482,15 +482,12 @@ TEST(Report, RendersSummaryEventsAndGroupedDiagnoses) {
   pk::analysis::assert_load_balance_facts(h, *t);
   h.process_rules();
 
-  pk::analysis::ReportOptions opts;
-  opts.include_rule_output = true;
-  const auto md = pk::analysis::render_report(*t, &h, opts);
+  const auto md = pk::analysis::render_report(*t, &h);
   EXPECT_NE(md.find("# Performance report: 4t"), std::string::npos);
   EXPECT_NE(md.find("- schedule: static"), std::string::npos);
   EXPECT_NE(md.find("| loop |"), std::string::npos);
   EXPECT_NE(md.find("### SomeProblem (3)"), std::string::npos);
   EXPECT_NE(md.find("do the thing"), std::string::npos);
-  EXPECT_NE(md.find("trace line"), std::string::npos);
 }
 
 TEST(Report, NoHarnessAndNoDiagnoses) {

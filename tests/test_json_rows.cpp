@@ -8,13 +8,16 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -400,5 +403,67 @@ TEST(JsonRows, MalformedRowsFailWithTheSameLocatedError) {
                 std::to_string(e.column());
     }
     EXPECT_EQ(outcome, c.outcome) << c.label;
+  }
+}
+
+// -0.0 is written as -0 and reads back with its sign, on the fast path,
+// also where it is a row's only value that is not +0.0; a NaN or
+// infinite cell, which JSON cannot represent, is refused with its
+// thread, event and metric named, and no file is left behind.
+TEST(JsonRows, SignedZerosRoundTripAndNonFiniteCellsAreRefused) {
+  Trial t("zeros");
+  t.set_thread_count(2);
+  const auto time = t.add_metric("TIME", "usec");
+  const auto papi = t.add_metric("PAPI", "count");
+  const auto main = t.add_event("main");
+  const auto f1 = t.add_event("main => f1", main);
+  t.set_inclusive(0, main, time, -0.0);  // the row's only nonzero bits
+  t.set_calls(1, main, -0.0, 2.0);
+  t.set_exclusive(1, main, papi, -0.0);
+  t.set_inclusive(1, f1, time, 0.0);  // an all +0.0 row, left out
+  TempDir dir;
+  const fs::path file = dir.path() / "zeros.json";
+  pk::io::save_trial(t, file, "json");
+  const std::string doc = slurp(file);
+  EXPECT_NE(doc.find("\"values\": [[-0, 0], [0, 0]]"), std::string::npos)
+      << doc;
+  EXPECT_NE(doc.find("\"calls\": -0, \"subcalls\": 2"), std::string::npos)
+      << doc;
+  Trial opened("unread");
+  const RowPaths paths =
+      count_rows([&] { opened = pk::io::open_trial(file); });
+  EXPECT_EQ(paths.fast, 2u);
+  EXPECT_EQ(paths.general, 0u);
+  EXPECT_EQ(bits(opened), bits(t));
+
+  struct Bad {
+    double value;
+    const char* spelled;
+  };
+  for (const Bad bad : {Bad{std::nan(""), "NaN"},
+                        Bad{std::numeric_limits<double>::infinity(), "inf"},
+                        Bad{-std::numeric_limits<double>::infinity(),
+                            "-inf"}}) {
+    Trial cell = t;
+    cell.set_exclusive(1, f1, papi, bad.value);
+    Trial calls = t;
+    calls.set_calls(0, f1, 1.0, bad.value);
+    for (const auto& [trial, where] :
+         {std::pair<const Trial&, std::string>{
+              cell, "thread 1, event 'main => f1', metric 'PAPI': its "
+                    "exclusive value is "},
+          std::pair<const Trial&, std::string>{
+              calls, "thread 0, event 'main => f1': its subcalls value is "}}) {
+      const fs::path out = dir.path() / "refused.json";
+      try {
+        pk::io::save_trial(trial, out, "json");
+        ADD_FAILURE() << "a " << bad.spelled << " cell was written";
+      } catch (const pk::InvalidArgumentError& e) {
+        EXPECT_NE(std::string(e.what()).find(where + bad.spelled + ","),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_FALSE(fs::exists(out)) << bad.spelled;
+    }
   }
 }

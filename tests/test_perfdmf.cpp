@@ -544,16 +544,28 @@ std::streamoff summary_payload(const fs::path& file) {
   return static_cast<std::streamoff>(pos + 16);
 }
 
+/// Rewrites `file` as a writer without the SUMM section wrote it.
+void drop_summary(const fs::path& file) {
+  const std::string bytes = pk::read_file_bytes(file, "snapshot");
+  const auto at = static_cast<std::size_t>(summary_payload(file)) - 16;
+  std::uint64_t len = 0;
+  std::memcpy(&len, bytes.data() + at + 8, sizeof len);
+  std::ofstream(file, std::ios::binary | std::ios::trunc)
+      << bytes.substr(0, at) + bytes.substr(at + 16 + len);
+}
+
 }  // namespace
 
-// summary_view checks the summary once per resident entry and never the
-// columns; verified_view and get() check the columns.
-TEST(RepositoryCache, SummaryViewChecksTheSummaryNotTheColumns) {
+// view() checks the summary on open and never the columns, except for a
+// snapshot without a summary; verified_view() and get() check the
+// columns.
+TEST(RepositoryCache, ViewChecksTheSummaryNotTheColumns) {
   TempDir dir;
   {
     Repository repo;
     repo.put("app", "exp", make_trial("cols", 4));
     repo.put("app", "exp", make_trial("summ", 4));
+    repo.put("app", "exp", make_trial("bare", 4));
     repo.save(dir.path());
   }
   std::map<std::string, fs::path> files;
@@ -564,10 +576,13 @@ TEST(RepositoryCache, SummaryViewChecksTheSummaryNotTheColumns) {
   flip_byte(files.at("cols"), static_cast<std::streamoff>(
                                   fs::file_size(files.at("cols")) - 32));
   flip_byte(files.at("summ"), summary_payload(files.at("summ")) + 3);
+  drop_summary(files.at("bare"));
+  flip_byte(files.at("bare"), static_cast<std::streamoff>(
+                                  fs::file_size(files.at("bare")) - 32));
 
   const Repository attached = Repository::attach(dir.path());
   const auto want = make_trial("cols", 4);
-  const auto cols = attached.summary_view("app", "exp", "cols");
+  const auto cols = attached.view("app", "exp", "cols");
   ASSERT_NE(cols->borrowed_summary(), nullptr);
   EXPECT_EQ(cols->mean_inclusive(1, 0), want->mean_inclusive(1, 0));
   EXPECT_EQ(pk::analysis::event_statistics(*cols, 1, "TIME").cv,
@@ -585,15 +600,66 @@ TEST(RepositoryCache, SummaryViewChecksTheSummaryNotTheColumns) {
     }
   }
   try {
-    (void)attached.summary_view("app", "exp", "summ");
+    (void)attached.view("app", "exp", "summ");
     FAIL() << "corrupt summary passed its check";
   } catch (const pk::ParseError& e) {
     EXPECT_EQ(e.file(), files.at("summ").string());
     EXPECT_NE(std::string(e.what()).find("'SUMM'"), std::string::npos)
         << e.what();
+    EXPECT_NE(std::string(e.what()).find(
+                  "byte offset " +
+                  std::to_string(summary_payload(files.at("summ")) - 16)),
+              std::string::npos)
+        << e.what();
   }
   EXPECT_THROW((void)attached.verified_view("app", "exp", "summ"),
                pk::ParseError);
+  try {
+    (void)attached.view("app", "exp", "bare");
+    FAIL() << "corrupt columns of a snapshot without SUMM opened";
+  } catch (const pk::ParseError& e) {
+    EXPECT_EQ(e.file(), files.at("bare").string());
+    EXPECT_NE(std::string(e.what()).find("'COLS'"), std::string::npos)
+        << e.what();
+  }
+}
+
+// What `pkx show` then `pkx explain` read of one resident entry, view()
+// then verified_view(), checksums SUMM once and COLS once, however often
+// each is called; a snapshot without SUMM has its columns checked once,
+// by the open.
+TEST(RepositoryCache, ShowThenExplainChecksumsEachSectionOnce) {
+  TempDir dir;
+  {
+    Repository repo;
+    repo.put("app", "exp", make_trial("summ", 4));
+    repo.put("app", "exp", make_trial("bare", 4));
+    repo.save(dir.path());
+  }
+  for (const auto& row : pk::perfdmf::parse_index(
+           pk::read_file_bytes(dir.path() / "index.tsv", "index"))) {
+    if (row.trial == "bare") drop_summary(dir.path() / row.path);
+  }
+  pk::telemetry::Counter& summaries =
+      pk::telemetry::counter("perfdmf.snapshot.summary_checked");
+  pk::telemetry::Counter& columns =
+      pk::telemetry::counter("perfdmf.snapshot.columns_checked");
+  const bool was_enabled = pk::telemetry::enabled();
+  pk::telemetry::set_enabled(true);
+  using Checks = std::pair<std::uint64_t, std::uint64_t>;
+  const auto show_then_explain = [&](const std::string& trial) {
+    const Repository attached = Repository::attach(dir.path());
+    const std::uint64_t s0 = summaries.value();
+    const std::uint64_t c0 = columns.value();
+    for (int i = 0; i < 2; ++i) {
+      (void)attached.view("app", "exp", trial);
+      (void)attached.verified_view("app", "exp", trial);
+    }
+    return Checks{summaries.value() - s0, columns.value() - c0};
+  };
+  EXPECT_EQ(show_then_explain("summ"), (Checks{1, 1}));
+  EXPECT_EQ(show_then_explain("bare"), (Checks{0, 1}));
+  pk::telemetry::set_enabled(was_enabled);
 }
 
 TEST(RepositoryIndex, CommittedSeedsParseOrNameTheBadRow) {
@@ -811,13 +877,8 @@ TEST(RepositoryIndex, ARowThatDisagreesWithItsSnapshotFailsLocated) {
   });
   const std::string total = "has total 100.5 in its snapshot, but its row "
                             "says 100.25";
-  {
-    const Repository attached = Repository::attach(dir.path());
-    (void)attached.view("app", "exp", "b");  // the shape agrees
-    expect_located([&] { (void)attached.summary_view("app", "exp", "b"); },
-                   total);
-  }
   for (const auto& read : std::vector<std::function<void(const Repository&)>>{
+           [](const Repository& r) { (void)r.view("app", "exp", "b"); },
            [](const Repository& r) { (void)r.verified_view("app", "exp", "b"); },
            [](const Repository& r) { (void)r.get("app", "exp", "b"); }}) {
     const Repository attached = Repository::attach(dir.path());
@@ -827,8 +888,9 @@ TEST(RepositoryIndex, ARowThatDisagreesWithItsSnapshotFailsLocated) {
 }
 
 // A save() upgrades a legacy 4-field row only when this process opened
-// the trial and checked its values; it never opens a snapshot to do so.
-TEST(RepositoryIndex, LegacyRowsUpgradeOnlyWhenOpenedAndChecked) {
+// the trial (and so checked its summary); it never opens a snapshot to
+// do so.
+TEST(RepositoryIndex, LegacyRowsUpgradeOnlyWhenOpened) {
   TempDir dir;
   {
     Repository repo;
@@ -840,8 +902,7 @@ TEST(RepositoryIndex, LegacyRowsUpgradeOnlyWhenOpenedAndChecked) {
   edit_index(dir.path(), [](std::vector<std::string>& f) { f.resize(4); });
   Repository attached = Repository::attach(dir.path());
   EXPECT_FALSE(attached.record("app", "exp", "t1").has_value());
-  (void)attached.summary_view("app", "exp", "t1");  // opened and checked
-  (void)attached.view("app", "exp", "t2");          // opened, schema only
+  (void)attached.view("app", "exp", "t1");
   attached.put("app", "exp", make_trial("t3"));
   EXPECT_EQ(snapshots_opened_by([&] { attached.save(dir.path()); }), 0u);
   std::map<std::string, bool> recorded;
@@ -1473,9 +1534,6 @@ TEST(RepositoryIndex, ARowPointingAtAnotherTrialsSnapshotFailsLocated) {
     for (const auto& read :
          std::vector<std::function<void(const Repository&)>>{
              [](const Repository& r) { (void)r.view("app", "exp", "x"); },
-             [](const Repository& r) {
-               (void)r.summary_view("app", "exp", "x");
-             },
              [](const Repository& r) {
                (void)r.verified_view("app", "exp", "x");
              },

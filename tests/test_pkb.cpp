@@ -9,9 +9,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.hpp"
@@ -23,10 +26,10 @@
 #include "perfdmf/pkb_format.hpp"
 #include "perfdmf/snapshot.hpp"
 #include "perfdmf/tau_format.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace pk = perfknow;
 namespace fs = std::filesystem;
-using pk::perfdmf::Verify;
 using pk::profile::Trial;
 
 namespace {
@@ -318,7 +321,7 @@ TEST(PkbFormat, DifferentialRoundTripOverShippedCorpora) {
     const std::string bytes = pk::perfdmf::to_pkb(t);
     expect_trials_equal(t, pk::perfdmf::parse_pkb(bytes));
     write_file(file, bytes);
-    expect_trials_equal(t, pk::perfdmf::open_pkb(file, Verify::kSchema));
+    expect_trials_equal(t, pk::perfdmf::open_pkb(file));
   }
 }
 
@@ -530,7 +533,7 @@ TEST(PkbSummary, BorrowedSummaryServesMeansUntilTheTrialOwnsItsColumns) {
   TempDir dir;
   const fs::path file = dir.path() / "planted.pkb";
   write_file(file, bytes);
-  const Trial view = pk::perfdmf::open_pkb(file, Verify::kSummary);
+  const Trial view = pk::perfdmf::open_pkb(file);
   ASSERT_NE(view.borrowed_summary(), nullptr);
   EXPECT_EQ(view.mean_inclusive(0, 0), 12345.0);
   // The first value write owns the columns; the summary goes with the
@@ -548,27 +551,72 @@ TEST(PkbSummary, SnapshotsWithoutSummaryServeAggregatesFromTheCells) {
   ASSERT_EQ(section_at(bytes, "SUMM"), std::string::npos);
   const fs::path file = dir.path() / "legacy.pkb";
   write_file(file, bytes);
-  for (const Verify level : {Verify::kSchema, Verify::kSummary,
-                             Verify::kFull}) {
-    const Trial view = pk::perfdmf::open_pkb(file, level);
-    EXPECT_EQ(view.borrowed_summary(), nullptr);
-    expect_trials_equal(t, view);
-    for (pk::profile::EventId e = 0; e < t.event_count(); ++e) {
-      EXPECT_EQ(view.mean_exclusive(e, 1), t.mean_exclusive(e, 1));
-      EXPECT_EQ(view.series_summary(e, 0, false).stddev,
-                t.series_summary(e, 0, false).stddev);
-    }
+  const Trial view = pk::perfdmf::open_pkb(file);
+  EXPECT_EQ(view.borrowed_summary(), nullptr);
+  expect_trials_equal(t, view);
+  for (pk::profile::EventId e = 0; e < t.event_count(); ++e) {
+    EXPECT_EQ(view.mean_exclusive(e, 1), t.mean_exclusive(e, 1));
+    EXPECT_EQ(view.series_summary(e, 0, false).stddev,
+              t.series_summary(e, 0, false).stddev);
   }
-  // Without a summary, the summary-level check is the column check.
+  // Without a summary, the open checks the columns.
   std::string bad = bytes;
   bad[bad.size() - 32] ^= 0x01;
   write_file(file, bad);
-  EXPECT_NO_THROW((void)pk::perfdmf::open_pkb(file, Verify::kSchema));
-  EXPECT_THROW((void)pk::perfdmf::open_pkb(file, Verify::kSummary),
-               pk::ParseError);
-  EXPECT_THROW(pk::perfdmf::verify_pkb_summary(
-                   pk::perfdmf::open_pkb(file, Verify::kSchema)),
-               pk::ParseError);
+  try {
+    (void)pk::perfdmf::open_pkb(file);
+    FAIL() << "corrupt columns of a snapshot without SUMM opened";
+  } catch (const pk::ParseError& e) {
+    EXPECT_EQ(e.file(), file.string());
+    EXPECT_NE(std::string(e.what()).find("bad section checksum in 'COLS'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Each read level checksums each section once: an open checks SUMM, and
+// verify_pkb_columns then checks COLS without checking SUMM again. A
+// snapshot without SUMM has its columns checked by the open, and not
+// again by verify_pkb_columns or parse_pkb.
+TEST(PkbSummary, EachSectionIsChecksummedOncePerRead) {
+  TempDir dir;
+  const Trial t = make_trial("counted", 4);
+  const fs::path with = dir.path() / "with.pkb";
+  const fs::path without = dir.path() / "without.pkb";
+  write_file(with, pk::perfdmf::to_pkb(t));
+  write_file(without, without_summary(pk::perfdmf::to_pkb(t)));
+  pk::telemetry::Counter& summaries =
+      pk::telemetry::counter("perfdmf.snapshot.summary_checked");
+  pk::telemetry::Counter& columns =
+      pk::telemetry::counter("perfdmf.snapshot.columns_checked");
+  const bool was_enabled = pk::telemetry::enabled();
+  pk::telemetry::set_enabled(true);
+  // (summary checks, column checks) made by `read`.
+  const auto checks = [&](const std::function<void()>& read) {
+    const std::uint64_t s0 = summaries.value();
+    const std::uint64_t c0 = columns.value();
+    read();
+    return std::pair{summaries.value() - s0, columns.value() - c0};
+  };
+  using Checks = std::pair<std::uint64_t, std::uint64_t>;
+  std::optional<Trial> view;
+  EXPECT_EQ(checks([&] { view = pk::perfdmf::open_pkb(with); }),
+            (Checks{1, 0}));
+  EXPECT_EQ(checks([&] { pk::perfdmf::verify_pkb_columns(*view); }),
+            (Checks{0, 1}));
+  EXPECT_EQ(checks([&] {
+              (void)pk::perfdmf::parse_pkb(pk::perfdmf::to_pkb(t));
+            }),
+            (Checks{1, 1}));
+  EXPECT_EQ(checks([&] { view = pk::perfdmf::open_pkb(without); }),
+            (Checks{0, 1}));
+  EXPECT_EQ(checks([&] { pk::perfdmf::verify_pkb_columns(*view); }),
+            (Checks{0, 0}));
+  EXPECT_EQ(checks([&] {
+              (void)pk::perfdmf::parse_pkb(read_file(without));
+            }),
+            (Checks{0, 1}));
+  pk::telemetry::set_enabled(was_enabled);
 }
 
 // ---- borrowed columns --------------------------------------------------
@@ -596,7 +644,7 @@ TEST(PkbOpen, OpenFromFileAndBoundsChecks) {
   const fs::path file = dir.path() / "trial.pkb";
   pk::io::save_trial(t, file);
 
-  const Trial view = pk::perfdmf::open_pkb(file, Verify::kSchema);
+  const Trial view = pk::perfdmf::open_pkb(file);
   ASSERT_TRUE(view.image());
   EXPECT_EQ(view.image()->size(), fs::file_size(file));
   expect_trials_equal(t, view);
@@ -676,19 +724,18 @@ TEST(PkbCorruption, ChecksumMismatchNamesByteOffset) {
   }
 }
 
-TEST(PkbCorruption, SchemaOnlyOpenSkipsColumnsButFullOpenChecks) {
+TEST(PkbCorruption, OpenSkipsColumnsButVerifyAndParseCheck) {
   TempDir dir;
   std::string bytes = pk::perfdmf::to_pkb(make_trial("lazy crc"));
   bytes[bytes.size() - 32] ^= 0x01;
   const fs::path file = dir.path() / "lazy.pkb";
   write_file(file, bytes);
-  // A schema-only open is O(schema): the flipped column byte goes
+  // An open does not read the cells: the flipped column byte goes
   // unseen...
-  const Trial view = pk::perfdmf::open_pkb(file, Verify::kSchema);
+  const Trial view = pk::perfdmf::open_pkb(file);
   EXPECT_EQ(view.name(), "lazy crc");
-  // ...full verification and the in-memory parse both catch it.
-  EXPECT_THROW((void)pk::perfdmf::open_pkb(file, Verify::kFull),
-               pk::ParseError);
+  // ...the column check and the in-memory parse both catch it.
+  EXPECT_THROW(pk::perfdmf::verify_pkb_columns(view), pk::ParseError);
   EXPECT_THROW((void)pk::perfdmf::parse_pkb(bytes), pk::ParseError);
   // Rewriting the borrowing trial keeps the stored column checksum, so
   // the copy is as detectably corrupt as the original.
@@ -696,17 +743,17 @@ TEST(PkbCorruption, SchemaOnlyOpenSkipsColumnsButFullOpenChecks) {
                pk::ParseError);
 }
 
-TEST(PkbCorruption, VerifyPkbColumnsChecksSchemaOnlyOpens) {
+TEST(PkbCorruption, VerifyPkbColumnsChecksOpenedSnapshots) {
   TempDir dir;
   std::string bytes = pk::perfdmf::to_pkb(make_trial("upgrade"));
   const fs::path good = dir.path() / "good.pkb";
   write_file(good, bytes);
-  EXPECT_NO_THROW(pk::perfdmf::verify_pkb_columns(
-      pk::perfdmf::open_pkb(good, Verify::kSchema)));
+  EXPECT_NO_THROW(
+      pk::perfdmf::verify_pkb_columns(pk::perfdmf::open_pkb(good)));
   bytes[bytes.size() - 32] ^= 0x01;
   const fs::path bad = dir.path() / "bad.pkb";
   write_file(bad, bytes);
-  const Trial view = pk::perfdmf::open_pkb(bad, Verify::kSchema);
+  const Trial view = pk::perfdmf::open_pkb(bad);
   try {
     pk::perfdmf::verify_pkb_columns(view);
     FAIL() << "corrupt columns passed verification";
@@ -750,18 +797,10 @@ TEST(PkbCorruption, BadSummaryChecksumIsLocated) {
   bytes[summ + 16 + 9] ^= 0x01;
   const fs::path file = dir.path() / "summ_crc.pkb";
   write_file(file, bytes);
-  // A schema-only open does not read SUMM...
-  const Trial view = pk::perfdmf::open_pkb(file, Verify::kSchema);
-  EXPECT_EQ(view.name(), "summ crc");
-  // ...every level that trusts it checks its checksum.
-  for (const Verify level : {Verify::kSummary, Verify::kFull}) {
-    expect_located([&] { (void)pk::perfdmf::open_pkb(file, level); }, file,
-                   summ, "bad section checksum in 'SUMM'");
-  }
+  expect_located([&] { (void)pk::perfdmf::open_pkb(file); }, file, summ,
+                 "bad section checksum in 'SUMM'");
   expect_located([&] { (void)pk::io::open_trial(file); }, file, summ,
                  "bad section checksum in 'SUMM'");
-  EXPECT_THROW(pk::perfdmf::verify_pkb_summary(view), pk::ParseError);
-  EXPECT_THROW(pk::perfdmf::verify_pkb_columns(view), pk::ParseError);
   EXPECT_THROW((void)pk::perfdmf::parse_pkb(bytes), pk::ParseError);
 }
 
@@ -781,13 +820,9 @@ TEST(PkbCorruption, SummaryLengthMustMatchTheSchema) {
   resign(bytes, summ);
   const fs::path file = dir.path() / "summ_len.pkb";
   write_file(file, bytes);
-  for (const Verify level :
-       {Verify::kSchema, Verify::kSummary, Verify::kFull}) {
-    expect_located([&] { (void)pk::perfdmf::open_pkb(file, level); }, file,
-                   summ, "summary section is " + std::to_string(len) +
-                             " bytes, schema requires " +
-                             std::to_string(len + 8));
-  }
+  expect_located([&] { (void)pk::perfdmf::open_pkb(file); }, file, summ,
+                 "summary section is " + std::to_string(len) +
+                     " bytes, schema requires " + std::to_string(len + 8));
 }
 
 TEST(PkbCorruption, SummaryThatDisagreesWithTheColumnsIsLocated) {
@@ -806,15 +841,13 @@ TEST(PkbCorruption, SummaryThatDisagreesWithTheColumnsIsLocated) {
   resign(bytes, summ);
   const fs::path file = dir.path() / "summ_lie.pkb";
   write_file(file, bytes);
-  // A summary reader trusts the checksummed summary...
-  const Trial view = pk::perfdmf::open_pkb(file, Verify::kSummary);
+  // An opened trial trusts the checksummed summary...
+  const Trial view = pk::perfdmf::open_pkb(file);
   EXPECT_EQ(view.series_summary(1, 0, true).stddev, v);
   // ...every check of the columns compares it with them.
   const std::string what =
       "summary disagrees with the value columns: exclusive TIME of event "
       "'main => loop' has stddev";
-  expect_located([&] { (void)pk::perfdmf::open_pkb(file, Verify::kFull); },
-                 file, value, what);
   expect_located([&] { (void)pk::io::open_trial(file); }, file, value, what);
   try {
     pk::perfdmf::verify_pkb_columns(view);
@@ -887,7 +920,7 @@ TEST(PkbCorruption, LoadErrorsNameTheFile) {
              static_cast<std::streamsize>(truncated.size()));
   }
   try {
-    (void)pk::perfdmf::open_pkb(shortfile, Verify::kSchema);
+    (void)pk::perfdmf::open_pkb(shortfile);
     FAIL() << "truncated file opened";
   } catch (const pk::ParseError& e) {
     EXPECT_EQ(e.file(), shortfile.string());
