@@ -8,6 +8,13 @@ namespace perfknow {
 
 std::string read_file_bytes(const std::filesystem::path& path,
                             const std::string& what) {
+  std::string bytes;
+  read_file_bytes(path, bytes, what);
+  return bytes;
+}
+
+void read_file_bytes(const std::filesystem::path& path, std::string& bytes,
+                     const std::string& what) {
   std::error_code ec;
   if (std::filesystem::is_directory(path, ec)) {
     throw IoError(what + ": " + path.string());
@@ -16,11 +23,10 @@ std::string read_file_bytes(const std::filesystem::path& path,
   if (!is) throw IoError(what + ": " + path.string());
   const std::streamoff size = is.tellg();
   if (size < 0) throw IoError(what + ": " + path.string());
-  std::string bytes(static_cast<std::size_t>(size), '\0');
+  bytes.resize(static_cast<std::size_t>(size));
   is.seekg(0);
   is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (!is) throw IoError("read failed: " + path.string());
-  return bytes;
 }
 
 }  // namespace perfknow

@@ -13,4 +13,10 @@ namespace perfknow {
     const std::filesystem::path& path,
     const std::string& what = "cannot open for reading");
 
+/// read_file_bytes into `bytes`, reusing its capacity: a reader that
+/// reads many files into one buffer allocates only when a file is
+/// larger than every one before it.
+void read_file_bytes(const std::filesystem::path& path, std::string& bytes,
+                     const std::string& what = "cannot open for reading");
+
 }  // namespace perfknow

@@ -140,6 +140,84 @@ void ThreadPool::parallel_for(std::size_t n,
   }
 }
 
+void ThreadPool::ordered_for(std::size_t n, std::size_t window,
+                             const std::function<void(std::size_t)>& parse,
+                             const std::function<bool(std::size_t)>& apply) {
+  if (window <= 1 || workers_.empty() || tls_in_pool_task || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) {
+      parse(i);
+      if (!apply(i)) return;
+    }
+    return;
+  }
+
+  // Each index is parsed by whichever thread claims it first: a worker
+  // running its job, or the caller on reaching an index no worker has
+  // started. A job that finds its index claimed does nothing, so jobs
+  // still queued when the call ends never touch `parse`.
+  enum : int { kQueued, kRunning, kDone };
+  struct Slot {
+    std::atomic<int> state{kQueued};
+    std::exception_ptr error;
+  };
+  struct OrderedState {
+    explicit OrderedState(std::size_t count) : slots(count) {}
+    std::vector<Slot> slots;
+    const std::function<void(std::size_t)>* parse = nullptr;
+    std::mutex m;
+    std::condition_variable done_cv;
+
+    /// Parses index i, unless another thread claimed it first.
+    void run(std::size_t i) {
+      int queued = kQueued;
+      if (!slots[i].state.compare_exchange_strong(queued, kRunning)) return;
+      try {
+        (*parse)(i);
+      } catch (...) {
+        slots[i].error = std::current_exception();
+      }
+      {
+        std::lock_guard<std::mutex> lock(m);
+        slots[i].state.store(kDone);
+      }
+      done_cv.notify_all();
+    }
+    void wait(std::size_t i) {
+      std::unique_lock<std::mutex> lock(m);
+      done_cv.wait(lock, [&] { return slots[i].state.load() == kDone; });
+    }
+  };
+  auto state = std::make_shared<OrderedState>(n);
+  state->parse = &parse;
+  // On every way out, no index starts any more and the running ones
+  // finish, so `parse` and the caller's staging outlive every parse.
+  struct Settle {
+    OrderedState& s;
+    ~Settle() {
+      for (Slot& slot : s.slots) {
+        int queued = kQueued;
+        slot.state.compare_exchange_strong(queued, kDone);
+      }
+      for (std::size_t i = 0; i < s.slots.size(); ++i) s.wait(i);
+      // Parse errors are released here, so an error rethrown to the
+      // caller is never freed by a worker that drops the state last.
+      for (Slot& slot : s.slots) slot.error = nullptr;
+    }
+  } settle{*state};
+
+  const auto submit = [&](std::size_t i) {
+    enqueue([state, i] { state->run(i); });
+  };
+  for (std::size_t i = 0; i < std::min(window, n); ++i) submit(i);
+  for (std::size_t i = 0; i < n; ++i) {
+    state->run(i);
+    state->wait(i);
+    if (state->slots[i].error) std::rethrow_exception(state->slots[i].error);
+    if (!apply(i)) return;
+    if (i + window < n) submit(i + window);
+  }
+}
+
 ThreadPool& ThreadPool::shared() {
   static ThreadPool pool(default_thread_count());
   return pool;

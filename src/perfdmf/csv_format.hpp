@@ -17,6 +17,7 @@
 #include <iosfwd>
 #include <string_view>
 
+#include "common/thread_pool.hpp"
 #include "profile/profile.hpp"
 
 namespace perfknow::perfdmf {
@@ -29,7 +30,11 @@ void write_csv_long(const profile::Trial& trial, std::ostream& os);
 /// Parses a whole long-format CSV into a trial (named "csv_import";
 /// io::parse_trial renames it after the file). Throws ParseError on
 /// malformed rows; unknown columns are rejected so silent data loss is
-/// impossible. The format primitive behind io::parse_trial.
-[[nodiscard]] profile::Trial read_csv_long(std::string_view text);
+/// impossible. The format primitive behind io::parse_trial. Chunks of
+/// whole lines are split and parsed on `pool`; the caller adds their
+/// rows to the trial in file order, so the trial and the first error
+/// are those of reading the lines one by one.
+[[nodiscard]] profile::Trial read_csv_long(
+    std::string_view text, ThreadPool& pool = ThreadPool::shared());
 
 }  // namespace perfknow::perfdmf

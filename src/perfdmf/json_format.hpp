@@ -24,6 +24,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/thread_pool.hpp"
 #include "profile/profile.hpp"
 
 namespace perfknow::perfdmf {
@@ -38,7 +39,10 @@ void write_json(const profile::Trial& trial, std::ostream& os);
 /// a duplicated key resolves to its last occurrence. Throws ParseError
 /// ("JSON: ...") on malformed JSON, reporting any syntax error before
 /// any schema violation. The values stream into the trial's columns; no
-/// DOM of the document is built.
-[[nodiscard]] profile::Trial from_json(std::string_view text);
+/// DOM of the document is built. Data rows laid out as write_json writes
+/// them are read in chunks on `pool` and applied in document order, so
+/// the trial and the first error are those of reading them one by one.
+[[nodiscard]] profile::Trial from_json(
+    std::string_view text, ThreadPool& pool = ThreadPool::shared());
 
 }  // namespace perfknow::perfdmf

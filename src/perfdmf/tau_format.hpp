@@ -20,6 +20,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/thread_pool.hpp"
 #include "profile/profile.hpp"
 
 namespace perfknow::perfdmf {
@@ -30,9 +31,13 @@ namespace perfknow::perfdmf {
 /// TAU-specific error behaviour. The metric
 /// name is taken from the "templated_functions_MULTI_<METRIC>" header
 /// (plain "templated_functions" maps to TIME). Throws IoError when no
-/// profile files are present; ParseError on malformed contents.
+/// profile files are present; ParseError on malformed contents. Files
+/// are read and parsed on `pool`, a few ahead of the caller, which adds
+/// them to the trial in file order, so the trial and the first error
+/// are those of reading the files one by one.
 [[nodiscard]] profile::Trial read_tau_profiles(
-    const std::filesystem::path& dir);
+    const std::filesystem::path& dir,
+    ThreadPool& pool = ThreadPool::shared());
 
 /// Parses a single TAU profile (the contents of one "profile.N.C.T"
 /// file) into a one-thread Trial named `name`. This is the same parser

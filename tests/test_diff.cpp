@@ -388,6 +388,38 @@ TEST(RegressionRules, PlantedRegressionDiagnosesWithBothTrialsNamed) {
   EXPECT_TRUE(regression);
 }
 
+// An event that got faster is no regression, even where a sibling that
+// sped up more lifts it above 1 normalized: a 0.79x raw ratio reads
+// 1.26x against the 0.63x geometric mean here. A 1.8x raw slowdown is
+// still one.
+TEST(RegressionRules, AFasterEventIsNoRegressionWhateverItsNormalizedRatio) {
+  const auto base = make_versioned("v1", {{"a", 100}, {"b", 1000}});
+  const auto faster = make_versioned("v2", {{"a", 79}, {"b", 500}});
+  const auto harness = diagnose(*base, *faster);
+  bool normalized_above_one = false;
+  for (const auto id : harness->memory().ids_of_type("MetricDeltaFact")) {
+    const auto f = harness->memory().find(id);
+    if (f.text("eventName") != "a") continue;
+    EXPECT_EQ(f.text("direction"), "regressed");
+    EXPECT_DOUBLE_EQ(f.number("ratio"), 0.79);
+    normalized_above_one = f.number("normalizedRatio") > 1.25;
+  }
+  EXPECT_TRUE(normalized_above_one);
+  for (const auto& d : harness->diagnoses()) {
+    EXPECT_NE(d.problem, "MetricRegression") << d.to_string();
+    EXPECT_FALSE(pk::analysis::regression_problem(d.problem))
+        << d.to_string();
+  }
+
+  const auto slower = make_versioned("v3", {{"a", 180}, {"b", 1000}});
+  const auto slowed = diagnose(*base, *slower);
+  bool flagged = false;
+  for (const auto& d : slowed->diagnoses()) {
+    if (d.problem == "MetricRegression" && d.event == "a") flagged = true;
+  }
+  EXPECT_TRUE(flagged);
+}
+
 TEST(RegressionRules, DisappearedBenchmarkIsAGateFailure) {
   const auto base = make_versioned("v1", {{"a", 100}, {"b", 100}});
   const auto current = make_versioned("v2", {{"a", 100}});

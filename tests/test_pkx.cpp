@@ -205,6 +205,36 @@ TEST(PkxDiff, IdenticalVersionsPassAndPlantedRegressionFails) {
   EXPECT_NE(from.out.find("explanations"), std::string::npos);
 }
 
+// `pkx diff` passes a version in which every benchmark got faster, even
+// one that reads 1.26x normalized because its sibling sped up more, and
+// still fails a 1.8x raw slowdown.
+TEST(PkxDiff, AFasterBenchmarkIsNoRegression) {
+  TempDir repo;
+  TempDir scratch;
+  const auto put = [&](const char* version,
+                       const std::vector<std::pair<std::string, double>>& b) {
+    const auto file = write_bench_json(
+        scratch.path() / (std::string(version) + ".json"), b);
+    ASSERT_EQ(pkx({repo.path().string(), "bench2pkb", "perfknow", "bench",
+                   version, file.string()})
+                  .code,
+              0);
+  };
+  put("v1", {{"BM_A", 100.0}, {"BM_B", 1000.0}});
+  put("v2", {{"BM_A", 79.0}, {"BM_B", 500.0}});
+  put("v3", {{"BM_A", 180.0}, {"BM_B", 1000.0}});
+  const auto faster =
+      pkx({repo.path().string(), "diff", "perfknow", "bench", "v1", "v2"});
+  EXPECT_EQ(faster.code, 0) << faster.out;
+  EXPECT_EQ(faster.out.find("MetricRegression"), std::string::npos)
+      << faster.out;
+  const auto slower =
+      pkx({repo.path().string(), "diff", "perfknow", "bench", "v1", "v3"});
+  EXPECT_EQ(slower.code, 3) << slower.out;
+  EXPECT_NE(slower.out.find("MetricRegression"), std::string::npos);
+  EXPECT_NE(slower.out.find("BM_A"), std::string::npos);
+}
+
 TEST(PkxDiff, MetricAndBandFlagsNarrowTheComparison) {
   TempDir repo;
   TempDir scratch;

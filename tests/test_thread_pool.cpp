@@ -1,9 +1,13 @@
-// Tests for the common::ThreadPool parallel_for primitive.
+// Tests for the common::ThreadPool parallel_for and ordered_for
+// primitives.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/operations.hpp"
@@ -108,6 +112,122 @@ TEST(ThreadPool, SharedPoolExists) {
   std::atomic<int> n{0};
   pool.parallel_for(32, [&](std::size_t) { ++n; });
   EXPECT_EQ(n.load(), 32);
+}
+
+// ordered_for applies every index once, in order, on the caller, and
+// never lets a parse run more than `window` indices ahead of the applies,
+// with or without workers.
+TEST(ThreadPool, OrderedForAppliesInOrderWithinTheWindow) {
+  for (const std::size_t workers : {0u, 1u, 3u}) {
+    for (const std::size_t window : {1u, 2u, 4u}) {
+      pk::ThreadPool pool(workers);
+      constexpr std::size_t n = 200;
+      std::vector<std::size_t> staged(window);
+      std::vector<std::size_t> applied;
+      std::atomic<std::size_t> applied_count{0};
+      std::atomic<std::size_t> too_far{0};
+      const auto caller = std::this_thread::get_id();
+      bool off_caller = false;
+      pool.ordered_for(
+          n, window,
+          [&](std::size_t i) {
+            if (i >= applied_count.load() + window) too_far.fetch_add(1);
+            staged[i % window] = i * 3;
+          },
+          [&](std::size_t i) {
+            off_caller |= std::this_thread::get_id() != caller;
+            applied.push_back(staged[i % window] / 3);
+            applied_count.store(i + 1);
+            return true;
+          });
+      std::vector<std::size_t> want(n);
+      std::iota(want.begin(), want.end(), 0u);
+      EXPECT_EQ(applied, want) << workers << " workers, window " << window;
+      EXPECT_EQ(too_far.load(), 0u) << workers << " workers, window "
+                                    << window;
+      EXPECT_FALSE(off_caller);
+    }
+  }
+}
+
+// The first failure in index order wins: a parse error is rethrown in
+// place of its apply, after every earlier apply ran, and an apply error
+// ends the loop before a later parse error is seen. No parse still runs
+// once the call has thrown.
+TEST(ThreadPool, OrderedForThrowsTheFirstFailureInIndexOrder) {
+  pk::ThreadPool pool(3);
+  for (const std::size_t bad : {0u, 1u, 5u, 6u, 49u}) {
+    std::size_t applied = 0;
+    std::atomic<int> running{0};
+    try {
+      pool.ordered_for(
+          50, 4,
+          [&](std::size_t i) {
+            running.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+            running.fetch_sub(1);
+            if (i == bad || i == bad + 2) {
+              throw std::runtime_error("parse " + std::to_string(i));
+            }
+          },
+          [&](std::size_t) {
+            ++applied;
+            return true;
+          });
+      ADD_FAILURE() << "no error for " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "parse " + std::to_string(bad));
+    }
+    EXPECT_EQ(applied, bad);
+    EXPECT_EQ(running.load(), 0);
+  }
+  try {
+    pool.ordered_for(
+        50, 4,
+        [&](std::size_t i) {
+          if (i == 9) throw std::runtime_error("parse 9");
+        },
+        [&](std::size_t i) {
+          if (i == 7) throw std::runtime_error("apply 7");
+          return true;
+        });
+    ADD_FAILURE() << "no error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "apply 7");
+  }
+}
+
+// An apply that returns false ends the loop: nothing later is applied,
+// and at most a window's worth of later indices was ever parsed.
+TEST(ThreadPool, OrderedForStopsWhenApplyReturnsFalse) {
+  pk::ThreadPool pool(3);
+  std::atomic<std::size_t> parsed{0};
+  std::vector<std::size_t> applied;
+  pool.ordered_for(
+      1000, 4, [&](std::size_t) { parsed.fetch_add(1); },
+      [&](std::size_t i) {
+        applied.push_back(i);
+        return i < 10;
+      });
+  EXPECT_EQ(applied.size(), 11u);
+  EXPECT_EQ(applied.back(), 10u);
+  EXPECT_LE(parsed.load(), 11u + 4u);
+}
+
+// Inside a pool task, ordered_for runs inline rather than waiting on
+// the queue its own thread drains.
+TEST(ThreadPool, NestedOrderedForDoesNotDeadlock) {
+  pk::ThreadPool pool(2);
+  std::atomic<std::size_t> total{0};
+  pool.parallel_for(8, [&](std::size_t) {
+    pool.ordered_for(
+        16, 3, [&](std::size_t) {},
+        [&](std::size_t i) {
+          total.fetch_add(i);
+          return true;
+        });
+  });
+  EXPECT_EQ(total.load(), 8u * 120u);
 }
 
 TEST(ThreadPool, ParallelAnalysisBitIdenticalToSerial) {
