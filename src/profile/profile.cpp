@@ -146,7 +146,12 @@ EventId Trial::event_id(std::string_view name) const {
 }
 
 std::vector<EventId> Trial::children_of(EventId e) const {
+  // Counted so tests can check that callers do not run this scan once
+  // per event.
+  static telemetry::Counter& scanned =
+      telemetry::counter("profile.children_of.scanned");
   check_event(e);
+  scanned.add(events_.size());
   std::vector<EventId> out;
   for (EventId c = 0; c < events_.size(); ++c) {
     if (events_[c].parent == e) out.push_back(c);
