@@ -19,7 +19,9 @@
 // and BM_Crc32/16MiB the raw checksum rate. BM_OpenText/{json,csv,tau}
 // open one text profile of perfbench's ingest top-rung shape (2800
 // events x 64 threads, one metric, full-precision values) through
-// io::open_trial, one reader each.
+// io::open_trial, one reader each; BM_SaveText/{json,csv,tau,pkprof}
+// write that trial in each text format (io::save_trial, and
+// write_tau_profiles for the TAU directory).
 //
 // Run with --benchmark_format=json --benchmark_out=... for the CI
 // artifact.
@@ -108,6 +110,7 @@ struct Fixture {
   fs::path ladder_json;
   fs::path ladder_csv;
   fs::path ladder_tau;
+  Trial ladder = make_ladder();
 
   Fixture() {
     dir = fs::temp_directory_path() /
@@ -118,7 +121,6 @@ struct Fixture {
     pkb_file = dir / "cube.pkb";
     pk::io::save_trial(cube, text_file);
     pk::io::save_trial(cube, pkb_file);
-    const Trial ladder = make_ladder();
     ladder_json = dir / "ladder.json";
     ladder_csv = dir / "ladder.csv";
     ladder_tau = dir / "ladder";
@@ -235,6 +237,19 @@ void BM_OpenText(benchmark::State& state, const char* format) {
   state.counters["cells"] = 2800.0 * 64.0;
 }
 
+void BM_SaveText(benchmark::State& state, const char* format) {
+  const auto& f = Fixture::get();
+  const fs::path out = f.dir / (std::string("saved.") + format);
+  for (auto _ : state) {
+    if (std::string(format) == "tau") {
+      pk::perfdmf::write_tau_profiles(f.ladder, "TIME", out);
+    } else {
+      pk::io::save_trial(f.ladder, out);
+    }
+  }
+  state.counters["cells"] = 2800.0 * 64.0;
+}
+
 void BM_BulkIngest(benchmark::State& state) {
   const auto& f = Fixture::get();
   pk::ThreadPool pool(static_cast<std::size_t>(state.range(0)) - 1);
@@ -256,6 +271,11 @@ BENCHMARK(BM_RepoGetWarm)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_OpenText, json, "json")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_OpenText, csv, "csv")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_OpenText, tau, "tau")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SaveText, json, "json")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SaveText, csv, "csv")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SaveText, tau, "tau")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SaveText, pkprof, "pkprof")
+    ->Unit(benchmark::kMillisecond);
 // range(0) is total threads doing the ingest: the caller alone, or the
 // caller plus seven pool workers.
 BENCHMARK(BM_BulkIngest)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);

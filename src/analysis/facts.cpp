@@ -113,6 +113,8 @@ std::size_t assert_compare_to_average_facts(rules::RuleHarness& harness,
 std::size_t assert_load_balance_facts(rules::RuleHarness& harness,
                                       const profile::Trial& trial,
                                       const std::string& metric) {
+  static const telemetry::SpanSite site("analysis.load_balance");
+  telemetry::ScopedSpan span(site);
   const rules::ProvenanceSource src(
       harness,
       "assert_load_balance_facts(trial='" + trial.name() + "', metric='" +
@@ -184,6 +186,8 @@ std::size_t assert_load_balance_facts(rules::RuleHarness& harness,
 
 std::size_t assert_stall_facts(rules::RuleHarness& harness,
                                const profile::Trial& trial) {
+  static const telemetry::SpanSite site("analysis.stall");
+  telemetry::ScopedSpan span(site);
   const rules::ProvenanceSource src(
       harness, "assert_stall_facts(trial='" + trial.name() + "')",
       chains_if_full(harness, trial,
@@ -216,6 +220,8 @@ std::size_t assert_stall_facts(rules::RuleHarness& harness,
 
 std::size_t assert_memory_locality_facts(rules::RuleHarness& harness,
                                          const profile::Trial& trial) {
+  static const telemetry::SpanSite site("analysis.locality");
+  telemetry::ScopedSpan span(site);
   const rules::ProvenanceSource src(
       harness, "assert_memory_locality_facts(trial='" + trial.name() + "')",
       chains_if_full(harness, trial,

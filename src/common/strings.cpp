@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <ostream>
 
 #include "common/error.hpp"
 #include "telemetry/telemetry.hpp"
@@ -96,6 +97,19 @@ std::string format_double(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);
   return buf;
+}
+
+void append_g17(std::string& out, double v) {
+  char buf[32];  // "-1.2345678901234567e-308" is the longest, 24 bytes
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                std::chars_format::general, 17)
+                      .ptr);
+}
+
+void write_block(std::ostream& os, std::string& text, bool last) {
+  if (text.size() < kWriteBlockBytes && !last) return;
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
+  text.clear();
 }
 
 double parse_double(std::string_view s) {

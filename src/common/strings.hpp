@@ -2,6 +2,10 @@
 // profile snapshot formats) and the report printers.
 #pragma once
 
+#include <charconv>
+#include <concepts>
+#include <cstddef>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,6 +49,32 @@ bool next_line(std::string_view text, std::size_t& pos,
 
 /// Fixed-precision formatting without iostream state leakage.
 [[nodiscard]] std::string format_double(double v, int precision = 4);
+
+/// Appends `v` exactly as printf's "%.17g" spells it in the "C" locale
+/// (`std::to_chars`, general format, 17 significant digits), so every
+/// finite value reads back to the same bits; NaN and the infinities
+/// come out as "nan", "-nan", "inf" and "-inf". No locale is consulted.
+/// Every profile text writer spells its values through this one
+/// function.
+void append_g17(std::string& out, double v);
+
+/// Appends `v` in plain decimal: no locale, no digit grouping.
+template <std::integral T>
+void append_int(std::string& out, T v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// How much text the profile writers build before handing it to their
+/// stream.
+inline constexpr std::size_t kWriteBlockBytes = std::size_t{1} << 20;
+
+/// Writes `text` to `os` and clears it once it holds kWriteBlockBytes,
+/// or whatever it holds when `last`. The profile writers build rows in
+/// one reused string and call this after each row, so the stream sees
+/// only block writes: neither its locale nor its format state reaches
+/// the bytes.
+void write_block(std::ostream& os, std::string& text, bool last = false);
 
 /// Parses a double; throws ParseError with the value echoed on failure.
 [[nodiscard]] double parse_double(std::string_view s);

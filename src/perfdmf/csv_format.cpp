@@ -31,10 +31,10 @@ std::string csv_quote(const std::string& s) {
 
 /// Splits one CSV line honoring RFC-4180 quoting into `fields`: views
 /// of `line`, or of `scratch` when the line has quotes or carriage
-/// returns to take out.
+/// returns to take out. `ends` is working space for the latter.
 void csv_split(std::string_view line, int lineno,
-               std::vector<std::string_view>& fields,
-               std::string& scratch) {
+               std::vector<std::string_view>& fields, std::string& scratch,
+               std::vector<std::size_t>& ends) {
   fields.clear();
   if (line.find('"') == std::string_view::npos &&
       line.find('\r') == std::string_view::npos) {
@@ -50,7 +50,7 @@ void csv_split(std::string_view line, int lineno,
   // Unescape into scratch, recording where each field ends; the views
   // are taken once scratch has stopped growing.
   scratch.clear();
-  std::vector<std::size_t> ends;
+  ends.clear();
   bool quoted = false;
   for (std::size_t i = 0; i < line.size(); ++i) {
     const char c = line[i];
@@ -104,8 +104,8 @@ struct CsvRow {
 /// the checks that come before the trial's.
 void split_row(std::string_view line, int lineno,
                std::vector<std::string_view>& f, std::string& scratch,
-               CsvRow& row) {
-  csv_split(line, lineno, f, scratch);
+               std::vector<std::size_t>& ends, CsvRow& row) {
+  csv_split(line, lineno, f, scratch, ends);
   if (f.size() != 7) {
     throw ParseError("CSV row: expected 7 fields, got " +
                          std::to_string(f.size()),
@@ -146,7 +146,7 @@ class RowReader {
   /// split, then the trial's shape, then the numbers.
   void read(std::string_view line, int lineno) {
     CsvRow row;
-    split_row(line, lineno, f_, scratch_, row);
+    split_row(line, lineno, f_, scratch_, ends_, row);
     resolve(row, lineno);
     read_numbers(f_, row);
     store(row);
@@ -209,6 +209,7 @@ class RowReader {
   profile::MetricId metric_ = kNoMetric;
   std::vector<std::string_view> f_;
   std::string scratch_;
+  std::vector<std::size_t> ends_;
 };
 
 /// The rows of one chunk of whole lines, split and read on the pool.
@@ -224,6 +225,10 @@ struct CsvChunk {
   int lines = 0;
   int failed_line = 0;  ///< within the chunk; 0 when every row was read
   std::string_view failed;
+  // split_row's working space, kept from one chunk to the next.
+  std::vector<std::string_view> f;
+  std::string scratch;
+  std::vector<std::size_t> ends;
 
   void parse(std::string_view text, std::size_t begin, std::size_t end) {
     static telemetry::Counter& scanned = telemetry::counter("text.scanned");
@@ -232,8 +237,6 @@ struct CsvChunk {
     moved.clear();
     lines = 0;
     failed_line = 0;
-    std::vector<std::string_view> f;
-    std::string scratch;
     // The lines strings::next_line yields: the last may lack its '\n'.
     std::size_t pos = begin;
     while (pos < end) {
@@ -246,7 +249,7 @@ struct CsvChunk {
       CsvRow& row = rows.emplace_back();
       row.line = lines;
       try {
-        split_row(line, lines, f, scratch, row);
+        split_row(line, lines, f, scratch, ends, row);
         read_numbers(f, row);
       } catch (const ParseError&) {
         rows.pop_back();
@@ -275,20 +278,36 @@ struct CsvChunk {
 }  // namespace
 
 void write_csv_long(const profile::Trial& trial, std::ostream& os) {
-  os << kHeader << '\n';
-  os.precision(17);
+  std::vector<std::string> metrics;
+  for (profile::MetricId m = 0; m < trial.metric_count(); ++m) {
+    metrics.push_back(csv_quote(trial.metric(m).name));
+  }
+  std::string out(kHeader);
+  out += '\n';
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
     const std::string name = csv_quote(trial.event(e).name);
     for (std::size_t th = 0; th < trial.thread_count(); ++th) {
       const auto ci = trial.calls(th, e);
       for (profile::MetricId m = 0; m < trial.metric_count(); ++m) {
-        os << name << ',' << th << ',' << csv_quote(trial.metric(m).name)
-           << ',' << trial.inclusive(th, e, m) << ','
-           << trial.exclusive(th, e, m) << ',' << ci.calls << ','
-           << ci.subcalls << '\n';
+        out += name;
+        out += ',';
+        strings::append_int(out, th);
+        out += ',';
+        out += metrics[m];
+        out += ',';
+        strings::append_g17(out, trial.inclusive(th, e, m));
+        out += ',';
+        strings::append_g17(out, trial.exclusive(th, e, m));
+        out += ',';
+        strings::append_g17(out, ci.calls);
+        out += ',';
+        strings::append_g17(out, ci.subcalls);
+        out += '\n';
       }
+      strings::write_block(os, out);
     }
   }
+  strings::write_block(os, out, /*last=*/true);
 }
 
 profile::Trial read_csv_long(std::string_view text, ThreadPool& pool) {

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <initializer_list>
 #include <iterator>
@@ -17,6 +16,7 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/strings.hpp"
 #include "perfdmf/limits.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -28,14 +28,12 @@ namespace {
 // Writer
 // ---------------------------------------------------------------------
 
-void write_number(std::ostream& os, double v) {
+void append_number(std::string& out, double v) {
   if (std::floor(v) == v && std::abs(v) < 1e15) {
-    if (v == 0.0 && std::signbit(v)) os << '-';  // -0.0 reads back as -0.0
-    os << static_cast<long long>(v);
+    if (v == 0.0 && std::signbit(v)) out += '-';  // -0.0 reads back as -0.0
+    strings::append_int(out, static_cast<long long>(v));
   } else {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    os << buf;
+    strings::append_g17(out, v);
   }
 }
 
@@ -61,35 +59,46 @@ bool positive_zero(double v) { return std::bit_cast<std::uint64_t>(v) == 0; }
 }  // namespace
 
 void write_json(const profile::Trial& trial, std::ostream& os) {
-  os << "{\n  \"name\": ";
-  os << json::quote(trial.name());
-  os << ",\n  \"threads\": " << trial.thread_count();
-  os << ",\n  \"metadata\": {";
+  std::string out = "{\n  \"name\": ";
+  out += json::quote(trial.name());
+  out += ",\n  \"threads\": ";
+  strings::append_int(out, trial.thread_count());
+  out += ",\n  \"metadata\": {";
   bool first = true;
   for (const auto& [k, v] : trial.all_metadata()) {
-    if (!first) os << ", ";
+    if (!first) out += ", ";
     first = false;
-    os << json::quote(k) << ": " << json::quote(v);
+    out += json::quote(k);
+    out += ": ";
+    out += json::quote(v);
   }
-  os << "},\n  \"metrics\": [";
+  out += "},\n  \"metrics\": [";
   for (profile::MetricId m = 0; m < trial.metric_count(); ++m) {
-    if (m != 0) os << ", ";
+    if (m != 0) out += ", ";
     const auto& metric = trial.metric(m);
-    os << "{\"name\": " << json::quote(metric.name)
-       << ", \"units\": " << json::quote(metric.units)
-       << ", \"derived\": " << (metric.derived ? "true" : "false") << "}";
+    out += "{\"name\": ";
+    out += json::quote(metric.name);
+    out += ", \"units\": ";
+    out += json::quote(metric.units);
+    out += ", \"derived\": ";
+    out += metric.derived ? "true}" : "false}";
   }
-  os << "],\n  \"events\": [";
+  out += "],\n  \"events\": [";
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
-    if (e != 0) os << ", ";
+    if (e != 0) out += ", ";
     const auto& ev = trial.event(e);
-    os << "{\"name\": " << json::quote(ev.name) << ", \"parent\": "
-       << (ev.parent == profile::kNoEvent
-               ? -1
-               : static_cast<long long>(ev.parent));
-    os << ", \"group\": " << json::quote(ev.group) << "}";
+    out += "{\"name\": ";
+    out += json::quote(ev.name);
+    out += ", \"parent\": ";
+    strings::append_int(out, ev.parent == profile::kNoEvent
+                                 ? -1
+                                 : static_cast<long long>(ev.parent));
+    out += ", \"group\": ";
+    out += json::quote(ev.group);
+    out += '}';
+    strings::write_block(os, out);
   }
-  os << "],\n  \"data\": [";
+  out += "],\n  \"data\": [";
   bool first_row = true;
   for (std::size_t th = 0; th < trial.thread_count(); ++th) {
     for (profile::EventId e = 0; e < trial.event_count(); ++e) {
@@ -106,29 +115,34 @@ void write_json(const profile::Trial& trial, std::ostream& os) {
         if (!std::isfinite(v)) {
           refuse_non_finite(trial, th, e, metric, field, v);
         }
-        write_number(os, v);
+        append_number(out, v);
       };
-      if (!first_row) os << ",";
+      if (!first_row) out += ',';
       first_row = false;
-      os << "\n    {\"thread\": " << th << ", \"event\": " << e
-         << ", \"calls\": ";
+      out += "\n    {\"thread\": ";
+      strings::append_int(out, th);
+      out += ", \"event\": ";
+      strings::append_int(out, e);
+      out += ", \"calls\": ";
       cell(ci.calls, {}, "calls");
-      os << ", \"subcalls\": ";
+      out += ", \"subcalls\": ";
       cell(ci.subcalls, {}, "subcalls");
-      os << ", \"values\": [";
+      out += ", \"values\": [";
       for (profile::MetricId m = 0; m < trial.metric_count(); ++m) {
         const std::string& metric = trial.metric(m).name;
-        if (m != 0) os << ", ";
-        os << "[";
+        if (m != 0) out += ", ";
+        out += '[';
         cell(trial.inclusive(th, e, m), metric, "inclusive");
-        os << ", ";
+        out += ", ";
         cell(trial.exclusive(th, e, m), metric, "exclusive");
-        os << "]";
+        out += ']';
       }
-      os << "]}";
+      out += "]}";
+      strings::write_block(os, out);
     }
   }
-  os << "\n  ]\n}\n";
+  out += "\n  ]\n}\n";
+  strings::write_block(os, out, /*last=*/true);
 }
 
 std::string to_json(const profile::Trial& trial) {

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <ostream>
@@ -14,6 +13,7 @@
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/file.hpp"
+#include "common/strings.hpp"
 #include "perfdmf/limits.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -672,12 +672,6 @@ std::shared_ptr<const std::string_view> map_file(
       read_file_bytes(file, "cannot open PKB snapshot")));
 }
 
-std::string format_value(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 /// Checks the COLS payload against its checksum and, when the image has
 /// a SUMM section, every summary value against the one the columns give.
 /// `trial` holds the image's schema and its cells (borrowed, or decoded
@@ -687,6 +681,8 @@ std::string format_value(double v) {
 /// disagreeing summary.
 void check_columns(const profile::Trial& trial, std::string_view bytes,
                    const PkbLayout& layout) {
+  static const telemetry::SpanSite site("perfdmf.verify_columns");
+  telemetry::ScopedSpan span(site);
   columns_checked().add();
   Cursor cur{bytes, layout.cols_offset - 16};
   const Section cols = read_section(cur, /*verify_crc=*/false);
@@ -720,14 +716,17 @@ void check_columns(const profile::Trial& trial, std::string_view bytes,
     cur.pos = at;
     const std::size_t column = i / (events * kSummaryFields);
     const std::size_t event = i / kSummaryFields % events;
-    cur.fail("summary disagrees with the value columns: " +
-             std::string(column % 2 == 0 ? "inclusive " : "exclusive ") +
-             trial.metric(static_cast<profile::MetricId>(column / 2)).name +
-             " of event '" +
-             trial.event(static_cast<profile::EventId>(event)).name +
-             "' has " + kSummaryFieldNames[i % kSummaryFields] + " " +
-             format_value(got) + ", the columns give " +
-             format_value(want[i]));
+    std::string what =
+        "summary disagrees with the value columns: " +
+        std::string(column % 2 == 0 ? "inclusive " : "exclusive ") +
+        trial.metric(static_cast<profile::MetricId>(column / 2)).name +
+        " of event '" +
+        trial.event(static_cast<profile::EventId>(event)).name + "' has " +
+        kSummaryFieldNames[i % kSummaryFields] + " ";
+    strings::append_g17(what, got);
+    what += ", the columns give ";
+    strings::append_g17(what, want[i]);
+    cur.fail(what);
   }
 }
 

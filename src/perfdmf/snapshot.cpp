@@ -1,8 +1,7 @@
 #include "perfdmf/snapshot.hpp"
 
-#include <fstream>
+#include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -49,38 +48,63 @@ std::string unescape(std::string_view s) {
 }  // namespace
 
 void write_snapshot(const profile::Trial& trial, std::ostream& os) {
-  os << "PKPROF\t1\n";
-  os << "trial\t" << escape(trial.name()) << '\n';
+  std::string out = "PKPROF\t1\ntrial\t";
+  out += escape(trial.name());
+  out += '\n';
   for (const auto& [k, v] : trial.all_metadata()) {
-    os << "meta\t" << escape(k) << '\t' << escape(v) << '\n';
+    out += "meta\t";
+    out += escape(k);
+    out += '\t';
+    out += escape(v);
+    out += '\n';
   }
-  os << "threads\t" << trial.thread_count() << '\n';
+  out += "threads\t";
+  strings::append_int(out, trial.thread_count());
+  out += '\n';
   for (profile::MetricId m = 0; m < trial.metric_count(); ++m) {
     const auto& metric = trial.metric(m);
-    os << "metric\t" << escape(metric.name) << '\t' << escape(metric.units)
-       << '\t' << (metric.derived ? 1 : 0) << '\n';
+    out += "metric\t";
+    out += escape(metric.name);
+    out += '\t';
+    out += escape(metric.units);
+    out += metric.derived ? "\t1\n" : "\t0\n";
   }
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
     const auto& ev = trial.event(e);
-    const long long parent =
-        ev.parent == profile::kNoEvent ? -1 : static_cast<long long>(ev.parent);
-    os << "event\t" << parent << '\t' << escape(ev.group) << '\t'
-       << escape(ev.name) << '\n';
+    out += "event\t";
+    strings::append_int(out, ev.parent == profile::kNoEvent
+                                 ? -1
+                                 : static_cast<long long>(ev.parent));
+    out += '\t';
+    out += escape(ev.group);
+    out += '\t';
+    out += escape(ev.name);
+    out += '\n';
+    strings::write_block(os, out);
   }
-  os.precision(17);
   for (std::size_t t = 0; t < trial.thread_count(); ++t) {
     for (profile::EventId e = 0; e < trial.event_count(); ++e) {
       const auto ci = trial.calls(t, e);
-      os << "d\t" << t << '\t' << e << '\t' << ci.calls << '\t'
-         << ci.subcalls;
+      out += "d\t";
+      strings::append_int(out, t);
+      out += '\t';
+      strings::append_int(out, e);
+      out += '\t';
+      strings::append_g17(out, ci.calls);
+      out += '\t';
+      strings::append_g17(out, ci.subcalls);
       for (profile::MetricId m = 0; m < trial.metric_count(); ++m) {
-        os << '\t' << trial.inclusive(t, e, m) << '\t'
-           << trial.exclusive(t, e, m);
+        out += '\t';
+        strings::append_g17(out, trial.inclusive(t, e, m));
+        out += '\t';
+        strings::append_g17(out, trial.exclusive(t, e, m));
       }
-      os << '\n';
+      out += '\n';
+      strings::write_block(os, out);
     }
   }
-  os << "end\n";
+  out += "end\n";
+  strings::write_block(os, out, /*last=*/true);
 }
 
 profile::Trial read_snapshot(std::istream& is) {
@@ -157,26 +181,29 @@ profile::Trial read_snapshot(std::istream& is) {
 
 std::string to_csv(const profile::Trial& trial, const std::string& metric) {
   const auto m = trial.metric_id(metric);
-  std::ostringstream os;
-  os << "event";
+  std::string out = "event";
   for (std::size_t t = 0; t < trial.thread_count(); ++t) {
-    os << ",thread" << t;
+    out += ",thread";
+    strings::append_int(out, t);
   }
-  os << '\n';
+  out += '\n';
   for (profile::EventId e = 0; e < trial.event_count(); ++e) {
-    std::string name = trial.event(e).name;
+    const std::string& name = trial.event(e).name;
     // Quote commas out of event names ("a, b" is legal in callpaths).
     if (name.find(',') != std::string::npos) {
-      name = "\"" + name + "\"";
+      out += '"';
+      out += name;
+      out += '"';
+    } else {
+      out += name;
     }
-    os << name;
-    os.precision(17);
     for (std::size_t t = 0; t < trial.thread_count(); ++t) {
-      os << ',' << trial.exclusive(t, e, m);
+      out += ',';
+      strings::append_g17(out, trial.exclusive(t, e, m));
     }
-    os << '\n';
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace perfknow::perfdmf

@@ -11,6 +11,7 @@
 #include "common/file.hpp"
 #include "common/strings.hpp"
 #include "perfdmf/limits.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace perfknow::perfdmf {
 
@@ -326,27 +327,42 @@ profile::Trial read_tau_stream(std::string_view text,
 void write_tau_profiles(const profile::Trial& trial,
                         const std::string& metric,
                         const std::filesystem::path& dir) {
+  static const telemetry::SpanSite site("io.write.tau");
+  telemetry::ScopedSpan span(site);
   const auto m = trial.metric_id(metric);
   std::filesystem::create_directories(dir);
+  std::string out;
   for (std::size_t t = 0; t < trial.thread_count(); ++t) {
     const auto path = dir / ("profile." + std::to_string(t) + ".0.0");
     std::ofstream os(path);
     if (!os) {
       throw IoError("cannot write TAU profile: " + path.string());
     }
-    os << trial.event_count() << " templated_functions_MULTI_" << metric
-       << '\n';
-    os << "# Name Calls Subrs Excl Incl ProfileCalls\n";
-    os.precision(17);
+    strings::append_int(out, trial.event_count());
+    out += " templated_functions_MULTI_";
+    out += metric;
+    out += "\n# Name Calls Subrs Excl Incl ProfileCalls\n";
     for (profile::EventId e = 0; e < trial.event_count(); ++e) {
       const auto ci = trial.calls(t, e);
       const auto& ev = trial.event(e);
-      os << '"' << ev.name << "\" " << ci.calls << ' ' << ci.subcalls << ' '
-         << trial.exclusive(t, e, m) << ' ' << trial.inclusive(t, e, m)
-         << " 0 GROUP=\"" << (ev.group.empty() ? "TAU_DEFAULT" : ev.group)
-         << "\"\n";
+      out += '"';
+      out += ev.name;
+      out += "\" ";
+      strings::append_g17(out, ci.calls);
+      out += ' ';
+      strings::append_g17(out, ci.subcalls);
+      out += ' ';
+      strings::append_g17(out, trial.exclusive(t, e, m));
+      out += ' ';
+      strings::append_g17(out, trial.inclusive(t, e, m));
+      out += " 0 GROUP=\"";
+      out += ev.group.empty() ? std::string_view("TAU_DEFAULT")
+                              : std::string_view(ev.group);
+      out += "\"\n";
+      strings::write_block(os, out);
     }
-    os << "0 aggregates\n";
+    out += "0 aggregates\n";
+    strings::write_block(os, out, /*last=*/true);
     if (!os) {
       throw IoError("write failed: " + path.string());
     }

@@ -12,9 +12,11 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/pipeline.hpp"
 #include "common/error.hpp"
 #include "io/format.hpp"
 #include "perfdmf/repository.hpp"
+#include "perfdmf/tau_format.hpp"
 #include "profile/profile.hpp"
 #include "rules/parser.hpp"
 #include "rules/rulebases.hpp"
@@ -114,6 +116,50 @@ TEST(Telemetry, SpansNestAndExclusiveTimePartitions) {
   EXPECT_EQ(outer[0].exclusive_ns,
             outer[0].duration_ns - inner[0].duration_ns);
   EXPECT_GE(outer[0].duration_ns, inner[0].duration_ns);
+}
+
+// The stages of an analysis that used to fall in no span: the COLS
+// check of a verified read, the three asserters of the analyze
+// pipeline, and the TAU writer, which no io::save_trial wraps.
+TEST(Telemetry, AnalysisStagesAndTheTauWriterHaveSpans) {
+  TempDir dir;
+  auto t = std::make_shared<pk::profile::Trial>("staged");
+  t->set_thread_count(2);
+  for (const char* metric :
+       {"TIME", "BACK_END_BUBBLE_ALL", "CPU_CYCLES", "L1D_STALL_CYCLES",
+        "FP_STALL_CYCLES", "L3_MISSES", "REMOTE_MEMORY_ACCESSES",
+        "LOCAL_MEMORY_ACCESSES"}) {
+    t->add_metric(metric);
+  }
+  const auto main = t->add_event("main");
+  t->add_event("main => loop", main);
+  for (std::size_t th = 0; th < 2; ++th) {
+    for (pk::profile::MetricId m = 0; m < t->metric_count(); ++m) {
+      t->set_inclusive(th, main, m, 10.0 + th + m);
+      t->set_exclusive(th, main, m, 4.0 + th);
+      t->set_inclusive(th, main + 1, m, 6.0 + m);
+      t->set_exclusive(th, main + 1, m, 6.0 - th);
+    }
+  }
+  {
+    pk::perfdmf::Repository repo;
+    repo.put("app", "exp", t);
+    repo.save(dir.path() / "repo");
+  }
+  const auto repo = pk::perfdmf::Repository::attach(dir.path() / "repo");
+
+  fresh_start(true);
+  pk::rules::RuleHarness harness;
+  (void)pk::analysis::run_analysis(repo, {"app", "exp", "staged"}, {},
+                                   harness);
+  pk::perfdmf::write_tau_profiles(*t, "TIME", dir.path() / "tau");
+  tel::set_enabled(false);
+  const auto snap = tel::snapshot();
+  for (const char* name :
+       {"perfdmf.verify_columns", "analysis.load_balance", "analysis.stall",
+        "analysis.locality", "io.write.tau"}) {
+    EXPECT_EQ(spans_named(snap, name).size(), 1u) << name;
+  }
 }
 
 TEST(Telemetry, CountersAndHistogramsAccumulate) {
