@@ -4,6 +4,7 @@
 // bench2pkb -> diff -> history dogfood loop the CI perf gate runs.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include "perfdmf/repository.hpp"
 #include "profile/profile.hpp"
 #include "provenance/explanation.hpp"
+#include "server/server.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tools/pkx_cli.hpp"
 
@@ -837,4 +839,176 @@ TEST(PkxLazyOpen, ImportRewritesOnlyTheImportedSnapshot) {
     EXPECT_EQ(fs::last_write_time(path), mtime) << path;
   }
   EXPECT_EQ(count_pkbs(repo.path()), 3u);
+}
+
+// Every usage and argument-error path of the CLI, pinned byte for byte
+// (stdout, stderr and exit code) in tests/golden/pkx_usage.txt. Args
+// name the scratch repository as <repo> and the live daemon's socket as
+// <sock>; outputs have the real paths mapped back to those names.
+// Regenerate with PERFKNOW_REGEN_GOLDEN=1 only for an intended change of
+// the command line.
+TEST(PkxGolden, UsageAndArgumentErrorsArePinned) {
+  TempDir dir;
+  pk::perfdmf::Repository().save(dir.path());
+  const auto bench =
+      write_bench_json(dir.path() / "bench.json", {{"BM_Parse", 120.0}});
+  pk::server::ServerOptions options;
+  options.socket_path = dir.path() / "pkx.sock";
+  options.workers = 1;
+  pk::server::Server server(options);
+
+  using Args = std::vector<std::string>;
+  const std::vector<Args> cases = {
+      // Top level.
+      {},
+      {"frobnicate"},
+      {"<repo>", "frobnicate"},
+      {"<repo>/absent", "list", "extra"},
+      {"<repo>/absent", "frobnicate"},
+      {"demo"},
+      {"demo", "a", "b"},
+      {"explain"},
+      {"explain", "--from"},
+      {"explain", "x.json"},
+      {"explain", "--from", "a", "b"},
+      {"explain", "--bogus", "x"},
+      // Repository subcommands: one positional too few and too many, an
+      // unknown flag and a dangling flag.
+      {"<repo>", "list", "extra"},
+      {"<repo>", "list", "--bogus"},
+      {"<repo>", "show", "a", "e"},
+      {"<repo>", "show", "a", "e", "t", "extra"},
+      {"<repo>", "show", "a", "e", "t", "--bogus"},
+      {"<repo>", "run"},
+      {"<repo>", "run", "s.ps", "extra"},
+      {"<repo>", "run", "s.ps", "--bogus"},
+      {"<repo>", "report", "a", "e"},
+      {"<repo>", "report", "a", "e", "t", "extra"},
+      {"<repo>", "report", "a", "e", "t", "--bogus"},
+      {"<repo>", "explain", "a", "e"},
+      {"<repo>", "explain", "a", "e", "t", "extra"},
+      {"<repo>", "explain", "a", "e", "t", "--bogus", "v"},
+      {"<repo>", "explain", "a", "e", "t", "--json"},
+      {"<repo>", "explain", "a", "e", "t", "--json", "f", "--dot"},
+      {"<repo>", "rules-profile", "a", "e"},
+      {"<repo>", "rules-profile", "a", "e", "t", "extra"},
+      {"<repo>", "rules-profile", "a", "e", "t", "--bogus", "v"},
+      {"<repo>", "rules-profile", "a", "e", "t", "--rules"},
+      {"<repo>", "rules-profile", "a", "e", "t", "--dot", "f", "--json"},
+      {"<repo>", "export-csv", "a", "e", "t"},
+      {"<repo>", "export-csv", "a", "e", "t", "m", "extra"},
+      {"<repo>", "export-csv", "a", "e", "t", "m", "--bogus"},
+      {"<repo>", "export-json", "a", "e", "t"},
+      {"<repo>", "export-json", "a", "e", "t", "f", "extra"},
+      {"<repo>", "export-json", "a", "e", "t", "f", "--bogus"},
+      {"<repo>", "import", "f", "a"},
+      {"<repo>", "import", "f", "a", "e", "extra"},
+      {"<repo>", "import", "f", "a", "e", "--bogus"},
+      {"<repo>", "import-csv", "f", "a"},
+      {"<repo>", "import-tau", "f", "a", "e", "extra"},
+      // A validation error names the usage of the word typed.
+      {"<repo>", "import", "<repo>/bench.json", "a\tb", "e"},
+      {"<repo>", "import-csv", "<repo>/bench.json", "a\tb", "e"},
+      {"<repo>", "diff", "a", "e", "b"},
+      {"<repo>", "diff", "a", "e", "b", "c", "extra"},
+      {"<repo>", "diff", "a", "e", "b", "c", "--bogus", "v"},
+      {"<repo>", "diff", "a", "e", "b", "c", "--json"},
+      {"<repo>", "diff", "a", "e", "b", "c", "--metric", "m", "--metric"},
+      {"<repo>", "diff", "a", "e", "b", "c", "--band", "0"},
+      {"<repo>", "diff", "a", "e", "b", "c", "--band", "-0.25"},
+      {"<repo>", "diff", "a", "e", "b", "c", "--band", "wide"},
+      {"<repo>", "diff", "a", "e", "b", "c", "--band", "inf"},
+      {"<repo>", "diff", "a", "e", "b", "c", "--band", "0", "--bogus", "v"},
+      {"<repo>", "history", "a"},
+      {"<repo>", "history", "a", "e", "extra"},
+      {"<repo>", "history", "a", "e", "--bogus"},
+      {"<repo>", "bench2pkb", "a", "e", "v"},
+      {"<repo>", "bench2pkb", "a", "e", "v", "--predecessor"},
+      {"<repo>", "bench2pkb", "a", "e", "v", "--predecessor", "p"},
+      {"<repo>", "bench2pkb", "a", "e", "v", "--bogus"},
+      {"<repo>", "prune", "a"},
+      {"<repo>", "prune", "a", "e"},
+      {"<repo>", "prune", "a", "e", "--keep"},
+      {"<repo>", "prune", "a", "e", "--keep", "lots"},
+      {"<repo>", "prune", "a", "e", "--keep", "1.5"},
+      {"<repo>", "prune", "a", "e", "--keep", "1", "extra"},
+      {"<repo>", "prune", "a", "e", "--bogus", "1"},
+      {"<repo>", "prune", "a", "e", "f", "--keep", "1"},
+      // serve: every case fails before a daemon starts.
+      {"serve"},
+      {"serve", "s.sock", "extra"},
+      {"serve", "s.sock", "--bogus", "v"},
+      {"serve", "s.sock", "--repo"},
+      {"serve", "s.sock", "--workers", "many"},
+      {"serve", "s.sock", "--queue", "1e3"},
+      {"serve", "s.sock", "--client-queue", "x"},
+      {"serve", "s.sock", "--budget", "big"},
+      {"serve", "s.sock", "--repo", "r", "--trace"},
+      {"serve", "s.sock", "--workers", "0"},
+      // client: the socket is a live daemon's.
+      {"client"},
+      {"client", "<sock>"},
+      {"client", "<sock>", "frobnicate"},
+      {"client", "<repo>/absent.sock", "frobnicate"},
+      {"client", std::string(120, 'x'), "ping"},
+      {"client", "<sock>", "ping", "extra"},
+      {"client", "<sock>", "ping", "--json"},
+      {"client", "<sock>", "selfdiagnose", "extra"},
+      {"client", "<sock>", "stats", "extra"},
+      {"client", "<sock>", "stats", "--bogus"},
+      {"client", "<sock>", "stats", "--json", "extra"},
+      {"client", "<sock>", "watch", "extra"},
+      {"client", "<sock>", "watch", "--bogus", "1"},
+      {"client", "<sock>", "watch", "--count"},
+      {"client", "<sock>", "watch", "--interval", "soon"},
+      {"client", "<sock>", "watch", "--count", "few"},
+      {"client", "<sock>", "watch", "--json", "--count", "1.5"},
+      {"client", "<sock>", "upload", "a", "e"},
+      {"client", "<sock>", "upload", "a", "e", "f", "extra"},
+      {"client", "<sock>", "upload", "a", "e", "f", "--bogus", "v"},
+      {"client", "<sock>", "upload", "a", "e", "f", "--version"},
+      {"client", "<sock>", "analyze", "a", "e"},
+      {"client", "<sock>", "analyze", "a", "e", "t", "extra"},
+      {"client", "<sock>", "analyze", "a", "e", "t", "--bogus", "v"},
+      {"client", "<sock>", "analyze", "a", "e", "t", "--rulebase"},
+      {"client", "<sock>", "explain", "a", "e"},
+      {"client", "<sock>", "explain", "a", "e", "t", "extra"},
+      {"client", "<sock>", "diff", "a", "e", "b"},
+      {"client", "<sock>", "diff", "a", "e", "b", "c", "extra"},
+      {"client", "<sock>", "diff", "a", "e", "b", "c", "--bogus", "v"},
+      {"client", "<sock>", "diff", "a", "e", "b", "c", "--band"},
+      {"client", "<sock>", "diff", "a", "e", "b", "c", "--band", "wide"},
+      {"client", "<sock>", "diff", "a", "e", "b", "c", "--band", "0"},
+      {"client", "<sock>", "diff", "a", "e", "b", "c", "--band", "-1"},
+  };
+
+  const std::string repo = dir.path().string();
+  const std::string sock = options.socket_path.string();
+  const auto to_real = [&](std::string s) {
+    s = pk::strings::replace_all(s, "<sock>", sock);
+    return pk::strings::replace_all(s, "<repo>", repo);
+  };
+  const auto to_names = [&](std::string s) {
+    s = pk::strings::replace_all(s, sock, "<sock>");
+    return pk::strings::replace_all(s, repo, "<repo>");
+  };
+  std::string text;
+  for (const Args& shown : cases) {
+    Args real;
+    for (const auto& a : shown) real.push_back(to_real(a));
+    const auto r = pkx(real);
+    text += "$ pkx";
+    for (const auto& a : shown) text += " " + a;
+    text += "\nexit " + std::to_string(r.code) + "\n--- stdout\n" +
+            to_names(r.out) + "--- stderr\n" + to_names(r.err) + "\n";
+  }
+
+  const fs::path golden =
+      fs::path(PERFKNOW_SOURCE_DIR) / "tests" / "golden" / "pkx_usage.txt";
+  if (std::getenv("PERFKNOW_REGEN_GOLDEN") != nullptr) {
+    std::ofstream(golden) << text;
+    return;
+  }
+  EXPECT_EQ(text, pk::read_file_bytes(golden, "cannot read golden"))
+      << "output differs from " << golden;
 }
