@@ -145,20 +145,6 @@ EventId Trial::event_id(std::string_view name) const {
                       std::string(name) + "'");
 }
 
-std::vector<EventId> Trial::children_of(EventId e) const {
-  // Counted so tests can check that callers do not run this scan once
-  // per event.
-  static telemetry::Counter& scanned =
-      telemetry::counter("profile.children_of.scanned");
-  check_event(e);
-  scanned.add(events_.size());
-  std::vector<EventId> out;
-  for (EventId c = 0; c < events_.size(); ++c) {
-    if (events_[c].parent == e) out.push_back(c);
-  }
-  return out;
-}
-
 bool Trial::is_nested_under(EventId e, EventId ancestor) const {
   check_event(e);
   check_event(ancestor);

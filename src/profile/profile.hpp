@@ -148,8 +148,6 @@ class Trial {
     return events_;
   }
 
-  /// Direct children of `e` in the callgraph.
-  [[nodiscard]] std::vector<EventId> children_of(EventId e) const;
   /// True when `ancestor` appears on `e`'s parent chain (or equals it).
   [[nodiscard]] bool is_nested_under(EventId e, EventId ancestor) const;
   /// The conventional top-level event. Prefers an event named "main" or

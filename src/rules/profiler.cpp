@@ -1,6 +1,5 @@
 #include "rules/profiler.hpp"
 
-#include <cstdlib>
 #include <string_view>
 
 #include "common/error.hpp"
@@ -10,13 +9,7 @@
 namespace perfknow::rules {
 
 namespace profdetail {
-std::atomic<bool> g_profiling{[] {
-  if (!kCompiledIn) return false;
-  const char* env = std::getenv("PERFKNOW_RULE_PROFILING");
-  if (env == nullptr) return false;
-  const std::string_view v(env);
-  return v == "1" || v == "on" || v == "true" || v == "yes";
-}()};
+std::atomic<bool> g_profiling{false};
 }  // namespace profdetail
 
 void set_profiling_enabled(bool on) noexcept {

@@ -30,9 +30,8 @@
 // records it.
 //
 // Gating mirrors telemetry: a process-wide relaxed-atomic switch
-// (profiling_enabled(), default off, PERFKNOW_RULE_PROFILING=1 to
-// enable at startup) that compiles to a constant-false under
-// PERFKNOW_NO_TELEMETRY. The disabled-mode cost is one pointer test
+// (profiling_enabled(), default off, set_profiling_enabled() to flip)
+// that compiles to a constant-false under PERFKNOW_NO_TELEMETRY. The disabled-mode cost is one pointer test
 // per rule per cycle, CI-gated at <= 2% on the 10k-fact beta workload
 // (BM_RulesProfilerOff).
 #pragma once
@@ -59,8 +58,7 @@ inline constexpr bool kCompiledIn = true;
 extern std::atomic<bool> g_profiling;
 }  // namespace profdetail
 
-/// Process-wide profiling gate. Default off; initialized from
-/// PERFKNOW_RULE_PROFILING (1/on/true/yes). Relaxed loads only — the
+/// Process-wide profiling gate. Default off. Relaxed loads only — the
 /// engine re-reads it once per process_rules cycle.
 [[nodiscard]] inline bool profiling_enabled() noexcept {
   if constexpr (!profdetail::kCompiledIn) return false;

@@ -146,8 +146,6 @@ AnalysisSession::AnalysisSession(SessionOptions options)
       repository_(options_.repository),
       harness_(std::make_shared<rules::RuleHarness>()) {
   options_.validate();
-  harness_->set_match_strategy(options_.match_strategy);
-  harness_->set_provenance(options_.provenance);
   register_api();
 }
 

@@ -46,7 +46,10 @@ namespace perfknow::script {
 
 /// Everything an AnalysisSession can be configured with, in one place.
 /// Only `repository` is required; the defaults reproduce the historical
-/// one-argument constructor's behaviour exactly.
+/// one-argument constructor's behaviour exactly. The session's harness
+/// starts with the beta matcher and provenance off; scripts switch them
+/// with RuleHarness.setMatchStrategy / Session.setProvenance, C++ code
+/// through harness().
 struct SessionOptions {
   /// The trial store scripts see as `Utilities`. Required; must outlive
   /// the session.
@@ -56,19 +59,6 @@ struct SessionOptions {
   /// files after the built-in names (so scripts can say
   /// useGlobalRules("self_diagnosis.rules") with rules_path = "rules/").
   std::filesystem::path rules_path = {};
-
-  /// Rule-matching strategy installed on the session's harness. The
-  /// default is the memoized beta join network; kNaive stays available
-  /// as the differential oracle (scripts can also switch at run time via
-  /// RuleHarness.setMatchStrategy).
-  rules::MatchStrategy match_strategy = rules::MatchStrategy::kBeta;
-
-  /// Provenance capture on the session's harness: kOff (default) records
-  /// nothing; kRules records the firing DAG behind every diagnosis;
-  /// kFull additionally snapshots matched-fact fields and metric
-  /// lineage. Scripts read the result via Diagnosis.explain() /
-  /// Session.explainAll().
-  provenance::ProvenanceMode provenance = provenance::ProvenanceMode::kOff;
 
   /// Checks every field up front and throws InvalidArgumentError naming
   /// the offending field ("SessionOptions.repository: ...") instead of

@@ -131,7 +131,8 @@ std::string Client::send(const std::string& method,
   return id;
 }
 
-Client::Response Client::collect(const std::string& id) {
+Client::Response Client::collect(
+    const std::string& id, const std::function<void(const Event&)>& on_event) {
   Response r;
   std::size_t parked_scan = 0;
   for (;;) {
@@ -187,9 +188,14 @@ Client::Response Client::collect(const std::string& id) {
     }
     if (kind == "result") {
       r.result = data;
+      r.line = line;
       return r;
     }
-    r.events.push_back(Event{kind, data, line});
+    if (on_event) {
+      on_event(Event{kind, data, line});
+    } else {
+      r.events.push_back(Event{kind, data, line});
+    }
   }
 }
 

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,6 +45,7 @@ class Client {
   struct Response {
     std::vector<Event> events;  ///< everything before the terminal line
     std::string result;  ///< raw JSON of the "result" data; empty on error
+    std::string line;    ///< the "result" line as received (byte-exact)
     wire::ErrorCode error = wire::ErrorCode::kInternal;
     std::string error_message;
     bool is_error = false;
@@ -63,7 +65,10 @@ class Client {
   std::string send(const std::string& method,
                    const std::string& params_json = "{}");
   /// Blocks until the terminal line for `id` (parked lines included).
-  Response collect(const std::string& id);
+  /// With `on_event`, each streamed line goes to it as it arrives instead
+  /// of into Response::events.
+  Response collect(const std::string& id,
+                   const std::function<void(const Event&)>& on_event = {});
 
   /// Uploads `file` into application/experiment as a framed body: the
   /// request line carries "body_bytes" (the file's size) and the file's

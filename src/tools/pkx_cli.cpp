@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstdint>
@@ -5,10 +6,13 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <type_traits>
+#include <utility>
 
 #include "apps/genidlest/genidlest.hpp"
 #include "apps/msap/msap.hpp"
@@ -26,93 +30,104 @@ using pk::machine::MachineConfig;
 
 namespace {
 
-struct CommandUsage {
+// Every subcommand, and every `pkx client` verb, is one row of kCommands:
+// its usage line, its leading positionals, its flags and its handler.
+// usage_for(), the arity checks and the unknown-flag check all read the
+// rows, so a handler gets positionals and flag values already checked.
+// A row's scope says where its name sits and what is opened before its
+// arguments are read: `pkx <name>` (kBare); `pkx <repo-dir> <name>`,
+// attached first (kRepo) or opened by the handler (kDir); `pkx client
+// <socket> <name>`, connected first (kClient).
+enum class Scope { kBare, kRepo, kDir, kClient };
+enum class Value { kSwitch, kText, kInt, kReal, kPositive };
+using enum Scope;
+using enum Value;
+
+struct Flag {
   const char* name;
-  const char* usage;
+  Value value = kText;
+  const char* noun = nullptr;  // "pkx <cmd>: <flag> must be <noun>, got .."
+  bool once = false;           // a second one is a usage error
+  bool required = false;
 };
 
-constexpr CommandUsage kCommands[] = {
-    {"demo", "pkx demo <repo-dir>"},
-    {"list", "pkx <repo-dir> list"},
-    {"show", "pkx <repo-dir> show <app> <exp> <trial>"},
-    {"run", "pkx <repo-dir> run <script.ps>"},
-    {"report", "pkx <repo-dir> report <app> <exp> <trial>"},
-    {"explain",
-     "pkx <repo-dir> explain <app> <exp> <trial> [--json <file>]"
-     " [--dot <file>]\n"
-     "  pkx explain --from <explanations.json>"},
-    {"rules-profile",
-     "pkx <repo-dir> rules-profile <app> <exp> <trial> [--rules <file>]"
-     " [--json <file>] [--dot <file>]"},
-    {"export-csv", "pkx <repo-dir> export-csv <app> <exp> <trial> <metric>"},
-    {"export-json", "pkx <repo-dir> export-json <app> <exp> <trial> <file>"},
-    {"import", "pkx <repo-dir> import <file-or-dir> <app> <exp>"},
-    {"diff",
-     "pkx <repo-dir> diff <app> <exp> <base> <current> [--json <file>]"
-     " [--metric <name>] [--band <fraction>]"},
-    {"history", "pkx <repo-dir> history <app> <exp>"},
-    {"bench2pkb",
-     "pkx <repo-dir> bench2pkb <app> <exp> <version> <bench.json>..."
-     " [--predecessor <version>]"},
-    {"prune", "pkx <repo-dir> prune <app> <exp> --keep <n>"},
-    {"serve",
-     "pkx serve <socket> [--repo <dir>] [--rules <dir>] [--workers <n>]\n"
-     "    [--queue <n>] [--client-queue <n>] [--budget <bytes>]"
-     " [--trace <file>]"},
-    {"client",
-     "pkx client <socket> ping | selfdiagnose\n"
-     "  pkx client <socket> stats [--json]\n"
-     "  pkx client <socket> watch [--interval <sec>] [--count <n>]"
-     " [--json]\n"
-     "  pkx client <socket> upload <app> <exp> <file> [--version <v>]"
-     " [--predecessor <p>]\n"
-     "  pkx client <socket> analyze|explain <app> <exp> <trial>"
-     " [--rulebase <name>]\n"
-     "  pkx client <socket> diff <app> <exp> <base> <current>"
-     " [--band <fraction>]"},
-};
+/// One checked invocation and what its scope opened for it.
+struct Call {
+  std::ostream& out;
+  std::ostream& err;
+  std::string dir{};  // <repo-dir>
+  pk::perfdmf::Repository* repo = nullptr;
+  pk::server::Client* client = nullptr;
+  std::string name{};
+  std::vector<std::string> pos{};
+  /// Every value of each flag given, in command-line order.
+  std::map<std::string, std::vector<std::string>, std::less<>> flags{};
 
-/// Full usage (unknown/missing subcommand) -> exit 2.
-int usage(std::ostream& err) {
-  err << "usage:\n";
-  for (const auto& c : kCommands) err << "  " << c.usage << "\n";
-  err << "\n"
-         "import auto-detects the profile format (pkprof, pkb, json,\n"
-         "benchjson, csv, tau); import-csv and import-tau remain as\n"
-         "aliases. explain runs the OpenUH rulebase with full provenance\n"
-         "capture and prints a proof tree per diagnosis; --from\n"
-         "re-renders a previously exported --json file. diff compares\n"
-         "two versions with rules/regression.rules (exit 3 when a\n"
-         "regression is diagnosed); bench2pkb ingests Google-Benchmark\n"
-         "JSON as the next version of an experiment's history.\n"
-         "rules-profile re-runs a trial's analysis with the per-rule\n"
-         "cost profiler on, stores the attribution as a trial named\n"
-         "<trial>-rules-profile, and diagnoses it with the shipped\n"
-         "rule_tuning rulebase (proof trees included).\n";
-  return 2;
-}
-
-/// Usage for one failing subcommand -> exit 2.
-int usage_for(const std::string& cmd, std::ostream& err) {
-  for (const auto& c : kCommands) {
-    if (cmd == c.name) {
-      err << "usage:\n  " << c.usage << "\n";
-      return 2;
-    }
+  [[nodiscard]] bool has(std::string_view f) const { return flags.contains(f); }
+  /// The last value given, or "" when the flag is absent.
+  [[nodiscard]] std::string text(std::string_view flag) const {
+    const auto it = flags.find(flag);
+    return it == flags.end() ? std::string() : it->second.back();
   }
-  return usage(err);
+  template <class T>
+  [[nodiscard]] T number(std::string_view flag, T fallback) const {
+    if (!has(flag)) return fallback;
+    if constexpr (std::is_integral_v<T>) {
+      return static_cast<T>(pk::strings::parse_int(text(flag)));
+    }
+    return static_cast<T>(pk::strings::parse_double(text(flag)));
+  }
+};
+
+struct Command {
+  Scope scope;
+  const char* name;
+  const char* usage;  // nullptr: the previous row's line shows this one
+  std::size_t arity;  // leading positionals, taken as they are
+  std::vector<Flag> flags;
+  int (*run)(const Call&);
+  bool more = false;  // then 1+ positionals, which flags may interleave
+};
+
+// Writes the --json / --dot exports the call names, each followed by a
+// "wrote <file>" line after `lead`.
+void write_exports(const Call& c,
+                   const std::vector<pk::provenance::Explanation>& ex,
+                   const char* lead = "") {
+  for (const std::string_view flag : {"--json", "--dot"}) {
+    const std::string file = c.text(flag);
+    if (file.empty()) continue;
+    std::ofstream os(file);
+    if (!os) throw pk::IoError("cannot open for writing: " + file);
+    os << (flag == "--json" ? pk::provenance::to_json(ex)
+                            : pk::provenance::to_dot(ex));
+    c.out << lead << "wrote " << file << "\n";
+  }
 }
 
-// Writes an explanation file (--json / --dot); the caller reports it.
-void write_explanation_file(const std::string& file,
-                            const std::string& bytes) {
-  std::ofstream os(file);
-  if (!os) throw pk::IoError("cannot open for writing: " + file);
-  os << bytes;
+std::vector<pk::provenance::Explanation> explanations_of(
+    const std::vector<pk::rules::Diagnosis>& diagnoses) {
+  std::vector<pk::provenance::Explanation> out;
+  for (const auto& d : diagnoses) {
+    if (d.provenance) out.push_back(*d.provenance);
+  }
+  return out;
 }
 
-int cmd_demo(const std::string& dir, std::ostream& out) {
+std::string read_text(const std::string& file, const std::string& what) {
+  std::ifstream is(file);
+  if (!is) throw pk::IoError(what + file);
+  std::ostringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
+}
+
+int cmd_demo(const Call& c) {
   pk::perfdmf::Repository repo;
+  const auto put = [&repo](const char* app, const char* exp,
+                           pk::profile::Trial&& trial) {
+    repo.put(app, exp, std::make_shared<pk::profile::Trial>(std::move(trial)));
+  };
   // MSAP under both schedules.
   for (const bool dynamic : {false, true}) {
     Machine m(MachineConfig::altix300());
@@ -120,42 +135,36 @@ int cmd_demo(const std::string& dir, std::ostream& out) {
     cfg.threads = 16;
     cfg.schedule = dynamic ? pk::runtime::Schedule::dynamic(1)
                            : pk::runtime::Schedule::static_even();
-    auto r = pk::apps::msap::run_msap(m, cfg);
-    repo.put("MSAP", "schedules",
-             std::make_shared<pk::profile::Trial>(std::move(r.trial)));
+    put("MSAP", "schedules", std::move(pk::apps::msap::run_msap(m, cfg).trial));
   }
-  // GenIDLEST unoptimized/optimized at 16 threads.
-  for (const bool optimized : {false, true}) {
+  // GenIDLEST unoptimized/optimized at 16 threads, then an unoptimized
+  // scaling study for examples/scripts/scalability.ps.
+  const auto genidlest = [&put](const char* exp, bool optimized,
+                                unsigned procs) {
     Machine m(MachineConfig::altix3600());
     auto cfg = pk::apps::genidlest::GenConfig::rib90();
     cfg.model = pk::apps::genidlest::Model::kOpenMP;
     cfg.optimized = optimized;
-    auto r = pk::apps::genidlest::run_genidlest(m, cfg);
-    repo.put("Fluid Dynamic", "rib 90",
-             std::make_shared<pk::profile::Trial>(std::move(r.trial)));
-  }
-  // An unoptimized scaling study for examples/scripts/scalability.ps.
-  for (const unsigned procs : {1u, 2u, 4u, 8u, 16u}) {
-    Machine m(MachineConfig::altix3600());
-    auto cfg = pk::apps::genidlest::GenConfig::rib90();
-    cfg.model = pk::apps::genidlest::Model::kOpenMP;
-    cfg.optimized = false;
     cfg.nprocs = procs;
-    auto r = pk::apps::genidlest::run_genidlest(m, cfg);
-    repo.put("Fluid Dynamic", "rib 90 scaling",
-             std::make_shared<pk::profile::Trial>(std::move(r.trial)));
+    put("Fluid Dynamic", exp,
+        std::move(pk::apps::genidlest::run_genidlest(m, cfg).trial));
+  };
+  for (const bool opt : {false, true}) genidlest("rib 90", opt, 16);
+  for (const unsigned n : {1u, 2u, 4u, 8u, 16u}) {
+    genidlest("rib 90 scaling", false, n);
   }
-  repo.save(dir);
-  out << "wrote demo repository (" << repo.trial_count() << " trials) to "
-      << dir << "\n";
+  repo.save(c.pos[0]);
+  c.out << "wrote demo repository (" << repo.trial_count() << " trials) to "
+        << c.pos[0] << "\n";
   return 0;
 }
 
-int cmd_list(const pk::perfdmf::Repository& repo, std::ostream& out) {
+int cmd_list(const Call& c) {
+  const pk::perfdmf::Repository& repo = *c.repo;
   for (const auto& app : repo.applications()) {
-    out << app << "\n";
+    c.out << app << "\n";
     for (const auto& exp : repo.experiments(app)) {
-      out << "  " << exp << "\n";
+      c.out << "  " << exp << "\n";
       for (const auto& trial : repo.trials(app, exp)) {
         // Shape only: the index row records it. A row without a record
         // opens the snapshot, whose schema is CRC-checked on open.
@@ -170,92 +179,81 @@ int cmd_list(const pk::perfdmf::Repository& repo, std::ostream& out) {
                       "    %-28s %zu threads, %zu events, %zu metrics\n",
                       trial.c_str(), shape->threads, shape->events,
                       shape->metrics);
-        out << buf;
+        c.out << buf;
       }
     }
   }
   return 0;
 }
 
-int cmd_show(const pk::perfdmf::Repository& repo, const std::string& app,
-             const std::string& exp, const std::string& trial_name,
-             std::ostream& out) {
+int cmd_show(const Call& c) {
   // Means, cvs and runtime shares are all aggregates: the summary serves
   // them without reading the value columns.
-  const auto trial = repo.view(app, exp, trial_name);
-  out << "trial " << trial->name() << " (" << trial->thread_count()
-      << " threads)\n";
+  const auto trial = c.repo->view(c.pos[0], c.pos[1], c.pos[2]);
+  c.out << "trial " << trial->name() << " (" << trial->thread_count()
+        << " threads)\n";
   for (const auto& [k, v] : trial->all_metadata()) {
-    out << "  " << k << " = " << v << "\n";
+    c.out << "  " << k << " = " << v << "\n";
   }
   const std::string metric =
       trial->find_metric("TIME") ? "TIME" : trial->metric(0).name;
   const pk::analysis::RuntimeFraction fraction(*trial, metric);
   pk::TextTable table({"event", "mean " + metric, "cv", "% of runtime"});
   for (const auto& s : pk::analysis::top_events(*trial, metric, 12)) {
-    table.begin_row()
-        .add(s.name)
-        .add(s.mean, 1)
-        .add(s.cv, 3)
+    table.begin_row().add(s.name).add(s.mean, 1).add(s.cv, 3)
         .add(fraction(s.event) * 100.0, 1);
   }
-  out << "\n" << table.str();
+  c.out << "\n" << table.str();
   return 0;
 }
 
-int cmd_explain(const pk::perfdmf::Repository& repo,
-                const std::vector<std::string>& args, std::ostream& out,
-                std::ostream& err) {
-  std::string json_file;
-  std::string dot_file;
-  if ((args.size() - 5) % 2 != 0) return usage_for("explain", err);
-  for (std::size_t i = 5; i + 1 < args.size(); i += 2) {
-    if (args[i] == "--json") json_file = args[i + 1];
-    else if (args[i] == "--dot") dot_file = args[i + 1];
-    else return usage_for("explain", err);
+int cmd_run(const Call& c) {
+  pk::script::AnalysisSession session(pk::script::SessionOptions{c.repo});
+  session.interpreter().set_echo(true);
+  session.run_file(c.pos[0]);
+  c.out << "\n" << session.harness().diagnoses().size() << " diagnoses\n";
+  for (const auto& d : session.harness().diagnoses()) {
+    c.out << "  [" << d.problem << "] " << d.event << " -> "
+          << d.recommendation << "\n";
   }
-  pk::analysis::AnalyzeParams params;
-  params.application = args[2];
-  params.experiment = args[3];
-  params.trial = args[4];
+  return 0;
+}
+
+int cmd_report(const Call& c) {
   pk::rules::RuleHarness harness;
-  std::vector<pk::provenance::Explanation> explanations;
-  for (const auto& d :
-       pk::analysis::run_analysis(repo, params, {}, harness)) {
-    if (d.provenance) explanations.push_back(*d.provenance);
-  }
+  (void)pk::analysis::run_analysis(
+      *c.repo,
+      {c.pos[0], c.pos[1], c.pos[2], "openuh",
+       pk::provenance::ProvenanceMode::kOff},
+      {}, harness);
+  c.out << pk::analysis::render_report(
+      *c.repo->verified_view(c.pos[0], c.pos[1], c.pos[2]), &harness);
+  return 0;
+}
+
+int cmd_explain(const Call& c) {
+  pk::rules::RuleHarness harness;
+  const auto explanations = explanations_of(pk::analysis::run_analysis(
+      *c.repo, {c.pos[0], c.pos[1], c.pos[2]}, {}, harness));
   if (explanations.empty()) {
-    out << "no diagnoses for " << args[2] << "/" << args[3] << "/"
-        << args[4] << "\n";
+    c.out << "no diagnoses for " << c.pos[0] << "/" << c.pos[1] << "/"
+          << c.pos[2] << "\n";
     return 0;
   }
   for (const auto& e : explanations) {
-    out << pk::provenance::to_text(e) << "\n";
+    c.out << pk::provenance::to_text(e) << "\n";
   }
-  if (!json_file.empty()) {
-    write_explanation_file(json_file, pk::provenance::to_json(explanations));
-    out << "wrote " << json_file << "\n";
-  }
-  if (!dot_file.empty()) {
-    write_explanation_file(dot_file, pk::provenance::to_dot(explanations));
-    out << "wrote " << dot_file << "\n";
-  }
+  write_exports(c, explanations);
   return 0;
 }
 
-int cmd_explain_from(const std::string& file, std::ostream& out) {
-  std::ifstream is(file);
-  if (!is) {
-    throw pk::IoError("cannot open explanation file: " + file);
-  }
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  const auto explanations =
-      pk::provenance::explanations_from_json(ss.str());
+int cmd_explain_from(const Call& c) {
+  const auto explanations = pk::provenance::explanations_from_json(
+      read_text(c.text("--from"), "cannot open explanation file: "));
   for (const auto& e : explanations) {
-    out << pk::provenance::to_text(e) << "\n";
+    c.out << pk::provenance::to_text(e) << "\n";
   }
-  out << explanations.size() << " explanations\n";
+  c.out << explanations.size() << " explanations\n";
   return 0;
 }
 
@@ -271,22 +269,10 @@ struct ProfilingScope {
   ProfilingScope& operator=(const ProfilingScope&) = delete;
 };
 
-int cmd_rules_profile(pk::perfdmf::Repository& repo,
-                      const std::string& repo_dir,
-                      const std::vector<std::string>& args,
-                      std::ostream& out, std::ostream& err) {
-  // pkx <repo> rules-profile <app> <exp> <trial> [flags]
-  std::string rules_file;
-  std::string json_file;
-  std::string dot_file;
-  if ((args.size() - 5) % 2 != 0) return usage_for("rules-profile", err);
-  for (std::size_t i = 5; i + 1 < args.size(); i += 2) {
-    if (args[i] == "--rules") rules_file = args[i + 1];
-    else if (args[i] == "--json") json_file = args[i + 1];
-    else if (args[i] == "--dot") dot_file = args[i + 1];
-    else return usage_for("rules-profile", err);
-  }
-  const auto trial = repo.verified_view(args[2], args[3], args[4]);
+int cmd_rules_profile(const Call& c) {
+  const std::string& app = c.pos[0];
+  const std::string& exp = c.pos[1];
+  const auto trial = c.repo->verified_view(app, exp, c.pos[2]);
 
   // Pass 1: the pkx-explain pipeline with the profiler on, so the
   // attribution describes exactly what `pkx explain` would have run
@@ -297,59 +283,49 @@ int cmd_rules_profile(pk::perfdmf::Repository& repo,
     ProfilingScope profiling;
     pk::rules::RuleHarness harness;
     pk::rules::builtin::use(harness, pk::rules::builtin::openuh_rules());
-    if (!rules_file.empty()) {
-      std::ifstream is(rules_file);
-      if (!is) throw pk::IoError("cannot open rules file: " + rules_file);
-      std::ostringstream ss;
-      ss << is.rdbuf();
-      pk::rules::add_rules(harness, ss.str(), rules_file);
+    if (const std::string rules_file = c.text("--rules");
+        !rules_file.empty()) {
+      pk::rules::add_rules(
+          harness, read_text(rules_file, "cannot open rules file: "),
+          rules_file);
     }
     pk::analysis::analyze_trial(harness, *trial);
     profile = harness.rule_profile();
   }
 
-  out << "rules profile for " << args[2] << "/" << args[3] << "/"
-      << args[4] << " (strategy " << profile.strategy << ", "
-      << profile.cycles << " cycles, " << profile.wm_size
-      << " facts)\n\n";
+  c.out << "rules profile for " << app << "/" << exp << "/" << c.pos[2]
+        << " (strategy " << profile.strategy << ", " << profile.cycles
+        << " cycles, " << profile.wm_size << " facts)\n\n";
   pk::TextTable rules_table(
       {"rule", "match us", "firings", "activations", "bindings"});
+  const auto n = [](auto v) { return static_cast<long long>(v); };
   for (const auto& r : profile.rules) {
-    rules_table.begin_row()
-        .add(r.name)
+    rules_table.begin_row().add(r.name)
         .add(static_cast<double>(r.match_ns) / 1000.0, 1)
-        .add(static_cast<long long>(r.firings))
-        .add(static_cast<long long>(r.activations))
-        .add(static_cast<long long>(r.bindings));
+        .add(n(r.firings)).add(n(r.activations)).add(n(r.bindings));
   }
-  out << rules_table.str();
+  c.out << rules_table.str();
   pk::TextTable levels_table({"rule", "level", "admissions", "probes",
                               "hits", "live", "dead", "bytes"});
   for (const auto& r : profile.rules) {
     for (std::size_t l = 0; l < r.levels.size(); ++l) {
       const auto& lv = r.levels[l];
-      levels_table.begin_row()
-          .add(r.name)
-          .add(static_cast<long long>(l))
-          .add(static_cast<long long>(lv.admissions))
-          .add(static_cast<long long>(lv.probes))
-          .add(static_cast<long long>(lv.hits))
-          .add(static_cast<long long>(lv.live_tokens))
-          .add(static_cast<long long>(lv.dead_tokens))
-          .add(static_cast<long long>(lv.token_bytes));
+      levels_table.begin_row().add(r.name).add(n(l)).add(n(lv.admissions))
+          .add(n(lv.probes)).add(n(lv.hits)).add(n(lv.live_tokens))
+          .add(n(lv.dead_tokens)).add(n(lv.token_bytes));
     }
   }
-  out << "\n" << levels_table.str();
+  c.out << "\n" << levels_table.str();
 
   // The profile is itself a trial: store it next to the analyzed one so
   // later sessions (or the rule_tuning pass below) can reopen it.
-  const std::string profile_name = args[4] + "-rules-profile";
+  const std::string profile_name = c.pos[2] + "-rules-profile";
   auto profile_trial = std::make_shared<pk::profile::Trial>(
       pk::rules::profile_to_trial(profile, profile_name));
-  repo.put(args[2], args[3], profile_trial);
-  repo.save(repo_dir);
-  out << "\nstored profile as " << args[2] << "/" << args[3] << "/"
-      << profile_name << "\n\n";
+  c.repo->put(app, exp, profile_trial);
+  c.repo->save(c.dir);
+  c.out << "\nstored profile as " << app << "/" << exp << "/"
+        << profile_name << "\n\n";
 
   // Pass 2: diagnose the stored profile with the shipped rule_tuning
   // rulebase — the engine analyzing its own cost attribution, proof
@@ -360,41 +336,53 @@ int cmd_rules_profile(pk::perfdmf::Repository& repo,
   pk::rules::assert_profile_facts(tuning, *profile_trial);
   tuning.process_rules();
 
-  std::vector<pk::provenance::Explanation> explanations;
-  for (const auto& d : tuning.diagnoses()) {
-    if (d.provenance) explanations.push_back(*d.provenance);
-  }
+  const auto explanations = explanations_of(tuning.diagnoses());
   if (explanations.empty()) {
-    out << "no rule-tuning diagnoses\n";
+    c.out << "no rule-tuning diagnoses\n";
   } else {
     for (const auto& e : explanations) {
-      out << pk::provenance::to_text(e) << "\n";
+      c.out << pk::provenance::to_text(e) << "\n";
     }
   }
-  if (!json_file.empty()) {
-    write_explanation_file(json_file, pk::provenance::to_json(explanations));
-    out << "wrote " << json_file << "\n";
-  }
-  if (!dot_file.empty()) {
-    write_explanation_file(dot_file, pk::provenance::to_dot(explanations));
-    out << "wrote " << dot_file << "\n";
-  }
+  write_exports(c, explanations);
+  return 0;
+}
+
+int cmd_export_csv(const Call& c) {
+  const auto trial = c.repo->verified_view(c.pos[0], c.pos[1], c.pos[2]);
+  c.out << pk::perfdmf::to_csv(*trial, c.pos[3]);
+  return 0;
+}
+
+int cmd_export_json(const Call& c) {
+  pk::io::save_trial(*c.repo->verified_view(c.pos[0], c.pos[1], c.pos[2]),
+                     c.pos[3], "json");
+  c.out << "wrote " << c.pos[3] << "\n";
+  return 0;
+}
+
+int cmd_import(const Call& c) {
+  auto trial =
+      std::make_shared<pk::profile::Trial>(pk::io::open_trial(c.pos[0]));
+  c.repo->put(c.pos[1], c.pos[2], trial);
+  c.repo->save(c.dir);
+  c.out << "imported " << c.pos[0] << " as " << c.pos[1] << "/" << c.pos[2]
+        << "/" << trial->name() << "\n";
   return 0;
 }
 
 // ---- trial history -----------------------------------------------------
 
-int cmd_history(const pk::perfdmf::Repository& repo, const std::string& app,
-                const std::string& exp, std::ostream& out) {
+int cmd_history(const Call& c) {
+  const pk::perfdmf::Repository& repo = *c.repo;
+  const std::string& app = c.pos[0];
+  const std::string& exp = c.pos[1];
   const auto versions = repo.history(app, exp);
   // Each version's events and total come from its index record; a row
   // without a total reads the version once, through its summary.
   // history() names every trial of the experiment, so any predecessor's
   // total is here too, whatever the shape of the lineage.
-  struct Version {
-    std::size_t events = 0;
-    double total = 0.0;
-  };
+  struct Version { std::size_t events = 0; double total = 0.0; };
   std::map<std::string, Version> read;
   for (const auto& version : versions) {
     const auto record = repo.record(app, exp, version);
@@ -416,134 +404,75 @@ int cmd_history(const pk::perfdmf::Repository& repo, const std::string& app,
         prev != read.end() && prev->second.total > 0.0) {
       vs = pk::strings::format_double(v.total / prev->second.total, 4) + "x";
     }
-    table.begin_row()
-        .add(version)
-        .add(pred.empty() ? "-" : pred)
-        .add(static_cast<long long>(v.events))
-        .add(v.total, 1)
-        .add(vs);
+    table.begin_row().add(version).add(pred.empty() ? "-" : pred)
+        .add(static_cast<long long>(v.events)).add(v.total, 1).add(vs);
   }
-  out << app << "/" << exp << ": " << versions.size() << " versions\n"
-      << table.str();
+  c.out << app << "/" << exp << ": " << versions.size() << " versions\n"
+        << table.str();
   return 0;
 }
 
-int cmd_diff(const pk::perfdmf::Repository& repo,
-             const std::vector<std::string>& args, std::ostream& out,
-             std::ostream& err) {
-  // pkx <repo> diff <app> <exp> <base> <current> [flags]
-  std::string json_file;
+int cmd_diff(const Call& c) {
+  const std::string& app = c.pos[0];
+  const std::string& exp = c.pos[1];
   pk::analysis::DiffOptions options;
-  if ((args.size() - 6) % 2 != 0) return usage_for("diff", err);
-  for (std::size_t i = 6; i + 1 < args.size(); i += 2) {
-    if (args[i] == "--json") {
-      json_file = args[i + 1];
-    } else if (args[i] == "--metric") {
-      options.metrics.push_back(args[i + 1]);
-    } else if (args[i] == "--band") {
-      // Reject non-numeric, zero, and negative bands with a diagnostic
-      // (DiffOptions::validate applies the same rule to API callers).
-      try {
-        options.noise_band = pk::strings::parse_double(args[i + 1]);
-      } catch (const pk::ParseError&) {
-        err << "pkx diff: --band must be a positive number, got '"
-            << args[i + 1] << "'\n";
-        return usage_for("diff", err);
-      }
-      if (!std::isfinite(options.noise_band) ||
-          options.noise_band <= 0.0) {
-        err << "pkx diff: --band must be a positive number, got '"
-            << args[i + 1] << "'\n";
-        return usage_for("diff", err);
-      }
-    } else {
-      return usage_for("diff", err);
-    }
+  if (const auto it = c.flags.find("--metric"); it != c.flags.end()) {
+    options.metrics = it->second;
   }
+  options.noise_band = c.number("--band", options.noise_band);
   pk::rules::RuleHarness harness;
   const auto outcome = pk::analysis::run_diff(
-      repo, {args[2], args[3], args[4], args[5], options}, harness);
+      *c.repo, {app, exp, c.pos[2], c.pos[3], options}, harness);
   const auto& summary = outcome.summary;
 
-  out << "diff " << args[2] << "/" << args[3] << ": " << args[4] << " -> "
-      << args[5] << " (" << summary.compared_cells << " cells, "
-      << summary.regressed_cells << " regressed, "
-      << summary.improved_cells << " improved, " << summary.skipped_cells
-      << " skipped";
+  c.out << "diff " << app << "/" << exp << ": " << c.pos[2] << " -> "
+        << c.pos[3] << " (" << summary.compared_cells << " cells, "
+        << summary.regressed_cells << " regressed, "
+        << summary.improved_cells << " improved, " << summary.skipped_cells
+        << " skipped";
   if (summary.missing_events > 0) {
-    out << ", " << summary.missing_events << " missing";
+    c.out << ", " << summary.missing_events << " missing";
   }
   if (summary.added_events > 0) {
-    out << ", " << summary.added_events << " added";
+    c.out << ", " << summary.added_events << " added";
   }
-  out << ")\n\n";
+  c.out << ")\n\n";
 
-  std::vector<pk::provenance::Explanation> explanations;
-  for (const auto& d : outcome.diagnoses) {
-    out << d.to_string() << "\n";
-    if (d.provenance) explanations.push_back(*d.provenance);
-  }
+  for (const auto& d : outcome.diagnoses) c.out << d.to_string() << "\n";
+  const auto explanations = explanations_of(outcome.diagnoses);
   for (const auto& e : explanations) {
-    out << "\n" << pk::provenance::to_text(e);
+    c.out << "\n" << pk::provenance::to_text(e);
   }
-  if (!json_file.empty()) {
-    write_explanation_file(json_file, pk::provenance::to_json(explanations));
-    out << "\nwrote " << json_file << "\n";
-  }
+  write_exports(c, explanations, "\n");
   return outcome.regression ? 3 : 0;
 }
 
-int cmd_bench2pkb(const std::string& repo_dir,
-                  const std::vector<std::string>& args, std::ostream& out,
-                  std::ostream& err) {
-  // pkx <repo> bench2pkb <app> <exp> <version> <bench.json>...
-  //     [--predecessor <version>]
-  std::string predecessor;
-  std::vector<std::filesystem::path> files;
-  for (std::size_t i = 5; i < args.size(); ++i) {
-    if (args[i] == "--predecessor") {
-      if (i + 1 >= args.size()) return usage_for("bench2pkb", err);
-      predecessor = args[++i];
-    } else {
-      files.emplace_back(args[i]);
-    }
-  }
-  if (files.empty()) return usage_for("bench2pkb", err);
-
+int cmd_bench2pkb(const Call& c) {
   // Open-or-create: a missing repository directory starts a new history.
   pk::perfdmf::Repository repo;
-  if (std::filesystem::exists(std::filesystem::path(repo_dir) /
-                              "index.tsv")) {
-    repo = pk::perfdmf::Repository::attach(repo_dir, SIZE_MAX);
+  if (std::filesystem::exists(std::filesystem::path(c.dir) / "index.tsv")) {
+    repo = pk::perfdmf::Repository::attach(c.dir, SIZE_MAX);
   }
+  const std::vector<std::filesystem::path> files(c.pos.begin() + 3,
+                                                 c.pos.end());
   auto trial = std::make_shared<pk::profile::Trial>(
-      pk::io::trial_from_benchmark_files(files, args[4]));
+      pk::io::trial_from_benchmark_files(files, c.pos[2]));
   const std::size_t events = trial->event_count();
-  repo.put_version(args[2], args[3], std::move(trial), predecessor);
-  repo.save(repo_dir);
-  out << "ingested " << files.size() << " file(s) as " << args[2] << "/"
-      << args[3] << "/" << args[4] << " (" << events - 1
-      << " benchmarks), predecessor '"
-      << repo.predecessor_of(args[2], args[3], args[4]) << "'\n";
+  repo.put_version(c.pos[0], c.pos[1], std::move(trial),
+                   c.text("--predecessor"));
+  repo.save(c.dir);
+  c.out << "ingested " << files.size() << " file(s) as " << c.pos[0] << "/"
+        << c.pos[1] << "/" << c.pos[2] << " (" << events - 1
+        << " benchmarks), predecessor '"
+        << repo.predecessor_of(c.pos[0], c.pos[1], c.pos[2]) << "'\n";
   return 0;
 }
 
-int cmd_prune(pk::perfdmf::Repository& repo, const std::string& repo_dir,
-              const std::vector<std::string>& args, std::ostream& out,
-              std::ostream& err) {
-  // pkx <repo> prune <app> <exp> --keep <n>
-  if (args.size() != 6 || args[4] != "--keep") {
-    return usage_for("prune", err);
-  }
-  long long keep = 0;
-  try {
-    keep = pk::strings::parse_int(args[5]);
-  } catch (const pk::ParseError&) {
-    return usage_for("prune", err);
-  }
-  const auto removed = repo.prune_history(
-      args[2], args[3], static_cast<std::size_t>(keep));
-  repo.save(repo_dir);
+int cmd_prune(const Call& c) {
+  const std::string& repo_dir = c.dir;
+  const auto removed = c.repo->prune_history(
+      c.pos[0], c.pos[1], c.number<std::size_t>("--keep", 0));
+  c.repo->save(repo_dir);
   // The pruned trials' snapshot files are now orphaned; drop any .pkb
   // under the repository that the fresh index no longer references.
   // The index is read with the parser open_index uses, so the sweep
@@ -561,10 +490,8 @@ int cmd_prune(pk::perfdmf::Repository& repo, const std::string& repo_dir,
     throw e.with_file(index_file.string());
   }
   std::error_code ec;
-  for (std::filesystem::recursive_directory_iterator
-           it(repo_dir, ec),
-       end;
-       !ec && it != end; it.increment(ec)) {
+  std::filesystem::recursive_directory_iterator it(repo_dir, ec), end;
+  for (; !ec && it != end; it.increment(ec)) {
     if (it->path().extension() != ".pkb") continue;
     const std::string rel =
         std::filesystem::relative(it->path(), repo_dir, ec)
@@ -574,11 +501,11 @@ int cmd_prune(pk::perfdmf::Repository& repo, const std::string& repo_dir,
       if (std::filesystem::remove(it->path(), rm)) ++orphans;
     }
   }
-  out << "pruned " << removed.size() << " version(s)";
+  c.out << "pruned " << removed.size() << " version(s)";
   if (!removed.empty()) {
-    out << " (" << pk::strings::join(removed, ", ") << ")";
+    c.out << " (" << pk::strings::join(removed, ", ") << ")";
   }
-  out << ", removed " << orphans << " orphaned snapshot(s)\n";
+  c.out << ", removed " << orphans << " orphaned snapshot(s)\n";
   return 0;
 }
 
@@ -590,54 +517,29 @@ volatile std::sig_atomic_t g_serve_stop = 0;
 
 void serve_signal(int) { g_serve_stop = 1; }
 
-int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
-              std::ostream& err) {
-  // pkx serve <socket> [flags]
+int cmd_serve(const Call& c) {
   pk::server::ServerOptions options;
-  options.socket_path = args[1];
-  std::string trace_path;
-  if ((args.size() - 2) % 2 != 0) return usage_for("serve", err);
-  for (std::size_t i = 2; i + 1 < args.size(); i += 2) {
-    const std::string& flag = args[i];
-    const std::string& value = args[i + 1];
-    try {
-      if (flag == "--repo") {
-        options.repository_dir = value;
-      } else if (flag == "--rules") {
-        options.rules_path = value;
-      } else if (flag == "--workers") {
-        options.workers =
-            static_cast<std::size_t>(pk::strings::parse_int(value));
-      } else if (flag == "--queue") {
-        options.queue_limit =
-            static_cast<std::size_t>(pk::strings::parse_int(value));
-      } else if (flag == "--client-queue") {
-        options.client_queue_limit =
-            static_cast<std::size_t>(pk::strings::parse_int(value));
-      } else if (flag == "--budget") {
-        options.client_byte_budget =
-            static_cast<std::size_t>(pk::strings::parse_int(value));
-      } else if (flag == "--trace") {
-        trace_path = value;
-      } else {
-        return usage_for("serve", err);
-      }
-    } catch (const pk::ParseError&) {
-      err << "pkx serve: " << flag << " must be a number, got '" << value
-          << "'\n";
-      return usage_for("serve", err);
-    }
-  }
+  options.socket_path = c.pos[0];
+  options.repository_dir = c.text("--repo");
+  options.rules_path = c.text("--rules");
+  options.workers = c.number("--workers", options.workers);
+  options.queue_limit = c.number("--queue", options.queue_limit);
+  options.client_queue_limit =
+      c.number("--client-queue", options.client_queue_limit);
+  options.client_byte_budget =
+      c.number("--budget", options.client_byte_budget);
+  const std::string trace_path = c.text("--trace");
 
   pk::server::Server server(std::move(options));
   g_serve_stop = 0;
   std::signal(SIGINT, serve_signal);
   std::signal(SIGTERM, serve_signal);
   // The "listening" line is the readiness handshake scripts wait for.
-  out << "pkx serve: listening on " << server.options().socket_path.string()
-      << " (" << server.options().workers << " workers, queue "
-      << server.options().queue_limit << ")\n";
-  out.flush();
+  c.out << "pkx serve: listening on "
+        << server.options().socket_path.string() << " ("
+        << server.options().workers << " workers, queue "
+        << server.options().queue_limit << ")\n";
+  c.out.flush();
   while (g_serve_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
@@ -647,182 +549,261 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
   if (!trace_path.empty()) {
     std::ofstream trace(trace_path);
     if (!trace) {
-      err << "pkx serve: cannot write trace to " << trace_path << "\n";
+      c.err << "pkx serve: cannot write trace to " << trace_path << "\n";
       return 1;
     }
     pk::telemetry::write_chrome_trace(pk::telemetry::snapshot(), trace);
-    out << "pkx serve: telemetry trace written to " << trace_path << "\n";
+    c.out << "pkx serve: telemetry trace written to " << trace_path << "\n";
   }
   const auto s = server.stats();
-  out << "pkx serve: drained (" << s.requests << " requests, "
-      << s.executed << " executed, " << s.rejected_overload
-      << " rejected overloaded, " << s.rejected_budget
-      << " rejected over budget, " << s.uploads << " uploads)\n";
+  c.out << "pkx serve: drained (" << s.requests << " requests, "
+        << s.executed << " executed, " << s.rejected_overload
+        << " rejected overloaded, " << s.rejected_budget
+        << " rejected over budget, " << s.uploads << " uploads)\n";
+  return 0;
+}
+
+/// Prints a client response: streamed lines verbatim (JSON lines a
+/// pipeline can consume), then the terminal result; errors map onto the
+/// pkx exit-code contract.
+int client_reply(const Call& c, const pk::server::Client::Response& r) {
+  for (const auto& ev : r.events) c.out << ev.line << "\n";
+  if (!r.ok()) {
+    c.err << "pkx client: " << pk::server::wire::to_string(r.error) << ": "
+          << r.error_message << "\n";
+    return pk::server::wire::exit_code(r.error);
+  }
+  if (c.name == "stats" && !c.has("--json")) {
+    c.out << render_stats_table(r.result);
+    return 0;
+  }
+  c.out << r.result << "\n";
+  if (c.name == "diff" &&
+      r.result.find("\"regression\":true") != std::string::npos) {
+    return 3;  // same gate verdict as in-process `pkx diff`
+  }
   return 0;
 }
 
 /// Streams `watch` events: sends the request, then prints each "stats"
 /// event as it arrives (raw JSON lines under --json, fixed-width rows
 /// otherwise) until the server's terminal line for the request.
-int client_watch(pk::server::Client& client,
-                 const std::vector<std::string>& args, std::ostream& out,
-                 std::ostream& err) {
-  double interval = 1.0;
-  long long count = 0;
-  bool json_lines = false;
-  for (std::size_t i = 3; i < args.size(); ++i) {
-    if (args[i] == "--json") {
-      json_lines = true;
-      continue;
-    }
-    if (i + 1 >= args.size()) return usage_for("client", err);
-    try {
-      if (args[i] == "--interval") {
-        interval = pk::strings::parse_double(args[i + 1]);
-      } else if (args[i] == "--count") {
-        count = pk::strings::parse_int(args[i + 1]);
-      } else {
-        return usage_for("client", err);
-      }
-    } catch (const pk::ParseError&) {
-      err << "pkx client: " << args[i] << " must be a number, got '"
-          << args[i + 1] << "'\n";
-      return usage_for("client", err);
-    }
-    ++i;
-  }
+int client_watch(const Call& c) {
+  const bool json_lines = c.has("--json");
   const std::string params =
-      "{\"interval\":" + pk::json::number(interval) +
-      ",\"count\":" + pk::json::number(static_cast<double>(count)) + "}";
-  const std::string id = client.send("watch", params);
-  bool header_printed = false;
-  for (;;) {
-    const std::string line = client.read_line();
-    const auto v = pk::json::parse(line);
-    const auto* lid = v.find("id");
-    if (lid == nullptr || lid->text != id) continue;
-    const auto* ev = v.find("event");
-    const std::string kind = ev != nullptr ? ev->text : "";
-    if (kind == "error") {
-      const auto* e = v.find("error");
-      const auto* code = e != nullptr ? e->find("code") : nullptr;
-      const auto* msg = e != nullptr ? e->find("message") : nullptr;
-      const auto ec = pk::server::wire::error_code(
-          code != nullptr ? code->text : "internal");
-      err << "pkx client: " << pk::server::wire::to_string(ec) << ": "
-          << (msg != nullptr ? msg->text : "") << "\n";
-      return pk::server::wire::exit_code(ec);
-    }
-    if (kind == "result") {
-      if (json_lines) out << line << "\n";
-      break;
-    }
-    if (!json_lines && !header_printed) {
-      out << render_watch_header();
-      header_printed = true;
-    }
-    out << (json_lines ? line + "\n" : render_watch_row(line));
-    out.flush();
-  }
+      "{\"interval\":" + pk::json::number(c.number("--interval", 1.0)) +
+      ",\"count\":" +
+      pk::json::number(static_cast<double>(c.number("--count", 0LL))) + "}";
+  bool header_pending = !json_lines;
+  const auto r = c.client->collect(
+      c.client->send("watch", params),
+      [&](const pk::server::Client::Event& ev) {
+        if (std::exchange(header_pending, false)) {
+          c.out << render_watch_header();
+        }
+        c.out << (json_lines ? ev.line + "\n" : render_watch_row(ev.line));
+        c.out.flush();
+      });
+  if (!r.ok()) return client_reply(c, r);
+  if (json_lines) c.out << r.line << "\n";
   return 0;
 }
 
-int cmd_client(const std::vector<std::string>& args, std::ostream& out,
-               std::ostream& err) {
-  // pkx client <socket> <verb> ...
-  if (args.size() < 3) return usage_for("client", err);
-  const std::string& verb = args[2];
-  pk::server::Client client(args[1]);
-  pk::server::Client::Response r;
-  bool stats_table = false;
+int client_upload(const Call& c) {
+  return client_reply(
+      c, c.client->upload_file(c.pos[0], c.pos[1], c.pos[2],
+                               c.text("--version"), c.text("--predecessor")));
+}
 
-  if (verb == "watch") {
-    return client_watch(client, args, out, err);
+/// Every verb but watch and upload: the positionals and flags as named
+/// params ("{}" for ping, selfdiagnose and stats).
+int client_call(const Call& c) {
+  const char* const keys[] = {"application", "experiment",
+                              c.name == "diff" ? "base" : "trial", "current"};
+  std::string params = "{";
+  for (std::size_t i = 0; i < c.pos.size(); ++i) {
+    params += (i == 0 ? "\"" : ",\"") + std::string(keys[i]) +
+              "\":" + pk::json::quote(c.pos[i]);
   }
-  if (verb == "ping" || verb == "stats" || verb == "selfdiagnose") {
-    if (verb == "stats" && args.size() == 4 && args[3] == "--json") {
-      // raw JSON, as before
-    } else if (args.size() != 3) {
-      return usage_for("client", err);
+  if (c.has("--rulebase")) {
+    params += ",\"rulebase\":" + pk::json::quote(c.text("--rulebase"));
+  }
+  if (c.has("--band")) {
+    params += ",\"band\":" + pk::json::number(c.number("--band", 0.0));
+  }
+  return client_reply(c, c.client->call(c.name, params + "}"));
+}
+
+constexpr const char* kNumber = "a number";
+constexpr const char* kPositiveNumber = "a positive number";
+
+// In usage order, the client verbs last: their lines end the full usage
+// as `pkx client`'s block. Each usage line follows its scope's prefix.
+const Command kCommands[] = {
+    {kBare, "demo", "demo <repo-dir>", 1, {}, cmd_demo},
+    {kRepo, "list", "list", 0, {}, cmd_list},
+    {kRepo, "show", "show <app> <exp> <trial>", 3, {}, cmd_show},
+    {kRepo, "run", "run <script.ps>", 1, {}, cmd_run},
+    {kRepo, "report", "report <app> <exp> <trial>", 3, {}, cmd_report},
+    {kRepo, "explain",
+     "explain <app> <exp> <trial> [--json <file>] [--dot <file>]", 3,
+     {{"--json"}, {"--dot"}}, cmd_explain},
+    {kBare, "explain", "explain --from <explanations.json>", 0,
+     {{"--from", kText, nullptr, true, true}}, cmd_explain_from},
+    {kRepo, "rules-profile",
+     "rules-profile <app> <exp> <trial> [--rules <file>] [--json <file>]"
+     " [--dot <file>]",
+     3, {{"--rules"}, {"--json"}, {"--dot"}}, cmd_rules_profile},
+    {kRepo, "export-csv", "export-csv <app> <exp> <trial> <metric>", 4, {},
+     cmd_export_csv},
+    {kRepo, "export-json", "export-json <app> <exp> <trial> <file>", 4, {},
+     cmd_export_json},
+    {kRepo, "import", "import <file-or-dir> <app> <exp>", 3, {}, cmd_import},
+    {kRepo, "diff",
+     "diff <app> <exp> <base> <current> [--json <file>] [--metric <name>]"
+     " [--band <fraction>]",
+     4, {{"--json"}, {"--metric"}, {"--band", kPositive, kPositiveNumber}},
+     cmd_diff},
+    {kRepo, "history", "history <app> <exp>", 2, {}, cmd_history},
+    {kDir, "bench2pkb",
+     "bench2pkb <app> <exp> <version> <bench.json>..."
+     " [--predecessor <version>]",
+     3, {{"--predecessor"}}, cmd_bench2pkb, true},
+    {kRepo, "prune", "prune <app> <exp> --keep <n>", 2,
+     {{"--keep", kInt, nullptr, true, true}}, cmd_prune},
+    {kBare, "serve",
+     "serve <socket> [--repo <dir>] [--rules <dir>] [--workers <n>]\n"
+     "    [--queue <n>] [--client-queue <n>] [--budget <bytes>]"
+     " [--trace <file>]",
+     1,
+     {{"--repo"}, {"--rules"}, {"--workers", kInt, kNumber},
+      {"--queue", kInt, kNumber}, {"--client-queue", kInt, kNumber},
+      {"--budget", kInt, kNumber}, {"--trace"}},
+     cmd_serve},
+    {kClient, "ping", "ping | selfdiagnose", 0, {}, client_call},
+    {kClient, "selfdiagnose", nullptr, 0, {}, client_call},
+    {kClient, "stats", "stats [--json]", 0,
+     {{"--json", kSwitch, nullptr, true}}, client_call},
+    {kClient, "watch", "watch [--interval <sec>] [--count <n>] [--json]", 0,
+     {{"--interval", kReal, kNumber}, {"--count", kInt, kNumber},
+      {"--json", kSwitch}},
+     client_watch},
+    {kClient, "upload",
+     "upload <app> <exp> <file> [--version <v>] [--predecessor <p>]", 3,
+     {{"--version"}, {"--predecessor"}}, client_upload},
+    {kClient, "analyze",
+     "analyze|explain <app> <exp> <trial> [--rulebase <name>]", 3,
+     {{"--rulebase"}}, client_call},
+    {kClient, "explain", nullptr, 3, {{"--rulebase"}}, client_call},
+    {kClient, "diff", "diff <app> <exp> <base> <current> [--band <fraction>]",
+     4, {{"--band", kReal, kPositiveNumber}}, client_call},
+};
+
+/// The row named `name` in `scope`; kRepo also finds kDir rows.
+const Command* find_command(std::string_view name, Scope scope) {
+  for (const Command& c : kCommands) {
+    if (name == c.name && (c.scope == kDir ? kRepo : c.scope) == scope) {
+      return &c;
+    }
+  }
+  return nullptr;
+}
+
+/// Usage for one failing subcommand (each row of that name; every verb
+/// for "client") -> exit 2. Any other word gets the full usage.
+int usage_for(const std::string& cmd, std::ostream& err) {
+  std::string matched;
+  std::string all;
+  for (const auto& c : kCommands) {
+    if (c.usage == nullptr) continue;
+    const std::string line = std::string("  pkx ") +
+                             (c.scope == kBare     ? ""
+                              : c.scope == kClient ? "client <socket> "
+                                                   : "<repo-dir> ") +
+                             c.usage + "\n";
+    all += line;
+    if (cmd == "client" ? c.scope == kClient
+                        : c.scope != kClient && cmd == c.name) {
+      matched += line;
+    }
+  }
+  err << "usage:\n";
+  if (!matched.empty()) {
+    err << matched;
+    return 2;
+  }
+  err << all
+      << "\n"
+         "import auto-detects the profile format (pkprof, pkb, json,\n"
+         "benchjson, csv, tau); import-csv and import-tau remain as\n"
+         "aliases. explain runs the OpenUH rulebase with full provenance\n"
+         "capture and prints a proof tree per diagnosis; --from\n"
+         "re-renders a previously exported --json file. diff compares\n"
+         "two versions with rules/regression.rules (exit 3 when a\n"
+         "regression is diagnosed); bench2pkb ingests Google-Benchmark\n"
+         "JSON as the next version of an experiment's history.\n"
+         "rules-profile re-runs a trial's analysis with the per-rule\n"
+         "cost profiler on, stores the attribution as a trial named\n"
+         "<trial>-rules-profile, and diagnoses it with the shipped\n"
+         "rule_tuning rulebase (proof trees included).\n";
+  return 2;
+}
+
+bool valid(Value value, const std::string& text) {
+  try {
+    if (value == kInt) (void)pk::strings::parse_int(text);
+    const double v = value < kReal ? 1.0 : pk::strings::parse_double(text);
+    return value != kPositive || (std::isfinite(v) && v > 0.0);
+  } catch (const pk::ParseError&) {
+    return false;
+  }
+}
+
+/// Checks args[first..] against row `c` into `call`, then runs its
+/// handler; a usage error prints the row's usage and returns 2.
+int run(const Command& c, const std::vector<std::string>& args,
+        std::size_t first, Call& call) {
+  const std::string group = c.scope == kClient ? "client" : c.name;
+  const auto any_flag = [&c](auto pred) {
+    return std::any_of(c.flags.begin(), c.flags.end(), pred);
+  };
+  std::size_t i = first + c.arity;
+  // Without switches or further positionals every flag takes a value,
+  // so an odd tail fails before any value is read.
+  const bool pairs =
+      !c.more && !any_flag([](const Flag& f) { return f.value == kSwitch; });
+  if (args.size() < i || (pairs && (args.size() - i) % 2 != 0)) {
+    return usage_for(group, call.err);
+  }
+  call.name = c.name;
+  call.pos.assign(args.begin() + first, args.begin() + i);
+  for (; i < args.size(); ++i) {
+    const auto f = std::find_if(
+        c.flags.begin(), c.flags.end(),
+        [&](const Flag& g) { return args[i] == g.name; });
+    if (f == c.flags.end()) {
+      if (!c.more) return usage_for(group, call.err);
+      call.pos.push_back(args[i]);
+    } else if (f->once && call.has(f->name)) {
+      return usage_for(group, call.err);
+    } else if (f->value == kSwitch) {
+      call.flags[f->name].emplace_back();
+    } else if (++i == args.size() || !valid(f->value, args[i])) {
+      if (i < args.size() && f->noun != nullptr) {
+        call.err << "pkx " << group << ": " << f->name << " must be "
+                 << f->noun << ", got '" << args[i] << "'\n";
+      }
+      return usage_for(group, call.err);
     } else {
-      stats_table = verb == "stats";
+      call.flags[f->name].push_back(args[i]);
     }
-    r = client.call(verb);
-  } else if (verb == "upload") {
-    if (args.size() < 6 || (args.size() - 6) % 2 != 0) {
-      return usage_for("client", err);
-    }
-    std::string version;
-    std::string predecessor;
-    for (std::size_t i = 6; i + 1 < args.size(); i += 2) {
-      if (args[i] == "--version") version = args[i + 1];
-      else if (args[i] == "--predecessor") predecessor = args[i + 1];
-      else return usage_for("client", err);
-    }
-    r = client.upload_file(args[3], args[4], args[5], version,
-                           predecessor);
-  } else if (verb == "analyze" || verb == "explain") {
-    if (args.size() < 6 || (args.size() - 6) % 2 != 0) {
-      return usage_for("client", err);
-    }
-    std::string params =
-        "{\"application\":" + pk::json::quote(args[3]) +
-        ",\"experiment\":" + pk::json::quote(args[4]) +
-        ",\"trial\":" + pk::json::quote(args[5]);
-    for (std::size_t i = 6; i + 1 < args.size(); i += 2) {
-      if (args[i] == "--rulebase") {
-        params += ",\"rulebase\":" + pk::json::quote(args[i + 1]);
-      } else {
-        return usage_for("client", err);
-      }
-    }
-    r = client.call(verb, params + "}");
-  } else if (verb == "diff") {
-    if (args.size() < 7 || (args.size() - 7) % 2 != 0) {
-      return usage_for("client", err);
-    }
-    std::string params =
-        "{\"application\":" + pk::json::quote(args[3]) +
-        ",\"experiment\":" + pk::json::quote(args[4]) +
-        ",\"base\":" + pk::json::quote(args[5]) +
-        ",\"current\":" + pk::json::quote(args[6]);
-    for (std::size_t i = 7; i + 1 < args.size(); i += 2) {
-      if (args[i] == "--band") {
-        try {
-          params += ",\"band\":" + pk::json::number(
-                                       pk::strings::parse_double(args[i + 1]));
-        } catch (const pk::ParseError&) {
-          err << "pkx client: --band must be a positive number, got '"
-              << args[i + 1] << "'\n";
-          return usage_for("client", err);
-        }
-      } else {
-        return usage_for("client", err);
-      }
-    }
-    r = client.call("diff", params + "}");
-  } else {
-    return usage_for("client", err);
   }
-
-  // Streamed lines verbatim (JSON lines a pipeline can consume), then
-  // the terminal result; errors map onto the pkx exit-code contract.
-  for (const auto& ev : r.events) out << ev.line << "\n";
-  if (!r.ok()) {
-    err << "pkx client: " << pk::server::wire::to_string(r.error) << ": "
-        << r.error_message << "\n";
-    return pk::server::wire::exit_code(r.error);
+  const bool missing = any_flag(
+      [&](const Flag& f) { return f.required && !call.has(f.name); });
+  if (missing || (c.more && call.pos.size() == c.arity)) {
+    return usage_for(group, call.err);
   }
-  if (stats_table) {
-    out << render_stats_table(r.result);
-    return 0;
-  }
-  out << r.result << "\n";
-  if (verb == "diff" &&
-      r.result.find("\"regression\":true") != std::string::npos) {
-    return 3;  // same gate verdict as in-process `pkx diff`
-  }
-  return 0;
+  return c.run(call);
 }
 
 }  // namespace
@@ -871,123 +852,42 @@ std::string render_watch_row(const std::string& event_line) {
 
 int pkx_main(const std::vector<std::string>& args, std::ostream& out,
              std::ostream& err) {
-  // Remembered across the try so InvalidArgumentError can print the
-  // failing subcommand's usage.
+  // The word typed, remembered across the try so InvalidArgumentError
+  // can print its usage.
   std::string cmd;
   try {
-    if (!args.empty() && args[0] == "demo") {
-      if (args.size() != 2) return usage_for("demo", err);
-      return cmd_demo(args[1], out);
-    }
-    if (!args.empty() && args[0] == "explain") {
-      if (args.size() == 3 && args[1] == "--from") {
-        return cmd_explain_from(args[2], out);
-      }
-      return usage_for("explain", err);
-    }
-    if (!args.empty() && args[0] == "serve") {
-      cmd = "serve";
-      if (args.size() < 2) return usage_for("serve", err);
-      return cmd_serve(args, out, err);
-    }
-    if (!args.empty() && args[0] == "client") {
+    Call call{out, err};
+    if (args.empty()) return usage_for(cmd, err);
+    if (args[0] == "client") {
       cmd = "client";
-      return cmd_client(args, out, err);
+      if (args.size() < 3) return usage_for(cmd, err);
+      pk::server::Client client(args[1]);
+      call.client = &client;
+      const Command* verb = find_command(args[2], kClient);
+      return verb != nullptr ? run(*verb, args, 3, call)
+                             : usage_for(cmd, err);
     }
-    if (args.size() < 2) return usage(err);
+    if (const Command* c = find_command(args[0], kBare)) {
+      cmd = args[0];
+      return run(*c, args, 1, call);
+    }
+    if (args.size() < 2) return usage_for(cmd, err);
     cmd = args[1];
-
-    // bench2pkb creates the repository on first ingest, so it opens (or
-    // not) for itself before the common load below.
-    if (cmd == "bench2pkb") {
-      if (args.size() < 6) return usage_for("bench2pkb", err);
-      return cmd_bench2pkb(args[0], args, out, err);
+    // import-csv and import-tau are the old spellings of import.
+    const Command* c = find_command(
+        cmd == "import-csv" || cmd == "import-tau" ? "import" : cmd, kRepo);
+    call.dir = args[0];
+    // Lazy open, before the arguments are read: a command pays for the
+    // trials it touches, not the whole repository. The unbounded budget
+    // means a one-shot process never evicts, so a trial read twice is
+    // loaded once. bench2pkb creates the repository on first ingest, so
+    // it opens (or not) for itself.
+    std::optional<pk::perfdmf::Repository> repo;
+    if (c == nullptr || c->scope == kRepo) {
+      repo = pk::perfdmf::Repository::attach(args[0], SIZE_MAX);
+      call.repo = &*repo;
     }
-
-    // Lazy open: a command pays for the trials it touches, not the whole
-    // repository. The unbounded budget means a one-shot process never
-    // evicts, so a trial read twice is loaded once.
-    auto repo = pk::perfdmf::Repository::attach(args[0], SIZE_MAX);
-
-    if (cmd == "list") {
-      if (args.size() != 2) return usage_for("list", err);
-      return cmd_list(repo, out);
-    }
-    if (cmd == "show") {
-      if (args.size() != 5) return usage_for("show", err);
-      return cmd_show(repo, args[2], args[3], args[4], out);
-    }
-    if (cmd == "run") {
-      if (args.size() != 3) return usage_for("run", err);
-      pk::script::AnalysisSession session(
-          pk::script::SessionOptions{&repo});
-      session.interpreter().set_echo(true);
-      session.run_file(args[2]);
-      out << "\n" << session.harness().diagnoses().size()
-          << " diagnoses\n";
-      for (const auto& d : session.harness().diagnoses()) {
-        out << "  [" << d.problem << "] " << d.event << " -> "
-            << d.recommendation << "\n";
-      }
-      return 0;
-    }
-    if (cmd == "report") {
-      if (args.size() != 5) return usage_for("report", err);
-      pk::rules::RuleHarness harness;
-      (void)pk::analysis::run_analysis(
-          repo,
-          {args[2], args[3], args[4], "openuh",
-           pk::provenance::ProvenanceMode::kOff},
-          {}, harness);
-      out << pk::analysis::render_report(
-          *repo.verified_view(args[2], args[3], args[4]), &harness);
-      return 0;
-    }
-    if (cmd == "explain") {
-      if (args.size() < 5) return usage_for("explain", err);
-      return cmd_explain(repo, args, out, err);
-    }
-    if (cmd == "rules-profile") {
-      if (args.size() < 5) return usage_for("rules-profile", err);
-      return cmd_rules_profile(repo, args[0], args, out, err);
-    }
-    if (cmd == "diff") {
-      if (args.size() < 6) return usage_for("diff", err);
-      return cmd_diff(repo, args, out, err);
-    }
-    if (cmd == "history") {
-      if (args.size() != 4) return usage_for("history", err);
-      return cmd_history(repo, args[2], args[3], out);
-    }
-    if (cmd == "prune") {
-      return cmd_prune(repo, args[0], args, out, err);
-    }
-    if (cmd == "export-csv") {
-      if (args.size() != 6) return usage_for("export-csv", err);
-      const auto trial = repo.verified_view(args[2], args[3], args[4]);
-      out << pk::perfdmf::to_csv(*trial, args[5]);
-      return 0;
-    }
-    if (cmd == "export-json") {
-      if (args.size() != 6) return usage_for("export-json", err);
-      pk::io::save_trial(*repo.verified_view(args[2], args[3], args[4]),
-                         args[5], "json");
-      out << "wrote " << args[5] << "\n";
-      return 0;
-    }
-    // "import" sniffs the format; the old import-csv/import-tau
-    // spellings go through the same auto-detecting front door.
-    if (cmd == "import" || cmd == "import-csv" || cmd == "import-tau") {
-      if (args.size() != 5) return usage_for("import", err);
-      auto trial = std::make_shared<pk::profile::Trial>(
-          pk::io::open_trial(args[2]));
-      repo.put(args[3], args[4], trial);
-      repo.save(args[0]);
-      out << "imported " << args[2] << " as " << args[3] << "/" << args[4]
-          << "/" << trial->name() << "\n";
-      return 0;
-    }
-    return usage(err);
+    return c != nullptr ? run(*c, args, 2, call) : usage_for("", err);
   } catch (const pk::InvalidArgumentError& e) {
     // Field-naming validation errors (SessionOptions/DiffOptions/
     // ServerOptions::validate and friends) are usage errors: exit 2

@@ -248,13 +248,13 @@ TEST(Bindings, RunFilePrefixesDiagnosticsWithFileAndLine) {
   std::filesystem::remove(path);
 }
 
-TEST(Bindings, SessionOptionsConfiguresHarness) {
+TEST(Bindings, HarnessStrategySwitchesAtRunTime) {
   Repository repo;
   repo.put("app", "exp", make_stall_trial());
   pk::script::SessionOptions opts;
   opts.repository = &repo;
-  opts.match_strategy = pk::rules::MatchStrategy::kNaive;
   AnalysisSession session(opts);
+  session.harness().set_match_strategy(pk::rules::MatchStrategy::kNaive);
   EXPECT_EQ(session.harness().match_strategy(),
             pk::rules::MatchStrategy::kNaive);
   session.run(R"(

@@ -598,9 +598,8 @@ TEST(Provenance, ScriptBindingsExposeExplanations) {
   auto trial = std::make_shared<pk::profile::Trial>(run_msap_trial());
   const std::string trial_name = trial->name();
   repo.put("app", "exp", trial);
-  pk::script::SessionOptions options{&repo};
-  options.provenance = ProvenanceMode::kFull;
-  pk::script::AnalysisSession session(options);
+  pk::script::AnalysisSession session(pk::script::SessionOptions{&repo});
+  session.harness().set_provenance(ProvenanceMode::kFull);
   EXPECT_EQ(session.harness().provenance_mode(), ProvenanceMode::kFull);
 
   session.run(
