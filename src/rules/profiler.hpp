@@ -31,9 +31,9 @@
 //
 // Gating mirrors telemetry: a process-wide relaxed-atomic switch
 // (profiling_enabled(), default off, set_profiling_enabled() to flip)
-// that compiles to a constant-false under PERFKNOW_NO_TELEMETRY. The disabled-mode cost is one pointer test
-// per rule per cycle, CI-gated at <= 2% on the 10k-fact beta workload
-// (BM_RulesProfilerOff).
+// that compiles to a constant-false under PERFKNOW_NO_TELEMETRY. The
+// disabled-mode cost is one pointer test per rule per cycle, CI-gated at
+// <= 2% on the 10k-fact beta workload (BM_RulesProfilerOff).
 #pragma once
 
 #include <atomic>
